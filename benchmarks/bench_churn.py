@@ -3,9 +3,9 @@
 Two identical :class:`~repro.index.mutable_quadtree.MutableQuadtree`
 copies of the same dataset replay the *same* moving-hotspot churn
 workload (interleaved inserts, deletes, and cost queries) through a
-:class:`~repro.estimators.maintenance.MaintainedStaircaseEstimator` —
-one maintaining its leaf catalogs incrementally off the generation-keyed
-update log, one forcing a full rebuild every phase.
+:class:`~repro.estimators.MaintainedStaircaseEstimator` — one refreshing
+its leaf catalogs incrementally off the generation-keyed update log, one
+forcing a full rebuild every phase.
 
 Two assertions carry the PR's claims:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.estimators.maintenance import MaintainedStaircaseEstimator
+from repro.estimators import MaintainedStaircaseEstimator
 from repro.experiments.common import dataset
 from repro.geometry import Rect
 from repro.index.mutable_quadtree import MutableQuadtree
@@ -57,10 +57,7 @@ def _testbed(cfg):
 
 def _replay(points, bounds, capacity, max_k, phases, mode):
     tree = MutableQuadtree(points, bounds=bounds, capacity=capacity)
-    estimator = MaintainedStaircaseEstimator(
-        tree, max_k=max_k, staleness_threshold=1.0
-    )
-    estimator.refresh_incremental()  # both modes start warm
+    estimator = MaintainedStaircaseEstimator(tree, max_k=max_k)
     return run_churn(tree, estimator, phases, mode=mode)
 
 

@@ -16,17 +16,22 @@ k-NN-Join (Section 4):
   merged per-pair catalogs (fast lookup, quadratic catalog count).
 * :class:`~repro.estimators.virtual_grid.VirtualGridEstimator` — one
   grid catalog per inner relation (linear catalog count).
+
+The three catalog estimators stay valid under inserts and deletes
+through their ``refresh_incremental()`` method, which returns a
+:class:`~repro.estimators.maintenance.MaintenanceReport`;
+:class:`~repro.estimators.staircase.MaintainedStaircaseEstimator` is the
+Staircase estimator that calls it before answering instead of raising.
 """
 
 from repro.estimators.base import SelectCostEstimator, JoinCostEstimator
 from repro.estimators.density import DensityBasedEstimator
 from repro.estimators.uniform_model import UniformModelEstimator
-from repro.estimators.staircase import StaircaseEstimator, build_select_catalog
-from repro.estimators.maintenance import (
-    MaintainedCatalogMergeEstimator,
+from repro.estimators.maintenance import MaintenanceReport
+from repro.estimators.staircase import (
     MaintainedStaircaseEstimator,
-    MaintainedVirtualGridEstimator,
-    MaintenanceReport,
+    StaircaseEstimator,
+    build_select_catalog,
 )
 from repro.estimators.block_sample import BlockSampleEstimator, sample_block_indices
 from repro.estimators.catalog_merge import CatalogMergeEstimator
@@ -39,8 +44,6 @@ __all__ = [
     "UniformModelEstimator",
     "StaircaseEstimator",
     "MaintainedStaircaseEstimator",
-    "MaintainedCatalogMergeEstimator",
-    "MaintainedVirtualGridEstimator",
     "MaintenanceReport",
     "build_select_catalog",
     "BlockSampleEstimator",

@@ -1,57 +1,41 @@
-"""Incremental catalog maintenance under updates.
+"""Shared pieces of incremental catalog maintenance.
 
-The paper builds its catalogs once, offline.  A deployed optimizer must
-keep them usable while the data changes — without paying a full rebuild
-for every insert.  This module maintains all three catalog techniques
-incrementally on top of the generation-keyed update log of
-:class:`~repro.index.mutable_quadtree.MutableQuadtree`:
+The paper builds its catalogs once, offline.  Here every catalog
+estimator (:class:`~repro.estimators.staircase.StaircaseEstimator`,
+:class:`~repro.estimators.catalog_merge.CatalogMergeEstimator`,
+:class:`~repro.estimators.virtual_grid.VirtualGridEstimator`) keeps its
+catalogs valid under updates with one method,
+``refresh_incremental(*, full=False)``: drop the entries a mutation may
+have changed, rebuild what is missing with the routine the constructor
+uses, keep the rest.  Construction is that call on an empty table.
 
-* :class:`MaintainedStaircaseEstimator` — per-leaf center/corner
-  catalogs, rebuilt lazily (on query) or eagerly
-  (:meth:`~MaintainedStaircaseEstimator.refresh_incremental`);
-* :class:`MaintainedCatalogMergeEstimator` — per-sampled-outer-block
-  locality temporaries, re-merged from the surviving temporaries;
-* :class:`MaintainedVirtualGridEstimator` — per-grid-cell locality
-  catalogs with the padded lookup matrices reassembled after each
-  partial rebuild.
-
-**The coverage-radius invariant.**  Every catalog entry here is a pure
-function of an *anchor* (a leaf center/corner, an outer block, a grid
-cell) and the data blocks within some radius of it:
+**The coverage-radius invariant.**  Every catalog entry is a pure
+function of an *anchor* (a leaf's center and corners, an outer block, a
+grid cell) and the data blocks within some radius of it:
 
 * a select-cost staircase stops scanning once ``max_k`` points are
   retrievable, so it depends only on blocks with MINDIST up to the
-  first *unscanned* block's MINDIST (``_select_coverage_radii``);
+  first *unscanned* block's MINDIST
+  (:func:`~repro.knn.distance_browsing.select_cost_profile_covered`);
 * a locality staircase depends only on blocks with MINDIST up to the
   running-MAXDIST mark of its first count-reaching prefix
   (:func:`~repro.knn.locality.locality_coverage_radii`).
 
 Blocks only ever change inside a leaf region the index noted dirty, so
 an entry whose coverage disc misses every dirty region is **bit-for-bit
-identical** to what a from-scratch rebuild would produce — the
-equivalence suite (``tests/test_maintenance_incremental.py``) asserts
-exactly that across randomized insert/delete churn.  The invariant is
-also *transitive*: surviving an update leaves both the entry and its
-coverage radius unchanged, so entries can skip arbitrarily many update
-rounds without their validity test drifting.
+identical** to what a from-scratch build would produce.  The invariant
+is transitive: surviving an update leaves both the entry and its radius
+unchanged, so entries can skip arbitrarily many update rounds.
 
-**Staleness handling.**  Each estimator holds one private generation
-watermark (never the index's mutation list — the old index-based
-watermarks silently desynced when another consumer called the public
-``clear_dirty()``).  Reconciliation asks the index for dirty/dead
-regions *since the watermark*; when the index cannot answer (no log
-API, or the history was pruned past the watermark) the estimator
-conservatively drops its whole cache instead of serving stale entries.
-Entries keyed by a region that stopped being a leaf (split or merged)
-are evicted as soon as the death is observed — dead-leaf catalogs no
-longer leak until the next full refresh.
-
-The Staircase estimator additionally keeps the original two-level
-policy: when the generation drift since the last full refresh exceeds
-``staleness_threshold`` of the table size, everything is dropped and
-rebuilt on demand.  The maintenance tests quantify the drift this
-allows and the churn benchmark (``benchmarks/bench_churn.py``) measures
-how many rebuilds incrementality avoids.
+**The conservative-drop rule.**  Each estimator holds one private
+generation watermark and asks the index for dirty regions *since the
+watermark*; it never consumes the index's log.  When the index cannot
+answer — it has no update-log API, or another consumer pruned the
+history past the watermark — every entry is treated as stale.  Entries
+are matched to the live partition by region bounds, so the entry of a
+region that stopped being a leaf (split or merged) is evicted at the
+next refresh; should a region of the same bounds reappear, its blocks
+changed inside noted regions and the coverage test decides as usual.
 """
 
 from __future__ import annotations
@@ -60,43 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.catalog import (
-    IntervalCatalog,
-    catalog_storage_bytes,
-    merge_max_fast,
-    merge_sum_fast,
-)
-from repro.estimators.base import (
-    JoinCostEstimator,
-    SelectCostEstimator,
-    validate_k,
-)
-from repro.estimators.block_sample import sample_block_indices
-from repro.estimators.density import DensityBasedEstimator
-from repro.estimators.staircase import DEFAULT_MAX_K, _catalog_from_profile_fast
-from repro.estimators.virtual_grid import (
-    DEFAULT_GRID_SIZE,
-    VirtualGridEstimator,
-)
-from repro.geometry import Point, Rect
 from repro.geometry.kernels import mindist_rects_batch
-from repro.index.count_index import CountIndex
-from repro.index.mutable_quadtree import MutableQuadtree
-from repro.index.snapshot import IndexSnapshot, as_snapshot, partition_bounds
-from repro.knn.locality import locality_coverage_radii
-from repro.perf import (
-    BlockPointsView,
-    locality_size_profiles,
-    resolve_workers,
-    select_cost_profiles,
-)
 
 #: Region bounds as the hashable catalog key (``Rect.as_tuple()``).
 RegionKey = tuple[float, float, float, float]
-
-#: Anchors per MINDIST slab when deriving coverage radii (mirrors
-#: ``repro.perf.parallel._MINDIST_BATCH``).
-_COVERAGE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -114,6 +65,14 @@ class MaintenanceReport:
     catalogs_rebuilt: int
     catalogs_reused: int
 
+    @classmethod
+    def of_pass(
+        cls, *, full: bool, generation: int, total: int, rebuilt: int
+    ) -> "MaintenanceReport":
+        """The report of a pass that rebuilt ``rebuilt`` of ``total`` units."""
+        mode = "full" if full else "incremental"
+        return cls(mode, generation, total, rebuilt, total - rebuilt)
+
     @property
     def rebuild_ratio(self) -> float:
         """Fraction of catalog units that had to be rebuilt."""
@@ -122,667 +81,57 @@ class MaintenanceReport:
         return self.catalogs_rebuilt / self.catalogs_total
 
 
-# ----------------------------------------------------------------------
-# Update-log access.  ``None`` means "cannot answer" — the index has no
-# generation-keyed log, or its history was pruned past the watermark —
-# and the caller must conservatively treat its whole cache as stale.
-# ----------------------------------------------------------------------
-def _dirty_items_since(index, generation: int):
-    getter = getattr(index, "dirty_region_items_since", None)
-    floor = getattr(index, "log_floor", None)
-    if getter is None or floor is None or generation < floor:
-        return None
-    return getter(generation)
+def tracks_updates(index) -> bool:
+    """Whether ``index`` keeps the generation-keyed dirty-region log.
 
-
-def _dead_items_since(index, generation: int):
-    getter = getattr(index, "dead_region_items_since", None)
-    floor = getattr(index, "log_floor", None)
-    if getter is None or floor is None or generation < floor:
-        return None
-    return getter(generation)
-
-
-def _select_coverage_radii(
-    anchor_coords: np.ndarray,
-    profiles: list,
-    block_rects: np.ndarray,
-    max_k: int,
-) -> np.ndarray:
-    """Mutation-visibility radius of each anchor's select-cost profile.
-
-    ``select_cost_profile`` scans blocks in MINDIST order and stops at
-    the first block after which ``max_k`` points are retrievable; the
-    last profile entry's cost *is* that stop count.  Every quantity the
-    profile reads — the scanned blocks' point distances and the
-    per-step thresholds (each next block's MINDIST) — concerns only
-    blocks with MINDIST at most ``C``, the MINDIST of the first
-    *unscanned* block.  Mutations confined to regions with
-    ``MINDIST(anchor, region) > C`` therefore leave the profile (and
-    the catalog built from it) bit-for-bit unchanged: mutated blocks
-    lie inside their noted region, so they sort strictly after the
-    scanned prefix and past the final threshold.
-
-    The radius is ``inf`` — any mutation anywhere may be visible — when
-    the profile is empty, never reaches ``max_k`` (fewer than ``max_k``
-    points: any insert could extend it), or scanned every block (the
-    final threshold was unbounded).
+    Locality coverage radii cost a second MINDIST/MAXDIST pass and only
+    pay off against such an index, so the join estimators skip them
+    over anything else (immutable indexes, snapshots).
     """
-    n_anchors = anchor_coords.shape[0]
-    out = np.full(n_anchors, np.inf, dtype=float)
-    n_blocks = block_rects.shape[0]
-    if n_blocks == 0:
-        return out
-    for start in range(0, n_anchors, _COVERAGE_BATCH):
-        stop = min(start + _COVERAGE_BATCH, n_anchors)
-        rows = mindist_rects_batch(anchor_coords[start:stop], block_rects)
-        for j in range(stop - start):
-            profile = profiles[start + j]
-            if not profile or profile[-1][1] < max_k:
-                continue
-            scanned = profile[-1][2]  # blocks scanned at the stop (1-based)
-            if scanned >= n_blocks:
-                continue
-            out[start + j] = float(np.partition(rows[j], scanned)[scanned])
-    return out
+    return hasattr(index, "dirty_region_items_since") and hasattr(index, "log_floor")
 
 
-def _build_leaf_catalogs(
-    count_index: CountIndex,
-    view: BlockPointsView,
-    leaf_rects: np.ndarray,
-    max_k: int,
-    workers: int,
-) -> tuple[list[IntervalCatalog], list[IntervalCatalog], np.ndarray]:
-    """Center/corner catalogs plus coverage radii for the given leaves.
+def stale_entries(
+    index, since: int, rects: np.ndarray, coverage: np.ndarray, *, full: bool = False
+) -> np.ndarray:
+    """Mask of entries a mutation after generation ``since`` may have changed.
 
-    Mirrors ``StaircaseEstimator._build_shared`` exactly — same anchor
-    stacking order, same ``np.unique`` dedup, same profile and assembly
-    code — so a per-leaf rebuild here is bit-for-bit what a full
-    estimator build would produce for that leaf (each anchor's profile
-    is a pure function of the blocks and the anchor; the dedup grouping
-    never changes per-leaf results).
+    Args:
+        index: The index whose blocks the entries were computed from.
+        since: The generation the entries were last valid for.
+        rects: ``(n, 4)`` bounds of each entry's anchor region.
+        coverage: ``(n,)`` coverage radii (``inf`` = depends on everything).
+        full: The caller asked for a full rebuild: everything is stale.
 
     Returns:
-        ``(center_catalogs, corner_catalogs, coverage)`` where
-        ``coverage[i]`` is the max coverage radius over leaf ``i``'s
-        five anchors: a mutation region farther than it (by rect
-        MINDIST, which lower-bounds every anchor's MINDIST) cannot
-        change either catalog.
+        ``(n,)`` bool mask; all ``True`` when the index cannot say what
+        changed since ``since``.
     """
-    n_leaves = leaf_rects.shape[0]
-    rects = leaf_rects
-    centers = (rects[:, 0:2] + rects[:, 2:4]) / 2.0
-    # Per leaf: [center, SW, SE, NW, NE] — Rect.corners() order.
-    stacked = np.stack(
-        [
-            centers,
-            rects[:, (0, 1)],
-            rects[:, (2, 1)],
-            rects[:, (0, 3)],
-            rects[:, (2, 3)],
-        ],
-        axis=1,
-    ).reshape(-1, 2)
-    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    ids = inverse.reshape(n_leaves, 5)
-    anchors = [Point(float(x), float(y)) for x, y in unique]
-    profiles = select_cost_profiles(count_index, view, anchors, max_k, workers)
-    catalogs = [_catalog_from_profile_fast(p, max_k) for p in profiles]
-    anchor_cov = _select_coverage_radii(
-        unique, profiles, count_index.bounds_array, max_k
-    )
-    center_out = [catalogs[ids[i, 0]] for i in range(n_leaves)]
-    corner_out = [
-        merge_max_fast([catalogs[j] for j in ids[i, 1:]]) for i in range(n_leaves)
-    ]
-    coverage = anchor_cov[ids].max(axis=1)
-    return center_out, corner_out, coverage
+    n = rects.shape[0]
+    if full or not tracks_updates(index) or since < index.log_floor:
+        return np.ones(n, dtype=bool)
+    dirty, __ = index.dirty_region_items_since(since)
+    if n == 0 or dirty.shape[0] == 0:
+        return np.zeros(n, dtype=bool)
+    return (mindist_rects_batch(rects, dirty) <= coverage[:, None]).any(axis=1)
 
 
-def _region_key(row: np.ndarray) -> RegionKey:
-    return (float(row[0]), float(row[1]), float(row[2]), float(row[3]))
+def region_keys(rects: np.ndarray) -> list[RegionKey]:
+    """The rows of an ``(n, 4)`` bounds array as hashable keys."""
+    return [tuple(row) for row in rects.tolist()]
 
 
-class MaintainedStaircaseEstimator(SelectCostEstimator):
-    """A Staircase estimator that stays valid under inserts/deletes.
-
-    Catalogs are keyed by leaf region and built lazily (on the first
-    query that lands in a leaf) or eagerly via
-    :meth:`refresh_incremental`.  Each entry carries a coverage radius;
-    on reconciliation, entries are dropped only when a dirty region
-    falls inside their coverage disc, entries of dead regions are
-    evicted, and everything else is reused — provably identical to a
-    rebuild (see the module docstring).
-
-    Args:
-        index: The mutable data index (also serves as the auxiliary
-            index — it is space-partitioning).
-        max_k: Catalog limit.
-        staleness_threshold: Fraction of the table size whose worth of
-            generation drift forces a full statistics refresh.
-        workers: Worker processes for eager rebuild fan-out;
-            ``None``/0/1 builds in-process.
-
-    Raises:
-        ValueError: On invalid parameters.
-    """
-
-    def __init__(
-        self,
-        index: MutableQuadtree,
-        max_k: int = DEFAULT_MAX_K,
-        staleness_threshold: float = 0.10,
-        *,
-        workers: int | None = None,
-    ) -> None:
-        if max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
-        if not 0.0 < staleness_threshold <= 1.0:
-            raise ValueError(
-                f"staleness_threshold must be in (0, 1], got {staleness_threshold}"
-            )
-        self._index = index
-        self._max_k = max_k
-        self._threshold = staleness_threshold
-        self._workers = resolve_workers(workers)
-        self._center: dict[RegionKey, IntervalCatalog] = {}
-        self._corners: dict[RegionKey, IntervalCatalog] = {}
-        #: Per-entry mutation-visibility radius (see module docstring).
-        self._coverage: dict[RegionKey, float] = {}
-        generation = int(index.data_generation)
-        #: Every cached entry is valid as of this generation (all
-        #: entries are rebuilt or re-verified during reconciliation, so
-        #: one watermark covers the whole cache).
-        self._verified_generation = generation
-        #: Drift anchor for the full-refresh budget.
-        self._baseline_generation = generation
-        self._count_index: CountIndex | None = None
-        self._view: BlockPointsView | None = None
-        self._state_generation = -1
-        self.full_refreshes = 0
-        self.leaf_refreshes = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------
-    # Refresh policy
-    # ------------------------------------------------------------------
-    def _sync_state(self) -> tuple[CountIndex, BlockPointsView]:
-        """The (Count-Index, points-view) pair at the current generation.
-
-        Always regathered together so per-leaf rebuilds never mix a
-        stale block summary with the live block list (the old refresh
-        path did, silently misaligning block order), and always a real
-        ``CountIndex`` — the old ``_current_counts`` could return
-        ``None`` into callers typed against ``CountIndex``.
-        """
-        generation = int(self._index.data_generation)
-        if self._count_index is None or self._state_generation != generation:
-            snapshot = IndexSnapshot.from_index(self._index)
-            self._count_index = CountIndex.from_snapshot(snapshot)
-            self._view = BlockPointsView.from_blocks(self._index.blocks)
-            self._state_generation = generation
-        assert self._view is not None
-        return self._count_index, self._view
-
-    def _full_refresh(self) -> None:
-        """Drop every cached catalog; rebuilt on demand."""
-        self._center.clear()
-        self._corners.clear()
-        self._coverage.clear()
-        generation = int(self._index.data_generation)
-        self._baseline_generation = generation
-        self._verified_generation = generation
-        self.full_refreshes += 1
-
-    def refresh(self) -> None:
-        """Force a full statistics refresh now (e.g. after a bulk load)."""
-        self._full_refresh()
-
-    def _drop_entry(self, key: RegionKey) -> None:
-        del self._center[key]
-        del self._corners[key]
-        del self._coverage[key]
-
-    def _drop_all(self) -> None:
-        self._center.clear()
-        self._corners.clear()
-        self._coverage.clear()
-
-    def _reconcile(self) -> None:
-        """Bring the cache in line with the index's current generation.
-
-        Bounded work: one dead-log sweep plus one vectorized
-        (cached-leaves x dirty-regions) MINDIST test over the
-        *coalesced* region logs — never the old per-mutation
-        ``any(intersects)`` scan whose cost grew with every mutation
-        since the last refresh.
-        """
-        generation = int(self._index.data_generation)
-        if generation == self._verified_generation:
-            return
-        drift = generation - self._baseline_generation
-        if drift > self._threshold * max(self._index.num_points, 1):
-            self._full_refresh()
-            return
-        since = self._verified_generation
-        dead = _dead_items_since(self._index, since)
-        dirty = _dirty_items_since(self._index, since)
-        if dead is None or dirty is None:
-            # The index cannot say what changed (no log, or another
-            # consumer pruned the history past our watermark — e.g. an
-            # external clear_dirty()).  Dropping everything is the
-            # conservative fix for the old watermark-desync bug, which
-            # instead marked mutated leaves clean forever.
-            self.evictions += len(self._center)
-            self._drop_all()
-            self._verified_generation = generation
-            return
-        # Evict entries whose region stopped being a leaf.  All cached
-        # entries were (re)built at the watermark, which every returned
-        # death postdates, so any cached dead key is truly dead (a
-        # region reborn later is also in the dirty log and would be
-        # caught below regardless).
-        for bounds, __ in dead:
-            if bounds in self._center:
-                self._drop_entry(bounds)
-                self.evictions += 1
-        # Invalidate survivors whose coverage disc meets a dirty region.
-        bounds_arr, __ = dirty
-        if bounds_arr.shape[0] and self._center:
-            keys = list(self._center)
-            leaf_rows = np.array(keys, dtype=float)
-            cov = np.array([self._coverage[k] for k in keys], dtype=float)
-            dists = mindist_rects_batch(leaf_rows, bounds_arr)
-            stale = (dists <= cov[:, None]).any(axis=1)
-            for i in np.flatnonzero(stale):
-                self._drop_entry(keys[i])
-        self._verified_generation = generation
-
-    def _build_leaves(
-        self,
-        leaf_rects: np.ndarray,
-        counts: CountIndex,
-        view: BlockPointsView,
-    ) -> None:
-        centers, corners, coverage = _build_leaf_catalogs(
-            counts, view, leaf_rects, self._max_k, self._workers
-        )
-        for i in range(leaf_rects.shape[0]):
-            key = _region_key(leaf_rects[i])
-            self._center[key] = centers[i]
-            self._corners[key] = corners[i]
-            self._coverage[key] = float(coverage[i])
-        self.leaf_refreshes += leaf_rects.shape[0]
-
-    def refresh_incremental(self, *, full: bool = False) -> MaintenanceReport:
-        """Eagerly bring every current leaf's catalogs up to date.
-
-        With ``full=False`` this reconciles against the update log and
-        rebuilds only missing/invalidated leaves; with ``full=True`` it
-        drops everything first (the from-scratch baseline the churn
-        benchmark compares against).  Either way, afterwards every leaf
-        of the current partition has catalogs valid for the current
-        generation.
-
-        Returns:
-            A :class:`MaintenanceReport` with the rebuilt/reused split.
-        """
-        if full:
-            self._full_refresh()
-        else:
-            self._reconcile()
-        counts, view = self._sync_state()
-        leaf_rects = partition_bounds(self._index)
-        keys = [_region_key(row) for row in leaf_rects]
-        live = set(keys)
-        # Death eviction already handles region churn for logging
-        # indexes; this sweep also covers indexes without a dead log.
-        for key in [k for k in self._center if k not in live]:
-            self._drop_entry(key)
-            self.evictions += 1
-        missing = [i for i, key in enumerate(keys) if key not in self._center]
-        if missing:
-            self._build_leaves(leaf_rects[np.array(missing, dtype=np.int64)], counts, view)
-        return MaintenanceReport(
-            mode="full" if full else "incremental",
-            generation=int(self._index.data_generation),
-            catalogs_total=len(keys),
-            catalogs_rebuilt=len(missing),
-            catalogs_reused=len(keys) - len(missing),
-        )
-
-    # ------------------------------------------------------------------
-    # Estimation
-    # ------------------------------------------------------------------
-    def estimate(self, query: Point, k: int) -> float:
-        """Estimate the select cost against the *current* data."""
-        validate_k(k)
-        if self._index.num_blocks == 0:
-            return 0.0
-        self._reconcile()
-        counts, view = self._sync_state()
-        if k > self._max_k:
-            return DensityBasedEstimator(counts).estimate(query, k)
-        if not self._index.bounds.contains_point(query):
-            return DensityBasedEstimator(counts).estimate(query, k)
-        leaf = self._index.leaf_for(query)
-        rect = leaf.rect
-        key = rect.as_tuple()
-        if key not in self._center:
-            self._build_leaves(
-                np.array([key], dtype=float).reshape(1, 4), counts, view
-            )
-        c_center = self._center[key].lookup(k)
-        c_corner = self._corners[key].lookup(k)
-        if rect.diagonal == 0.0:
-            return c_center
-        distance = query.distance_to(rect.center)
-        return c_center + (2.0 * distance / rect.diagonal) * (c_corner - c_center)
-
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-    def catalog_entries(
-        self,
-    ) -> dict[RegionKey, tuple[IntervalCatalog, IntervalCatalog]]:
-        """Snapshot of the cached per-leaf (center, corners) catalogs."""
-        return {
-            key: (self._center[key], self._corners[key]) for key in self._center
-        }
-
-    def storage_bytes(self) -> int:
-        """Serialized size of the currently cached catalogs."""
-        total = sum(catalog_storage_bytes(c) for c in self._center.values())
-        total += sum(catalog_storage_bytes(c) for c in self._corners.values())
-        return total
-
-    @property
-    def cached_leaves(self) -> int:
-        """Number of leaves whose catalogs are currently cached."""
-        return len(self._center)
-
-    @property
-    def max_k(self) -> int:
-        """Largest k served from catalogs."""
-        return self._max_k
+def carry_over(
+    old_keys: list[RegionKey], stale: np.ndarray, new_keys: list[RegionKey]
+) -> np.ndarray:
+    """For each new key, the position of its reusable old entry, or -1."""
+    old = {
+        key: i for i, (key, gone) in enumerate(zip(old_keys, stale.tolist())) if not gone
+    }
+    return np.array([old.get(key, -1) for key in new_keys], dtype=np.int64)
 
 
-class MaintainedCatalogMergeEstimator(JoinCostEstimator):
-    """A Catalog-Merge estimator maintained under inner/outer churn.
-
-    The merged pair catalog is the sum-merge of per-sampled-outer-block
-    locality temporaries.  Instead of dropping the whole thing on any
-    mutation, the temporaries are cached keyed by outer-block bounds
-    with per-entry coverage radii against the *inner* relation: a
-    refresh re-derives only temporaries whose coverage disc meets an
-    inner dirty region (or whose outer block left the sample), then
-    re-merges — in sample order, so the merged catalog stays bit-for-bit
-    identical to a from-scratch build.
-
-    Args:
-        outer_index: The outer relation's index (sampling source).
-        inner_index: The inner relation's index (locality target;
-            incremental maintenance needs its generation-keyed update
-            log, e.g. a :class:`~repro.index.mutable_quadtree.MutableQuadtree`).
-        sample_size: Number of outer blocks given temporary catalogs.
-        max_k: Largest k the merged catalog supports.
-        workers: Worker processes for the locality-profile fan-out.
-
-    Raises:
-        ValueError: On empty relations or invalid parameters.
-    """
-
-    def __init__(
-        self,
-        outer_index,
-        inner_index,
-        sample_size: int = 1_000,
-        max_k: int = DEFAULT_MAX_K,
-        *,
-        workers: int | None = None,
-    ) -> None:
-        if max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
-        if sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        self._outer_index = outer_index
-        self._inner_index = inner_index
-        self._requested_sample = sample_size
-        self._max_k = max_k
-        self._workers = resolve_workers(workers)
-        self._temporaries: dict[RegionKey, IntervalCatalog] = {}
-        self._coverage: dict[RegionKey, float] = {}
-        self._catalog: IntervalCatalog | None = None
-        self._scale = 0.0
-        self._sample_count = 0
-        self._inner_verified = -1
-        self._outer_verified = -1
-        self.temporaries_rebuilt = 0
-        self.temporaries_reused = 0
-        self.refresh(full=True)
-
-    def _apply_inner_log(self) -> None:
-        """Drop temporaries the inner relation's mutations may affect."""
-        dirty = _dirty_items_since(self._inner_index, self._inner_verified)
-        if dirty is None:
-            self._temporaries.clear()
-            self._coverage.clear()
-            return
-        bounds_arr, __ = dirty
-        if bounds_arr.shape[0] == 0 or not self._temporaries:
-            return
-        keys = list(self._temporaries)
-        rows = np.array(keys, dtype=float)
-        cov = np.array([self._coverage[k] for k in keys], dtype=float)
-        dists = mindist_rects_batch(rows, bounds_arr)
-        stale = (dists <= cov[:, None]).any(axis=1)
-        for i in np.flatnonzero(stale):
-            del self._temporaries[keys[i]]
-            del self._coverage[keys[i]]
-
-    def refresh(self, *, full: bool = False) -> MaintenanceReport:
-        """Re-derive stale temporaries and re-merge the pair catalog.
-
-        Raises:
-            ValueError: If either relation is currently empty.
-        """
-        inner_snap = as_snapshot(self._inner_index)
-        if inner_snap.n_blocks == 0:
-            raise ValueError("cannot estimate joins against an empty inner relation")
-        outer_snap = as_snapshot(self._outer_index)
-        n_outer = outer_snap.n_blocks
-        if n_outer == 0:
-            raise ValueError("cannot estimate joins over an empty outer relation")
-        sample = sample_block_indices(n_outer, self._requested_sample)
-        rects = outer_snap.rects[sample]
-        keys = [_region_key(row) for row in rects]
-        if full:
-            self._temporaries.clear()
-            self._coverage.clear()
-        else:
-            self._apply_inner_log()
-            live = set(keys)
-            for key in [k for k in self._temporaries if k not in live]:
-                del self._temporaries[key]
-                del self._coverage[key]
-        missing = [i for i, key in enumerate(keys) if key not in self._temporaries]
-        if missing:
-            rows = rects[np.array(missing, dtype=np.int64)]
-            profiles = locality_size_profiles(
-                inner_snap, rows, self._max_k, workers=self._workers
-            )
-            coverage = locality_coverage_radii(inner_snap, rows, self._max_k)
-            for j, i in enumerate(missing):
-                self._temporaries[keys[i]] = IntervalCatalog.from_profile(
-                    profiles[j], max_k=self._max_k
-                ).truncated(self._max_k)
-                self._coverage[keys[i]] = float(coverage[j])
-        # Merge in sample order — the order a from-scratch build uses —
-        # so the merged catalog is bit-for-bit identical to it.
-        self._catalog = merge_sum_fast([self._temporaries[key] for key in keys])
-        self._scale = n_outer / sample.shape[0]
-        self._sample_count = int(sample.shape[0])
-        self._inner_verified = int(inner_snap.data_generation)
-        self._outer_verified = int(outer_snap.data_generation)
-        self.temporaries_rebuilt += len(missing)
-        self.temporaries_reused += len(keys) - len(missing)
-        return MaintenanceReport(
-            mode="full" if full else "incremental",
-            generation=self._inner_verified,
-            catalogs_total=len(keys),
-            catalogs_rebuilt=len(missing),
-            catalogs_reused=len(keys) - len(missing),
-        )
-
-    def estimate(self, k: int) -> float:
-        """Estimate the join cost against the *current* relations.
-
-        Automatically refreshes (incrementally) when either relation
-        mutated since the catalogs were merged.
-        """
-        validate_k(k)
-        if (
-            int(getattr(self._inner_index, "data_generation", 0))
-            != self._inner_verified
-            or int(getattr(self._outer_index, "data_generation", 0))
-            != self._outer_verified
-        ):
-            self.refresh()
-        assert self._catalog is not None
-        return self._catalog.lookup(k) * self._scale
-
-    @property
-    def catalog(self) -> IntervalCatalog:
-        """The merged per-pair catalog (aggregate over the sample)."""
-        assert self._catalog is not None
-        return self._catalog
-
-    @property
-    def sample_size(self) -> int:
-        """Number of outer blocks that contributed temporary catalogs."""
-        return self._sample_count
-
-    @property
-    def max_k(self) -> int:
-        """Largest k the estimator supports."""
-        return self._max_k
-
-    @property
-    def cached_temporaries(self) -> int:
-        """Number of temporary catalogs currently cached."""
-        return len(self._temporaries)
-
-    def storage_bytes(self) -> int:
-        """Serialized size of the merged catalog plus cached temporaries."""
-        total = catalog_storage_bytes(self._catalog) if self._catalog else 0
-        total += sum(catalog_storage_bytes(c) for c in self._temporaries.values())
-        return total
-
-
-class MaintainedVirtualGridEstimator(VirtualGridEstimator):
-    """A Virtual-Grid estimator maintained under inner-relation churn.
-
-    The virtual grid is fixed, so maintenance is per cell: each cell's
-    locality catalog carries a coverage radius against the inner
-    relation, a refresh rebuilds only cells whose coverage disc meets a
-    dirty region, and the padded lookup matrices are reassembled from
-    the (mostly reused) per-cell catalogs.
-
-    Args:
-        inner_index: The inner relation's index (incremental
-            maintenance needs its generation-keyed update log).
-        bounds: The fixed universe over which the virtual grid is laid.
-        grid_size: Number of cells per axis.
-        max_k: Largest k the per-cell catalogs support.
-        workers: Worker processes for the per-cell profile fan-out.
-
-    Raises:
-        ValueError: On an empty inner relation or invalid parameters.
-    """
-
-    def __init__(
-        self,
-        inner_index,
-        bounds: Rect,
-        grid_size: int = DEFAULT_GRID_SIZE,
-        max_k: int = DEFAULT_MAX_K,
-        *,
-        workers: int | None = None,
-    ) -> None:
-        self._inner_index = inner_index
-        super().__init__(
-            inner_index, bounds, grid_size, max_k, workers=workers
-        )
-        self._cell_rects = np.array(
-            [cell.as_tuple() for cell in self._grid.cells], dtype=float
-        )
-        self._cell_coverage = locality_coverage_radii(
-            self._inner, self._cell_rects, max_k
-        )
-        self._inner_verified = int(self._inner.data_generation)
-        self.cells_rebuilt = 0
-        self.cells_reused = 0
-
-    def refresh(self, *, full: bool = False) -> MaintenanceReport:
-        """Rebuild stale cell catalogs and reassemble the matrices.
-
-        Raises:
-            ValueError: If the inner relation is currently empty.
-        """
-        inner_snap = as_snapshot(self._inner_index)
-        if inner_snap.n_blocks == 0:
-            raise ValueError("cannot estimate joins against an empty inner relation")
-        generation = int(inner_snap.data_generation)
-        n_cells = self._cell_rects.shape[0]
-        if full:
-            stale = np.ones(n_cells, dtype=bool)
-        else:
-            dirty = _dirty_items_since(self._inner_index, self._inner_verified)
-            if dirty is None:
-                stale = np.ones(n_cells, dtype=bool)
-            else:
-                bounds_arr, __ = dirty
-                if bounds_arr.shape[0] == 0:
-                    stale = np.zeros(n_cells, dtype=bool)
-                else:
-                    dists = mindist_rects_batch(self._cell_rects, bounds_arr)
-                    stale = (dists <= self._cell_coverage[:, None]).any(axis=1)
-        idx = np.flatnonzero(stale)
-        if idx.shape[0]:
-            rows = self._cell_rects[idx]
-            profiles = locality_size_profiles(
-                inner_snap, rows, self._max_k, workers=self._workers
-            )
-            coverage = locality_coverage_radii(inner_snap, rows, self._max_k)
-            for j, i in enumerate(idx):
-                self._cell_catalogs[int(i)] = IntervalCatalog.from_profile(
-                    profiles[j], max_k=self._max_k
-                ).truncated(self._max_k)
-            self._cell_coverage[idx] = coverage
-            self._assemble_matrices()
-        self._inner = inner_snap
-        self._inner_verified = generation
-        rebuilt = int(idx.shape[0])
-        self.cells_rebuilt += rebuilt
-        self.cells_reused += n_cells - rebuilt
-        return MaintenanceReport(
-            mode="full" if full else "incremental",
-            generation=generation,
-            catalogs_total=n_cells,
-            catalogs_rebuilt=rebuilt,
-            catalogs_reused=n_cells - rebuilt,
-        )
-
-    def estimate(self, outer, k, assignment="overlap") -> float:
-        """Estimate against the *current* inner relation.
-
-        Automatically refreshes (incrementally) when the inner relation
-        mutated since the cell catalogs were last verified.
-        """
-        if (
-            int(getattr(self._inner_index, "data_generation", 0))
-            != self._inner_verified
-        ):
-            self.refresh()
-        return super().estimate(outer, k, assignment)
+def patched(old, built, source: np.ndarray) -> list:
+    """Entries in new-key order: ``old[source[i]]``, or the next built one."""
+    fresh = iter(built)
+    return [next(fresh) if s < 0 else old[s] for s in source.tolist()]

@@ -22,6 +22,12 @@ Center-Only variant skips the corner lookup and returns ``C_center``.
 Catalogs cover ``k <= max_k`` (the paper uses 10,000); larger k falls
 back to the density-based estimator over the Count-Index, matching the
 query flow of Figure 5.
+
+The paper builds the catalogs once, offline.  Here the build is
+:meth:`StaircaseEstimator.refresh_incremental` — the constructor is that
+call on an empty table — so the same estimator stays valid under
+inserts and deletes by rebuilding only the leaves whose coverage disc
+met a mutation (see :mod:`repro.estimators.maintenance`).
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ from repro.catalog import (
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import SelectCostEstimator, normalize_batch_args
 from repro.estimators.density import DensityBasedEstimator
+from repro.estimators.maintenance import (
+    MaintenanceReport,
+    RegionKey,
+    carry_over,
+    patched,
+    region_keys,
+    stale_entries,
+)
 from repro.geometry import Point, Rect
 from repro.geometry.kernels import staircase_interpolate
 from repro.index.base import Block
@@ -213,30 +227,26 @@ class StaircaseEstimator(SelectCostEstimator):
         self._data_index = data_index
         self._workers = resolve_workers(workers)
         self._dedup = bool(dedup)
-        #: Data generation the catalogs were built at (0 for immutable
+        generation = int(getattr(data_index, "data_generation", 0))
+        if snapshot is not None and snapshot.data_generation != generation:
+            raise StaleCatalogError(
+                f"snapshot was gathered at data generation "
+                f"{snapshot.data_generation}, the index is now at "
+                f"{generation}"
+            )
+        # Catalog construction pairs snapshot rows with the data index's
+        # block list positionally; canonicalize so a cache-layout
+        # snapshot (e.g. Hilbert) builds byte-identical catalogs to the
+        # seed path.  Without one the first refresh gathers its own.
+        self._count_index = (
+            None if snapshot is None else CountIndex.from_snapshot(snapshot.canonical())
+        )
+        #: Data generation the catalogs are valid for (0 for immutable
         #: indexes, which never advance).
-        self.built_at_generation = int(getattr(data_index, "data_generation", 0))
-        if snapshot is not None:
-            if snapshot.data_generation != self.built_at_generation:
-                raise StaleCatalogError(
-                    f"snapshot was gathered at data generation "
-                    f"{snapshot.data_generation}, the index is now at "
-                    f"{self.built_at_generation}"
-                )
-            # Catalog construction pairs snapshot rows with the data
-            # index's block list positionally; canonicalize so a
-            # cache-layout snapshot (e.g. Hilbert) builds byte-identical
-            # catalogs to the seed path.
-            self._count_index = CountIndex.from_snapshot(snapshot.canonical())
-        else:
-            self._count_index = CountIndex.from_index(data_index)
-        self._fallback = DensityBasedEstimator(self._count_index)
-        blocks = data_index.blocks
-        # Catalogs key by leaf *bounds*, not node identity: one gathered
-        # (n_leaves, 4) array serves anchor collection and query-time
-        # leaf lookup alike.
-        self._leaf_rects = partition_bounds(aux_index)
-
+        self.built_at_generation = generation
+        #: Entries dropped because their region stopped being a leaf.
+        self.evictions = 0
+        self._set_table(np.empty((0, 4), dtype=float), [], [], [], np.empty(0, dtype=float))
         # preprocessing_seconds is a single-shot wall time feeding
         # Figure 13's millisecond-scale comparisons; a gen-2 collector
         # pause landing inside the shorter build variant would swamp the
@@ -244,53 +254,147 @@ class StaircaseEstimator(SelectCostEstimator):
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            start = time.perf_counter()
-            stats = PreprocessingStats(technique="staircase", workers=self._workers)
-            self._center_catalogs: dict[int, IntervalCatalog] = {}
-            self._corner_catalogs: dict[int, IntervalCatalog] = {}
-            if self._dedup or self._workers > 1:
-                self._build_shared(blocks, stats)
-            else:
-                self._build_reference(blocks, stats)
-            self.preprocessing_seconds = time.perf_counter() - start
+            self.refresh_incremental(full=True)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        stats.wall_seconds = self.preprocessing_seconds
+
+    def _set_table(
+        self,
+        leaf_rects: np.ndarray,
+        leaf_keys: list[RegionKey],
+        center: list[IntervalCatalog],
+        corners: list[IntervalCatalog],
+        coverage: np.ndarray,
+    ) -> None:
+        """Install the per-leaf catalog table (rows align with ``leaf_rects``).
+
+        ``leaf_keys`` is ``region_keys(leaf_rects)``, the hashable form.
+
+        Catalogs key by leaf *bounds*, not node identity: one gathered
+        ``(n_leaves, 4)`` array serves anchor collection, query-time
+        leaf lookup and entry reuse across refreshes alike.
+        ``coverage[i]`` is leaf ``i``'s coverage radius: a mutation
+        region farther than it (by rect MINDIST, which lower-bounds
+        every anchor's MINDIST) cannot change either catalog.
+        """
+        self._leaf_rects = leaf_rects
+        self._leaf_keys = leaf_keys
+        self._center_catalogs = center
+        self._corner_catalogs = corners  # empty for the Center-Only variant
+        self._coverage = coverage
+
+    # ------------------------------------------------------------------
+    # Build and maintenance
+    # ------------------------------------------------------------------
+    def refresh_incremental(self, *, full: bool = False) -> MaintenanceReport:
+        """Bring every auxiliary leaf's catalogs up to the current data.
+
+        Entries whose coverage disc misses every region the data index
+        noted dirty since the last refresh are kept — they are
+        bit-for-bit what a from-scratch build would produce — and only
+        the rest is rebuilt, by the same routine that built them at
+        construction.  With ``full=True`` (or when the index cannot say
+        what changed) nothing is kept.
+
+        Returns:
+            A :class:`MaintenanceReport` with the rebuilt/reused split.
+        """
+        generation = int(getattr(self._data_index, "data_generation", 0))
+        n_old = len(self._leaf_keys)
+        if not full and generation == self.built_at_generation:
+            return MaintenanceReport.of_pass(
+                full=False, generation=generation, total=n_old, rebuilt=0
+            )
+        stale = stale_entries(
+            self._data_index,
+            self.built_at_generation,
+            self._leaf_rects,
+            self._coverage,
+            full=full,
+        )
+        if (
+            self._count_index is None
+            or self._count_index.snapshot.data_generation != generation
+        ):
+            self._count_index = CountIndex.from_index(self._data_index)
+        # An empty index has nothing to fall back on; its cost is zero.
+        self._fallback = (
+            DensityBasedEstimator(self._count_index) if self._count_index.n_blocks else None
+        )
+        leaf_rects = partition_bounds(self._aux)
+        keys = region_keys(leaf_rects)
+        self.evictions += len(set(self._leaf_keys).difference(keys))
+        source = carry_over(self._leaf_keys, stale, keys)
+        missing = np.flatnonzero(source < 0)
+
+        start = time.perf_counter()
+        stats = PreprocessingStats(technique="staircase", workers=self._workers)
+        build = (
+            self._build_shared
+            if self._dedup or self._workers > 1
+            else self._build_reference
+        )
+        center, corners, built_coverage = build(leaf_rects[missing], stats)
+        self.preprocessing_seconds = stats.wall_seconds = time.perf_counter() - start
         self.preprocessing_stats = stats
 
+        both = self._variant == "center+corners"
+        self._set_table(
+            leaf_rects,
+            keys,
+            patched(self._center_catalogs, center, source),
+            patched(self._corner_catalogs, corners, source) if both else [],
+            np.array(patched(self._coverage, built_coverage, source), dtype=float),
+        )
+        self.built_at_generation = generation
+        return MaintenanceReport.of_pass(
+            full=full, generation=generation, total=len(keys), rebuilt=len(missing)
+        )
+
     def _build_reference(
-        self, blocks: Sequence[Block], stats: PreprocessingStats
-    ) -> None:
+        self, leaf_rects: np.ndarray, stats: PreprocessingStats
+    ) -> tuple[list[IntervalCatalog], list[IntervalCatalog], np.ndarray]:
         """The per-leaf reference build: one Procedure 1 run per anchor.
 
         Every anchor's staircase is computed independently and corner
         catalogs are merged with the paper's min-heap plane sweep.  The
         shared-anchor path is validated against this loop bit for bit.
+        No coverage radii are derived (all ``inf``): a refresh of a
+        reference-built estimator rebuilds everything.
         """
-        n_leaves = self._leaf_rects.shape[0]
-        per_leaf = 5 if self._variant == "center+corners" else 1
-        stats.anchors_total = per_leaf * n_leaves
+        blocks = self._data_index.blocks
+        n_leaves = leaf_rects.shape[0]
+        both = self._variant == "center+corners"
+        stats.anchors_total = (5 if both else 1) * n_leaves
         stats.anchors_unique = stats.anchors_total
         stats.profiles_computed = stats.anchors_total
+        center: list[IntervalCatalog] = []
+        corners: list[IntervalCatalog] = []
         with stats.phase("profiles"):
-            for leaf_id in range(n_leaves):
-                rect = Rect(*self._leaf_rects[leaf_id])
-                self._center_catalogs[leaf_id] = build_select_catalog(
-                    self._count_index, blocks, rect.center, self._max_k
+            for row in leaf_rects:
+                rect = Rect(*row)
+                center.append(
+                    build_select_catalog(
+                        self._count_index, blocks, rect.center, self._max_k
+                    )
                 )
-                if self._variant == "center+corners":
-                    corner_catalogs = [
-                        build_select_catalog(
-                            self._count_index, blocks, corner, self._max_k
+                if both:
+                    corners.append(
+                        merge_max(
+                            [
+                                build_select_catalog(
+                                    self._count_index, blocks, corner, self._max_k
+                                )
+                                for corner in rect.corners()
+                            ]
                         )
-                        for corner in rect.corners()
-                    ]
-                    self._corner_catalogs[leaf_id] = merge_max(corner_catalogs)
+                    )
+        return center, corners, np.full(n_leaves, np.inf, dtype=float)
 
     def _build_shared(
-        self, blocks: Sequence[Block], stats: PreprocessingStats
-    ) -> None:
+        self, leaf_rects: np.ndarray, stats: PreprocessingStats
+    ) -> tuple[list[IntervalCatalog], list[IntervalCatalog], np.ndarray]:
         """Shared-anchor build: dedupe anchors, profile each one once.
 
         All catalog anchors (leaf centers plus, for the center+corners
@@ -299,18 +403,28 @@ class StaircaseEstimator(SelectCostEstimator):
         interior corners shared by up to four sibling leaves — are
         deduped with one ``np.unique`` pass, profiled once, and their
         staircase shared.  (Catalog assembly is order-independent, so
-        the sorted unique order is as good as first-appearance order.)
-        Profiles go through the same ``select_cost_profile`` code as
-        the reference path (only the distance gather is batched via
+        the sorted unique order is as good as first-appearance order;
+        each anchor's profile is a pure function of the blocks and the
+        anchor, so the dedup grouping never changes per-leaf results and
+        building a subset of the leaves yields exactly their rows of a
+        full build.)  Profiles go through the same
+        ``select_cost_profile`` code as the reference path (only the
+        distance gather is batched via
         :class:`~repro.perf.BlockPointsView`), and are optionally
         fanned out across worker processes.
+
+        Returns:
+            ``(center, corners, coverage)`` for the given leaves, where
+            ``coverage[i]`` is the max coverage radius over leaf ``i``'s
+            anchors, each reported by its profile scan.
         """
-        n_leaves = self._leaf_rects.shape[0]
-        per_leaf = 5 if self._variant == "center+corners" else 1
+        n_leaves = leaf_rects.shape[0]
+        both = self._variant == "center+corners"
+        per_leaf = 5 if both else 1
         with stats.phase("collect"):
-            rects = self._leaf_rects
+            rects = leaf_rects
             centers = (rects[:, 0:2] + rects[:, 2:4]) / 2.0
-            if self._variant == "center+corners":
+            if both:
                 # Per leaf: [center, SW, SE, NW, NE] — Rect.corners() order.
                 stacked = np.stack(
                     [
@@ -330,23 +444,25 @@ class StaircaseEstimator(SelectCostEstimator):
                 unique, inverse = stacked, np.arange(stacked.shape[0])
             ids = inverse.reshape(n_leaves, per_leaf)
             anchors = [Point(float(x), float(y)) for x, y in unique]
-            view = BlockPointsView.from_blocks(blocks)
+            view = BlockPointsView.from_blocks(self._data_index.blocks)
         stats.anchors_total = per_leaf * n_leaves
         stats.anchors_unique = len(anchors)
         stats.profiles_computed = len(anchors)
 
         with stats.phase("profiles"):
-            profiles = select_cost_profiles(
+            covered = select_cost_profiles(
                 self._count_index, view, anchors, self._max_k, self._workers
             )
         with stats.phase("assemble"):
-            catalogs = [_catalog_from_profile_fast(p, self._max_k) for p in profiles]
-            for leaf_id in range(n_leaves):
-                self._center_catalogs[leaf_id] = catalogs[ids[leaf_id, 0]]
-                if self._variant == "center+corners":
-                    self._corner_catalogs[leaf_id] = merge_max_fast(
-                        [catalogs[i] for i in ids[leaf_id, 1:]]
-                    )
+            catalogs = [_catalog_from_profile_fast(p, self._max_k) for p, __ in covered]
+            center = [catalogs[i] for i in ids[:, 0]]
+            corners = (
+                [merge_max_fast([catalogs[i] for i in row]) for row in ids[:, 1:]]
+                if both
+                else []
+            )
+            radii = np.array([radius for __, radius in covered], dtype=float)
+        return center, corners, radii[ids].max(axis=1)
 
     # ------------------------------------------------------------------
     # Estimation (Section 3.3)
@@ -369,9 +485,9 @@ class StaircaseEstimator(SelectCostEstimator):
         Raises:
             InvalidQueryError: On a non-finite focal point or ``k < 1``.
             StaleCatalogError: If the underlying index mutated after the
-                catalogs were built (answering would use dead
-                statistics; rebuild or use
-                :class:`~repro.estimators.maintenance.MaintainedStaircaseEstimator`).
+                catalogs were last refreshed (answering would use dead
+                statistics; call :meth:`refresh_incremental` first, or
+                use :class:`MaintainedStaircaseEstimator`, which does).
             ValueError: If a ``"center+corners"`` estimate is requested
                 from a Center-Only estimator.
         """
@@ -385,13 +501,11 @@ class StaircaseEstimator(SelectCostEstimator):
         variant = self._variant if variant is None else variant
         if variant == "center+corners" and self._variant == "center":
             raise ValueError("corner catalogs were not built; construct with center+corners")
-        if k > self._max_k:
-            return self._fallback.estimate(query, k)
-        if not self._aux.bounds.contains_point(query):
+        if k > self._max_k or not self._aux.bounds.contains_point(query):
             # The paper guarantees in-bounds queries fall inside an
             # auxiliary leaf; focal points outside the indexed space
             # (legal for k-NN) are served by the density-based fallback.
-            return self._fallback.estimate(query, k)
+            return self._fallback.estimate(query, k) if self._fallback else 0.0
         leaf_id = leaf_id_for_point(
             self._leaf_rects, query.x, query.y, self._aux.bounds
         )
@@ -406,7 +520,7 @@ class StaircaseEstimator(SelectCostEstimator):
         center = rect.center
         # Equations 1-2, mirroring the backend kernel op for op.  The
         # scalar ``np.hypot`` is the same libm call the kernel's array
-        # path makes (never CPython's correctly-rounded ``math.hypot``),
+        # path makes (never ``math``'s correctly-rounded hypot),
         # so scalar and batched estimates agree bitwise whatever backend
         # is active — without paying three array allocations per query.
         dist = np.hypot(query.x - center.x, query.y - center.y)
@@ -467,7 +581,11 @@ class StaircaseEstimator(SelectCostEstimator):
         )
         routed = (ks_arr > self._max_k) | ~in_bounds
         if routed.any():
-            out[routed] = self._fallback.estimate_batch(pts[routed], ks_arr[routed])
+            out[routed] = (
+                self._fallback.estimate_batch(pts[routed], ks_arr[routed])
+                if self._fallback
+                else 0.0
+            )
         fast = np.flatnonzero(~routed)
         if fast.shape[0] == 0:
             return out
@@ -515,9 +633,9 @@ class StaircaseEstimator(SelectCostEstimator):
                 "data_generation": str(self.built_at_generation),
             }
         )
-        for leaf_id, catalog in self._center_catalogs.items():
+        for leaf_id, catalog in enumerate(self._center_catalogs):
             store.put(f"center/{leaf_id}", catalog)
-        for leaf_id, catalog in self._corner_catalogs.items():
+        for leaf_id, catalog in enumerate(self._corner_catalogs):
             store.put(f"corners/{leaf_id}", catalog)
         return store
 
@@ -531,7 +649,10 @@ class StaircaseEstimator(SelectCostEstimator):
         """Rebuild an estimator from persisted catalogs (no preprocessing).
 
         The data and auxiliary indexes must be the ones the store was
-        built from; a leaf-count mismatch is rejected.
+        built from; a leaf-count mismatch is rejected.  A store records
+        no coverage radii, so the restored entries carry ``inf``: the
+        first :meth:`refresh_incremental` after a mutation rebuilds
+        everything rather than trust an entry it cannot test.
 
         Raises:
             ValueError: If the store does not describe a Staircase
@@ -583,6 +704,18 @@ class StaircaseEstimator(SelectCostEstimator):
                 f"store was built over {n_leaves} auxiliary leaves, the "
                 f"given index has {len(aux_index.leaves)}"
             )
+        center: list[IntervalCatalog] = []
+        corners: list[IntervalCatalog] = []
+        for leaf_id in range(n_leaves):
+            try:
+                center.append(store.get(f"center/{leaf_id}"))
+                if variant == "center+corners":
+                    corners.append(store.get(f"corners/{leaf_id}"))
+            except KeyError as exc:
+                raise CatalogCorruptError(
+                    f"store is missing catalog entry {exc.args[0]!r} "
+                    f"(leaf {leaf_id} of {n_leaves})"
+                ) from None
         estimator = cls.__new__(cls)
         estimator._aux = aux_index
         estimator._variant = variant
@@ -591,26 +724,16 @@ class StaircaseEstimator(SelectCostEstimator):
         estimator.built_at_generation = current_generation
         estimator._count_index = CountIndex.from_index(data_index)
         estimator._fallback = DensityBasedEstimator(estimator._count_index)
-        estimator._center_catalogs = {}
-        estimator._corner_catalogs = {}
-        for leaf_id in range(n_leaves):
-            try:
-                estimator._center_catalogs[leaf_id] = store.get(f"center/{leaf_id}")
-                if estimator._variant == "center+corners":
-                    estimator._corner_catalogs[leaf_id] = store.get(
-                        f"corners/{leaf_id}"
-                    )
-            except KeyError as exc:
-                raise CatalogCorruptError(
-                    f"store is missing catalog entry {exc.args[0]!r} "
-                    f"(leaf {leaf_id} of {n_leaves})"
-                ) from None
         # Leaf lookup keys by bounds, not node identity: the restored
         # estimator works even if the auxiliary index was itself rebuilt
         # (equal geometry, different node objects).
-        estimator._leaf_rects = partition_bounds(aux_index)
+        leaf_rects = partition_bounds(aux_index)
+        estimator._set_table(
+            leaf_rects, region_keys(leaf_rects), center, corners, np.full(n_leaves, np.inf)
+        )
+        estimator.evictions = 0
         estimator._workers = 0
-        estimator._dedup = False
+        estimator._dedup = True
         estimator.preprocessing_seconds = 0.0
         estimator.preprocessing_stats = PreprocessingStats(technique="staircase")
         return estimator
@@ -639,16 +762,61 @@ class StaircaseEstimator(SelectCostEstimator):
 
         Always ``False`` over immutable indexes; over a
         :class:`~repro.index.mutable_quadtree.MutableQuadtree` it flips
-        as soon as an insert or delete lands.
+        as soon as an insert or delete lands, and back once
+        :meth:`refresh_incremental` has run.
         """
         return int(getattr(self._data_index, "data_generation", 0)) != self.built_at_generation
 
     def storage_bytes(self) -> int:
         """Total serialized size of all maintained catalogs."""
-        total = sum(catalog_storage_bytes(c) for c in self._center_catalogs.values())
-        total += sum(catalog_storage_bytes(c) for c in self._corner_catalogs.values())
+        total = sum(catalog_storage_bytes(c) for c in self._center_catalogs)
+        total += sum(catalog_storage_bytes(c) for c in self._corner_catalogs)
         return total
+
+    def catalog_entries(
+        self,
+    ) -> dict[RegionKey, tuple[IntervalCatalog, IntervalCatalog | None]]:
+        """The per-leaf ``(center, corners)`` catalogs keyed by leaf bounds.
+
+        ``corners`` is ``None`` for the Center-Only variant.
+        """
+        corners = self._corner_catalogs or [None] * len(self._leaf_keys)
+        return dict(zip(self._leaf_keys, zip(self._center_catalogs, corners)))
 
     def n_catalogs(self) -> int:
         """Number of catalogs kept (1 or 2 per auxiliary leaf)."""
         return len(self._center_catalogs) + len(self._corner_catalogs)
+
+
+class MaintainedStaircaseEstimator(StaircaseEstimator):
+    """A :class:`StaircaseEstimator` that refreshes itself before answering.
+
+    The mutable index is its own auxiliary index (it is
+    space-partitioning), and where the plain estimator raises
+    :class:`~repro.resilience.errors.StaleCatalogError` after an insert
+    or delete, this one first calls
+    :meth:`~StaircaseEstimator.refresh_incremental`.  Everything else —
+    build, reconcile, interpolation, persistence — is the base class.
+
+    Args:
+        index: The mutable data index.
+        max_k: Catalog limit.
+        workers: Worker processes for the rebuild fan-out.
+    """
+
+    def __init__(
+        self, index, max_k: int = DEFAULT_MAX_K, *, workers: int | None = None
+    ) -> None:
+        super().__init__(index, aux_index=index, max_k=max_k, workers=workers)
+
+    def estimate(self, query: Point, k: int, variant: Variant | None = None) -> float:
+        """:meth:`StaircaseEstimator.estimate` against the *current* data."""
+        if self.is_stale:
+            self.refresh_incremental()
+        return super().estimate(query, k, variant)
+
+    def estimate_batch(self, queries, ks, variant: Variant | None = None) -> np.ndarray:
+        """:meth:`StaircaseEstimator.estimate_batch` against the *current* data."""
+        if self.is_stale:
+            self.refresh_incremental()
+        return super().estimate_batch(queries, ks, variant)

@@ -24,6 +24,12 @@ double counting: ``assignment="center"`` assigns each outer block only
 to the cell containing its center, and ``assignment="clipped"`` scales
 each overlap by the diagonal of the block-cell *intersection* instead
 of the whole block.  The ablation benchmark quantifies the difference.
+
+The virtual grid is fixed, so maintenance under inner-relation updates
+is per cell: :meth:`VirtualGridEstimator.refresh_incremental` (the
+constructor is that call with every cell missing) rebuilds only cells
+whose coverage disc met a mutation — see
+:mod:`repro.estimators.maintenance`.
 """
 
 from __future__ import annotations
@@ -36,9 +42,15 @@ import numpy as np
 from repro.catalog import CatalogLookupError, IntervalCatalog, catalog_storage_bytes
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import JoinCostEstimator, validate_k
+from repro.estimators.maintenance import (
+    MaintenanceReport,
+    stale_entries,
+    tracks_updates,
+)
 from repro.geometry import Rect
 from repro.index.grid import GridIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
+from repro.knn.locality import locality_coverage_radii
 from repro.perf import PreprocessingStats, locality_size_profiles, resolve_workers
 
 DEFAULT_MAX_K = 2_048
@@ -56,7 +68,9 @@ class VirtualGridEstimator:
 
     Args:
         inner: Block summary of the inner relation (index, Count-Index,
-            or snapshot).
+            or snapshot).  Incremental refreshes need its
+            generation-keyed update log; over anything else every
+            refresh is a full rebuild.
         bounds: The fixed universe over which the virtual grid is laid
             (shared across all relations so the grids align).
         grid_size: Number of cells per axis (``g`` in a ``g x g`` grid).
@@ -83,41 +97,77 @@ class VirtualGridEstimator:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
         self._workers = resolve_workers(workers)
         self._max_k = max_k
+        self._inner = inner
+        self._grid = GridIndex.virtual(bounds, grid_size)
+        self._cell_rects = np.array(
+            [cell.as_tuple() for cell in self._grid.cells], dtype=float
+        )
+        n_cells = self._cell_rects.shape[0]
+        self._cell_catalogs: list[IntervalCatalog | None] = [None] * n_cells
+        self._coverage = np.full(n_cells, np.inf, dtype=float)
+        self._inner_generation = 0
+        self.refresh_incremental(full=True)
+
+    def refresh_incremental(self, *, full: bool = False) -> MaintenanceReport:
+        """Rebuild the cell catalogs a mutation may have changed.
+
+        A cell whose coverage disc misses every inner region noted dirty
+        since the last refresh keeps its catalog; the padded lookup
+        matrices are reassembled whenever any cell was rebuilt.
+
+        Raises:
+            ValueError: If the inner relation is currently empty.
+        """
         # Canonical row order keeps per-cell profiles and weight
         # accumulation layout-independent (see _cell_weights).
-        inner_snap = as_snapshot(inner).canonical()
+        inner_snap = as_snapshot(self._inner).canonical()
         if inner_snap.n_blocks == 0:
             raise ValueError("cannot estimate joins against an empty inner relation")
-        self._inner = inner_snap
-        self._grid = GridIndex.virtual(bounds, grid_size)
+        n_cells = self._cell_rects.shape[0]
+        stale = stale_entries(
+            self._inner,
+            self._inner_generation,
+            self._cell_rects,
+            self._coverage,
+            full=full,
+        )
+        idx = np.flatnonzero(stale)
+        rows = self._cell_rects[idx]
 
         start = time.perf_counter()
         stats = PreprocessingStats(technique="virtual-grid", workers=self._workers)
         with stats.phase("profiles"):
             profiles = locality_size_profiles(
-                inner_snap, self._grid.cells, max_k, workers=self._workers
+                inner_snap, rows, self._max_k, workers=self._workers
             )
         with stats.phase("assemble"):
-            self._cell_catalogs: list[IntervalCatalog] = [
-                IntervalCatalog.from_profile(p, max_k=max_k).truncated(max_k)
-                for p in profiles
-            ]
-            self._assemble_matrices()
-        n_cells = len(self._cell_catalogs)
+            for i, profile in zip(idx.tolist(), profiles):
+                self._cell_catalogs[i] = IntervalCatalog.from_profile(
+                    profile, max_k=self._max_k
+                ).truncated(self._max_k)
+            if tracks_updates(self._inner):
+                self._coverage[idx] = locality_coverage_radii(
+                    inner_snap, rows, self._max_k
+                )
+            if len(idx):
+                self._assemble_matrices()
+        self._inner_generation = int(inner_snap.data_generation)
         stats.anchors_total = n_cells
         stats.anchors_unique = n_cells
-        stats.profiles_computed = n_cells
+        stats.profiles_computed = len(idx)
         self.preprocessing_seconds = time.perf_counter() - start
         stats.wall_seconds = self.preprocessing_seconds
         self.preprocessing_stats = stats
+        return MaintenanceReport.of_pass(
+            full=full, generation=self._inner_generation, total=n_cells, rebuilt=len(idx)
+        )
 
     def _assemble_matrices(self) -> None:
         """(Re)build the padded lookup matrices from the cell catalogs.
 
         Padded matrices give one-shot vectorized lookup across all cells
-        (padding with ``max_k`` keeps searchsorted semantics).  Called at
-        construction and again by the maintained subclass whenever a
-        partial rebuild replaces some cell catalogs.
+        (padding with ``max_k`` keeps searchsorted semantics).  Called
+        whenever a refresh replaced some cell catalogs.
         """
         max_entries = max(c.n_entries for c in self._cell_catalogs)
         n_cells = len(self._cell_catalogs)
@@ -301,7 +351,7 @@ class VirtualGridEstimator:
             float(v) for v in store.metadata["bounds"].split(",")
         )
         estimator = cls.__new__(cls)
-        estimator._inner = None  # only needed during construction
+        estimator._inner = None  # a store holds no relation to refresh from
         estimator._grid = GridIndex.virtual(Rect(x_min, y_min, x_max, y_max), grid_size)
         estimator._cell_catalogs = [
             store.get(f"cell/{i}") for i in range(grid_size * grid_size)

@@ -4,8 +4,9 @@ The paper's catalogs are built once over a static index; a deployed
 system must also survive inserts and deletes.  ``MutableQuadtree``
 supports point insertion and deletion with the standard PR-quadtree
 split/merge rules and records which leaf *regions* changed — the hook
-the maintained estimators of :mod:`repro.estimators.maintenance` use to
-refresh exactly the affected catalogs.
+the catalog estimators' ``refresh_incremental()`` (see
+:mod:`repro.estimators.maintenance`) uses to rebuild exactly the
+affected catalogs.
 
 Change tracking is **generation-keyed and coalesced**: every mutation
 bumps the monotone :attr:`data_generation`, and the tree keeps two

@@ -239,12 +239,44 @@ def select_cost_profile(
     Raises:
         ValueError: If ``max_k < 1``.
     """
+    return select_cost_profile_covered(
+        count_index, blocks, query, max_k, mindists_all=mindists_all
+    )[0]
+
+
+def select_cost_profile_covered(
+    count_index,
+    blocks,
+    query: Point,
+    max_k: int,
+    *,
+    mindists_all: np.ndarray | None = None,
+) -> tuple[list[tuple[int, int, int]], float]:
+    """:func:`select_cost_profile` plus the profile's coverage radius.
+
+    The scan stops at the first block after which ``max_k`` points are
+    retrievable.  Every quantity the profile reads — the scanned
+    blocks' point distances and the per-step thresholds (each next
+    block's MINDIST) — concerns only blocks with MINDIST at most ``C``,
+    the MINDIST of the first *unscanned* block, which the scan holds as
+    its final threshold.  Mutations confined to regions with
+    ``MINDIST(query, region) > C`` therefore leave the profile (and any
+    catalog built from it) bit-for-bit unchanged: mutated blocks lie
+    inside their noted region, so they sort strictly after the scanned
+    prefix and past the final threshold.
+
+    Returns:
+        ``(profile, C)``.  ``C`` is ``inf`` — any mutation anywhere may
+        be visible — when the profile is empty, never reaches ``max_k``
+        (fewer than ``max_k`` points: any insert could extend it), or
+        scanned every block (the final threshold was unbounded).
+    """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     snap = as_snapshot(count_index)
     n_blocks = snap.n_blocks
     if n_blocks == 0:
-        return []
+        return [], np.inf
     if mindists_all is None:
         mindists_all = mindist_rects((query.x, query.y), snap.rects)
 
@@ -321,8 +353,8 @@ def select_cost_profile(
             profile.append((k_reached + 1, r, i + 1))
             k_reached = r
         if k_reached >= max_k:
-            break
-    return profile
+            return profile, float(thresholds[i])
+    return profile, np.inf
 
 
 def select_cost_exact(

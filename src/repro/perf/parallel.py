@@ -1,7 +1,7 @@
 """Batched and multi-process preprocessing fan-out.
 
 Catalog preprocessing is embarrassingly parallel: every anchor's cost
-profile (:func:`~repro.knn.distance_browsing.select_cost_profile`) and
+profile (:func:`~repro.knn.distance_browsing.select_cost_profile_covered`) and
 every outer block's locality profile
 (:func:`~repro.knn.locality.locality_size_profile`) is independent of
 the others.  This module provides the fan-out plumbing shared by the
@@ -39,10 +39,12 @@ from repro.geometry import Point
 from repro.geometry.backends import active_backend, set_backend
 from repro.geometry.kernels import as_anchor, mindist_rects_batch
 from repro.index.snapshot import IndexSnapshot, as_snapshot
-from repro.knn.distance_browsing import select_cost_profile
+from repro.knn.distance_browsing import select_cost_profile_covered
 from repro.knn.locality import locality_size_profile
 
 Profile = list[tuple[int, int, int]]
+#: A select-cost profile with its coverage radius.
+CoveredProfile = tuple[Profile, float]
 
 # Chunks per worker: enough to smooth out uneven anchor costs without
 # drowning the pool in message overhead.
@@ -182,21 +184,21 @@ def _profiles_batched(
     view: BlockPointsView,
     anchor_coords: Sequence[tuple[float, float]],
     max_k: int,
-) -> list[Profile]:
+) -> list[CoveredProfile]:
     """Profile anchors in order, batching the MINDIST computation.
 
     Anchor-to-block MINDISTs are computed a few hundred anchors at a
     time via :func:`~repro.geometry.kernels.mindist_rects_batch`
     (row-for-row identical to the per-anchor path) and fed to
-    ``select_cost_profile``, which otherwise runs unchanged.
+    ``select_cost_profile_covered``, which otherwise runs unchanged.
     """
-    profiles: list[Profile] = []
+    profiles: list[CoveredProfile] = []
     rects = summary.rects
     for start in range(0, len(anchor_coords), _MINDIST_BATCH):
         batch = anchor_coords[start : start + _MINDIST_BATCH]
         mindist_matrix = mindist_rects_batch(np.asarray(batch, dtype=float), rects)
         profiles.extend(
-            select_cost_profile(
+            select_cost_profile_covered(
                 summary,
                 view,
                 Point(x, y),
@@ -208,7 +210,7 @@ def _profiles_batched(
     return profiles
 
 
-def _select_chunk(anchor_coords: list[tuple[float, float]]) -> list[Profile]:
+def _select_chunk(anchor_coords: list[tuple[float, float]]) -> list[CoveredProfile]:
     return _profiles_batched(
         _WORKER_STATE["summary"],
         _WORKER_STATE["view"],
@@ -239,8 +241,8 @@ def select_cost_profiles(
     anchors: Sequence[Point],
     max_k: int,
     workers: int | None = None,
-) -> list[Profile]:
-    """Cost profiles for many anchors, in anchor order.
+) -> list[CoveredProfile]:
+    """Cost profiles (with coverage radii) for many anchors, in anchor order.
 
     Args:
         count_index: Block summary of the data blocks (an
@@ -254,8 +256,9 @@ def select_cost_profiles(
             ``N > 1`` for a process pool of N workers.
 
     Returns:
-        ``select_cost_profile`` output per anchor — identical to calling
-        it serially, whatever ``workers`` is.
+        ``select_cost_profile_covered`` output per anchor — a
+        ``(profile, coverage_radius)`` pair, identical to calling it
+        serially, whatever ``workers`` is.
     """
     workers = resolve_workers(workers)
     if len(anchors) == 0:

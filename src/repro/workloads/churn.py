@@ -6,15 +6,16 @@ uniform remainder), deletes of existing points, and k-NN-Select cost
 queries between the update batches.  :func:`churn_phases` generates such
 a workload deterministically from a seed; :func:`run_churn` replays it
 against a :class:`~repro.index.mutable_quadtree.MutableQuadtree` and a
-maintained Staircase estimator, timing catalog maintenance separately
-from query serving and accumulating the rebuilt/reused split of every
-maintenance pass.
+Staircase estimator over it, timing catalog maintenance
+(``refresh_incremental()``) separately from query serving and
+accumulating the rebuilt/reused split of every maintenance pass.
 
 ``benchmarks/bench_churn.py`` runs the same workload twice — once with
 incremental maintenance, once forcing a full rebuild each phase — and
 asserts the incremental run rebuilds strictly fewer leaf catalogs while
 producing identical estimates (the bit-for-bit equivalence the
-maintenance layer guarantees).
+coverage-radius invariant of :mod:`repro.estimators.maintenance`
+guarantees).
 """
 
 from __future__ import annotations
@@ -229,19 +230,20 @@ class ChurnReport:
 
 
 def run_churn(tree, estimator, phases: list[ChurnPhase], *, mode: str = "incremental") -> ChurnReport:
-    """Replay a churn workload against a maintained estimator.
+    """Replay a churn workload against an estimator that can refresh.
 
-    Each phase applies its updates to ``tree``, runs one eager
-    maintenance pass on ``estimator``
-    (:meth:`~repro.estimators.maintenance.MaintainedStaircaseEstimator.refresh_incremental`,
+    Each phase applies its updates to ``tree``, runs one maintenance
+    pass on ``estimator``
+    (:meth:`~repro.estimators.staircase.StaircaseEstimator.refresh_incremental`,
     with ``full=True`` when ``mode="full"`` — the rebuild-everything
     baseline), then serves the phase's cost queries.
 
     Args:
         tree: The :class:`~repro.index.mutable_quadtree.MutableQuadtree`
             holding the data.
-        estimator: A maintained estimator over ``tree`` exposing
-            ``refresh_incremental`` and ``estimate``.
+        estimator: An estimator over ``tree`` exposing
+            ``refresh_incremental`` and ``estimate`` (any
+            :class:`~repro.estimators.staircase.StaircaseEstimator`).
         phases: The workload (see :func:`churn_phases`).
         mode: ``"incremental"`` or ``"full"``.
 

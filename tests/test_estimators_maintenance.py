@@ -27,7 +27,7 @@ class TestFreshEquivalence:
             q = Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
             k = int(rng.integers(1, 128))
             # Same space partition (same build), same catalogs.
-            assert maintained.estimate(q, k) == pytest.approx(static.estimate(q, k))
+            assert maintained.estimate(q, k) == static.estimate(q, k)
 
     def test_exact_at_leaf_centers(self):
         tree, __, rng = build()
@@ -56,57 +56,29 @@ class TestLazyRefresh:
         after = maintained.estimate(q, 16)
         actual = select_cost(tree, q, 16)
         assert abs(after - actual) <= abs(before - actual)
-        assert maintained.full_refreshes >= 1  # 400 >> 10% of 500
 
     def test_leaf_refresh_without_full_rebuild(self):
         tree, __, __rng = build(n=2_000, capacity=64)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=32, staleness_threshold=0.5
-        )
-        q = Point(25.0, 25.0)
-        maintained.estimate(q, 8)
-        refreshes_before = maintained.full_refreshes
-        leaf_builds_before = maintained.leaf_refreshes
+        maintained = MaintainedStaircaseEstimator(tree, max_k=32)
         tree.insert(25.0, 25.0)  # dirty exactly this neighbourhood
-        maintained.estimate(q, 8)
-        assert maintained.full_refreshes == refreshes_before  # under budget
-        assert maintained.leaf_refreshes > leaf_builds_before  # local rebuild
+        report = maintained.refresh_incremental()
+        assert report.mode == "incremental"
+        assert 0 < report.catalogs_rebuilt < report.catalogs_total  # local rebuild
 
     def test_unaffected_leaf_uses_cache(self):
         tree, __, __rng = build(n=2_000, capacity=64)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=32, staleness_threshold=0.5
-        )
-        far = Point(90.0, 90.0)
-        maintained.estimate(far, 8)
-        builds_before = maintained.leaf_refreshes
-        tree.insert(5.0, 5.0)  # far away from the cached leaf
-        maintained.estimate(far, 8)
-        assert maintained.leaf_refreshes == builds_before
-
-    def test_forced_refresh(self):
-        tree, __, __rng = build(n=200, capacity=16)
-        maintained = MaintainedStaircaseEstimator(tree, max_k=16)
-        maintained.estimate(Point(1, 1), 4)
-        cached = maintained.cached_leaves
-        assert cached >= 1
-        maintained.refresh()
-        assert maintained.cached_leaves == 0
-
-    def test_storage_accounting(self):
-        tree, __, __rng = build(n=500, capacity=32)
-        maintained = MaintainedStaircaseEstimator(tree, max_k=16)
-        assert maintained.storage_bytes() == 0  # nothing cached yet
-        maintained.estimate(Point(10, 10), 4)
-        assert maintained.storage_bytes() > 0
+        maintained = MaintainedStaircaseEstimator(tree, max_k=32)
+        far = tree.leaf_for(Point(90.0, 90.0)).rect.as_tuple()
+        before = maintained.catalog_entries()[far]
+        tree.insert(5.0, 5.0)  # far away from that leaf
+        assert maintained.refresh_incremental().catalogs_reused > 0
+        after = maintained.catalog_entries()[far]
+        assert after[0] is before[0] and after[1] is before[1]  # kept, not rebuilt
+        # Nothing mutated since: nothing is near anything.
+        assert maintained.refresh_incremental().catalogs_rebuilt == 0
 
 
 class TestValidation:
-    def test_rejects_bad_threshold(self):
-        tree, __, __rng = build(n=10)
-        with pytest.raises(ValueError):
-            MaintainedStaircaseEstimator(tree, staleness_threshold=0.0)
-
     def test_rejects_bad_max_k(self):
         tree, __, __rng = build(n=10)
         with pytest.raises(ValueError):
@@ -137,9 +109,7 @@ class TestStaleTrackingRegressions:
         forever and could even serve a query whose focal point re-landed
         in a recreated region of the same bounds)."""
         tree, __, __rng = build(n=200, capacity=8)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=16, staleness_threshold=1.0
-        )
+        maintained = MaintainedStaircaseEstimator(tree, max_k=16)
         maintained.refresh_incremental()  # cache every live leaf
         rng = np.random.default_rng(2)
         # Dense pile in one corner forces splits (old leaf dies); then
@@ -171,9 +141,7 @@ class TestStaleTrackingRegressions:
         now it detects the pruned history and conservatively drops its
         cache, so the next estimate is rebuilt fresh."""
         tree, __, __rng = build(n=500, capacity=16)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=16, staleness_threshold=1.0
-        )
+        maintained = MaintainedStaircaseEstimator(tree, max_k=16)
         q = Point(50.0, 50.0)
         maintained.estimate(q, 8)  # warm the leaf
         tree.clear_dirty()  # external log pruning, e.g. another consumer
@@ -191,9 +159,7 @@ class TestStaleTrackingRegressions:
         """Maintenance must read the update log without truncating it —
         other consumers (engine cache revalidation) share it."""
         tree, __, __rng = build(n=300, capacity=16)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=16, staleness_threshold=1.0
-        )
+        maintained = MaintainedStaircaseEstimator(tree, max_k=16)
         maintained.refresh_incremental()
         floor_before = tree.log_floor
         tree.insert(10.0, 10.0)
@@ -207,20 +173,15 @@ class TestStaleTrackingRegressions:
 
 class TestDriftQuantified:
     def test_error_drops_after_refresh(self):
-        """With a large staleness budget, accumulated updates degrade
-        the stale estimates; a forced refresh restores accuracy."""
+        """Incremental refreshes track concentrated growth as well as a
+        forced full rebuild does."""
         tree, __, __rng = build(n=1_000, capacity=32)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=32, staleness_threshold=1.0
-        )
+        maintained = MaintainedStaircaseEstimator(tree, max_k=32)
         rng = np.random.default_rng(7)
         queries = [
             Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
             for __ in range(15)
         ]
-        for q in queries:
-            maintained.estimate(q, 16)  # warm the cache
-
         # Concentrated growth invalidates the old global picture.
         for __ in range(800):
             tree.insert(float(rng.uniform(40, 60)), float(rng.uniform(40, 60)))
@@ -233,8 +194,7 @@ class TestDriftQuantified:
             return float(np.mean(errors))
 
         # NB: leaf-level dirtiness already fixes the mutated area; the
-        # forced refresh must not make things worse and typically helps.
-        stale_error = mean_error()
-        maintained.refresh()
-        fresh_error = mean_error()
-        assert fresh_error <= stale_error + 0.05
+        # full rebuild is bit-identical, so it cannot change the error.
+        incremental_error = mean_error()
+        maintained.refresh_incremental(full=True)
+        assert mean_error() == incremental_error

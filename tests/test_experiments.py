@@ -1,14 +1,18 @@
 """Integration tests: every experiment runs on the quick profile and
 produces a table with the paper's qualitative shape."""
 
+import math
+
 import pytest
 
+from repro.experiments import select_support
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     PROFILES,
     get_config,
 )
+from repro.experiments.fig12_select_time import k_series
 from repro.experiments.runner import EXPERIMENTS, experiment_runner, main
 
 
@@ -66,7 +70,14 @@ class TestAllExperimentsRun:
 
 
 class TestShapes:
-    """Qualitative paper shapes that must hold even at quick scale."""
+    """Qualitative paper shapes that must hold even at quick scale.
+
+    Figures 12 and 13 are about wall-clock time; Tier-1 asserts only
+    what is deterministic about them (series, operation counts) and
+    leaves the timing orderings to ``benchmarks/bench_fig12_select_time.py``
+    and ``benchmarks/bench_fig13_select_preprocessing.py``, where a
+    host stall cannot fail the suite.
+    """
 
     def test_fig04_staircase_monotone(self, quick):
         result = experiment_runner("fig04")(quick)
@@ -79,31 +90,43 @@ class TestShapes:
         sizes = result.column("locality_size")
         assert sizes == sorted(sizes)
 
-    def test_fig12_staircase_faster_than_density(self, quick):
+    def test_fig12_series_and_timings_well_formed(self, quick):
         result = experiment_runner("fig12")(quick)
-        for row in result.rows:
-            __, t_cc, t_c, t_density = row
-            assert t_c < t_density
-            assert t_cc < t_density
+        assert result.column("k") == k_series(quick.max_k)
+        for __, *timings in result.rows:
+            assert len(timings) == 3
+            assert all(math.isfinite(t) and t > 0.0 for t in timings)
 
     def test_fig13_density_has_no_preprocessing(self, quick):
         result = experiment_runner("fig13")(quick)
         assert all(d == 0.0 for d in result.column("density_based_s"))
 
-    def test_fig13_corners_cost_more_than_center(self, quick):
+    def test_fig13_rows_and_timings_well_formed(self, quick):
         result = experiment_runner("fig13")(quick)
-        for t_cc, t_c in zip(
-            result.column("staircase_center_corners_s"),
-            result.column("staircase_center_only_s"),
-        ):
-            assert t_cc > t_c
+        assert result.column("scale") == list(quick.scales)
+        for __, t_cc, t_ref, speedup, t_c, __d in result.rows:
+            assert all(math.isfinite(t) and t > 0.0 for t in (t_cc, t_ref, speedup, t_c))
+
+    def test_fig13_corners_cost_more_than_center(self, quick):
+        # In profiles computed (five anchors per leaf against one).
+        for scale in quick.scales:
+            both = select_support.staircase_estimator(quick, scale)
+            center = select_support.staircase_estimator(quick, scale, variant="center")
+            assert (
+                both.preprocessing_stats.profiles_computed
+                > center.preprocessing_stats.profiles_computed
+            )
 
     def test_fig13_shared_build_beats_reference(self, quick):
-        result = experiment_runner("fig13")(quick)
-        # Per-row wall-clock comparisons are noisy at the quick scale;
-        # the aggregate must still clearly favour the shared build.
-        speedups = result.column("shared_anchor_speedup")
-        assert max(speedups) > 1.0
+        # In anchors profiled: the shared build dedupes corners that up
+        # to four sibling leaves have in common.
+        for scale in quick.scales:
+            shared = select_support.staircase_estimator(quick, scale).preprocessing_stats
+            reference = select_support.staircase_estimator(
+                quick, scale, dedup=False
+            ).preprocessing_stats
+            assert shared.anchors_unique < shared.anchors_total
+            assert shared.profiles_computed < reference.profiles_computed
 
     def test_fig14_storage_ordering(self, quick):
         result = experiment_runner("fig14")(quick)

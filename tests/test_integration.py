@@ -86,9 +86,7 @@ class TestMutableMaintenancePipeline:
         rng = np.random.default_rng(5)
         seed_pts = rng.uniform(0, 100, size=(1_000, 2))
         tree = MutableQuadtree(seed_pts, bounds=Rect(0, 0, 100, 100), capacity=64)
-        maintained = MaintainedStaircaseEstimator(
-            tree, max_k=64, staleness_threshold=0.05
-        )
+        maintained = MaintainedStaircaseEstimator(tree, max_k=64)
         checkpoints = []
         for step in range(1_500):
             tree.insert(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
@@ -97,7 +95,6 @@ class TestMutableMaintenancePipeline:
                 actual = select_cost(tree, q, 32)
                 estimate = maintained.estimate(q, 32)
                 checkpoints.append(abs(estimate - actual) / max(actual, 1))
-        assert maintained.full_refreshes >= 1
         assert float(np.mean(checkpoints)) < 0.8
 
 
