@@ -84,9 +84,8 @@ class SpatialEngine:
         return explanation
 
     def execute(self, query: Query) -> tuple[ExecutionResult, PlanExplanation]:
-        """Plan and run the query; returns results plus the explanation."""
-        operator, explanation = self._plan(query)
-        return operator.execute(), explanation
+        """Plan and run the query: the batch of one, planned by the scalar planner."""
+        return self._run([query], [self._plan(query)])[0]
 
     # ------------------------------------------------------------------
     # Batched serving: plan and run many queries with amortized work
@@ -107,39 +106,30 @@ class SpatialEngine:
     ) -> list[tuple[ExecutionResult, PlanExplanation]]:
         """Plan and run a whole batch; returns per-query (result, plan).
 
-        Results are exactly equal — same ``row_ids`` in the same order,
-        same ``blocks_scanned`` — to a loop of :meth:`execute` calls.
-        Beyond the batched planning of :meth:`explain_batch`, groups of
-        predicate-free, region-free incremental k-NN selects against the
-        same table run through
-        :func:`~repro.engine.physical.execute_incremental_knn_batch`,
-        which shares one MINDIST tableau and one per-block row gather
-        across the group instead of heap-browsing per query.
+        Planning is batched as in :meth:`explain_batch`; incremental
+        k-NN selects against the same table then run as one
+        :func:`~repro.engine.physical.execute_incremental_knn_batch`
+        call (one MINDIST pass per group of queries), and every other
+        operator executes itself.
 
-        Guard failures raise before anything executes (a scalar loop
-        raises the same exception, after executing the earlier queries).
+        Guard failures raise before anything executes.
         """
-        plans = self._plan_batch(queries)
+        return self._run(queries, self._plan_batch(queries))
+
+    def _run(self, queries: list[Query], plans: list):
+        """Execute planned queries; incremental selects batch per table."""
         results: list[ExecutionResult | None] = [None] * len(plans)
         grouped: dict[str, list[int]] = {}
         for i, (operator, __) in enumerate(plans):
-            query = queries[i]
-            if (
-                isinstance(operator, IncrementalKnnOperator)
-                and isinstance(query, KnnSelectQuery)
-                and query.predicate is None
-                and query.region is None
-            ):
-                grouped.setdefault(query.table, []).append(i)
+            if isinstance(operator, IncrementalKnnOperator):
+                grouped.setdefault(queries[i].table, []).append(i)
             else:
                 results[i] = operator.execute()
         for name, indices in grouped.items():
             table = self.stats.table(name)
-            # Execution reads the live index; re-gather on staleness even
-            # under the "raise" policy (the scalar browser never raises).
-            snapshot = self.stats.snapshot(name, on_stale="rebuild")
+            # The snapshot IncrementalKnnOperator.execute itself browses.
             outs = execute_incremental_knn_batch(
-                table, [queries[i] for i in indices], snapshot
+                table, [queries[i] for i in indices], table.snapshot
             )
             for i, out in zip(indices, outs):
                 results[i] = out

@@ -9,6 +9,11 @@ k-NN-Select operators (the two QEPs of Section 1):
 * :class:`FilterThenKnnOperator` — full scan, filter, exact k-NN.
 * :class:`IncrementalKnnOperator` — distance browsing with predicates
   evaluated on the fly, stopping at k qualifying rows.
+* :class:`RegionPrunedKnnOperator` — the same, over only the blocks
+  that intersect the query's region.
+
+All browsing runs through :func:`execute_incremental_knn_batch`, the
+block stream + k-bounded merge of :mod:`repro.knn.merge`.
 
 k-NN-Join operators:
 
@@ -21,18 +26,18 @@ k-NN-Join operators:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
-from repro.geometry import Point, Rect, mindist_point_rect, mindist_points_rects
-from repro.geometry.kernels import tie_stable_argsort
+from repro.geometry import Point
+from repro.knn.distance_browsing import SnapshotBlockStream
 from repro.knn.locality import locality_block_indices
+from repro.knn.merge import QueryMerge, gather_blocks, run_merges
 
 
 @dataclass
@@ -60,15 +65,21 @@ class ExecutionResult:
         return len(self.join_pairs)
 
 
-def _qualifies(table: SpatialTable, query: KnnSelectQuery, row_id: int) -> bool:
-    """Whether one row passes the query's spatial and relational filters."""
-    if query.region is not None:
-        x, y = table.points[row_id]
-        if not query.region.contains_point(Point(float(x), float(y))):
-            return False
+def _row_mask(table: SpatialTable, query, row_ids: np.ndarray) -> np.ndarray:
+    """Which of ``row_ids`` pass the query's region and predicate filters."""
+    mask = np.ones(row_ids.shape[0], dtype=bool)
+    region = query.region
+    if region is not None:
+        pts = table.points[row_ids]
+        mask &= (
+            (pts[:, 0] >= region.x_min)
+            & (pts[:, 0] <= region.x_max)
+            & (pts[:, 1] >= region.y_min)
+            & (pts[:, 1] <= region.y_max)
+        )
     if query.predicate is not None:
-        return query.predicate.evaluate_row(table, row_id)
-    return True
+        mask &= query.predicate.evaluate(table, row_ids)
+    return mask
 
 
 class FilterThenKnnOperator:
@@ -93,17 +104,7 @@ class FilterThenKnnOperator:
         for block in table.index.blocks:
             scanned += 1
             row_ids = table.block_row_ids(block.block_id)
-            mask = np.ones(row_ids.shape[0], dtype=bool)
-            if query.region is not None:
-                pts = table.points[row_ids]
-                mask &= (
-                    (pts[:, 0] >= query.region.x_min)
-                    & (pts[:, 0] <= query.region.x_max)
-                    & (pts[:, 1] >= query.region.y_min)
-                    & (pts[:, 1] <= query.region.y_max)
-                )
-            if query.predicate is not None:
-                mask &= query.predicate.evaluate(table, row_ids)
+            mask = _row_mask(table, query, row_ids)
             if mask.any():
                 qualifying.append(row_ids[mask])
         if not qualifying:
@@ -126,114 +127,70 @@ class IncrementalKnnOperator:
 
     def execute(self) -> ExecutionResult:
         """Browse neighbors in distance order until k rows qualify."""
-        table, query = self._table, self._query
-        browser = _RowDistanceBrowser(table, query.query)
-        found: list[int] = []
-        for row_id in browser:
-            if _qualifies(table, query, row_id):
-                found.append(row_id)
-                if len(found) == query.k:
-                    break
-        return ExecutionResult(
-            self.name,
-            browser.blocks_scanned,
-            row_ids=np.array(found, dtype=np.int64),
-        )
+        return execute_incremental_knn_batch(
+            self._table, [self._query], self._table.snapshot
+        )[0]
 
 
 def execute_incremental_knn_batch(
     table: SpatialTable, queries: list[KnnSelectQuery], snapshot
 ) -> list[ExecutionResult]:
-    """Execute unfiltered incremental k-NN selects as one vectorized pass.
+    """Execute incremental k-NN selects: the engine's one distance browser.
 
-    Query by query this produces *exactly* what
-    ``IncrementalKnnOperator(table, q).execute()`` produces — the same
-    ``row_ids`` in the same order and the same ``blocks_scanned`` — but
-    the per-query heap browsing is replaced by batch work shared across
-    the group: one ``(m, n)`` MINDIST tableau over the snapshot's leaf
-    rects, one row-id/point gather per block, and a per-query prefix
-    drain over the MINDIST-sorted blocks.
+    Per query, a :class:`~repro.knn.distance_browsing.SnapshotBlockStream`
+    over ``snapshot`` feeds a :class:`~repro.knn.merge.QueryMerge`, and
+    :func:`~repro.knn.merge.run_merges` — the serving coordinator's loop,
+    here over one in-process source whose resume rounds are plain
+    ``take`` calls — drives a group of queries at a time.  A group
+    shares its MINDIST pass, first block ordering and each round's
+    distance pass; only the blocks a merge fetches are ever gathered.
 
-    Equivalence rests on two properties of the heap browser: leaf blocks
-    are scanned in MINDIST order (a child's MINDIST is never below its
-    parent's, so heap pops are monotone), and a block is scanned iff
-    fewer than ``k`` already-gathered rows lie *strictly* closer than
+    This is exactly heap-based distance browsing: leaf blocks are
+    scanned in MINDIST order, and a block is scanned iff fewer than
+    ``k`` already-gathered *qualifying* rows lie strictly closer than
     its MINDIST (the browser's ``tuples[0][0] < blocks[0][0]`` test).
-    Emitted rows are then the ``k`` smallest distances in (distance,
-    scan order) — a stable argsort over the drained prefix.  Stop
-    thresholds are recomputed with the scalar
-    :func:`~repro.geometry.mindist_point_rect` so they carry exactly the
-    floats the browser compares against.
-
-    Only applicable to predicate-free, region-free queries (on-the-fly
-    filtering re-introduces per-row control flow); the engine routes
-    everything else through the scalar operator.
+    Predicates and region containment are a row mask applied as each
+    block is gathered — the browser's "stop at k qualifying rows" rule.
 
     Args:
         table: The (shared) relation every query targets.
-        queries: The group's queries, in serving order.
-        snapshot: The table's current
-            :class:`~repro.index.snapshot.IndexSnapshot` (its rects are
-            the browser's leaf node rects).
+        queries: The queries, in serving order.
+        snapshot: An :class:`~repro.index.snapshot.IndexSnapshot` of the
+            table's blocks in any layout — the whole index, or the
+            sub-snapshot of the blocks the queries may scan.
     """
-    name = IncrementalKnnOperator.name
-    n = snapshot.n_blocks
-    if n == 0:
-        return [
-            ExecutionResult(name, 0, row_ids=np.empty(0, dtype=np.int64))
-            for __ in queries
-        ]
-    pts = np.array([[q.query.x, q.query.y] for q in queries], dtype=float)
-    tableau = mindist_points_rects(pts, snapshot.rects)
-    # Tie-corrected so the scan sequence (and hence equal-distance row
-    # emission order) matches the canonical layout's regardless of the
-    # snapshot's physical row order.
-    order = tie_stable_argsort(tableau, getattr(snapshot, "tie_order", None))
-    counts = snapshot.counts
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    all_rows = np.concatenate(
-        [table.block_row_ids(int(b)) for b in snapshot.block_ids]
-    )
-    all_pts = table.points[all_rows]
-    rect_cache: dict[int, Rect] = {}
+
+    blocks = table.index.blocks
+
+    def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
+        return table.block_row_ids(block_id), blocks[block_id].points
+
+    def fetch(requests: dict) -> dict:
+        asked = requests[0]
+        pulls = [(streams[i], *need) for i, *need in asked]
+        return {0: gather_blocks(pulls, block_rows, [keeps[i] for i, *__ in asked])}
+
     results: list[ExecutionResult] = []
-    for i, query in enumerate(queries):
-        k = query.k
-        qx, qy = query.query.x, query.query.y
-        sel = order[i]
-        cum = np.cumsum(counts[sel])
-        # The browser cannot stop before the prefix holds k rows.
-        j = min(int(np.searchsorted(cum, k, side="left")) + 1, n)
-        row_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-        for b in sel[:j]:
-            s, e = starts[b], starts[b + 1]
-            row_parts.append(all_rows[s:e])
-            dist_parts.append(
-                np.hypot(all_pts[s:e, 0] - qx, all_pts[s:e, 1] - qy)
+    # Groups bound what is alive at once: <= 8 MB of MINDIST rows.
+    step = min(1024, max(1, (1 << 20) // max(snapshot.n_blocks, 1)))
+    for lo in range(0, len(queries), step):
+        group = queries[lo : lo + step]
+        streams = list(SnapshotBlockStream.batch(snapshot, [q.query for q in group]))
+        keeps = [
+            partial(_row_mask, table, q)
+            if q.predicate is not None or q.region is not None
+            else None
+            for q in group
+        ]
+        merges = {i: QueryMerge(q.k) for i, q in enumerate(group)}
+        for merge, stream in zip(merges.values(), streams):
+            merge.add_stream(0, [], 0, stream.bound(0))
+        run_merges(merges, fetch)
+        for merge in merges.values():
+            row_ids, scanned, __ = merge.result()
+            results.append(
+                ExecutionResult(IncrementalKnnOperator.name, scanned, row_ids=row_ids)
             )
-        while j < n:
-            b_next = int(sel[j])
-            rect = rect_cache.get(b_next)
-            if rect is None:
-                rect = rect_cache[b_next] = Rect(*snapshot.rects[b_next])
-            threshold = mindist_point_rect(query.query, rect)
-            below = sum(
-                int(np.count_nonzero(part < threshold)) for part in dist_parts
-            )
-            if below >= k:
-                break
-            s, e = starts[b_next], starts[b_next + 1]
-            row_parts.append(all_rows[s:e])
-            dist_parts.append(
-                np.hypot(all_pts[s:e, 0] - qx, all_pts[s:e, 1] - qy)
-            )
-            j += 1
-        rows = np.concatenate(row_parts)
-        dists = np.concatenate(dist_parts)
-        take = np.argsort(dists, kind="stable")[:k]
-        results.append(ExecutionResult(name, j, row_ids=rows[take]))
     return results
 
 
@@ -258,84 +215,12 @@ class RegionPrunedKnnOperator:
         self._query = query
 
     def execute(self) -> ExecutionResult:
-        """Browse with region pruning until k rows qualify."""
-        table, query = self._table, self._query
-        browser = _RowDistanceBrowser(table, query.query, region=query.region)
-        found: list[int] = []
-        for row_id in browser:
-            if _qualifies(table, query, row_id):
-                found.append(row_id)
-                if len(found) == query.k:
-                    break
-        return ExecutionResult(
-            self.name,
-            browser.blocks_scanned,
-            row_ids=np.array(found, dtype=np.int64),
-        )
-
-
-class _RowDistanceBrowser:
-    """Distance browsing over a table, yielding *row ids* in order.
-
-    Identical to :class:`repro.knn.DistanceBrowser` except tuples carry
-    row ids so attribute predicates can be evaluated per result, and an
-    optional region prunes non-overlapping subtrees.
-    """
-
-    def __init__(self, table: SpatialTable, query: Point, region=None) -> None:
-        self._region = region
-        self._table = table
-        self._query = query
-        self._counter = itertools.count()
-        self._blocks: list[tuple[float, int, object]] = []
-        self._tuples: list[tuple[float, int, int]] = []
-        self.blocks_scanned = 0
-        root = table.index.root
-        heapq.heappush(
-            self._blocks, (mindist_point_rect(query, root.rect), next(self._counter), root)
-        )
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        while True:
-            if self._tuples and (
-                not self._blocks or self._tuples[0][0] < self._blocks[0][0]
-            ):
-                return heapq.heappop(self._tuples)[2]
-            if not self._blocks:
-                raise StopIteration
-            __, __, node = heapq.heappop(self._blocks)
-            if node.is_leaf:
-                block = node.block
-                if block is None:
-                    continue
-                if self._region is not None and not block.rect.intersects(
-                    self._region
-                ):
-                    continue
-                self.blocks_scanned += 1
-                row_ids = self._table.block_row_ids(block.block_id)
-                dists = block.distances_from(self._query)
-                for dist, row_id in zip(dists, row_ids):
-                    heapq.heappush(
-                        self._tuples, (float(dist), next(self._counter), int(row_id))
-                    )
-            else:
-                for child in node.children:
-                    if self._region is not None and not child.rect.intersects(
-                        self._region
-                    ):
-                        continue  # nothing qualifying can live there
-                    heapq.heappush(
-                        self._blocks,
-                        (
-                            mindist_point_rect(self._query, child.rect),
-                            next(self._counter),
-                            child,
-                        ),
-                    )
+        """Browse the blocks intersecting the region until k rows qualify."""
+        snapshot = self._table.snapshot
+        inside = snapshot.extract(snapshot.overlapping(self._query.region))
+        result = execute_incremental_knn_batch(self._table, [self._query], inside)[0]
+        result.operator = self.name
+        return result
 
 
 class IndexRangeScanOperator:
@@ -360,15 +245,7 @@ class IndexRangeScanOperator:
         for block in table.index.range_query_blocks(query.region):
             scanned += 1
             row_ids = table.block_row_ids(block.block_id)
-            pts = table.points[row_ids]
-            mask = (
-                (pts[:, 0] >= query.region.x_min)
-                & (pts[:, 0] <= query.region.x_max)
-                & (pts[:, 1] >= query.region.y_min)
-                & (pts[:, 1] <= query.region.y_max)
-            )
-            if query.predicate is not None:
-                mask &= query.predicate.evaluate(table, row_ids)
+            mask = _row_mask(table, query, row_ids)
             if mask.any():
                 qualifying.append(row_ids[mask])
         rows = (
@@ -466,17 +343,18 @@ class PerPointSelectsOperator:
     def execute(self) -> ExecutionResult:
         """Run one incremental k-NN-Select per outer row."""
         outer, inner, query = self._outer, self._inner, self._query
-        scanned = 0
-        pairs: list[tuple[int, np.ndarray]] = []
-        for row_id in range(outer.n_rows):
-            x, y = outer.points[row_id]
-            select = KnnSelectQuery(
+        selects = [
+            KnnSelectQuery(
                 table=inner.name,
                 query=Point(float(x), float(y)),
                 k=query.k,
                 predicate=query.inner_predicate,
             )
-            result = IncrementalKnnOperator(inner, select).execute()
-            scanned += result.blocks_scanned
-            pairs.append((row_id, result.row_ids))
-        return ExecutionResult(self.name, scanned, join_pairs=pairs)
+            for x, y in outer.points
+        ]
+        results = execute_incremental_knn_batch(inner, selects, inner.snapshot)
+        return ExecutionResult(
+            self.name,
+            sum(result.blocks_scanned for result in results),
+            join_pairs=[(i, result.row_ids) for i, result in enumerate(results)],
+        )

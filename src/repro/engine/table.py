@@ -17,6 +17,7 @@ import numpy as np
 from repro.index.base import validate_points
 from repro.index.count_index import CountIndex
 from repro.index.quadtree import Quadtree
+from repro.index.snapshot import IndexSnapshot
 
 
 class SpatialTable:
@@ -63,7 +64,10 @@ class SpatialTable:
             self._index = _RowTaggedQuadtree(augmented, capacity=capacity)
         else:
             self._index = _RowTaggedQuadtree(np.empty((0, 3)), capacity=capacity)
-        self._count_index = CountIndex.from_index(self._index) if pts.shape[0] else None
+        self._snapshot = IndexSnapshot.from_index(self._index)
+        self._count_index = (
+            CountIndex.from_snapshot(self._snapshot) if pts.shape[0] else None
+        )
 
     # ------------------------------------------------------------------
     # Shape
@@ -87,6 +91,11 @@ class SpatialTable:
     def index(self) -> Quadtree:
         """The table's quadtree index (blocks carry row ids)."""
         return self._index
+
+    @property
+    def snapshot(self) -> IndexSnapshot:
+        """The index's block summary, canonical layout (no blocks when empty)."""
+        return self._snapshot
 
     @property
     def count_index(self) -> CountIndex:

@@ -12,31 +12,33 @@ The paper models the cost of this algorithm as the number of (non-empty
 leaf) blocks scanned.  Two cost paths are provided:
 
 * :class:`DistanceBrowser` / :func:`knn_select` — the faithful heap-
-  based incremental algorithm with a scan counter; this is what a query
-  processor would run.  With a precomputed
-  :class:`~repro.index.snapshot.IndexSnapshot` the browser seeds its
-  frontier *flat* — one vectorized MINDIST kernel over all leaf blocks
-  replaces the hierarchical descent.  The scan cost is identical either
-  way: internal nodes cost nothing to pop, and the strict ``<`` return
-  test means every block at MINDIST below the next returned distance
-  must be scanned regardless of tie order.
+  based incremental algorithm over the index hierarchy, with a scan
+  counter: the paper-faithful reference the test suite compares the
+  other two against.
 * :func:`select_cost_profile` — a vectorized equivalent that returns the
   whole cost-vs-k staircase in one pass.  Because internal nodes cost
   nothing to pop, hierarchical browsing scans leaf blocks in plain
   MINDIST order, so the profile can be computed over the flat block
   list; the test suite cross-checks both paths against each other.
+* :class:`SnapshotBlockStream` — the same flat MINDIST order as a
+  cursor-resumable block stream: the source side of the production
+  browser (:mod:`repro.knn.merge`), which executes every k-NN select.
+  The scan cost is identical to the hierarchical reference: the strict
+  ``<`` return test means every block at MINDIST below the next
+  returned distance must be scanned regardless of tie order.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
 
-from repro.geometry import Point, Rect, mindist_point_rect, mindist_points_rects
-from repro.geometry.kernels import mindist_argsort, mindist_rects, tie_stable_argsort
+from repro.geometry import Point, mindist_point_rect, mindist_points_rects
+from repro.geometry.kernels import mindist_rects
 from repro.index.base import Block, SpatialIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 
@@ -57,48 +59,19 @@ class DistanceBrowser:
     Args:
         index: The data index.
         query: The query focal point.
-        snapshot: Optional columnar summary of ``index``.  When given,
-            the frontier is seeded directly with all leaf blocks in
-            MINDIST order (one kernel call; a sorted list is a valid
-            heap) instead of descending from the root — the snapshot's
-            ``block_ids`` address ``index.blocks``, so the point data
-            still comes from the index.  Scan costs are identical to
-            the hierarchical path.
     """
 
-    def __init__(
-        self,
-        index: SpatialIndex,
-        query: Point,
-        *,
-        snapshot: IndexSnapshot | None = None,
-    ) -> None:
+    def __init__(self, index: SpatialIndex, query: Point) -> None:
         self._query = query
         self._counter = itertools.count()  # tie-breaker for heap entries
         self._block_queue: list[tuple[float, int, object]] = []
         self._tuple_queue: list[tuple[float, float, float]] = []
         self._blocks_scanned = 0
-        if snapshot is not None:
-            blocks = index.blocks
-            if snapshot.n_blocks != len(blocks):
-                raise ValueError(
-                    f"snapshot summarizes {snapshot.n_blocks} blocks but the "
-                    f"index holds {len(blocks)} — stale snapshot?"
-                )
-            order, mindists = mindist_argsort(
-                (query.x, query.y), snapshot.rects, tie_order=snapshot.tie_order
-            )
-            # Ascending (mindist, counter, block) tuples: already a heap.
-            self._block_queue = [
-                (float(d), next(self._counter), blocks[int(snapshot.block_ids[i])])
-                for d, i in zip(mindists, order)
-            ]
-        else:
-            root = index.root
-            heapq.heappush(
-                self._block_queue,
-                (mindist_point_rect(query, root.rect), next(self._counter), root),
-            )
+        root = index.root
+        heapq.heappush(
+            self._block_queue,
+            (mindist_point_rect(query, root.rect), next(self._counter), root),
+        )
 
     @property
     def blocks_scanned(self) -> int:
@@ -137,10 +110,7 @@ class DistanceBrowser:
             if not self._block_queue:
                 return None
             __, __, node = heapq.heappop(self._block_queue)
-            if isinstance(node, Block):
-                # Snapshot-seeded frontier entry: a leaf block directly.
-                self._scan(node)
-            elif node.is_leaf:
+            if node.is_leaf:
                 block = node.block
                 if block is None:
                     continue  # structurally-empty leaf: no block to scan
@@ -157,21 +127,13 @@ class DistanceBrowser:
                     )
 
 
-def knn_select(
-    index: SpatialIndex,
-    query: Point,
-    k: int,
-    *,
-    snapshot: IndexSnapshot | None = None,
-) -> tuple[np.ndarray, int]:
+def knn_select(index: SpatialIndex, query: Point, k: int) -> tuple[np.ndarray, int]:
     """Run a k-NN-Select via distance browsing.
 
     Args:
         index: The data index.
         query: The query focal point.
         k: Number of neighbors to retrieve.
-        snapshot: Optional precomputed summary for flat frontier
-            seeding (see :class:`DistanceBrowser`).
 
     Returns:
         ``(neighbors, cost)`` where ``neighbors`` is a ``(m, 2)`` array
@@ -184,7 +146,7 @@ def knn_select(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    browser = DistanceBrowser(index, query, snapshot=snapshot)
+    browser = DistanceBrowser(index, query)
     found = list(itertools.islice(browser, k))
     neighbors = np.array([(x, y) for __, x, y in found], dtype=float).reshape(-1, 2)
     return neighbors, browser.blocks_scanned
@@ -403,52 +365,97 @@ def brute_force_knn(points: np.ndarray, query: Point, k: int) -> np.ndarray:
     return pts[idx]
 
 
+# A snapshot row's bounds as mindist_point_rect reads them; a Rect would
+# re-validate what IndexSnapshot already validated, once per emitted block.
+_Bounds = namedtuple("_Bounds", "x_min y_min x_max y_max")
+
+
+def _ordered_windows(snapshot: IndexSnapshot, tableau: np.ndarray, want: int):
+    """Per tableau row, its nearest blocks in ``(MINDIST, block id)`` order.
+
+    Yields one ``(mindists, block_ids, snapshot rows, complete)`` window
+    per row: the ``want + 1`` smallest MINDISTs (a partial partition),
+    sorted.  Only the first ``complete`` ranks are a prefix of the row's
+    global scan order — those strictly below the largest selected value,
+    since a block tied with it may have been left out — unless the
+    window spans every block.  Ties can leave ``complete`` short of
+    ``want``, even at zero; callers retry with a larger ``want``.
+    """
+    m, n = tableau.shape
+    if want < n:
+        rows = np.argpartition(tableau, want, axis=1)[:, : want + 1]
+    else:
+        rows = np.broadcast_to(np.arange(n), (m, n))
+    each = np.arange(m)[:, None]
+    mindists, block_ids = tableau[each, rows], snapshot.block_ids[rows]
+    order = np.lexsort((block_ids, mindists), axis=1)
+    rows, mindists, block_ids = rows[each, order], mindists[each, order], block_ids[each, order]
+    if want < n:
+        complete = (mindists < mindists[:, -1:]).sum(axis=1).tolist()
+    else:
+        complete = [n] * m
+    return zip(mindists, block_ids, rows, complete)
+
+
 class SnapshotBlockStream:
     """Resumable MINDIST-ordered block stream over one snapshot.
 
-    The per-shard primitive of the serving tier's cross-shard k-NN
-    merge: a shard worker walks its sub-snapshot's blocks in the exact
-    (MINDIST, ascending block id) order the global distance browser
-    would visit them, but *incrementally* — the coordinator pulls a
-    prefix, merges it against the other shards' streams, and resumes
-    from a plain integer cursor only if this shard's :meth:`bound`
-    is still below the running k-th distance.  The stream is stateless
-    across pulls (the cursor is the whole state), so a respawned worker
-    incarnation resumes a stream mid-query without any handshake.
+    The source side of the production browser (:mod:`repro.knn.merge`):
+    the snapshot's blocks in the exact (MINDIST, ascending block id)
+    order distance browsing visits them, but *incrementally* — the
+    consumer pulls a prefix, merges it (against other sources' streams,
+    when the snapshot is one data shard's slice), and resumes from a
+    plain integer cursor only while this stream's :meth:`bound` is
+    still below the running k-th distance.  The cursor is the whole
+    protocol state, so a respawned worker incarnation resumes a stream
+    mid-query without any handshake.
 
-    Entry floats are bit-identical to the batched executor's: block
-    order comes from the same :func:`~repro.geometry.mindist_points_rects`
-    kernel + stable tie sort, and each block's stop-test ``threshold``
-    is recomputed with the scalar
+    MINDISTs come from the :func:`~repro.geometry.mindist_points_rects`
+    kernel (:meth:`batch` shares the pass across queries), but a query
+    that scans a handful of blocks never sorts every leaf: only a window
+    of the :data:`FIRST_WINDOW` nearest is ordered, doubled on demand.
+    Each block's stop-test ``threshold`` is recomputed with the scalar
     :func:`~repro.geometry.mindist_point_rect` — exactly the float the
     heap browser compares gathered distances against.
 
     Args:
-        snapshot: The (sub-)snapshot to stream; its ``block_ids`` are
-            reported back with every entry so a cross-shard consumer
-            can merge on the global ``(MINDIST, block id)`` key.
+        snapshot: The (sub-)snapshot to stream, in any layout; its
+            ``block_ids`` are reported back with every entry so a
+            cross-shard consumer can merge on the global ``(MINDIST,
+            block id)`` key.
         query: The focal point.
     """
 
+    FIRST_WINDOW = 32
+
     def __init__(self, snapshot: IndexSnapshot, query: Point) -> None:
         self._snapshot = snapshot
-        self._query = query
-        n = snapshot.n_blocks
-        if n == 0:
-            self._order = np.empty(0, dtype=np.int64)
-            self._mindists = np.empty(0, dtype=float)
-        else:
-            tableau = mindist_points_rects(
-                np.array([[query.x, query.y]], dtype=float), snapshot.rects
-            )
-            order = tie_stable_argsort(tableau, snapshot.tie_order)[0]
-            self._order = order
-            self._mindists = tableau[0][order]
+        self.query = query
+        # MINDIST per snapshot row (unordered) and the ordered window of
+        # the nearest rows (see _ordered_windows): filled in on first use
+        # — or up front, for many queries at once, by batch().
+        self._mindists: np.ndarray | None = None
+        self._window = (None, None, None, 0)
+        self._entries: dict[int, tuple[float, int, float, int]] = {}
+
+    @classmethod
+    def batch(cls, snapshot: IndexSnapshot, queries: list[Point]):
+        """Yield one stream per query, sharing MINDIST passes and first orderings."""
+        pts = np.array([(q.x, q.y) for q in queries], dtype=float).reshape(-1, 2)
+        # Cache-sized tableau chunks: a pass costs the same per cell either way.
+        step = max(1, (1 << 14) // max(snapshot.n_blocks, 1))
+        for lo in range(0, len(queries), step):
+            tableau = mindist_points_rects(pts[lo : lo + step], snapshot.rects)
+            windows = _ordered_windows(snapshot, tableau, cls.FIRST_WINDOW)
+            for query, mindists, window in zip(queries[lo : lo + step], tableau, windows):
+                stream = cls(snapshot, query)
+                stream._mindists, stream._window = mindists, window
+                yield stream
 
     @property
     def n_blocks(self) -> int:
         """Total blocks the stream can ever emit."""
-        return int(self._order.shape[0])
+        return self._snapshot.n_blocks
 
     def entry(self, rank: int) -> tuple[float, int, float, int]:
         """The stream's ``rank``-th block as ``(mindist, block_id, threshold, row)``.
@@ -457,14 +464,30 @@ class SnapshotBlockStream:
         pairing with per-block row/point arrays); ``threshold`` is the
         scalar-kernel MINDIST used by the browser's stop test.
         """
-        row = int(self._order[rank])
-        rect = Rect(*self._snapshot.rects[row])
-        return (
-            float(self._mindists[rank]),
-            int(self._snapshot.block_ids[row]),
-            mindist_point_rect(self._query, rect),
-            row,
-        )
+        entry = self._entries.get(rank)
+        if entry is None:
+            if not 0 <= rank < self.n_blocks:
+                raise IndexError(f"stream rank {rank} out of range")
+            if self._mindists is None:
+                (self._mindists,) = mindist_points_rects(
+                    np.array([[self.query.x, self.query.y]]), self._snapshot.rects
+                )
+            want = max(2 * (rank + 1), self.FIRST_WINDOW)
+            while rank >= self._window[3]:
+                (self._window,) = _ordered_windows(
+                    self._snapshot, self._mindists[None, :], want
+                )
+                want *= 2
+            mindists, block_ids, rows, __ = self._window
+            row = int(rows[rank])
+            rect = _Bounds(*self._snapshot.rects[row].tolist())
+            entry = self._entries[rank] = (
+                float(mindists[rank]),
+                int(block_ids[rank]),
+                mindist_point_rect(self.query, rect),
+                row,
+            )
+        return entry
 
     def bound(self, cursor: int) -> tuple[float, int, float] | None:
         """Lower bound of everything not yet emitted, or ``None`` if spent.
@@ -476,8 +499,7 @@ class SnapshotBlockStream:
         """
         if cursor >= self.n_blocks:
             return None
-        mindist, block_id, threshold, __ = self.entry(cursor)
-        return (mindist, block_id, threshold)
+        return self.entry(cursor)[:3]
 
     def take(
         self,
@@ -485,7 +507,6 @@ class SnapshotBlockStream:
         *,
         min_points: int = 0,
         min_mindist: float = -np.inf,
-        counts: np.ndarray | None = None,
     ) -> tuple[list[tuple[float, int, float, int]], int]:
         """Emit blocks from ``cursor`` until both stop conditions hold.
 
@@ -498,15 +519,14 @@ class SnapshotBlockStream:
         Returns:
             ``(entries, new_cursor)`` with entries as in :meth:`entry`.
         """
-        if counts is None:
-            counts = self._snapshot.counts
+        counts = self._snapshot.counts
         entries: list[tuple[float, int, float, int]] = []
         gathered = 0
         n = self.n_blocks
         while cursor < n:
-            if gathered >= min_points and self._mindists[cursor] >= min_mindist:
-                break
             entry = self.entry(cursor)
+            if gathered >= min_points and entry[0] >= min_mindist:
+                break
             entries.append(entry)
             gathered += int(counts[entry[3]])
             cursor += 1

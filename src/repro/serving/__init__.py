@@ -10,9 +10,9 @@ A supervised, process-sharded front end over the
   full engine replica serving chunks under a propagated deadline
   (``shard_mode="replica"``) or a data shard streaming MINDIST-ordered
   blocks to the coordinator (``shard_mode="data"``);
-* :mod:`~repro.serving.merge` — the coordinator-side streaming k-NN
-  merge over per-shard block streams, with coverage-gap (``partial``)
-  accounting when a data shard dies mid-query;
+* :mod:`~repro.serving.merge` — the full-scan top-k and estimate
+  merges; the streaming k-NN merge itself is the engine's browser,
+  :mod:`repro.knn.merge` (``QueryMerge`` is re-exported here);
 * :mod:`~repro.serving.supervisor` — deadlines, bounded retries with
   backoff, worker respawn, and per-shard circuit breakers;
 * :mod:`~repro.serving.admission` — queue-depth and time-budget load

@@ -70,9 +70,9 @@ from repro.geometry.backends import active_backend
 from repro.geometry.hilbert import hilbert_order
 from repro.index.snapshot import as_snapshot
 from repro.optimizer.selection import PlanningContext
+from repro.knn.merge import QueryMerge, run_merges
 from repro.serving.merge import (
     PARTIAL_PLAN,
-    QueryMerge,
     merge_filter_topk,
     merge_select_estimates,
 )
@@ -960,11 +960,12 @@ class ShardedServingTier:
     ) -> None:
         """Distance-browsing-chosen queries: the streaming merge loop.
 
-        Each query's :class:`~repro.serving.merge.QueryMerge` replays
-        the global block admission; queries that starve a stream are
-        batched into one resume round per shard per iteration, so the
-        coordinator's round trips scale with merge depth, not with
-        queries × shards.
+        Each query's :class:`~repro.knn.merge.QueryMerge` replays the
+        global block admission under :func:`~repro.knn.merge.run_merges`
+        — the local executor's loop, with resumes fetched from the
+        shards: queries that starve a stream are batched into one resume
+        round per shard per iteration, so the coordinator's round trips
+        scale with merge depth, not with queries × shards.
         """
         merges: dict[int, QueryMerge] = {}
         for i in inc_pos:
@@ -973,56 +974,34 @@ class ShardedServingTier:
             for sid in self.supervisor.shard_ids:
                 state = answers.get(sid)
                 if state is not None:
-                    entries, cursor, bound = state["streams"][i]
-                    merge.add_stream(sid, entries, cursor, bound)
+                    merge.add_stream(sid, *state["streams"][i])
                     if sid in dead:  # answered open, died since
                         merge.mark_dead(sid)
-                else:
-                    hull_bound = self._dead_bound(sid, point)
-                    if hull_bound is not None:
-                        merge.add_dead(sid, hull_bound)
-            merges[i] = merge
-        pending = dict(merges)
-        while pending:
-            needs_by_shard: dict[int, list[tuple[int, int, int, float]]] = {}
-            for i in list(pending):
-                needs = pending[i].advance()
-                if needs is None:
-                    del pending[i]
                     continue
-                for sid, (cursor, min_points, min_mindist) in needs.items():
-                    needs_by_shard.setdefault(sid, []).append(
-                        (i, cursor, min_points, min_mindist)
-                    )
-            if not pending:
-                break
-            already_dead = set(dead)
+                # Never answered: a gap from the start, at its hull bound.
+                hull_bound = self._dead_bound(sid, point)
+                if hull_bound is not None:  # None: owns no blocks, no gap
+                    merge.add_stream(sid, [], 0, hull_bound)
+                    merge.mark_dead(sid)
+            merges[i] = merge
+
+        def fetch(requests: dict[int, list]) -> dict[int, list]:
+            """One resume round per starved shard; a lost shard is absent."""
             payloads = {}
-            for sid, requests in needs_by_shard.items():
-                ridx = np.asarray([r[0] for r in requests], dtype=np.int64)
+            for sid, asked in requests.items():
+                ridx = np.asarray([r[0] for r in asked], dtype=np.int64)
                 payloads[sid] = {
                     "round": "resume",
                     "points": pts[ridx],
                     "ks": ks[ridx],
-                    "cursors": np.asarray([r[1] for r in requests], dtype=np.int64),
-                    "min_points": np.asarray([r[2] for r in requests], dtype=np.int64),
-                    "min_mindists": np.asarray([r[3] for r in requests], dtype=float),
+                    "cursors": np.asarray([r[1] for r in asked], dtype=np.int64),
+                    "min_points": np.asarray([r[2] for r in asked], dtype=np.int64),
+                    "min_mindists": np.asarray([r[3] for r in asked], dtype=float),
                 }
-            resume_answers = self._fan_out(payloads, deadline, rounds, dead)
-            for sid, requests in needs_by_shard.items():
-                if sid in resume_answers:
-                    streams = resume_answers[sid]["streams"]
-                    for j, (i, __, ___, ____) in enumerate(requests):
-                        if i in pending:
-                            entries, cursor, bound = streams[j]
-                            pending[i].streams[sid].extend(entries, cursor, bound)
-            # A shard lost this iteration becomes a permanent coverage
-            # gap for every still-running merge (its last known bound
-            # stays as the gap bound).
-            for sid in dead - already_dead:
-                for merge in pending.values():
-                    if sid in merge.streams:
-                        merge.mark_dead(sid)
+            replies = self._fan_out(payloads, deadline, rounds, dead)
+            return {sid: reply["streams"] for sid, reply in replies.items()}
+
+        run_merges(merges, fetch)
         for i, merge in merges.items():
             rows, blocks_scanned, n_verified = merge.result()
             workload_i = int(chunk_idx[i])

@@ -1,67 +1,26 @@
-"""The streaming cross-shard k-NN merge protocol (data-shard mode).
+"""What only a sharded tier needs of the k-NN merge (data-shard mode).
 
-In data-shard mode every worker holds only *its* blocks (a
-:meth:`~repro.index.snapshot.IndexSnapshot.extract` sub-snapshot plus
-the matching rows/points), so no single worker can answer a k-NN
-query.  The coordinator reconstructs the unsharded engine's answer by
-replaying the distance browser's block admission over per-shard
-MINDIST-ordered streams:
+In data-shard mode every worker holds only *its* blocks, so the
+coordinator answers a k-NN query with the engine's own browser,
+:mod:`repro.knn.merge`: each shard is one block-stream source of a
+:class:`~repro.knn.merge.QueryMerge` (re-exported here) and a dead
+shard is a coverage gap — bit-identical to the unsharded
+:func:`~repro.engine.physical.execute_incremental_knn_batch`, the same
+replay over n sources instead of one.
 
-* each shard returns its blocks in ``(MINDIST, global block id)``
-  order — :class:`~repro.knn.distance_browsing.SnapshotBlockStream`
-  over the canonical sub-snapshot, whose tie breaks are the exact
-  slice of the global tie-break contract that belongs to the shard —
-  together with a **lower bound**: the next unfetched block's key,
-  below which the shard can contribute nothing further;
-* the coordinator (:class:`QueryMerge`) admits whichever stream's head
-  sorts first on the global key, reproducing the global scan sequence
-  bit-for-bit, and applies the browser's stop rule — once ``k``
-  gathered rows lie strictly below the next block's scalar-kernel
-  threshold, no unscanned block can contribute — so it stops *pulling*
-  from a shard the moment that shard's bound exceeds the running k-th
-  distance;
-* a starved stream (fetched entries exhausted, bound still
-  admissible) pauses the replay; the coordinator batches the pause
-  points of all queries into one resume round per shard.
-
-The admitted block count equals the unsharded
-:func:`~repro.engine.physical.execute_incremental_knn_batch`'s
-``blocks_scanned`` exactly, and the emitted rows — a stable argsort
-over the admitted blocks' distances — are bit-identical, because
-block order, distances, and stop thresholds all carry the same floats.
-
-**Coverage gaps.**  A dead shard is not (as in replica mode) merely a
-routing problem: its rows are unreachable.  Each dead shard
-contributes only a lower bound (its last reported bound, or the
-coordinator-computed hull bound when it never answered).  When the
-replay's next global block belongs to a dead shard, two things can
-happen:
-
-* the stop rule already holds at the dead bound's threshold — then the
-  true scan would have stopped there too, and the answer is **exact**
-  with the identical scan count;
-* otherwise the query degrades to a **partial** answer: the merge
-  drains the surviving shards below the gap threshold ``t_gap`` (the
-  dead bound's MINDIST) and returns the verified prefix — every row
-  with distance strictly below ``t_gap``, in exactly the global
-  emission order, clamped to ``k``.  Rows at or beyond ``t_gap`` are
-  unverifiable (the dead shard could hold closer ones), so they are
-  withheld; the prefix is provably a bit-identical prefix of the
-  unsharded answer.
-
-Estimator provenance merges per query: incremental-scan cost is the
-*sum* of the per-shard estimates (each shard browses its own blocks),
-the tier is the *worst* (most degraded) shard tier, and the merged
-numbers are arbitrated through the same selection chain the unsharded
-planner walks, so ``PlanExplanation`` keeps its shape — alternatives,
-``decided_by``, and a genuine per-link trail.
+Left here: the full-scan top-k merge for queries whose plan chose the
+filter operator, and the per-query estimate merge — incremental-scan
+cost is the *sum* of the per-shard estimates (each shard browses its
+own blocks), the tier is the *worst* (most degraded) shard tier, and
+the merged numbers are arbitrated through the same selection chain the
+unsharded planner walks, so ``PlanExplanation`` keeps its shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from repro.knn.merge import QueryMerge, ShardStream  # noqa: F401 (re-exported)
 
 #: Note marker for partial-coverage degraded answers.
 PARTIAL_PLAN = "partial-coverage"
@@ -87,228 +46,6 @@ def worst_tier(tiers) -> str:
         if r > rank:
             worst, rank = tier, r
     return worst
-
-
-@dataclass
-class ShardStream:
-    """Coordinator-side state of one shard's block stream for one query.
-
-    Attributes:
-        shard_id: The shard.
-        entries: Fetched-but-unadmitted-or-admitted blocks, in stream
-            order: ``(mindist, global block id, threshold, row_ids,
-            dists)``.
-        pos: Next unadmitted entry index.
-        cursor: Worker-side stream rank already fetched (the resume
-            token).
-        bound: ``(mindist, global block id, threshold)`` of the next
-            *unfetched* block, or ``None`` when the stream is spent.
-        dead: Whether the shard stopped answering; fetched entries stay
-            admissible, but the bound becomes a permanent coverage gap.
-    """
-
-    shard_id: int
-    entries: list = field(default_factory=list)
-    pos: int = 0
-    cursor: int = 0
-    bound: tuple | None = None
-    dead: bool = False
-
-    def extend(self, entries: list, cursor: int, bound: tuple | None) -> None:
-        """Append one resume round's entries and advance the cursor."""
-        self.entries.extend(entries)
-        self.cursor = int(cursor)
-        self.bound = bound
-
-
-class QueryMerge:
-    """Replay the global block admission for one query across shards.
-
-    Drive with :meth:`advance`: it admits blocks until the query is
-    answered (``None``) or a live stream starves (a ``{shard_id:
-    (cursor, min_points, min_mindist)}`` resume request).  Feed resume
-    results back through the streams' :meth:`ShardStream.extend` and
-    call :meth:`advance` again.  When it returns ``None``, read
-    :meth:`result`.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self.streams: dict[int, ShardStream] = {}
-        self._row_parts: list[np.ndarray] = []
-        self._dist_parts: list[np.ndarray] = []
-        self.gathered = 0
-        self.admitted = 0
-        self.t_gap: float | None = None
-        self.gap_shards: tuple[int, ...] = ()
-        self.finished = False
-
-    # -- stream wiring --------------------------------------------------
-    def add_stream(
-        self, shard_id: int, entries: list, cursor: int, bound: tuple | None
-    ) -> None:
-        """Register one live shard's opening stream state."""
-        self.streams[shard_id] = ShardStream(
-            int(shard_id), list(entries), 0, int(cursor), bound
-        )
-
-    def add_dead(self, shard_id: int, bound: tuple | None) -> None:
-        """Register a shard that never answered, via its hull bound."""
-        self.streams[shard_id] = ShardStream(
-            int(shard_id), [], 0, 0, bound, dead=True
-        )
-
-    def mark_dead(self, shard_id: int) -> None:
-        """Demote a live stream after a failed resume: bound = gap."""
-        self.streams[shard_id].dead = True
-
-    @property
-    def partial(self) -> bool:
-        """Whether the replay crossed a dead shard's coverage gap."""
-        return self.t_gap is not None
-
-    # -- the replay -----------------------------------------------------
-    def _below(self, threshold: float) -> int:
-        return sum(
-            int(np.count_nonzero(part < threshold)) for part in self._dist_parts
-        )
-
-    def _admit(self, stream: ShardStream) -> None:
-        __, __, __, rows, dists = stream.entries[stream.pos]
-        stream.pos += 1
-        self._row_parts.append(rows)
-        self._dist_parts.append(dists)
-        self.gathered += int(rows.shape[0])
-        self.admitted += 1
-
-    def advance(self) -> dict[int, tuple[int, int, float]] | None:
-        """Admit blocks until answered (``None``) or a resume is needed.
-
-        Returns:
-            ``None`` when the query is answered (exact or partial), or
-            ``{shard_id: (cursor, min_points, min_mindist)}`` naming
-            every live stream whose next blocks must be fetched before
-            the replay can continue.
-        """
-        while True:
-            head = starved = gap = None
-            head_stream = None
-            for stream in self.streams.values():
-                if stream.pos < len(stream.entries):
-                    entry = stream.entries[stream.pos]
-                    key = (entry[0], entry[1])
-                    if head is None or key < head:
-                        head, head_stream = key, stream
-                elif stream.bound is not None:
-                    key = (stream.bound[0], stream.bound[1])
-                    if stream.dead:
-                        if gap is None or key < gap:
-                            gap = key
-                    elif starved is None or key < starved:
-                        starved = key
-            if self.t_gap is not None:
-                # Partial mode: drain live blocks strictly below the
-                # gap; the dead shard's rows all lie at or beyond it.
-                if self._below(self.t_gap) >= self.k:
-                    # k rows verified below the gap: the prefix is the
-                    # full (exact-rows) answer; stop draining.
-                    self.finished = True
-                    return None
-                nxt = min(x for x in (head, starved) if x is not None) if (
-                    head is not None or starved is not None
-                ) else None
-                if nxt is None or nxt[0] >= self.t_gap:
-                    self.finished = True
-                    return None
-                if head is not None and head == nxt:
-                    self._admit(head_stream)
-                    continue
-                return self._resume_requests(min_mindist=self.t_gap)
-            candidates = [x for x in (head, starved, gap) if x is not None]
-            if not candidates:
-                # Every stream spent: the index is exhausted.
-                self.finished = True
-                return None
-            nxt = min(candidates)
-            if self.gathered >= self.k:
-                # The browser's stop rule, on the scalar threshold of
-                # whichever block (or bound) comes next globally.
-                threshold = self._threshold_of(nxt)
-                if self._below(threshold) >= self.k:
-                    self.finished = True
-                    return None
-            if gap is not None and nxt == gap:
-                # The next global block is unreachable: coverage gap.
-                self.t_gap = self._threshold_of(gap)
-                self.gap_shards = tuple(
-                    sorted(
-                        s.shard_id
-                        for s in self.streams.values()
-                        if s.dead and s.bound is not None
-                    )
-                )
-                continue
-            if head is not None and nxt == head:
-                self._admit(head_stream)
-                continue
-            # A live stream's bound gates the merge: fetch more blocks
-            # (from every starved live stream, batching round trips).
-            return self._resume_requests(min_points=self.k)
-
-    def _threshold_of(self, key: tuple[float, int]) -> float:
-        """The scalar stop-test threshold of the stream head/bound at ``key``."""
-        for stream in self.streams.values():
-            if stream.pos < len(stream.entries):
-                entry = stream.entries[stream.pos]
-                if (entry[0], entry[1]) == key:
-                    return float(entry[2])
-            if stream.bound is not None and (
-                stream.bound[0],
-                stream.bound[1],
-            ) == key:
-                return float(stream.bound[2])
-        raise KeyError(f"no stream at merge key {key!r}")  # pragma: no cover
-
-    def _resume_requests(
-        self, *, min_points: int = 0, min_mindist: float = -np.inf
-    ) -> dict[int, tuple[int, int, float]]:
-        needs = {
-            stream.shard_id: (stream.cursor, min_points, float(min_mindist))
-            for stream in self.streams.values()
-            if not stream.dead
-            and stream.pos >= len(stream.entries)
-            and stream.bound is not None
-            and (min_mindist == -np.inf or stream.bound[0] < min_mindist)
-        }
-        if not needs:  # pragma: no cover - defensive: advance() gates this
-            raise RuntimeError("merge starved with no resumable stream")
-        return needs
-
-    # -- the answer -----------------------------------------------------
-    def result(self) -> tuple[np.ndarray, int, int]:
-        """The merged answer: ``(row_ids, blocks_scanned, n_verified)``.
-
-        Exact queries return the ``k`` nearest rows (fewer only when
-        the relation holds fewer); partial queries return the verified
-        prefix — rows strictly below the gap threshold, clamped to
-        ``k``.  ``n_verified`` counts rows the merge could prove
-        correct (== ``len(row_ids)``; exposed for reporting).
-        """
-        if not self.finished:
-            raise RuntimeError("merge has not finished")
-        if not self._row_parts:
-            return np.empty(0, dtype=np.int64), self.admitted, 0
-        rows = np.concatenate(self._row_parts)
-        dists = np.concatenate(self._dist_parts)
-        order = np.argsort(dists, kind="stable")
-        if self.t_gap is not None:
-            verified = order[dists[order] < self.t_gap]
-            take = verified[: self.k]
-        else:
-            take = order[: self.k]
-        return rows[take], self.admitted, int(take.shape[0])
 
 
 def merge_filter_topk(

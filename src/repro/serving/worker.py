@@ -25,6 +25,7 @@ a chosen batch deterministically.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -179,41 +180,21 @@ def _init_data_shard_worker(
     )
 
 
-def _stream_entries(stream, query_point, raw_entries) -> list:
-    """Wire-format stream entries: attach each block's rows + distances.
-
-    ``(mindist, global block id, scalar threshold, row_ids, dists)``
-    per entry — the distances are computed here, in the worker, over
-    the block's rows in canonical order, so the coordinator's merge
-    concatenation reproduces the unsharded browser's gather
-    bit-for-bit.
-    """
-    rows = _WORKER_STATE["rows"]
-    points = _WORKER_STATE["points"]
-    starts = _WORKER_STATE["starts"]
-    out = []
-    for mindist, block_id, threshold, local_row in raw_entries:
-        lo, hi = int(starts[local_row]), int(starts[local_row + 1])
-        block_pts = points[lo:hi]
-        dists = np.hypot(
-            block_pts[:, 0] - query_point.x, block_pts[:, 1] - query_point.y
-        )
-        out.append((mindist, block_id, threshold, rows[lo:hi], dists))
-    return out
-
-
 def _serve_data_shard_chunk(payload: dict) -> dict:
     """Serve one round of the cross-shard merge protocol.
 
     Three round kinds (``payload["round"]``):
 
-    * ``"open"`` — per query, the first ``k``-point prefix of the
-      shard's MINDIST-ordered block stream plus its resume bound, and
-      the local select-cost estimates for the coordinator's merged
-      :class:`~repro.engine.PlanExplanation`;
-    * ``"resume"`` — continue named queries' streams from their
-      cursors until ``min_points`` are gathered or ``min_mindist`` is
-      reached;
+    * ``"resume"`` — continue named queries' MINDIST-ordered block
+      streams from their cursors until ``min_points`` are gathered or
+      ``min_mindist`` is reached; each reply is
+      :func:`~repro.knn.merge.gather_blocks`' ``(entries, cursor,
+      bound)`` — distances are computed here, over the block's rows in
+      canonical order, so the coordinator's merge reproduces the
+      unsharded browser's gather bit-for-bit;
+    * ``"open"`` — resume from cursor 0 with ``min_points=k`` (the first
+      ``k``-point prefix), plus the local select-cost estimates for the
+      coordinator's merged :class:`~repro.engine.PlanExplanation`;
     * ``"scan"`` — the shard's full-scan local top-k with global
       tie-break keys, for queries whose plan chose the filter operator.
 
@@ -225,6 +206,7 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     """
     from repro.geometry import Point
     from repro.knn.distance_browsing import SnapshotBlockStream
+    from repro.knn.merge import gather_blocks
 
     fault_plan = _WORKER_STATE["fault_plan"]
     batch_index = _WORKER_STATE["batches_served"]
@@ -239,52 +221,43 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     ks = np.asarray(payload["ks"], dtype=np.int64).reshape(-1)
     budget = payload.get("budget_seconds")
     start = time.perf_counter()
-    if round_kind == "open":
+    rows, points = _WORKER_STATE["rows"], _WORKER_STATE["points"]
+    if round_kind in ("open", "resume"):
+        m = pts.shape[0]
+        # An open round names no cursors: it resumes from 0 for k points.
+        cursors = np.asarray(payload.get("cursors", np.zeros(m)), dtype=np.int64)
+        min_points = np.asarray(payload.get("min_points", ks), dtype=np.int64)
+        min_mindists = np.asarray(
+            payload.get("min_mindists", np.full(m, -np.inf)), dtype=float
+        )
+        starts = _WORKER_STATE["starts"]
+
+        def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = int(starts[row]), int(starts[row + 1])
+            return rows[lo:hi], points[lo:hi]
+
         streams = []
-        for i in range(pts.shape[0]):
-            if i % BUDGET_SLICE == 0:
-                budget_check(start, budget, "shard stream open")
-            point = Point(float(pts[i, 0]), float(pts[i, 1]))
-            stream = SnapshotBlockStream(snapshot, point)
-            entries, cursor = stream.take(0, min_points=int(ks[i]))
-            streams.append(
-                (_stream_entries(stream, point, entries), cursor, stream.bound(cursor))
-            )
+        pulls = zip(
+            SnapshotBlockStream.batch(snapshot, [Point(x, y) for x, y in pts.tolist()]),
+            cursors.tolist(),
+            min_points.tolist(),
+            min_mindists.tolist(),
+        )
+        while chunk := list(itertools.islice(pulls, BUDGET_SLICE)):
+            budget_check(start, budget, f"shard stream {round_kind}")
+            streams += gather_blocks(chunk, block_rows)
+        if round_kind == "resume":
+            return {"streams": streams}
         stats = _WORKER_STATE["stats"]
         if stats is None:
-            estimates = (
-                [0.0] * pts.shape[0],
-                [""] * pts.shape[0],
-                [False] * pts.shape[0],
-            )
+            estimates = ([0.0] * m, [""] * m, [False] * m)
         else:
             costs, tiers, degraded = stats.estimate_select_provenance(
                 SHARD_TABLE, pts, ks
             )
             estimates = ([float(c) for c in costs], tiers, degraded)
         return {"streams": streams, "estimates": estimates}
-    if round_kind == "resume":
-        cursors = np.asarray(payload["cursors"], dtype=np.int64).reshape(-1)
-        min_points = np.asarray(payload["min_points"], dtype=np.int64).reshape(-1)
-        min_mindists = np.asarray(payload["min_mindists"], dtype=float).reshape(-1)
-        streams = []
-        for i in range(pts.shape[0]):
-            if i % BUDGET_SLICE == 0:
-                budget_check(start, budget, "shard stream resume")
-            point = Point(float(pts[i, 0]), float(pts[i, 1]))
-            stream = SnapshotBlockStream(snapshot, point)
-            entries, cursor = stream.take(
-                int(cursors[i]),
-                min_points=int(min_points[i]),
-                min_mindist=float(min_mindists[i]),
-            )
-            streams.append(
-                (_stream_entries(stream, point, entries), cursor, stream.bound(cursor))
-            )
-        return {"streams": streams}
     if round_kind == "scan":
-        rows = _WORKER_STATE["rows"]
-        points = _WORKER_STATE["points"]
         gpos = _WORKER_STATE["gpos"]
         topk = []
         for i in range(pts.shape[0]):

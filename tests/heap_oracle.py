@@ -1,0 +1,139 @@
+"""The heap-based row browser, kept as the oracle of the production path.
+
+This is the two-priority-queue distance browser the engine used to run
+for scalar, predicate and region queries (``engine.physical`` before the
+stream + merge browser replaced it), moved here unchanged: hierarchical
+descent from the index root, tuples carrying *row ids*, filters
+evaluated row by row, optional region pruning of subtrees.  The
+differential tests assert that the production browser scans exactly the
+blocks this one scans.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+
+import numpy as np
+
+from repro.engine.queries import KnnSelectQuery
+from repro.engine.table import SpatialTable
+from repro.geometry import Point, mindist_point_rect
+
+
+class IndexTable:
+    """Any :class:`~repro.index.base.SpatialIndex` as an executor table.
+
+    Row ids are positions in the block-order concatenation of the
+    index's points — enough of :class:`SpatialTable` (``index``,
+    ``points``, ``block_row_ids``) for predicate-free browsing over grid and R-tree
+    substrates, which ``SpatialTable`` (quadtree only) cannot carry.
+    """
+
+    def __init__(self, index) -> None:
+        blocks = index.blocks
+        self.index = index
+        self.points = np.concatenate([b.points for b in blocks]).reshape(-1, 2)
+        starts = np.cumsum([0] + [b.count for b in blocks])
+        self._row_ids = [
+            np.arange(starts[i], starts[i + 1], dtype=np.int64)
+            for i in range(len(blocks))
+        ]
+
+    def block_row_ids(self, block_id: int) -> np.ndarray:
+        return self._row_ids[block_id]
+
+
+def qualifies(table: SpatialTable, query: KnnSelectQuery, row_id: int) -> bool:
+    """Whether one row passes the query's spatial and relational filters."""
+    if query.region is not None:
+        x, y = table.points[row_id]
+        if not query.region.contains_point(Point(float(x), float(y))):
+            return False
+    if query.predicate is not None:
+        return query.predicate.evaluate_row(table, row_id)
+    return True
+
+
+class RowDistanceBrowser:
+    """Distance browsing over a table, yielding *row ids* in order.
+
+    Identical to :class:`repro.knn.DistanceBrowser` except tuples carry
+    row ids so attribute predicates can be evaluated per result, and an
+    optional region prunes non-overlapping subtrees.
+    """
+
+    def __init__(self, table: SpatialTable, query: Point, region=None) -> None:
+        self._region = region
+        self._table = table
+        self._query = query
+        self._counter = itertools.count()
+        self._blocks: list[tuple[float, int, object]] = []
+        self._tuples: list[tuple[float, int, int]] = []
+        self.blocks_scanned = 0
+        root = table.index.root
+        heapq.heappush(
+            self._blocks, (mindist_point_rect(query, root.rect), next(self._counter), root)
+        )
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> int:
+        while True:
+            if self._tuples and (
+                not self._blocks or self._tuples[0][0] < self._blocks[0][0]
+            ):
+                return heapq.heappop(self._tuples)[2]
+            if not self._blocks:
+                raise StopIteration
+            __, __, node = heapq.heappop(self._blocks)
+            if node.is_leaf:
+                block = node.block
+                if block is None:
+                    continue
+                if self._region is not None and not block.rect.intersects(
+                    self._region
+                ):
+                    continue
+                self.blocks_scanned += 1
+                row_ids = self._table.block_row_ids(block.block_id)
+                dists = block.distances_from(self._query)
+                for dist, row_id in zip(dists, row_ids):
+                    heapq.heappush(
+                        self._tuples, (float(dist), next(self._counter), int(row_id))
+                    )
+            else:
+                for child in node.children:
+                    if self._region is not None and not child.rect.intersects(
+                        self._region
+                    ):
+                        continue  # nothing qualifying can live there
+                    heapq.heappush(
+                        self._blocks,
+                        (
+                            mindist_point_rect(self._query, child.rect),
+                            next(self._counter),
+                            child,
+                        ),
+                    )
+
+
+def heap_knn_select(
+    table: SpatialTable, query: KnnSelectQuery, *, prune: bool = False
+) -> tuple[np.ndarray, int]:
+    """Browse until ``k`` rows qualify: ``(row_ids, blocks_scanned)``.
+
+    ``prune=True`` is the old region-pruned operator (the region also
+    prunes subtrees); ``False`` the old incremental operator.
+    """
+    browser = RowDistanceBrowser(
+        table, query.query, region=query.region if prune else None
+    )
+    found: list[int] = []
+    for row_id in browser:
+        if qualifies(table, query, row_id):
+            found.append(row_id)
+            if len(found) == query.k:
+                break
+    return np.array(found, dtype=np.int64), browser.blocks_scanned

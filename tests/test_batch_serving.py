@@ -55,6 +55,8 @@ from repro.resilience import (
     InvalidQueryError,
 )
 
+from tests.heap_oracle import heap_knn_select
+
 SUBSTRATES = ["quadtree", "grid", "rtree"]
 MAX_K = 128
 
@@ -468,7 +470,7 @@ class TestBatchedIncrementalKnn:
         ]
         batch = execute_incremental_knn_batch(table, queries, snapshot)
         for query, result in zip(queries, batch):
-            scalar = IncrementalKnnOperator(table, query).execute()
-            assert scalar.operator == result.operator
-            assert scalar.blocks_scanned == result.blocks_scanned
-            np.testing.assert_array_equal(scalar.row_ids, result.row_ids)
+            row_ids, blocks_scanned = heap_knn_select(table, query)
+            assert result.operator == IncrementalKnnOperator.name
+            assert blocks_scanned == result.blocks_scanned
+            np.testing.assert_array_equal(row_ids, result.row_ids)

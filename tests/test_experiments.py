@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from repro.experiments import select_support
+from repro.catalog import IntervalCatalog
+from repro.estimators import catalog_merge as catalog_merge_module
+from repro.experiments import join_support, select_support
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
@@ -69,14 +71,41 @@ class TestAllExperimentsRun:
             experiment_runner("fig99")
 
 
+def _catalog_merge_lookups(estimator, k, monkeypatch) -> int:
+    """Catalog lookups one Catalog-Merge estimate performs.
+
+    Any locality computation during the estimate raises: the technique's
+    point is that localities are paid once, at preprocessing.
+    """
+    lookups: list[int] = []
+    real_lookup = IntervalCatalog.lookup
+
+    def counting_lookup(catalog, key):
+        lookups.append(key)
+        return real_lookup(catalog, key)
+
+    def no_localities(*args, **kwargs):
+        raise AssertionError("Catalog-Merge computed a locality at estimate time")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntervalCatalog, "lookup", counting_lookup)
+        for name in (
+            "locality_size_profile",
+            "locality_size_profiles",
+            "locality_coverage_radii",
+        ):
+            patch.setattr(catalog_merge_module, name, no_localities)
+        assert estimator.estimate(k) > 0.0
+    return len(lookups)
+
+
 class TestShapes:
     """Qualitative paper shapes that must hold even at quick scale.
 
-    Figures 12 and 13 are about wall-clock time; Tier-1 asserts only
-    what is deterministic about them (series, operation counts) and
-    leaves the timing orderings to ``benchmarks/bench_fig12_select_time.py``
-    and ``benchmarks/bench_fig13_select_preprocessing.py``, where a
-    host stall cannot fail the suite.
+    Figures 12, 13, 17 and 18 are about wall-clock time; Tier-1 asserts
+    only what is deterministic about them (series, operation counts) and
+    leaves the timing orderings to the ``benchmarks/bench_fig*`` modules
+    of the same names, where a host stall cannot fail the suite.
     """
 
     def test_fig04_staircase_monotone(self, quick):
@@ -138,16 +167,34 @@ class TestShapes:
         cc = result.column("staircase_center_corners_bytes")
         assert cc == sorted(cc)
 
-    def test_fig17_catalog_merge_fastest(self, quick):
+    def test_fig17_catalog_merge_fastest(self, quick, monkeypatch):
+        # In operations per estimate: one catalog lookup and no locality
+        # work, against one locality per sampled block for Block-Sample.
         result = experiment_runner("fig17")(quick)
-        for __, t_vg, t_bs, t_cm in result.rows:
-            assert t_cm < t_vg
-            assert t_cm < t_bs
+        for __, *timings in result.rows:
+            assert all(math.isfinite(t) and t > 0.0 for t in timings)
+        scale, size = quick.scales[-1], quick.join_sample_size
+        assert join_support.block_sample_estimator(quick, scale, size).sample_size > 1
+        catalog_merge = join_support.catalog_merge_estimator(quick, scale, size)
+        for k in k_series(quick.max_k):
+            assert _catalog_merge_lookups(catalog_merge, k, monkeypatch) == 1
 
-    def test_fig18_block_sample_slower_than_catalog_merge(self, quick):
+    def test_fig18_block_sample_slower_than_catalog_merge(self, quick, monkeypatch):
+        # Localities sized per Block-Sample estimate grow with the sample
+        # size; Catalog-Merge stays at its one lookup.
         result = experiment_runner("fig18")(quick)
-        for __, t_bs, t_cm in result.rows:
-            assert t_bs > t_cm
+        for __, *timings in result.rows:
+            assert all(math.isfinite(t) and t > 0.0 for t in timings)
+        scale, k = quick.scales[-1], min(64, quick.max_k)
+        sizes = (10, 30, 90)
+        localities = [
+            join_support.block_sample_estimator(quick, scale, s).sample_size
+            for s in sizes
+        ]
+        assert localities == sorted(set(localities)) and localities[0] > 1
+        for s in sizes:
+            catalog_merge = join_support.catalog_merge_estimator(quick, scale, s)
+            assert _catalog_merge_lookups(catalog_merge, k, monkeypatch) == 1
 
     def test_fig20_virtual_grid_smaller(self, quick):
         result = experiment_runner("fig20")(quick)

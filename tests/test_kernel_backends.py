@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_osm_like
+from repro.engine.physical import execute_incremental_knn_batch
+from repro.engine.queries import KnnSelectQuery
 from repro.estimators import DensityBasedEstimator, StaircaseEstimator
 from repro.geometry import Point, backends
 from repro.geometry.backends import numpy_backend
@@ -35,6 +37,7 @@ from repro.geometry.kernels import (
 from repro.index import GridIndex, IndexSnapshot, Quadtree, RTree
 from repro.knn.distance_browsing import knn_select, select_cost_profile
 from repro.knn.locality import locality_block_indices, locality_size_profile
+from tests.heap_oracle import IndexTable
 
 
 @pytest.fixture(scope="module")
@@ -367,13 +370,24 @@ class TestLayoutInvariance:
             )
 
     def test_knn_select_identical(self, snapshot_and_index) -> None:
+        # The production browser (block stream + merge) is where layout
+        # invariance matters: the engine feeds it Hilbert snapshots.
         snap, index = snapshot_and_index
         layout = snap.with_layout(hilbert_order(snap.centers, snap.bounds))
-        for q in (Point(250.0, 400.0), Point(900.0, 100.0)):
-            base_rows, base_cost = knn_select(index, q, 40, snapshot=snap)
-            layout_rows, layout_cost = knn_select(index, q, 40, snapshot=layout)
-            assert base_cost == layout_cost
-            assert np.array_equal(base_rows, layout_rows)
+        table = IndexTable(index)
+        queries = [
+            KnnSelectQuery("t", q, k=40)
+            for q in (Point(250.0, 400.0), Point(900.0, 100.0))
+        ]
+        base = execute_incremental_knn_batch(table, queries, snap)
+        relaid = execute_incremental_knn_batch(table, queries, layout)
+        for query, a, b in zip(queries, base, relaid):
+            assert a.blocks_scanned == b.blocks_scanned
+            assert np.array_equal(a.row_ids, b.row_ids)
+            # ... and both are the hierarchical reference's answer.
+            ref_rows, ref_cost = knn_select(index, query.query, 40)
+            assert a.blocks_scanned == ref_cost
+            assert np.array_equal(table.points[a.row_ids], ref_rows)
 
     def test_cost_profile_identical(self, snapshot_and_index) -> None:
         snap, index = snapshot_and_index

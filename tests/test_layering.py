@@ -1,0 +1,90 @@
+"""Layering guard: the lower layers never import the serving tier.
+
+The cross-shard merge lives in :mod:`repro.knn` so that the engine and
+the serving coordinator run the *same* browser; that only holds while
+the dependency points one way.  This walks the static import graph
+(every ``import`` statement, function-level ones included, followed
+transitively through ``src/repro``) from each lower layer and fails if
+it can reach ``repro.serving``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+MODULES = {_module_name(path): path for path in SRC.rglob("*.py")}
+
+
+def _imports(name: str) -> set[str]:
+    """The ``repro`` modules that importing ``name`` names directly."""
+    path = MODULES[name]
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    named: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative import
+                anchor = package.split(".")
+                anchor = anchor[: len(anchor) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            named.add(base)
+            named.update(f"{base}.{alias.name}" for alias in node.names)
+    found: set[str] = set()
+    for target in named:
+        while target and target not in MODULES:  # strip attribute names
+            target = target.rpartition(".")[0]
+        parts = target.split(".") if target else []
+        # Importing a.b.c also imports the packages a and a.b.
+        found.update(".".join(parts[: i + 1]) for i in range(len(parts)))
+    found.discard(name)
+    return found
+
+
+def _path_to_serving(layer: str) -> list[str] | None:
+    """An import chain from ``repro.<layer>`` into ``repro.serving``."""
+    root = f"repro.{layer}"
+    parents: dict[str, str | None] = {}
+    stack: list[tuple[str, str | None]] = [
+        (name, None) for name in MODULES if name == root or name.startswith(root + ".")
+    ]
+    while stack:
+        name, parent = stack.pop()
+        if name in parents:
+            continue
+        parents[name] = parent
+        if name == "repro.serving" or name.startswith("repro.serving."):
+            chain = [name]
+            while parents[chain[-1]] is not None:
+                chain.append(parents[chain[-1]])
+            return chain[::-1]
+        stack.extend((dep, name) for dep in _imports(name))
+    return None
+
+
+@pytest.mark.parametrize("layer", ["geometry", "index", "knn", "engine"])
+def test_lower_layers_do_not_import_serving(layer):
+    chain = _path_to_serving(layer)
+    assert chain is None, f"repro.{layer} reaches the serving tier: " + " -> ".join(chain)
+
+
+def test_the_walk_sees_function_level_imports():
+    # The guard is only as good as the walker: the workload replay's
+    # lazy ``from repro.serving import serve_sharded`` must be visible.
+    assert "repro.serving" in _imports("repro.workloads.serving")

@@ -24,7 +24,7 @@ Covered per layer, across quadtree / grid / R-tree substrates:
 * Block-Sample estimates vs summed per-leaf localities;
 * Staircase / Catalog-Merge / Virtual-Grid built from raw indexes vs
   built from snapshots;
-* snapshot-seeded distance browsing vs the hierarchical descent.
+* the snapshot-fed production browser vs the hierarchical descent.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_osm_like
+from repro.engine.physical import execute_incremental_knn_batch
+from repro.engine.queries import KnnSelectQuery
 from repro.estimators import (
     BlockSampleEstimator,
     CatalogMergeEstimator,
@@ -65,6 +67,8 @@ from repro.knn import (
     select_cost_exact,
     select_cost_profile,
 )
+
+from tests.heap_oracle import IndexTable
 
 SUBSTRATES = ["quadtree", "grid", "rtree"]
 
@@ -396,27 +400,32 @@ class TestCatalogEstimatorInputForms:
 # Distance browsing
 # ----------------------------------------------------------------------
 class TestSnapshotSeededBrowsing:
+    """The snapshot-fed production browser vs the hierarchical reference."""
+
+    @staticmethod
+    def _stream_select(index, snapshot, query, k):
+        table = IndexTable(index)
+        (result,) = execute_incremental_knn_batch(
+            table, [KnnSelectQuery("t", query, k)], snapshot
+        )
+        return table.points[result.row_ids], result.blocks_scanned
+
     def test_knn_select_results_and_cost_are_unchanged(self, index, snapshot):
         b = index.bounds
         query = Point((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
         for k in (1, 10, 100):
             plain_nn, plain_cost = knn_select(index, query, k)
-            seeded_nn, seeded_cost = knn_select(index, query, k, snapshot=snapshot)
+            seeded_nn, seeded_cost = self._stream_select(index, snapshot, query, k)
             assert np.array_equal(plain_nn, seeded_nn)
             assert plain_cost == seeded_cost
 
     def test_browsers_yield_the_same_stream(self, index, snapshot):
         query = Point(*snapshot.centers[0])
         plain = DistanceBrowser(index, query)
-        seeded = DistanceBrowser(index, query, snapshot=snapshot)
-        for _ in range(50):
-            assert plain.next_nearest() == seeded.next_nearest()
-        assert plain.blocks_scanned == seeded.blocks_scanned
-
-    def test_stale_snapshot_is_rejected(self, index, snapshot):
-        wrong = IndexSnapshot.from_arrays(snapshot.rects[:-1], snapshot.counts[:-1])
-        with pytest.raises(ValueError, match="stale"):
-            DistanceBrowser(index, Point(*snapshot.centers[0]), snapshot=wrong)
+        seeded_nn, seeded_cost = self._stream_select(index, snapshot, query, 50)
+        for x, y in seeded_nn:
+            assert plain.next_nearest()[1:] == (x, y)
+        assert plain.blocks_scanned == seeded_cost
 
     def test_cost_machinery_accepts_any_summary_form(self, index, snapshot):
         counts = CountIndex.from_index(index)
