@@ -162,7 +162,7 @@ class StatisticsManager:
             :class:`~repro.optimizer.selection.PinnedOverrideSelection`.
             Unlike a chain object, this mapping is plain picklable data,
             so it is the channel sharded serving uses to ship pins to
-            spawn-context workers via ``manager_kwargs``.
+            worker processes via ``manager_kwargs``.
     """
 
     def __init__(

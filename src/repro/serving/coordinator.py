@@ -8,8 +8,10 @@ subsystem.  Per batch it:
 2. routes every query to its spatial shard via the
    :class:`~repro.serving.shards.ShardPlan`;
 3. fans the per-shard sub-workloads out to supervised worker processes
-   in ``chunk_size`` chunks (one coordinator thread per shard stream),
-   each chunk served under the
+   in ``chunk_size`` chunks — on threads the tier owns: started on
+   first use, reused by every batch, joined by ``close()``; a batch
+   of a single chunk runs on its caller's thread — each chunk served
+   under the
    :class:`~repro.serving.supervisor.ShardSupervisor`'s
    deadline/retry/respawn/breaker contract;
 4. merges the per-shard answers back into workload order with
@@ -48,6 +50,7 @@ cost was paid exactly once across a sustained workload.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -109,7 +112,10 @@ class ShardReport:
     Attributes:
         shard_id: The shard.
         n_queries: Queries routed to it this batch.
-        n_chunks: Chunks its stream(s) submitted.
+        n_chunks: Chunks its stream(s) submitted.  In data mode every
+            query goes to every shard, and this counts the protocol
+            *rounds* (open, scan, resume) the shard was sent — one per
+            chunk for a healthy incremental-plan batch.
         attempts: Worker submissions (includes retries).
         retries: Re-submissions after a failed attempt.
         respawns: Pool incarnations killed and replaced (crash or hang).
@@ -371,6 +377,21 @@ class ShardedServingTier:
                 snapshot, capacity, worker_faults, workers_per_shard
             )
         self.supervisor = ShardSupervisor(handles, policy)
+        # The tier's own threads, started on first use and joined by
+        # close().  Chunk tasks wait on fan-out tasks, so the two never
+        # share a pool: a full chunk pool cannot starve the rounds it is
+        # waiting for.  Sizes: one batch's widest set of chunk tasks
+        # (concurrent batches queue behind it), and one round to every
+        # shard per pooled data chunk plus one for a batch running
+        # inline on its caller's thread.
+        n_shards, width = self.plan.n_shards, self._workers_per_shard
+        self._chunk_pool = ThreadPoolExecutor(
+            width * n_shards if shard_mode == "replica" else width,
+            thread_name_prefix="tier-chunk",
+        )
+        self._fan_pool = ThreadPoolExecutor(
+            n_shards * (width + 1), thread_name_prefix="tier-fan"
+        )
         # The degradation tier: location-independent, estimate-only,
         # always inside the guaranteed bound.
         self._fallback_model = UniformModelEstimator(snapshot)
@@ -530,24 +551,14 @@ class ShardedServingTier:
             for stream_no in range(min(self._workers_per_shard, len(chunks))):
                 streams.append((sid, chunks[stream_no :: self._workers_per_shard]))
         start = time.perf_counter()
-        if streams:
-            with ThreadPoolExecutor(max_workers=len(streams)) as pool:
-                futures = [
-                    pool.submit(
-                        self._serve_stream,
-                        sid,
-                        chunks,
-                        batch,
-                        deadline,
-                        results,
-                        explanations,
-                        latencies_us,
-                        degraded,
-                    )
-                    for sid, chunks in streams
-                ]
-                for future in futures:
-                    future.result()
+        shared = (batch, deadline, results, explanations, latencies_us, degraded)
+        self._run_chunk_tasks(
+            [
+                functools.partial(self._serve_stream, sid, chunks, *shared)
+                for sid, chunks in streams
+            ],
+            width=len(streams),
+        )
         self._fill_degraded(batch, shard_ids, degraded, results, explanations)
         seconds = time.perf_counter() - start
         shard_reports = tuple(
@@ -668,10 +679,11 @@ class ShardedServingTier:
     ) -> ShardedServingReport:
         """Serve one batch in data-shard mode: every query, every shard.
 
-        Chunks run concurrently (pipelined through the worker pools);
-        within a chunk the coordinator drives the merge protocol of
-        :mod:`repro.serving.merge` — open, arbitrate, then resume/scan
-        rounds until every query is answered.
+        With several workers per shard, chunks run concurrently
+        (pipelined through the worker pools); within a chunk the
+        coordinator drives the merge protocol of :mod:`repro.knn.merge`
+        — open (each shard's finished local browse), arbitrate, merge;
+        a scan round for filter plans, resume rounds only as fallback.
         """
         n = len(batch)
         shard_ids = np.full(n, -1, dtype=np.int64)
@@ -690,29 +702,18 @@ class ShardedServingTier:
             for lo in range(0, n, self.chunk_size)
         ]
         start = time.perf_counter()
-        if chunks:
-            with ThreadPoolExecutor(
-                max_workers=min(len(chunks), max(1, self._workers_per_shard))
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._serve_data_chunk,
-                        chunk_idx,
-                        batch,
-                        deadline,
-                        results,
-                        explanations,
-                        latencies_us,
-                        degraded,
-                        partial,
-                    )
-                    for chunk_idx in chunks
-                ]
-                for future in futures:
-                    rounds, gaps = future.result()
-                    for sid in rounds_total:
-                        rounds_total[sid] += rounds[sid]
-                        gaps_total[sid] += gaps[sid]
+        shared = (batch, deadline, results, explanations, latencies_us, degraded, partial)
+        served = self._run_chunk_tasks(
+            [
+                functools.partial(self._serve_data_chunk, chunk_idx, *shared)
+                for chunk_idx in chunks
+            ],
+            width=min(len(chunks), self._workers_per_shard),
+        )
+        for rounds, gaps in served:
+            for sid in rounds_total:
+                rounds_total[sid] += rounds[sid]
+                gaps_total[sid] += gaps[sid]
         if self.strict and partial.any():
             raise ShardExhaustedError(
                 f"{int(np.count_nonzero(partial))} of {n} queries lost shard "
@@ -744,6 +745,18 @@ class ShardedServingTier:
             shard_mode="data",
         )
 
+    def _run_chunk_tasks(self, tasks: list, width: int) -> list:
+        """Run one batch's chunk tasks (no-argument callables), in task order.
+
+        A batch no wider than one concurrent task — a single chunk, or
+        one worker per shard in data mode — runs on the caller's thread;
+        anything wider goes through the tier's chunk pool.
+        """
+        if width <= 1:
+            return [task() for task in tasks]
+        futures = [self._chunk_pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+
     def _fan_out(
         self,
         payloads: dict[int, dict],
@@ -758,22 +771,19 @@ class ShardedServingTier:
         is how the callers learn about the coverage gap.
         """
         answers: dict[int, dict] = {}
-        live = {sid: p for sid, p in payloads.items() if sid not in dead}
-        if not live:
-            return answers
-        with ThreadPoolExecutor(max_workers=len(live)) as pool:
-            futures = {
-                sid: pool.submit(self.supervisor.serve_chunk, sid, payload, deadline)
-                for sid, payload in live.items()
-            }
-            for sid, future in futures.items():
-                rounds[sid] += 1
-                try:
-                    answer, __ = future.result()
-                except ShardUnavailable:
-                    dead.add(sid)
-                else:
-                    answers[sid] = answer
+        futures = {
+            sid: self._fan_pool.submit(self.supervisor.serve_chunk, sid, payload, deadline)
+            for sid, payload in payloads.items()
+            if sid not in dead
+        }
+        for sid, future in futures.items():
+            rounds[sid] += 1
+            try:
+                answer, __ = future.result()
+            except ShardUnavailable:
+                dead.add(sid)
+            else:
+                answers[sid] = answer
         return answers
 
     def _dead_bound(self, sid: int, point: Point) -> tuple | None:
@@ -962,10 +972,12 @@ class ShardedServingTier:
 
         Each query's :class:`~repro.knn.merge.QueryMerge` replays the
         global block admission under :func:`~repro.knn.merge.run_merges`
-        — the local executor's loop, with resumes fetched from the
-        shards: queries that starve a stream are batched into one resume
-        round per shard per iteration, so the coordinator's round trips
-        scale with merge depth, not with queries × shards.
+        — the local executor's loop — over what the shards opened with.
+        Every shard browsed to its own stop, which the global replay
+        provably never passes, so a healthy chunk's merges finish
+        without a fetch: one round per shard.  A stream that does
+        starve (a dead shard's gap to drain, a truncated reply) is
+        resumed, batched into one round per shard per iteration.
         """
         merges: dict[int, QueryMerge] = {}
         for i in inc_pos:
@@ -1127,10 +1139,12 @@ class ShardedServingTier:
         respawned.  Returns ``self`` so ``tier.start()`` chains with
         the context-manager form.
         """
-        handles = [self.supervisor.handle(sid) for sid in self.supervisor.shard_ids]
-        with ThreadPoolExecutor(max_workers=len(handles)) as pool:
-            for future in [pool.submit(handle.spawn) for handle in handles]:
-                future.result()
+        futures = [
+            self._fan_pool.submit(self.supervisor.handle(sid).spawn)
+            for sid in self.supervisor.shard_ids
+        ]
+        for future in futures:
+            future.result()
         return self
 
     @property
@@ -1207,7 +1221,14 @@ class ShardedServingTier:
         )
 
     def close(self) -> None:
-        """Terminate every shard's worker pool."""
+        """Stop the tier: afterwards none of its threads or workers is alive.
+
+        The tier's thread pools are shut down and joined first (a batch
+        still being served finishes), then every worker process is
+        terminated and joined.  A closed tier serves nothing more.
+        """
+        self._chunk_pool.shutdown(wait=True, cancel_futures=True)
+        self._fan_pool.shutdown(wait=True, cancel_futures=True)
         self.supervisor.close()
 
     def __enter__(self) -> "ShardedServingTier":

@@ -26,9 +26,15 @@ A chunk that exhausts its retries (or meets an open breaker) raises
 :class:`ShardUnavailable`; the coordinator catches it and degrades
 those queries to its local fallback tier instead of failing the batch.
 
-Worker pools use the ``spawn`` start method: the supervisor respawns
-pools from coordinator threads, and forking a multi-threaded process
-is where deadlocks live.
+Worker pools never fork the coordinator: the supervisor respawns pools
+from coordinator threads, and forking a multi-threaded process is where
+deadlocks live.  Workers are forked from multiprocessing's fork server
+instead (plain ``spawn`` where there is none) — a small single-threaded
+process of its own, so a worker starts from the same memory whatever
+the coordinator's heap holds at that moment (a child of the coordinator
+starts life with the coordinator's resident set as its peak, across
+``exec`` too).  The server is shared by every tier of the process and
+exits with it.
 """
 
 from __future__ import annotations
@@ -59,6 +65,14 @@ DEFAULT_CHUNK_TIMEOUT = 30.0
 #: BudgetExceededError wins the race against the coordinator's
 #: untyped timeout when both fire around the same instant.
 _TIMEOUT_GRACE = 0.1
+
+#: Start method of the worker pools (see the module docstring).
+_START_METHOD = (
+    "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+#: How long ``close()`` waits for terminated workers before killing them.
+_JOIN_TIMEOUT = 5.0
 
 
 class ShardUnavailable(Exception):
@@ -188,6 +202,8 @@ class ShardWorkerHandle:
                 + np.asarray(init_payload["gpos"]).nbytes
             )
         self._pool: ProcessPoolExecutor | None = None
+        # Terminated incarnations close() still has to join.
+        self._retired: list[list] = []
         self._lock = threading.Lock()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -217,7 +233,7 @@ class ShardWorkerHandle:
                     )
                 self._pool = ProcessPoolExecutor(
                     max_workers=self._workers,
-                    mp_context=multiprocessing.get_context("spawn"),
+                    mp_context=multiprocessing.get_context(_START_METHOD),
                     initializer=initializer,
                     initargs=initargs,
                 )
@@ -254,29 +270,56 @@ class ShardWorkerHandle:
 
         Terminates the worker processes outright — a hung worker would
         otherwise survive a plain ``shutdown`` and keep its CPU and
-        memory until its sleep ends.
+        memory until its sleep ends — but does not wait for them: this
+        runs on the serving path.  :meth:`close` joins what is left.
         """
         with self._lock:
             if self._pool is pool:
                 self._pool = None
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - already-dead process
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        leftovers = _terminate(pool)
+        with self._lock:
+            self._retired = [left for left in self._retired if left[0].is_alive()]
+            if leftovers:
+                self._retired.append(leftovers)
 
     def close(self) -> None:
-        """Shut the current pool down cleanly (tier teardown)."""
+        """Terminate the current pool and leave nothing running.
+
+        Waits until the worker processes of this and of every retired
+        incarnation are gone, and their pools' manager threads with
+        them: :data:`_JOIN_TIMEOUT` for ``SIGTERM`` to work, then
+        ``kill``.
+        """
         with self._lock:
             pool, self._pool = self._pool, None
-        if pool is not None:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
+            retired, self._retired = self._retired, []
+        if pool is not None and (leftovers := _terminate(pool)):
+            retired.append(leftovers)
+        for manager, *processes in retired:
+            # A pool's manager thread reaps its workers, then exits.
+            manager.join(timeout=_JOIN_TIMEOUT)
+            if manager.is_alive():  # pragma: no cover - a worker ignored SIGTERM
+                for process in processes:
+                    process.kill()
+                manager.join(timeout=_JOIN_TIMEOUT)
+
+
+def _terminate(pool: ProcessPoolExecutor) -> list:
+    """Kill a pool's workers without waiting for them.
+
+    Returns:
+        ``[manager thread, *worker processes]`` — what is still to be
+        joined (empty for a pool that never started a worker).
+    """
+    manager = getattr(pool, "_executor_manager_thread", None)
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - already-dead process
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+    return [manager, *processes] if manager is not None else []
 
 
 @dataclass(frozen=True)
@@ -325,6 +368,8 @@ class ShardSupervisor:
         if not handles:
             raise ValueError("a supervisor needs at least one shard handle")
         self._handles = dict(handles)
+        #: Supervised shard ids, ascending.
+        self.shard_ids: tuple[int, ...] = tuple(sorted(self._handles))
         self.policy = policy or SupervisionPolicy()
         self._health = {sid: _TierHealth() for sid in self._handles}
         self._counters = {sid: _ShardCounters() for sid in self._handles}
@@ -332,11 +377,6 @@ class ShardSupervisor:
             sid: random.Random(self.policy.seed * 1_000_003 + sid)
             for sid in self._handles
         }
-
-    @property
-    def shard_ids(self) -> tuple[int, ...]:
-        """Supervised shard ids, ascending."""
-        return tuple(sorted(self._handles))
 
     def health(self, shard_id: int) -> _TierHealth:
         """One shard's breaker state (monitoring and tests)."""

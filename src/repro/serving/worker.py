@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import partial
 
 import numpy as np
 
@@ -180,33 +181,96 @@ def _init_data_shard_worker(
     )
 
 
+def _browse_to_local_stop(streams, ks: np.ndarray, block_rows, checkpoint) -> list[tuple]:
+    """The open round: browse each query's stream to the shard's own stop.
+
+    One :class:`~repro.knn.merge.QueryMerge` per query over its single
+    local stream, driven by :func:`~repro.knn.merge.run_merges` with
+    in-process :func:`~repro.knn.merge.gather_blocks` fetches — the
+    engine executor's loop — ``BUDGET_SLICE`` queries at a time.  The
+    reply per query is the stream its merge ended on, ``(entries,
+    cursor, bound)``: every block up to the one the stop rule fired on.
+    """
+    from repro.knn.merge import QueryMerge, gather_blocks, run_merges
+
+    def fetch(requests: dict) -> dict:
+        checkpoint("shard local browse")
+        pulls = [(group[i], *need) for i, *need in requests[0]]
+        return {0: gather_blocks(pulls, block_rows)}
+
+    replies = []
+    for lo in range(0, ks.shape[0], BUDGET_SLICE):
+        checkpoint("shard stream open")
+        group = list(itertools.islice(streams, BUDGET_SLICE))
+        merges = {i: QueryMerge(int(k)) for i, k in enumerate(ks[lo : lo + BUDGET_SLICE])}
+        for merge, stream in zip(merges.values(), group):
+            merge.add_stream(0, [], 0, stream.bound(0))
+        run_merges(merges, fetch)
+        for merge in merges.values():
+            local = merge.streams[0]
+            replies.append((local.entries, local.cursor, local.bound))
+    return replies
+
+
+def _resume_streams(streams, m: int, payload: dict, block_rows, checkpoint) -> list[tuple]:
+    """The resume round: continue each named stream from its cursor.
+
+    ``payload`` must name ``cursors``, ``min_points`` and
+    ``min_mindists``, one per each of the ``m`` queries (see
+    :meth:`~repro.knn.distance_browsing.SnapshotBlockStream.take`).
+    """
+    from repro.knn.merge import gather_blocks
+
+    needs = [payload.get(key) for key in ("cursors", "min_points", "min_mindists")]
+    if any(need is None or len(need) != m for need in needs):
+        raise ValueError(
+            f"a resume round needs cursors, min_points and min_mindists, one per query ({m})"
+        )
+    pulls = zip(streams, *(np.asarray(need).tolist() for need in needs))
+    replies = []
+    while chunk := list(itertools.islice(pulls, BUDGET_SLICE)):
+        checkpoint("shard stream resume")
+        replies += gather_blocks(chunk, block_rows)
+    return replies
+
+
 def _serve_data_shard_chunk(payload: dict) -> dict:
     """Serve one round of the cross-shard merge protocol.
 
     Three round kinds (``payload["round"]``):
 
-    * ``"resume"`` — continue named queries' MINDIST-ordered block
-      streams from their cursors until ``min_points`` are gathered or
-      ``min_mindist`` is reached; each reply is
-      :func:`~repro.knn.merge.gather_blocks`' ``(entries, cursor,
-      bound)`` — distances are computed here, over the block's rows in
-      canonical order, so the coordinator's merge reproduces the
-      unsharded browser's gather bit-for-bit;
-    * ``"open"`` — resume from cursor 0 with ``min_points=k`` (the first
-      ``k``-point prefix), plus the local select-cost estimates for the
-      coordinator's merged :class:`~repro.engine.PlanExplanation`;
+    * ``"open"`` — the shard's own finished **local browse**
+      (:func:`_browse_to_local_stop`): per query the stream its merge
+      ended on, ``(entries, cursor, bound)``.  The shard's own k-th
+      distance upper-bounds the global one, so the coordinator's merge
+      never has to extend what a healthy shard opened with (see
+      ``docs/serving.md``).  The reply also carries the local
+      select-cost estimates for the coordinator's merged
+      :class:`~repro.engine.PlanExplanation`;
+    * ``"resume"`` — the stateless fallback: continue named queries'
+      streams from their ``cursors`` until ``min_points`` are gathered
+      or ``min_mindists`` is reached, replied in the same format
+      (:func:`~repro.knn.merge.gather_blocks`');
     * ``"scan"`` — the shard's full-scan local top-k with global
       tie-break keys, for queries whose plan chose the filter operator.
 
-    Rounds are stateless in the worker (streams are rebuilt from the
-    cursor), so a respawned incarnation resumes transparently and
-    retries are idempotent.  The fault plan fires per *round* —
-    ``batches_served`` counts rounds — which is how the chaos suite
-    kills a data shard mid-stream.
+    Distances are computed here, over each block's rows in canonical
+    order, so the coordinator's merge reproduces the unsharded
+    browser's gather bit-for-bit.  Rounds are stateless in the worker
+    (streams are rebuilt from the cursor), so a respawned incarnation
+    resumes transparently and retries are idempotent.  The fault plan
+    fires per *round* — ``batches_served`` counts rounds — which is how
+    the chaos suite kills a data shard mid-stream.
+
+    Raises:
+        ValueError: On an unknown round kind, or a resume round whose
+            cursors, point minima or MINDIST minima are missing or not
+            one per query.
+        BudgetExceededError: When the propagated deadline expires
+            between serving slices or local fetches.
     """
     from repro.geometry import Point
     from repro.knn.distance_browsing import SnapshotBlockStream
-    from repro.knn.merge import gather_blocks
 
     fault_plan = _WORKER_STATE["fault_plan"]
     batch_index = _WORKER_STATE["batches_served"]
@@ -224,30 +288,19 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     rows, points = _WORKER_STATE["rows"], _WORKER_STATE["points"]
     if round_kind in ("open", "resume"):
         m = pts.shape[0]
-        # An open round names no cursors: it resumes from 0 for k points.
-        cursors = np.asarray(payload.get("cursors", np.zeros(m)), dtype=np.int64)
-        min_points = np.asarray(payload.get("min_points", ks), dtype=np.int64)
-        min_mindists = np.asarray(
-            payload.get("min_mindists", np.full(m, -np.inf)), dtype=float
-        )
         starts = _WORKER_STATE["starts"]
 
         def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = int(starts[row]), int(starts[row + 1])
             return rows[lo:hi], points[lo:hi]
 
-        streams = []
-        pulls = zip(
-            SnapshotBlockStream.batch(snapshot, [Point(x, y) for x, y in pts.tolist()]),
-            cursors.tolist(),
-            min_points.tolist(),
-            min_mindists.tolist(),
+        streams = SnapshotBlockStream.batch(
+            snapshot, [Point(x, y) for x, y in pts.tolist()]
         )
-        while chunk := list(itertools.islice(pulls, BUDGET_SLICE)):
-            budget_check(start, budget, f"shard stream {round_kind}")
-            streams += gather_blocks(chunk, block_rows)
+        checkpoint = partial(budget_check, start, budget)
         if round_kind == "resume":
-            return {"streams": streams}
+            return {"streams": _resume_streams(streams, m, payload, block_rows, checkpoint)}
+        replies = _browse_to_local_stop(streams, ks, block_rows, checkpoint)
         stats = _WORKER_STATE["stats"]
         if stats is None:
             estimates = ([0.0] * m, [""] * m, [False] * m)
@@ -256,7 +309,7 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
                 SHARD_TABLE, pts, ks
             )
             estimates = ([float(c) for c in costs], tiers, degraded)
-        return {"streams": streams, "estimates": estimates}
+        return {"streams": replies, "estimates": estimates}
     if round_kind == "scan":
         gpos = _WORKER_STATE["gpos"]
         topk = []
