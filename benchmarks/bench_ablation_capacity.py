@@ -13,7 +13,7 @@ import numpy as np
 from _bench_utils import RESULTS_DIR
 from repro.estimators import StaircaseEstimator
 from repro.experiments.common import ExperimentResult, dataset
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import select_cost_exact, select_cost_profile
 from repro.geometry import Point
 from repro.workloads.queries import data_distributed_queries
@@ -33,7 +33,7 @@ def test_ablation_capacity(benchmark, bench_config):
     interval_means = {}
     for capacity in capacities:
         tree = Quadtree(points, capacity=capacity)
-        counts = CountIndex.from_index(tree)
+        counts = IndexSnapshot.from_index(tree)
         estimator = StaircaseEstimator(tree, max_k=cfg.max_k)
 
         # Staircase stability: average number of steps in a profile.
@@ -68,7 +68,7 @@ def test_ablation_capacity(benchmark, bench_config):
 
     # Benchmark unit: one catalog build at the paper-like capacity.
     tree = Quadtree(points, capacity=capacities[-1])
-    counts = CountIndex.from_index(tree)
+    counts = IndexSnapshot.from_index(tree)
     anchor = Point(float(points[0, 0]), float(points[0, 1]))
     profile = benchmark(select_cost_profile, counts, tree.blocks, anchor, cfg.max_k)
     assert profile

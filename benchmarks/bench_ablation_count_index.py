@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from _bench_utils import RESULTS_DIR
-from repro.experiments.common import ExperimentResult, build_count_index, build_index
+from repro.experiments.common import ExperimentResult, build_snapshot, build_index
 from repro.geometry import Point
 from repro.index import HierarchicalCountIndex
 
@@ -23,7 +23,7 @@ def test_ablation_count_index_scan(benchmark, bench_config):
     cfg = bench_config
     scale = max(cfg.scales)
     index = build_index(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
-    flat = build_count_index(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
+    flat = build_snapshot(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
     hier = HierarchicalCountIndex(index)
     points = index.all_points()
     rng = np.random.default_rng(cfg.seed)
@@ -35,7 +35,7 @@ def test_ablation_count_index_scan(benchmark, bench_config):
     def time_flat(k: int) -> float:
         start = time.perf_counter()
         for q in queries:
-            order, __ = flat.mindist_order_from_point(q)
+            order, __ = flat.mindist_order(q)
             covered = 0
             for idx in order:
                 covered += int(flat.counts[idx])
@@ -70,7 +70,7 @@ def test_ablation_count_index_scan(benchmark, bench_config):
     q = queries[0]
     blocks, __ = hier.expand_until(q, cfg.max_k // 4)
     covered_hier = int(flat.counts[blocks].sum())
-    order, __ = flat.mindist_order_from_point(q)
+    order, __ = flat.mindist_order(q)
     covered_flat = 0
     n_flat = 0
     for idx in order:

@@ -15,7 +15,7 @@ from _bench_utils import RESULTS_DIR
 from repro.datasets import generate_osm_like, generate_skewed, generate_uniform
 from repro.estimators import DensityBasedEstimator, StaircaseEstimator
 from repro.experiments.common import ExperimentResult
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import select_cost_exact
 from repro.workloads.queries import data_distributed_queries
 
@@ -37,7 +37,7 @@ def test_ablation_dataset_distribution(benchmark, bench_config):
     errors = {}
     for name, points in datasets.items():
         tree = Quadtree(points, capacity=cfg.capacity)
-        counts = CountIndex.from_index(tree)
+        counts = IndexSnapshot.from_index(tree)
         staircase = StaircaseEstimator(tree, max_k=cfg.max_k)
         density = DensityBasedEstimator(counts)
         queries = data_distributed_queries(
@@ -67,7 +67,7 @@ def test_ablation_dataset_distribution(benchmark, bench_config):
 
     # Benchmark unit: a density estimate on the non-uniform dataset.
     tree = Quadtree(datasets["osm-like"], capacity=cfg.capacity)
-    density = DensityBasedEstimator(CountIndex.from_index(tree))
+    density = DensityBasedEstimator(IndexSnapshot.from_index(tree))
     queries = data_distributed_queries(datasets["osm-like"], 8, cfg.max_k, seed=1)
     counter = iter(range(10**9))
 

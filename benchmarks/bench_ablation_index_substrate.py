@@ -14,7 +14,7 @@ import numpy as np
 from _bench_utils import RESULTS_DIR
 from repro.estimators import StaircaseEstimator
 from repro.experiments.common import ExperimentResult, dataset
-from repro.index import CountIndex, Quadtree, RTree
+from repro.index import IndexSnapshot, Quadtree, RTree
 from repro.knn import select_cost_exact
 from repro.workloads.queries import data_distributed_queries
 
@@ -31,8 +31,8 @@ def test_ablation_index_substrate(benchmark, bench_config):
     est_quad = StaircaseEstimator(quadtree, max_k=cfg.max_k)
     est_rtree = StaircaseEstimator(rtree, aux_index=aux, max_k=cfg.max_k)
 
-    quad_counts = CountIndex.from_index(quadtree)
-    rtree_counts = CountIndex.from_index(rtree)
+    quad_counts = IndexSnapshot.from_index(quadtree)
+    rtree_counts = IndexSnapshot.from_index(rtree)
     queries = data_distributed_queries(
         points, min(cfg.n_queries, 150), cfg.max_k, seed=cfg.seed
     )

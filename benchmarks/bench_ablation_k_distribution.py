@@ -28,7 +28,7 @@ def test_ablation_k_distribution(benchmark, bench_config):
     index = select_support.build_index(
         scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind
     )
-    counts = select_support.build_count_index(
+    counts = select_support.build_snapshot(
         cfg.scales[-1], cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind
     )
     points = index.all_points()

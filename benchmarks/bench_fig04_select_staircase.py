@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_utils import headline, save_table
-from repro.experiments.common import build_count_index, build_index
+from repro.experiments.common import build_snapshot, build_index
 from repro.experiments.fig04_staircase_profile import run
 from repro.geometry import Point
 from repro.knn import select_cost_profile
@@ -28,7 +28,7 @@ def test_fig04_table_and_procedure1(benchmark, bench_config):
     cfg = bench_config
     scale = max(cfg.scales)
     index = build_index(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
-    counts = build_count_index(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
+    counts = build_snapshot(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
     pts = index.all_points()
     rng = np.random.default_rng(cfg.seed)
     anchors = [

@@ -18,15 +18,10 @@ def test_fig13_table_and_preprocessing(benchmark, bench_config):
     save_table(result)
     cc_times = result.column("staircase_center_corners_s")
     c_times = result.column("staircase_center_only_s")
-    speedups = result.column("shared_anchor_speedup")
     # Paper shape: Center+Corners costs more than Center-Only, and the
     # cost grows with scale.
     assert all(cc > c for cc, c in zip(cc_times, c_times))
     assert cc_times[-1] > cc_times[0]
-    # The shared-anchor build must beat the serial reference clearly —
-    # the acceptance floor is 3x on a quiet machine; assert a CI-safe
-    # margin well above parity.
-    assert max(speedups) > 1.5, f"shared-anchor speedup collapsed: {speedups}"
 
     cfg = bench_config
     index = build_index(
@@ -38,7 +33,6 @@ def test_fig13_table_and_preprocessing(benchmark, bench_config):
 
     estimator = benchmark.pedantic(build_estimator, rounds=2, iterations=1)
     benchmark.extra_info.update(headline(result, max_rows=10))
-    benchmark.extra_info["shared_anchor_speedup"] = max(speedups)
     benchmark.extra_info.update(
         {
             f"preproc_{key}": value

@@ -9,7 +9,7 @@ from __future__ import annotations
 from _bench_utils import headline, save_table
 from repro.catalog import catalog_to_bytes
 from repro.estimators import build_select_catalog
-from repro.experiments.common import build_count_index, build_index
+from repro.experiments.common import build_snapshot, build_index
 from repro.experiments.fig14_select_storage import run
 from repro.geometry import Point
 
@@ -26,7 +26,7 @@ def test_fig14_table_and_serialization(benchmark, bench_config):
     cfg = bench_config
     scale = cfg.scales[0]
     index = build_index(scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind)
-    counts = build_count_index(
+    counts = build_snapshot(
         scale, cfg.base_n, cfg.capacity, cfg.seed, cfg.dataset_kind
     )
     catalog = build_select_catalog(

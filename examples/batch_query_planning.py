@@ -27,7 +27,7 @@ def main() -> None:
     print("Building the data relation (100k points) and its estimators...")
     data = repro.generate_osm_like(100_000, seed=41, structure_seed=40)
     data_index = repro.Quadtree(data, capacity=256)
-    data_counts = repro.CountIndex.from_index(data_index)
+    data_counts = repro.IndexSnapshot.from_index(data_index)
     select_estimator = repro.StaircaseEstimator(data_index, max_k=1_024)
 
     k = 64

@@ -25,7 +25,7 @@ def main() -> None:
     restaurants = repro.generate_osm_like(120_000, seed=32, structure_seed=30)
     hotel_index = repro.Quadtree(hotels, capacity=256)
     restaurant_index = repro.Quadtree(restaurants, capacity=256)
-    restaurant_counts = repro.CountIndex.from_index(restaurant_index)
+    restaurant_counts = repro.IndexSnapshot.from_index(restaurant_index)
     print(
         f"  -> hotels: {hotel_index.num_blocks} blocks, "
         f"restaurants: {restaurant_index.num_blocks} blocks"
@@ -87,7 +87,7 @@ def main() -> None:
     cafes = repro.generate_osm_like(10_000, seed=33, structure_seed=30)
     cafe_index = repro.Quadtree(cafes, capacity=256)
     cafe_actual = repro.knn_join_cost(cafe_index, restaurant_index, k)
-    cafe_estimate = virtual_grid.estimate(repro.CountIndex.from_index(cafe_index), k)
+    cafe_estimate = virtual_grid.estimate(repro.IndexSnapshot.from_index(cafe_index), k)
     print(
         f"  cafes ⋉_kNN restaurants: estimate {cafe_estimate:.0f} vs actual "
         f"{cafe_actual} ({abs(cafe_estimate - cafe_actual) / cafe_actual:.1%} error) "

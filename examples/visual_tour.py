@@ -23,7 +23,7 @@ from repro.viz import render_blocks, render_density, render_staircase
 def main() -> None:
     points = repro.generate_osm_like(60_000, seed=1)
     index = repro.Quadtree(points, capacity=256)
-    counts = repro.CountIndex.from_index(index)
+    counts = repro.IndexSnapshot.from_index(index)
 
     print("=== The data: OSM-like GPS points (Figure 10 style) ===")
     print(render_density(points, width=72, height=24))
@@ -48,7 +48,7 @@ def main() -> None:
     inner = repro.Quadtree(
         repro.generate_osm_like(60_000, seed=2, structure_seed=1), capacity=256
     )
-    inner_counts = repro.CountIndex.from_index(inner)
+    inner_counts = repro.IndexSnapshot.from_index(inner)
     block = index.blocks[int(rng.integers(0, index.num_blocks))]
     print("\n=== The locality staircase of one block (Figure 7 style) ===")
     locality_profile = repro.locality_size_profile(inner_counts, block.rect, 2_048)

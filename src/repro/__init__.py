@@ -30,7 +30,6 @@ from repro.geometry import (
 )
 from repro.index import (
     Block,
-    CountIndex,
     GridIndex,
     HierarchicalCountIndex,
     IndexSnapshot,
@@ -99,7 +98,6 @@ __all__ = [
     "maxdist_rect_rect",
     # indexes
     "Block",
-    "CountIndex",
     "GridIndex",
     "HierarchicalCountIndex",
     "IndexSnapshot",

@@ -186,7 +186,6 @@ def _cmd_estimate_select(args: argparse.Namespace) -> int:
             index,
             max_k=args.max_k,
             workers=args.workers,
-            dedup=not args.no_dedup,
             snapshot=snapshot,
         ),
         "density": lambda: DensityBasedEstimator(snapshot),
@@ -477,11 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for catalog preprocessing (default: serial)",
-    )
-    p.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable shared-anchor deduplication (reference build path)",
     )
     p.add_argument(
         "--strict",

@@ -286,14 +286,14 @@ class LocalityJoinOperator:
     def execute(self) -> ExecutionResult:
         """Run the block-by-block locality join."""
         outer, inner, query = self._outer, self._inner, self._query
-        inner_counts = inner.count_index
+        inner_snapshot = inner.snapshot
         k_effective = min(
             math.ceil(query.k / self._selectivity), max(inner.n_rows, 1)
         )
         scanned = 0
         pairs: list[tuple[int, np.ndarray]] = []
         for block in outer.index.blocks:
-            locality = locality_block_indices(inner_counts, block.rect, k_effective)
+            locality = locality_block_indices(inner_snapshot, block.rect, k_effective)
             scanned += int(locality.shape[0])
             candidate_rows = np.concatenate(
                 [inner.block_row_ids(i) for i in locality]

@@ -302,7 +302,7 @@ def _assemble_select_explanation(
     }
     if query.region is not None and table.n_rows:
         # Region pruning bounds browsing by the blocks inside the region.
-        region_blocks = float(table.count_index.overlapping(query.region).shape[0])
+        region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
         alternatives[RegionPrunedKnnOperator.name] = min(
             cost_incremental, region_blocks
         )
@@ -461,7 +461,7 @@ def plan_range(
     """
     table = stats.table(query.table)
     if table.n_rows:
-        overlapping = table.count_index.overlapping(query.region)
+        overlapping = table.snapshot.overlapping(query.region)
         cost = float(overlapping.shape[0])
     else:
         cost = 0.0

@@ -464,7 +464,6 @@ class StatisticsManager:
         if name not in self._density_estimators:
             snapshot = self.snapshot(name, on_stale="rebuild")
             if snapshot.n_blocks == 0:
-                # Preserve the empty-table error shape of count_index.
                 raise ValueError(f"table {name!r} is empty")
             self._density_estimators[name] = DensityBasedEstimator(snapshot)
         return self._density_estimators[name]
@@ -525,7 +524,7 @@ class StatisticsManager:
                     ("density", lambda: self.density_estimator(name)),
                     (
                         "uniform-model",
-                        lambda: UniformModelEstimator(self.table(name).count_index),
+                        lambda: UniformModelEstimator(self.table(name).snapshot),
                     ),
                 ],
                 guaranteed_bound=lambda: float(self.table(name).index.num_blocks),
@@ -804,7 +803,7 @@ class StatisticsManager:
         table = self.table(name)
         if table.n_rows == 0:
             return 1.0
-        selectivity = table.count_index.estimate_range_selectivity(region)
+        selectivity = table.snapshot.estimate_range_selectivity(region)
         return max(selectivity, 1.0 / table.n_rows)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.index.base import validate_points
-from repro.index.count_index import CountIndex
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import IndexSnapshot
 
@@ -65,9 +64,6 @@ class SpatialTable:
         else:
             self._index = _RowTaggedQuadtree(np.empty((0, 3)), capacity=capacity)
         self._snapshot = IndexSnapshot.from_index(self._index)
-        self._count_index = (
-            CountIndex.from_snapshot(self._snapshot) if pts.shape[0] else None
-        )
 
     # ------------------------------------------------------------------
     # Shape
@@ -94,19 +90,9 @@ class SpatialTable:
 
     @property
     def snapshot(self) -> IndexSnapshot:
-        """The index's block summary, canonical layout (no blocks when empty)."""
+        """The table's Count-Index: its index's block summary, canonical
+        layout (no blocks when the table is empty)."""
         return self._snapshot
-
-    @property
-    def count_index(self) -> CountIndex:
-        """The table's Count-Index.
-
-        Raises:
-            ValueError: For an empty table (no blocks to count).
-        """
-        if self._count_index is None:
-            raise ValueError(f"table {self.name!r} is empty")
-        return self._count_index
 
     # ------------------------------------------------------------------
     # Row access

@@ -65,7 +65,7 @@ class BlockSampleEstimator(JoinCostEstimator):
 
     Args:
         outer: Block summary of the outer relation (supplies blocks to
-            sample) — an index, Count-Index, or snapshot.
+            sample) — an index or snapshot.
         inner: Block summary of the inner relation.
         sample_size: Number of outer blocks whose locality is computed
             per estimate.

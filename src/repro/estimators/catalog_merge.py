@@ -25,12 +25,7 @@ import time
 
 import numpy as np
 
-from repro.catalog import (
-    IntervalCatalog,
-    catalog_storage_bytes,
-    merge_sum,
-    merge_sum_fast,
-)
+from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_sum_fast
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import JoinCostEstimator, validate_k
 from repro.estimators.block_sample import sample_block_indices
@@ -44,7 +39,7 @@ from repro.estimators.maintenance import (
     tracks_updates,
 )
 from repro.index.snapshot import as_snapshot
-from repro.knn.locality import locality_coverage_radii, locality_size_profile
+from repro.knn.locality import locality_coverage_radii
 from repro.perf import PreprocessingStats, locality_size_profiles, resolve_workers
 
 DEFAULT_MAX_K = 2_048
@@ -54,8 +49,8 @@ class CatalogMergeEstimator(JoinCostEstimator):
     """Catalog-Merge join-cost estimation for one (outer, inner) pair.
 
     Args:
-        outer: Block summary of the outer relation (index, Count-Index,
-            or snapshot).
+        outer: Block summary of the outer relation (index or
+            snapshot).
         inner: Block summary of the inner relation.  Incremental
             refreshes need its generation-keyed update log (e.g. a
             :class:`~repro.index.mutable_quadtree.MutableQuadtree`);
@@ -64,11 +59,6 @@ class CatalogMergeEstimator(JoinCostEstimator):
         max_k: Largest k the merged catalog supports.
         workers: Worker processes for the locality-profile fan-out;
             ``None``/0/1 computes in-process.
-        fast: Use the vectorized sum-merge (and, with ``workers``, the
-            profile fan-out).  Produces bit-for-bit the same catalog as
-            the reference min-heap plane sweep (asserted by the
-            equivalence suite); disable only to exercise the reference
-            path.
 
     Raises:
         ValueError: On empty relations or invalid parameters.
@@ -82,7 +72,6 @@ class CatalogMergeEstimator(JoinCostEstimator):
         max_k: int = DEFAULT_MAX_K,
         *,
         workers: int | None = None,
-        fast: bool = True,
     ) -> None:
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
@@ -91,7 +80,6 @@ class CatalogMergeEstimator(JoinCostEstimator):
         self._requested_sample = sample_size
         self._max_k = max_k
         self._workers = resolve_workers(workers)
-        self._fast = fast or self._workers > 1
         self._sample_rects = np.empty((0, 4), dtype=float)
         self._sample_keys: list[RegionKey] = []
         self._temporaries: list[IntervalCatalog] = []
@@ -139,22 +127,16 @@ class CatalogMergeEstimator(JoinCostEstimator):
         missing = np.flatnonzero(source < 0)
         rows = rects[missing]
         with stats.phase("profiles"):
-            if self._fast:
-                profiles = locality_size_profiles(
-                    inner_snap, rows, self._max_k, workers=self._workers
-                )
-            else:
-                profiles = [
-                    locality_size_profile(inner_snap, rect, self._max_k)
-                    for rect in rows
-                ]
+            profiles = locality_size_profiles(
+                inner_snap, rows, self._max_k, workers=self._workers
+            )
         with stats.phase("merge"):
             built = [
                 IntervalCatalog.from_profile(p, max_k=self._max_k).truncated(self._max_k)
                 for p in profiles
             ]
             temporaries = patched(self._temporaries, built, source)
-            self._catalog = (merge_sum_fast if self._fast else merge_sum)(temporaries)
+            self._catalog = merge_sum_fast(temporaries)
         self._scale = n_outer / sample.shape[0]
         self._sample_size = int(sample.shape[0])
         self._inner_generation = int(inner_snap.data_generation)

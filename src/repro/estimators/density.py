@@ -51,15 +51,14 @@ class DensityBasedEstimator(SelectCostEstimator):
     """Density-based select-cost estimation over block summaries.
 
     Args:
-        count_index: Block summary of the data index — a
-            :class:`~repro.index.count_index.CountIndex`, an
+        snapshot: Block summary of the data index — an
             :class:`~repro.index.snapshot.IndexSnapshot`, or the index
             itself (anything
             :func:`~repro.index.snapshot.as_snapshot` accepts).
     """
 
-    def __init__(self, count_index) -> None:
-        snapshot = as_snapshot(count_index)
+    def __init__(self, snapshot) -> None:
+        snapshot = as_snapshot(snapshot)
         if snapshot.n_blocks == 0:
             raise ValueError("cannot estimate over an empty index")
         self._snapshot = snapshot

@@ -38,12 +38,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.catalog import (
-    IntervalCatalog,
-    catalog_storage_bytes,
-    merge_max,
-    merge_max_fast,
-)
+from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_max_fast
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import SelectCostEstimator, normalize_batch_args
 from repro.estimators.density import DensityBasedEstimator
@@ -58,7 +53,6 @@ from repro.estimators.maintenance import (
 from repro.geometry import Point, Rect
 from repro.geometry.kernels import staircase_interpolate
 from repro.index.base import Block
-from repro.index.count_index import CountIndex
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import (
     IndexSnapshot,
@@ -84,7 +78,7 @@ Variant = Literal["center", "center+corners"]
 
 
 def build_select_catalog(
-    count_index: CountIndex,
+    snapshot: IndexSnapshot,
     blocks: Sequence[Block],
     anchor: Point,
     max_k: int,
@@ -92,7 +86,7 @@ def build_select_catalog(
     """Procedure 1: build the k-NN-Select cost catalog anchored at a point.
 
     Args:
-        count_index: Count-Index over the data blocks.
+        snapshot: Block summary (Count-Index) of the data blocks.
         blocks: The data blocks (points are read — this is the offline
             preprocessing step).
         anchor: The anchor query point (a block center or corner).
@@ -103,7 +97,7 @@ def build_select_catalog(
         so lookups up to ``max_k`` always succeed even when the dataset
         holds fewer points.
     """
-    profile = select_cost_profile(count_index, blocks, anchor, max_k)
+    profile = select_cost_profile(snapshot, blocks, anchor, max_k)
     return _catalog_from_profile(profile, max_k)
 
 
@@ -180,17 +174,11 @@ class StaircaseEstimator(SelectCostEstimator):
         variant: ``"center+corners"`` (Equations 1–2) or ``"center"``.
         workers: Worker processes for the anchor fan-out; ``None``/0/1
             builds in-process.
-        dedup: Share staircases between geometrically identical anchors
-            (interior auxiliary corners are shared by up to four
-            leaves).  The shared-anchor path produces bit-for-bit the
-            same catalogs as the reference per-leaf loop (asserted by
-            the equivalence suite); disable only to exercise the
-            reference path.
         snapshot: Optional precomputed columnar summary of
             ``data_index`` (e.g. the
             :class:`~repro.engine.stats.StatisticsManager` cache entry).
-            When given, the Count-Index wraps it instead of re-walking
-            the index's blocks.
+            When given, it is used instead of re-walking the index's
+            blocks.
 
     Raises:
         ValueError: If no auxiliary index is available or parameters are
@@ -207,7 +195,6 @@ class StaircaseEstimator(SelectCostEstimator):
         variant: Variant = "center+corners",
         *,
         workers: int | None = None,
-        dedup: bool = True,
         snapshot: IndexSnapshot | None = None,
     ) -> None:
         if variant not in ("center", "center+corners"):
@@ -226,7 +213,6 @@ class StaircaseEstimator(SelectCostEstimator):
         self._max_k = max_k
         self._data_index = data_index
         self._workers = resolve_workers(workers)
-        self._dedup = bool(dedup)
         generation = int(getattr(data_index, "data_generation", 0))
         if snapshot is not None and snapshot.data_generation != generation:
             raise StaleCatalogError(
@@ -238,9 +224,7 @@ class StaircaseEstimator(SelectCostEstimator):
         # block list positionally; canonicalize so a cache-layout
         # snapshot (e.g. Hilbert) builds byte-identical catalogs to the
         # seed path.  Without one the first refresh gathers its own.
-        self._count_index = (
-            None if snapshot is None else CountIndex.from_snapshot(snapshot.canonical())
-        )
+        self._snapshot = None if snapshot is None else snapshot.canonical()
         #: Data generation the catalogs are valid for (0 for immutable
         #: indexes, which never advance).
         self.built_at_generation = generation
@@ -313,14 +297,11 @@ class StaircaseEstimator(SelectCostEstimator):
             self._coverage,
             full=full,
         )
-        if (
-            self._count_index is None
-            or self._count_index.snapshot.data_generation != generation
-        ):
-            self._count_index = CountIndex.from_index(self._data_index)
+        if self._snapshot is None or self._snapshot.data_generation != generation:
+            self._snapshot = IndexSnapshot.from_index(self._data_index)
         # An empty index has nothing to fall back on; its cost is zero.
         self._fallback = (
-            DensityBasedEstimator(self._count_index) if self._count_index.n_blocks else None
+            DensityBasedEstimator(self._snapshot) if self._snapshot.n_blocks else None
         )
         leaf_rects = partition_bounds(self._aux)
         keys = region_keys(leaf_rects)
@@ -330,12 +311,7 @@ class StaircaseEstimator(SelectCostEstimator):
 
         start = time.perf_counter()
         stats = PreprocessingStats(technique="staircase", workers=self._workers)
-        build = (
-            self._build_shared
-            if self._dedup or self._workers > 1
-            else self._build_reference
-        )
-        center, corners, built_coverage = build(leaf_rects[missing], stats)
+        center, corners, built_coverage = self._build_shared(leaf_rects[missing], stats)
         self.preprocessing_seconds = stats.wall_seconds = time.perf_counter() - start
         self.preprocessing_stats = stats
 
@@ -351,46 +327,6 @@ class StaircaseEstimator(SelectCostEstimator):
         return MaintenanceReport.of_pass(
             full=full, generation=generation, total=len(keys), rebuilt=len(missing)
         )
-
-    def _build_reference(
-        self, leaf_rects: np.ndarray, stats: PreprocessingStats
-    ) -> tuple[list[IntervalCatalog], list[IntervalCatalog], np.ndarray]:
-        """The per-leaf reference build: one Procedure 1 run per anchor.
-
-        Every anchor's staircase is computed independently and corner
-        catalogs are merged with the paper's min-heap plane sweep.  The
-        shared-anchor path is validated against this loop bit for bit.
-        No coverage radii are derived (all ``inf``): a refresh of a
-        reference-built estimator rebuilds everything.
-        """
-        blocks = self._data_index.blocks
-        n_leaves = leaf_rects.shape[0]
-        both = self._variant == "center+corners"
-        stats.anchors_total = (5 if both else 1) * n_leaves
-        stats.anchors_unique = stats.anchors_total
-        stats.profiles_computed = stats.anchors_total
-        center: list[IntervalCatalog] = []
-        corners: list[IntervalCatalog] = []
-        with stats.phase("profiles"):
-            for row in leaf_rects:
-                rect = Rect(*row)
-                center.append(
-                    build_select_catalog(
-                        self._count_index, blocks, rect.center, self._max_k
-                    )
-                )
-                if both:
-                    corners.append(
-                        merge_max(
-                            [
-                                build_select_catalog(
-                                    self._count_index, blocks, corner, self._max_k
-                                )
-                                for corner in rect.corners()
-                            ]
-                        )
-                    )
-        return center, corners, np.full(n_leaves, np.inf, dtype=float)
 
     def _build_shared(
         self, leaf_rects: np.ndarray, stats: PreprocessingStats
@@ -408,10 +344,13 @@ class StaircaseEstimator(SelectCostEstimator):
         anchor, so the dedup grouping never changes per-leaf results and
         building a subset of the leaves yields exactly their rows of a
         full build.)  Profiles go through the same
-        ``select_cost_profile`` code as the reference path (only the
-        distance gather is batched via
-        :class:`~repro.perf.BlockPointsView`), and are optionally
-        fanned out across worker processes.
+        ``select_cost_profile`` code as the per-anchor
+        :func:`build_select_catalog` (only the distance gather is
+        batched via :class:`~repro.perf.BlockPointsView`), and are
+        optionally fanned out across worker processes; the per-leaf
+        Procedure 1 loop assembled from the public pieces is the
+        ``tests/reference_builds.py`` oracle this build is compared
+        against byte for byte.
 
         Returns:
             ``(center, corners, coverage)`` for the given leaves, where
@@ -438,10 +377,7 @@ class StaircaseEstimator(SelectCostEstimator):
                 ).reshape(-1, 2)
             else:
                 stacked = centers
-            if self._dedup:
-                unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-            else:
-                unique, inverse = stacked, np.arange(stacked.shape[0])
+            unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
             ids = inverse.reshape(n_leaves, per_leaf)
             anchors = [Point(float(x), float(y)) for x, y in unique]
             view = BlockPointsView.from_blocks(self._data_index.blocks)
@@ -451,7 +387,7 @@ class StaircaseEstimator(SelectCostEstimator):
 
         with stats.phase("profiles"):
             covered = select_cost_profiles(
-                self._count_index, view, anchors, self._max_k, self._workers
+                self._snapshot, view, anchors, self._max_k, self._workers
             )
         with stats.phase("assemble"):
             catalogs = [_catalog_from_profile_fast(p, self._max_k) for p, __ in covered]
@@ -722,8 +658,8 @@ class StaircaseEstimator(SelectCostEstimator):
         estimator._max_k = max_k
         estimator._data_index = data_index
         estimator.built_at_generation = current_generation
-        estimator._count_index = CountIndex.from_index(data_index)
-        estimator._fallback = DensityBasedEstimator(estimator._count_index)
+        estimator._snapshot = IndexSnapshot.from_index(data_index)
+        estimator._fallback = DensityBasedEstimator(estimator._snapshot)
         # Leaf lookup keys by bounds, not node identity: the restored
         # estimator works even if the auxiliary index was itself rebuilt
         # (equal geometry, different node objects).
@@ -733,7 +669,6 @@ class StaircaseEstimator(SelectCostEstimator):
         )
         estimator.evictions = 0
         estimator._workers = 0
-        estimator._dedup = True
         estimator.preprocessing_seconds = 0.0
         estimator.preprocessing_stats = PreprocessingStats(technique="staircase")
         return estimator

@@ -43,18 +43,18 @@ class UniformModelEstimator(SelectCostEstimator):
     """Analytic uniform-data k-NN-Select cost model.
 
     Args:
-        count_index: Block summary (index, Count-Index, or snapshot),
-            used only to extract the four summary scalars (point count,
+        snapshot: Block summary (snapshot, or an index to gather one
+            from), used only to extract the four summary scalars (point count,
             total area, block count, mean block diagonal).
 
     Raises:
         ValueError: On an empty index.
     """
 
-    def __init__(self, count_index) -> None:
+    def __init__(self, snapshot) -> None:
         # Canonical row order keeps the area-sum / diagonal-mean
         # accumulation order (and hence the bits) layout-independent.
-        snap = as_snapshot(count_index).canonical()
+        snap = as_snapshot(snapshot).canonical()
         if snap.n_blocks == 0:
             raise ValueError("cannot model an empty index")
         self._n_points = snap.total_count

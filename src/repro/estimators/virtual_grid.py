@@ -67,8 +67,8 @@ class VirtualGridEstimator:
     or :meth:`for_outer`.
 
     Args:
-        inner: Block summary of the inner relation (index, Count-Index,
-            or snapshot).  Incremental refreshes need its
+        inner: Block summary of the inner relation (index or
+            snapshot).  Incremental refreshes need its
             generation-keyed update log; over anything else every
             refresh is a full rebuild.
         bounds: The fixed universe over which the virtual grid is laid
@@ -193,8 +193,8 @@ class VirtualGridEstimator:
         """Estimate the cost of ``outer ⋉_kNN inner``.
 
         Args:
-            outer: Block summary of the outer relation (index,
-                Count-Index, or snapshot).
+            outer: Block summary of the outer relation (index or
+                snapshot).
             k: Number of neighbors per outer point.
             assignment: ``"overlap"`` (the paper's rule: every block
                 contributes once per overlapping cell), ``"center"``

@@ -16,7 +16,7 @@ from repro.experiments.common import (
     PROFILES,
     get_config,
     build_index,
-    build_count_index,
+    build_snapshot,
     dataset,
 )
 
@@ -26,6 +26,6 @@ __all__ = [
     "PROFILES",
     "get_config",
     "build_index",
-    "build_count_index",
+    "build_snapshot",
     "dataset",
 ]

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.datasets import scale_factor_points
-from repro.index.count_index import CountIndex
+from repro.index.snapshot import IndexSnapshot
 from repro.index.quadtree import Quadtree
 
 
@@ -147,16 +147,16 @@ def build_index(
 
 
 @functools.lru_cache(maxsize=32)
-def build_count_index(
+def build_snapshot(
     scale: int,
     base_n: int,
     capacity: int,
     seed: int,
     kind: str = "osm",
     structure_seed: int | None = None,
-) -> CountIndex:
-    """Build (and cache) the Count-Index of one scale factor."""
-    return CountIndex.from_index(
+) -> IndexSnapshot:
+    """Build (and cache) the block summary (Count-Index) of one scale factor."""
+    return IndexSnapshot.from_index(
         build_index(scale, base_n, capacity, seed, kind, structure_seed)
     )
 
@@ -165,7 +165,7 @@ def clear_caches() -> None:
     """Drop all cached testbeds (used by tests to bound memory)."""
     dataset.cache_clear()
     build_index.cache_clear()
-    build_count_index.cache_clear()
+    build_snapshot.cache_clear()
 
 
 # ----------------------------------------------------------------------

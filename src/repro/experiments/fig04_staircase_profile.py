@@ -14,8 +14,8 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
-    build_count_index,
     build_index,
+    build_snapshot,
     get_config,
 )
 from repro.geometry import Point
@@ -30,7 +30,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     config = config or get_config()
     scale = min(PROFILE_SCALE, max(config.scales))
     index = build_index(scale, config.base_n, config.capacity, config.seed, config.dataset_kind)
-    counts = build_count_index(
+    counts = build_snapshot(
         scale, config.base_n, config.capacity, config.seed, config.dataset_kind
     )
     rng = np.random.default_rng(config.seed)

@@ -21,32 +21,22 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         columns=(
             "scale",
             "staircase_center_corners_s",
-            "staircase_serial_reference_s",
-            "shared_anchor_speedup",
             "staircase_center_only_s",
             "density_based_s",
         ),
     )
     for scale in config.scales:
         cc = select_support.staircase_estimator(config, scale)
-        reference = select_support.staircase_estimator(config, scale, dedup=False)
         center_only = select_support.staircase_estimator(config, scale, variant="center")
-        speedup = reference.preprocessing_seconds / max(cc.preprocessing_seconds, 1e-12)
         result.add_row(
             scale,
             cc.preprocessing_seconds,
-            reference.preprocessing_seconds,
-            speedup,
             center_only.preprocessing_seconds,
             0.0,  # the density-based technique precomputes no catalogs
         )
         result.notes.append(f"scale {scale}: {cc.preprocessing_stats.describe()}")
     result.notes.append(
         "paper shape: grows with scale; Center+Corners > Center-Only; density = 0"
-    )
-    result.notes.append(
-        "serial_reference is the per-leaf build (dedup off); catalogs are "
-        "bit-for-bit equal to the shared-anchor build"
     )
     return result
 

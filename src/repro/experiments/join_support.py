@@ -14,8 +14,8 @@ from repro.estimators.block_sample import BlockSampleEstimator
 from repro.estimators.catalog_merge import CatalogMergeEstimator
 from repro.estimators.virtual_grid import VirtualGridEstimator
 from repro.datasets import WORLD_BOUNDS
-from repro.experiments.common import ExperimentConfig, build_count_index, build_index
-from repro.index.count_index import CountIndex
+from repro.experiments.common import ExperimentConfig, build_index, build_snapshot
+from repro.index.snapshot import IndexSnapshot
 from repro.index.quadtree import Quadtree
 from repro.knn.locality import locality_block_indices
 
@@ -37,9 +37,9 @@ def relation_index(config: ExperimentConfig, scale: int, relation: int) -> Quadt
     )
 
 
-def relation_counts(config: ExperimentConfig, scale: int, relation: int) -> CountIndex:
-    """The Count-Index of relation ``relation`` at a scale factor."""
-    return build_count_index(
+def relation_counts(config: ExperimentConfig, scale: int, relation: int) -> IndexSnapshot:
+    """The block summary (Count-Index) of relation ``relation`` at a scale factor."""
+    return build_snapshot(
         scale,
         config.base_n,
         config.capacity,

@@ -11,7 +11,7 @@ import functools
 
 from repro.estimators.density import DensityBasedEstimator
 from repro.estimators.staircase import StaircaseEstimator
-from repro.experiments.common import ExperimentConfig, build_count_index, build_index
+from repro.experiments.common import ExperimentConfig, build_index, build_snapshot
 from repro.knn.distance_browsing import select_cost_exact
 from repro.workloads.queries import SelectQuery, data_distributed_queries
 
@@ -25,23 +25,17 @@ def staircase_estimator(
     config: ExperimentConfig,
     scale: int,
     variant: str = "center+corners",
-    dedup: bool = True,
 ) -> StaircaseEstimator:
-    """Build (and cache) a Staircase estimator for one scale factor.
-
-    ``dedup=False`` forces the serial reference build path — Figure 13
-    uses it to report the shared-anchor speedup (the catalogs are
-    bit-for-bit equal either way).
-    """
+    """Build (and cache) a Staircase estimator for one scale factor."""
     index = build_index(scale, config.base_n, config.capacity, config.seed, config.dataset_kind)
-    return StaircaseEstimator(index, max_k=config.max_k, variant=variant, dedup=dedup)
+    return StaircaseEstimator(index, max_k=config.max_k, variant=variant)
 
 
 @functools.lru_cache(maxsize=16)
 def density_estimator(config: ExperimentConfig, scale: int) -> DensityBasedEstimator:
     """Build (and cache) the density-based estimator for one scale."""
     return DensityBasedEstimator(
-        build_count_index(scale, config.base_n, config.capacity, config.seed, config.dataset_kind)
+        build_snapshot(scale, config.base_n, config.capacity, config.seed, config.dataset_kind)
     )
 
 
@@ -65,7 +59,7 @@ def select_workload(config: ExperimentConfig, scale: int) -> tuple[SelectQuery, 
 def actual_select_costs(config: ExperimentConfig, scale: int) -> tuple[int, ...]:
     """Ground-truth distance-browsing costs of the scale's workload."""
     index = build_index(scale, config.base_n, config.capacity, config.seed, config.dataset_kind)
-    counts = build_count_index(
+    counts = build_snapshot(
         scale, config.base_n, config.capacity, config.seed, config.dataset_kind
     )
     return tuple(

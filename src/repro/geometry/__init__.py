@@ -3,12 +3,11 @@
 The paper's techniques are defined over two-dimensional Euclidean space
 and make extensive use of the MINDIST and MAXDIST metrics between points
 and blocks (rectangles) and between pairs of blocks.  This subpackage
-provides those primitives, both as scalar functions and as vectorized
-batch variants backed by numpy.
-
-:mod:`~repro.geometry.kernels` holds the columnar kernels that operate
-on ``(n, 4)`` bounds matrices (the :class:`~repro.index.snapshot.IndexSnapshot`
-layout); they are re-exported here alongside the scalar metrics.
+provides those primitives: scalar forms in :mod:`~repro.geometry.metrics`
+and, as the only array definition, the columnar kernels of
+:mod:`~repro.geometry.kernels` over ``(n, 4)`` bounds matrices (the
+:class:`~repro.index.snapshot.IndexSnapshot` layout).  Both compute the
+same float; they are re-exported here side by side.
 """
 
 from repro.geometry.point import Point
@@ -19,11 +18,6 @@ from repro.geometry.metrics import (
     maxdist_point_rect,
     mindist_rect_rect,
     maxdist_rect_rect,
-    mindist_point_rects,
-    mindist_points_rects,
-    maxdist_point_rects,
-    mindist_rect_rects,
-    maxdist_rect_rects,
     circle_inside_rect,
     circle_inside_union,
 )
@@ -46,11 +40,6 @@ __all__ = [
     "maxdist_point_rect",
     "mindist_rect_rect",
     "maxdist_rect_rect",
-    "mindist_point_rects",
-    "mindist_points_rects",
-    "maxdist_point_rects",
-    "mindist_rect_rects",
-    "maxdist_rect_rects",
     "circle_inside_rect",
     "circle_inside_union",
     "as_anchor",

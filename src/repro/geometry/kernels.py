@@ -13,12 +13,13 @@ backend registered in :mod:`repro.geometry.backends` — the numpy
 reference, or the optional numba-JIT implementation (selected at
 import, ``REPRO_KERNEL_BACKEND`` override).  Backends are bit-parity
 gated: whatever is active, outputs are **bitwise identical** to the
-numpy reference ufunc chains — and those match looping the scalar
-forms of :mod:`repro.geometry.metrics` over materialized
-:class:`~repro.geometry.rect.Rect` objects, as the equivalence suite
-(``tests/test_snapshot_equivalence.py``) asserts for every consumer.
-New estimation code should call these directly on snapshot arrays
-instead of materializing per-leaf objects.
+numpy reference ufunc chains.  These kernels are the *only* array
+definition of MINDIST/MAXDIST; the scalar forms of
+:mod:`repro.geometry.metrics` compute the same float (same per-axis
+operation order, same libm ``hypot``), which
+``tests/test_geometry_metrics.py`` asserts with ``==``.  New estimation
+code should call these directly on snapshot arrays instead of
+materializing per-leaf objects.
 
 Anchor convention
 -----------------

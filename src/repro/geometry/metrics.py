@@ -11,12 +11,16 @@ Following Roussopoulos et al. (cited as [19] in the paper):
   the two blocks.  ``MAXDIST(a, b)`` is attained at a pair of opposite
   corners; ``MINDIST(a, b)`` is zero when the blocks overlap.
 
-Each metric is provided in a scalar form (single rectangle) and in a
-vectorized form (``(n, 4)`` array of rectangle bounds), since MINDIST
-scans over all blocks of an index are the inner loop of every estimator.
-
-Vectorized rectangle arrays use column order ``x_min, y_min, x_max,
-y_max``, matching :meth:`repro.geometry.rect.Rect.as_tuple`.
+Only the scalar forms (one anchor, one rectangle) live here.  The array
+forms — the inner loop of every estimator and of the executor — are the
+backend-dispatched :mod:`repro.geometry.kernels`, and the two are *one
+float*: every distance below goes through :func:`numpy.hypot` (the C
+library's ``hypot``, never the ``math`` module's correctly-rounded one,
+which differs from it by 1 ulp on ≈ 0.6 % of inputs) after the kernels'
+per-axis operation order, so ``mindist_point_rect(p, r) ==
+kernels.mindist_rects(p, [r])[0]`` exactly.  That equality is what lets
+the strict ``<`` stop test, the ground truth and the catalogs agree on
+"scan one more block".
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.geometry.rect import Rect
 
 def euclidean(ax: float, ay: float, bx: float, by: float) -> float:
     """Euclidean distance between ``(ax, ay)`` and ``(bx, by)``."""
-    return math.hypot(ax - bx, ay - by)
+    return float(np.hypot(ax - bx, ay - by))
 
 
 # ----------------------------------------------------------------------
@@ -45,7 +49,7 @@ def mindist_point_rect(p: Point, r: Rect) -> float:
     """
     dx = max(r.x_min - p.x, 0.0, p.x - r.x_max)
     dy = max(r.y_min - p.y, 0.0, p.y - r.y_max)
-    return math.hypot(dx, dy)
+    return float(np.hypot(dx, dy))
 
 
 def maxdist_point_rect(p: Point, r: Rect) -> float:
@@ -55,7 +59,7 @@ def maxdist_point_rect(p: Point, r: Rect) -> float:
     """
     dx = max(abs(p.x - r.x_min), abs(p.x - r.x_max))
     dy = max(abs(p.y - r.y_min), abs(p.y - r.y_max))
-    return math.hypot(dx, dy)
+    return float(np.hypot(dx, dy))
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +72,7 @@ def mindist_rect_rect(a: Rect, b: Rect) -> float:
     """
     dx = max(b.x_min - a.x_max, 0.0, a.x_min - b.x_max)
     dy = max(b.y_min - a.y_max, 0.0, a.y_min - b.y_max)
-    return math.hypot(dx, dy)
+    return float(np.hypot(dx, dy))
 
 
 def maxdist_rect_rect(a: Rect, b: Rect) -> float:
@@ -78,71 +82,7 @@ def maxdist_rect_rect(a: Rect, b: Rect) -> float:
     # When one rectangle is degenerate and nested, per-axis spreads are
     # still non-negative because max(u, -u) >= 0 for the two symmetric
     # differences above; guard anyway for numerical safety.
-    return math.hypot(max(dx, 0.0), max(dy, 0.0))
-
-
-# ----------------------------------------------------------------------
-# Vectorized variants (rects given as an (n, 4) bounds array)
-# ----------------------------------------------------------------------
-def _as_bounds_array(rects: Sequence[Rect] | np.ndarray) -> np.ndarray:
-    """Normalize input to an ``(n, 4)`` float array of rect bounds."""
-    if isinstance(rects, np.ndarray):
-        bounds = np.asarray(rects, dtype=float)
-        if bounds.ndim != 2 or bounds.shape[1] != 4:
-            raise ValueError(f"expected an (n, 4) bounds array, got shape {bounds.shape}")
-        return bounds
-    return np.array([r.as_tuple() for r in rects], dtype=float).reshape(-1, 4)
-
-
-def mindist_point_rects(p: Point, rects: Sequence[Rect] | np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mindist_point_rect` against many rectangles."""
-    bounds = _as_bounds_array(rects)
-    dx = np.maximum(np.maximum(bounds[:, 0] - p.x, 0.0), p.x - bounds[:, 2])
-    dy = np.maximum(np.maximum(bounds[:, 1] - p.y, 0.0), p.y - bounds[:, 3])
-    return np.hypot(dx, dy)
-
-
-def mindist_points_rects(
-    points: np.ndarray, rects: Sequence[Rect] | np.ndarray
-) -> np.ndarray:
-    """``(m, n)`` MINDIST matrix of many points against many rectangles.
-
-    Row ``i`` is elementwise identical to
-    ``mindist_point_rects(points[i], rects)`` — the broadcast applies
-    the same ufunc operations — so batching callers (the preprocessing
-    fan-out) stay bit-for-bit compatible with the per-point path.
-    """
-    bounds = _as_bounds_array(rects)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    dx = np.maximum(np.maximum(bounds[None, :, 0] - x, 0.0), x - bounds[None, :, 2])
-    dy = np.maximum(np.maximum(bounds[None, :, 1] - y, 0.0), y - bounds[None, :, 3])
-    return np.hypot(dx, dy)
-
-
-def maxdist_point_rects(p: Point, rects: Sequence[Rect] | np.ndarray) -> np.ndarray:
-    """Vectorized :func:`maxdist_point_rect` against many rectangles."""
-    bounds = _as_bounds_array(rects)
-    dx = np.maximum(np.abs(p.x - bounds[:, 0]), np.abs(p.x - bounds[:, 2]))
-    dy = np.maximum(np.abs(p.y - bounds[:, 1]), np.abs(p.y - bounds[:, 3]))
-    return np.hypot(dx, dy)
-
-
-def mindist_rect_rects(a: Rect, rects: Sequence[Rect] | np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mindist_rect_rect` of one rectangle against many."""
-    bounds = _as_bounds_array(rects)
-    dx = np.maximum(np.maximum(bounds[:, 0] - a.x_max, 0.0), a.x_min - bounds[:, 2])
-    dy = np.maximum(np.maximum(bounds[:, 1] - a.y_max, 0.0), a.y_min - bounds[:, 3])
-    return np.hypot(dx, dy)
-
-
-def maxdist_rect_rects(a: Rect, rects: Sequence[Rect] | np.ndarray) -> np.ndarray:
-    """Vectorized :func:`maxdist_rect_rect` of one rectangle against many."""
-    bounds = _as_bounds_array(rects)
-    dx = np.maximum(bounds[:, 2] - a.x_min, a.x_max - bounds[:, 0])
-    dy = np.maximum(bounds[:, 3] - a.y_min, a.y_max - bounds[:, 1])
-    return np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+    return float(np.hypot(max(dx, 0.0), max(dy, 0.0)))
 
 
 # ----------------------------------------------------------------------

@@ -12,19 +12,16 @@ subpackage implements:
   data index" path of Section 3.3.
 * :class:`~repro.index.grid.GridIndex` — a uniform grid, the substrate
   of the Virtual-Grid join estimator.
-* :class:`~repro.index.count_index.CountIndex` — the auxiliary index
-  that stores only per-block counts (no data points) and powers every
-  cost estimator.
-* :class:`~repro.index.snapshot.IndexSnapshot` — the frozen columnar
-  block summary gathered once from any of the above; the contract the
-  estimators and k-NN algorithms actually consume.
+* :class:`~repro.index.snapshot.IndexSnapshot` — the paper's
+  Count-Index (§2): the frozen columnar summary of per-block bounds and
+  counts (no data points), gathered once from any of the above, that
+  every cost estimator and k-NN algorithm consumes.
 """
 
 from repro.index.base import Block, IndexNode, SpatialIndex
 from repro.index.quadtree import Quadtree, QuadtreeNode
 from repro.index.rtree import RTree, RTreeNode
 from repro.index.grid import GridIndex
-from repro.index.count_index import CountIndex
 from repro.index.hierarchical_count import HierarchicalCountIndex
 from repro.index.mutable_quadtree import MutableQuadtree
 from repro.index.snapshot import (
@@ -44,7 +41,6 @@ __all__ = [
     "RTree",
     "RTreeNode",
     "GridIndex",
-    "CountIndex",
     "HierarchicalCountIndex",
     "MutableQuadtree",
     "IndexSnapshot",

@@ -1,6 +1,6 @@
 """A hierarchical Count-Index with incremental MINDIST scanning.
 
-The flat :class:`~repro.index.count_index.CountIndex` answers a MINDIST
+The flat :class:`~repro.index.snapshot.IndexSnapshot` answers a MINDIST
 ordering with one vectorized sort over all blocks — simple and, in
 numpy, fast.  The paper's testbed instead keeps the counts in the index
 *hierarchy* and scans blocks through a priority queue, visiting only as

@@ -397,6 +397,52 @@ class IndexSnapshot:
         return rows
 
     # ------------------------------------------------------------------
+    # Densities and range selectivity (the classic estimator of the
+    # paper's related work [2, 4]: within-block uniformity => count
+    # scales with the overlapped area fraction).  A QEP that mixes a
+    # k-NN operator with a spatial range predicate (Section 1's hotel/
+    # downtown example) needs both estimates from the same statistics.
+    # ------------------------------------------------------------------
+    def densities(self) -> np.ndarray:
+        """Per-block point densities (count / area).
+
+        Degenerate zero-area blocks (possible with R-tree MBRs of
+        collinear points) get an infinite density; the density-based
+        estimator treats them via the combined-density path where areas
+        are summed first.
+        """
+        with np.errstate(divide="ignore"):
+            return np.where(self.areas > 0, self.counts / self.areas, np.inf)
+
+    def estimate_range_count(self, region) -> float:
+        """Estimate how many points fall inside ``region`` (``Rect`` or bounds).
+
+        Each block contributes ``count * area(block ∩ region) / area(block)``
+        under the uniformity assumption; degenerate (zero-area) blocks
+        contribute their full count when they intersect the region.
+        """
+        x_min, y_min, x_max, y_max = as_anchor(region)
+        bounds = self.rects
+        areas = self.areas
+        overlap_w = np.minimum(bounds[:, 2], x_max) - np.maximum(bounds[:, 0], x_min)
+        overlap_h = np.minimum(bounds[:, 3], y_max) - np.maximum(bounds[:, 1], y_min)
+        intersects = (overlap_w >= 0) & (overlap_h >= 0)
+        overlap_area = np.clip(overlap_w, 0.0, None) * np.clip(overlap_h, 0.0, None)
+        fractions = np.where(
+            areas > 0,
+            overlap_area / np.where(areas > 0, areas, 1.0),
+            intersects.astype(float),
+        )
+        return float((self.counts * fractions).sum())
+
+    def estimate_range_selectivity(self, region) -> float:
+        """Estimated fraction of all points that fall inside ``region``."""
+        total = self.total_count
+        if total == 0:
+            return 0.0
+        return self.estimate_range_count(region) / total
+
+    # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
     def storage_bytes(self) -> int:
@@ -419,9 +465,7 @@ class IndexSnapshot:
 def as_snapshot(obj) -> IndexSnapshot:
     """Normalize an index-like argument to an :class:`IndexSnapshot`.
 
-    Accepts an :class:`IndexSnapshot` (returned as-is), anything with a
-    ``snapshot`` attribute holding one (e.g.
-    :class:`~repro.index.count_index.CountIndex`), or a
+    Accepts an :class:`IndexSnapshot` (returned as-is) or a
     :class:`~repro.index.base.SpatialIndex` (gathered on the spot).
     Estimators use this at their boundaries so callers can hand over
     whichever representation they already have — and so a
@@ -433,9 +477,6 @@ def as_snapshot(obj) -> IndexSnapshot:
     """
     if isinstance(obj, IndexSnapshot):
         return obj
-    snapshot = getattr(obj, "snapshot", None)
-    if isinstance(snapshot, IndexSnapshot):
-        return snapshot
     if hasattr(obj, "block_bounds_array") and hasattr(obj, "blocks"):
         return IndexSnapshot.from_index(obj)
     raise TypeError(

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
 
-from repro.geometry import Point, mindist_point_rect, mindist_points_rects
-from repro.geometry.kernels import mindist_rects
+from repro.geometry import Point, mindist_point_rect
+from repro.geometry.kernels import mindist_rects, mindist_rects_batch
 from repro.index.base import Block, SpatialIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 
@@ -159,7 +158,7 @@ def select_cost(index: SpatialIndex, query: Point, k: int) -> int:
 
 
 def select_cost_profile(
-    count_index,
+    snapshot,
     blocks,
     query: Point,
     max_k: int,
@@ -174,11 +173,10 @@ def select_cost_profile(
     points with distance strictly below the next block's MINDIST.
 
     Args:
-        count_index: Block summary of the data blocks (an
-            :class:`~repro.index.snapshot.IndexSnapshot`, a
-            :class:`~repro.index.count_index.CountIndex`, or a raw
-            index) — supplies the MINDIST ordering without touching
-            points.
+        snapshot: Block summary of the data blocks (an
+            :class:`~repro.index.snapshot.IndexSnapshot`, or a raw
+            index to gather one from) — supplies the MINDIST ordering
+            without touching points.
         blocks: The data blocks themselves, indexable by the
             summary's block order (catalog *construction* is the one
             offline step that does read points).  A columnar
@@ -202,12 +200,12 @@ def select_cost_profile(
         ValueError: If ``max_k < 1``.
     """
     return select_cost_profile_covered(
-        count_index, blocks, query, max_k, mindists_all=mindists_all
+        snapshot, blocks, query, max_k, mindists_all=mindists_all
     )[0]
 
 
 def select_cost_profile_covered(
-    count_index,
+    snapshot,
     blocks,
     query: Point,
     max_k: int,
@@ -235,7 +233,7 @@ def select_cost_profile_covered(
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
-    snap = as_snapshot(count_index)
+    snap = as_snapshot(snapshot)
     n_blocks = snap.n_blocks
     if n_blocks == 0:
         return [], np.inf
@@ -320,7 +318,7 @@ def select_cost_profile_covered(
 
 
 def select_cost_exact(
-    count_index,
+    snapshot,
     blocks,
     query: Point,
     k: int,
@@ -335,7 +333,7 @@ def select_cost_exact(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    snap = as_snapshot(count_index)
+    snap = as_snapshot(snapshot)
     profile = select_cost_profile(snap, blocks, query, k)
     if not profile:
         return 0
@@ -363,11 +361,6 @@ def brute_force_knn(points: np.ndarray, query: Point, k: int) -> np.ndarray:
     idx = np.argpartition(dists, k_eff - 1)[:k_eff]
     idx = idx[np.argsort(dists[idx], kind="stable")]
     return pts[idx]
-
-
-# A snapshot row's bounds as mindist_point_rect reads them; a Rect would
-# re-validate what IndexSnapshot already validated, once per emitted block.
-_Bounds = namedtuple("_Bounds", "x_min y_min x_max y_max")
 
 
 def _ordered_windows(snapshot: IndexSnapshot, tableau: np.ndarray, want: int):
@@ -410,13 +403,14 @@ class SnapshotBlockStream:
     protocol state, so a respawned worker incarnation resumes a stream
     mid-query without any handshake.
 
-    MINDISTs come from the :func:`~repro.geometry.mindist_points_rects`
-    kernel (:meth:`batch` shares the pass across queries), but a query
-    that scans a handful of blocks never sorts every leaf: only a window
-    of the :data:`FIRST_WINDOW` nearest is ordered, doubled on demand.
-    Each block's stop-test ``threshold`` is recomputed with the scalar
-    :func:`~repro.geometry.mindist_point_rect` — exactly the float the
-    heap browser compares gathered distances against.
+    MINDISTs come from the
+    :func:`~repro.geometry.kernels.mindist_rects_batch` kernel
+    (:meth:`batch` shares the pass across queries), but a query that
+    scans a handful of blocks never sorts every leaf: only a window of
+    the :data:`FIRST_WINDOW` nearest is ordered, doubled on demand.
+    A block's stop-test ``threshold`` *is* its MINDIST: the kernel and
+    the scalar :func:`~repro.geometry.mindist_point_rect` the heap
+    browser compares gathered distances against are one float.
 
     Args:
         snapshot: The (sub-)snapshot to stream, in any layout; its
@@ -445,7 +439,7 @@ class SnapshotBlockStream:
         # Cache-sized tableau chunks: a pass costs the same per cell either way.
         step = max(1, (1 << 14) // max(snapshot.n_blocks, 1))
         for lo in range(0, len(queries), step):
-            tableau = mindist_points_rects(pts[lo : lo + step], snapshot.rects)
+            tableau = mindist_rects_batch(pts[lo : lo + step], snapshot.rects)
             windows = _ordered_windows(snapshot, tableau, cls.FIRST_WINDOW)
             for query, mindists, window in zip(queries[lo : lo + step], tableau, windows):
                 stream = cls(snapshot, query)
@@ -461,16 +455,16 @@ class SnapshotBlockStream:
         """The stream's ``rank``-th block as ``(mindist, block_id, threshold, row)``.
 
         ``row`` is the block's physical row in the snapshot (for
-        pairing with per-block row/point arrays); ``threshold`` is the
-        scalar-kernel MINDIST used by the browser's stop test.
+        pairing with per-block row/point arrays); ``threshold``, the
+        value the browser's stop test compares against, is ``mindist``.
         """
         entry = self._entries.get(rank)
         if entry is None:
             if not 0 <= rank < self.n_blocks:
                 raise IndexError(f"stream rank {rank} out of range")
             if self._mindists is None:
-                (self._mindists,) = mindist_points_rects(
-                    np.array([[self.query.x, self.query.y]]), self._snapshot.rects
+                self._mindists = mindist_rects(
+                    (self.query.x, self.query.y), self._snapshot.rects
                 )
             want = max(2 * (rank + 1), self.FIRST_WINDOW)
             while rank >= self._window[3]:
@@ -479,13 +473,12 @@ class SnapshotBlockStream:
                 )
                 want *= 2
             mindists, block_ids, rows, __ = self._window
-            row = int(rows[rank])
-            rect = _Bounds(*self._snapshot.rects[row].tolist())
+            mindist = float(mindists[rank])
             entry = self._entries[rank] = (
-                float(mindists[rank]),
+                mindist,
                 int(block_ids[rank]),
-                mindist_point_rect(self.query, rect),
-                row,
+                mindist,
+                int(rows[rank]),
             )
         return entry
 

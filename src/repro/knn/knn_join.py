@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.index.base import SpatialIndex
-from repro.index.count_index import CountIndex
+from repro.index.snapshot import IndexSnapshot
 from repro.knn.locality import locality_block_indices
 
 
@@ -34,9 +34,9 @@ def knn_join_cost(outer: SpatialIndex, inner: SpatialIndex, k: int) -> int:
     Returns:
         ``sum over outer blocks of |locality(block, k)|``.
     """
-    inner_counts = CountIndex.from_index(inner)
+    inner_snapshot = IndexSnapshot.from_index(inner)
     return sum(
-        int(locality_block_indices(inner_counts, block.rect, k).shape[0])
+        int(locality_block_indices(inner_snapshot, block.rect, k).shape[0])
         for block in outer.blocks
     )
 
@@ -63,12 +63,12 @@ def knn_join(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    inner_counts = CountIndex.from_index(inner)
+    inner_snapshot = IndexSnapshot.from_index(inner)
     stats = JoinStats()
 
     def generate() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for block in outer.blocks:
-            locality = locality_block_indices(inner_counts, block.rect, k)
+            locality = locality_block_indices(inner_snapshot, block.rect, k)
             stats.blocks_scanned += int(locality.shape[0])
             stats.outer_blocks_processed += 1
             candidate_arrays = [inner.blocks[i].points for i in locality]

@@ -14,8 +14,7 @@ the sum of locality sizes over all outer blocks.
 
 All functions here consume the columnar block summary — an
 :class:`~repro.index.snapshot.IndexSnapshot`, or anything
-:func:`~repro.index.snapshot.as_snapshot` can normalize (a
-:class:`~repro.index.count_index.CountIndex`, a raw
+:func:`~repro.index.snapshot.as_snapshot` can normalize (a raw
 :class:`~repro.index.base.SpatialIndex`) — and compute with the
 vectorized :mod:`repro.geometry.kernels`.  The outer anchor may be a
 :class:`~repro.geometry.rect.Rect` or bare ``(x_min, y_min, x_max,
@@ -36,10 +35,10 @@ Zero-count-block semantics
 :func:`locality_size_profile` (the all-k staircase path) must agree for
 every ``k`` — the profile is the Catalog-Merge/Virtual-Grid
 preprocessing input, while the per-k path is the oracle the tests
-compare against.  With a :class:`~repro.index.count_index.CountIndex`
-inner, zero-count blocks cannot occur (the Count-Index only tracks
-non-empty blocks, per DESIGN.md §5).  A bare snapshot *may* carry
-zero-count blocks, and both paths handle them identically: a zero-count
+compare against.  A snapshot gathered from an index carries no
+zero-count blocks (:meth:`~repro.index.snapshot.IndexSnapshot.from_index`
+walks non-empty blocks only, per DESIGN.md §5).  One built from bare
+arrays *may*, and both paths handle them identically: a zero-count
 block never advances the cumulative sum, but while it sits inside the
 accumulating prefix its MAXDIST still raises the running mark ``M``
 (the per-k path takes the max over the whole prefix up to the first

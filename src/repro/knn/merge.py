@@ -12,7 +12,8 @@ three pieces:
 * one :class:`QueryMerge` per query, admitting whichever source's head
   sorts first on the global key and applying the browser's stop rule:
   once ``k`` gathered rows lie *strictly* below the next block's
-  scalar-kernel threshold, no unscanned block can contribute;
+  MINDIST (the entries' ``threshold`` field, the same float), no
+  unscanned block can contribute;
 * :func:`run_merges`, the resume loop — ``advance()`` → fetch what
   starved → ``extend()`` — parameterised only by how a resume is
   fetched (an in-process ``take`` in the engine, one supervised round
@@ -258,7 +259,7 @@ class QueryMerge:
             else:
                 nxt = live if gap is None or (live is not None and live < gap) else gap
                 # Every stream spent, or the browser's stop rule on the
-                # scalar threshold of whichever block comes next globally.
+                # threshold of whichever block comes next globally.
                 if nxt is None or (self.gathered >= self.k and self._k_below(nxt[2])):
                     self.finished = True
                     return None

@@ -236,7 +236,7 @@ def _locality_chunk(
 
 
 def select_cost_profiles(
-    count_index,
+    snapshot,
     view: BlockPointsView,
     anchors: Sequence[Point],
     max_k: int,
@@ -245,10 +245,9 @@ def select_cost_profiles(
     """Cost profiles (with coverage radii) for many anchors, in anchor order.
 
     Args:
-        count_index: Block summary of the data blocks (an
-            :class:`~repro.index.snapshot.IndexSnapshot`, a
-            :class:`~repro.index.count_index.CountIndex`, or a raw
-            index).
+        snapshot: Block summary of the data blocks (an
+            :class:`~repro.index.snapshot.IndexSnapshot`, or a raw
+            index to gather one from).
         view: Columnar points view of the same blocks (same order).
         anchors: Anchor points to profile.
         max_k: Largest k each profile must cover.
@@ -263,7 +262,7 @@ def select_cost_profiles(
     workers = resolve_workers(workers)
     if len(anchors) == 0:
         return []
-    summary = as_snapshot(count_index)
+    summary = as_snapshot(snapshot)
     coords = [(a.x, a.y) for a in anchors]
     if workers <= 1 or len(anchors) <= 1:
         return _profiles_batched(summary, view, coords, max_k)
@@ -290,8 +289,8 @@ def locality_size_profiles(
     sampled outer blocks (Catalog-Merge) or grid cells (Virtual-Grid).
 
     Args:
-        inner: Block summary of the inner relation (snapshot,
-            Count-Index, or raw index).
+        inner: Block summary of the inner relation (snapshot or raw
+            index).
         rects: Outer rectangles — a sequence of
             :class:`~repro.geometry.rect.Rect`/bounds tuples or an
             ``(m, 4)`` bounds array.

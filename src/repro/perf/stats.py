@@ -34,7 +34,7 @@ class PreprocessingStats:
             leaf; for the join techniques: one per sampled outer block
             or grid cell).
         anchors_unique: Distinct anchors after geometric deduplication
-            (equal to ``anchors_total`` when dedup is disabled).
+            (at most ``anchors_total``; interior corners are shared).
         profiles_computed: Cost/locality profiles actually computed —
             the unit of preprocessing work.
         phase_seconds: Wall seconds per named build phase

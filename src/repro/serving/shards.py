@@ -112,7 +112,7 @@ def plan_shards(index_or_snapshot, n_shards: int) -> ShardPlan:
 
     Args:
         index_or_snapshot: Anything :func:`~repro.index.snapshot.as_snapshot`
-            accepts — a snapshot, a Count-Index, or a raw spatial index.
+            accepts — a snapshot or a raw spatial index.
         n_shards: Number of shard regions (>= 1).
 
     Raises:

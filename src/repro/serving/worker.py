@@ -1,13 +1,23 @@
 """Shard-worker process internals.
 
 One shard = one single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-whose process is initialized once with the (pickle-shipped) point set
-and serving configuration — the same ``initargs`` pattern as
+whose process is initialized once with its (pickle-shipped) payload and
+serving configuration — the same ``initargs`` pattern as
 :mod:`repro.perf.parallel` — and then serves batched sub-workloads.
-Each worker builds a full :class:`~repro.engine.SpatialEngine` replica
-over the points; the quadtree partition is a pure function of the
-points and capacity, so a worker's ``execute_batch`` output is
-bit-identical to the coordinator's unsharded engine.
+Two kinds of worker, one per shard mode:
+
+* a **replica** worker (:func:`_init_shard_worker`,
+  :func:`_serve_shard_chunk`) builds a full
+  :class:`~repro.engine.SpatialEngine` over the whole point set; the
+  quadtree partition is a pure function of the points and capacity, so
+  its ``execute_batch`` output is bit-identical to the coordinator's
+  unsharded engine;
+* a **data** worker (:func:`_init_data_shard_worker`,
+  :func:`_serve_data_shard_chunk`) holds only its shard's blocks — a
+  sub-snapshot with global block ids, the member rows and points — and
+  answers the rounds of the cross-shard merge protocol
+  (``open`` / ``resume`` / ``scan``) that the coordinator's
+  :class:`~repro.knn.merge.QueryMerge` replays into the unsharded answer.
 
 Deadline propagation: every chunk message carries the coordinator's
 *remaining* time budget, and the worker calls
@@ -250,7 +260,7 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     * ``"resume"`` — the stateless fallback: continue named queries'
       streams from their ``cursors`` until ``min_points`` are gathered
       or ``min_mindists`` is reached, replied in the same format
-      (:func:`~repro.knn.merge.gather_blocks`');
+      (:func:`~repro.knn.merge.gather_blocks`);
     * ``"scan"`` — the shard's full-scan local top-k with global
       tie-break keys, for queries whose plan chose the filter operator.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_osm_like, generate_uniform
-from repro.index.count_index import CountIndex
+from repro.index.snapshot import IndexSnapshot
 from repro.index.quadtree import Quadtree
 
 
@@ -29,9 +29,9 @@ def osm_quadtree(osm_points) -> Quadtree:
 
 
 @pytest.fixture(scope="session")
-def osm_count_index(osm_quadtree) -> CountIndex:
-    """The Count-Index of the shared quadtree."""
-    return CountIndex.from_index(osm_quadtree)
+def osm_count_index(osm_quadtree) -> IndexSnapshot:
+    """The Count-Index (block summary) of the shared quadtree."""
+    return IndexSnapshot.from_index(osm_quadtree)
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +41,6 @@ def inner_quadtree() -> Quadtree:
 
 
 @pytest.fixture(scope="session")
-def inner_count_index(inner_quadtree) -> CountIndex:
-    """The Count-Index of the second relation."""
-    return CountIndex.from_index(inner_quadtree)
+def inner_count_index(inner_quadtree) -> IndexSnapshot:
+    """The Count-Index (block summary) of the second relation."""
+    return IndexSnapshot.from_index(inner_quadtree)

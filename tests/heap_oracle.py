@@ -137,3 +137,22 @@ def heap_knn_select(
             if len(found) == query.k:
                 break
     return np.array(found, dtype=np.int64), browser.blocks_scanned
+
+
+def corner_tie_table() -> tuple[SpatialTable, KnnSelectQuery]:
+    """A row on an unscanned block's corner, exactly at the k-th distance.
+
+    The universe splits at (64, 64); from (92, 111) the SW quadrant's
+    MINDIST is hypot(28, 47) to that corner, and row 0 — in the NE
+    quadrant, the query's own block — sits on it as the 3rd neighbour.
+    hypot(28, 47) is one of the inputs on which libm and the ``math``
+    module's hypot differ by 1 ulp: with the row distance from one and
+    the block threshold from the other, 54.708317466359716 <
+    54.70831746635972 ended the scan before the SW block.  Under one
+    definition ``dist == MINDIST``, not strictly below, and the strict
+    rule scans all four blocks.
+    """
+    points = np.array(
+        [[64, 64], [128, 128], [90, 110], [10, 100], [100, 10], [0, 0], [30, 30]], dtype=float
+    )
+    return SpatialTable("t", points, capacity=3), KnnSelectQuery("t", Point(92.0, 111.0), k=3)

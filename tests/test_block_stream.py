@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rect, mindist_point_rect, mindist_points_rects
+from repro.geometry import Point, Rect, mindist_point_rect
 from repro.index import IndexSnapshot
 from repro.knn.merge import QueryMerge
 from repro.knn.distance_browsing import SnapshotBlockStream
@@ -43,14 +43,12 @@ _points = st.builds(Point, st.integers(-2, 14).map(float), st.integers(-2, 14).m
 
 
 def _full_sort(snapshot: IndexSnapshot, query: Point) -> list:
-    mindists = mindist_points_rects(np.array([[query.x, query.y]]), snapshot.rects)[0]
+    """Every block by (scalar MINDIST, block id); the threshold is that MINDIST."""
+    mindists = np.array(
+        [mindist_point_rect(query, Rect(*row)) for row in snapshot.rects], dtype=float
+    )
     return [
-        (
-            float(mindists[row]),
-            int(snapshot.block_ids[row]),
-            mindist_point_rect(query, Rect(*snapshot.rects[row])),
-            int(row),
-        )
+        (float(mindists[row]), int(snapshot.block_ids[row]), float(mindists[row]), int(row))
         for row in np.lexsort((snapshot.block_ids, mindists))
     ]
 
@@ -77,6 +75,7 @@ def test_stream_emits_the_full_sort(snapshot, queries, data):
                     emitted.append(stream.entry(cursor))
                     cursor += 1
             assert emitted == expected
+            assert all(entry[0] == entry[2] for entry in emitted)  # one MINDIST float
             assert stream.bound(n) is None
             assert stream.take(n, min_points=3) == ([], n)
         # A fresh stream resumes mid-sequence (a respawned worker does).

@@ -37,9 +37,9 @@ from repro.engine.physical import (
     RegionPrunedKnnOperator,
     execute_incremental_knn_batch,
 )
-from repro.geometry import Point, Rect, mindist_points_rects
+from repro.geometry import Point, Rect, mindist_point_rect
 from repro.index import IndexSnapshot
-from tests.heap_oracle import heap_knn_select, qualifies
+from tests.heap_oracle import corner_tie_table, heap_knn_select, qualifies
 
 #: cell -> (has predicate, has region, pinned operator)
 CELLS = {
@@ -104,8 +104,9 @@ def brute_force(table: SpatialTable, query: KnnSelectQuery) -> np.ndarray:
     every row of the table is considered — no browsing, no stopping.
     """
     snapshot = IndexSnapshot.from_index(table.index)
-    point = np.array([[query.query.x, query.query.y]])
-    mindists = mindist_points_rects(point, snapshot.rects)[0]
+    mindists = np.array(
+        [mindist_point_rect(query.query, Rect(*row)) for row in snapshot.rects], dtype=float
+    )
     scan = [
         row
         for i in np.lexsort((snapshot.block_ids, mindists))
@@ -159,6 +160,19 @@ def test_browser_matches_oracles(cell, entry, layout):
                 np.testing.assert_array_equal(other.row_ids, result.row_ids)
 
     check()
+
+
+@pytest.mark.parametrize("entry", ["execute", "execute_batch"])
+def test_row_on_an_unscanned_blocks_corner_is_not_strictly_below_it(entry):
+    table, query = corner_tie_table()
+    engine = SpatialEngine(
+        StatisticsManager(max_k=8), pinned_operators={"select": IncrementalKnnOperator.name}
+    )
+    engine.register(table)
+    result, __ = engine.execute(query) if entry == "execute" else engine.execute_batch([query])[0]
+    rows, scanned = heap_knn_select(table, query)
+    assert result.row_ids.tolist() == rows.tolist() == brute_force(table, query).tolist() == [2, 1, 0]
+    assert result.blocks_scanned == scanned == table.index.num_blocks == 4
 
 
 @pytest.mark.parametrize(

@@ -84,13 +84,13 @@ class TestCodec:
 class TestJoinEstimatorRoundTrips:
     def test_catalog_merge_round_trip(self, tree, tmp_path):
         from repro.estimators import CatalogMergeEstimator
-        from repro.index import CountIndex, Quadtree
+        from repro.index import IndexSnapshot, Quadtree
 
         inner = Quadtree(
             np.random.default_rng(7).uniform(0, 1000, (3_000, 2)), capacity=64
         )
         original = CatalogMergeEstimator(
-            tree, CountIndex.from_index(inner), sample_size=25, max_k=128
+            tree, IndexSnapshot.from_index(inner), sample_size=25, max_k=128
         )
         path = tmp_path / "pair.bin"
         original.to_store().save(path)
@@ -109,16 +109,16 @@ class TestJoinEstimatorRoundTrips:
     def test_virtual_grid_round_trip(self, tree, tmp_path):
         from repro.datasets import WORLD_BOUNDS
         from repro.estimators import VirtualGridEstimator
-        from repro.index import CountIndex
+        from repro.index import IndexSnapshot
 
         original = VirtualGridEstimator(
-            CountIndex.from_index(tree), bounds=WORLD_BOUNDS, grid_size=4, max_k=64
+            IndexSnapshot.from_index(tree), bounds=WORLD_BOUNDS, grid_size=4, max_k=64
         )
         path = tmp_path / "grid.bin"
         original.to_store().save(path)
         reloaded = VirtualGridEstimator.from_store(CatalogStore.load(path))
         assert reloaded.grid_size == 4
-        outer = CountIndex.from_index(tree)
+        outer = IndexSnapshot.from_index(tree)
         for k in (1, 16, 64):
             assert reloaded.estimate(outer, k) == original.estimate(outer, k)
         assert reloaded.storage_bytes() == original.storage_bytes()

@@ -57,7 +57,7 @@ class TestRegionPrunedKnn:
         region = Rect(80, 80, 95, 95)
         query = KnnSelectQuery("places", Point(5, 5), k=5, region=region)
         result = RegionPrunedKnnOperator(table, query).execute()
-        assert result.blocks_scanned <= table.count_index.overlapping(region).shape[0]
+        assert result.blocks_scanned <= table.snapshot.overlapping(region).shape[0]
 
     def test_requires_region(self, engine):
         table = engine.stats.table("places")

@@ -34,7 +34,7 @@ class TestRangeExecution:
         table = engine.stats.table("places")
         region = Rect(0, 0, 25, 25)
         result, explanation = engine.execute(RangeQuery("places", region))
-        overlapping = table.count_index.overlapping(region).shape[0]
+        overlapping = table.snapshot.overlapping(region).shape[0]
         assert result.blocks_scanned == overlapping
         assert explanation.cost_of("index-range-scan") == overlapping
 

@@ -35,8 +35,7 @@ class TestConstruction:
     def test_empty_table(self):
         t = SpatialTable("empty", np.empty((0, 2)))
         assert t.n_rows == 0
-        with pytest.raises(ValueError):
-            t.count_index
+        assert t.snapshot.n_blocks == 0 and t.snapshot.total_count == 0
 
     def test_unknown_column(self, table):
         with pytest.raises(KeyError):

@@ -5,13 +5,13 @@ import pytest
 
 from repro.estimators import DensityBasedEstimator
 from repro.geometry import Point
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import select_cost
 
 
 class TestBasics:
     def test_rejects_empty_index(self):
-        ci = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        ci = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             DensityBasedEstimator(ci)
 
@@ -32,7 +32,9 @@ class TestBasics:
 
     def test_storage_is_count_index(self, osm_count_index):
         est = DensityBasedEstimator(osm_count_index)
-        assert est.storage_bytes() == osm_count_index.storage_bytes()
+        # Four float64 bounds and one int64 count per block: densities
+        # derive from them, centers and block ids are not persisted.
+        assert est.storage_bytes() == osm_count_index.n_blocks * 40
 
     def test_no_preprocessing(self, osm_count_index):
         assert DensityBasedEstimator(osm_count_index).preprocessing_seconds == 0.0
@@ -51,7 +53,7 @@ class TestDk:
         n = 20_000
         pts = rng.uniform(0, 100, size=(n, 2))
         tree = Quadtree(pts, capacity=256)
-        est = DensityBasedEstimator(CountIndex.from_index(tree))
+        est = DensityBasedEstimator(IndexSnapshot.from_index(tree))
         density = n / (100.0 * 100.0)
         for k in (10, 100, 500):
             expected = np.sqrt(k / (np.pi * density))
@@ -63,7 +65,7 @@ class TestDk:
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 100, size=(20_000, 2))
         tree = Quadtree(pts, capacity=256)
-        est = DensityBasedEstimator(CountIndex.from_index(tree))
+        est = DensityBasedEstimator(IndexSnapshot.from_index(tree))
         q = Point(50, 50)
         for k in (50, 200):
             dk = est.estimate_dk(q, k)
@@ -78,7 +80,7 @@ class TestAccuracy:
         rng = np.random.default_rng(2)
         pts = rng.uniform(0, 100, size=(10_000, 2))
         tree = Quadtree(pts, capacity=128)
-        est = DensityBasedEstimator(CountIndex.from_index(tree))
+        est = DensityBasedEstimator(IndexSnapshot.from_index(tree))
         errors = []
         for __ in range(30):
             q = Point(float(rng.uniform(20, 80)), float(rng.uniform(20, 80)))

@@ -11,7 +11,7 @@ from repro.estimators import (
     VirtualGridEstimator,
     sample_block_indices,
 )
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import knn_join_cost, locality_size
 
 
@@ -67,7 +67,7 @@ class TestBlockSample:
             est.estimate(0)
 
     def test_rejects_empty_inner(self, osm_quadtree):
-        empty = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        empty = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             BlockSampleEstimator(osm_quadtree, empty, sample_size=5)
 
@@ -175,8 +175,8 @@ class TestVirtualGrid:
         """The linear-storage property: the same inner-relation catalogs
         estimate joins with any outer relation."""
         other_outer = Quadtree(uniform_points, capacity=64)
-        e1 = grid_estimator.estimate(CountIndex.from_index(osm_quadtree), 32)
-        e2 = grid_estimator.estimate(CountIndex.from_index(other_outer), 32)
+        e1 = grid_estimator.estimate(IndexSnapshot.from_index(osm_quadtree), 32)
+        e2 = grid_estimator.estimate(IndexSnapshot.from_index(other_outer), 32)
         assert e1 > 0 and e2 > 0 and e1 != e2
 
     def test_k_beyond_max_k_raises(self, grid_estimator, osm_count_index):

@@ -6,7 +6,7 @@ import pytest
 from repro.catalog import IntervalCatalog
 from repro.estimators import StaircaseEstimator, build_select_catalog
 from repro.geometry import Point
-from repro.index import CountIndex, Quadtree, RTree
+from repro.index import IndexSnapshot, Quadtree, RTree
 from repro.knn import select_cost
 
 
@@ -124,7 +124,7 @@ class TestEstimation:
         from repro.estimators import DensityBasedEstimator
 
         q = Point(500, 500)
-        fallback = DensityBasedEstimator(CountIndex.from_index(tree))
+        fallback = DensityBasedEstimator(IndexSnapshot.from_index(tree))
         assert estimator.estimate(q, 10_000) == fallback.estimate(q, 10_000)
 
     def test_rejects_k_zero(self, estimator):
@@ -161,18 +161,18 @@ class TestAccuracy:
 
 class TestCatalogBuilding:
     def test_build_select_catalog_padded(self, tree):
-        ci = CountIndex.from_index(tree)
+        ci = IndexSnapshot.from_index(tree)
         cat = build_select_catalog(ci, tree.blocks, Point(500, 500), 10_000_000)
         assert cat.max_k == 10_000_000  # padded beyond the data size
 
     def test_build_select_catalog_empty_dataset(self):
-        ci = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        ci = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         cat = build_select_catalog(ci, [], Point(0, 0), 100)
         assert isinstance(cat, IntervalCatalog)
         assert cat.lookup(50) == 0.0
 
     def test_catalog_matches_ground_truth_at_anchor(self, tree):
-        ci = CountIndex.from_index(tree)
+        ci = IndexSnapshot.from_index(tree)
         rng = np.random.default_rng(5)
         b = tree.bounds
         for __ in range(5):

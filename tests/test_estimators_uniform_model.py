@@ -5,7 +5,7 @@ import pytest
 
 from repro.estimators import UniformModelEstimator
 from repro.geometry import Point
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import select_cost
 
 
@@ -17,13 +17,13 @@ def uniform_tree():
 
 @pytest.fixture(scope="module")
 def model(uniform_tree):
-    return UniformModelEstimator(CountIndex.from_index(uniform_tree))
+    return UniformModelEstimator(IndexSnapshot.from_index(uniform_tree))
 
 
 class TestBasics:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            UniformModelEstimator(CountIndex(np.empty((0, 4)), np.empty(0, dtype=int)))
+            UniformModelEstimator(IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int)))
 
     def test_rejects_k_zero(self, model):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestAccuracy:
         non-uniformity.  At small k the local density of a clustered
         dataset is far above the global average, so the model's errors
         blow up there."""
-        model = UniformModelEstimator(CountIndex.from_index(osm_quadtree))
+        model = UniformModelEstimator(IndexSnapshot.from_index(osm_quadtree))
         pts = osm_quadtree.all_points()
         rng = np.random.default_rng(2)
         errors = []

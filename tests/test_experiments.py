@@ -12,10 +12,12 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     PROFILES,
+    build_index,
     get_config,
 )
 from repro.experiments.fig12_select_time import k_series
 from repro.experiments.runner import EXPERIMENTS, experiment_runner, main
+from tests.reference_builds import staircase_store
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +92,6 @@ def _catalog_merge_lookups(estimator, k, monkeypatch) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(IntervalCatalog, "lookup", counting_lookup)
         for name in (
-            "locality_size_profile",
             "locality_size_profiles",
             "locality_coverage_radii",
         ):
@@ -133,8 +134,8 @@ class TestShapes:
     def test_fig13_rows_and_timings_well_formed(self, quick):
         result = experiment_runner("fig13")(quick)
         assert result.column("scale") == list(quick.scales)
-        for __, t_cc, t_ref, speedup, t_c, __d in result.rows:
-            assert all(math.isfinite(t) and t > 0.0 for t in (t_cc, t_ref, speedup, t_c))
+        for __, t_cc, t_c, __d in result.rows:
+            assert all(math.isfinite(t) and t > 0.0 for t in (t_cc, t_c))
 
     def test_fig13_corners_cost_more_than_center(self, quick):
         # In profiles computed (five anchors per leaf against one).
@@ -147,15 +148,20 @@ class TestShapes:
             )
 
     def test_fig13_shared_build_beats_reference(self, quick):
-        # In anchors profiled: the shared build dedupes corners that up
-        # to four sibling leaves have in common.
+        # In anchors profiled: the per-anchor reference build
+        # (tests/reference_builds.py) runs Procedure 1 five times per
+        # leaf; the shared build dedupes corners that up to four sibling
+        # leaves have in common, and yields the same catalogs.
         for scale in quick.scales:
-            shared = select_support.staircase_estimator(quick, scale).preprocessing_stats
-            reference = select_support.staircase_estimator(
-                quick, scale, dedup=False
-            ).preprocessing_stats
-            assert shared.anchors_unique < shared.anchors_total
-            assert shared.profiles_computed < reference.profiles_computed
+            estimator = select_support.staircase_estimator(quick, scale)
+            shared = estimator.preprocessing_stats
+            index = build_index(
+                scale, quick.base_n, quick.capacity, quick.seed, quick.dataset_kind
+            )
+            assert shared.anchors_total == 5 * len(index.leaves)
+            assert shared.profiles_computed == shared.anchors_unique < shared.anchors_total
+        reference = staircase_store(index, quick.max_k)
+        assert estimator.to_store().to_bytes() == reference.to_bytes()
 
     def test_fig14_storage_ordering(self, quick):
         result = experiment_runner("fig14")(quick)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.index import CountIndex, HierarchicalCountIndex, Quadtree, RTree
+from repro.index import HierarchicalCountIndex, IndexSnapshot, Quadtree, RTree
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +40,12 @@ class TestMirror:
 
 class TestScan:
     def test_scan_order_matches_flat_index(self, tree, hier):
-        flat = CountIndex.from_index(tree)
+        flat = IndexSnapshot.from_index(tree)
         rng = np.random.default_rng(1)
         for __ in range(5):
             q = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
             lazy = list(hier.mindist_scan(q))
-            __, flat_mindists = flat.mindist_order_from_point(q)
+            __, flat_mindists = flat.mindist_order(q)
             lazy_mindists = [m for __, __, m in lazy]
             # Same multiset of MINDISTs in the same (sorted) order; block
             # identity at ties can differ between the two scans.
@@ -53,10 +53,10 @@ class TestScan:
             assert len(lazy) == flat.n_blocks
 
     def test_scan_from_rect(self, tree, hier):
-        flat = CountIndex.from_index(tree)
+        flat = IndexSnapshot.from_index(tree)
         rect = Rect(100, 100, 200, 200)
         lazy_mindists = [m for __, __, m in hier.mindist_scan(rect)]
-        __, flat_mindists = flat.mindist_order_from_rect(rect)
+        __, flat_mindists = flat.mindist_order(rect)
         assert np.allclose(lazy_mindists, flat_mindists)
 
     def test_scan_covers_each_block_once(self, tree, hier):
@@ -71,14 +71,14 @@ class TestScan:
 
 class TestExpandUntil:
     def test_covers_k_points(self, tree, hier):
-        flat = CountIndex.from_index(tree)
+        flat = IndexSnapshot.from_index(tree)
         for k in (1, 50, 500):
             blocks, last = hier.expand_until(Point(500, 500), k)
             covered = int(flat.counts[blocks].sum())
             assert covered >= min(k, hier.total_count)
 
     def test_prefix_is_minimal(self, tree, hier):
-        flat = CountIndex.from_index(tree)
+        flat = IndexSnapshot.from_index(tree)
         blocks, __ = hier.expand_until(Point(500, 500), 100)
         without_last = int(flat.counts[blocks[:-1]].sum())
         assert without_last < 100

@@ -12,7 +12,6 @@ from repro.datasets import generate_osm_like
 from repro.engine.stats import StatisticsManager
 from repro.geometry import Point, Rect
 from repro.index import (
-    CountIndex,
     IndexSnapshot,
     MutableQuadtree,
     Quadtree,
@@ -136,10 +135,6 @@ class TestPickle:
 class TestAsSnapshot:
     def test_snapshot_passes_through_identically(self, snapshot):
         assert as_snapshot(snapshot) is snapshot
-
-    def test_count_index_exposes_its_snapshot(self, index):
-        counts = CountIndex.from_index(index)
-        assert as_snapshot(counts) is counts.snapshot
 
     def test_raw_index_is_gathered(self, index, snapshot):
         gathered = as_snapshot(index)

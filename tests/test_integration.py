@@ -20,7 +20,7 @@ from repro.estimators import (
     VirtualGridEstimator,
 )
 from repro.geometry import Point, Rect
-from repro.index import CountIndex, MutableQuadtree, Quadtree, RTree
+from repro.index import IndexSnapshot, MutableQuadtree, Quadtree, RTree
 from repro.knn import knn_join_cost, select_cost
 
 
@@ -62,7 +62,7 @@ class TestJoinEstimatorConsensus:
         inner_pts = generate_osm_like(10_000, seed=32, structure_seed=30)
         outer = Quadtree(outer_pts, capacity=128)
         inner = Quadtree(inner_pts, capacity=128)
-        inner_counts = CountIndex.from_index(inner)
+        inner_counts = IndexSnapshot.from_index(inner)
         k = 96
 
         actual = knn_join_cost(outer, inner, k)
@@ -106,13 +106,13 @@ class TestWorldAlignment:
         inner_pts = generate_osm_like(5_000, seed=41)
         inner = Quadtree(inner_pts, capacity=64)
         grid = VirtualGridEstimator(
-            CountIndex.from_index(inner), bounds=WORLD_BOUNDS, grid_size=6, max_k=64
+            IndexSnapshot.from_index(inner), bounds=WORLD_BOUNDS, grid_size=6, max_k=64
         )
         # An outer occupying only one corner of the world.
         corner_outer = Quadtree(
             np.random.default_rng(1).uniform(0, 250, size=(2_000, 2)), capacity=64
         )
-        estimate = grid.estimate(CountIndex.from_index(corner_outer), 16)
+        estimate = grid.estimate(IndexSnapshot.from_index(corner_outer), 16)
         actual = knn_join_cost(corner_outer, inner, 16)
         assert estimate > 0
         assert estimate == pytest.approx(actual, rel=2.0)

@@ -234,9 +234,17 @@ class TestNumbaParity:
             )
 
     def test_dispatch_results_identical_under_numba(self, snapshot_and_index) -> None:
-        snap, __ = snapshot_and_index
+        snap, index = snapshot_and_index
         anchor = np.array([200.0, 450.0])
         region = np.array([100.0, 100.0, 600.0, 500.0])
+        # The executor takes its MINDIST tableau from the dispatched
+        # kernel, so the forced backend reaches execute_batch too.
+        table = IndexTable(index)
+        queries = [
+            KnnSelectQuery("t", Point(*xy), k=k)
+            for xy, k in (((250.0, 400.0), 40), ((900.0, 100.0), 7), ((-30.0, 512.0), 300))
+        ]
+        ref_answers = execute_incremental_knn_batch(table, queries, snap)
         ref = {
             "mindist": mindist_rects(anchor, snap.rects),
             "maxdist": maxdist_rects(anchor, snap.rects),
@@ -256,6 +264,9 @@ class TestNumbaParity:
                 ref["maxdist_b"], maxdist_rects_batch(snap.rects[:50], snap.rects)
             )
             assert np.array_equal(ref["overlap"], rect_overlap_mask(region, snap.rects))
+            for a, b in zip(ref_answers, execute_incremental_knn_batch(table, queries, snap)):
+                assert a.blocks_scanned == b.blocks_scanned
+                assert np.array_equal(a.row_ids, b.row_ids)
         finally:
             backends.set_backend(before)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.geometry import Point
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import (
     DistanceBrowser,
     brute_force_knn,
@@ -143,7 +143,7 @@ class TestProfile:
                 assert select_cost(osm_quadtree, q, k) == cost
 
     def test_empty_index(self):
-        ci = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        ci = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         assert select_cost_profile(ci, [], Point(0, 0), 10) == []
 
     def test_rejects_bad_max_k(self, osm_quadtree, osm_count_index):
@@ -155,7 +155,7 @@ class TestProfile:
         # the singleton requires expanding past the initial candidates.
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [100.0, 100.0]])
         tree = Quadtree(pts, capacity=1)
-        ci = CountIndex.from_index(tree)
+        ci = IndexSnapshot.from_index(tree)
         q = Point(100.0, 100.0)
         profile = select_cost_profile(ci, tree.blocks, q, 4)
         assert profile[-1][1] == 4

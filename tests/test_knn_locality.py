@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn import locality_block_indices, locality_size, locality_size_profile
 from repro.knn.distance_browsing import brute_force_knn
 
@@ -22,7 +22,7 @@ class TestLocalityDefinition:
     def test_locality_is_mindist_prefix(self, osm_quadtree, inner_count_index):
         block = osm_quadtree.blocks[3]
         idx = locality_block_indices(inner_count_index, block.rect, 50)
-        order, __ = inner_count_index.mindist_order_from_rect(block.rect)
+        order, __ = inner_count_index.mindist_order(block.rect)
         assert np.array_equal(idx, order[: idx.shape[0]])
 
     def test_guarantees_knn_of_every_point(self, osm_quadtree, inner_quadtree,
@@ -53,7 +53,7 @@ class TestLocalityDefinition:
         assert idx.shape[0] == inner_count_index.n_blocks
 
     def test_empty_inner(self):
-        ci = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        ci = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         assert locality_block_indices(ci, Rect(0, 0, 1, 1), 5).shape[0] == 0
 
     def test_rejects_k_zero(self, inner_count_index):
@@ -107,12 +107,12 @@ class TestLocalityProfile:
     def test_profile_ends_at_total_count_when_small(self):
         pts = np.random.default_rng(3).uniform(0, 10, size=(30, 2))
         tree = Quadtree(pts, capacity=8)
-        ci = CountIndex.from_index(tree)
+        ci = IndexSnapshot.from_index(tree)
         profile = locality_size_profile(ci, Rect(0, 0, 2, 2), 1000)
         assert profile[-1][1] == 30
 
     def test_empty_inner(self):
-        ci = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        ci = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         assert locality_size_profile(ci, Rect(0, 0, 1, 1), 10) == []
 
     def test_rejects_bad_max_k(self, inner_count_index):

@@ -6,6 +6,11 @@ the dependency points one way.  This walks the static import graph
 (every ``import`` statement, function-level ones included, followed
 transitively through ``src/repro``) from each lower layer and fails if
 it can reach ``repro.serving``.
+
+A second walk keeps retired names retired: second implementations that
+were folded into the one substrate (the ``CountIndex`` wrapper, the
+array metrics of ``geometry/metrics.py``, the reference-build knobs)
+must not come back under their old names.
 """
 
 from __future__ import annotations
@@ -88,3 +93,68 @@ def test_the_walk_sees_function_level_imports():
     # The guard is only as good as the walker: the workload replay's
     # lazy ``from repro.serving import serve_sharded`` must be visible.
     assert "repro.serving" in _imports("repro.workloads.serving")
+
+
+#: Names of second implementations that left ``src/``: the block-summary
+#: wrapper (the snapshot is the Count-Index), the array MINDIST/MAXDIST
+#: copies (the kernels are the only array definition) and the switches
+#: that selected an in-tree reference build (now ``tests/reference_builds.py``).
+RETIRED_NAMES = {
+    "CountIndex",
+    "count_index",
+    "_count_index",
+    "build_count_index",
+    "mindist_point_rects",
+    "mindist_points_rects",
+    "maxdist_point_rects",
+    "mindist_rect_rects",
+    "maxdist_rect_rects",
+    "dedup",
+    "_dedup",
+    "no_dedup",
+    "_build_reference",
+}
+
+
+def _identifiers(tree: ast.AST):
+    """Every identifier a module binds, reads, passes by keyword or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.arg):
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for part in (*alias.name.split("."), alias.asname):
+                    if part:
+                        yield part, node.lineno
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for part in node.module.split("."):
+                    yield part, node.lineno
+
+
+def test_retired_names_stay_retired():
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in sorted(MODULES.values())
+        for name, lineno in _identifiers(ast.parse(path.read_text()))
+        if name in RETIRED_NAMES
+    ]
+    assert not hits, "retired names are back in src/:\n" + "\n".join(hits)
+    assert not (SRC / "repro" / "index" / "count_index.py").exists()
+
+
+def test_the_retired_name_walk_sees_every_identifier_kind():
+    source = (
+        "from a.count_index import CountIndex as C\n"
+        "def f(dedup=True):\n"
+        "    return g(no_dedup=x._dedup)\n"
+    )
+    seen = {name for name, __ in _identifiers(ast.parse(source))}
+    assert {"count_index", "CountIndex", "dedup", "no_dedup", "_dedup"} <= seen

@@ -1,10 +1,11 @@
 """Equivalence and regression tests for the preprocessing perf layer.
 
-The shared-anchor, batched, and multi-process build paths are only
+The shared-anchor, batched, and multi-process builds are only
 admissible because they produce bit-for-bit the same catalogs as the
-serial reference paths; this suite asserts that equivalence at the
-``to_store`` byte level, plus the instrumentation counters and the
-degenerate-geometry regressions that ride along.
+per-anchor reference builds (``tests/reference_builds.py``, assembled
+from the paper-faithful public pieces); this suite asserts that
+equivalence at the ``to_store`` byte level, plus the instrumentation
+counters and the degenerate-geometry regressions that ride along.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from repro.estimators import (
     StaircaseEstimator,
     VirtualGridEstimator,
 )
-from repro.geometry import Point, Rect, mindist_point_rect, mindist_points_rects
-from repro.index import CountIndex, Quadtree
+from repro.geometry import Point, Rect, mindist_point_rect
+from repro.geometry.kernels import mindist_rects, mindist_rects_batch
+from repro.index import IndexSnapshot, Quadtree
 from repro.knn.locality import locality_size, locality_size_profile
 from repro.perf import (
     BlockPointsView,
@@ -35,6 +37,7 @@ from repro.perf import (
     resolve_workers,
     select_cost_profiles,
 )
+from tests.reference_builds import catalog_merge_store, staircase_store
 
 MAX_K = 128
 
@@ -46,30 +49,32 @@ def tree():
 
 @pytest.fixture(scope="module")
 def inner_counts():
-    return CountIndex.from_index(Quadtree(generate_osm_like(3_000, seed=12), capacity=64))
+    return IndexSnapshot.from_index(Quadtree(generate_osm_like(3_000, seed=12), capacity=64))
 
 
 # ----------------------------------------------------------------------
 # Tentpole: serial / dedup / parallel builds are byte-identical
 # ----------------------------------------------------------------------
 class TestStaircaseEquivalence:
-    def test_dedup_build_matches_reference_bytes(self, tree):
-        reference = StaircaseEstimator(tree, max_k=MAX_K, dedup=False)
-        shared = StaircaseEstimator(tree, max_k=MAX_K, dedup=True)
-        assert shared.to_store().to_bytes() == reference.to_store().to_bytes()
+    @pytest.fixture(scope="class")
+    def reference_bytes(self, tree):
+        return staircase_store(tree, MAX_K).to_bytes()
 
-    def test_parallel_build_matches_reference_bytes(self, tree):
-        reference = StaircaseEstimator(tree, max_k=MAX_K, dedup=False)
+    def test_dedup_build_matches_reference_bytes(self, tree, reference_bytes):
+        shared = StaircaseEstimator(tree, max_k=MAX_K)
+        assert shared.to_store().to_bytes() == reference_bytes
+
+    def test_parallel_build_matches_reference_bytes(self, tree, reference_bytes):
         parallel = StaircaseEstimator(tree, max_k=MAX_K, workers=2)
-        assert parallel.to_store().to_bytes() == reference.to_store().to_bytes()
+        assert parallel.to_store().to_bytes() == reference_bytes
 
     def test_center_only_variant_equivalent(self, tree):
-        reference = StaircaseEstimator(tree, max_k=MAX_K, variant="center", dedup=False)
-        shared = StaircaseEstimator(tree, max_k=MAX_K, variant="center", dedup=True)
-        assert shared.to_store().to_bytes() == reference.to_store().to_bytes()
+        reference = staircase_store(tree, MAX_K, variant="center")
+        shared = StaircaseEstimator(tree, max_k=MAX_K, variant="center")
+        assert shared.to_store().to_bytes() == reference.to_bytes()
 
     def test_dedup_counters(self, tree):
-        shared = StaircaseEstimator(tree, max_k=MAX_K, dedup=True)
+        shared = StaircaseEstimator(tree, max_k=MAX_K)
         stats = shared.preprocessing_stats
         n_leaves = len(tree.leaves)
         assert stats.anchors_total == 5 * n_leaves
@@ -81,12 +86,6 @@ class TestStaircaseEquivalence:
         assert stats.wall_seconds > 0
         assert set(stats.phase_seconds) == {"collect", "profiles", "assemble"}
 
-    def test_reference_counters(self, tree):
-        reference = StaircaseEstimator(tree, max_k=MAX_K, dedup=False)
-        stats = reference.preprocessing_stats
-        assert stats.anchors_deduped == 0
-        assert stats.profiles_computed == stats.anchors_total
-
     def test_workers_recorded(self, tree):
         est = StaircaseEstimator(tree, max_k=MAX_K, workers=2)
         assert est.workers == 2
@@ -95,17 +94,13 @@ class TestStaircaseEquivalence:
 
 class TestJoinEquivalence:
     def test_catalog_merge_fast_matches_reference_bytes(self, tree, inner_counts):
-        reference = CatalogMergeEstimator(
-            tree, inner_counts, sample_size=50, max_k=MAX_K, fast=False
-        )
-        fast = CatalogMergeEstimator(
-            tree, inner_counts, sample_size=50, max_k=MAX_K, fast=True
-        )
+        reference = catalog_merge_store(tree, inner_counts, sample_size=50, max_k=MAX_K)
+        fast = CatalogMergeEstimator(tree, inner_counts, sample_size=50, max_k=MAX_K)
         parallel = CatalogMergeEstimator(
             tree, inner_counts, sample_size=50, max_k=MAX_K, workers=2
         )
-        assert fast.to_store().to_bytes() == reference.to_store().to_bytes()
-        assert parallel.to_store().to_bytes() == reference.to_store().to_bytes()
+        assert fast.to_store().to_bytes() == reference.to_bytes()
+        assert parallel.to_store().to_bytes() == reference.to_bytes()
 
     def test_virtual_grid_parallel_matches_serial_bytes(self, tree, inner_counts):
         bounds = tree.bounds
@@ -156,16 +151,16 @@ class TestMindistBatching:
     def test_rows_match_per_point_path(self, inner_counts):
         rng = np.random.default_rng(13)
         pts = rng.uniform(-50, 1050, size=(40, 2))
-        matrix = mindist_points_rects(pts, inner_counts.bounds_array)
+        matrix = mindist_rects_batch(pts, inner_counts.rects)
         for i, (x, y) in enumerate(pts):
-            expected = inner_counts.mindist_from_point(Point(float(x), float(y)))
+            expected = mindist_rects((float(x), float(y)), inner_counts.rects)
             assert np.array_equal(matrix[i], expected)
 
     def test_single_rect_matches_scalar(self):
         rect = Rect(0.0, 0.0, 10.0, 4.0)
         bounds = np.array([rect.as_tuple()])
         for p in [Point(-3.0, 2.0), Point(5.0, 5.0), Point(11.0, -1.0), Point(5.0, 2.0)]:
-            matrix = mindist_points_rects(np.array([[p.x, p.y]]), bounds)
+            matrix = mindist_rects_batch(np.array([[p.x, p.y]]), bounds)
             assert matrix[0, 0] == mindist_point_rect(p, rect)
 
 
@@ -216,7 +211,7 @@ class TestWorkerPlumbing:
             resolve_workers(-1)
 
     def test_select_profiles_empty_anchor_list(self, tree):
-        counts = CountIndex.from_index(tree)
+        counts = IndexSnapshot.from_index(tree)
         view = BlockPointsView.from_blocks(tree.blocks)
         assert select_cost_profiles(counts, view, [], MAX_K) == []
         assert select_cost_profiles(counts, view, [], MAX_K, workers=2) == []
@@ -267,11 +262,12 @@ class TestDegenerateInputs:
         pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]])
         tree = Quadtree(pts, capacity=16)
         assert len(tree.leaves) == 1
-        reference = StaircaseEstimator(tree, max_k=8, dedup=False)
-        shared = StaircaseEstimator(tree, max_k=8, dedup=True)
-        assert shared.to_store().to_bytes() == reference.to_store().to_bytes()
+        reference = staircase_store(tree, 8)
+        shared = StaircaseEstimator(tree, max_k=8)
+        assert shared.to_store().to_bytes() == reference.to_bytes()
         assert shared.preprocessing_stats.anchors_deduped == 0
-        assert shared.estimate(Point(3.0, 2.0), 2) == reference.estimate(Point(3.0, 2.0), 2)
+        reloaded = StaircaseEstimator.from_store(tree, reference)
+        assert shared.estimate(Point(3.0, 2.0), 2) == reloaded.estimate(Point(3.0, 2.0), 2)
 
     def test_all_identical_points(self):
         # Every data point coincides: one block, tied distances
@@ -279,11 +275,12 @@ class TestDegenerateInputs:
         # reference bit for bit.
         pts = np.full((10, 2), 7.0)
         tree = Quadtree(pts, capacity=16)
-        reference = StaircaseEstimator(tree, max_k=8, dedup=False)
-        shared = StaircaseEstimator(tree, max_k=8, dedup=True)
-        assert shared.to_store().to_bytes() == reference.to_store().to_bytes()
+        reference = staircase_store(tree, 8)
+        shared = StaircaseEstimator(tree, max_k=8)
+        assert shared.to_store().to_bytes() == reference.to_bytes()
         query = Point(7.0, 7.0)
-        assert shared.estimate(query, 4) == reference.estimate(query, 4) == 1.0
+        reloaded = StaircaseEstimator.from_store(tree, reference)
+        assert shared.estimate(query, 4) == reloaded.estimate(query, 4) == 1.0
 
     def test_lookup_many_empty(self):
         catalog = IntervalCatalog([(1, 10, 3.0)])
@@ -304,8 +301,8 @@ class TestLocalitySemantics:
     def test_locality_profile_matches_per_k(self, inner_counts):
         """The profile (Procedure 2) and per-k locality agree for every
         k — the zero-count-block divergence documented in
-        ``repro.knn.locality`` cannot occur because the Count-Index only
-        tracks non-empty blocks."""
+        ``repro.knn.locality`` cannot occur because a snapshot gathered
+        from an index holds non-empty blocks only."""
         rng = np.random.default_rng(17)
         total = int(inner_counts.total_count)
         max_k = min(total, 400)
@@ -316,10 +313,6 @@ class TestLocalitySemantics:
             catalog = IntervalCatalog.from_profile(profile, max_k=max_k)
             for k in range(1, max_k + 1):
                 assert catalog.lookup(k) == locality_size(inner_counts, rect, k)
-
-    def test_zero_count_blocks_rejected_by_count_index(self):
-        with pytest.raises(ValueError):
-            CountIndex(np.array([[0.0, 0.0, 1.0, 1.0]]), np.array([0]))
 
 
 # ----------------------------------------------------------------------
@@ -360,10 +353,10 @@ class TestSurfacing:
         parser = build_parser()
         args = parser.parse_args(
             ["estimate-select", "pts.csv", "--x", "1", "--y", "2", "-k", "4",
-             "--workers", "3", "--no-dedup"]
+             "--workers", "3"]
         )
         assert args.workers == 3
-        assert args.no_dedup is True
+        assert not hasattr(args, "no_dedup")  # the reference build left src/
         args = parser.parse_args(
             ["estimate-join", "a.csv", "b.csv", "-k", "4", "--workers", "2"]
         )

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.geometry import Point, Rect
-from repro.index import CountIndex, MutableQuadtree, Quadtree
+from repro.index import IndexSnapshot, MutableQuadtree, Quadtree
 from repro.knn import (
     locality_block_indices,
     locality_size,
@@ -34,7 +34,7 @@ class TestSelectProfileProperties:
     @given(small_points, coords, coords, st.integers(1, 40))
     def test_profile_equals_browser_at_every_step(self, pts, qx, qy, max_k):
         tree = Quadtree(pts, capacity=4)
-        counts = CountIndex.from_index(tree)
+        counts = IndexSnapshot.from_index(tree)
         q = Point(qx, qy)
         profile = select_cost_profile(counts, tree.blocks, q, max_k)
         for k_start, k_end, cost in profile:
@@ -58,7 +58,7 @@ class TestLocalityProperties:
     @given(small_points, coords, coords, coords, coords, st.integers(1, 30))
     def test_profile_matches_direct(self, pts, x1, y1, x2, y2, k):
         tree = Quadtree(pts, capacity=4)
-        counts = CountIndex.from_index(tree)
+        counts = IndexSnapshot.from_index(tree)
         rect = Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
         profile = locality_size_profile(counts, rect, 30)
         direct = locality_size(counts, rect, k)
@@ -166,7 +166,7 @@ class TestRangeCountProperties:
     @settings(max_examples=25, deadline=None)
     @given(small_points, coords, coords, coords, coords)
     def test_range_count_bounded_by_total(self, pts, x1, y1, x2, y2):
-        counts = CountIndex.from_index(Quadtree(pts, capacity=4))
+        counts = IndexSnapshot.from_index(Quadtree(pts, capacity=4))
         region = Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
         estimate = counts.estimate_range_count(region)
         assert -1e-9 <= estimate <= counts.total_count + 1e-9
@@ -175,7 +175,7 @@ class TestRangeCountProperties:
     @given(small_points)
     def test_whole_space_is_total(self, pts):
         tree = Quadtree(pts, capacity=4)
-        counts = CountIndex.from_index(tree)
+        counts = IndexSnapshot.from_index(tree)
         assert counts.estimate_range_count(tree.bounds) == (
             counts.total_count
         ) or abs(counts.estimate_range_count(tree.bounds) - counts.total_count) < 1e-6

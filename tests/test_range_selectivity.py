@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.index import CountIndex, Quadtree
+from repro.index import IndexSnapshot, Quadtree
 
 
 class TestRangeCount:
@@ -27,7 +27,7 @@ class TestRangeCount:
     def test_accurate_on_uniform_data(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 100, size=(20_000, 2))
-        ci = CountIndex.from_index(Quadtree(pts, capacity=256))
+        ci = IndexSnapshot.from_index(Quadtree(pts, capacity=256))
         region = Rect(10, 20, 60, 70)
         actual = int(
             np.sum(
@@ -53,7 +53,7 @@ class TestRangeCount:
     def test_degenerate_block_counts_fully_when_hit(self):
         # A zero-area block (all points identical) contributes its full
         # count when the region touches it.
-        ci = CountIndex(np.array([[5.0, 5.0, 5.0, 5.0]]), np.array([7]))
+        ci = IndexSnapshot.from_arrays(np.array([[5.0, 5.0, 5.0, 5.0]]), np.array([7]))
         assert ci.estimate_range_count(Rect(0, 0, 10, 10)) == 7.0
         assert ci.estimate_range_count(Rect(6, 6, 10, 10)) == 0.0
 
@@ -69,5 +69,5 @@ class TestRangeSelectivity:
         ) == pytest.approx(1.0)
 
     def test_empty_index(self):
-        ci = CountIndex(np.empty((0, 4)), np.empty(0, dtype=int))
+        ci = IndexSnapshot.from_arrays(np.empty((0, 4)), np.empty(0, dtype=int))
         assert ci.estimate_range_selectivity(Rect(0, 0, 1, 1)) == 0.0

@@ -36,6 +36,7 @@ from repro.resilience.errors import BudgetExceededError
 from repro.serving import ShardedServingTier, SupervisionPolicy, plan_shards
 from repro.serving import worker
 from repro.workloads import QueryBatch
+from tests.heap_oracle import corner_tie_table, heap_knn_select
 
 MAX_K = 64
 POLICY = SupervisionPolicy(max_retries=1, backoff_base=0.01, chunk_timeout=20.0)
@@ -142,6 +143,31 @@ def test_open_replies_finish_the_merge_without_a_resume(
         row_ids, blocks_scanned, __ = merge.result()
         assert np.array_equal(row_ids, expected.row_ids), i
         assert blocks_scanned == expected.blocks_scanned, i
+
+
+def test_two_shard_merge_scans_the_block_whose_corner_holds_the_kth_row(worker_state):
+    """``dist == MINDIST`` is not strictly below: heap == engine == 2-shard merge."""
+    table, query = corner_tie_table()
+    rows, scanned = heap_knn_select(table, query)
+    engine = SpatialEngine(StatisticsManager(max_k=MAX_K, pinned_operators=INCREMENTAL))
+    engine.register(table)
+    expected, __ = engine.execute(query)
+    tier = ShardedServingTier(
+        table, shard_mode="data", n_shards=2, manager_kwargs={"max_k": MAX_K}
+    )
+    payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
+    tier.close()
+    assert all(p["rows"].size for p in payloads)  # the four blocks span both shards
+    merge = QueryMerge(query.k)
+    point = np.array([[query.query.x, query.query.y]])
+    for sid, payload in enumerate(payloads):
+        worker._init_data_shard_worker(sid, 0, payload, None)
+        reply = worker._serve_data_shard_chunk({"round": "open", "points": point, "ks": [query.k]})
+        merge.add_stream(sid, *reply["streams"][0])
+    assert merge.advance() is None
+    row_ids, blocks_scanned, __ = merge.result()
+    assert row_ids.tolist() == expected.row_ids.tolist() == rows.tolist() == [2, 1, 0]
+    assert blocks_scanned == expected.blocks_scanned == scanned == 4
 
 
 def _serve_on_one_shard(points, capacity, payload: dict) -> dict:

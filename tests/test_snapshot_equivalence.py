@@ -2,24 +2,18 @@
 
 The snapshot refactor's contract: every estimator and k-NN helper that
 now computes over :class:`~repro.index.snapshot.IndexSnapshot` columns
-must return **bit-identical** results to the pre-refactor per-leaf
-formulation — the vectorized :mod:`repro.geometry.metrics` applied to
-materialized ``Rect`` object lists, with Python loops doing the
-scanning/accumulation logic.  The reference implementations below *are*
-that formulation; no tolerance is used anywhere because the kernels
-apply the exact same ufunc chains.
-
-The one documented tolerance: the *scalar* metrics
-(``mindist_point_rect`` et al.) use ``math.hypot``, which is correctly
-rounded, while the array paths (pre-refactor and kernels alike) use
-``np.hypot`` (libm) — those may differ by 1 ulp, asserted as exactly
-that bound.
+must return **bit-identical** results to the per-leaf formulation —
+the scalar :mod:`repro.geometry.metrics` looped over materialized
+``Rect`` objects, with Python loops doing the scanning/accumulation
+logic.  The reference implementations below *are* that formulation; no
+tolerance is used anywhere because the scalar forms and the kernels
+compute one float (same per-axis operations, same libm ``hypot``).
 
 Covered per layer, across quadtree / grid / R-tree substrates:
 
-* kernels vs vectorized metrics over Rect objects (point/rect anchors);
+* kernels vs scalar metrics over Rect objects (point/rect anchors);
 * locality (per-k, batched, profile) vs the per-leaf scan — including
-  snapshots carrying zero-count blocks, which a Count-Index cannot;
+  snapshots carrying zero-count blocks, which an index never yields;
 * density estimates (single, batched, D_k) vs the per-leaf expansion;
 * Block-Sample estimates vs summed per-leaf localities;
 * Staircase / Catalog-Merge / Virtual-Grid built from raw indexes vs
@@ -48,16 +42,18 @@ from repro.geometry import (
     Point,
     Rect,
     maxdist_point_rect,
-    maxdist_point_rects,
     maxdist_rect_rect,
-    maxdist_rect_rects,
     mindist_point_rect,
-    mindist_point_rects,
     mindist_rect_rect,
-    mindist_rect_rects,
 )
-from repro.geometry.kernels import maxdist_rects, mindist_rects
-from repro.index import CountIndex, GridIndex, IndexSnapshot, Quadtree, RTree
+from repro.geometry.kernels import (
+    as_anchor,
+    maxdist_rects,
+    maxdist_rects_batch,
+    mindist_rects,
+    mindist_rects_batch,
+)
+from repro.index import GridIndex, IndexSnapshot, Quadtree, RTree
 from repro.knn import (
     DistanceBrowser,
     knn_select,
@@ -98,16 +94,14 @@ def rect_objects(snapshot) -> list[Rect]:
 
 
 def _ref_mindists(anchor, rect_objects) -> np.ndarray:
-    """Pre-refactor per-leaf MINDISTs: vectorized metrics over Rects."""
-    if isinstance(anchor, Point):
-        return mindist_point_rects(anchor, rect_objects)
-    return mindist_rect_rects(anchor, rect_objects)
+    """Per-leaf MINDISTs: the scalar metric looped over Rects."""
+    scalar = mindist_point_rect if isinstance(anchor, Point) else mindist_rect_rect
+    return np.array([scalar(anchor, r) for r in rect_objects])
 
 
 def _ref_maxdists(anchor, rect_objects) -> np.ndarray:
-    if isinstance(anchor, Point):
-        return maxdist_point_rects(anchor, rect_objects)
-    return maxdist_rect_rects(anchor, rect_objects)
+    scalar = maxdist_point_rect if isinstance(anchor, Point) else maxdist_rect_rect
+    return np.array([scalar(anchor, r) for r in rect_objects])
 
 
 def _anchors(index) -> list:
@@ -138,21 +132,18 @@ class TestKernelBitIdentity:
     def test_kernels_match_scalar_metrics_within_one_ulp(
         self, index, snapshot, rect_objects
     ):
-        # math.hypot (scalar path) is correctly rounded; np.hypot (array
-        # paths, pre- and post-refactor) is plain libm.  One ulp is the
-        # documented tolerance between the two.
+        # One ulp was the documented tolerance while the scalar path went
+        # through ``math.hypot``; scalar and batch are libm both now, so
+        # the batch kernel's rows meet the scalar loop with no tolerance.
         for anchor in _anchors(index):
-            if isinstance(anchor, Point):
-                scalar_min = [mindist_point_rect(anchor, r) for r in rect_objects]
-                scalar_max = [maxdist_point_rect(anchor, r) for r in rect_objects]
-            else:
-                scalar_min = [mindist_rect_rect(anchor, r) for r in rect_objects]
-                scalar_max = [maxdist_rect_rect(anchor, r) for r in rect_objects]
-            np.testing.assert_array_max_ulp(
-                mindist_rects(anchor, snapshot.rects), np.array(scalar_min), maxulp=1
+            stack = as_anchor(anchor)[None, :]
+            assert np.array_equal(
+                mindist_rects_batch(stack, snapshot.rects)[0],
+                _ref_mindists(anchor, rect_objects),
             )
-            np.testing.assert_array_max_ulp(
-                maxdist_rects(anchor, snapshot.rects), np.array(scalar_max), maxulp=1
+            assert np.array_equal(
+                maxdist_rects_batch(stack, snapshot.rects)[0],
+                _ref_maxdists(anchor, rect_objects),
             )
 
     def test_mindist_order_is_the_stable_sort_of_the_reference(
@@ -171,8 +162,8 @@ class TestKernelBitIdentity:
 # ----------------------------------------------------------------------
 def _ref_locality_size(rect_objects, counts, outer: Rect, k: int) -> int:
     """The per-leaf MINDIST-order scan of Section 4, Python loops."""
-    mindists = mindist_rect_rects(outer, rect_objects)
-    maxdists = maxdist_rect_rects(outer, rect_objects)
+    mindists = _ref_mindists(outer, rect_objects)
+    maxdists = _ref_maxdists(outer, rect_objects)
     order = sorted(range(len(rect_objects)), key=lambda i: (mindists[i], i))
     total = 0
     marked = -math.inf
@@ -213,7 +204,7 @@ class TestLocalityEquivalence:
 
 
 class TestZeroCountBlocks:
-    """A bare snapshot may carry empty blocks; a Count-Index cannot."""
+    """An array-built snapshot may carry empty blocks; a gathered one cannot."""
 
     @pytest.fixture(scope="class")
     def sparse(self) -> IndexSnapshot:
@@ -264,7 +255,7 @@ class TestZeroCountBlocks:
 # ----------------------------------------------------------------------
 def _ref_density(rect_objects, counts, areas, query: Point, k: int):
     """The per-leaf expanding scan of Tao et al., Python-float loop."""
-    mindists = mindist_point_rects(query, rect_objects)
+    mindists = _ref_mindists(query, rect_objects)
     order = sorted(range(len(rect_objects)), key=lambda i: (mindists[i], i))
     sorted_min = [float(mindists[i]) for i in order]
     cum_count = 0.0
@@ -317,16 +308,13 @@ class TestDensityEquivalence:
             ]
 
     def test_count_index_and_snapshot_inputs_agree(self, index, snapshot):
+        # The Count-Index is the snapshot: a shared one and one the
+        # estimator gathers from the raw index answer alike.
         via_snapshot = DensityBasedEstimator(snapshot)
-        via_counts = DensityBasedEstimator(CountIndex.from_index(index))
         via_index = DensityBasedEstimator(index)
         q = Point(*snapshot.centers[0])
         for k in (4, 64):
-            assert (
-                via_snapshot.estimate(q, k)
-                == via_counts.estimate(q, k)
-                == via_index.estimate(q, k)
-            )
+            assert via_snapshot.estimate(q, k) == via_index.estimate(q, k)
 
 
 # ----------------------------------------------------------------------
@@ -428,11 +416,10 @@ class TestSnapshotSeededBrowsing:
         assert plain.blocks_scanned == seeded_cost
 
     def test_cost_machinery_accepts_any_summary_form(self, index, snapshot):
-        counts = CountIndex.from_index(index)
         query = Point(*snapshot.centers[0])
         assert select_cost_exact(
             snapshot, index.blocks, query, 25
-        ) == select_cost_exact(counts, index.blocks, query, 25)
+        ) == select_cost_exact(index, index.blocks, query, 25)
         assert select_cost_profile(
             snapshot, index.blocks, query, 64
-        ) == select_cost_profile(counts, index.blocks, query, 64)
+        ) == select_cost_profile(index, index.blocks, query, 64)
