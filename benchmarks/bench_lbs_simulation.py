@@ -77,9 +77,9 @@ def test_lbs_stream_simulation(benchmark, bench_config):
     blocks = {"optimized": 0, "always-scan": 0, "always-browse": 0}
     for query in queries:
         start = time.perf_counter()
-        operator, __ = engine._plan(query)
+        engine.explain(query)
         planning_seconds += time.perf_counter() - start
-        blocks["optimized"] += operator.execute().blocks_scanned
+        blocks["optimized"] += engine.execute(query)[0].blocks_scanned
         blocks["always-scan"] += (
             FilterThenKnnOperator(table, query).execute().blocks_scanned
         )
@@ -112,5 +112,5 @@ def test_lbs_stream_simulation(benchmark, bench_config):
 
     # Benchmark unit: one planning decision on the warm engine.
     probe = queries[0]
-    operator, __ = benchmark(engine._plan, probe)
-    assert operator is not None
+    explanation = benchmark(engine.explain, probe)
+    assert explanation.chosen

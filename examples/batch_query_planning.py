@@ -7,9 +7,11 @@ the execution ... all the query points are treated as an outer relation
 and processing is performed in a single k-NN-Join."
 
 This example sweeps the batch size and shows the optimizer's crossover:
-small batches run as independent selects, large batches as one shared
-join — decided purely from the catalog-based cost estimates and checked
-against the actual block-scan counts.
+the batch of query points is registered as the *outer table* of a
+``KnnJoinQuery`` — which is exactly the selects-vs-shared-join decision
+— so small batches plan as independent selects, large batches as one
+shared join, decided purely from the catalog-based cost estimates and
+checked against the actual block-scan counts.
 
 Run:
     python examples/batch_query_planning.py
@@ -20,15 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.optimizer import choose_batch_plan
+from repro.engine import KnnJoinQuery, SpatialEngine, SpatialTable, StatisticsManager
 
 
 def main() -> None:
     print("Building the data relation (100k points) and its estimators...")
     data = repro.generate_osm_like(100_000, seed=41, structure_seed=40)
-    data_index = repro.Quadtree(data, capacity=256)
-    data_counts = repro.IndexSnapshot.from_index(data_index)
-    select_estimator = repro.StaircaseEstimator(data_index, max_k=1_024)
+    engine = SpatialEngine(StatisticsManager(max_k=1_024, join_sample_size=200))
+    engine.register(SpatialTable("data", data, capacity=256))
+    data_table = engine.stats.table("data")
 
     k = 64
     rng = np.random.default_rng(0)
@@ -37,27 +39,25 @@ def main() -> None:
     for batch_size in (100, 1_000, 5_000, 20_000, 50_000):
         # The batch of query points follows the user distribution.
         picks = rng.integers(0, data.shape[0], size=batch_size)
-        batch_points = [
-            repro.Point(float(data[i, 0]), float(data[i, 1])) for i in picks
-        ]
         # Tight outer blocks keep the shared localities small.
-        batch_index = repro.Quadtree(data[picks], capacity=64)
-        join_estimator = repro.CatalogMergeEstimator(
-            batch_index, data_counts, sample_size=200, max_k=1_024
-        )
+        batch_table = SpatialTable("batch", data[picks], capacity=64)
+        engine.register(batch_table)
 
-        choice = choose_batch_plan(select_estimator, join_estimator, batch_points, k)
+        explanation = engine.explain(KnnJoinQuery("batch", "data", k))
 
         # Ground truth (select costs sampled and scaled for big batches).
-        sample = batch_points[: min(len(batch_points), 1_500)]
+        sample = batch_table.points[: min(batch_size, 1_500)]
         actual_selects = sum(
-            repro.select_cost_exact(data_counts, data_index.blocks, p, k)
-            for p in sample
-        ) * len(batch_points) // len(sample)
-        actual_join = repro.knn_join_cost(batch_index, data_index, k)
+            repro.select_cost_exact(
+                data_table.snapshot, data_table.index.blocks, repro.Point(x, y), k
+            )
+            for x, y in sample
+        ) * batch_size // len(sample)
+        actual_join = repro.knn_join_cost(batch_table.index, data_table.index, k)
         print(
-            f"{batch_size:>10}  {choice.chosen:<20} "
-            f"{choice.per_select_total_cost:>12.0f} {choice.join_cost:>10.0f} "
+            f"{batch_size:>10}  {explanation.chosen:<20} "
+            f"{explanation.cost_of('per-point-selects'):>12.0f} "
+            f"{explanation.cost_of('locality-join'):>10.0f} "
             f"{actual_selects:>15} {actual_join:>12}"
         )
 

@@ -11,10 +11,10 @@ plans exist:
        evaluated on the fly, stopping at k qualifying results.
 
 The cheaper plan depends on the *estimated* k-NN cost: that is exactly
-what the Staircase estimator provides.  This example builds a synthetic
-restaurant table with prices, lets the optimizer arbitrate for several
-(k, budget) combinations, and verifies its choices against the actual
-execution costs of both plans.
+what the Staircase estimator provides.  This example registers a
+synthetic restaurant table with a price column, lets the engine's
+planner arbitrate for several (k, budget) combinations, and verifies its
+choices against the actual execution costs of both plans.
 
 Run:
     python examples/restaurant_finder.py
@@ -25,11 +25,18 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.optimizer import choose_select_plan
+from repro.engine import (
+    KnnSelectQuery,
+    SpatialEngine,
+    SpatialTable,
+    StatisticsManager,
+    column,
+)
+from repro.engine.physical import FilterThenKnnOperator, IncrementalKnnOperator
 
 
-def price_of(x: float, y: float) -> float:
-    """Deterministic synthetic price in [10, 110) derived from location.
+def price_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Deterministic synthetic prices in [10, 110) derived from location.
 
     Restaurants in the same street have correlated but not identical
     prices; a hash-like mix of the coordinates stands in for a real
@@ -41,11 +48,18 @@ def price_of(x: float, y: float) -> float:
 
 def main() -> None:
     print("Building the restaurants table (80,000 locations + prices)...")
-    restaurants = repro.generate_osm_like(80_000, seed=21)
-    index = repro.Quadtree(restaurants, capacity=256)
-    estimator = repro.StaircaseEstimator(index, max_k=2_048)
+    locations = repro.generate_osm_like(80_000, seed=21)
+    restaurants = SpatialTable(
+        "restaurants",
+        locations,
+        {"price": price_of(locations[:, 0], locations[:, 1])},
+        capacity=256,
+    )
+    engine = SpatialEngine(StatisticsManager(max_k=2_048))
+    engine.register(restaurants)
+    estimator = engine.stats.select_estimator("restaurants")
     print(
-        f"  -> {index.num_blocks} blocks; Staircase catalogs built in "
+        f"  -> {restaurants.index.num_blocks} blocks; Staircase catalogs built in "
         f"{estimator.preprocessing_seconds:.2f}s"
     )
 
@@ -61,25 +75,25 @@ def main() -> None:
           f"{'est(filter)':>12} {'est(incr)':>10} {'act(filter)':>12} "
           f"{'act(incr)':>10} {'correct?':>9}")
     for k, budget in scenarios:
-        predicate = lambda x, y, b=budget: price_of(x, y) < b
-        selectivity = max((budget - 10.0) / 100.0, 0.01)
-        choice, filter_plan, incremental_plan = choose_select_plan(
-            index, estimator, me, k, predicate, selectivity
+        query = KnnSelectQuery(
+            "restaurants", me, k=k, predicate=column("price") < budget
         )
-        actual_filter = filter_plan.execute(me, k)
-        actual_incremental = incremental_plan.execute(me, k)
+        explanation = engine.explain(query)
+        # Ground truth: run both physical operators, whatever was chosen.
+        actual_filter = FilterThenKnnOperator(restaurants, query).execute()
+        actual_incremental = IncrementalKnnOperator(restaurants, query).execute()
         actually_best = (
             "filter-then-knn"
             if actual_filter.blocks_scanned <= actual_incremental.blocks_scanned
             else "incremental-knn"
         )
         print(
-            f"{k:>5} {budget:>7.0f} {choice.chosen:>17} "
-            f"{choice.filter_then_knn_cost:>12.0f} "
-            f"{choice.incremental_cost:>10.0f} "
+            f"{k:>5} {budget:>7.0f} {explanation.chosen:>17} "
+            f"{explanation.cost_of('filter-then-knn'):>12.0f} "
+            f"{explanation.cost_of('incremental-knn'):>10.0f} "
             f"{actual_filter.blocks_scanned:>12} "
             f"{actual_incremental.blocks_scanned:>10} "
-            f"{'yes' if choice.chosen == actually_best else 'NO':>9}"
+            f"{'yes' if explanation.chosen == actually_best else 'NO':>9}"
         )
 
     print(

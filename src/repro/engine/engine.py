@@ -19,7 +19,6 @@ from repro.engine.planner import (
     PlanExplanation,
     plan_join,
     plan_range,
-    plan_select,
     plan_select_batch,
 )
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
@@ -79,13 +78,12 @@ class SpatialEngine:
         self.stats.register(table)
 
     def explain(self, query: Query) -> PlanExplanation:
-        """Cost the query's QEP alternatives without executing."""
-        __, explanation = self._plan(query)
-        return explanation
+        """Cost the query's QEP alternatives without executing: the batch of one."""
+        return self.explain_batch([query])[0]
 
     def execute(self, query: Query) -> tuple[ExecutionResult, PlanExplanation]:
-        """Plan and run the query: the batch of one, planned by the scalar planner."""
-        return self._run([query], [self._plan(query)])[0]
+        """Plan and run the query: the batch of one."""
+        return self.execute_batch([query])[0]
 
     # ------------------------------------------------------------------
     # Batched serving: plan and run many queries with amortized work
@@ -93,8 +91,7 @@ class SpatialEngine:
     def explain_batch(self, queries: list[Query]) -> list[PlanExplanation]:
         """Cost a whole batch of queries without executing.
 
-        Per-query output matches a loop of :meth:`explain` calls exactly,
-        but k-NN selects are planned through
+        k-NN selects are planned through
         :func:`~repro.engine.planner.plan_select_batch`: one estimator
         resolution, snapshot access, and batched ``estimate_batch`` call
         per table instead of per query.
@@ -163,19 +160,6 @@ class SpatialEngine:
         for i, (__, explanation) in enumerate(plans):
             explanation.notes.extend(notes[i])
         return plans
-
-    def _plan(self, query: Query):
-        notes = self._guard(query)
-        if isinstance(query, KnnSelectQuery):
-            operator, explanation = plan_select(self.stats, query)
-        elif isinstance(query, KnnJoinQuery):
-            operator, explanation = plan_join(self.stats, query)
-        elif isinstance(query, RangeQuery):
-            operator, explanation = plan_range(self.stats, query)
-        else:
-            raise TypeError(f"unsupported query type {type(query).__name__}")
-        explanation.notes.extend(notes)
-        return operator, explanation
 
     def _guard(self, query: Query) -> list[str]:
         """Boundary-validate a query; returns notes for the explanation.

@@ -160,7 +160,7 @@ def _record_preprocessing(explanation: PlanExplanation, estimator) -> None:
     explanation.preprocessing.update(stats.as_dict())
 
 
-def _estimator_tiers(estimator, default: str) -> tuple[str, ...]:
+def tier_vocabulary(estimator, default: str) -> tuple[str, ...]:
     """The estimator's tier vocabulary for the planning context.
 
     Fallback chains expose ``tier_names`` (primary first); a raw
@@ -176,18 +176,48 @@ def _run_chain(
     stats: StatisticsManager,
     query,
     explanation: PlanExplanation,
-    context: PlanningContext,
+    kind: str,
+    table: str,
+    tie_order: tuple[str, ...],
+    *,
+    inner: str | None = None,
+    **estimate_facts,
 ) -> PlanAssignment:
-    """Walk the selection chain and copy its verdict onto the explanation.
+    """Assemble the planning context, walk the selection chain and copy
+    its verdict onto the explanation.
 
     Every plan decision — including single-candidate range scans and
-    empty-table trivia — goes through here, so ``decided_by`` and the
-    per-link ``trail`` are uniformly present on every explanation.
+    empty-table trivia — goes through here, so the context's fields are
+    spelled once and ``decided_by`` and the per-link ``trail`` are
+    uniformly present on every explanation.  ``estimate_facts`` are the
+    :class:`~repro.optimizer.selection.PlanningContext` fields describing
+    an estimator's part in the costs (``estimator_tiers``,
+    ``estimate_operators``, ``estimate_tier``, ``estimate_degraded``,
+    ``cache_hit``); plans costed without an estimator pass none.
 
     Raises:
         ValueError: If the chain finished without assigning an operator
             (a custom chain missing an arbiter link).
     """
+    # Freshness facts come from the relation whose select catalogs back
+    # the costing: for joins the inner one — its catalogs cost the
+    # per-point selects, and join catalogs are rebuilt alongside the
+    # same snapshot generation.
+    catalog_generation, data_generation = stats.catalog_freshness(inner or table)
+    context = PlanningContext(
+        kind=kind,
+        table=table,
+        inner=inner,
+        candidates=explanation.alternatives,
+        tie_order=tie_order,
+        data_generation=data_generation,
+        catalog_generation=catalog_generation,
+        staleness_policy=stats.staleness_policy,
+        cache_stats=stats.cache_stats(),
+        effective_k=explanation.effective_k,
+        selectivity=explanation.selectivity,
+        **estimate_facts,
+    )
     assignment = PlanAssignment(estimator_ranking=context.estimator_tiers)
     assignment = stats.selection_chain.select_physical_operators(
         query, assignment, context
@@ -195,7 +225,7 @@ def _run_chain(
     if assignment.operator is None:
         raise ValueError(
             f"selection chain {stats.selection_chain.describe()!r} finished "
-            f"without choosing an operator for kind {context.kind!r}; "
+            f"without choosing an operator for kind {kind!r}; "
             "chains must include an arbiter link such as CostBasedSelection"
         )
     explanation.chosen = assignment.operator
@@ -206,132 +236,106 @@ def _run_chain(
 
 def plan_select(
     stats: StatisticsManager, query: KnnSelectQuery
-) -> tuple[FilterThenKnnOperator | IncrementalKnnOperator, PlanExplanation]:
-    """Choose between the two k-NN-Select QEPs of Section 1."""
-    table = stats.table(query.table)
-    if table.n_rows == 0:
-        # Nothing to scan: either plan is a no-op; pick the trivial scan.
-        explanation = _plan_trivial_select(stats, table, query)
-        return FilterThenKnnOperator(table, query), explanation
-    sigma = stats.predicate_selectivity(query.table, query.predicate)
-    sigma *= stats.region_selectivity(query.table, query.region)
-    sigma = min(max(sigma, 1.0 / max(table.n_rows, 1)), 1.0)
-    effective_k = int(math.ceil(query.k / sigma))
-
-    cost_filter = float(table.index.num_blocks)
-    estimator = stats.select_estimator_for_planning(query.table)
-    cost_incremental, cache_hit = stats.estimate_select_cost(
-        query.table, estimator, query.query, effective_k
-    )
-    # Browsing can never scan more than every block once.
-    cost_incremental = min(cost_incremental, cost_filter)
-
-    outcome = None if cache_hit else getattr(estimator, "last_outcome", None)
-    explanation = _assemble_select_explanation(
-        stats,
-        table,
-        query,
-        sigma,
-        effective_k,
-        cost_filter,
-        cost_incremental,
-        cache_hit=cache_hit,
-        outcome=outcome,
-        estimator_tiers=_estimator_tiers(estimator, "staircase"),
-    )
-    if not cache_hit:
-        _record_preprocessing(explanation, estimator)
-    return _select_operator_for(explanation.chosen, table, query), explanation
+) -> tuple[object, PlanExplanation]:
+    """Choose among the k-NN-Select QEPs of Section 1: the batch of one."""
+    return plan_select_batch(stats, [query])[0]
 
 
 def _plan_trivial_select(
-    stats: StatisticsManager, table, query: KnnSelectQuery
+    stats: StatisticsManager, query: KnnSelectQuery
 ) -> PlanExplanation:
     """The empty-table select plan: a zero-cost trivial scan.
 
     Still routed through the selection chain (single candidate) so the
     decision trail is uniformly present.
     """
-    alternatives = {FilterThenKnnOperator.name: 0.0}
     explanation = PlanExplanation(
         chosen="",
-        alternatives=alternatives,
+        alternatives={FilterThenKnnOperator.name: 0.0},
         effective_k=query.k,
         selectivity=1.0,
     )
-    __, data_generation = stats.catalog_freshness(query.table)
-    context = PlanningContext(
-        kind="select",
-        table=query.table,
-        candidates=alternatives,
-        tie_order=(FilterThenKnnOperator.name,),
-        data_generation=data_generation,
-        staleness_policy=stats.staleness_policy,
-        cache_stats=stats.cache_stats(),
-        effective_k=query.k,
-        selectivity=1.0,
+    _run_chain(
+        stats, query, explanation, "select", query.table, (FilterThenKnnOperator.name,)
     )
-    _run_chain(stats, query, explanation, context)
     return explanation
 
 
-def _assemble_select_explanation(
+def assemble_select_explanation(
     stats: StatisticsManager,
     table,
     query: KnnSelectQuery,
     sigma: float,
     effective_k: int,
-    cost_filter: float,
     cost_incremental: float,
     *,
-    cache_hit: bool | None,
-    outcome,
     estimator_tiers: tuple[str, ...],
+    estimate_tier: str = "",
+    estimate_degraded: bool = False,
+    cache_hit: bool | None = None,
 ) -> PlanExplanation:
-    """Build the alternatives table and arbitrate the select plan.
+    """Build the alternatives table and arbitrate one select plan.
 
-    The shared tail of :func:`plan_select` and
-    :func:`plan_select_batch`: everything after the estimate is in
-    hand.  Candidate costs are precomputed here (batched upstream);
-    the selection chain arbitrates over the numbers and its verdict,
-    trail, and provenance land on the explanation.
+    The one place a k-NN-Select's candidates, full-scan clamp and tie
+    order are spelled: everything after the browsing estimate is in
+    hand.  :func:`plan_select_batch` calls it with the statistics
+    manager's estimate; the data-shard serving coordinator calls it
+    with the cross-shard merged estimate, the worst answering tier and
+    the merged degraded flag.  The selection chain arbitrates over the
+    numbers and its verdict, trail, and provenance land on the
+    explanation; a caller with a degraded estimate appends its own note
+    saying why.
+
+    Args:
+        stats: The statistics manager whose chain, staleness policy and
+            freshness facts the arbitration runs under.
+        table: The queried (non-empty) relation.
+        query: The select.
+        sigma: Combined predicate × region selectivity.
+        effective_k: ``ceil(k / sigma)``, what the estimate was taken at.
+        cost_incremental: Estimated browsing cost in blocks.
+        estimator_tiers: The estimator's tier vocabulary, primary first.
+        estimate_tier: Tier that produced ``cost_incremental``
+            (``"estimate-cache"`` for a cache hit, ``""`` for a raw
+            estimator).
+        estimate_degraded: Whether a non-primary tier answered.
+        cache_hit: Estimate-cache outcome (``None`` when disabled).
     """
+    cost_filter = float(table.index.num_blocks)
+    # Browsing can never scan more than every block once.
+    cost_incremental = min(cost_incremental, cost_filter)
     alternatives: dict[str, float] = {
         FilterThenKnnOperator.name: cost_filter,
         IncrementalKnnOperator.name: cost_incremental,
     }
-    if query.region is not None and table.n_rows:
+    # Ties resolve toward the earlier entry; the full scan's sequential
+    # pattern beats random-access browsing at equal block counts, and
+    # the pruned browser dominates the plain one whenever applicable.
+    order = [FilterThenKnnOperator.name, IncrementalKnnOperator.name]
+    if query.region is not None:
         # Region pruning bounds browsing by the blocks inside the region.
         region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
         alternatives[RegionPrunedKnnOperator.name] = min(
             cost_incremental, region_blocks
         )
+        order.insert(1, RegionPrunedKnnOperator.name)
     explanation = PlanExplanation(
         chosen="",
         alternatives=alternatives,
         effective_k=effective_k,
         selectivity=sigma,
+        estimator_tier=estimate_tier,
+        degraded=estimate_degraded,
+        cache_hit=cache_hit,
         kernel_backend=active_backend(),
     )
-    # Ties resolve toward the earlier entry; the full scan's sequential
-    # pattern beats random-access browsing at equal block counts, and
-    # the pruned browser dominates the plain one whenever applicable.
-    order = [FilterThenKnnOperator.name]
-    if RegionPrunedKnnOperator.name in alternatives:
-        order.append(RegionPrunedKnnOperator.name)  # dominates plain browsing
-    order.append(IncrementalKnnOperator.name)
-    if cache_hit:
-        estimate_tier, estimate_degraded = "estimate-cache", False
-    elif outcome is not None:
-        estimate_tier, estimate_degraded = outcome.tier, outcome.degraded
-    else:
-        estimate_tier, estimate_degraded = "", False
-    catalog_generation, data_generation = stats.catalog_freshness(query.table)
-    context = PlanningContext(
-        kind="select",
-        table=query.table,
-        candidates=alternatives,
-        tie_order=tuple(order),
+    _run_chain(
+        stats,
+        query,
+        explanation,
+        "select",
+        query.table,
+        tuple(order),
         estimator_tiers=estimator_tiers,
         estimate_operators=(
             IncrementalKnnOperator.name,
@@ -339,24 +343,8 @@ def _assemble_select_explanation(
         ),
         estimate_tier=estimate_tier,
         estimate_degraded=estimate_degraded,
-        data_generation=data_generation,
-        catalog_generation=catalog_generation,
-        staleness_policy=stats.staleness_policy,
-        cache_stats=stats.cache_stats(),
         cache_hit=cache_hit,
-        effective_k=effective_k,
-        selectivity=sigma,
     )
-    _run_chain(stats, query, explanation, context)
-    explanation.cache_hit = cache_hit
-    if cache_hit:
-        # The estimator never ran; label the answer's real source.
-        explanation.estimator_tier = "estimate-cache"
-    elif outcome is not None:
-        explanation.estimator_tier = outcome.tier
-        explanation.degraded = outcome.degraded
-        if outcome.degraded:
-            explanation.notes.append(outcome.describe())
     return explanation
 
 
@@ -372,14 +360,14 @@ def _select_operator_for(chosen: str, table, query: KnnSelectQuery):
 def plan_select_batch(
     stats: StatisticsManager, queries: list[KnnSelectQuery]
 ) -> list[tuple[object, PlanExplanation]]:
-    """Plan a whole batch of k-NN selects with amortized statistics work.
+    """Plan a batch of k-NN selects: the only select planner.
 
-    Per-query output is exactly what :func:`plan_select` produces — the
-    same operator choice, alternatives, selectivities and provenance —
-    but the expensive per-call steps are paid once per *table*: one
+    The per-call statistics work is paid once per *table*: one
     estimator resolution, one snapshot access, and one batched
     ``estimate_batch`` call covering every query against that table
-    (routed through the estimate cache when enabled).
+    (routed through the estimate cache when enabled, which replays a
+    one-by-one loop's hit/miss sequence).  A single query is the batch
+    of one (:func:`plan_select`).
 
     Args:
         stats: The statistics manager.
@@ -395,10 +383,12 @@ def plan_select_batch(
     for name, indices in by_table.items():
         table = stats.table(name)
         if table.n_rows == 0:
+            # Nothing to scan: either plan is a no-op; pick the trivial scan.
             for i in indices:
-                query = queries[i]
-                explanation = _plan_trivial_select(stats, table, query)
-                plans[i] = (FilterThenKnnOperator(table, query), explanation)
+                plans[i] = (
+                    FilterThenKnnOperator(table, queries[i]),
+                    _plan_trivial_select(stats, queries[i]),
+                )
             continue
         sigmas = np.empty(len(indices), dtype=float)
         effective_ks = np.empty(len(indices), dtype=np.int64)
@@ -412,7 +402,6 @@ def plan_select_batch(
         pts = np.array(
             [[queries[i].query.x, queries[i].query.y] for i in indices], dtype=float
         )
-        cost_filter = float(table.index.num_blocks)
         estimator = stats.select_estimator_for_planning(name)
         costs, hits, outcomes = stats.estimate_select_costs_batch(
             name, estimator, pts, effective_ks
@@ -421,26 +410,33 @@ def plan_select_batch(
         prep_stats = getattr(estimator, "preprocessing_stats", None)
         if prep_stats is not None:
             preprocessing = prep_stats.as_dict()
-        tiers = _estimator_tiers(estimator, "staircase")
+        tiers = tier_vocabulary(estimator, "staircase")
         for j, i in enumerate(indices):
             query = queries[i]
-            cost_incremental = min(float(costs[j]), cost_filter)
             hit = bool(hits[j]) if hits is not None else None
             # Shared provenance: per-query tier labels backed by the
             # one batch-call attempt record.
-            outcome = None if hit else outcomes[j]
-            explanation = _assemble_select_explanation(
+            if hit:
+                # The estimator never ran; label the answer's real source.
+                tier, degraded = "estimate-cache", False
+            elif outcomes[j] is not None:
+                tier, degraded = outcomes[j].tier, outcomes[j].degraded
+            else:
+                tier, degraded = "", False
+            explanation = assemble_select_explanation(
                 stats,
                 table,
                 query,
                 float(sigmas[j]),
                 int(effective_ks[j]),
-                cost_filter,
-                cost_incremental,
-                cache_hit=hit,
-                outcome=outcome,
+                float(costs[j]),
                 estimator_tiers=tiers,
+                estimate_tier=tier,
+                estimate_degraded=degraded,
+                cache_hit=hit,
             )
+            if degraded:
+                explanation.notes.append(outcomes[j].describe())
             if not hit:
                 explanation.preprocessing.update(preprocessing)
             plans[i] = (
@@ -467,26 +463,42 @@ def plan_range(
         cost = 0.0
     sigma = stats.predicate_selectivity(query.table, query.predicate)
     sigma *= stats.region_selectivity(query.table, query.region)
-    alternatives = {IndexRangeScanOperator.name: cost}
     explanation = PlanExplanation(
         chosen="",
-        alternatives=alternatives,
+        alternatives={IndexRangeScanOperator.name: cost},
         effective_k=0,
         selectivity=sigma,
     )
-    __, data_generation = stats.catalog_freshness(query.table)
-    context = PlanningContext(
-        kind="range",
-        table=query.table,
-        candidates=alternatives,
-        tie_order=(IndexRangeScanOperator.name,),
-        data_generation=data_generation,
-        staleness_policy=stats.staleness_policy,
-        cache_stats=stats.cache_stats(),
-        selectivity=sigma,
+    _run_chain(
+        stats, query, explanation, "range", query.table, (IndexRangeScanOperator.name,)
     )
-    _run_chain(stats, query, explanation, context)
     return IndexRangeScanOperator(table, query), explanation
+
+
+def per_point_selects_cost(
+    select_estimator, outer_points: np.ndarray, effective_k: int
+) -> float:
+    """Estimated blocks of running a join as one select per outer row.
+
+    The outer row count times the mean select estimate over a fixed
+    spatial sample of :data:`SELECT_COST_SAMPLE` outer rows (drawn with
+    replacement from a seeded generator, so the cost is a pure function
+    of the inputs).
+
+    Args:
+        select_estimator: The inner relation's select-cost estimator.
+        outer_points: The ``(n, 2)`` outer relation, ``n >= 1``.
+        effective_k: Neighbors each select browses for.
+    """
+    n = outer_points.shape[0]
+    sample = np.random.default_rng(0).integers(0, n, size=min(SELECT_COST_SAMPLE, n))
+    per_select = [
+        select_estimator.estimate(
+            Point(float(outer_points[i, 0]), float(outer_points[i, 1])), effective_k
+        )
+        for i in sample
+    ]
+    return float(np.mean(per_select)) * n
 
 
 def plan_join(
@@ -497,27 +509,21 @@ def plan_join(
     inner = stats.table(query.inner)
     if outer.n_rows == 0 or inner.n_rows == 0:
         # Degenerate join: zero work either way.
-        alternatives = {PerPointSelectsOperator.name: 0.0}
         explanation = PlanExplanation(
             chosen="",
-            alternatives=alternatives,
+            alternatives={PerPointSelectsOperator.name: 0.0},
             effective_k=query.k,
             selectivity=1.0,
         )
-        __, data_generation = stats.catalog_freshness(query.inner)
-        context = PlanningContext(
-            kind="join",
-            table=query.outer,
+        _run_chain(
+            stats,
+            query,
+            explanation,
+            "join",
+            query.outer,
+            (PerPointSelectsOperator.name,),
             inner=query.inner,
-            candidates=alternatives,
-            tie_order=(PerPointSelectsOperator.name,),
-            data_generation=data_generation,
-            staleness_policy=stats.staleness_policy,
-            cache_stats=stats.cache_stats(),
-            effective_k=query.k,
-            selectivity=1.0,
         )
-        _run_chain(stats, query, explanation, context)
         return PerPointSelectsOperator(outer, inner, query), explanation
     sigma = stats.predicate_selectivity(query.inner, query.inner_predicate)
     sigma = min(max(sigma, 1.0 / max(inner.n_rows, 1)), 1.0)
@@ -541,24 +547,15 @@ def plan_join(
     join_outcome = getattr(join_estimator, "last_outcome", None)
 
     select_estimator = stats.select_estimator_for_planning(query.inner)
-    rng = np.random.default_rng(0)
-    sample = rng.integers(0, max(outer.n_rows, 1), size=min(SELECT_COST_SAMPLE, max(outer.n_rows, 1)))
-    per_select = [
-        select_estimator.estimate(
-            Point(float(outer.points[i, 0]), float(outer.points[i, 1])), effective_k
-        )
-        for i in sample
-    ]
-    cost_selects = float(np.mean(per_select)) * outer.n_rows if per_select else 0.0
+    cost_selects = per_point_selects_cost(select_estimator, outer.points, effective_k)
     select_outcome = getattr(select_estimator, "last_outcome", None)
 
-    alternatives = {
-        LocalityJoinOperator.name: cost_join,
-        PerPointSelectsOperator.name: cost_selects,
-    }
     explanation = PlanExplanation(
         chosen="",
-        alternatives=alternatives,
+        alternatives={
+            LocalityJoinOperator.name: cost_join,
+            PerPointSelectsOperator.name: cost_selects,
+        },
         effective_k=effective_k,
         selectivity=sigma,
     )
@@ -574,31 +571,20 @@ def plan_join(
         estimate_tier, estimate_degraded = join_outcome.tier, False
     else:
         estimate_tier, estimate_degraded = "", False
-    # Freshness facts come from the inner relation: its select catalogs
-    # back the per-point-selects costing, and join catalogs are rebuilt
-    # alongside the same snapshot generation.
-    catalog_generation, data_generation = stats.catalog_freshness(query.inner)
-    context = PlanningContext(
-        kind="join",
-        table=query.outer,
+    join_operators = (LocalityJoinOperator.name, PerPointSelectsOperator.name)
+    _run_chain(
+        stats,
+        query,
+        explanation,
+        "join",
+        query.outer,
+        join_operators,
         inner=query.inner,
-        candidates=alternatives,
-        tie_order=(LocalityJoinOperator.name, PerPointSelectsOperator.name),
-        estimator_tiers=_estimator_tiers(join_estimator, stats.join_technique),
-        estimate_operators=(
-            LocalityJoinOperator.name,
-            PerPointSelectsOperator.name,
-        ),
+        estimator_tiers=tier_vocabulary(join_estimator, stats.join_technique),
+        estimate_operators=join_operators,
         estimate_tier=estimate_tier,
         estimate_degraded=estimate_degraded,
-        data_generation=data_generation,
-        catalog_generation=catalog_generation,
-        staleness_policy=stats.staleness_policy,
-        cache_stats=stats.cache_stats(),
-        effective_k=effective_k,
-        selectivity=sigma,
     )
-    _run_chain(stats, query, explanation, context)
     if explanation.chosen == LocalityJoinOperator.name:
         _record_provenance(explanation, join_estimator)
         _record_preprocessing(explanation, join_estimator)

@@ -82,6 +82,3 @@ class KnnJoinQuery:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.outer == self.inner:
-            # Self-joins are legal; nothing to validate beyond k.
-            pass

@@ -620,30 +620,6 @@ class StatisticsManager:
             self.cache_entries_dropped += dropped
         self._cache_generations[name] = generation
 
-    def estimate_select_cost(
-        self, name: str, estimator: SelectCostEstimator, query: Point, k: int
-    ) -> tuple[float, bool | None]:
-        """Estimate one select cost, consulting the estimate cache.
-
-        Returns:
-            ``(cost, cache_hit)`` — ``cache_hit`` is ``None`` when the
-            cache is disabled, so :class:`PlanExplanation` can tell
-            "no cache" from "cache miss".
-        """
-        cache = self.estimate_cache
-        if cache is None:
-            return estimator.estimate(query, k), None
-        table = self.table(name)
-        generation = int(getattr(table.index, "data_generation", 0))
-        self._sync_cache_generation(name, table, generation)
-        key = cache.key(name, generation, query.x, query.y, k, table.index.bounds)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached, True
-        value = estimator.estimate(query, k)
-        cache.put(key, value)
-        return value, False
-
     def estimate_select_costs_batch(
         self,
         name: str,
@@ -651,14 +627,15 @@ class StatisticsManager:
         pts: np.ndarray,
         ks: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray | None, list]:
-        """Batched :meth:`estimate_select_cost` over one table's queries.
+        """Estimate one table's select costs, consulting the estimate cache.
 
         With the cache disabled this is exactly one
         ``estimator.estimate_batch`` call.  With it enabled, the probe
-        replays the scalar loop's semantics: a query whose key was
-        already cached — including by an *earlier query of the same
-        batch* — takes that value as a hit, and only first-occurrence
-        misses reach the estimator (as one batched call).
+        has the semantics of estimating one query at a time: a query
+        whose key was already cached — including by an *earlier query of
+        the same batch* — takes that value as a hit, and only
+        first-occurrence misses reach the estimator (as one batched
+        call).
 
         Returns:
             ``(costs, hits, outcomes)`` — ``hits`` is ``None`` when the
@@ -687,7 +664,7 @@ class StatisticsManager:
         aliases: list[tuple[int, int]] = []  # (query, first occurrence)
         for i, key in enumerate(keys):
             if key in first_of_key:
-                # The scalar loop would have cached the first
+                # A one-by-one loop would have cached the first
                 # occurrence's estimate by now; this query hits it.
                 cache.hits += 1
                 hits[i] = True

@@ -6,29 +6,18 @@ predicate can be run *filter-first* (apply the relational select, then
 k-NN over the qualifying tuples) or *incrementally* (distance browsing
 with the predicate evaluated on the fly, stopping at k qualifying
 results) — and the cheaper plan depends on the estimated k-NN cost.
-This subpackage implements both plans, executes them for ground truth,
-and chooses between them using the paper's estimators; it also covers
-the batch scenario (many k-NN-Selects versus one k-NN-Join, Section 1's
-shared-execution motivation).
+The same holds one operator later (many k-NN-Selects versus one
+k-NN-Join, Section 1's shared-execution motivation).
 
-Arbitration itself lives in :mod:`repro.optimizer.selection`: a
-composable chain of ``PhysicalOperatorSelection`` links that the engine
-planner (and the standalone choosers here) route every decision
-through.  The golden plan-regression corpus guarding those decisions is
-maintained by :mod:`repro.optimizer.regression`.
+This subpackage holds the *arbitration*:
+:mod:`repro.optimizer.selection` is a composable chain of
+``PhysicalOperatorSelection`` links.  Plans are enumerated and costed by
+:mod:`repro.engine.planner` — the only caller of the chain at run time
+— and executed by :mod:`repro.engine.physical`; the golden
+plan-regression corpus guarding the decisions is maintained by
+:mod:`repro.optimizer.regression`.
 """
 
-from repro.optimizer.plans import (
-    FilterThenKnnPlan,
-    IncrementalKnnPlan,
-    PlanResult,
-)
-from repro.optimizer.chooser import (
-    PlanChoice,
-    choose_select_plan,
-    choose_batch_plan,
-    BatchPlanChoice,
-)
 from repro.optimizer.selection import (
     ConfidenceSelection,
     CostBasedSelection,
@@ -44,13 +33,6 @@ from repro.optimizer.selection import (
 )
 
 __all__ = [
-    "FilterThenKnnPlan",
-    "IncrementalKnnPlan",
-    "PlanResult",
-    "PlanChoice",
-    "choose_select_plan",
-    "choose_batch_plan",
-    "BatchPlanChoice",
     "ConfidenceSelection",
     "CostBasedSelection",
     "FreshnessGuardSelection",

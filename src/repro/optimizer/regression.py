@@ -38,14 +38,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import generate_skewed, generate_uniform
+from repro.engine import KnnSelectQuery, SpatialEngine, SpatialTable, StatisticsManager
+from repro.engine.planner import per_point_selects_cost
 from repro.estimators import CatalogMergeEstimator, StaircaseEstimator
 from repro.geometry import Point
 from repro.index import GridIndex, Quadtree, RTree, as_snapshot
 from repro.knn import knn_join_cost, select_cost_exact
-from repro.optimizer.chooser import choose_batch_plan, choose_select_plan
 from repro.optimizer.selection import (
+    FILTER_THEN_KNN,
+    INCREMENTAL_KNN,
     LOCALITY_JOIN,
     PER_POINT_SELECTS,
+    PER_QUERY_SELECTS,
+    SHARED_KNN_JOIN,
     CostBasedSelection,
     PlanAssignment,
     PlanningContext,
@@ -78,10 +83,6 @@ _SELECT_QUERY = {
 _BATCH_K = {"uniform": 4, "skewed": 24, "churned": 8}
 #: Per-dataset k for the join workloads.
 _JOIN_K = {"uniform": 8, "skewed": 16, "churned": 4}
-
-#: Outer rows sampled when costing per-point-selects (mirrors the
-#: engine planner's SELECT_COST_SAMPLE).
-_JOIN_SAMPLE = 32
 
 _cache: dict = {}
 
@@ -183,37 +184,77 @@ def _batch_queries(dataset: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix workloads (chooser-level, substrate-parametric)
+# Matrix workloads (substrate-parametric: candidates handed to the chain)
 # ---------------------------------------------------------------------------
+def _matrix_record(
+    dataset: str, substrate: str, op: str, k: int, effective_k: int,
+    candidates: dict[str, float], actual_of: dict, tier_of: dict[str, str],
+) -> dict:
+    """Arbitrate ``candidates`` with the bare cost arbiter; record the plan.
+
+    The engine plans over its own quadtree tables, so the matrix costs
+    each candidate on the substrate under test and hands the numbers to
+    the chain directly.  Ties resolve toward ``candidates``' order;
+    only the chosen plan's actual block count is computed.
+    """
+    context = PlanningContext(
+        kind=op,
+        table=dataset,
+        candidates=candidates,
+        tie_order=tuple(candidates),
+        effective_k=effective_k,
+    )
+    assignment = CostBasedSelection().select_physical_operators(
+        None, PlanAssignment(), context
+    )
+    chosen = assignment.operator
+    return {
+        "dataset": dataset,
+        "substrate": substrate,
+        "op": op,
+        "k": k,
+        "chosen": chosen,
+        "decided_by": assignment.decided_by,
+        "estimator_tier": tier_of[chosen],
+        "candidates": candidates,
+        "estimated_cost": candidates[chosen],
+        "actual_blocks": int(actual_of[chosen]()),
+    }
+
+
+def predicted_speedup(candidates: dict[str, float]) -> float | None:
+    """Estimated cost ratio of the dearest candidate over the cheapest.
+
+    ``None`` stands for an infinite ratio (a zero-cost winner).
+    """
+    worst, best = max(candidates.values()), min(candidates.values())
+    return worst / best if best > 0 else None
+
+
 def _run_select(dataset: str, substrate: str) -> dict:
     """Filter-then-kNN vs. incremental browsing on one substrate."""
     index = _index(dataset, "full", substrate)
     estimator = _staircase(dataset, "full", substrate)
     k, selectivity = _SELECT_PARAMS[dataset]
     query = _SELECT_QUERY[dataset]
-    choice, filter_plan, incremental_plan = choose_select_plan(
-        index, estimator, query, k, lambda x, y: True, selectivity
-    )
-    plan = filter_plan if choice.chosen == filter_plan.name else incremental_plan
-    actual = plan.execute(query, k).blocks_scanned
+    # One in ``selectivity`` browsed tuples qualifies: browsing is
+    # costed at k' = ceil(k / selectivity); every tuple qualifies at run
+    # time, so the browse itself stops at k.
+    effective_k = int(np.ceil(k / selectivity))
     candidates = {
-        filter_plan.name: choice.filter_then_knn_cost,
-        incremental_plan.name: choice.incremental_cost,
+        FILTER_THEN_KNN: float(index.num_blocks),
+        INCREMENTAL_KNN: float(estimator.estimate(query, effective_k)),
     }
-    speedup = choice.predicted_speedup
-    return {
-        "dataset": dataset,
-        "substrate": substrate,
-        "op": "select",
-        "k": k,
-        "chosen": choice.chosen,
-        "decided_by": choice.decided_by,
-        "estimator_tier": "staircase",
-        "candidates": candidates,
-        "estimated_cost": candidates[choice.chosen],
-        "actual_blocks": int(actual),
-        "predicted_speedup": None if math.isinf(speedup) else speedup,
-    }
+    record = _matrix_record(
+        dataset, substrate, "select", k, effective_k, candidates,
+        actual_of={
+            FILTER_THEN_KNN: lambda: index.num_blocks,
+            INCREMENTAL_KNN: lambda: select_cost_exact(index, index.blocks, query, k),
+        },
+        tier_of={FILTER_THEN_KNN: "staircase", INCREMENTAL_KNN: "staircase"},
+    )
+    record["predicted_speedup"] = predicted_speedup(candidates)
+    return record
 
 
 def _run_batch(dataset: str, substrate: str) -> dict:
@@ -235,97 +276,58 @@ def _run_batch(dataset: str, substrate: str) -> dict:
         ),
     )
     k = _BATCH_K[dataset]
-    choice = choose_batch_plan(inner_estimator, join_estimator, queries, k)
-    if choice.chosen == "per-query-selects":
-        actual = sum(
-            select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
-            for x, y in queries
-        )
-        tier = "staircase"
-    else:
-        actual = knn_join_cost(outer_index, inner_index, k)
-        tier = "catalog-merge"
+    costs = inner_estimator.estimate_batch(
+        queries, np.full(queries.shape[0], k, dtype=np.int64)
+    )
     candidates = {
-        "per-query-selects": choice.per_select_total_cost,
-        "shared-knn-join": choice.join_cost,
+        # Left-to-right summation, as a loop of scalar estimates adds up.
+        PER_QUERY_SELECTS: float(sum(costs.tolist())),
+        SHARED_KNN_JOIN: float(join_estimator.estimate(k)),
     }
-    return {
-        "dataset": dataset,
-        "substrate": substrate,
-        "op": "batch",
-        "k": k,
-        "chosen": choice.chosen,
-        "decided_by": choice.decided_by,
-        "estimator_tier": tier,
-        "candidates": candidates,
-        "estimated_cost": candidates[choice.chosen],
-        "actual_blocks": int(actual),
-    }
+    return _matrix_record(
+        dataset, substrate, "batch", k, k, candidates,
+        actual_of={
+            PER_QUERY_SELECTS: lambda: sum(
+                select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
+                for x, y in queries
+            ),
+            SHARED_KNN_JOIN: lambda: knn_join_cost(outer_index, inner_index, k),
+        },
+        tier_of={PER_QUERY_SELECTS: "staircase", SHARED_KNN_JOIN: "catalog-merge"},
+    )
 
 
 def _run_join(dataset: str, substrate: str) -> dict:
-    """Locality join vs. per-point selects, arbitrated through the chain.
-
-    Mirrors :func:`repro.engine.planner.plan_join`'s costing on an
-    arbitrary substrate: the join catalog's estimate against the mean
-    select estimate over a 32-row spatial sample of the outer relation.
-    """
+    """Locality join vs. per-point selects, costed as ``plan_join`` costs them."""
     outer_points = _part(dataset, "outer")
     outer_index = _index(dataset, "outer", substrate)
     inner_index = _index(dataset, "inner", substrate)
-    join_estimator = _catalog_merge(dataset, "outer", "inner", substrate)
-    inner_estimator = _staircase(dataset, "inner", substrate)
     k = _JOIN_K[dataset]
-
-    cost_join = float(join_estimator.estimate(k))
-    rng = np.random.default_rng(0)
-    sample = rng.integers(0, outer_points.shape[0], size=_JOIN_SAMPLE)
-    costs = inner_estimator.estimate_batch(
-        outer_points[sample], np.full(sample.size, k, dtype=np.int64)
-    )
-    cost_selects = float(np.mean(costs)) * outer_points.shape[0]
-
-    candidates = {LOCALITY_JOIN: cost_join, PER_POINT_SELECTS: cost_selects}
-    context = PlanningContext(
-        kind="join",
-        table=f"{dataset}-outer",
-        inner=f"{dataset}-inner",
-        candidates=candidates,
-        tie_order=(LOCALITY_JOIN, PER_POINT_SELECTS),
-        effective_k=k,
-    )
-    assignment = CostBasedSelection().select_physical_operators(
-        None, PlanAssignment(), context
-    )
-    if assignment.operator == LOCALITY_JOIN:
-        actual = knn_join_cost(outer_index, inner_index, k)
-        tier = "catalog-merge"
-    else:
-        actual = sum(
-            select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
-            for x, y in outer_points
-        )
-        tier = "staircase"
-    return {
-        "dataset": dataset,
-        "substrate": substrate,
-        "op": "join",
-        "k": k,
-        "chosen": assignment.operator,
-        "decided_by": assignment.decided_by,
-        "estimator_tier": tier,
-        "candidates": candidates,
-        "estimated_cost": candidates[assignment.operator],
-        "actual_blocks": int(actual),
+    candidates = {
+        LOCALITY_JOIN: float(
+            _catalog_merge(dataset, "outer", "inner", substrate).estimate(k)
+        ),
+        PER_POINT_SELECTS: per_point_selects_cost(
+            _staircase(dataset, "inner", substrate), outer_points, k
+        ),
     }
+    return _matrix_record(
+        dataset, substrate, "join", k, k, candidates,
+        actual_of={
+            LOCALITY_JOIN: lambda: knn_join_cost(outer_index, inner_index, k),
+            PER_POINT_SELECTS: lambda: sum(
+                select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
+                for x, y in outer_points
+            ),
+        },
+        tier_of={LOCALITY_JOIN: "catalog-merge", PER_POINT_SELECTS: "staircase"},
+    )
 
 
 # ---------------------------------------------------------------------------
 # Engine-level specials
 # ---------------------------------------------------------------------------
 def _engine(**manager_kwargs):
-    from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
-
     engine = SpatialEngine(StatisticsManager(**manager_kwargs))
     engine.register(
         SpatialTable("points", _dataset("uniform"), capacity=CAPACITY)
@@ -359,8 +361,6 @@ def _run_cost_tie() -> dict:
     exactly the full-scan block count — an exact integer tie that must
     keep resolving to ``filter-then-knn``.
     """
-    from repro.engine import KnnSelectQuery
-
     n = _dataset("uniform").shape[0]
     engine = _engine(max_k=n)
     query = KnnSelectQuery("points", Point(500.0, 500.0), k=n)
@@ -375,8 +375,6 @@ def _run_cost_tie() -> dict:
 
 def _run_pinned_override() -> dict:
     """A pin forcing the full scan where browsing is cheaper."""
-    from repro.engine import KnnSelectQuery
-
     engine = _engine(pinned_operators={"points:select": "filter-then-knn"})
     query = KnnSelectQuery("points", Point(500.0, 500.0), k=8)
     result, explanation = engine.execute(query)
@@ -392,8 +390,6 @@ def _run_stale_raise_demotion() -> dict:
     the freshness guard demotes the catalog-backed tiers in the chain's
     trail instead of letting ``StaleCatalogError`` crash planning.
     """
-    from repro.engine import KnnSelectQuery
-
     engine = _engine(staleness_policy="raise")
     query = KnnSelectQuery("points", Point(500.0, 500.0), k=8)
     engine.explain(query)  # builds the catalogs at generation 0

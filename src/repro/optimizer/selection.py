@@ -18,8 +18,7 @@ Shipped links, in the default chain's order:
   :class:`~repro.resilience.errors.StaleCatalogError` crash planning;
 * :class:`CostBasedSelection` — the arbiter: picks the candidate with
   the least estimated block cost, resolving ties toward the preference
-  order (subsumes the legacy ``choose_select_plan`` /
-  ``choose_batch_plan`` decision rules bit-for-bit);
+  order;
 * :class:`ConfidenceSelection` — inspects the estimate's fallback
   provenance and, when configured with a ``degraded_penalty``, deflates
   trust in degraded (non-primary-tier) estimates by re-arbitrating with
@@ -34,9 +33,13 @@ which the planner copies onto
 :class:`~repro.engine.planner.PlanExplanation` — ``EXPLAIN`` then shows
 *why* a plan won, not just its cost.
 
-The default chain (:func:`default_selection_chain`) reproduces the
-legacy planner's decisions bit-for-bit; the golden plan-regression
-suite (``tests/plan_regression/``, regenerated with
+The chain is walked from one place, :mod:`repro.engine.planner` (the
+serving coordinator arbitrates through the planner's select assembly),
+plus the golden corpus of :mod:`repro.optimizer.regression`, which hands
+it candidates costed on substrates the engine does not plan over.  The
+default chain (:func:`default_selection_chain`) is plain cost
+arbitration plus provenance notes; the golden plan-regression suite
+(``tests/plan_regression/``, regenerated with
 ``python -m repro.optimizer.regression --update``) pins that contract.
 """
 
@@ -164,9 +167,8 @@ class PlanningContext:
 
     Attributes:
         kind: ``"select"``, ``"join"``, ``"range"``, or ``"batch"``
-            (the standalone many-selects-vs-one-join arbitration).
-        table: Target relation name (the outer relation for joins; may
-            be ``""`` for the standalone chooser helpers).
+            (the golden corpus' many-selects-vs-one-join arbitration).
+        table: Target relation name (the outer relation for joins).
         candidates: ``{operator: estimated block cost}``.
         tie_order: Candidate preference order; equal costs resolve
             toward the earlier entry.
@@ -263,7 +265,8 @@ class PhysicalOperatorSelection(abc.ABC):
 
         Args:
             query: The query specification (any of the engine's query
-                dataclasses, or ``None`` for the standalone choosers).
+                dataclasses, or ``None`` for the golden corpus' matrix
+                workloads).
             assignment: The assignment so far (mutated and returned).
             context: The planner-gathered facts for this query.
 
@@ -296,12 +299,11 @@ class PhysicalOperatorSelection(abc.ABC):
 class CostBasedSelection(PhysicalOperatorSelection):
     """The arbiter: pick the cheapest candidate, ties toward ``tie_order``.
 
-    This subsumes the legacy ``choose_select_plan`` /
-    ``choose_batch_plan`` decision rules: the candidate with the least
-    estimated block cost wins, and equal costs resolve toward the
-    earlier entry of the context's preference order (a full scan's
-    sequential pattern beats random-access browsing at equal block
-    counts; a region-pruned browser dominates the plain one).
+    The candidate with the least estimated block cost wins, and equal
+    costs resolve toward the earlier entry of the context's preference
+    order (a full scan's sequential pattern beats random-access browsing
+    at equal block counts; a region-pruned browser dominates the plain
+    one).
 
     A pinned assignment is left standing — the candidates are still
     recorded so ``EXPLAIN`` can show what the pin rejected.

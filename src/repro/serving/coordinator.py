@@ -61,9 +61,12 @@ from repro.engine.physical import (
     ExecutionResult,
     FilterThenKnnOperator,
     IncrementalKnnOperator,
-    RegionPrunedKnnOperator,
 )
-from repro.engine.planner import PlanExplanation, _estimator_tiers, _run_chain
+from repro.engine.planner import (
+    PlanExplanation,
+    assemble_select_explanation,
+    tier_vocabulary,
+)
 from repro.engine.queries import KnnSelectQuery
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
@@ -72,7 +75,6 @@ from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
 from repro.geometry.hilbert import hilbert_order
 from repro.index.snapshot import as_snapshot
-from repro.optimizer.selection import PlanningContext
 from repro.knn.merge import QueryMerge, run_merges
 from repro.serving.merge import (
     PARTIAL_PLAN,
@@ -474,13 +476,14 @@ class ShardedServingTier:
                 init_payload=payload,
                 serve_fn=_serve_data_shard_chunk,
             )
-        # Coordinator-side plan arbitration mirrors the unsharded
-        # planner: same selection chain (pins included), same staleness
-        # policy, same estimator tier vocabulary — only the cost
-        # numbers come from the cross-shard estimate merge.
+        # Coordinator-side plans are arbitrated by the planner's own
+        # select assembly under this manager: same selection chain (pins
+        # included), same staleness policy, same estimator tier
+        # vocabulary — only the cost numbers come from the cross-shard
+        # estimate merge.
         self._arbiter = StatisticsManager(**data_kwargs)
         self._arbiter.register(self.table)
-        self._arbiter_tiers = _estimator_tiers(
+        self._arbiter_tiers = tier_vocabulary(
             self._arbiter.select_estimator_for_planning(self.table.name), "staircase"
         )
         return handles
@@ -851,13 +854,28 @@ class ShardedServingTier:
                 [estimates[sid][2][i] for sid in live],
                 self._guaranteed_bound,
             )
-            explanation = self._arbitrate(
-                Point(float(pts[i, 0]), float(pts[i, 1])),
-                int(ks[i]),
-                cost_inc,
-                tier,
-                est_degraded or bool(dead),
+            est_degraded = est_degraded or bool(dead)
+            k = int(ks[i])
+            # The planner's select assembly, over the merged estimate:
+            # the tier label is the worst shard's.
+            explanation = assemble_select_explanation(
+                self._arbiter,
+                self.table,
+                KnnSelectQuery(
+                    self.table.name, Point(float(pts[i, 0]), float(pts[i, 1])), k=k
+                ),
+                sigma=1.0,
+                effective_k=k,
+                cost_incremental=cost_inc,
+                estimator_tiers=self._arbiter_tiers,
+                estimate_tier=tier,
+                estimate_degraded=est_degraded,
             )
+            if est_degraded:
+                explanation.notes.append(
+                    "merged shard estimates degraded (worst answering tier "
+                    f"{tier or 'unknown'!r})"
+                )
             explanations[chunk_idx[i]] = explanation
             if explanation.chosen == FilterThenKnnOperator.name:
                 filter_pos.append(i)
@@ -1031,67 +1049,6 @@ class ShardedServingTier:
                     f"verified prefix of {n_verified} row(s) below bound "
                     f"{merge.t_gap:.6g}"
                 )
-
-    def _arbitrate(
-        self,
-        point: Point,
-        k: int,
-        cost_incremental: float,
-        tier: str,
-        est_degraded: bool,
-    ) -> PlanExplanation:
-        """Arbitrate one query's plan over the merged shard estimates.
-
-        Mirrors the unsharded planner's
-        ``_assemble_select_explanation``: the same candidate set, tie
-        order, selection chain (pins included), and per-link trail —
-        only the incremental cost comes from the cross-shard estimate
-        merge, and the tier label is the worst shard's.
-        """
-        alternatives = {
-            FilterThenKnnOperator.name: self._guaranteed_bound,
-            IncrementalKnnOperator.name: cost_incremental,
-        }
-        explanation = PlanExplanation(
-            chosen="",
-            alternatives=alternatives,
-            effective_k=k,
-            selectivity=1.0,
-            kernel_backend=active_backend(),
-        )
-        catalog_generation, data_generation = self._arbiter.catalog_freshness(
-            self.table.name
-        )
-        context = PlanningContext(
-            kind="select",
-            table=self.table.name,
-            candidates=alternatives,
-            tie_order=(FilterThenKnnOperator.name, IncrementalKnnOperator.name),
-            estimator_tiers=self._arbiter_tiers,
-            estimate_operators=(
-                IncrementalKnnOperator.name,
-                RegionPrunedKnnOperator.name,
-            ),
-            estimate_tier=tier,
-            estimate_degraded=est_degraded,
-            data_generation=data_generation,
-            catalog_generation=catalog_generation,
-            staleness_policy=self._arbiter.staleness_policy,
-            cache_stats=self._arbiter.cache_stats(),
-            cache_hit=None,
-            effective_k=k,
-            selectivity=1.0,
-        )
-        query = KnnSelectQuery(self.table.name, point, k=k)
-        _run_chain(self._arbiter, query, explanation, context)
-        explanation.estimator_tier = tier
-        explanation.degraded = est_degraded
-        if est_degraded:
-            explanation.notes.append(
-                "merged shard estimates degraded (worst answering tier "
-                f"{tier or 'unknown'!r})"
-            )
-        return explanation
 
     # ------------------------------------------------------------------
     # Provenance

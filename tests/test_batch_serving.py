@@ -319,8 +319,8 @@ def mixed_setup():
     rng = np.random.default_rng(9)
     prices = rng.uniform(0, 100, size=pts.shape[0])
 
-    def build_engine() -> SpatialEngine:
-        engine = SpatialEngine(StatisticsManager(max_k=128))
+    def build_engine(**manager_kwargs) -> SpatialEngine:
+        engine = SpatialEngine(StatisticsManager(max_k=128, **manager_kwargs))
         engine.register(SpatialTable("a", pts, {"price": prices}, capacity=64))
         engine.register(SpatialTable("b", other, capacity=32))
         return engine
@@ -402,6 +402,70 @@ class TestEngineBatchParity:
             assert x_s.alternatives == x_b.alternatives, i
             assert x_s.estimator_tier == x_b.estimator_tier, i
             assert x_s.notes == x_b.notes, i
+
+    @pytest.mark.parametrize(
+        "scenario", ["cache-off", "cache-on", "stale-raise", "faulted-primary"]
+    )
+    def test_scalar_calls_are_the_batch_of_one(self, mixed_setup, scenario):
+        """``explain(q)`` / ``execute(q)`` equal ``explain_batch([q])[0]`` /
+        ``execute_batch([q])[0]`` field for field — there is no scalar
+        planning twin — with the estimate cache off and on and under a
+        degraded estimator."""
+        build_mixed, queries = mixed_setup
+
+        def build_engine() -> SpatialEngine:
+            engine = build_mixed(
+                estimate_cache_size=256 if scenario == "cache-on" else 0,
+                staleness_policy="raise" if scenario == "stale-raise" else "rebuild",
+            )
+            if scenario == "stale-raise":
+                engine.explain(KnnSelectQuery("a", Point(500.0, 500.0), k=4))
+                engine.stats.table("a").index.data_generation = 1
+            if scenario == "faulted-primary":
+                # The proxy wraps only scalar ``estimate()``: batches reach
+                # it through the ABC's per-query loop.
+                chain = engine.stats.resilient_select_estimator("a")
+                chain.wrap_tier(
+                    chain.primary_tier,
+                    lambda est: FaultInjectingSelectEstimator(
+                        est, FaultSchedule(FaultSpec.raising(), every=1)
+                    ),
+                )
+            return engine
+
+        def fields(explanation) -> dict:
+            out = dict(vars(explanation))
+            out["trail"] = [(d.link, d.action, d.operator, d.note) for d in out["trail"]]
+            # Two engines build their catalogs at different speeds.
+            out["preprocessing"] = {
+                key: value
+                for key, value in out["preprocessing"].items()
+                if not key.endswith("seconds")
+            }
+            return out
+
+        # Repeats make cache hits; both engines see the same sequence.
+        sequence = queries[:60] + queries[:20]
+        scalar_engine, batch_engine = build_engine(), build_engine()
+        degraded = 0
+        for i, query in enumerate(sequence):
+            x_s = scalar_engine.explain(query)
+            x_b = batch_engine.explain_batch([query])[0]
+            assert fields(x_s) == fields(x_b), (i, query)
+            degraded += x_s.degraded
+        if scenario == "cache-on":
+            assert scalar_engine.stats.estimate_cache.hits > 0
+        if scenario in ("stale-raise", "faulted-primary"):
+            assert degraded > 0
+        for i, query in enumerate(sequence[:30]):
+            (r_s, x_s), (r_b, x_b) = (
+                scalar_engine.execute(query),
+                batch_engine.execute_batch([query])[0],
+            )
+            assert fields(x_s) == fields(x_b), (i, query)
+            assert r_s.operator == r_b.operator and r_s.blocks_scanned == r_b.blocks_scanned
+            if r_s.row_ids is not None:
+                np.testing.assert_array_equal(r_s.row_ids, r_b.row_ids)
 
     def test_empty_batch(self, mixed_setup):
         build_engine, __ = mixed_setup

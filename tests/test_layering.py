@@ -9,8 +9,15 @@ it can reach ``repro.serving``.
 
 A second walk keeps retired names retired: second implementations that
 were folded into the one substrate (the ``CountIndex`` wrapper, the
-array metrics of ``geometry/metrics.py``, the reference-build knobs)
-must not come back under their old names.
+array metrics of ``geometry/metrics.py``, the reference-build knobs) or
+into the one planner (the standalone choosers and plan objects, the
+scalar planning twin, the coordinator's own arbitration) must not come
+back under their old names.
+
+A third keeps plan decisions in one place: a ``PlanningContext`` is
+built only by the engine planner (and the golden corpus, which hands the
+chain candidates costed on substrates the engine does not plan over),
+and ``repro.optimizer`` stays pure arbitration — no executor, no engine.
 """
 
 from __future__ import annotations
@@ -98,7 +105,9 @@ def test_the_walk_sees_function_level_imports():
 #: Names of second implementations that left ``src/``: the block-summary
 #: wrapper (the snapshot is the Count-Index), the array MINDIST/MAXDIST
 #: copies (the kernels are the only array definition) and the switches
-#: that selected an in-tree reference build (now ``tests/reference_builds.py``).
+#: that selected an in-tree reference build (now ``tests/reference_builds.py``);
+#: the standalone chooser / plan stack, the scalar planning twin's cache
+#: entry point and the two re-spellings of the planner's arbitration.
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -113,6 +122,16 @@ RETIRED_NAMES = {
     "_dedup",
     "no_dedup",
     "_build_reference",
+    "choose_select_plan",
+    "choose_batch_plan",
+    "PlanChoice",
+    "BatchPlanChoice",
+    "FilterThenKnnPlan",
+    "IncrementalKnnPlan",
+    "PlanResult",
+    "estimate_select_cost",
+    "_arbitrate",
+    "_JOIN_SAMPLE",
 }
 
 
@@ -148,6 +167,8 @@ def test_retired_names_stay_retired():
     ]
     assert not hits, "retired names are back in src/:\n" + "\n".join(hits)
     assert not (SRC / "repro" / "index" / "count_index.py").exists()
+    for module in ("chooser", "plans"):
+        assert f"repro.optimizer.{module}" not in MODULES
 
 
 def test_the_retired_name_walk_sees_every_identifier_kind():
@@ -158,3 +179,27 @@ def test_the_retired_name_walk_sees_every_identifier_kind():
     )
     seen = {name for name, __ in _identifiers(ast.parse(source))}
     assert {"count_index", "CountIndex", "dedup", "no_dedup", "_dedup"} <= seen
+
+
+def test_planning_contexts_are_built_by_the_planner_only():
+    builders = {
+        name
+        for name, path in MODULES.items()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "PlanningContext"
+    }
+    assert builders == {"repro.engine.planner", "repro.optimizer.regression"}
+
+
+def test_the_optimizer_is_arbitration_only():
+    # The golden corpus is the one module that drives the engine.
+    for name in MODULES:
+        if name.startswith("repro.optimizer") and name != "repro.optimizer.regression":
+            reached = {
+                dep
+                for dep in _imports(name)
+                if dep.startswith(("repro.knn", "repro.engine"))
+            }
+            assert not reached, f"{name} imports {sorted(reached)}"

@@ -7,7 +7,7 @@ from repro.experiments import join_support, select_support
 from repro.experiments.common import ExperimentResult, clear_caches, get_config
 from repro.experiments.common import _format_cell
 from repro.knn.knn_join import JoinStats
-from repro.optimizer import PlanChoice
+from repro.optimizer import CostBasedSelection, PlanAssignment, PlanningContext, regression
 
 
 class TestCellFormatting:
@@ -48,12 +48,21 @@ class TestExperimentCaches:
 
 class TestPlanChoice:
     def test_predicted_speedup(self):
-        choice = PlanChoice("incremental-knn", 100.0, 10.0)
-        assert choice.predicted_speedup == pytest.approx(10.0)
+        record = regression.run_workload("uniform-quadtree-select")
+        costs = record["candidates"].values()
+        assert record["estimated_cost"] == min(costs)
+        assert record["predicted_speedup"] == pytest.approx(max(costs) / min(costs))
 
     def test_speedup_with_zero_cost(self):
-        choice = PlanChoice("incremental-knn", 10.0, 0.0)
-        assert choice.predicted_speedup == float("inf")
+        candidates = {"filter-then-knn": 10.0, "incremental-knn": 0.0}
+        context = PlanningContext(
+            kind="select", table="t", candidates=candidates, tie_order=tuple(candidates)
+        )
+        choice = CostBasedSelection().select_physical_operators(
+            None, PlanAssignment(), context
+        )
+        assert choice.operator == "incremental-knn"
+        assert regression.predicted_speedup(candidates) is None  # infinite
 
 
 class TestJoinStats:

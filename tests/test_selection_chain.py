@@ -2,7 +2,7 @@
 
 Covers the chain mechanics (composition, trails, cycle detection), the
 shipped links' semantics, chain/legacy parity across all three index
-substrates, the batched-vs-scalar batch-chooser contract, the
+substrates, the many-selects-vs-one-join decision through the engine, the
 freshness-guard behavior under both staleness policies, and the CLI /
 engine configuration surface.
 """
@@ -382,7 +382,12 @@ def _substrate_index(points, substrate):
 @pytest.mark.parametrize("substrate", ["quadtree", "grid", "rtree"])
 class TestChainLegacyParity:
     """The default chain must reproduce plain cost arbitration
-    bit-for-bit on every substrate (the legacy planner's contract)."""
+    bit-for-bit on every substrate (the legacy planner's contract).
+
+    The engine plans over its own quadtree tables, so the select
+    candidates are costed on the substrate here and handed to the chain
+    — the golden corpus' route.
+    """
 
     @pytest.fixture()
     def setup(self, parity_points, substrate):
@@ -392,104 +397,103 @@ class TestChainLegacyParity:
             else Quadtree(parity_points, capacity=64)
         )
         estimator = StaircaseEstimator(index, aux, max_k=512)
-        return index, estimator
+
+        def select_context(query, k, selectivity):
+            effective_k = int(np.ceil(k / selectivity))
+            return _context(
+                candidates={
+                    "filter-then-knn": float(index.num_blocks),
+                    "incremental-knn": float(estimator.estimate(query, effective_k)),
+                },
+                effective_k=effective_k,
+                selectivity=selectivity,
+            )
+
+        return select_context
 
     def test_select_choice_matches_legacy_rule(self, setup, substrate):
-        from repro.optimizer import choose_select_plan
-
-        index, estimator = setup
         for k, selectivity in [(4, 0.5), (32, 0.25), (128, 0.02)]:
-            choice, filter_plan, incremental_plan = choose_select_plan(
-                index, estimator, Point(500.0, 500.0), k,
-                lambda x, y: True, selectivity,
-                selection_chain=default_selection_chain(),
-            )
-            cost_filter = choice.filter_then_knn_cost
-            cost_incremental = choice.incremental_cost
+            context = setup(Point(500.0, 500.0), k, selectivity)
+            choice = _walk(default_selection_chain(), context)
+            costs = context.candidates
             legacy = (
-                filter_plan.name
-                if cost_filter <= cost_incremental
-                else incremental_plan.name
+                "filter-then-knn"
+                if costs["filter-then-knn"] <= costs["incremental-knn"]
+                else "incremental-knn"
             )
-            assert choice.chosen == legacy, (substrate, k, selectivity)
+            assert choice.operator == legacy, (substrate, k, selectivity)
 
     def test_default_chain_equals_bare_arbiter(self, setup, substrate):
-        from repro.optimizer import choose_select_plan
-
-        index, estimator = setup
-        with_chain, __, __ = choose_select_plan(
-            index, estimator, Point(321.0, 654.0), 16, lambda x, y: True, 0.3,
-            selection_chain=default_selection_chain(),
-        )
-        bare, __, __ = choose_select_plan(
-            index, estimator, Point(321.0, 654.0), 16, lambda x, y: True, 0.3,
-        )
-        assert with_chain.chosen == bare.chosen
-        assert with_chain.filter_then_knn_cost == bare.filter_then_knn_cost
-        assert with_chain.incremental_cost == bare.incremental_cost
+        context = setup(Point(321.0, 654.0), 16, 0.3)
+        with_chain = _walk(default_selection_chain(), context)
+        bare = _walk(CostBasedSelection(), context)
+        assert with_chain.operator == bare.operator
+        assert with_chain.decided_by == bare.decided_by == "cost-based"
+        assert with_chain.candidates == bare.candidates == context.candidates
 
 
 class TestPlanChoiceSpeedup:
-    def test_predicted_speedup_is_inf_when_best_cost_is_zero(self):
-        from repro.optimizer import PlanChoice
+    """The golden select records' ``predicted_speedup`` field."""
 
-        choice = PlanChoice("incremental-knn", 64.0, 0.0)
-        assert choice.predicted_speedup == float("inf")
+    def test_predicted_speedup_is_inf_when_best_cost_is_zero(self):
+        from repro.optimizer.regression import predicted_speedup
+
+        # Infinite: recorded as null, JSON has no inf.
+        assert predicted_speedup({"a": 64.0, "b": 0.0}) is None
 
     def test_predicted_speedup_ratio(self):
-        from repro.optimizer import PlanChoice
+        from repro.optimizer.regression import predicted_speedup
 
-        choice = PlanChoice("incremental-knn", 64.0, 8.0)
-        assert choice.predicted_speedup == 8.0
+        assert predicted_speedup({"a": 64.0, "b": 8.0}) == 8.0
 
 
 class TestBatchChooserBatching:
-    """Satellite 1: one ``estimate_batch`` call, bit-identical totals."""
+    """Many selects vs. one shared join: the batch of query points is
+    the outer table of a ``KnnJoinQuery``; the golden corpus costs the
+    whole batch with one ``estimate_batch`` call."""
 
     @pytest.fixture(scope="class")
-    def setup(self, inner_quadtree, inner_count_index):
-        from repro.estimators import CatalogMergeEstimator
+    def setup(self, inner_quadtree):
+        from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
 
-        outer = Quadtree(generate_uniform(500, seed=6), capacity=64)
-        select_est = StaircaseEstimator(inner_quadtree, max_k=256)
-        join_est = CatalogMergeEstimator(
-            outer, inner_count_index, sample_size=50, max_k=256
-        )
+        engine = SpatialEngine(StatisticsManager(max_k=256, join_sample_size=50))
+        engine.register(SpatialTable("inner", inner_quadtree.all_points(), capacity=64))
         rng = np.random.default_rng(7)
         queries = rng.uniform(100.0, 900.0, size=(40, 2))
-        return select_est, join_est, queries
+        return engine, queries
 
-    def test_total_matches_scalar_loop_bit_for_bit(self, setup):
-        from repro.optimizer import choose_batch_plan
+    def test_total_matches_scalar_loop_bit_for_bit(self):
+        from repro.optimizer import regression
 
-        select_est, join_est, queries = setup
-        choice = choose_batch_plan(select_est, join_est, queries, 8)
+        record = regression.run_workload("uniform-quadtree-batch")
+        estimator = regression._staircase("uniform", "inner", "quadtree")
         scalar_total = sum(
-            float(select_est.estimate(Point(x, y), 8)) for x, y in queries
+            float(estimator.estimate(Point(x, y), record["k"]))
+            for x, y in regression._batch_queries("uniform")
         )
-        assert choice.per_select_total_cost == scalar_total
+        assert record["candidates"]["per-query-selects"] == scalar_total
 
     def test_point_sequence_and_ndarray_agree(self, setup):
-        from repro.optimizer import choose_batch_plan
+        from repro.engine import KnnJoinQuery, SpatialTable
 
-        select_est, join_est, queries = setup
-        as_array = choose_batch_plan(select_est, join_est, queries, 8)
-        as_points = choose_batch_plan(
-            select_est, join_est,
-            [Point(float(x), float(y)) for x, y in queries], 8,
-        )
-        assert as_array.per_select_total_cost == as_points.per_select_total_cost
-        assert as_array.chosen == as_points.chosen
+        engine, queries = setup
+        plans = []
+        for batch in (queries, [(float(x), float(y)) for x, y in queries]):
+            engine.register(SpatialTable("batch", batch, capacity=64))
+            plans.append(engine.explain(KnnJoinQuery("batch", "inner", 8)))
+        assert plans[0].alternatives == plans[1].alternatives
+        assert plans[0].chosen == plans[1].chosen
 
     def test_decision_rule_matches_legacy(self, setup):
-        from repro.optimizer import choose_batch_plan
+        from repro.engine import KnnJoinQuery, SpatialTable
 
-        select_est, join_est, queries = setup
-        choice = choose_batch_plan(select_est, join_est, queries, 8)
+        engine, queries = setup
+        engine.register(SpatialTable("batch", queries, capacity=64))
+        choice = engine.explain(KnnJoinQuery("batch", "inner", 8))
         legacy = (
-            "per-query-selects"
-            if choice.per_select_total_cost <= choice.join_cost
-            else "shared-knn-join"
+            "locality-join"
+            if choice.cost_of("locality-join") <= choice.cost_of("per-point-selects")
+            else "per-point-selects"
         )
         assert choice.chosen == legacy
 

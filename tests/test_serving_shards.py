@@ -580,6 +580,55 @@ def test_data_sharding_matches_pinned_reference(operator, dataset):
     _assert_data_exact_matches_reference(report, reference)
 
 
+@pytest.mark.parametrize(
+    "manager_kwargs",
+    [
+        {},
+        {"pinned_operators": {"select": "filter-then-knn"}},
+        {"pinned_operators": {"select": "incremental-knn"}},
+        # A budget no call can meet: every tier of the shard's chain (and
+        # of the unsharded engine's) blows it, deterministically, so the
+        # estimate is the guaranteed bound, degraded.
+        {"estimate_time_budget": 1e-12},
+    ],
+    ids=["arbitrated", "pinned-filter", "pinned-incremental", "degraded-estimate"],
+)
+def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_kwargs):
+    """The coordinator arbitrates through the planner's own select
+    assembly: with one shard the merged estimate *is* the global one, so
+    the whole explanation — not just the chosen operator — must equal
+    the unsharded engine's."""
+    points, batch = dataset
+    batch = QueryBatch(points=batch.points[:64], ks=batch.ks[:64])
+    manager_kwargs = {"max_k": MAX_K, **manager_kwargs}
+    engine = SpatialEngine(StatisticsManager(**manager_kwargs))
+    engine.register(_table(points))
+    reference = engine.execute_batch(batch.as_knn_queries("t"))
+    report = serve_sharded(
+        _table(points),
+        batch,
+        n_shards=1,
+        shard_mode="data",
+        chunk_size=64,
+        manager_kwargs=manager_kwargs,
+        policy=CHAOS_POLICY,
+    )
+    assert report.n_degraded == 0 and not report.partial.any()
+    _assert_data_exact_matches_reference(report, reference)
+    for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
+        for name in (
+            "chosen", "alternatives", "decided_by", "estimator_tier",
+            "degraded", "effective_k", "selectivity", "cache_hit", "kernel_backend",
+        ):
+            assert getattr(served, name) == getattr(expected, name), (i, name)
+        assert [(d.link, d.action, d.operator) for d in served.trail] == [
+            (d.link, d.action, d.operator) for d in expected.trail
+        ], i
+    if "estimate_time_budget" in manager_kwargs:
+        assert all(e.degraded for e in report.explanations)
+        assert {e.estimator_tier for e in report.explanations} == {"guaranteed-bound"}
+
+
 def test_replica_mode_reports_no_partials(dataset):
     points, batch = dataset
     report = serve_sharded(
