@@ -10,7 +10,7 @@ figures (14, 20, 22).
 """
 
 from repro.catalog.intervals import IntervalCatalog, CatalogLookupError
-from repro.catalog.merge import merge_max, merge_max_fast, merge_sum, merge_sum_fast
+from repro.catalog.merge import merge_max, merge_sum
 from repro.catalog.store import CatalogStore
 from repro.catalog.serialize import (
     catalog_storage_bytes,
@@ -25,9 +25,7 @@ __all__ = [
     "IntervalCatalog",
     "CatalogLookupError",
     "merge_max",
-    "merge_max_fast",
     "merge_sum",
-    "merge_sum_fast",
     "catalog_storage_bytes",
     "catalog_to_bytes",
     "catalog_from_bytes",

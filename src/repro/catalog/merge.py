@@ -7,30 +7,24 @@ Two merges appear in the paper:
   cost among the corners.
 * **Sum-merge** (Section 4.2.1): the temporary per-block locality
   catalogs of the Catalog-Merge technique are combined with a plane
-  sweep over the k ranges, aggregating the cost; "a min-heap is used to
-  efficiently determine the next smallest value across all the
-  temporary catalogs".
+  sweep over the k ranges, aggregating the cost.
 
-Both are implemented as one plane sweep parameterized by the combining
-function; the min-heap drives the sweep exactly as the paper describes.
-The merged catalog covers ``[1, min(max_k over inputs)]`` — beyond the
-shortest input the aggregate is undefined.
-
-:func:`merge_max_fast` / :func:`merge_sum_fast` are vectorized
-equivalents used by the preprocessing performance layer: the sweep's
-segment boundaries are exactly the sorted unique ``k_end`` values (up
-to the shortest input's ``max_k``), so one ``searchsorted`` per catalog
-replaces the per-segment heap walk.  Costs are combined with a
-sequential accumulator over catalogs — the same left-to-right
-association as the reference sweep's ``sum``/``max`` — so the results
-are bit-for-bit identical; the test suite fuzzes both pairs against
-each other.
+Both are one plane sweep parameterized by the combining operation.  The
+paper drives the sweep with a min-heap over the catalogs' next range
+ends; its segment boundaries are exactly the sorted unique ``k_end``
+values (up to the shortest input's ``max_k``), so here one
+``searchsorted`` per catalog replaces the per-segment heap walk.  Costs
+are combined with a sequential accumulator over catalogs — the same
+left-to-right association as the heap sweep's ``sum``/``max`` — so the
+results are bit-for-bit those of the paper's formulation, which lives on
+as the oracle in ``tests/reference_builds.py``.  The merged catalog
+covers ``[1, min(max_k over inputs)]`` — beyond the shortest input the
+aggregate is undefined.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,82 +33,22 @@ from repro.catalog.intervals import IntervalCatalog
 
 def merge_max(catalogs: Sequence[IntervalCatalog]) -> IntervalCatalog:
     """Pointwise maximum of several catalogs (corners-catalog merge)."""
-    return _plane_sweep(catalogs, max)
+    return _sweep(catalogs, is_sum=False)
 
 
 def merge_sum(catalogs: Sequence[IntervalCatalog]) -> IntervalCatalog:
     """Pointwise sum of several catalogs (Catalog-Merge aggregation)."""
-    return _plane_sweep(catalogs, sum)
+    return _sweep(catalogs, is_sum=True)
 
 
-def _plane_sweep(
-    catalogs: Sequence[IntervalCatalog],
-    combine: Callable[[list[float]], float],
-) -> IntervalCatalog:
-    """Sweep the k ranges of all catalogs, combining costs per segment.
+def _sweep(catalogs: Sequence[IntervalCatalog], is_sum: bool) -> IntervalCatalog:
+    """Plane sweep over the catalogs' shared segment boundaries.
 
-    The heap holds ``(next_boundary_k_end, catalog_idx, entry_idx)``
-    frontiers; at each step the sweep advances to the smallest upper
-    boundary among the catalogs' current entries and emits one merged
-    range, mirroring the paper's Figure 8 walk-through.
-
-    Raises:
-        ValueError: If no catalogs are given.
-    """
-    if not catalogs:
-        raise ValueError("cannot merge zero catalogs")
-    if len(catalogs) == 1:
-        return catalogs[0].coalesced()
-
-    max_k = min(c.max_k for c in catalogs)
-    # Current entry index per catalog, plus a heap of upcoming range ends.
-    positions = [0] * len(catalogs)
-    heap: list[tuple[int, int]] = [(int(c.k_ends[0]), i) for i, c in enumerate(catalogs)]
-    heapq.heapify(heap)
-
-    entries: list[tuple[int, int, float]] = []
-    k_start = 1
-    while k_start <= max_k:
-        current = combine([float(c.costs[positions[i]]) for i, c in enumerate(catalogs)])
-        # The merged range extends to the nearest boundary of any input.
-        boundary, __ = heap[0]
-        k_end = min(boundary, max_k)
-        if entries and entries[-1][2] == current:
-            prev_start, __, __ = entries[-1]
-            entries[-1] = (prev_start, k_end, current)
-        else:
-            entries.append((k_start, k_end, current))
-        k_start = k_end + 1
-        # Advance every catalog whose current range ends at the boundary.
-        while heap and heap[0][0] < k_start:
-            __, idx = heapq.heappop(heap)
-            positions[idx] += 1
-            if positions[idx] < catalogs[idx].n_entries:
-                heapq.heappush(heap, (int(catalogs[idx].k_ends[positions[idx]]), idx))
-    return IntervalCatalog(entries)
-
-
-def merge_max_fast(catalogs: Sequence[IntervalCatalog]) -> IntervalCatalog:
-    """Vectorized :func:`merge_max`; bit-for-bit identical results."""
-    return _vectorized_sweep(catalogs, is_sum=False)
-
-
-def merge_sum_fast(catalogs: Sequence[IntervalCatalog]) -> IntervalCatalog:
-    """Vectorized :func:`merge_sum`; bit-for-bit identical results."""
-    return _vectorized_sweep(catalogs, is_sum=True)
-
-
-def _vectorized_sweep(
-    catalogs: Sequence[IntervalCatalog], is_sum: bool
-) -> IntervalCatalog:
-    """Vectorized plane sweep over shared segment boundaries.
-
-    The reference sweep emits one segment per distinct ``k_end`` value
-    up to ``min(max_k over inputs)``; each catalog's cost for the
-    segment ending at boundary ``b`` is the cost of its first entry
-    with ``k_end >= b`` — a single ``searchsorted`` per catalog.
-    Combining runs sequentially over catalogs (vectorized over k), so
-    float association matches the reference exactly.
+    One segment per distinct ``k_end`` value up to ``min(max_k over
+    inputs)``; each catalog's cost for the segment ending at boundary
+    ``b`` is the cost of its first entry with ``k_end >= b`` — a single
+    ``searchsorted`` per catalog.  Combining runs sequentially over
+    catalogs (vectorized over k).
 
     Raises:
         ValueError: If no catalogs are given.
@@ -140,19 +74,7 @@ def _vectorized_sweep(
         else:
             np.maximum(combined, costs, out=combined)
 
-    # Redundant-entry elimination, as in the reference sweep.
+    # Redundant-entry elimination: equal neighbours coalesce.
     keep = np.ones(boundaries.shape[0], dtype=bool)
     keep[:-1] = combined[:-1] != combined[1:]
     return IntervalCatalog._from_arrays(boundaries[keep], combined[keep])
-
-
-def evaluate_dense(catalog: IntervalCatalog) -> np.ndarray:
-    """Expand a catalog into a dense cost array indexed by ``k - 1``.
-
-    A testing utility: dense expansion makes merge semantics trivially
-    checkable against numpy reductions.
-    """
-    dense = np.empty(catalog.max_k, dtype=float)
-    for k_start, k_end, cost in catalog.entries():
-        dense[k_start - 1 : k_end] = cost
-    return dense

@@ -45,7 +45,6 @@ from repro.estimators.staircase import StaircaseEstimator
 from repro.estimators.uniform_model import UniformModelEstimator
 from repro.estimators.virtual_grid import VirtualGridEstimator
 from repro.geometry import Point, Rect
-from repro.geometry.hilbert import hilbert_order
 from repro.index.snapshot import IndexSnapshot
 from repro.optimizer.selection import (
     PhysicalOperatorSelection,
@@ -58,7 +57,6 @@ from repro.resilience.fallback import FallbackJoinEstimator, FallbackSelectEstim
 
 JoinTechnique = Literal["catalog-merge", "virtual-grid"]
 StalenessPolicy = Literal["rebuild", "raise"]
-SnapshotLayout = Literal["canonical", "hilbert"]
 
 
 class _ManagedSelectTier(SelectCostEstimator):
@@ -139,18 +137,6 @@ class StatisticsManager:
             sharing a quantized cell and k reuse one estimate.
         estimate_cache_cells: Per-axis quantization resolution of the
             estimate-cache key grid.
-        snapshot_layout: Physical row order of cached snapshots —
-            ``"hilbert"`` (the default: rows sorted along a Hilbert
-            curve over block centers, so MINDIST-ordered walks touch
-            near-contiguous memory) or ``"canonical"`` (index-traversal
-            order).  Estimates are bit-identical either way; the layout
-            only changes memory behavior.
-        layout_orders: Optional precomputed Hilbert permutations keyed
-            by table name.  A serving coordinator computes the order
-            once per table and ships it to every shard worker, which
-            then skips recomputing it at snapshot-gather time.  An
-            entry whose length does not match the gathered snapshot is
-            ignored (the order is recomputed).
         selection_chain: The physical-operator selection chain the
             planner arbitrates plans through
             (:mod:`repro.optimizer.selection`).  ``None`` (the default)
@@ -181,8 +167,6 @@ class StatisticsManager:
         workers: int | None = None,
         estimate_cache_size: int = 0,
         estimate_cache_cells: int = DEFAULT_CACHE_CELLS,
-        snapshot_layout: SnapshotLayout = "hilbert",
-        layout_orders: dict[str, np.ndarray] | None = None,
         selection_chain: PhysicalOperatorSelection | None = None,
         pinned_operators: dict | None = None,
     ) -> None:
@@ -190,8 +174,6 @@ class StatisticsManager:
             raise ValueError(f"unknown join technique {join_technique!r}")
         if staleness_policy not in ("rebuild", "raise"):
             raise ValueError(f"unknown staleness policy {staleness_policy!r}")
-        if snapshot_layout not in ("canonical", "hilbert"):
-            raise ValueError(f"unknown snapshot layout {snapshot_layout!r}")
         self.workers = resolve_workers(workers)
         self.max_k = max_k
         self.join_technique: JoinTechnique = join_technique
@@ -204,14 +186,9 @@ class StatisticsManager:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.estimate_time_budget = estimate_time_budget
-        self.snapshot_layout: SnapshotLayout = snapshot_layout
-        self.layout_orders = layout_orders
         self.pinned_operators = dict(pinned_operators) if pinned_operators else {}
         self._selection_chain = selection_chain
         self._resolved_chain: PhysicalOperatorSelection | None = None
-        #: Precomputed layout orders actually applied (vs. recomputed) —
-        #: lets serving assert the one-compute-per-table contract.
-        self.layout_orders_applied = 0
         self._tables: dict[str, SpatialTable] = {}
         self._snapshots: dict[str, IndexSnapshot] = {}
         self._select_estimators: dict[str, StaircaseEstimator] = {}
@@ -400,31 +377,9 @@ class StatisticsManager:
             # regions survive (log-driven revalidation) instead of
             # being orphaned wholesale by the new generation.
             self._sync_cache_generation(name, table, current)
-            cached = self._apply_layout(name, IndexSnapshot.from_index(table.index))
+            cached = IndexSnapshot.from_index(table.index)
             self._snapshots[name] = cached
         return cached
-
-    def _apply_layout(self, name: str, snap: IndexSnapshot) -> IndexSnapshot:
-        """Apply the configured physical layout to a fresh snapshot.
-
-        Single-block (and empty) snapshots have nothing to reorder.  A
-        precomputed order from ``layout_orders`` is used when its length
-        matches the gathered snapshot; otherwise the Hilbert permutation
-        is computed here, once per table per data generation.
-        """
-        if self.snapshot_layout == "canonical" or snap.n_blocks <= 1:
-            return snap
-        order = None
-        if self.layout_orders is not None:
-            precomputed = self.layout_orders.get(name)
-            if precomputed is not None:
-                precomputed = np.asarray(precomputed, dtype=np.int64)
-                if precomputed.shape[0] == snap.n_blocks:
-                    order = precomputed
-                    self.layout_orders_applied += 1
-        if order is None:
-            order = hilbert_order(snap.centers, snap.bounds)
-        return snap.with_layout(order, name=self.snapshot_layout)
 
     # ------------------------------------------------------------------
     # Estimators (lazy, cached)

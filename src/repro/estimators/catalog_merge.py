@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_sum_fast
+from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_sum
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import JoinCostEstimator, validate_k
 from repro.estimators.block_sample import sample_block_indices
@@ -136,7 +136,7 @@ class CatalogMergeEstimator(JoinCostEstimator):
                 for p in profiles
             ]
             temporaries = patched(self._temporaries, built, source)
-            self._catalog = merge_sum_fast(temporaries)
+            self._catalog = merge_sum(temporaries)
         self._scale = n_outer / sample.shape[0]
         self._sample_size = int(sample.shape[0])
         self._inner_generation = int(inner_snap.data_generation)

@@ -38,7 +38,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_max_fast
+from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_max
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import SelectCostEstimator, normalize_batch_args
 from repro.estimators.density import DensityBasedEstimator
@@ -393,7 +393,7 @@ class StaircaseEstimator(SelectCostEstimator):
             catalogs = [_catalog_from_profile_fast(p, self._max_k) for p, __ in covered]
             center = [catalogs[i] for i in ids[:, 0]]
             corners = (
-                [merge_max_fast([catalogs[i] for i in row]) for row in ids[:, 1:]]
+                [merge_max([catalogs[i] for i in row]) for row in ids[:, 1:]]
                 if both
                 else []
             )

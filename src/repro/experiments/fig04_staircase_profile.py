@@ -61,12 +61,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "paper shape: cost constant over large k intervals (e.g. [1,520]->3)"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -46,12 +46,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "(e.g. [1,313]->25)"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

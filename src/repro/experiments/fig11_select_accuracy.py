@@ -45,12 +45,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "paper shape: Staircase < Density-Based by >10%; Center+Corners <~20%"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

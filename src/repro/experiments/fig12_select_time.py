@@ -76,12 +76,3 @@ def _mean_time(fn, focal_points: list[Point], repeats: int = 30) -> float:
         for q in focal_points
     ]
     return float(np.mean(times))
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

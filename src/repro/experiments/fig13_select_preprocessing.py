@@ -34,17 +34,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
             center_only.preprocessing_seconds,
             0.0,  # the density-based technique precomputes no catalogs
         )
-        result.notes.append(f"scale {scale}: {cc.preprocessing_stats.describe()}")
+        result.notes.append(f"scale {scale}: {cc.preprocessing_stats.describe_work()}")
     result.notes.append(
         "paper shape: grows with scale; Center+Corners > Center-Only; density = 0"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

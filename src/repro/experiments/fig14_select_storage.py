@@ -40,12 +40,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "density minimal (Count-Index statistics only)"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -41,12 +41,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         )
     result.notes.append("paper shape: error < ~5% for sample sizes >= 400")
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -33,12 +33,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         result.add_row(f"{grid_size}x{grid_size}", mean_error_ratio(estimates, actuals))
     result.notes.append("paper shape: error < ~20% across grid sizes")
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

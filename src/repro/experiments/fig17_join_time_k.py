@@ -45,12 +45,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "paper shape: Catalog-Merge >4 orders of magnitude faster; flat in k"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -46,12 +46,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "paper shape: Block-Sample grows with sample size; Catalog-Merge constant"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

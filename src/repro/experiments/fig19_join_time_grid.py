@@ -32,12 +32,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         result.add_row(f"{grid_size}x{grid_size}", t)
     result.notes.append("paper shape: almost constant across grid sizes")
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

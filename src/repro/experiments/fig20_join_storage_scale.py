@@ -36,12 +36,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     )
     result.notes.append("paper shape: Virtual-Grid ~an order of magnitude smaller")
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

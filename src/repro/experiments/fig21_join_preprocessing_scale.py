@@ -37,15 +37,6 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         config, top_scale, config.schema_sample_size
     )
     result.notes.append(
-        f"canonical pair at scale {top_scale}: {pair.preprocessing_stats.describe()}"
+        f"canonical pair at scale {top_scale}: {pair.preprocessing_stats.describe_work()}"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -36,12 +36,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "paper shape: both grow with their parameter (more catalog entries/cells)"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -39,18 +39,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         )
     result.notes.append("paper shape: both grow with their parameter")
     if estimator is not None:
-        result.notes.append(
-            f"largest sample: {estimator.preprocessing_stats.describe()}"
-        )
+        result.notes.append(f"largest sample: {estimator.preprocessing_stats.describe_work()}")
     if grid is not None:
-        result.notes.append(f"largest grid: {grid.preprocessing_stats.describe()}")
+        result.notes.append(f"largest grid: {grid.preprocessing_stats.describe_work()}")
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

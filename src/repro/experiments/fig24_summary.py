@@ -122,13 +122,13 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         columns=(
             "operator",
             "technique",
-            "est_time",
+            "est_time_bucket_s",
             "est_time_s",
             "accuracy",
             "error_ratio",
             "storage",
             "storage_bytes",
-            "preprocessing",
+            "preprocessing_bucket_s",
             "preprocessing_s",
         ),
     )
@@ -154,12 +154,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "buckets derived from measurements; compare with the paper's Figure 24"
     )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

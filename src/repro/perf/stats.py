@@ -67,7 +67,7 @@ class PreprocessingStats:
             )
 
     def as_dict(self) -> dict[str, float]:
-        """Flatten to plain numbers (benchmark ``extra_info``, EXPLAIN)."""
+        """Flatten to plain numbers (EXPLAIN output)."""
         out: dict[str, float] = {
             "workers": float(self.workers),
             "anchors_total": float(self.anchors_total),
@@ -80,12 +80,14 @@ class PreprocessingStats:
             out[f"{name}_seconds"] = float(seconds)
         return out
 
+    def describe_work(self) -> str:
+        """The work counts of :meth:`describe`: exact, no seconds
+        (experiment-table notes, which must repeat run to run)."""
+        return f"{self.profiles_computed} profiles, {self.anchors_deduped} anchors deduped"
+
     def describe(self) -> str:
         """One-line human-readable summary (CLI output)."""
-        parts = [
-            f"{self.profiles_computed} profiles",
-            f"{self.anchors_deduped} anchors deduped",
-        ]
+        parts = [self.describe_work()]
         if self.workers > 1:
             parts.append(f"{self.workers} workers")
         parts.append(f"{self.wall_seconds:.3f}s")

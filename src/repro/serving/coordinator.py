@@ -73,7 +73,6 @@ from repro.engine.table import SpatialTable
 from repro.estimators.uniform_model import UniformModelEstimator
 from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
-from repro.geometry.hilbert import hilbert_order
 from repro.index.snapshot import as_snapshot
 from repro.knn.merge import QueryMerge, run_merges
 from repro.serving.merge import (
@@ -82,7 +81,6 @@ from repro.serving.merge import (
     merge_select_estimates,
 )
 from repro.serving.worker import (
-    SHARD_TABLE,
     _serve_data_shard_chunk,
     _worker_stats,
 )
@@ -349,19 +347,6 @@ class ShardedServingTier:
             self._manager_kwargs["pinned_operators"] = dict(pinned_operators)
         capacity = int(table.index.capacity)
         if shard_mode == "replica":
-            # Every worker replicates the full relation, so the Hilbert
-            # snapshot layout every replica's statistics manager would
-            # compute is identical across shards — compute the
-            # permutation ONCE here and ship it via the manager
-            # configuration, instead of once per worker per spawn.
-            if (
-                self._manager_kwargs.get("snapshot_layout", "hilbert") == "hilbert"
-                and "layout_orders" not in self._manager_kwargs
-                and snapshot.n_blocks > 1
-            ):
-                self._manager_kwargs["layout_orders"] = {
-                    SHARD_TABLE: hilbert_order(snapshot.centers, snapshot.bounds)
-                }
             handles = {
                 sid: ShardWorkerHandle(
                     sid,
@@ -422,14 +407,6 @@ class ShardedServingTier:
         counts = canonical.counts.astype(np.int64)
         g_starts = np.zeros(canonical.n_blocks + 1, dtype=np.int64)
         np.cumsum(counts, out=g_starts[1:])
-        # The worker-side statistics manager runs over the shard's own
-        # points; a layout permutation sized for the full relation
-        # would be wrong there.
-        data_kwargs = {
-            key: value
-            for key, value in self._manager_kwargs.items()
-            if key != "layout_orders"
-        }
         self._hull_bounds: dict[int, tuple[tuple, int]] = {}
         handles: dict[int, ShardWorkerHandle] = {}
         for sid in range(self.plan.n_shards):
@@ -463,13 +440,13 @@ class ShardedServingTier:
                 "points": np.ascontiguousarray(self.table.points[rows]),
                 "gpos": gpos,
                 "capacity": capacity,
-                "manager_kwargs": data_kwargs,
+                "manager_kwargs": self._manager_kwargs,
             }
             handles[sid] = ShardWorkerHandle(
                 sid,
                 np.empty((0, 2), dtype=float),
                 capacity,
-                data_kwargs,
+                self._manager_kwargs,
                 fault_plan=worker_faults,
                 workers=workers_per_shard,
                 backend=active_backend(),
@@ -481,7 +458,7 @@ class ShardedServingTier:
         # included), same staleness policy, same estimator tier
         # vocabulary — only the cost numbers come from the cross-shard
         # estimate merge.
-        self._arbiter = StatisticsManager(**data_kwargs)
+        self._arbiter = StatisticsManager(**self._manager_kwargs)
         self._arbiter.register(self.table)
         self._arbiter_tiers = tier_vocabulary(
             self._arbiter.select_estimator_for_planning(self.table.name), "staircase"

@@ -10,12 +10,12 @@ Staircase estimator over it, timing catalog maintenance
 (``refresh_incremental()``) separately from query serving and
 accumulating the rebuilt/reused split of every maintenance pass.
 
-``benchmarks/bench_churn.py`` runs the same workload twice — once with
-incremental maintenance, once forcing a full rebuild each phase — and
-asserts the incremental run rebuilds strictly fewer leaf catalogs while
-producing identical estimates (the bit-for-bit equivalence the
-coverage-radius invariant of :mod:`repro.estimators.maintenance`
-guarantees).
+Replayed twice — once with incremental maintenance, once forcing a full
+rebuild each phase — the incremental run rebuilds strictly fewer leaf
+catalogs while producing identical estimates (the bit-for-bit
+equivalence the coverage-radius invariant of
+:mod:`repro.estimators.maintenance` guarantees;
+``tests/test_maintenance_incremental.py`` asserts it).
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
 """The batched serving driver: replay a workload, measure throughput.
 
 One function, :func:`serve_workload`, runs a :class:`~repro.workloads.queries.QueryBatch`
-against a :class:`~repro.engine.SpatialEngine` in one of three serving
+against a :class:`~repro.engine.SpatialEngine` in one of two serving
 modes — ``"batch"`` (one :meth:`~repro.engine.SpatialEngine.execute_batch`
-call), ``"scalar"`` (a per-query :meth:`~repro.engine.SpatialEngine.execute`
-loop), or ``"sharded"`` (the supervised multi-process tier of
+call) or ``"sharded"`` (the supervised multi-process tier of
 :mod:`repro.serving`) — and returns a :class:`ServingReport` with
 wall-clock throughput, latency percentiles where the mode records them,
 and the estimate cache's hit/miss movement.  The CLI ``--batch`` mode
-and ``benchmarks/bench_serving_throughput.py`` are thin wrappers over
-it, so both measure exactly the same code path.
+is a thin wrapper over it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ class ServingReport:
     """Outcome of replaying one workload through the engine.
 
     Attributes:
-        mode: ``"batch"``, ``"scalar"``, or ``"sharded"``.
+        mode: ``"batch"`` or ``"sharded"``.
         n_queries: Workload size.
         seconds: Wall-clock time of the replay (planning + execution).
         results: Per-query :class:`~repro.engine.ExecutionResult`, in
@@ -37,10 +35,9 @@ class ServingReport:
             the engine's cache is disabled).
         cache_misses: Estimate-cache misses this replay added.
         latencies_us: ``(n,)`` per-query latencies in microseconds, when
-            the serving mode records them (``"scalar"`` measures each
-            query; ``"sharded"`` amortizes per chunk; ``"batch"`` plans
-            the whole workload at once, so per-query figures would be
-            fiction and stay ``None``).
+            the serving mode records them (``"sharded"`` amortizes per
+            chunk; ``"batch"`` plans the whole workload at once, so
+            per-query figures would be fiction and stay ``None``).
     """
 
     mode: str
@@ -139,11 +136,10 @@ def serve_workload(
             registered.
         table: Target relation name.
         batch: The workload.
-        mode: ``"batch"`` (vectorized ``execute_batch``), ``"scalar"``
-            (a per-query ``execute`` loop — the baseline the bench
-            compares against), or ``"sharded"`` (the supervised
-            sharded tier of :mod:`repro.serving` — one-shot: workers
-            are spawned and torn down inside the call).
+        mode: ``"batch"`` (vectorized ``execute_batch``) or
+            ``"sharded"`` (the supervised sharded tier of
+            :mod:`repro.serving` — one-shot: workers are spawned and
+            torn down inside the call).
         shards: Shard count for ``"sharded"`` mode.
         shard_mode: ``"replica"`` (each worker holds the full dataset)
             or ``"data"`` (each worker holds one block-aligned slice
@@ -158,10 +154,8 @@ def serve_workload(
     Raises:
         ValueError: On an unknown mode.
     """
-    if mode not in ("batch", "scalar", "sharded"):
-        raise ValueError(
-            f"mode must be 'batch', 'scalar' or 'sharded', got {mode!r}"
-        )
+    if mode not in ("batch", "sharded"):
+        raise ValueError(f"mode must be 'batch' or 'sharded', got {mode!r}")
     if mode == "sharded":
         # Imported lazily: repro.serving sits above the workloads layer.
         from repro.serving import serve_sharded
@@ -179,17 +173,8 @@ def serve_workload(
     cache = getattr(engine.stats, "estimate_cache", None)
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
-    latencies_us = None
     start = time.perf_counter()
-    if mode == "batch":
-        pairs = engine.execute_batch(queries)
-    else:
-        pairs = []
-        latencies_us = np.empty(len(queries), dtype=float)
-        for i, query in enumerate(queries):
-            query_start = time.perf_counter()
-            pairs.append(engine.execute(query))
-            latencies_us[i] = (time.perf_counter() - query_start) * 1e6
+    pairs = engine.execute_batch(queries)
     seconds = time.perf_counter() - start
     return ServingReport(
         mode=mode,
@@ -199,5 +184,4 @@ def serve_workload(
         explanations=[explanation for __, explanation in pairs],
         cache_hits=cache.hits - hits_before if cache is not None else None,
         cache_misses=cache.misses - misses_before if cache is not None else None,
-        latencies_us=latencies_us,
     )

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.catalog import IntervalCatalog, merge_max, merge_sum
-from repro.catalog.merge import evaluate_dense
+from tests.reference_builds import evaluate_dense
 
 
 @st.composite

@@ -14,6 +14,10 @@ into the one planner (the standalone choosers and plan objects, the
 scalar planning twin, the coordinator's own arbitration) must not come
 back under their old names.
 
+It also keeps the retired benchmark system retired: ``benchmarks/`` holds
+the one harness (``e2e/``) and the committed tables (``results/``), and
+nothing tracked mentions pytest-benchmark.
+
 A third keeps plan decisions in one place: a ``PlanningContext`` is
 built only by the engine planner (and the golden corpus, which hands the
 chain candidates costed on substrates the engine does not plan over),
@@ -30,6 +34,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
+REPO = SRC.parent
 
 
 def _module_name(path: Path) -> str:
@@ -107,7 +112,10 @@ def test_the_walk_sees_function_level_imports():
 #: copies (the kernels are the only array definition) and the switches
 #: that selected an in-tree reference build (now ``tests/reference_builds.py``);
 #: the standalone chooser / plan stack, the scalar planning twin's cache
-#: entry point and the two re-spellings of the planner's arbitration.
+#: entry point and the two re-spellings of the planner's arbitration; the
+#: statistics manager's snapshot re-layout options, the second names of
+#: the one catalog merge, and the pytest-benchmark suite's profile fixture
+#: and environment variable (``python -m repro.experiments --profile``).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -132,14 +140,23 @@ RETIRED_NAMES = {
     "estimate_select_cost",
     "_arbitrate",
     "_JOIN_SAMPLE",
+    "snapshot_layout",
+    "layout_orders",
+    "merge_max_fast",
+    "merge_sum_fast",
+    "bench_config",
+    "REPRO_BENCH_PROFILE",
 }
 
 
 def _identifiers(tree: ast.AST):
-    """Every identifier a module binds, reads, passes by keyword or imports."""
+    """Every identifier a module binds, reads, passes by keyword or imports,
+    and every string it spells out whole (environment variables, pins)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif isinstance(node, ast.arg):
@@ -175,10 +192,31 @@ def test_the_retired_name_walk_sees_every_identifier_kind():
     source = (
         "from a.count_index import CountIndex as C\n"
         "def f(dedup=True):\n"
-        "    return g(no_dedup=x._dedup)\n"
+        "    return g(no_dedup=x._dedup, profile=os.environ['REPRO_BENCH_PROFILE'])\n"
     )
     seen = {name for name, __ in _identifiers(ast.parse(source))}
-    assert {"count_index", "CountIndex", "dedup", "no_dedup", "_dedup"} <= seen
+    assert {
+        "count_index", "CountIndex", "dedup", "no_dedup", "_dedup", "REPRO_BENCH_PROFILE"
+    } <= seen
+
+
+def test_benchmarks_holds_one_harness_and_the_tables():
+    kept = {path.name for path in (REPO / "benchmarks").iterdir()} - {"__pycache__"}
+    assert kept == {"e2e", "results"}
+    retired = ("pytest_benchmark", "--benchmark-")
+    sources = [
+        path
+        for pattern in ("*.py", "*.yml")
+        for path in REPO.rglob(pattern)
+        if path != Path(__file__).resolve()
+    ]
+    assert sources
+    hits = [
+        str(path.relative_to(REPO))
+        for path in sources
+        if any(word in path.read_text() for word in retired)
+    ]
+    assert not hits, "the pytest-benchmark suite is back: " + ", ".join(hits)
 
 
 def test_planning_contexts_are_built_by_the_planner_only():

@@ -11,8 +11,9 @@ build's, through the public surface only (``to_store()``,
 ``catalog_entries()``, ``estimate``).
 
 Each technique also asserts reuse actually happened under localized
-churn (otherwise "incremental" silently degrades to full rebuilds,
-which is the regression the churn bench guards against at scale).
+churn (otherwise "incremental" silently degrades to full rebuilds);
+the Staircase suite also replays the benchmark's moving-hotspot churn
+workload in both refresh modes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.estimators import (
 from repro.geometry import Point, Rect
 from repro.index import MutableQuadtree
 from repro.resilience.errors import StaleCatalogError
+from repro.workloads import churn_phases, run_churn
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -123,6 +125,25 @@ class TestStaircaseEquivalence(_RefreshedEqualsFresh):
         assert report.mode == "full"
         assert report.catalogs_reused == 0
         assert report.catalogs_rebuilt == report.catalogs_total
+
+    def test_churn_replay_incremental_serves_what_full_rebuilds_serve(self):
+        """The moving-hotspot replay (``repro.workloads.run_churn``): same
+        estimates phase for phase, strictly fewer catalogs rebuilt."""
+        __, pts = make_tree(n=2_000)
+        phases = churn_phases(
+            pts, BOUNDS, phases=4, inserts_per_phase=60, deletes_per_phase=30,
+            queries_per_phase=20, max_k=32, hotspot_fraction=0.9, seed=7,
+        )
+        reports = {}
+        for mode in ("incremental", "full"):
+            tree = MutableQuadtree(pts, bounds=BOUNDS, capacity=16)
+            maintained = MaintainedStaircaseEstimator(tree, max_k=32)
+            reports[mode] = run_churn(tree, maintained, phases, mode=mode)
+        incremental, full = reports["incremental"], reports["full"]
+        assert incremental.n_queries == full.n_queries == 80
+        assert np.array_equal(incremental.estimates, full.estimates)
+        assert incremental.catalogs_rebuilt < full.catalogs_rebuilt == full.catalogs_total
+        assert 0.0 < incremental.rebuild_ratio < full.rebuild_ratio == 1.0
 
     def test_lazy_estimate_path_matches_fresh(self):
         """``estimate`` with no explicit refresh reconciles on demand."""

@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.catalog import (
-    IntervalCatalog,
-    merge_max,
-    merge_max_fast,
-    merge_sum,
-    merge_sum_fast,
-)
+from repro.catalog import IntervalCatalog, merge_max, merge_sum
 from repro.datasets import generate_osm_like
 from repro.estimators import (
     CatalogMergeEstimator,
@@ -37,7 +31,7 @@ from repro.perf import (
     resolve_workers,
     select_cost_profiles,
 )
-from tests.reference_builds import catalog_merge_store, staircase_store
+from tests.reference_builds import catalog_merge_store, plane_sweep, staircase_store
 
 MAX_K = 128
 
@@ -183,19 +177,19 @@ class TestMergeFast:
     def test_fast_merges_equal_plane_sweep(self, seed):
         rng = np.random.default_rng(seed)
         catalogs = [self._random_catalog(rng, 64) for __ in range(int(rng.integers(2, 6)))]
-        assert merge_max_fast(catalogs) == merge_max(catalogs)
-        assert merge_sum_fast(catalogs) == merge_sum(catalogs)
+        assert merge_max(catalogs) == plane_sweep(catalogs, max)
+        assert merge_sum(catalogs) == plane_sweep(catalogs, sum)
 
     def test_single_catalog_coalesces(self):
         catalog = IntervalCatalog([(1, 4, 2.0), (5, 9, 2.0), (10, 16, 3.0)])
-        assert merge_max_fast([catalog]) == merge_max([catalog])
-        assert merge_sum_fast([catalog]) == merge_sum([catalog])
+        assert merge_max([catalog]) == plane_sweep([catalog], max)
+        assert merge_sum([catalog]) == plane_sweep([catalog], sum)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            merge_max_fast([])
+            merge_max([])
         with pytest.raises(ValueError):
-            merge_sum_fast([])
+            merge_sum([])
 
 
 # ----------------------------------------------------------------------

@@ -435,54 +435,6 @@ def test_admission_releases_capacity_after_failures(dataset):
 
 
 # ----------------------------------------------------------------------
-# Snapshot-layout shipping: the Hilbert permutation is computed once by
-# the coordinator and handed to every shard replica via manager_kwargs,
-# never recomputed per worker spawn.
-# ----------------------------------------------------------------------
-def test_hilbert_order_computed_once_per_tier(dataset, reference, monkeypatch):
-    import repro.serving.coordinator as coordinator
-    from repro.serving.worker import SHARD_TABLE
-
-    calls = {"n": 0}
-    real = coordinator.hilbert_order
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(coordinator, "hilbert_order", counting)
-    points, batch = dataset
-    with ShardedServingTier(
-        _table(points),
-        n_shards=3,
-        chunk_size=64,
-        manager_kwargs={"max_k": MAX_K},
-        policy=CHAOS_POLICY,
-    ) as tier:
-        assert calls["n"] == 1
-        orders = tier._manager_kwargs["layout_orders"]
-        assert set(orders) == {SHARD_TABLE}
-        n_blocks = tier.table.index.num_blocks
-        assert np.array_equal(np.sort(orders[SHARD_TABLE]), np.arange(n_blocks))
-        report = tier.serve(batch)
-    # Shipping the precomputed order did not change a single answer.
-    assert calls["n"] == 1
-    assert report.n_degraded == 0
-    _assert_exact_matches_reference(report, reference)
-
-
-def test_canonical_layout_skips_order_shipping(dataset):
-    points, __ = dataset
-    with ShardedServingTier(
-        _table(points),
-        n_shards=2,
-        manager_kwargs={"max_k": MAX_K, "snapshot_layout": "canonical"},
-        policy=CHAOS_POLICY,
-    ) as tier:
-        assert "layout_orders" not in tier._manager_kwargs
-
-
-# ----------------------------------------------------------------------
 # Data-shard mode: block partitioning, streaming merge, bit-identity
 # ----------------------------------------------------------------------
 def _assert_data_exact_matches_reference(report, reference, indices=None):
@@ -749,7 +701,7 @@ def test_all_data_shards_down_degrades_every_query(dataset):
 # Long-lived tier lifecycle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shard_mode", ["replica", "data"])
-def test_long_lived_tier_spawns_pools_exactly_once(shard_mode, dataset):
+def test_long_lived_tier_spawns_pools_exactly_once(shard_mode, dataset, reference):
     points, batch = dataset
     with ShardedServingTier(
         _table(points),
@@ -766,7 +718,16 @@ def test_long_lived_tier_spawns_pools_exactly_once(shard_mode, dataset):
         assert tier.pools_spawned == 3
     assert many.n_batches == 2
     assert many.n_overloaded == 0
-    assert all(report is not None for report in many.reports)
+    # Pipelined batches stay bit-identical to the unsharded engine.
+    exact = (
+        _assert_data_exact_matches_reference
+        if shard_mode == "data"
+        else _assert_exact_matches_reference
+    )
+    for report in many.reports:
+        assert report.shard_mode == shard_mode
+        assert report.n_degraded == 0 and not report.partial.any()
+        exact(report, reference)
 
 
 def test_serve_many_concatenates_per_query_latencies(dataset):
@@ -808,11 +769,14 @@ def test_data_mode_ships_sublinear_payloads(dataset):
     ) as data_tier:
         data_shipped = data_tier.shipped_bytes
     # Every replica worker receives the full point payload; every data
-    # worker receives roughly a quarter of it (plus small block arrays).
+    # worker a strict slice: the worst shard stays well under one replica
+    # payload even after the ~2x per-row overhead of its row-id and
+    # global-position columns and the plan's count imbalance, and the
+    # whole tier ships far less than the 4x-replica total.
     per_replica = replica_shipped[0]
     assert all(size == per_replica for size in replica_shipped.values())
-    assert max(data_shipped.values()) < per_replica
-    assert sum(data_shipped.values()) < 4 * per_replica
+    assert max(data_shipped.values()) <= 0.75 * per_replica
+    assert sum(data_shipped.values()) <= 2.5 * per_replica
 
 
 # ----------------------------------------------------------------------

@@ -239,17 +239,6 @@ class TestServeWorkload:
     def batch(self):
         return QueryBatch.uniform(Rect(0, 0, 100, 100), 60, 16, seed=5)
 
-    def test_batch_and_scalar_modes_agree(self, engine, batch):
-        batch_report = serve_workload(engine, "pts", batch, mode="batch")
-        scalar_report = serve_workload(engine, "pts", batch, mode="scalar")
-        assert batch_report.mode == "batch"
-        assert scalar_report.mode == "scalar"
-        assert batch_report.n_queries == scalar_report.n_queries == len(batch)
-        for b, s in zip(batch_report.results, scalar_report.results):
-            assert b.operator == s.operator
-            assert b.blocks_scanned == s.blocks_scanned
-            np.testing.assert_array_equal(b.row_ids, s.row_ids)
-
     def test_report_metrics_and_describe(self, engine, batch):
         report = serve_workload(engine, "pts", batch)
         assert report.seconds > 0
