@@ -9,7 +9,7 @@ serialization whose byte sizes back the paper's storage-overhead
 figures (14, 20, 22).
 """
 
-from repro.catalog.intervals import IntervalCatalog, CatalogLookupError
+from repro.catalog.intervals import CatalogLookupError, IntervalCatalog, StackedCatalogs
 from repro.catalog.merge import merge_max, merge_sum
 from repro.catalog.store import CatalogStore
 from repro.catalog.serialize import (
@@ -23,6 +23,7 @@ from repro.catalog.serialize import (
 __all__ = [
     "CatalogStore",
     "IntervalCatalog",
+    "StackedCatalogs",
     "CatalogLookupError",
     "merge_max",
     "merge_sum",

@@ -256,3 +256,44 @@ class IntervalCatalog:
             k_start, k_end, cost = entries[-1]
             entries[-1] = (k_start, max_k, cost)
         return cls(entries)
+
+
+class StackedCatalogs:
+    """Many catalogs laid end to end as one sorted lookup column.
+
+    Catalog ``i``'s entries become keys ``i * stride + k_end`` with
+    ``stride`` one past the largest ``k_end`` anywhere, so the
+    concatenation is ascending and ``(i, k)`` is answered by the same
+    bisect-left as :meth:`IntervalCatalog.lookup` — on the composite
+    key, for any mix of catalogs in one call.  The estimators use it to
+    answer a whole query batch with one gather however many leaves the
+    batch touches; the per-leaf :class:`IntervalCatalog` objects stay
+    the unit of persistence and maintenance.
+
+    Args:
+        catalogs: The catalogs, in the order their index ``i`` counts.
+    """
+
+    __slots__ = ("_keys", "_costs", "_stride", "max_ks")
+
+    def __init__(self, catalogs: Sequence[IntervalCatalog]) -> None:
+        n = len(catalogs)
+        per_catalog = [c._k_end for c in catalogs]
+        sizes = np.fromiter(map(len, per_catalog), dtype=np.int64, count=n)
+        k_ends = np.concatenate(per_catalog) if n else np.empty(0, dtype=np.int64)
+        #: ``(n,)`` largest k each catalog covers.
+        self.max_ks = k_ends[np.cumsum(sizes) - 1]
+        self._stride = int(self.max_ks.max()) + 1 if n else 1
+        self._keys = np.repeat(np.arange(n, dtype=np.int64) * self._stride, sizes) + k_ends
+        self._costs = (
+            np.concatenate([c._cost for c in catalogs]) if n else np.empty(0, dtype=float)
+        )
+
+    def lookup(self, which: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """``out[j] = catalogs[which[j]].lookup(ks[j])``, as one gather.
+
+        Every pair is pre-validated by the caller: ``which`` in range
+        and ``1 <= ks[j] <= max_ks[which[j]]`` (a k past its catalog
+        would read the next catalog's first range).
+        """
+        return interval_gather(self._keys, self._costs, which * self._stride + ks)

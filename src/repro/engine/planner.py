@@ -36,7 +36,6 @@ from repro.engine.physical import (
 )
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
-from repro.geometry import Point
 from repro.geometry.backends import active_backend
 from repro.optimizer.selection import (
     LinkDecision,
@@ -132,13 +131,12 @@ class PlanExplanation:
         return "\n".join(lines)
 
 
-def _record_provenance(explanation: PlanExplanation, estimator) -> None:
-    """Copy a fallback chain's last outcome onto the explanation.
+def _record_provenance(explanation: PlanExplanation, outcome) -> None:
+    """Copy a fallback chain's outcome onto the explanation.
 
-    Raw estimators (``fallback=False``) have no ``last_outcome`` and
+    Raw estimators (``fallback=False``) have no outcome (``None``) and
     leave the explanation untouched.
     """
-    outcome = getattr(estimator, "last_outcome", None)
     if outcome is None:
         return
     explanation.estimator_tier = outcome.tier
@@ -483,7 +481,7 @@ def per_point_selects_cost(
     The outer row count times the mean select estimate over a fixed
     spatial sample of :data:`SELECT_COST_SAMPLE` outer rows (drawn with
     replacement from a seeded generator, so the cost is a pure function
-    of the inputs).
+    of the inputs), estimated as one batch.
 
     Args:
         select_estimator: The inner relation's select-cost estimator.
@@ -492,12 +490,7 @@ def per_point_selects_cost(
     """
     n = outer_points.shape[0]
     sample = np.random.default_rng(0).integers(0, n, size=min(SELECT_COST_SAMPLE, n))
-    per_select = [
-        select_estimator.estimate(
-            Point(float(outer_points[i, 0]), float(outer_points[i, 1])), effective_k
-        )
-        for i in sample
-    ]
+    per_select = select_estimator.estimate_batch(outer_points[sample], effective_k)
     return float(np.mean(per_select)) * n
 
 
@@ -548,7 +541,12 @@ def plan_join(
 
     select_estimator = stats.select_estimator_for_planning(query.inner)
     cost_selects = per_point_selects_cost(select_estimator, outer.points, effective_k)
-    select_outcome = getattr(select_estimator, "last_outcome", None)
+    # The sample's last row speaks for the batch, as the last of a run
+    # of scalar estimates would.
+    sampled = getattr(select_estimator, "last_batch_outcome", None)
+    select_outcome = (
+        None if sampled is None else sampled.outcome_for(len(sampled.tiers) - 1)
+    )
 
     explanation = PlanExplanation(
         chosen="",
@@ -586,9 +584,9 @@ def plan_join(
         estimate_degraded=estimate_degraded,
     )
     if explanation.chosen == LocalityJoinOperator.name:
-        _record_provenance(explanation, join_estimator)
+        _record_provenance(explanation, join_outcome)
         _record_preprocessing(explanation, join_estimator)
         return LocalityJoinOperator(outer, inner, query, selectivity=sigma), explanation
-    _record_provenance(explanation, select_estimator)
+    _record_provenance(explanation, select_outcome)
     _record_preprocessing(explanation, select_estimator)
     return PerPointSelectsOperator(outer, inner, query), explanation

@@ -33,12 +33,18 @@ met a mutation (see :mod:`repro.estimators.maintenance`).
 from __future__ import annotations
 
 import gc
+import math
 import time
 from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.catalog import IntervalCatalog, catalog_storage_bytes, merge_max
+from repro.catalog import (
+    IntervalCatalog,
+    StackedCatalogs,
+    catalog_storage_bytes,
+    merge_max,
+)
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import SelectCostEstimator, normalize_batch_args
 from repro.estimators.density import DensityBasedEstimator
@@ -50,16 +56,12 @@ from repro.estimators.maintenance import (
     region_keys,
     stale_entries,
 )
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.geometry.kernels import staircase_interpolate
 from repro.index.base import Block
+from repro.index.locator import BlockLocator
 from repro.index.quadtree import Quadtree
-from repro.index.snapshot import (
-    IndexSnapshot,
-    leaf_id_for_point,
-    leaf_ids_for_points,
-    partition_bounds,
-)
+from repro.index.snapshot import IndexSnapshot, partition_bounds
 from repro.knn.distance_browsing import select_cost_profile
 from repro.perf import (
     BlockPointsView,
@@ -261,12 +263,58 @@ class StaircaseEstimator(SelectCostEstimator):
         ``coverage[i]`` is leaf ``i``'s coverage radius: a mutation
         region farther than it (by rect MINDIST, which lower-bounds
         every anchor's MINDIST) cannot change either catalog.
+
+        What estimation reads *through* the table — the home-leaf
+        locator with the per-leaf Eq. 1 geometry, and the stacked
+        lookup columns — is dropped here and rebuilt on first use, so
+        it can never describe an older table and a refresh that no
+        estimate follows pays for neither.
         """
         self._leaf_rects = leaf_rects
         self._leaf_keys = leaf_keys
         self._center_catalogs = center
         self._corner_catalogs = corners  # empty for the Center-Only variant
         self._coverage = coverage
+        self._leaf_lookup: tuple[BlockLocator, np.ndarray] | None = None
+        self._stacked: tuple[StackedCatalogs, StackedCatalogs | None] | None = None
+
+    def _home_leaves(self) -> tuple[BlockLocator, np.ndarray]:
+        """The leaf locator and the ``(n_leaves, 3)`` Eq. 1 geometry.
+
+        Row ``i`` of the geometry is leaf ``i``'s ``(center x, center y,
+        diagonal)`` — the floats of :attr:`Rect.center` and
+        :attr:`Rect.diagonal` (``math.hypot``, which ``np.hypot`` does
+        not always round like), held as columns so that no estimate
+        builds a ``Rect``.
+        """
+        if self._leaf_lookup is None:
+            rects = self._leaf_rects
+            geometry = np.empty((rects.shape[0], 3), dtype=float)
+            geometry[:, 0] = (rects[:, 0] + rects[:, 2]) / 2.0
+            geometry[:, 1] = (rects[:, 1] + rects[:, 3]) / 2.0
+            geometry[:, 2] = [
+                math.hypot(width, height)
+                for width, height in zip(
+                    (rects[:, 2] - rects[:, 0]).tolist(),
+                    (rects[:, 3] - rects[:, 1]).tolist(),
+                )
+            ]
+            self._leaf_lookup = (
+                BlockLocator(rects, self._aux.bounds.as_tuple()),
+                geometry,
+            )
+        return self._leaf_lookup
+
+    def _stacked_catalogs(self) -> tuple[StackedCatalogs, StackedCatalogs | None]:
+        """The ``(center, corners)`` catalogs as batch lookup columns."""
+        if self._stacked is None:
+            self._stacked = (
+                StackedCatalogs(self._center_catalogs),
+                StackedCatalogs(self._corner_catalogs)
+                if self._corner_catalogs
+                else None,
+            )
+        return self._stacked
 
     # ------------------------------------------------------------------
     # Build and maintenance
@@ -442,46 +490,45 @@ class StaircaseEstimator(SelectCostEstimator):
             # auxiliary leaf; focal points outside the indexed space
             # (legal for k-NN) are served by the density-based fallback.
             return self._fallback.estimate(query, k) if self._fallback else 0.0
-        leaf_id = leaf_id_for_point(
-            self._leaf_rects, query.x, query.y, self._aux.bounds
-        )
+        locator, geometry = self._home_leaves()
+        leaf_id = locator.home_of(query.x, query.y)
+        if leaf_id < 0:
+            raise ValueError(f"no partition leaf contains ({query.x}, {query.y})")
         c_center = self._center_catalogs[leaf_id].lookup(k)
         if variant == "center":
             return c_center
         c_corner = self._corner_catalogs[leaf_id].lookup(k)
-        rect = Rect(*self._leaf_rects[leaf_id])
-        diagonal = rect.diagonal
+        center_x, center_y, diagonal = geometry[leaf_id].tolist()
         if diagonal == 0.0:
             return c_center
-        center = rect.center
         # Equations 1-2, mirroring the backend kernel op for op.  The
         # scalar ``np.hypot`` is the same libm call the kernel's array
         # path makes (never ``math``'s correctly-rounded hypot),
         # so scalar and batched estimates agree bitwise whatever backend
         # is active — without paying three array allocations per query.
-        dist = np.hypot(query.x - center.x, query.y - center.y)
+        dist = np.hypot(query.x - center_x, query.y - center_y)
         delta = c_corner - c_center  # Equation 2
         return float(c_center + (2.0 * dist / diagonal) * delta)  # Equation 1
 
     def estimate_batch(self, queries, ks, variant: Variant | None = None) -> np.ndarray:
         """Vectorized :meth:`estimate` over a whole query batch.
 
-        The batch pays the per-call overheads once — one guard sweep,
-        one staleness check, one leaf-binning broadcast — then groups
-        queries by containing auxiliary leaf so each leaf's catalogs
-        answer their whole group with a single :meth:`lookup_many`
-        gather.  Queries with ``k`` beyond the catalog limit or focal
-        points outside the auxiliary universe are partitioned to the
-        density fallback's own batch path, exactly as the scalar flow
-        routes them (Figure 5).
+        A constant number of array calls however many leaves the index
+        has and however many of them the batch touches: one guard
+        sweep, one staleness check, one :class:`BlockLocator` pass for
+        the home leaves, one stacked-catalog gather per variant and one
+        Eq. 1–2 evaluation.  Queries with ``k`` beyond the catalog limit
+        or focal points outside the auxiliary universe are partitioned
+        to the density fallback's own batch path, exactly as the scalar
+        flow routes them (Figure 5).
 
-        Bit-identity with the scalar path is part of the contract: the
-        Eq. 1 interpolation reuses the scalar ``Rect`` center/diagonal
-        per leaf and routes through the same
+        Bit-identity with the scalar path is part of the contract: both
+        read the same per-leaf center/diagonal floats and the Eq. 1
+        interpolation is the
         :func:`~repro.geometry.kernels.staircase_interpolate` backend
-        kernel the scalar path calls, so element ``i`` equals
-        ``estimate(Point(*queries[i]), ks[i])`` exactly, whatever
-        kernel backend is active.
+        kernel, whose operation order the scalar path mirrors, so
+        element ``i`` equals ``estimate(Point(*queries[i]), ks[i])``
+        exactly, whatever kernel backend is active.
 
         Args:
             queries: ``(m, 2)`` array-like of query coordinates.
@@ -525,33 +572,41 @@ class StaircaseEstimator(SelectCostEstimator):
         fast = np.flatnonzero(~routed)
         if fast.shape[0] == 0:
             return out
-        leaf_ids = leaf_ids_for_points(self._leaf_rects, xs[fast], ys[fast], bounds)
+        locator, geometry = self._home_leaves()
+        fast_xs = xs[fast]
+        fast_ys = ys[fast]
+        leaf_ids = locator.home(fast_xs, fast_ys)
         if np.any(leaf_ids < 0):
-            j = int(fast[int(np.argmax(leaf_ids < 0))])
+            j = int(np.argmax(leaf_ids < 0))
             raise ValueError(
-                f"no partition leaf contains ({float(xs[j])}, {float(ys[j])})"
+                f"no partition leaf contains ({float(fast_xs[j])}, {float(fast_ys[j])})"
             )
-        order = np.argsort(leaf_ids, kind="stable")
-        sorted_leaf = leaf_ids[order]
-        group_starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sorted_leaf)) + 1, [order.shape[0]]]
+        center, corners = self._stacked_catalogs()
+        fast_ks = ks_arr[fast]
+        short = fast_ks > center.max_ks[leaf_ids]
+        if variant != "center":
+            short |= fast_ks > corners.max_ks[leaf_ids]
+        if short.any():
+            # A catalog shorter than ``max_k`` (a damaged store): raise
+            # what the lowest such leaf's own catalogs raise.
+            leaf_id = int(leaf_ids[short].min())
+            leaf_ks = fast_ks[leaf_ids == leaf_id]
+            self._center_catalogs[leaf_id].lookup_many(leaf_ks)
+            self._corner_catalogs[leaf_id].lookup_many(leaf_ks)
+        c_center = center.lookup(leaf_ids, fast_ks)
+        if variant == "center":
+            out[fast] = c_center
+            return out
+        home = geometry[leaf_ids]
+        out[fast] = staircase_interpolate(
+            fast_xs,
+            fast_ys,
+            home[:, 0],
+            home[:, 1],
+            home[:, 2],
+            c_center,
+            corners.lookup(leaf_ids, fast_ks),
         )
-        for g in range(group_starts.shape[0] - 1):
-            grp = order[group_starts[g] : group_starts[g + 1]]
-            leaf_id = int(sorted_leaf[group_starts[g]])
-            idx = fast[grp]
-            ks_grp = ks_arr[idx]
-            c_center = self._center_catalogs[leaf_id].lookup_many(ks_grp)
-            if variant == "center":
-                out[idx] = c_center
-                continue
-            c_corner = self._corner_catalogs[leaf_id].lookup_many(ks_grp)
-            rect = Rect(*self._leaf_rects[leaf_id])
-            center = rect.center
-            # Equations 1-2, one backend kernel call per leaf group.
-            out[idx] = staircase_interpolate(
-                xs[idx], ys[idx], center.x, center.y, rect.diagonal, c_center, c_corner
-            )
         return out
 
     # ------------------------------------------------------------------

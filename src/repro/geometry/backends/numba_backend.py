@@ -201,32 +201,28 @@ def interval_gather(
 def _staircase_interpolate(xs, ys, cx, cy, diagonal, c_center, c_corner):
     m = xs.shape[0]
     out = np.empty(m, dtype=np.float64)
-    if diagonal == 0.0:
-        for i in range(m):
-            out[i] = c_center[i]
-        return out
     for i in range(m):
-        dist = math.hypot(xs[i] - cx, ys[i] - cy)
+        if diagonal[i] == 0.0:
+            out[i] = c_center[i]
+            continue
+        dist = math.hypot(xs[i] - cx[i], ys[i] - cy[i])
         delta = c_corner[i] - c_center[i]
-        out[i] = c_center[i] + (2.0 * dist / diagonal) * delta
+        out[i] = c_center[i] + (2.0 * dist / diagonal[i]) * delta
     return out
 
 
 def staircase_interpolate(
     xs: np.ndarray,
     ys: np.ndarray,
-    cx: float,
-    cy: float,
-    diagonal: float,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    diagonal: np.ndarray,
     c_center: np.ndarray,
     c_corner: np.ndarray,
 ) -> np.ndarray:
     return _staircase_interpolate(
-        np.ascontiguousarray(xs),
-        np.ascontiguousarray(ys),
-        float(cx),
-        float(cy),
-        float(diagonal),
-        np.ascontiguousarray(c_center),
-        np.ascontiguousarray(c_corner),
+        *(
+            np.ascontiguousarray(v)
+            for v in (xs, ys, cx, cy, diagonal, c_center, c_corner)
+        )
     )

@@ -105,24 +105,24 @@ def interval_gather(
 def staircase_interpolate(
     xs: np.ndarray,
     ys: np.ndarray,
-    cx: float,
-    cy: float,
-    diagonal: float,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    diagonal: np.ndarray,
     c_center: np.ndarray,
     c_corner: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 1–2 of the paper: center/corner interpolation for one leaf.
+    """Eq. 1–2 of the paper: center/corner interpolation per query.
 
-    ``out[i] = C_center[i] + (2 * dist_i / diagonal) * (C_corner[i] -
-    C_center[i])`` with ``dist_i`` the query-to-leaf-center distance
-    (the cost arrays are the per-query catalog lookups at each query's
-    own k).  A degenerate (zero-diagonal) leaf pins the estimate at
-    ``C_center``.  The expression order is part of the backend
-    contract — every backend must apply exactly this FP operation
-    sequence.
+    ``out[i] = C_center[i] + (2 * dist_i / diagonal[i]) * (C_corner[i] -
+    C_center[i])`` with ``dist_i`` the distance from query ``i`` to its
+    home leaf's center ``(cx[i], cy[i])`` (the cost arrays are the
+    per-query catalog lookups at each query's own k).  A degenerate
+    (zero-diagonal) leaf pins its estimates at ``C_center``.  The
+    expression order is part of the backend contract — every backend
+    must apply exactly this FP operation sequence.
     """
-    if diagonal == 0.0:
-        return c_center.copy()
     dist = np.hypot(xs - cx, ys - cy)
     delta = c_corner - c_center
-    return c_center + (2.0 * dist / diagonal) * delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = c_center + (2.0 * dist / diagonal) * delta
+    return np.where(diagonal == 0.0, c_center, out)

@@ -264,18 +264,20 @@ def interval_gather(
 def staircase_interpolate(
     xs: np.ndarray,
     ys: np.ndarray,
-    cx: float,
-    cy: float,
-    diagonal: float,
+    cx,
+    cy,
+    diagonal,
     c_center: np.ndarray,
     c_corner: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 1–2 interpolation for one Staircase leaf, batched over queries.
+    """Eq. 1–2 interpolation of Staircase estimates, batched over queries.
 
-    ``out[i] = C_center[i] + (2 * dist_i / diagonal) * (C_corner[i] -
-    C_center[i])`` with ``dist_i = hypot(xs[i] - cx, ys[i] - cy)``;
-    the cost arrays are the leaf catalogs' lookups at each query's own
-    k, and a zero-diagonal (degenerate) leaf pins every estimate at
+    ``out[i] = C_center[i] + (2 * dist_i / diagonal[i]) * (C_corner[i] -
+    C_center[i])`` with ``dist_i = hypot(xs[i] - cx[i], ys[i] - cy[i])``;
+    the cost arrays are the home leaf's catalog lookups at each query's
+    own k, ``cx`` / ``cy`` / ``diagonal`` are that leaf's center and
+    diagonal — per query, or scalars when the whole batch shares one
+    leaf — and a zero-diagonal (degenerate) leaf pins its estimates at
     ``C_center``.  All backends compute distances with the C library's
     ``hypot`` and apply exactly this expression order, so scalar and
     batched Staircase estimates agree bitwise across backends.
@@ -290,6 +292,16 @@ def staircase_interpolate(
             f"xs {xs.shape}, ys {ys.shape}, "
             f"c_center {c_center.shape}, c_corner {c_corner.shape}"
         )
+    try:
+        cx, cy, diagonal = (
+            np.broadcast_to(np.asarray(v, dtype=float), xs.shape)
+            for v in (cx, cy, diagonal)
+        )
+    except ValueError:
+        raise ValueError(
+            "staircase_interpolate centre and diagonal must be scalars or "
+            f"share the batch length {xs.shape}"
+        ) from None
     return backends.active().staircase_interpolate(
-        xs, ys, float(cx), float(cy), float(diagonal), c_center, c_corner
+        xs, ys, cx, cy, diagonal, c_center, c_corner
     )

@@ -16,6 +16,9 @@ subpackage implements:
   Count-Index (§2): the frozen columnar summary of per-block bounds and
   counts (no data points), gathered once from any of the above, that
   every cost estimator and k-NN algorithm consumes.
+* :class:`~repro.index.locator.BlockLocator` — the bucket grid that
+  finds the block (or auxiliary leaf) containing a point by testing
+  only the rects filed under the point's cell.
 """
 
 from repro.index.base import Block, IndexNode, SpatialIndex
@@ -24,13 +27,8 @@ from repro.index.rtree import RTree, RTreeNode
 from repro.index.grid import GridIndex
 from repro.index.hierarchical_count import HierarchicalCountIndex
 from repro.index.mutable_quadtree import MutableQuadtree
-from repro.index.snapshot import (
-    IndexSnapshot,
-    as_snapshot,
-    leaf_id_for_point,
-    leaf_ids_for_points,
-    partition_bounds,
-)
+from repro.index.locator import BlockLocator
+from repro.index.snapshot import IndexSnapshot, as_snapshot, partition_bounds
 
 __all__ = [
     "Block",
@@ -45,7 +43,6 @@ __all__ = [
     "MutableQuadtree",
     "IndexSnapshot",
     "as_snapshot",
-    "leaf_id_for_point",
-    "leaf_ids_for_points",
     "partition_bounds",
+    "BlockLocator",
 ]

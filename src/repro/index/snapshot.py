@@ -37,6 +37,7 @@ from repro.geometry.kernels import (
     mindist_rects,
     rect_overlap_mask,
 )
+from repro.index.locator import BlockLocator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.index.base import SpatialIndex
@@ -123,6 +124,13 @@ class IndexSnapshot:
         object.__setattr__(self, "block_ids", _readonly(block_ids))
         object.__setattr__(self, "areas", _readonly(widths * heights))
         object.__setattr__(self, "diagonals", _readonly(np.hypot(widths, heights)))
+
+    def __getstate__(self) -> dict:
+        # The block locator is derived (rebuilt on first use in ~1 ms):
+        # a snapshot shipped to a worker does not carry it.
+        state = dict(self.__dict__)
+        state.pop("_locator_cache", None)
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # ndarray pickling drops the writeable=False flag; restore the
@@ -362,12 +370,13 @@ class IndexSnapshot:
     def leaf_ids_for_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized block binning: the containing block row per point.
 
-        Delegates to :func:`leaf_ids_for_points` over the snapshot's own
-        block rects, using the recorded universe (or the rects' hull
-        when the snapshot was built from bare arrays).  Points outside
-        the universe, or inside it but covered by no block, map to
-        ``-1`` rather than raising — batch callers partition misses to a
-        fallback path instead of failing the whole batch.
+        Answers through one :class:`~repro.index.locator.BlockLocator`
+        over the snapshot's own block rects (built on first use), under
+        the recorded universe (or the rects' hull when the snapshot was
+        built from bare arrays).  Points outside the universe, or
+        inside it but covered by no block, map to ``-1`` rather than
+        raising — batch callers partition misses to a fallback path
+        instead of failing the whole batch.
 
         First-hit semantics are layout-independent: when several block
         rects contain a point (possible on overlapping substrates like
@@ -376,24 +385,26 @@ class IndexSnapshot:
         is that block's physical row index.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        bounds = self.bounds
-        if bounds is None:
-            if self.n_blocks == 0:
-                return np.full(pts.shape[0], -1, dtype=np.int64)
-            bounds = (
-                float(self.rects[:, 0].min()),
-                float(self.rects[:, 1].min()),
-                float(self.rects[:, 2].max()),
-                float(self.rects[:, 3].max()),
-            )
+        if self.n_blocks == 0:
+            return np.full(pts.shape[0], -1, dtype=np.int64)
         p = self.tie_order
-        if p is None:
-            return leaf_ids_for_points(self.rects, pts[:, 0], pts[:, 1], bounds)
-        # Resolve first-hit in canonical order, then map the winning
-        # canonical row back to its physical position.
-        rows = leaf_ids_for_points(self.rects[p], pts[:, 0], pts[:, 1], bounds)
-        hit = rows >= 0
-        rows[hit] = p[rows[hit]]
+        locator = self.__dict__.get("_locator_cache")
+        if locator is None:
+            rects = self.rects if p is None else self.rects[p]
+            bounds = self.bounds or (
+                float(rects[:, 0].min()),
+                float(rects[:, 1].min()),
+                float(rects[:, 2].max()),
+                float(rects[:, 3].max()),
+            )
+            locator = BlockLocator(rects, bounds)
+            object.__setattr__(self, "_locator_cache", locator)
+        rows = locator.home(pts[:, 0], pts[:, 1])
+        if p is not None:
+            # The locator resolved first-hit in canonical order; map
+            # the winning canonical row back to its physical position.
+            hit = rows >= 0
+            rows[hit] = p[rows[hit]]
         return rows
 
     # ------------------------------------------------------------------
@@ -496,105 +507,3 @@ def partition_bounds(aux_index) -> np.ndarray:
     if not leaves:
         return np.empty((0, 4), dtype=float)
     return np.array([leaf.rect.as_tuple() for leaf in leaves], dtype=float)
-
-
-def leaf_id_for_point(
-    leaf_rects: np.ndarray, x: float, y: float, bounds
-) -> int:
-    """Locate the partition leaf containing ``(x, y)`` by its bounds.
-
-    Space partitions resolve shared edges to the east/north side (the
-    strict ``<`` descent of :meth:`repro.index.quadtree.Quadtree.leaf_for`),
-    which over leaf bounds is exactly half-open containment
-    ``[min, max)`` — closed at the universe's east/north edges so
-    boundary queries stay inside the outermost leaves.  Keying lookups
-    by leaf *bounds* instead of node object identity is what lets
-    catalogs survive persistence round-trips (`from_store`) without
-    assuming the auxiliary index yields the very same node objects.
-
-    Args:
-        leaf_rects: ``(n_leaves, 4)`` array from :func:`partition_bounds`.
-        x: Query x (must lie inside ``bounds``).
-        y: Query y.
-        bounds: The partition universe (anything
-            :func:`~repro.geometry.kernels.as_anchor` accepts as a rect).
-
-    Returns:
-        The row index of the containing leaf.
-
-    Raises:
-        ValueError: If no leaf contains the point (outside the
-            universe, or ``leaf_rects`` does not partition it).
-    """
-    b = as_anchor(bounds)
-    if not (b[0] <= x <= b[2] and b[1] <= y <= b[3]):
-        # Mirror SpatialIndex.leaf_for: outside the universe there is no
-        # containing leaf, even though the east/north edge closure below
-        # would otherwise capture points beyond the outer boundary.
-        raise ValueError(f"no partition leaf contains ({x}, {y})")
-    in_x = (x >= leaf_rects[:, 0]) & ((x < leaf_rects[:, 2]) | (leaf_rects[:, 2] >= b[2]))
-    in_y = (y >= leaf_rects[:, 1]) & ((y < leaf_rects[:, 3]) | (leaf_rects[:, 3] >= b[3]))
-    hits = np.flatnonzero(in_x & in_y)
-    if hits.shape[0] == 0:
-        raise ValueError(f"no partition leaf contains ({x}, {y})")
-    return int(hits[0])
-
-
-# Queries-per-slab for the batched binning broadcast: bounds the
-# transient (chunk, n_leaves) boolean masks to a few MB regardless of
-# batch size, which keeps the vectorized path cache-friendly.
-_LEAF_BIN_CHUNK = 2048
-
-
-def leaf_ids_for_points(
-    leaf_rects: np.ndarray, xs: np.ndarray, ys: np.ndarray, bounds
-) -> np.ndarray:
-    """Vectorized :func:`leaf_id_for_point` over a batch of points.
-
-    Applies exactly the same containment rule per point — half-open
-    ``[min, max)``, closed at the universe's east/north edges, first
-    matching row wins — but instead of raising for an uncontained point
-    it returns ``-1`` in that slot.  Batch estimators use the ``-1``
-    marker to route out-of-universe queries to their fallback tier while
-    the rest of the batch stays on the fast path.
-
-    Args:
-        leaf_rects: ``(n_leaves, 4)`` array from :func:`partition_bounds`.
-        xs: ``(m,)`` query x coordinates.
-        ys: ``(m,)`` query y coordinates.
-        bounds: The partition universe (anything
-            :func:`~repro.geometry.kernels.as_anchor` accepts as a rect).
-
-    Returns:
-        ``(m,)`` int64 array of containing-leaf row indices, ``-1``
-        where no leaf contains the point.
-    """
-    b = as_anchor(bounds)
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    m = xs.shape[0]
-    out = np.full(m, -1, dtype=np.int64)
-    if m == 0 or leaf_rects.shape[0] == 0:
-        return out
-    inside = (xs >= b[0]) & (xs <= b[2]) & (ys >= b[1]) & (ys <= b[3])
-    # Precompute the universe-edge closures once; they are per-leaf.
-    east_closed = leaf_rects[:, 2] >= b[2]
-    north_closed = leaf_rects[:, 3] >= b[3]
-    candidates = np.flatnonzero(inside)
-    for start in range(0, candidates.shape[0], _LEAF_BIN_CHUNK):
-        idx = candidates[start : start + _LEAF_BIN_CHUNK]
-        cx = xs[idx, None]
-        cy = ys[idx, None]
-        in_x = (cx >= leaf_rects[None, :, 0]) & (
-            (cx < leaf_rects[None, :, 2]) | east_closed[None, :]
-        )
-        in_y = (cy >= leaf_rects[None, :, 1]) & (
-            (cy < leaf_rects[None, :, 3]) | north_closed[None, :]
-        )
-        hit = in_x & in_y
-        any_hit = hit.any(axis=1)
-        # argmax picks the first True column — the same "first hit"
-        # tie-break as the scalar flatnonzero()[0].
-        first = hit.argmax(axis=1)
-        out[idx[any_hit]] = first[any_hit]
-    return out

@@ -355,7 +355,7 @@ class _FallbackChain:
         """
         m = pts.shape[0]
         out = np.empty(m, dtype=float)
-        tiers_used = [GUARANTEED_BOUND_TIER] * m
+        tiers_used = np.full(m, GUARANTEED_BOUND_TIER, dtype=object)
         degraded = np.zeros(m, dtype=bool)
         attempts: list[TierAttempt] = []
         pending = np.arange(m)
@@ -397,8 +397,7 @@ class _FallbackChain:
             good = ~bad
             answered = pending[good]
             out[answered] = values[good]
-            for i in answered:
-                tiers_used[i] = name
+            tiers_used[answered] = name
             degraded[answered] = position > 0
             n_bad = int(np.count_nonzero(bad))
             if n_bad:
@@ -420,7 +419,7 @@ class _FallbackChain:
             degraded[pending] = True
             attempts.append(TierAttempt(GUARANTEED_BOUND_TIER, "ok"))
         self.last_batch_outcome = FallbackBatchOutcome(
-            tiers=tiers_used, degraded=degraded, attempts=attempts
+            tiers=tiers_used.tolist(), degraded=degraded, attempts=attempts
         )
         return out
 

@@ -8,12 +8,12 @@ balanced by *data mass*, not area: a location-based-service workload
 whose focal points follow the data distribution lands roughly ``1/s``
 of its queries on each of ``s`` shards.
 
-Routing reuses the snapshot layer's vectorized containment kernel
-(:func:`~repro.index.snapshot.leaf_ids_for_points`): the shard
-rectangles tile the universe with the same half-open ``[min, max)``
-semantics as quadtree leaves, so every in-universe focal point maps to
-exactly one shard with one broadcast pass.  Out-of-universe points are
-routed to the shard with the smallest MINDIST — routing never fails.
+Routing reuses the index layer's containment rule
+(:class:`~repro.index.locator.BlockLocator`): the shard rectangles tile
+the universe with the same half-open ``[min, max)`` semantics as
+quadtree leaves, so every in-universe focal point maps to exactly one
+shard.  Out-of-universe points are routed to the shard with the
+smallest MINDIST — routing never fails.
 
 The same plan drives both serving modes.  In **replica** mode the
 plan shards the *query space*: every worker holds a full replica of
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.kernels import mindist_rects
-from repro.index.snapshot import IndexSnapshot, as_snapshot, leaf_ids_for_points
+from repro.index.locator import BlockLocator
+from repro.index.snapshot import IndexSnapshot, as_snapshot
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class ShardPlan:
             )
         object.__setattr__(self, "rects", rects)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_locator", BlockLocator(rects, self.bounds))
 
     @property
     def n_shards(self) -> int:
@@ -75,12 +77,12 @@ class ShardPlan:
     def assign(self, points: np.ndarray) -> np.ndarray:
         """Route focal points to shards: ``(m,)`` shard ids.
 
-        In-universe points use the half-open containment kernel;
+        In-universe points use the half-open containment rule;
         out-of-universe points fall back to the nearest shard by
         MINDIST.  Every point gets a shard — routing cannot fail.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        ids = leaf_ids_for_points(self.rects, pts[:, 0], pts[:, 1], self.bounds)
+        ids = self._locator.home(pts[:, 0], pts[:, 1])
         misses = np.flatnonzero(ids < 0)
         for i in misses:
             x, y = float(pts[i, 0]), float(pts[i, 1])

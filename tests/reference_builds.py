@@ -8,6 +8,15 @@ paper-faithful pieces.  The equivalence tests compare ``to_store()`` bytes.
 
 The heap sweep itself (:func:`plane_sweep`) is the oracle of
 ``repro.catalog.merge``'s vectorized ``merge_max`` / ``merge_sum``.
+
+The all-rects containment passes (:func:`leaf_id_for_point`,
+:func:`leaf_ids_for_points`) are what ``repro.index`` located home
+blocks with before ``BlockLocator``; the per-leaf estimate loop
+(:func:`staircase_estimate_batch`) and the one-select-at-a-time join
+sample (:func:`per_point_selects_cost`) are what
+``StaircaseEstimator.estimate_batch`` and the planner ran before the
+stacked catalogs.  All four are the oracles of their replacements:
+equal to the last bit, first-offender errors included.
 """
 
 import heapq
@@ -18,7 +27,11 @@ import numpy as np
 from repro.catalog import IntervalCatalog
 from repro.catalog.store import CatalogStore
 from repro.estimators.block_sample import sample_block_indices
+from repro.engine.planner import SELECT_COST_SAMPLE
+from repro.estimators.base import normalize_batch_args
 from repro.estimators.staircase import build_select_catalog
+from repro.geometry import Point, Rect
+from repro.geometry.kernels import as_anchor, staircase_interpolate
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 from repro.knn.locality import locality_size_profile
 
@@ -112,3 +125,162 @@ def catalog_merge_store(outer, inner, sample_size: int, max_k: int) -> CatalogSt
     )
     store.put("merged", plane_sweep(temporaries, sum))
     return store
+
+
+def leaf_id_for_point(
+    leaf_rects: np.ndarray, x: float, y: float, bounds
+) -> int:
+    """Locate the partition leaf containing ``(x, y)`` by its bounds.
+
+    Space partitions resolve shared edges to the east/north side (the
+    strict ``<`` descent of :meth:`repro.index.quadtree.Quadtree.leaf_for`),
+    which over leaf bounds is exactly half-open containment
+    ``[min, max)`` — closed at the universe's east/north edges so
+    boundary queries stay inside the outermost leaves.  Keying lookups
+    by leaf *bounds* instead of node object identity is what lets
+    catalogs survive persistence round-trips (`from_store`) without
+    assuming the auxiliary index yields the very same node objects.
+
+    Args:
+        leaf_rects: ``(n_leaves, 4)`` array from :func:`partition_bounds`.
+        x: Query x (must lie inside ``bounds``).
+        y: Query y.
+        bounds: The partition universe (anything
+            :func:`~repro.geometry.kernels.as_anchor` accepts as a rect).
+
+    Returns:
+        The row index of the containing leaf.
+
+    Raises:
+        ValueError: If no leaf contains the point (outside the
+            universe, or ``leaf_rects`` does not partition it).
+    """
+    b = as_anchor(bounds)
+    if not (b[0] <= x <= b[2] and b[1] <= y <= b[3]):
+        # Mirror SpatialIndex.leaf_for: outside the universe there is no
+        # containing leaf, even though the east/north edge closure below
+        # would otherwise capture points beyond the outer boundary.
+        raise ValueError(f"no partition leaf contains ({x}, {y})")
+    in_x = (x >= leaf_rects[:, 0]) & ((x < leaf_rects[:, 2]) | (leaf_rects[:, 2] >= b[2]))
+    in_y = (y >= leaf_rects[:, 1]) & ((y < leaf_rects[:, 3]) | (leaf_rects[:, 3] >= b[3]))
+    hits = np.flatnonzero(in_x & in_y)
+    if hits.shape[0] == 0:
+        raise ValueError(f"no partition leaf contains ({x}, {y})")
+    return int(hits[0])
+
+
+# Queries-per-slab for the batched binning broadcast: bounds the
+# transient (chunk, n_leaves) boolean masks to a few MB regardless of
+# batch size.
+_LEAF_BIN_CHUNK = 2048
+
+
+def leaf_ids_for_points(
+    leaf_rects: np.ndarray, xs: np.ndarray, ys: np.ndarray, bounds
+) -> np.ndarray:
+    """Vectorized :func:`leaf_id_for_point` over a batch of points.
+
+    Applies exactly the same containment rule per point — half-open
+    ``[min, max)``, closed at the universe's east/north edges, first
+    matching row wins — but instead of raising for an uncontained point
+    it returns ``-1`` in that slot.  Batch estimators use the ``-1``
+    marker to route out-of-universe queries to their fallback tier while
+    the rest of the batch stays on the fast path.
+
+    Args:
+        leaf_rects: ``(n_leaves, 4)`` array from :func:`partition_bounds`.
+        xs: ``(m,)`` query x coordinates.
+        ys: ``(m,)`` query y coordinates.
+        bounds: The partition universe (anything
+            :func:`~repro.geometry.kernels.as_anchor` accepts as a rect).
+
+    Returns:
+        ``(m,)`` int64 array of containing-leaf row indices, ``-1``
+        where no leaf contains the point.
+    """
+    b = as_anchor(bounds)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    m = xs.shape[0]
+    out = np.full(m, -1, dtype=np.int64)
+    if m == 0 or leaf_rects.shape[0] == 0:
+        return out
+    inside = (xs >= b[0]) & (xs <= b[2]) & (ys >= b[1]) & (ys <= b[3])
+    # Precompute the universe-edge closures once; they are per-leaf.
+    east_closed = leaf_rects[:, 2] >= b[2]
+    north_closed = leaf_rects[:, 3] >= b[3]
+    candidates = np.flatnonzero(inside)
+    for start in range(0, candidates.shape[0], _LEAF_BIN_CHUNK):
+        idx = candidates[start : start + _LEAF_BIN_CHUNK]
+        cx = xs[idx, None]
+        cy = ys[idx, None]
+        in_x = (cx >= leaf_rects[None, :, 0]) & (
+            (cx < leaf_rects[None, :, 2]) | east_closed[None, :]
+        )
+        in_y = (cy >= leaf_rects[None, :, 1]) & (
+            (cy < leaf_rects[None, :, 3]) | north_closed[None, :]
+        )
+        hit = in_x & in_y
+        any_hit = hit.any(axis=1)
+        # argmax picks the first True column — the same "first hit"
+        # tie-break as the scalar flatnonzero()[0].
+        first = hit.argmax(axis=1)
+        out[idx[any_hit]] = first[any_hit]
+    return out
+
+
+def staircase_estimate_batch(estimator, queries, ks, variant=None) -> np.ndarray:
+    """``estimator.estimate_batch(queries, ks, variant)``, one leaf group at a time.
+
+    The all-leaves binning pass, then one ``lookup_many`` pair, one
+    ``Rect`` and one Eq. 1-2 kernel call per distinct home leaf, in
+    ascending leaf order — so a bad row raises what the first offending
+    group raises.  Input guards and the staleness check are the
+    caller's; routing to the density fallback is reproduced.
+    """
+    pts, ks_arr = normalize_batch_args(queries, ks)
+    variant = estimator.variant if variant is None else variant
+    out = np.empty(pts.shape[0], dtype=float)
+    bounds = estimator._aux.bounds
+    xs, ys = pts[:, 0], pts[:, 1]
+    in_bounds = (
+        (xs >= bounds.x_min) & (xs <= bounds.x_max) & (ys >= bounds.y_min) & (ys <= bounds.y_max)
+    )
+    routed = (ks_arr > estimator.max_k) | ~in_bounds
+    if routed.any():
+        out[routed] = (
+            estimator._fallback.estimate_batch(pts[routed], ks_arr[routed])
+            if estimator._fallback
+            else 0.0
+        )
+    fast = np.flatnonzero(~routed)
+    leaf_ids = leaf_ids_for_points(estimator._leaf_rects, xs[fast], ys[fast], bounds)
+    if np.any(leaf_ids < 0):
+        j = int(fast[int(np.argmax(leaf_ids < 0))])
+        raise ValueError(f"no partition leaf contains ({float(xs[j])}, {float(ys[j])})")
+    for leaf_id in np.unique(leaf_ids).tolist():
+        idx = fast[leaf_ids == leaf_id]
+        c_center = estimator._center_catalogs[leaf_id].lookup_many(ks_arr[idx])
+        if variant == "center":
+            out[idx] = c_center
+            continue
+        c_corner = estimator._corner_catalogs[leaf_id].lookup_many(ks_arr[idx])
+        rect = Rect(*estimator._leaf_rects[leaf_id])
+        center = rect.center
+        out[idx] = staircase_interpolate(
+            xs[idx], ys[idx], center.x, center.y, rect.diagonal, c_center, c_corner
+        )
+    return out
+
+
+def per_point_selects_cost(select_estimator, outer_points: np.ndarray, effective_k: int) -> float:
+    """``engine.planner.per_point_selects_cost``, one scalar estimate per sampled row."""
+    n = outer_points.shape[0]
+    sample = np.random.default_rng(0).integers(0, n, size=min(SELECT_COST_SAMPLE, n))
+    per_select = [
+        select_estimator.estimate(
+            Point(float(outer_points[i, 0]), float(outer_points[i, 1])), effective_k
+        )
+        for i in sample
+    ]
+    return float(np.mean(per_select)) * n

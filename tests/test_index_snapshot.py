@@ -12,14 +12,15 @@ from repro.datasets import generate_osm_like
 from repro.engine.stats import StatisticsManager
 from repro.geometry import Point, Rect
 from repro.index import (
+    BlockLocator,
     IndexSnapshot,
     MutableQuadtree,
     Quadtree,
     as_snapshot,
-    leaf_id_for_point,
     partition_bounds,
 )
 from repro.resilience.errors import StaleCatalogError
+from tests.reference_builds import leaf_id_for_point
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +165,10 @@ class TestPartitionLookup:
         bounds = index.bounds
         xs = rng.uniform(bounds.x_min, bounds.x_max, 200)
         ys = rng.uniform(bounds.y_min, bounds.y_max, 200)
-        for x, y in zip(xs, ys):
-            leaf_id = leaf_id_for_point(rects, x, y, bounds)
+        locator = BlockLocator(rects, bounds.as_tuple())
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            leaf_id = locator.home_of(x, y)
+            assert leaf_id == leaf_id_for_point(rects, x, y, bounds)
             assert leaves[leaf_id] is index.leaf_for(Point(x, y))
 
     def test_shared_edges_resolve_like_the_descent(self, index):
@@ -174,15 +177,18 @@ class TestPartitionLookup:
         rects = partition_bounds(index)
         leaves = index.leaves
         bounds = index.bounds
+        locator = BlockLocator(rects, bounds.as_tuple())
         for row in rects[:32]:
             for x, y in [(row[0], row[1]), (row[2], row[3]), (row[0], row[3])]:
                 if not (bounds.x_min <= x <= bounds.x_max and bounds.y_min <= y <= bounds.y_max):
                     continue
-                leaf_id = leaf_id_for_point(rects, float(x), float(y), bounds)
+                leaf_id = locator.home_of(float(x), float(y))
+                assert leaf_id == leaf_id_for_point(rects, float(x), float(y), bounds)
                 assert leaves[leaf_id] is index.leaf_for(Point(float(x), float(y)))
 
     def test_outside_the_universe_raises(self, index):
         rects = partition_bounds(index)
+        assert BlockLocator(rects, index.bounds.as_tuple()).home_of(1e9, 1e9) == -1
         with pytest.raises(ValueError, match="no partition leaf"):
             leaf_id_for_point(rects, 1e9, 1e9, index.bounds)
 

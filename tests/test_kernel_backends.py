@@ -223,13 +223,23 @@ class TestNumbaParity:
         ys = rng.uniform(-50, 50, size=100)
         c_center = rng.uniform(1, 40, size=100)
         c_corner = c_center + rng.uniform(0, 20, size=100)
-        for diagonal in (14.142135623730951, 0.0):
+        # Per-row centre and diagonal (a batch over many home leaves),
+        # zero-diagonal rows among them; one shared leaf is the same
+        # call with constant columns.
+        cx = rng.uniform(-5, 5, size=100)
+        cy = rng.uniform(-5, 5, size=100)
+        diagonals = rng.choice([14.142135623730951, 0.0, 3.5], size=100)
+        for centre_x, centre_y, diagonal in (
+            (cx, cy, diagonals),
+            (np.full(100, 1.5), np.full(100, -2.5), np.full(100, 14.142135623730951)),
+            (np.full(100, 1.5), np.full(100, -2.5), np.zeros(100)),
+        ):
             assert np.array_equal(
                 numpy_backend.staircase_interpolate(
-                    xs, ys, 1.5, -2.5, diagonal, c_center, c_corner
+                    xs, ys, centre_x, centre_y, diagonal, c_center, c_corner
                 ),
                 self.nb.staircase_interpolate(
-                    xs, ys, 1.5, -2.5, diagonal, c_center, c_corner
+                    xs, ys, centre_x, centre_y, diagonal, c_center, c_corner
                 ),
             )
 

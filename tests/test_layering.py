@@ -115,7 +115,9 @@ def test_the_walk_sees_function_level_imports():
 #: entry point and the two re-spellings of the planner's arbitration; the
 #: statistics manager's snapshot re-layout options, the second names of
 #: the one catalog merge, and the pytest-benchmark suite's profile fixture
-#: and environment variable (``python -m repro.experiments --profile``).
+#: and environment variable (``python -m repro.experiments --profile``),
+#: and the all-rects containment pass (``index.locator.BlockLocator``
+#: finds home blocks; the pass is the ``tests/reference_builds.py`` oracle).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -146,6 +148,8 @@ RETIRED_NAMES = {
     "merge_sum_fast",
     "bench_config",
     "REPRO_BENCH_PROFILE",
+    "leaf_id_for_point",
+    "_LEAF_BIN_CHUNK",
 }
 
 
@@ -186,6 +190,25 @@ def test_retired_names_stay_retired():
     assert not (SRC / "repro" / "index" / "count_index.py").exists()
     for module in ("chooser", "plans"):
         assert f"repro.optimizer.{module}" not in MODULES
+
+
+def test_leaf_ids_for_points_is_only_the_snapshot_method():
+    # The frozen benchmark calls ``snapshot.leaf_ids_for_points``, so the
+    # name cannot retire; the module-level all-rects function can.
+    uses = []
+    for path in sorted(MODULES.values()):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "leaf_ids_for_points":
+                owner = parents[node]
+                uses.append((path.name, getattr(owner, "name", "<module>")))
+            elif isinstance(node, (ast.Name, ast.alias)) and "leaf_ids_for_points" in (
+                getattr(node, "id", None),
+                getattr(node, "name", None),
+            ):
+                uses.append((path.name, "<reference>"))
+    assert uses == [("snapshot.py", "IndexSnapshot")]
 
 
 def test_the_retired_name_walk_sees_every_identifier_kind():
