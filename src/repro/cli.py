@@ -58,11 +58,7 @@ from repro.geometry import Point
 from repro.geometry.backends import active_backend
 from repro.index import IndexSnapshot, Quadtree
 from repro.knn import knn_join_cost, select_cost_exact, select_cost_profile
-from repro.optimizer.selection import (
-    CHAIN_PRESETS,
-    build_selection_chain,
-    parse_pin_spec,
-)
+from repro.optimizer.selection import parse_pin_spec
 from repro.resilience.errors import (
     EstimationError,
     InvalidQueryError,
@@ -140,33 +136,23 @@ def _cmd_staircase(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selection_config(args: argparse.Namespace):
-    """Resolve ``--optimizer``/``--pin-operator`` into manager config.
-
-    Returns:
-        ``(selection_chain, pins)`` — the chain is ``None`` for the
-        default preset (the manager then builds the default chain
-        itself), and ``pins`` is the picklable mapping the manager
-        prepends as a ``PinnedOverrideSelection`` (also the channel
-        sharded serving ships pins through).
+def _pins(args: argparse.Namespace) -> dict:
+    """Resolve ``--pin-operator`` into the manager's ``pinned_operators``
+    (a picklable mapping — also the channel sharded serving ships pins
+    through).
 
     Raises:
         InvalidQueryError: On a malformed ``--pin-operator`` spec (exit
             code 2, like any other broken request).
     """
     try:
-        pins = dict(
-            parse_pin_spec(spec) for spec in (getattr(args, "pin_operator", None) or [])
-        )
+        return dict(parse_pin_spec(spec) for spec in (args.pin_operator or []))
     except ValueError as exc:
         raise InvalidQueryError(str(exc)) from exc
-    preset = getattr(args, "optimizer", "default")
-    chain = None if preset == "default" else build_selection_chain(preset)
-    return chain, pins
 
 
 def _cmd_estimate_select(args: argparse.Namespace) -> int:
-    _selection_config(args)  # a malformed --pin-operator fails fast (exit 2)
+    _pins(args)  # a malformed --pin-operator fails fast (exit 2)
     if args.batch is not None:
         return _run_select_batch(args)
     if args.x is None or args.y is None or args.k is None:
@@ -221,7 +207,7 @@ def _cmd_estimate_select(args: argparse.Namespace) -> int:
 def _print_select_plan(args: argparse.Namespace, query: Point) -> None:
     """The ``--explain`` section: why the engine's optimizer would plan
     this query the way it does — chosen operator, rejected candidates
-    with their costs, and the selection chain's per-link decision trail.
+    with their costs, and the rule that decided.
     """
     from repro.engine import (
         KnnSelectQuery,
@@ -230,21 +216,18 @@ def _print_select_plan(args: argparse.Namespace, query: Point) -> None:
         StatisticsManager,
     )
 
-    chain, pins = _selection_config(args)
     manager = StatisticsManager(
         max_k=args.max_k,
         fallback=not args.strict,
         strict=args.strict,
         workers=args.workers,
-        selection_chain=chain,
-        pinned_operators=pins,
+        pinned_operators=_pins(args),
     )
     engine = SpatialEngine(manager)
     engine.register(
         SpatialTable("points", load_points_csv(args.points), capacity=args.capacity)
     )
     explanation = engine.explain(KnnSelectQuery("points", query, k=args.k))
-    print(f"optimizer:  {engine.selection_chain.describe()}")
     print("plan:")
     for line in str(explanation).splitlines():
         print(f"  {line}")
@@ -270,7 +253,7 @@ def _run_select_batch(args: argparse.Namespace) -> int:
         batch = QueryBatch.from_csv(args.batch)
     except ValueError as exc:
         raise InvalidQueryError(str(exc)) from exc
-    chain, pins = _selection_config(args)
+    pins = _pins(args)
     engine = SpatialEngine(
         StatisticsManager(
             max_k=args.max_k,
@@ -278,7 +261,6 @@ def _run_select_batch(args: argparse.Namespace) -> int:
             strict=args.strict,
             workers=args.workers,
             estimate_cache_size=args.cache_size,
-            selection_chain=chain,
             pinned_operators=pins,
         )
     )
@@ -304,14 +286,12 @@ def _run_select_batch(args: argparse.Namespace) -> int:
                 # Workers mirror the reference engine's configuration
                 # (cache stays off: sharded answers must be
                 # bit-identical to the unsharded plan).  Operator pins
-                # travel as plain data; shard workers rebuild the chain
-                # around them.
+                # travel as plain data.
                 "manager_kwargs": {
                     "max_k": args.max_k,
                     "fallback": not args.strict,
                     "strict": args.strict,
                     "pinned_operators": pins,
-                    **({"selection_chain": chain} if chain is not None else {}),
                 },
             },
         )
@@ -483,13 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable estimator fallback; technique failures become errors",
     )
     p.add_argument(
-        "--optimizer",
-        choices=list(CHAIN_PRESETS),
-        default="default",
-        help="physical-operator selection chain preset (default: "
-        "freshness guard -> cost arbiter -> confidence)",
-    )
-    p.add_argument(
         "--pin-operator",
         action="append",
         metavar="[TABLE:]KIND=OPERATOR",
@@ -503,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the engine optimizer's plan for the query: "
         "chosen operator, rejected candidates with costs, and the "
-        "selection chain's per-link decision trail",
+        "rule that decided",
     )
     p.set_defaults(func=_cmd_estimate_select)
 

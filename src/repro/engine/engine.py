@@ -46,32 +46,12 @@ class SpatialEngine:
 
     Args:
         stats: A preconfigured statistics manager (a default one is
-            created when omitted).
-        selection_chain: Optional physical-operator selection chain
-            (:mod:`repro.optimizer.selection`) the planner arbitrates
-            through; applied to ``stats`` via
-            :meth:`StatisticsManager.configure_selection`.  The default
-            chain reproduces the legacy arbitration bit-for-bit.
-        pinned_operators: Optional forced per-table/per-kind operator
-            choices (``{"table:kind" | "kind": operator}``), prepended
-            to the chain.
+            created when omitted).  Its configuration — estimators,
+            fallback, staleness policy, operator pins — is the engine's.
     """
 
-    def __init__(
-        self,
-        stats: StatisticsManager | None = None,
-        *,
-        selection_chain=None,
-        pinned_operators: dict | None = None,
-    ) -> None:
+    def __init__(self, stats: StatisticsManager | None = None) -> None:
         self.stats = stats or StatisticsManager()
-        if selection_chain is not None or pinned_operators is not None:
-            self.stats.configure_selection(selection_chain, pinned_operators)
-
-    @property
-    def selection_chain(self):
-        """The resolved operator-selection chain planning goes through."""
-        return self.stats.selection_chain
 
     def register(self, table: SpatialTable) -> None:
         """Register (or replace) a relation."""

@@ -21,7 +21,8 @@ Cost model (block scans, per the paper):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,11 +38,7 @@ from repro.engine.physical import (
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
 from repro.geometry.backends import active_backend
-from repro.optimizer.selection import (
-    LinkDecision,
-    PlanAssignment,
-    PlanningContext,
-)
+from repro.optimizer.selection import LinkDecision, arbitrate
 
 #: Number of outer rows sampled when costing per-point-selects.
 SELECT_COST_SAMPLE = 32
@@ -73,12 +70,12 @@ class PlanExplanation:
         kernel_backend: Name of the geometry kernel backend active when
             the plan was costed (``"numpy"`` or ``"numba"``; "" when
             the plan needed no kernel work).
-        decided_by: Name of the selection-chain link whose decision
-            stood ("" for plans that predate the chain, e.g. degraded
-            shard placeholders).
-        trail: The chain walk's per-link
-            :class:`~repro.optimizer.selection.LinkDecision` records, in
-            chain order — why the plan won, not just its cost.
+        decided_by: The rule that decided — ``"cost-based"`` or
+            ``"pinned-override"`` ("" for plans never arbitrated, e.g.
+            degraded shard placeholders).
+        trail: The arbitration's
+            :class:`~repro.optimizer.selection.LinkDecision` record (one
+            entry, timed) — why the plan won, not just its cost.
     """
 
     chosen: str
@@ -158,78 +155,27 @@ def _record_preprocessing(explanation: PlanExplanation, estimator) -> None:
     explanation.preprocessing.update(stats.as_dict())
 
 
-def tier_vocabulary(estimator, default: str) -> tuple[str, ...]:
-    """The estimator's tier vocabulary for the planning context.
-
-    Fallback chains expose ``tier_names`` (primary first); a raw
-    estimator (``fallback=False``) is its primary technique alone.
-    """
-    tiers = getattr(estimator, "tier_names", None)
-    if tiers:
-        return tuple(tiers)
-    return (default,)
-
-
-def _run_chain(
+def _decide(
     stats: StatisticsManager,
-    query,
     explanation: PlanExplanation,
     kind: str,
     table: str,
     tie_order: tuple[str, ...],
-    *,
-    inner: str | None = None,
-    **estimate_facts,
-) -> PlanAssignment:
-    """Assemble the planning context, walk the selection chain and copy
-    its verdict onto the explanation.
+) -> None:
+    """Arbitrate the explanation's alternatives and record the verdict.
 
     Every plan decision — including single-candidate range scans and
-    empty-table trivia — goes through here, so the context's fields are
-    spelled once and ``decided_by`` and the per-link ``trail`` are
-    uniformly present on every explanation.  ``estimate_facts`` are the
-    :class:`~repro.optimizer.selection.PlanningContext` fields describing
-    an estimator's part in the costs (``estimator_tiers``,
-    ``estimate_operators``, ``estimate_tier``, ``estimate_degraded``,
-    ``cache_hit``); plans costed without an estimator pass none.
-
-    Raises:
-        ValueError: If the chain finished without assigning an operator
-            (a custom chain missing an arbiter link).
+    empty-table trivia — goes through here, so ``decided_by`` and the
+    one-record ``trail`` are uniformly present on every explanation.
     """
-    # Freshness facts come from the relation whose select catalogs back
-    # the costing: for joins the inner one — its catalogs cost the
-    # per-point selects, and join catalogs are rebuilt alongside the
-    # same snapshot generation.
-    catalog_generation, data_generation = stats.catalog_freshness(inner or table)
-    context = PlanningContext(
-        kind=kind,
-        table=table,
-        inner=inner,
-        candidates=explanation.alternatives,
-        tie_order=tie_order,
-        data_generation=data_generation,
-        catalog_generation=catalog_generation,
-        staleness_policy=stats.staleness_policy,
-        cache_stats=stats.cache_stats(),
-        effective_k=explanation.effective_k,
-        selectivity=explanation.selectivity,
-        **estimate_facts,
+    tick = time.perf_counter()
+    record = arbitrate(
+        kind, table, explanation.alternatives, tie_order, stats.pinned_operators
     )
-    assignment = PlanAssignment(estimator_ranking=context.estimator_tiers)
-    assignment = stats.selection_chain.select_physical_operators(
-        query, assignment, context
-    )
-    if assignment.operator is None:
-        raise ValueError(
-            f"selection chain {stats.selection_chain.describe()!r} finished "
-            f"without choosing an operator for kind {kind!r}; "
-            "chains must include an arbiter link such as CostBasedSelection"
-        )
-    explanation.chosen = assignment.operator
-    explanation.decided_by = assignment.decided_by
-    explanation.trail = assignment.trail
-    return assignment
+    record = replace(record, elapsed_us=(time.perf_counter() - tick) * 1e6)
+    explanation.chosen = record.operator
+    explanation.decided_by = record.link
+    explanation.trail = [record]
 
 
 def plan_select(
@@ -244,8 +190,8 @@ def _plan_trivial_select(
 ) -> PlanExplanation:
     """The empty-table select plan: a zero-cost trivial scan.
 
-    Still routed through the selection chain (single candidate) so the
-    decision trail is uniformly present.
+    Still arbitrated (single candidate) so the decision trail is
+    uniformly present.
     """
     explanation = PlanExplanation(
         chosen="",
@@ -253,9 +199,7 @@ def _plan_trivial_select(
         effective_k=query.k,
         selectivity=1.0,
     )
-    _run_chain(
-        stats, query, explanation, "select", query.table, (FilterThenKnnOperator.name,)
-    )
+    _decide(stats, explanation, "select", query.table, (FilterThenKnnOperator.name,))
     return explanation
 
 
@@ -267,7 +211,6 @@ def assemble_select_explanation(
     effective_k: int,
     cost_incremental: float,
     *,
-    estimator_tiers: tuple[str, ...],
     estimate_tier: str = "",
     estimate_degraded: bool = False,
     cache_hit: bool | None = None,
@@ -279,20 +222,18 @@ def assemble_select_explanation(
     hand.  :func:`plan_select_batch` calls it with the statistics
     manager's estimate; the data-shard serving coordinator calls it
     with the cross-shard merged estimate, the worst answering tier and
-    the merged degraded flag.  The selection chain arbitrates over the
-    numbers and its verdict, trail, and provenance land on the
-    explanation; a caller with a degraded estimate appends its own note
-    saying why.
+    the merged degraded flag.  :func:`~repro.optimizer.selection.arbitrate`
+    decides over the numbers, and its verdict, trail, and provenance land
+    on the explanation; a caller with a degraded estimate appends its own
+    note saying why.
 
     Args:
-        stats: The statistics manager whose chain, staleness policy and
-            freshness facts the arbitration runs under.
+        stats: The statistics manager whose operator pins apply.
         table: The queried (non-empty) relation.
         query: The select.
         sigma: Combined predicate × region selectivity.
         effective_k: ``ceil(k / sigma)``, what the estimate was taken at.
         cost_incremental: Estimated browsing cost in blocks.
-        estimator_tiers: The estimator's tier vocabulary, primary first.
         estimate_tier: Tier that produced ``cost_incremental``
             (``"estimate-cache"`` for a cache hit, ``""`` for a raw
             estimator).
@@ -327,22 +268,7 @@ def assemble_select_explanation(
         cache_hit=cache_hit,
         kernel_backend=active_backend(),
     )
-    _run_chain(
-        stats,
-        query,
-        explanation,
-        "select",
-        query.table,
-        tuple(order),
-        estimator_tiers=estimator_tiers,
-        estimate_operators=(
-            IncrementalKnnOperator.name,
-            RegionPrunedKnnOperator.name,
-        ),
-        estimate_tier=estimate_tier,
-        estimate_degraded=estimate_degraded,
-        cache_hit=cache_hit,
-    )
+    _decide(stats, explanation, "select", query.table, tuple(order))
     return explanation
 
 
@@ -408,7 +334,6 @@ def plan_select_batch(
         prep_stats = getattr(estimator, "preprocessing_stats", None)
         if prep_stats is not None:
             preprocessing = prep_stats.as_dict()
-        tiers = tier_vocabulary(estimator, "staircase")
         for j, i in enumerate(indices):
             query = queries[i]
             hit = bool(hits[j]) if hits is not None else None
@@ -428,7 +353,6 @@ def plan_select_batch(
                 float(sigmas[j]),
                 int(effective_ks[j]),
                 float(costs[j]),
-                estimator_tiers=tiers,
                 estimate_tier=tier,
                 estimate_degraded=degraded,
                 cache_hit=hit,
@@ -467,9 +391,7 @@ def plan_range(
         effective_k=0,
         selectivity=sigma,
     )
-    _run_chain(
-        stats, query, explanation, "range", query.table, (IndexRangeScanOperator.name,)
-    )
+    _decide(stats, explanation, "range", query.table, (IndexRangeScanOperator.name,))
     return IndexRangeScanOperator(table, query), explanation
 
 
@@ -508,15 +430,7 @@ def plan_join(
             effective_k=query.k,
             selectivity=1.0,
         )
-        _run_chain(
-            stats,
-            query,
-            explanation,
-            "join",
-            query.outer,
-            (PerPointSelectsOperator.name,),
-            inner=query.inner,
-        )
+        _decide(stats, explanation, "join", query.outer, (PerPointSelectsOperator.name,))
         return PerPointSelectsOperator(outer, inner, query), explanation
     sigma = stats.predicate_selectivity(query.inner, query.inner_predicate)
     sigma = min(max(sigma, 1.0 / max(inner.n_rows, 1)), 1.0)
@@ -557,31 +471,12 @@ def plan_join(
         effective_k=effective_k,
         selectivity=sigma,
     )
-    # Provenance for the chain's confidence link: the arbitration rests
-    # on a degraded estimate if either side's chain degraded.
-    degraded_outcome = next(
-        (o for o in (join_outcome, select_outcome) if o is not None and o.degraded),
-        None,
-    )
-    if degraded_outcome is not None:
-        estimate_tier, estimate_degraded = degraded_outcome.tier, True
-    elif join_outcome is not None:
-        estimate_tier, estimate_degraded = join_outcome.tier, False
-    else:
-        estimate_tier, estimate_degraded = "", False
-    join_operators = (LocalityJoinOperator.name, PerPointSelectsOperator.name)
-    _run_chain(
+    _decide(
         stats,
-        query,
         explanation,
         "join",
         query.outer,
-        join_operators,
-        inner=query.inner,
-        estimator_tiers=tier_vocabulary(join_estimator, stats.join_technique),
-        estimate_operators=join_operators,
-        estimate_tier=estimate_tier,
-        estimate_degraded=estimate_degraded,
+        (LocalityJoinOperator.name, PerPointSelectsOperator.name),
     )
     if explanation.chosen == LocalityJoinOperator.name:
         _record_provenance(explanation, join_outcome)

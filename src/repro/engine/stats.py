@@ -46,11 +46,7 @@ from repro.estimators.uniform_model import UniformModelEstimator
 from repro.estimators.virtual_grid import VirtualGridEstimator
 from repro.geometry import Point, Rect
 from repro.index.snapshot import IndexSnapshot
-from repro.optimizer.selection import (
-    PhysicalOperatorSelection,
-    PinnedOverrideSelection,
-    default_selection_chain,
-)
+from repro.optimizer.selection import normalize_pins
 from repro.perf import resolve_workers
 from repro.resilience.errors import StaleCatalogError
 from repro.resilience.fallback import FallbackJoinEstimator, FallbackSelectEstimator
@@ -137,18 +133,17 @@ class StatisticsManager:
             sharing a quantized cell and k reuse one estimate.
         estimate_cache_cells: Per-axis quantization resolution of the
             estimate-cache key grid.
-        selection_chain: The physical-operator selection chain the
-            planner arbitrates plans through
-            (:mod:`repro.optimizer.selection`).  ``None`` (the default)
-            resolves to :func:`default_selection_chain`, which
-            reproduces the legacy planner's decisions bit-for-bit.
         pinned_operators: Forced per-table/per-kind operator choices —
-            ``{"table:kind" | "kind" | (table, kind): operator}`` —
-            prepended to the chain as a
-            :class:`~repro.optimizer.selection.PinnedOverrideSelection`.
-            Unlike a chain object, this mapping is plain picklable data,
-            so it is the channel sharded serving uses to ship pins to
-            worker processes via ``manager_kwargs``.
+            ``{"table:kind" | "kind" | (table, kind): operator}`` — that
+            :func:`~repro.optimizer.selection.arbitrate` applies ahead of
+            the cost comparison.  The one place pins are set: plain
+            picklable data, so sharded serving ships them to worker
+            processes via ``manager_kwargs``.
+
+    Raises:
+        ValueError: On an unknown join technique or staleness policy, a
+            negative cache size, or an invalid pin — all checked here,
+            before anything plans.
     """
 
     def __init__(
@@ -167,7 +162,6 @@ class StatisticsManager:
         workers: int | None = None,
         estimate_cache_size: int = 0,
         estimate_cache_cells: int = DEFAULT_CACHE_CELLS,
-        selection_chain: PhysicalOperatorSelection | None = None,
         pinned_operators: dict | None = None,
     ) -> None:
         if join_technique not in ("catalog-merge", "virtual-grid"):
@@ -186,9 +180,7 @@ class StatisticsManager:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.estimate_time_budget = estimate_time_budget
-        self.pinned_operators = dict(pinned_operators) if pinned_operators else {}
-        self._selection_chain = selection_chain
-        self._resolved_chain: PhysicalOperatorSelection | None = None
+        self.pinned_operators = normalize_pins(pinned_operators)
         self._tables: dict[str, SpatialTable] = {}
         self._snapshots: dict[str, IndexSnapshot] = {}
         self._select_estimators: dict[str, StaircaseEstimator] = {}
@@ -260,79 +252,6 @@ class StatisticsManager:
     def table_names(self) -> tuple[str, ...]:
         """Names of all registered relations."""
         return tuple(self._tables)
-
-    # ------------------------------------------------------------------
-    # The physical-operator selection chain
-    # ------------------------------------------------------------------
-    @property
-    def selection_chain(self) -> PhysicalOperatorSelection:
-        """The chain the planner arbitrates every plan choice through.
-
-        Resolved once: the configured chain (or the default —
-        freshness guard → cost arbiter → confidence), with any
-        ``pinned_operators`` prepended as a
-        :class:`~repro.optimizer.selection.PinnedOverrideSelection` so
-        pins run before everything else.
-        """
-        if self._resolved_chain is None:
-            chain = self._selection_chain or default_selection_chain()
-            if self.pinned_operators:
-                chain = PinnedOverrideSelection(self.pinned_operators).chain_with(
-                    chain
-                )
-            self._resolved_chain = chain
-        return self._resolved_chain
-
-    def configure_selection(
-        self,
-        selection_chain: PhysicalOperatorSelection | None = None,
-        pinned_operators: dict | None = None,
-    ) -> None:
-        """Replace the selection chain and/or operator pins.
-
-        The chain re-resolves lazily on next use, so pins passed here
-        are prepended exactly as constructor-time pins would be.
-        """
-        if selection_chain is not None:
-            self._selection_chain = selection_chain
-        if pinned_operators is not None:
-            self.pinned_operators = dict(pinned_operators)
-        self._resolved_chain = None
-
-    def catalog_freshness(self, name: str) -> tuple[int | None, int]:
-        """Freshness facts for the chain's guard link, as plain integers.
-
-        Returns:
-            ``(catalog_generation, data_generation)`` —
-            ``catalog_generation`` is the data generation the table's
-            cached Staircase catalogs were built at, or ``None`` when no
-            catalogs have been built yet (a build would be fresh).
-
-        Unlike :meth:`select_estimator`, this never resolves or rebuilds
-        the estimator, so it cannot raise
-        :class:`~repro.resilience.errors.StaleCatalogError` under the
-        ``"raise"`` staleness policy — the guard compares the integers
-        and demotes instead of crashing the chain.
-
-        Raises:
-            KeyError: For unknown table names.
-        """
-        table = self.table(name)
-        data_generation = int(getattr(table.index, "data_generation", 0))
-        cached = self._select_estimators.get(name)
-        built = None if cached is None else int(cached.built_at_generation)
-        return built, data_generation
-
-    def cache_stats(self) -> dict[str, int] | None:
-        """Estimate-cache counters for planning contexts (``None`` if off)."""
-        cache = self.estimate_cache
-        if cache is None:
-            return None
-        return {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "entries": len(cache),
-        }
 
     # ------------------------------------------------------------------
     # Snapshot cache: one block-summary gather shared by every estimator

@@ -10,38 +10,24 @@ The same holds one operator later (many k-NN-Selects versus one
 k-NN-Join, Section 1's shared-execution motivation).
 
 This subpackage holds the *arbitration*:
-:mod:`repro.optimizer.selection` is a composable chain of
-``PhysicalOperatorSelection`` links.  Plans are enumerated and costed by
-:mod:`repro.engine.planner` — the only caller of the chain at run time
-— and executed by :mod:`repro.engine.physical`; the golden
-plan-regression corpus guarding the decisions is maintained by
+:func:`repro.optimizer.selection.arbitrate` is one cost comparison plus
+an optional operator pin.  Plans are enumerated and costed by
+:mod:`repro.engine.planner` — the only caller at run time — and
+executed by :mod:`repro.engine.physical`; the golden plan-regression
+corpus guarding the decisions is maintained by
 :mod:`repro.optimizer.regression`.
 """
 
 from repro.optimizer.selection import (
-    ConfidenceSelection,
-    CostBasedSelection,
-    FreshnessGuardSelection,
     LinkDecision,
-    PhysicalOperatorSelection,
-    PinnedOverrideSelection,
-    PlanAssignment,
-    PlanningContext,
-    build_selection_chain,
-    default_selection_chain,
+    arbitrate,
+    normalize_pins,
     parse_pin_spec,
 )
 
 __all__ = [
-    "ConfidenceSelection",
-    "CostBasedSelection",
-    "FreshnessGuardSelection",
     "LinkDecision",
-    "PhysicalOperatorSelection",
-    "PinnedOverrideSelection",
-    "PlanAssignment",
-    "PlanningContext",
-    "build_selection_chain",
-    "default_selection_chain",
+    "arbitrate",
+    "normalize_pins",
     "parse_pin_spec",
 ]

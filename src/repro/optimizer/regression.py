@@ -4,7 +4,7 @@ A pinned corpus of 30 workloads — the {uniform, skewed, churned} ×
 {select, batch, join} × {quadtree, grid, R-tree} matrix plus three
 engine-level specials (an exact cost tie, a pinned override, and a
 stale-catalog demotion under the ``"raise"`` staleness policy) — whose
-chosen operators, deciding chain links, estimator tiers, and
+chosen operators, deciding rules, estimator tiers, and
 estimated-vs-actual block counts live as golden JSON files under
 ``tests/plan_regression/golden/``.
 
@@ -51,9 +51,7 @@ from repro.optimizer.selection import (
     PER_POINT_SELECTS,
     PER_QUERY_SELECTS,
     SHARED_KNN_JOIN,
-    CostBasedSelection,
-    PlanAssignment,
-    PlanningContext,
+    arbitrate,
 )
 
 #: Default golden directory, relative to the repository root (the test
@@ -184,37 +182,29 @@ def _batch_queries(dataset: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix workloads (substrate-parametric: candidates handed to the chain)
+# Matrix workloads (substrate-parametric: candidates handed to arbitrate)
 # ---------------------------------------------------------------------------
 def _matrix_record(
-    dataset: str, substrate: str, op: str, k: int, effective_k: int,
+    dataset: str, substrate: str, op: str, k: int,
     candidates: dict[str, float], actual_of: dict, tier_of: dict[str, str],
 ) -> dict:
-    """Arbitrate ``candidates`` with the bare cost arbiter; record the plan.
+    """Arbitrate ``candidates`` by cost alone (no pins); record the plan.
 
     The engine plans over its own quadtree tables, so the matrix costs
     each candidate on the substrate under test and hands the numbers to
-    the chain directly.  Ties resolve toward ``candidates``' order;
-    only the chosen plan's actual block count is computed.
+    :func:`~repro.optimizer.selection.arbitrate` directly.  Ties resolve
+    toward ``candidates``' order; only the chosen plan's actual block
+    count is computed.
     """
-    context = PlanningContext(
-        kind=op,
-        table=dataset,
-        candidates=candidates,
-        tie_order=tuple(candidates),
-        effective_k=effective_k,
-    )
-    assignment = CostBasedSelection().select_physical_operators(
-        None, PlanAssignment(), context
-    )
-    chosen = assignment.operator
+    decision = arbitrate(op, dataset, candidates, tuple(candidates))
+    chosen = decision.operator
     return {
         "dataset": dataset,
         "substrate": substrate,
         "op": op,
         "k": k,
         "chosen": chosen,
-        "decided_by": assignment.decided_by,
+        "decided_by": decision.link,
         "estimator_tier": tier_of[chosen],
         "candidates": candidates,
         "estimated_cost": candidates[chosen],
@@ -246,7 +236,7 @@ def _run_select(dataset: str, substrate: str) -> dict:
         INCREMENTAL_KNN: float(estimator.estimate(query, effective_k)),
     }
     record = _matrix_record(
-        dataset, substrate, "select", k, effective_k, candidates,
+        dataset, substrate, "select", k, candidates,
         actual_of={
             FILTER_THEN_KNN: lambda: index.num_blocks,
             INCREMENTAL_KNN: lambda: select_cost_exact(index, index.blocks, query, k),
@@ -285,7 +275,7 @@ def _run_batch(dataset: str, substrate: str) -> dict:
         SHARED_KNN_JOIN: float(join_estimator.estimate(k)),
     }
     return _matrix_record(
-        dataset, substrate, "batch", k, k, candidates,
+        dataset, substrate, "batch", k, candidates,
         actual_of={
             PER_QUERY_SELECTS: lambda: sum(
                 select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
@@ -312,7 +302,7 @@ def _run_join(dataset: str, substrate: str) -> dict:
         ),
     }
     return _matrix_record(
-        dataset, substrate, "join", k, k, candidates,
+        dataset, substrate, "join", k, candidates,
         actual_of={
             LOCALITY_JOIN: lambda: knn_join_cost(outer_index, inner_index, k),
             PER_POINT_SELECTS: lambda: sum(
@@ -386,9 +376,9 @@ def _run_pinned_override() -> dict:
 def _run_stale_raise_demotion() -> dict:
     """A stale catalog under ``staleness_policy="raise"``.
 
-    The fallback chain degrades the estimate to the density tier, and
-    the freshness guard demotes the catalog-backed tiers in the chain's
-    trail instead of letting ``StaleCatalogError`` crash planning.
+    The Staircase tier raises ``StaleCatalogError``; the fallback chain
+    absorbs it and the density tier answers, degraded — planning never
+    sees the error.
     """
     engine = _engine(staleness_policy="raise")
     query = KnnSelectQuery("points", Point(500.0, 500.0), k=8)
@@ -496,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     """Verify (default) or regenerate the golden plan-regression corpus."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.optimizer.regression",
-        description="golden plan-regression corpus for the optimizer chain",
+        description="golden plan-regression corpus for the optimizer",
     )
     parser.add_argument(
         "--golden-dir",

@@ -62,11 +62,7 @@ from repro.engine.physical import (
     FilterThenKnnOperator,
     IncrementalKnnOperator,
 )
-from repro.engine.planner import (
-    PlanExplanation,
-    assemble_select_explanation,
-    tier_vocabulary,
-)
+from repro.engine.planner import PlanExplanation, assemble_select_explanation
 from repro.engine.queries import KnnSelectQuery
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
@@ -75,6 +71,7 @@ from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
 from repro.index.snapshot import as_snapshot
 from repro.knn.merge import QueryMerge, run_merges
+from repro.optimizer.selection import normalize_pins
 from repro.serving.merge import (
     PARTIAL_PLAN,
     merge_filter_topk,
@@ -293,11 +290,15 @@ class ShardedServingTier:
             leave ``estimate_cache_size`` at 0 — a warm cache can flip
             plan choices and break the identity.
         pinned_operators: Forced per-table/per-kind operator choices
-            for every worker replica's selection chain — plain
-            picklable data (``{"table:kind" | "kind": operator}``),
-            merged into ``manager_kwargs``.  The reference engine must
-            be configured with the same pins or the bit-identity with
-            unsharded planning breaks.
+            for every worker's statistics manager — plain picklable data
+            (``{"table:kind" | "kind": operator}``), merged into
+            ``manager_kwargs``.  The reference engine must be configured
+            with the same pins or the bit-identity with unsharded
+            planning breaks.
+
+    Raises:
+        ValueError: On an unknown shard mode, a bad chunk size, an empty
+            table, or an invalid pin — before any worker spawns.
 
     The tier is a context manager; :meth:`close` terminates every
     worker pool.
@@ -345,6 +346,9 @@ class ShardedServingTier:
         self._manager_kwargs = dict(manager_kwargs or {})
         if pinned_operators:
             self._manager_kwargs["pinned_operators"] = dict(pinned_operators)
+        # A bad pin is a configuration error: refuse it here rather than
+        # as an outage of every shard at its first chunk.
+        normalize_pins(self._manager_kwargs.get("pinned_operators"))
         capacity = int(table.index.capacity)
         if shard_mode == "replica":
             handles = {
@@ -454,15 +458,10 @@ class ShardedServingTier:
                 serve_fn=_serve_data_shard_chunk,
             )
         # Coordinator-side plans are arbitrated by the planner's own
-        # select assembly under this manager: same selection chain (pins
-        # included), same staleness policy, same estimator tier
-        # vocabulary — only the cost numbers come from the cross-shard
-        # estimate merge.
+        # select assembly under this manager (pins included) — only the
+        # cost numbers come from the cross-shard estimate merge.
         self._arbiter = StatisticsManager(**self._manager_kwargs)
         self._arbiter.register(self.table)
-        self._arbiter_tiers = tier_vocabulary(
-            self._arbiter.select_estimator_for_planning(self.table.name), "staircase"
-        )
         return handles
 
     # ------------------------------------------------------------------
@@ -844,7 +843,6 @@ class ShardedServingTier:
                 sigma=1.0,
                 effective_k=k,
                 cost_incremental=cost_inc,
-                estimator_tiers=self._arbiter_tiers,
                 estimate_tier=tier,
                 estimate_degraded=est_degraded,
             )

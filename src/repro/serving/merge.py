@@ -12,8 +12,9 @@ Left here: the full-scan top-k merge for queries whose plan chose the
 filter operator, and the per-query estimate merge — incremental-scan
 cost is the *sum* of the per-shard estimates (each shard browses its
 own blocks), the tier is the *worst* (most degraded) shard tier, and
-the merged numbers are arbitrated through the same selection chain the
-unsharded planner walks, so ``PlanExplanation`` keeps its shape.
+the merged numbers are arbitrated by the unsharded planner's own select
+assembly (one cost comparison plus the manager's operator pins), so
+``PlanExplanation`` keeps its shape.
 """
 
 from __future__ import annotations

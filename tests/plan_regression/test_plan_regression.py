@@ -1,7 +1,7 @@
 """Golden plan-regression suite (ISSUE 9 tentpole).
 
-Every workload in the corpus re-runs the optimizer chain and compares
-its plan record — chosen operator, deciding link, estimator tier,
+Every workload in the corpus re-runs the optimizer's arbitration and
+compares its plan record — chosen operator, deciding rule, estimator tier,
 costs, actual blocks — against the pinned JSON under ``golden/``.  A
 failure here means an optimizer change flipped a plan (or moved a
 cost); approve it with::
@@ -97,10 +97,9 @@ def test_cost_tie_is_pinned_as_a_true_tie():
 
 
 def test_stale_raise_workload_is_pinned_as_demoted():
-    """Stale catalogs under ``raise`` demote to a catalog-free tier."""
-    from repro.optimizer.selection import CATALOG_BACKED_TIERS
-
+    """Stale catalogs under ``raise`` demote the estimate to the
+    catalog-free density tier; cost still decides."""
     record = _golden("engine-stale-raise-demotion")
     assert record["degraded"] is True
-    assert record["trail_actions"]["freshness-guard"] == "demoted"
-    assert record["estimator_tier"] not in CATALOG_BACKED_TIERS
+    assert record["estimator_tier"] == "density"
+    assert record["trail_actions"] == {"cost-based": "chose"}

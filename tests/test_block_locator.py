@@ -473,8 +473,9 @@ class TestLookupStructuresFollowTheTable:
 # ----------------------------------------------------------------------
 def _join_engine(**manager_kwargs) -> SpatialEngine:
     engine = SpatialEngine(
-        StatisticsManager(max_k=256, **manager_kwargs),
-        pinned_operators={"join": "per-point-selects"},
+        StatisticsManager(
+            max_k=256, pinned_operators={"join": "per-point-selects"}, **manager_kwargs
+        )
     )
     engine.register(SpatialTable("osm", generate_osm_like(600, seed=11)))
     engine.register(SpatialTable("uni", generate_uniform(300, seed=12)))

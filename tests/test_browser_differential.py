@@ -131,8 +131,8 @@ def test_browser_matches_oracles(cell, entry, layout):
     @given(_workloads(with_predicate, with_region))
     def check(workload):
         table, queries = workload
-        stats = StatisticsManager(max_k=8)
-        engine = SpatialEngine(stats, pinned_operators={"select": operator})
+        stats = StatisticsManager(max_k=8, pinned_operators={"select": operator})
+        engine = SpatialEngine(stats)
         engine.register(table)
         if entry == "execute":
             answers = [engine.execute(query) for query in queries]
@@ -171,7 +171,7 @@ def test_browser_matches_oracles(cell, entry, layout):
 def test_row_on_an_unscanned_blocks_corner_is_not_strictly_below_it(entry):
     table, query = corner_tie_table()
     engine = SpatialEngine(
-        StatisticsManager(max_k=8), pinned_operators={"select": IncrementalKnnOperator.name}
+        StatisticsManager(max_k=8, pinned_operators={"select": IncrementalKnnOperator.name})
     )
     engine.register(table)
     result, __ = engine.execute(query) if entry == "execute" else engine.execute_batch([query])[0]

@@ -18,10 +18,10 @@ It also keeps the retired benchmark system retired: ``benchmarks/`` holds
 the one harness (``e2e/``) and the committed tables (``results/``), and
 nothing tracked mentions pytest-benchmark.
 
-A third keeps plan decisions in one place: a ``PlanningContext`` is
-built only by the engine planner (and the golden corpus, which hands the
-chain candidates costed on substrates the engine does not plan over),
-and ``repro.optimizer`` stays pure arbitration — no executor, no engine.
+A third keeps plan decisions in one place: ``arbitrate`` is called only
+by the engine planner (and the golden corpus, which hands it candidates
+costed on substrates the engine does not plan over), and
+``repro.optimizer`` stays pure arbitration — no executor, no engine.
 """
 
 from __future__ import annotations
@@ -117,7 +117,10 @@ def test_the_walk_sees_function_level_imports():
 #: the one catalog merge, and the pytest-benchmark suite's profile fixture
 #: and environment variable (``python -m repro.experiments --profile``),
 #: and the all-rects containment pass (``index.locator.BlockLocator``
-#: finds home blocks; the pass is the ``tests/reference_builds.py`` oracle).
+#: finds home blocks; the pass is the ``tests/reference_builds.py`` oracle);
+#: the four-link operator-selection chain, its presets and the planner /
+#: manager / engine / coordinator plumbing that fed it (one ``arbitrate``
+#: call decides every plan, pins are ``StatisticsManager(pinned_operators=)``).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -150,6 +153,29 @@ RETIRED_NAMES = {
     "REPRO_BENCH_PROFILE",
     "leaf_id_for_point",
     "_LEAF_BIN_CHUNK",
+    "PhysicalOperatorSelection",
+    "PlanAssignment",
+    "PlanningContext",
+    "CostBasedSelection",
+    "FreshnessGuardSelection",
+    "ConfidenceSelection",
+    "PinnedOverrideSelection",
+    "CATALOG_BACKED_TIERS",
+    "CHAIN_PRESETS",
+    "default_selection_chain",
+    "build_selection_chain",
+    "chain_with",
+    "select_physical_operators",
+    "_run_chain",
+    "selection_chain",
+    "configure_selection",
+    "degraded_penalty",
+    "catalog_freshness",
+    "cache_stats",
+    "tier_vocabulary",
+    "estimator_tiers",
+    "_arbiter_tiers",
+    "estimator_ranking",
 }
 
 
@@ -242,16 +268,15 @@ def test_benchmarks_holds_one_harness_and_the_tables():
     assert not hits, "the pytest-benchmark suite is back: " + ", ".join(hits)
 
 
-def test_planning_contexts_are_built_by_the_planner_only():
-    builders = {
+def test_arbitrate_is_called_by_the_planner_and_the_corpus_only():
+    callers = {
         name
         for name, path in MODULES.items()
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None))
-        == "PlanningContext"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "arbitrate"
     }
-    assert builders == {"repro.engine.planner", "repro.optimizer.regression"}
+    assert callers == {"repro.engine.planner", "repro.optimizer.regression"}
 
 
 def test_the_optimizer_is_arbitration_only():

@@ -7,7 +7,7 @@ from repro.experiments import join_support, select_support
 from repro.experiments.common import ExperimentResult, clear_caches, get_config
 from repro.experiments.common import _format_cell
 from repro.knn.knn_join import JoinStats
-from repro.optimizer import CostBasedSelection, PlanAssignment, PlanningContext, regression
+from repro.optimizer import arbitrate, regression
 
 
 class TestCellFormatting:
@@ -55,12 +55,7 @@ class TestPlanChoice:
 
     def test_speedup_with_zero_cost(self):
         candidates = {"filter-then-knn": 10.0, "incremental-knn": 0.0}
-        context = PlanningContext(
-            kind="select", table="t", candidates=candidates, tie_order=tuple(candidates)
-        )
-        choice = CostBasedSelection().select_physical_operators(
-            None, PlanAssignment(), context
-        )
+        choice = arbitrate("select", "t", candidates, tuple(candidates))
         assert choice.operator == "incremental-knn"
         assert regression.predicted_speedup(candidates) is None  # infinite
 

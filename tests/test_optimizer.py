@@ -42,8 +42,11 @@ def table():
 
 def _engine(table, pin=None):
     engine = SpatialEngine(
-        StatisticsManager(max_k=512, join_sample_size=50),
-        pinned_operators=None if pin is None else {"select": pin},
+        StatisticsManager(
+            max_k=512,
+            join_sample_size=50,
+            pinned_operators=None if pin is None else {"select": pin},
+        )
     )
     engine.register(table)
     return engine

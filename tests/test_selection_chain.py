@@ -1,15 +1,16 @@
-"""Tests for the composable physical-operator selection chain.
+"""Tests for physical-operator arbitration: one cost comparison plus pins.
 
-Covers the chain mechanics (composition, trails, cycle detection), the
-shipped links' semantics, chain/legacy parity across all three index
-substrates, the many-selects-vs-one-join decision through the engine, the
-freshness-guard behavior under both staleness policies, and the CLI /
-engine configuration surface.
+Covers :func:`~repro.optimizer.selection.arbitrate`'s cost and pin
+rules, pin validation (at construction, before anything plans or any
+worker spawns), the operator vocabulary, arbitration/legacy parity
+across all three index substrates, the many-selects-vs-one-join
+decision through the engine, the stale-catalog story under both
+staleness policies, and the CLI surface.
 """
 
 from __future__ import annotations
 
-import pickle
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -19,94 +20,59 @@ from repro.estimators import StaircaseEstimator
 from repro.geometry import Point
 from repro.index import GridIndex, Quadtree, RTree
 from repro.optimizer.selection import (
-    CHAIN_PRESETS,
     KNOWN_OPERATORS,
     PIN_ANY_TABLE,
-    ConfidenceSelection,
-    CostBasedSelection,
-    FreshnessGuardSelection,
-    PhysicalOperatorSelection,
-    PinnedOverrideSelection,
-    PlanAssignment,
-    PlanningContext,
-    build_selection_chain,
-    default_selection_chain,
+    LinkDecision,
+    arbitrate,
+    normalize_pins,
     parse_pin_spec,
 )
 
-
-def _context(**overrides) -> PlanningContext:
-    base = dict(
-        kind="select",
-        table="points",
-        candidates={"filter-then-knn": 64.0, "incremental-knn": 8.0},
-        tie_order=("filter-then-knn", "incremental-knn"),
-        estimate_operators=("incremental-knn",),
-    )
-    base.update(overrides)
-    return PlanningContext(**base)
+CANDIDATES = {"filter-then-knn": 64.0, "incremental-knn": 8.0}
+TIE_ORDER = ("filter-then-knn", "incremental-knn")
 
 
-def _walk(chain: PhysicalOperatorSelection, context: PlanningContext) -> PlanAssignment:
-    return chain.select_physical_operators(None, PlanAssignment(), context)
+def _decide(candidates=CANDIDATES, tie_order=TIE_ORDER, pins=None, table="points"):
+    return arbitrate("select", table, candidates, tie_order, normalize_pins(pins))
 
 
 class TestChainMechanics:
-    def test_chain_with_returns_head_and_appends_at_tail(self):
-        head = FreshnessGuardSelection()
-        chain = head.chain_with(CostBasedSelection()).chain_with(ConfidenceSelection())
-        assert chain is head
-        assert [link.name for link in chain.links()] == [
-            "freshness-guard", "cost-based", "confidence",
-        ]
-        assert chain.describe() == "freshness-guard -> cost-based -> confidence"
-
-    def test_chain_with_rejects_cycles(self):
-        head = FreshnessGuardSelection()
-        tail = CostBasedSelection()
-        head.chain_with(tail)
-        with pytest.raises(ValueError, match="already part of this chain"):
-            head.chain_with(tail)
-        with pytest.raises(ValueError, match="already part of this chain"):
-            head.chain_with(head)
-
-    def test_every_link_leaves_a_trail_entry(self):
-        assignment = _walk(default_selection_chain(), _context())
-        assert [d.link for d in assignment.trail] == [
-            "freshness-guard", "cost-based", "confidence",
-        ]
-
-    def test_chain_pickles(self):
-        """Chains ride to spawn workers inside manager kwargs."""
-        chain = build_selection_chain(
-            "default", pins={"points:select": "filter-then-knn"}
+    def test_every_link_leaves_a_trail_entry(self, engine):
+        """Every plan the engine arbitrates — select, empty-table select,
+        range, join, degenerate join — carries exactly the deciding
+        record."""
+        from repro.engine import (
+            KnnJoinQuery, KnnSelectQuery, RangeQuery, SpatialTable,
         )
-        clone = pickle.loads(pickle.dumps(chain))
-        assert clone.describe() == chain.describe()
-        assignment = _walk(clone, _context())
-        assert assignment.operator == "filter-then-knn"
-        assert assignment.pinned
+        from repro.geometry import Rect
 
-    def test_trail_entries_carry_per_link_timing(self):
-        assignment = _walk(default_selection_chain(), _context())
-        for decision in assignment.trail:
+        engine.register(SpatialTable("empty", np.empty((0, 2)), capacity=64))
+        queries = [
+            KnnSelectQuery("points", Point(500, 500), k=8),
+            KnnSelectQuery("empty", Point(500, 500), k=8),
+            RangeQuery("points", Rect(100, 100, 300, 300)),
+            KnnJoinQuery("points", "points", 4),
+            KnnJoinQuery("empty", "points", 4),
+        ]
+        for explanation in engine.explain_batch(queries):
+            (record,) = explanation.trail
+            assert record.link == explanation.decided_by == "cost-based"
+            assert record.operator == explanation.chosen
+
+    def test_trail_entries_carry_per_link_timing(self, engine):
+        from repro.engine import KnnSelectQuery
+
+        explanation = engine.explain(KnnSelectQuery("points", Point(500, 500), k=8))
+        for decision in explanation.trail:
             assert decision.elapsed_us > 0.0, decision
             assert "us)" in decision.describe()
 
     def test_untimed_decision_describe_omits_timing(self):
-        from repro.optimizer.selection import LinkDecision
-
         decision = LinkDecision(
             link="cost-based", action="chose", operator="incremental-knn"
         )
         assert decision.elapsed_us == 0.0
         assert "us)" not in decision.describe()
-
-    def test_build_selection_chain_presets(self):
-        assert set(CHAIN_PRESETS) == {"default", "cost-only"}
-        assert build_selection_chain("cost-only").describe() == "cost-based"
-        with pytest.raises(ValueError, match="unknown optimizer preset"):
-            build_selection_chain("frobnicate")
 
 
 class TestOperatorVocabulary:
@@ -130,211 +96,151 @@ class TestOperatorVocabulary:
 
 class TestCostBasedSelection:
     def test_picks_minimum_cost(self):
-        assignment = _walk(CostBasedSelection(), _context())
-        assert assignment.operator == "incremental-knn"
-        assert assignment.decided_by == "cost-based"
-        assert assignment.candidates == {
-            "filter-then-knn": 64.0, "incremental-knn": 8.0,
-        }
+        decision = _decide()
+        assert decision.operator == "incremental-knn"
+        assert (decision.link, decision.action) == ("cost-based", "chose")
 
     def test_exact_tie_resolves_toward_tie_order(self):
-        context = _context(
-            candidates={"filter-then-knn": 64.0, "incremental-knn": 64.0}
-        )
-        assignment = _walk(CostBasedSelection(), context)
-        assert assignment.operator == "filter-then-knn"
+        tied = {"filter-then-knn": 64.0, "incremental-knn": 64.0}
+        assert _decide(tied).operator == "filter-then-knn"
+        assert _decide(tied, TIE_ORDER[::-1]).operator == "incremental-knn"
 
     def test_note_names_the_rejected_candidates(self):
-        assignment = _walk(CostBasedSelection(), _context())
-        note = assignment.trail[-1].note
+        note = _decide().note
         assert "chose 'incremental-knn' at 8.0 blocks" in note
         assert "filter-then-knn at 64.0" in note
 
     def test_no_candidates_raises(self):
-        context = _context(candidates={}, tie_order=("filter-then-knn",))
         with pytest.raises(ValueError, match="no candidates"):
-            _walk(CostBasedSelection(), context)
+            _decide({}, ("filter-then-knn",))
 
     def test_tie_order_filters_unavailable_candidates(self):
-        context = _context(
-            candidates={"incremental-knn": 8.0},
-            tie_order=("filter-then-knn", "incremental-knn"),
-        )
-        assert _walk(CostBasedSelection(), context).operator == "incremental-knn"
+        decision = _decide({"incremental-knn": 8.0})
+        assert decision.operator == "incremental-knn"
+        assert "rejected" not in decision.note
 
 
 class TestFreshnessGuardSelection:
-    def _chain(self):
-        return FreshnessGuardSelection().chain_with(CostBasedSelection())
+    """Catalog freshness as the engine reports it: the fallback chain,
+    not the arbitration, decides which estimator tier answers."""
 
-    def test_no_estimator_involved_is_a_note(self):
-        assignment = _walk(self._chain(), _context(estimator_tiers=()))
-        assert assignment.trail[0].action == "noted"
-        assert "no estimator involved" in assignment.trail[0].note
+    def test_fresh_catalogs_demote_nothing(self, engine):
+        from repro.engine import KnnSelectQuery
 
-    def test_fresh_catalogs_demote_nothing(self):
-        context = _context(
-            estimator_tiers=("staircase", "density"),
-            catalog_generation=3,
-            data_generation=3,
-        )
-        assignment = _walk(self._chain(), context)
-        assert assignment.demoted_tiers == ()
-        assert "fresh at generation 3" in assignment.trail[0].note
+        explanation = engine.explain(KnnSelectQuery("points", Point(500, 500), k=8))
+        assert explanation.estimator_tier == "staircase"
+        assert not explanation.degraded and not explanation.notes
 
     def test_stale_under_rebuild_policy_is_transparent(self):
-        context = _context(
-            estimator_tiers=("staircase", "density"),
-            catalog_generation=1,
-            data_generation=4,
-            staleness_policy="rebuild",
-        )
-        assignment = _walk(self._chain(), context)
-        assert assignment.trail[0].action == "noted"
-        assert assignment.demoted_tiers == ()
-        assert "rebuilt transparently" in assignment.trail[0].note
+        from repro.engine import KnnSelectQuery
 
-    def test_stale_under_raise_policy_demotes_catalog_tiers(self):
-        """Satellite 6: a stale catalog under ``raise`` demotes the
-        catalog-backed tiers instead of crashing the chain."""
-        chain = self._chain()
-        context = _context(
-            estimator_tiers=("staircase", "density", "uniform-model"),
-            catalog_generation=1,
-            data_generation=4,
-            staleness_policy="raise",
-        )
-        assignment = chain.select_physical_operators(
-            None,
-            PlanAssignment(estimator_ranking=("staircase", "density", "uniform-model")),
-            context,
-        )
-        assert assignment.trail[0].action == "demoted"
-        assert assignment.demoted_tiers == ("staircase",)
-        assert assignment.estimator_ranking == (
-            "density", "uniform-model", "staircase",
-        )
-        # Demotion never blocks arbitration.
-        assert assignment.operator == "incremental-knn"
+        eng = _engine(staleness_policy="rebuild")
+        query = KnnSelectQuery("points", Point(500, 500), k=8)
+        before = eng.explain(query)
+        eng.stats.table("points").index.data_generation = 4
+        after = eng.explain(query)
+        assert eng.stats.select_estimator("points").built_at_generation == 4
+        assert (after.estimator_tier, after.degraded) == ("staircase", False)
+        assert after.alternatives == before.alternatives
 
 
 class TestConfidenceSelection:
-    def _chain(self, penalty=1.0):
-        return CostBasedSelection().chain_with(ConfidenceSelection(penalty))
-
-    def test_penalty_below_one_rejected(self):
-        with pytest.raises(ValueError, match="degraded_penalty"):
-            ConfidenceSelection(0.5)
-
-    def test_observer_at_default_penalty(self):
-        context = _context(estimate_tier="density", estimate_degraded=True)
-        assignment = _walk(self._chain(), context)
-        assert assignment.operator == "incremental-knn"
-        assert assignment.decided_by == "cost-based"
-        assert assignment.trail[-1].action == "kept"
+    """The estimate's provenance lives on the explanation; the cost
+    comparison does not read it."""
 
     def test_cache_hit_is_recorded(self):
-        context = _context(cache_hit=True, estimate_tier="estimate-cache")
-        assignment = _walk(self._chain(), context)
-        assert "estimate cache" in assignment.trail[-1].note
+        from repro.engine import KnnSelectQuery
 
-    def test_primary_tier_is_recorded(self):
-        context = _context(estimate_tier="staircase", estimate_degraded=False)
-        assignment = _walk(self._chain(), context)
-        assert "primary tier 'staircase' answered" in assignment.trail[-1].note
+        eng = _engine(estimate_cache_size=64)
+        query = KnnSelectQuery("points", Point(500, 500), k=8)
+        miss, hit = eng.explain(query), eng.explain(query)
+        assert (miss.cache_hit, miss.estimator_tier) == (False, "staircase")
+        assert (hit.cache_hit, hit.estimator_tier) == (True, "estimate-cache")
+        assert hit.chosen == miss.chosen and hit.decided_by == "cost-based"
 
-    def test_penalty_overrides_a_degraded_close_call(self):
-        """64 vs 40 estimator-backed: a 2x penalty (80) flips the choice
-        to the exactly-costed full scan."""
-        context = _context(
-            candidates={"filter-then-knn": 64.0, "incremental-knn": 40.0},
-            estimate_tier="guaranteed-bound",
-            estimate_degraded=True,
-        )
-        assignment = _walk(self._chain(2.0), context)
-        assert assignment.operator == "filter-then-knn"
-        assert assignment.decided_by == "confidence"
-        assert assignment.trail[-1].action == "overrode"
+    def test_primary_tier_is_recorded(self, engine):
+        from repro.engine import KnnSelectQuery
 
-    def test_penalty_keeps_a_decisive_win(self):
-        context = _context(
-            candidates={"filter-then-knn": 64.0, "incremental-knn": 8.0},
-            estimate_tier="density",
-            estimate_degraded=True,
-        )
-        assignment = _walk(self._chain(2.0), context)
-        assert assignment.operator == "incremental-knn"
-        assert assignment.trail[-1].action == "kept"
-
-    def test_penalty_never_moves_a_pin(self):
-        chain = PinnedOverrideSelection({"select": "incremental-knn"}).chain_with(
-            CostBasedSelection()
-        ).chain_with(ConfidenceSelection(10.0))
-        context = _context(
-            candidates={"filter-then-knn": 64.0, "incremental-knn": 40.0},
-            estimate_tier="density",
-            estimate_degraded=True,
-        )
-        assignment = _walk(chain, context)
-        assert assignment.operator == "incremental-knn"
-        assert assignment.decided_by == "pinned-override"
+        explanation = engine.explain(KnnSelectQuery("points", Point(500, 500), k=8))
+        assert "estimator: staircase (primary)" in str(explanation)
 
 
 class TestPinnedOverrideSelection:
-    def _chain(self, pins):
-        return PinnedOverrideSelection(pins).chain_with(CostBasedSelection())
-
     def test_pin_wins_over_cost(self):
-        assignment = _walk(
-            self._chain({("points", "select"): "filter-then-knn"}), _context()
-        )
-        assert assignment.operator == "filter-then-knn"
-        assert assignment.pinned
-        assert assignment.decided_by == "pinned-override"
-        # The arbiter still records what it would have chosen.
-        assert "would have chosen 'incremental-knn'" in assignment.trail[-1].note
+        decision = _decide(pins={("points", "select"): "filter-then-knn"})
+        assert decision.operator == "filter-then-knn"
+        assert (decision.link, decision.action) == ("pinned-override", "pinned")
+        # The note still says what cost would have chosen.
+        assert "would have chosen 'incremental-knn' at 8.0 blocks" in decision.note
 
     def test_exact_table_beats_wildcard(self):
         pins = {
             (PIN_ANY_TABLE, "select"): "incremental-knn",
             ("points", "select"): "filter-then-knn",
         }
-        assert _walk(self._chain(pins), _context()).operator == "filter-then-knn"
+        assert _decide(pins=pins).operator == "filter-then-knn"
 
     def test_wildcard_applies_to_any_table(self):
         pins = {(PIN_ANY_TABLE, "select"): "filter-then-knn"}
-        assignment = _walk(self._chain(pins), _context(table="other"))
-        assert assignment.operator == "filter-then-knn"
+        assert _decide(pins=pins, table="other").operator == "filter-then-knn"
 
     def test_string_keys_accepted(self):
-        pins = {"points:select": "filter-then-knn", "join": "per-point-selects"}
-        link = PinnedOverrideSelection(pins)
-        assert link.pins[("points", "select")] == "filter-then-knn"
-        assert link.pins[(PIN_ANY_TABLE, "join")] == "per-point-selects"
+        pins = normalize_pins(
+            {"points:select": "filter-then-knn", "join": "per-point-selects"}
+        )
+        assert pins[("points", "select")] == "filter-then-knn"
+        assert pins[(PIN_ANY_TABLE, "join")] == "per-point-selects"
 
     def test_inapplicable_pin_falls_through(self):
         """A pin naming an operator this query cannot use is noted and
-        the rest of the chain decides."""
-        pins = {("points", "select"): "region-pruned-knn"}
-        assignment = _walk(self._chain(pins), _context())
-        assert assignment.operator == "incremental-knn"
-        assert not assignment.pinned
-        assert "not applicable" in assignment.trail[0].note
+        the cost comparison decides."""
+        decision = _decide(pins={("points", "select"): "region-pruned-knn"})
+        assert decision.operator == "incremental-knn"
+        assert decision.link == "cost-based"
+        assert "pin 'region-pruned-knn' not applicable" in decision.note
 
-    def test_unrelated_pin_is_noted(self):
-        assignment = _walk(
-            self._chain({("other", "select"): "filter-then-knn"}), _context()
+    def test_unrelated_pin_leaves_cost_to_decide(self):
+        decision = _decide(
+            pins={("other", "select"): "filter-then-knn", "join": "locality-join"}
         )
-        assert assignment.trail[0].action == "noted"
-        assert assignment.operator == "incremental-knn"
+        assert decision == _decide()
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown query kind"):
-            PinnedOverrideSelection({("points", "frobnicate"): "filter-then-knn"})
+            normalize_pins({("points", "frobnicate"): "filter-then-knn"})
 
     def test_operator_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="not a select operator"):
-            PinnedOverrideSelection({("points", "select"): "locality-join"})
+            normalize_pins({("points", "select"): "locality-join"})
+
+
+class TestPinValidation:
+    """A bad pin is a configuration error at construction — not a
+    ``ValueError`` at the first ``explain``, and not a shard outage."""
+
+    BAD = {"select": "locality-join"}
+
+    def test_manager_rejects_a_bad_pin(self):
+        from repro.engine import StatisticsManager
+
+        with pytest.raises(ValueError, match="not a select operator"):
+            StatisticsManager(pinned_operators=self.BAD)
+
+    @pytest.mark.parametrize("shard_mode", ["replica", "data"])
+    @pytest.mark.parametrize("channel", ["pinned_operators", "manager_kwargs"])
+    def test_serving_tier_rejects_a_bad_pin_before_spawning(self, shard_mode, channel):
+        from repro.engine import SpatialTable
+        from repro.serving import ShardedServingTier
+
+        table = SpatialTable("t", generate_uniform(400, seed=4), capacity=32)
+        kwargs = (
+            {"pinned_operators": self.BAD}
+            if channel == "pinned_operators"
+            else {"manager_kwargs": {"max_k": 32, "pinned_operators": self.BAD}}
+        )
+        with pytest.raises(ValueError, match="not a select operator"):
+            ShardedServingTier(table, shard_mode=shard_mode, n_shards=2, **kwargs)
+        assert multiprocessing.active_children() == []
 
 
 class TestParsePinSpec:
@@ -364,7 +270,7 @@ class TestParsePinSpec:
 
 
 # ---------------------------------------------------------------------------
-# Chain/legacy parity across substrates (satellite 3)
+# Arbitration/legacy parity across substrates
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def parity_points():
@@ -381,12 +287,12 @@ def _substrate_index(points, substrate):
 
 @pytest.mark.parametrize("substrate", ["quadtree", "grid", "rtree"])
 class TestChainLegacyParity:
-    """The default chain must reproduce plain cost arbitration
-    bit-for-bit on every substrate (the legacy planner's contract).
+    """Arbitration must reproduce plain cost comparison bit-for-bit on
+    every substrate (the legacy planner's contract).
 
     The engine plans over its own quadtree tables, so the select
-    candidates are costed on the substrate here and handed to the chain
-    — the golden corpus' route.
+    candidates are costed on the substrate here and handed to
+    :func:`arbitrate` — the golden corpus' route.
     """
 
     @pytest.fixture()
@@ -398,38 +304,25 @@ class TestChainLegacyParity:
         )
         estimator = StaircaseEstimator(index, aux, max_k=512)
 
-        def select_context(query, k, selectivity):
+        def select_candidates(query, k, selectivity):
             effective_k = int(np.ceil(k / selectivity))
-            return _context(
-                candidates={
-                    "filter-then-knn": float(index.num_blocks),
-                    "incremental-knn": float(estimator.estimate(query, effective_k)),
-                },
-                effective_k=effective_k,
-                selectivity=selectivity,
-            )
+            return {
+                "filter-then-knn": float(index.num_blocks),
+                "incremental-knn": float(estimator.estimate(query, effective_k)),
+            }
 
-        return select_context
+        return select_candidates
 
     def test_select_choice_matches_legacy_rule(self, setup, substrate):
         for k, selectivity in [(4, 0.5), (32, 0.25), (128, 0.02)]:
-            context = setup(Point(500.0, 500.0), k, selectivity)
-            choice = _walk(default_selection_chain(), context)
-            costs = context.candidates
+            costs = setup(Point(500.0, 500.0), k, selectivity)
+            choice = _decide(costs)
             legacy = (
                 "filter-then-knn"
                 if costs["filter-then-knn"] <= costs["incremental-knn"]
                 else "incremental-knn"
             )
             assert choice.operator == legacy, (substrate, k, selectivity)
-
-    def test_default_chain_equals_bare_arbiter(self, setup, substrate):
-        context = setup(Point(321.0, 654.0), 16, 0.3)
-        with_chain = _walk(default_selection_chain(), context)
-        bare = _walk(CostBasedSelection(), context)
-        assert with_chain.operator == bare.operator
-        assert with_chain.decided_by == bare.decided_by == "cost-based"
-        assert with_chain.candidates == bare.candidates == context.candidates
 
 
 class TestPlanChoiceSpeedup:
@@ -501,44 +394,38 @@ class TestBatchChooserBatching:
 # ---------------------------------------------------------------------------
 # Engine integration
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def engine():
-    from repro.engine import SpatialEngine, SpatialTable
+def _engine(**manager_kwargs):
+    from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
 
-    eng = SpatialEngine()
+    eng = SpatialEngine(StatisticsManager(**manager_kwargs))
     eng.register(
         SpatialTable("points", generate_uniform(1_500, seed=8), capacity=64)
     )
     return eng
 
 
-class TestEngineIntegration:
-    def test_default_chain_exposed(self, engine):
-        assert engine.selection_chain.describe() == (
-            "freshness-guard -> cost-based -> confidence"
-        )
+@pytest.fixture()
+def engine():
+    return _engine()
 
+
+class TestEngineIntegration:
     def test_explanation_carries_decided_by_and_trail(self, engine):
         from repro.engine import KnnSelectQuery
 
         explanation = engine.explain(KnnSelectQuery("points", Point(500, 500), k=8))
         assert explanation.decided_by == "cost-based"
-        assert [d.link for d in explanation.trail] == [
-            "freshness-guard", "cost-based", "confidence",
+        assert [(d.link, d.action) for d in explanation.trail] == [
+            ("cost-based", "chose"),
         ]
         text = str(explanation)
         assert "decided by: cost-based" in text
-        assert "link freshness-guard" in text
+        assert "link cost-based [chose]" in text
 
     def test_pinned_engine_forces_operator(self):
-        from repro.engine import KnnSelectQuery, SpatialEngine, SpatialTable
+        from repro.engine import KnnSelectQuery
 
-        eng = SpatialEngine(
-            pinned_operators={"points:select": "filter-then-knn"}
-        )
-        eng.register(
-            SpatialTable("points", generate_uniform(1_500, seed=8), capacity=64)
-        )
+        eng = _engine(pinned_operators={"points:select": "filter-then-knn"})
         result, explanation = eng.execute(
             KnnSelectQuery("points", Point(500, 500), k=8)
         )
@@ -548,57 +435,49 @@ class TestEngineIntegration:
 
     def test_pinned_engine_answers_match_unpinned(self, engine):
         """A pin changes the cost, never the answer set."""
-        from repro.engine import KnnSelectQuery, SpatialEngine, SpatialTable
+        from repro.engine import KnnSelectQuery
 
-        pinned = SpatialEngine(
-            pinned_operators={"points:select": "filter-then-knn"}
-        )
-        pinned.register(
-            SpatialTable("points", generate_uniform(1_500, seed=8), capacity=64)
-        )
+        pinned = _engine(pinned_operators={"points:select": "filter-then-knn"})
         query = KnnSelectQuery("points", Point(321, 654), k=12)
         a, __ = engine.execute(query)
         b, __ = pinned.execute(query)
         assert np.array_equal(np.sort(a.row_ids), np.sort(b.row_ids))
 
-    def test_configure_selection_after_construction(self, engine):
-        engine.stats.configure_selection(
-            pinned_operators={"select": "filter-then-knn"}
-        )
-        assert engine.selection_chain.describe().startswith("pinned-override")
-
     def test_stale_catalogs_under_raise_demote_instead_of_crashing(self):
-        """Satellite 6, end to end: ``staleness_policy="raise"`` with a
-        catalog one generation behind the index must degrade the
-        estimate (density tier) and record the demotion — planning must
-        not surface StaleCatalogError."""
-        from repro.engine import (
-            KnnSelectQuery, SpatialEngine, SpatialTable, StatisticsManager,
-        )
+        """``staleness_policy="raise"`` with a catalog one generation
+        behind the index: the Staircase tier raises, the fallback chain
+        absorbs it and the density tier answers, degraded — planning
+        does not surface StaleCatalogError."""
+        from repro.engine import KnnSelectQuery
 
-        eng = SpatialEngine(StatisticsManager(staleness_policy="raise"))
-        eng.register(
-            SpatialTable("points", generate_uniform(1_500, seed=8), capacity=64)
-        )
+        eng = _engine(staleness_policy="raise")
         query = KnnSelectQuery("points", Point(500, 500), k=8)
         fresh = eng.explain(query)  # builds catalogs at generation 0
         assert fresh.estimator_tier == "staircase"
         eng.stats.table("points").index.data_generation = 1
         stale = eng.explain(query)
         assert stale.degraded
-        assert stale.estimator_tier not in ("staircase",)
-        guard = [d for d in stale.trail if d.link == "freshness-guard"]
-        assert guard and guard[0].action == "demoted"
+        assert stale.estimator_tier == "density"
+        assert any("StaleCatalogError" in note for note in stale.notes)
+        assert stale.decided_by == "cost-based"
+
+    def test_stale_catalogs_without_fallback_propagate(self):
+        """With ``fallback=False`` nothing absorbs the error: a stale
+        catalog under ``raise`` surfaces at planning."""
+        from repro.engine import KnnSelectQuery
+        from repro.resilience.errors import StaleCatalogError
+
+        eng = _engine(staleness_policy="raise", fallback=False)
+        query = KnnSelectQuery("points", Point(500, 500), k=8)
+        eng.explain(query)
+        eng.stats.table("points").index.data_generation = 1
+        with pytest.raises(StaleCatalogError):
+            eng.explain(query)
 
     def test_stale_catalogs_under_rebuild_stay_primary(self):
-        from repro.engine import (
-            KnnSelectQuery, SpatialEngine, SpatialTable, StatisticsManager,
-        )
+        from repro.engine import KnnSelectQuery
 
-        eng = SpatialEngine(StatisticsManager(staleness_policy="rebuild"))
-        eng.register(
-            SpatialTable("points", generate_uniform(1_500, seed=8), capacity=64)
-        )
+        eng = _engine(staleness_policy="rebuild")
         query = KnnSelectQuery("points", Point(500, 500), k=8)
         eng.explain(query)
         eng.stats.table("points").index.data_generation = 1
@@ -629,9 +508,8 @@ class TestCliFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "optimizer:" in out
-        assert "freshness-guard -> cost-based -> confidence" in out
-        assert "decided by:" in out
+        assert "plan:" in out
+        assert "decided by: cost-based" in out
         assert "link cost-based [chose]" in out
 
     def test_pin_operator_flag_changes_the_plan(self, points_csv, capsys):
@@ -647,8 +525,8 @@ class TestCliFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "pinned-override" in out
-        assert "chosen plan: filter-then-knn" in out or "filter-then-knn" in out
+        assert "decided by: pinned-override" in out
+        assert "chosen: filter-then-knn" in out
 
     def test_bad_pin_exits_2(self, points_csv, capsys):
         from repro.cli import main
@@ -662,30 +540,3 @@ class TestCliFlags:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_optimizer_preset_rejects_unknown(self, points_csv):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "estimate-select", points_csv,
-                    "--x", "50", "--y", "50", "-k", "8",
-                    "--optimizer", "frobnicate",
-                ]
-            )
-
-    def test_cost_only_preset_accepted(self, points_csv, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "estimate-select", points_csv,
-                "--x", "50", "--y", "50", "-k", "8",
-                "--max-k", "64", "--capacity", "64",
-                "--optimizer", "cost-only", "--explain",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "optimizer:  cost-based" in out

@@ -573,9 +573,14 @@ def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_
             "degraded", "effective_k", "selectivity", "cache_hit", "kernel_backend",
         ):
             assert getattr(served, name) == getattr(expected, name), (i, name)
-        assert [(d.link, d.action, d.operator) for d in served.trail] == [
-            (d.link, d.action, d.operator) for d in expected.trail
-        ], i
+        (record,) = served.trail
+        (expected_record,) = expected.trail
+        assert (record.link, record.action, record.operator, record.note) == (
+            expected_record.link,
+            expected_record.action,
+            expected_record.operator,
+            expected_record.note,
+        ), i
     if "estimate_time_budget" in manager_kwargs:
         assert all(e.degraded for e in report.explanations)
         assert {e.estimator_tier for e in report.explanations} == {"guaranteed-bound"}
