@@ -43,7 +43,6 @@ from repro.catalog import (
     IntervalCatalog,
     StackedCatalogs,
     catalog_storage_bytes,
-    merge_max,
 )
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import SelectCostEstimator, normalize_batch_args
@@ -66,8 +65,9 @@ from repro.knn.distance_browsing import select_cost_profile
 from repro.perf import (
     BlockPointsView,
     PreprocessingStats,
+    Staircases,
+    profile_staircases,
     resolve_workers,
-    select_cost_profiles,
 )
 from repro.resilience.errors import CatalogCorruptError, StaleCatalogError
 from repro.resilience.guards import guard_estimate_batch, guard_estimate_inputs
@@ -75,6 +75,10 @@ from repro.resilience.guards import guard_estimate_batch, guard_estimate_inputs
 #: The paper maintains catalogs up to k = 10,000; the reproduction's
 #: default is scaled with the dataset (see DESIGN.md §2).
 DEFAULT_MAX_K = 2_048
+
+# Cells per dense corner slab: bounds the (leaves, 4, max_k) cost array
+# of the stacked max to a few hundred KB whatever the number of leaves.
+_DENSE_CELLS = 1 << 18
 
 Variant = Literal["center", "center+corners"]
 
@@ -113,27 +117,52 @@ def _catalog_from_profile(
     return IntervalCatalog.from_profile(profile, max_k=max_k).truncated(max_k)
 
 
-def _catalog_from_profile_fast(
-    profile: list[tuple[int, int, int]], max_k: int
-) -> IntervalCatalog:
-    """:func:`_catalog_from_profile` without per-entry revalidation.
+def _catalogs_from(
+    staircases: Staircases, ids: np.ndarray, max_k: int
+) -> tuple[list[IntervalCatalog], list[IntervalCatalog]]:
+    """The ``(center, corners)`` catalogs of leaves from their anchors' staircases.
 
-    ``select_cost_profile`` guarantees contiguous, increasing entries,
-    so the pad-to-``max_k`` + truncate-to-``max_k`` combination
-    collapses to one ``searchsorted``: keep entries strictly below
-    ``max_k`` and close the catalog with ``max_k`` at the running cost.
-    Produces bitwise-identical arrays to the validated path (covered by
-    the equivalence suite via ``to_store`` byte comparison).
+    ``ids`` holds each leaf's ``[center, SW, SE, NW, NE]`` anchor rows
+    (only the center column for the Center-Only variant).  A center
+    catalog is its staircase closed at ``max_k`` (Procedure 1's pad and
+    truncate).  A corners catalog is the four corner staircases'
+    pointwise maximum over ``k`` in ``[1, max_k]``, run-compressed — the
+    one canonical form of the function that ``merge_max`` and its
+    coalescing also produce.  Leaves go a slab at a time, so no
+    ``(n_leaves, 4, max_k)`` array ever exists.
     """
-    if not profile:
-        return IntervalCatalog.constant(0.0, max_k)
-    arr = np.asarray(profile, dtype=np.int64)
-    k_end = arr[:, 1]
-    cut = min(int(np.searchsorted(k_end, max_k, side="left")), k_end.shape[0] - 1)
-    return IntervalCatalog._from_arrays(
-        np.concatenate([k_end[:cut], np.array([max_k], dtype=np.int64)]),
-        arr[: cut + 1, 2].astype(float),
-    )
+    n_leaves, per_leaf = ids.shape
+    if staircases.k_ends.shape[0] == 0:
+        # Empty dataset: scanning cost is zero for every k.
+        zero = IntervalCatalog.constant(0.0, max_k)
+        return [zero] * n_leaves, [zero] * n_leaves if per_leaf > 1 else []
+    k_ends = staircases.k_ends.copy()
+    k_ends[staircases.offsets[1:] - 1] = max_k
+    costs = staircases.costs.astype(float)
+    offsets = staircases.offsets.tolist()
+    center = [
+        IntervalCatalog._from_arrays(k_ends[lo:hi], costs[lo:hi])
+        for lo, hi in ((offsets[i], offsets[i + 1]) for i in ids[:, 0].tolist())
+    ]
+    corners: list[IntervalCatalog] = []
+    slab = max(1, _DENSE_CELLS // (4 * max_k))
+    for lo in range(0, n_leaves if per_leaf > 1 else 0, slab):
+        rows = ids[lo : lo + slab, 1:]
+        dense = staircases.dense(rows.ravel(), max_k).reshape(-1, 4, max_k).max(axis=1)
+        last = np.ones(dense.shape, dtype=bool)
+        np.not_equal(dense[:, :-1], dense[:, 1:], out=last[:, :-1])
+        leaf, col = np.nonzero(last)
+        cut = np.cumsum(last.sum(axis=1))[:-1]
+        corners.extend(
+            IntervalCatalog._from_arrays(k, c)
+            for k, c in zip(np.split(col + 1, cut), np.split(dense[leaf, col].astype(float), cut))
+        )
+    return center, corners
+
+
+def _fallback_over(snapshot: IndexSnapshot) -> DensityBasedEstimator | None:
+    """The density fallback; an empty index has none, its cost is zero."""
+    return DensityBasedEstimator(snapshot) if snapshot.n_blocks else None
 
 
 def _require_int_metadata(store: CatalogStore, field: str, minimum: int) -> int:
@@ -347,10 +376,7 @@ class StaircaseEstimator(SelectCostEstimator):
         )
         if self._snapshot is None or self._snapshot.data_generation != generation:
             self._snapshot = IndexSnapshot.from_index(self._data_index)
-        # An empty index has nothing to fall back on; its cost is zero.
-        self._fallback = (
-            DensityBasedEstimator(self._snapshot) if self._snapshot.n_blocks else None
-        )
+        self._fallback = _fallback_over(self._snapshot)
         leaf_rects = partition_bounds(self._aux)
         keys = region_keys(leaf_rects)
         self.evictions += len(set(self._leaf_keys).difference(keys))
@@ -391,14 +417,14 @@ class StaircaseEstimator(SelectCostEstimator):
         each anchor's profile is a pure function of the blocks and the
         anchor, so the dedup grouping never changes per-leaf results and
         building a subset of the leaves yields exactly their rows of a
-        full build.)  Profiles go through the same
-        ``select_cost_profile`` code as the per-anchor
-        :func:`build_select_catalog` (only the distance gather is
-        batched via :class:`~repro.perf.BlockPointsView`), and are
-        optionally fanned out across worker processes; the per-leaf
-        Procedure 1 loop assembled from the public pieces is the
-        ``tests/reference_builds.py`` oracle this build is compared
-        against byte for byte.
+        full build.)  One :func:`~repro.perf.profile_staircases` batch
+        pass — held to the per-anchor ``select_cost_profile_covered``,
+        optionally fanned out across worker processes — profiles them,
+        and :func:`_catalogs_from` reads the catalogs straight off its
+        output; the per-leaf Procedure 1 loop assembled from the public
+        pieces is the ``tests/reference_builds.py`` oracle this build is
+        compared against byte for byte.  With no leaves to build it
+        returns before flattening a single block.
 
         Returns:
             ``(center, corners, coverage)`` for the given leaves, where
@@ -406,6 +432,8 @@ class StaircaseEstimator(SelectCostEstimator):
             anchors, each reported by its profile scan.
         """
         n_leaves = leaf_rects.shape[0]
+        if n_leaves == 0:
+            return [], [], np.empty(0, dtype=float)
         both = self._variant == "center+corners"
         per_leaf = 5 if both else 1
         with stats.phase("collect"):
@@ -425,28 +453,19 @@ class StaircaseEstimator(SelectCostEstimator):
                 ).reshape(-1, 2)
             else:
                 stacked = centers
-            unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
+            anchors, inverse = np.unique(stacked, axis=0, return_inverse=True)
             ids = inverse.reshape(n_leaves, per_leaf)
-            anchors = [Point(float(x), float(y)) for x, y in unique]
             view = BlockPointsView.from_blocks(self._data_index.blocks)
         stats.anchors_total = per_leaf * n_leaves
-        stats.anchors_unique = len(anchors)
-        stats.profiles_computed = len(anchors)
+        stats.anchors_unique = stats.profiles_computed = anchors.shape[0]
 
         with stats.phase("profiles"):
-            covered = select_cost_profiles(
+            staircases = profile_staircases(
                 self._snapshot, view, anchors, self._max_k, self._workers
             )
         with stats.phase("assemble"):
-            catalogs = [_catalog_from_profile_fast(p, self._max_k) for p, __ in covered]
-            center = [catalogs[i] for i in ids[:, 0]]
-            corners = (
-                [merge_max([catalogs[i] for i in row]) for row in ids[:, 1:]]
-                if both
-                else []
-            )
-            radii = np.array([radius for __, radius in covered], dtype=float)
-        return center, corners, radii[ids].max(axis=1)
+            center, corners = _catalogs_from(staircases, ids, self._max_k)
+        return center, corners, staircases.radii[ids].max(axis=1)
 
     # ------------------------------------------------------------------
     # Estimation (Section 3.3)
@@ -714,7 +733,7 @@ class StaircaseEstimator(SelectCostEstimator):
         estimator._data_index = data_index
         estimator.built_at_generation = current_generation
         estimator._snapshot = IndexSnapshot.from_index(data_index)
-        estimator._fallback = DensityBasedEstimator(estimator._snapshot)
+        estimator._fallback = _fallback_over(estimator._snapshot)
         # Leaf lookup keys by bounds, not node identity: the restored
         # estimator works even if the auxiliary index was itself rebuilt
         # (equal geometry, different node objects).

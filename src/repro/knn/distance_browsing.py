@@ -162,8 +162,6 @@ def select_cost_profile(
     blocks,
     query: Point,
     max_k: int,
-    *,
-    mindists_all: np.ndarray | None = None,
 ) -> list[tuple[int, int, int]]:
     """Compute the full cost-vs-k staircase at ``query`` in one pass.
 
@@ -179,16 +177,9 @@ def select_cost_profile(
             without touching points.
         blocks: The data blocks themselves, indexable by the
             summary's block order (catalog *construction* is the one
-            offline step that does read points).  A columnar
-            :class:`repro.perf.BlockPointsView` is also accepted and
-            answers the distance gather in one batched call.
+            offline step that does read points).
         query: The anchor point.
         max_k: Largest k the profile must cover.
-        mindists_all: Optional precomputed per-block MINDIST array.
-            Batching callers (:func:`repro.perf.select_cost_profiles`)
-            compute the MINDIST matrix of many anchors at once; the
-            values must be identical to the per-point path (and are,
-            see :func:`repro.geometry.kernels.mindist_rects_batch`).
 
     Returns:
         A list of ``(k_start, k_end, cost)`` entries with contiguous,
@@ -199,9 +190,7 @@ def select_cost_profile(
     Raises:
         ValueError: If ``max_k < 1``.
     """
-    return select_cost_profile_covered(
-        snapshot, blocks, query, max_k, mindists_all=mindists_all
-    )[0]
+    return select_cost_profile_covered(snapshot, blocks, query, max_k)[0]
 
 
 def select_cost_profile_covered(
@@ -209,8 +198,6 @@ def select_cost_profile_covered(
     blocks,
     query: Point,
     max_k: int,
-    *,
-    mindists_all: np.ndarray | None = None,
 ) -> tuple[list[tuple[int, int, int]], float]:
     """:func:`select_cost_profile` plus the profile's coverage radius.
 
@@ -225,6 +212,10 @@ def select_cost_profile_covered(
     inside their noted region, so they sort strictly after the scanned
     prefix and past the final threshold.
 
+    :func:`repro.perf.profile_staircases` runs this scan for many
+    anchors at once, in fixed-shape rounds, and is held to it anchor
+    for anchor.
+
     Returns:
         ``(profile, C)``.  ``C`` is ``inf`` — any mutation anywhere may
         be visible — when the profile is empty, never reaches ``max_k``
@@ -237,8 +228,7 @@ def select_cost_profile_covered(
     n_blocks = snap.n_blocks
     if n_blocks == 0:
         return [], np.inf
-    if mindists_all is None:
-        mindists_all = mindist_rects((query.x, query.y), snap.rects)
+    mindists_all = mindist_rects((query.x, query.y), snap.rects)
 
     # Only the blocks nearest to the query matter, but how many is not
     # known in advance (low-density areas can force scanning far beyond
@@ -265,42 +255,22 @@ def select_cost_profile_covered(
         # One concatenated sort answers every per-step threshold: every
         # point in a block beyond position i lies at distance >= that
         # block's MINDIST >= the step-i threshold, so counting over the
-        # whole prefix never overcounts an earlier step.  A columnar
-        # block container (repro.perf.BlockPointsView) may answer the
-        # gather in one batched call; the values are elementwise
-        # identical to the per-block path.
+        # whole prefix never overcounts an earlier step.
         # ``order`` indexes snapshot *rows*; the summary's ``block_ids``
         # map rows to positions in ``blocks``, so a physically reordered
         # snapshot (Hilbert layout) still reads the right blocks.  The
         # profile itself is tie-invariant — equal-MINDIST blocks share
         # every threshold they could straddle — so no tie correction of
         # the row order is needed for layout parity.
-        block_pos = snap.block_ids[order]
-        gather = getattr(blocks, "gathered_distances", None)
-        if gather is not None:
-            dists = gather(block_pos, query)
-        else:
-            dists = np.concatenate(
-                [blocks[int(i)].distances_from(query) for i in block_pos]
-            )
-            dists.sort(kind="stable")
+        dists = np.concatenate(
+            [blocks[int(i)].distances_from(query) for i in snap.block_ids[order]]
+        )
+        dists.sort(kind="stable")
         # Threshold after scanning block i is the next block's MINDIST.
         thresholds = np.empty(prefix, dtype=float)
         thresholds[: prefix - 1] = mindists[1:prefix]
         thresholds[prefix - 1] = beyond
-        if gather is not None:
-            # Counting without the O(n log n) distance sort: thresholds
-            # are ascending (block MINDISTs in scan order), so binning
-            # each distance into its first exceeding threshold and
-            # prefix-summing the bin sizes yields exactly
-            # #{dist < thresholds[i]} — the same integers the sorted
-            # path produces via binary search.
-            first_above = np.searchsorted(thresholds, dists, side="right")
-            retrievable = np.cumsum(
-                np.bincount(first_above, minlength=prefix + 1)[:prefix]
-            )
-        else:
-            retrievable = np.searchsorted(dists, thresholds, side="left")
+        retrievable = np.searchsorted(dists, thresholds, side="left")
         if retrievable[-1] >= max_k or candidates >= n_blocks:
             break
         candidates = min(n_blocks, candidates * 2)

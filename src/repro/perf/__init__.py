@@ -9,7 +9,9 @@ builders.  ``docs/performance.md`` documents the layer end to end.
 
 from repro.perf.parallel import (
     BlockPointsView,
+    Staircases,
     locality_size_profiles,
+    profile_staircases,
     resolve_workers,
     select_cost_profiles,
 )
@@ -18,7 +20,9 @@ from repro.perf.stats import PreprocessingStats
 __all__ = [
     "BlockPointsView",
     "PreprocessingStats",
+    "Staircases",
     "locality_size_profiles",
+    "profile_staircases",
     "resolve_workers",
     "select_cost_profiles",
 ]

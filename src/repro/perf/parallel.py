@@ -4,22 +4,26 @@ Catalog preprocessing is embarrassingly parallel: every anchor's cost
 profile (:func:`~repro.knn.distance_browsing.select_cost_profile_covered`) and
 every outer block's locality profile
 (:func:`~repro.knn.locality.locality_size_profile`) is independent of
-the others.  This module provides the fan-out plumbing shared by the
+the others.  This module provides the batching and fan-out shared by the
 Staircase, Catalog-Merge, and Virtual-Grid estimators:
 
+* :func:`profile_staircases` — Procedure 1 for many anchors at once, in
+  fixed-shape rounds over slabs of anchors, returned as
+  :class:`Staircases`; :func:`select_cost_profiles` is the same pass as
+  ``(profile, C)`` tuples.  Both equal the per-anchor scan byte for
+  byte.
 * :class:`BlockPointsView` — a columnar, picklable stand-in for a block
-  list that answers the distance-gather step of
-  ``select_cost_profile`` with one fancy-index + one ``np.hypot`` call
-  instead of one tiny ``distances_from`` call per block.  The gathered
-  values are elementwise identical to the per-block path, so profiles
-  (and therefore catalogs) stay bit-for-bit equal to the serial seed
-  build.
-* :func:`select_cost_profiles` / :func:`locality_size_profiles` —
-  ordered many-anchor fan-out with an optional
-  :class:`~concurrent.futures.ProcessPoolExecutor` path
-  (``workers=N``).  ``workers=0``/``1`` (the default everywhere) keeps
-  the build serial and in-process for determinism of *environment* —
-  results are identical either way, asserted by the equivalence suite.
+  list whose points the batch pass gathers with one fancy-index and one
+  ``np.hypot`` call.  The values are elementwise identical to the
+  per-block ``distances_from`` path.
+* :func:`locality_size_profiles` — ordered many-rect fan-out of
+  Procedure 2.
+
+Both fan-outs take an optional
+:class:`~concurrent.futures.ProcessPoolExecutor` path (``workers=N``);
+``workers=0``/``1`` (the default everywhere) keeps the build serial and
+in-process — results are identical either way, asserted by the
+equivalence suite.
 
 Worker processes receive the :class:`~repro.index.snapshot.IndexSnapshot`
 (plus, for select profiles, the columnar points payload) once via the
@@ -31,7 +35,7 @@ chunk message then carries only anchor coordinates.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +43,6 @@ from repro.geometry import Point
 from repro.geometry.backends import active_backend, set_backend
 from repro.geometry.kernels import as_anchor, mindist_rects_batch
 from repro.index.snapshot import IndexSnapshot, as_snapshot
-from repro.knn.distance_browsing import select_cost_profile_covered
 from repro.knn.locality import locality_size_profile
 
 Profile = list[tuple[int, int, int]]
@@ -50,9 +53,48 @@ CoveredProfile = tuple[Profile, float]
 # drowning the pool in message overhead.
 _CHUNKS_PER_WORKER = 4
 
-# Anchors per MINDIST batch: bounds the (batch, n_blocks) distance
-# matrix to a few MB whatever the dataset scale.
-_MINDIST_BATCH = 256
+# Cells per MINDIST tableau and points per distance gather: each bounds
+# one transient array of the batch pass to ~128 KB, whatever the number
+# of anchors, blocks or ``max_k``.  Larger slabs save little (a tableau
+# twice this size saved ≈ 4 % of a 60k-point build) but lift a small
+# process's peak RSS.
+_TABLEAU_CELLS = 1 << 14
+_GATHER_POINTS = 1 << 12
+
+
+class Staircases(NamedTuple):
+    """The Procedure 1 staircases of many anchors, laid end to end.
+
+    Anchor ``i`` owns steps ``offsets[i]:offsets[i + 1]``: after
+    ``costs[j]`` blocks, ``k_ends[j]`` points are retrievable — the
+    ``(k_end, cost)`` columns of its
+    :func:`~repro.knn.distance_browsing.select_cost_profile_covered`
+    profile.  ``radii[i]`` is its coverage radius.  ``costs`` uses the
+    narrowest unsigned dtype that holds a block count.
+    """
+
+    offsets: np.ndarray
+    k_ends: np.ndarray
+    costs: np.ndarray
+    radii: np.ndarray
+
+    def dense(self, anchors: np.ndarray, max_k: int) -> np.ndarray:
+        """``(len(anchors), max_k)`` costs at every ``k`` in ``[1, max_k]``.
+
+        Each staircase is closed at ``max_k`` the way Procedure 1 pads
+        and truncates a catalog: its last step covers every ``k`` up to
+        ``max_k``.  Costs keep their narrow dtype.  The index must hold
+        a point (an empty one has no steps).
+        """
+        lo = self.offsets[anchors]
+        lengths = self.offsets[anchors + 1] - lo
+        steps = _concat_ranges(lo, lengths)
+        k_ends = self.k_ends[steps]
+        last = np.cumsum(lengths) - 1
+        k_ends[last] = max_k
+        runs = np.diff(k_ends, prepend=0)
+        runs[last[:-1] + 1] = k_ends[last[:-1] + 1]
+        return np.repeat(self.costs[steps], runs).reshape(anchors.shape[0], max_k)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -76,11 +118,11 @@ class BlockPointsView:
     """Columnar view of a block list's points, for batched gathers.
 
     Stores every block's points in one ``(total, 2)`` array plus an
-    offsets array, so :meth:`gathered_distances` can compute the
-    distances of an arbitrary block subsequence with a single
-    ``np.hypot`` over the gathered coordinates.  Because ``np.hypot``
-    is elementwise, the result is bitwise identical to concatenating
-    per-block ``Block.distances_from`` outputs in the same order.
+    offsets array (block ``b`` owns rows ``offsets[b]:offsets[b + 1]``),
+    so the batch pass gathers the points of any blocks for any anchors
+    with one fancy index and one ``np.hypot``.  Because ``np.hypot`` is
+    elementwise, each distance is bitwise the one
+    ``Block.distances_from`` returns.
 
     The two arrays are plain ndarrays, so the view ships to worker
     processes as an ``initargs`` payload without custom pickling.
@@ -108,32 +150,20 @@ class BlockPointsView:
             points = np.empty((0, 2), dtype=float)
         return cls(points, offsets)
 
-    def gathered_distances(self, order: np.ndarray, query: Point) -> np.ndarray:
-        """Distances of the points of blocks ``order`` (in that order).
 
-        Equivalent to
-        ``np.concatenate([blocks[i].distances_from(query) for i in order])``
-        but with one gather and one ``np.hypot`` call.
-        """
-        order = np.asarray(order, dtype=np.int64)
-        if order.shape[0] == 0:
-            return np.empty(0, dtype=float)
-        starts = self.offsets[order]
-        lengths = self.offsets[order + 1] - starts
-        total = int(lengths.sum())
-        # Vectorized concatenation of ranges [starts[j], starts[j]+lengths[j]):
-        # each output slot holds its segment's start minus the segment's
-        # output offset, and a global arange supplies the within-segment
-        # progression.
-        out_offsets = np.zeros(order.shape[0], dtype=np.int64)
-        np.cumsum(lengths[:-1], out=out_offsets[1:])
-        gather = np.repeat(starts - out_offsets, lengths) + np.arange(
-            total, dtype=np.int64
-        )
-        return np.hypot(self._xs[gather] - query.x, self._ys[gather] - query.y)
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges ``[starts[j], starts[j] + lengths[j])``, concatenated.
+
+    Each output slot holds its range's start minus the range's output
+    offset, and one global ``arange`` supplies the progression.
+    """
+    out_offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - out_offsets, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
 
 
-def _chunked(items: list, n_chunks: int) -> list[list]:
+def _chunked(items: Sequence, n_chunks: int) -> list[Sequence]:
     """Split ``items`` into up to ``n_chunks`` contiguous, balanced runs."""
     n_chunks = max(1, min(n_chunks, len(items)))
     size, extra = divmod(len(items), n_chunks)
@@ -179,39 +209,147 @@ def _init_select_worker(
     _WORKER_STATE["max_k"] = int(max_k)
 
 
-def _profiles_batched(
+def _staircases(
     summary: IndexSnapshot,
     view: BlockPointsView,
-    anchor_coords: Sequence[tuple[float, float]],
+    anchors: np.ndarray,
     max_k: int,
-) -> list[CoveredProfile]:
-    """Profile anchors in order, batching the MINDIST computation.
+) -> Staircases:
+    """Procedure 1 for every anchor, as fixed-shape rounds over slabs.
 
-    Anchor-to-block MINDISTs are computed a few hundred anchors at a
-    time via :func:`~repro.geometry.kernels.mindist_rects_batch`
-    (row-for-row identical to the per-anchor path) and fed to
-    ``select_cost_profile_covered``, which otherwise runs unchanged.
+    A slab of anchors shares one MINDIST tableau.  Each round takes
+    every pending row's ``c + 1`` nearest blocks (one row-wise
+    ``argpartition`` and a stable sort), gathers their points in one
+    pass and bins each distance against its row's thresholds (each
+    next block's MINDIST) with one ``searchsorted`` over complex
+    ``row + 1j * threshold`` keys — numpy orders complex numbers by
+    real part, then imaginary part, so the binning is exact.  A
+    ``bincount`` + ``cumsum`` gives the ``(rows, c)`` matrix ``R`` of
+    points retrievable after each block; rows still short of ``max_k``
+    go to the next round at ``2c``, the last round being a full sort.
+    ``select_cost_profile_covered``'s proof makes any candidate count
+    that reaches ``max_k`` (or every block) give the same staircase, so
+    the rounds are that function, anchor for anchor, byte for byte.
     """
-    profiles: list[CoveredProfile] = []
-    rects = summary.rects
-    for start in range(0, len(anchor_coords), _MINDIST_BATCH):
-        batch = anchor_coords[start : start + _MINDIST_BATCH]
-        mindist_matrix = mindist_rects_batch(np.asarray(batch, dtype=float), rects)
-        profiles.extend(
-            select_cost_profile_covered(
-                summary,
-                view,
-                Point(x, y),
-                max_k,
-                mindists_all=mindist_matrix[i],
+    m = anchors.shape[0]
+    n = summary.n_blocks
+    if m == 0 or summary.total_count == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return Staircases(np.zeros(m + 1, dtype=np.int64), empty, empty, np.full(m, np.inf))
+    # Same first guess as the per-anchor scan; any guess gives the same result.
+    avg_count = max(1.0, summary.total_count / n)
+    first_c = min(n, int(max_k / avg_count) + 8)
+    starts = view.offsets[summary.block_ids]
+    lengths = view.offsets[summary.block_ids + 1] - starts
+    cost_dtype = np.min_scalar_type(n)
+    radii = np.empty(m, dtype=float)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    slab = max(1, _TABLEAU_CELLS // n)
+    for lo in range(0, m, slab):
+        xy = anchors[lo : lo + slab]
+        tableau = mindist_rects_batch(xy, summary.rects)
+        pending = np.arange(xy.shape[0])
+        c = first_c
+        while pending.shape[0]:
+            order, thresholds = _nearest(tableau[pending], c)
+            R = _retrievable(view, xy[pending], starts[order], lengths[order], thresholds)
+            done = R[:, -1] >= max_k if c < n else np.ones(pending.shape[0], dtype=bool)
+            R, thresholds = R[done], thresholds[done]
+            # A step wherever R rises, up to the first R >= max_k.
+            before = np.zeros_like(R)
+            before[:, 1:] = R[:, :-1]
+            rows, cols = np.nonzero((R > before) & (before < max_k))
+            found.append(
+                (lo + pending[done][rows], R[rows, cols], (cols + 1).astype(cost_dtype))
             )
-            for i, (x, y) in enumerate(batch)
-        )
-    return profiles
+            reached = R >= max_k
+            first = reached.argmax(axis=1)
+            radii[lo + pending[done]] = np.where(
+                reached[:, -1], thresholds[np.arange(R.shape[0]), first], np.inf
+            )
+            pending = pending[~done]
+            c = min(n, 2 * c)
+    anchor_of, k_ends, costs = (np.concatenate(column) for column in zip(*found))
+    by_anchor = np.argsort(anchor_of, kind="stable")
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(anchor_of, minlength=m), out=offsets[1:])
+    return Staircases(offsets, k_ends[by_anchor], costs[by_anchor], radii)
 
 
-def _select_chunk(anchor_coords: list[tuple[float, float]]) -> list[CoveredProfile]:
-    return _profiles_batched(
+def _nearest(tableau: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``c`` nearest blocks in MINDIST order, and their thresholds.
+
+    The threshold after block ``i`` is the MINDIST of block ``i + 1`` —
+    of the nearest block outside the candidates for the last one, or
+    ``inf`` when the candidates are every block.
+    """
+    n = tableau.shape[1]
+    if c < n:
+        nearest = np.argpartition(tableau, c, axis=1)[:, : c + 1]
+        mindists = np.take_along_axis(tableau, nearest, axis=1)
+        by = np.argsort(mindists, axis=1, kind="stable")
+        order = np.take_along_axis(nearest, by, axis=1)[:, :c]
+        return order, np.take_along_axis(mindists, by, axis=1)[:, 1:]
+    order = np.argsort(tableau, axis=1, kind="stable")
+    thresholds = np.empty(tableau.shape, dtype=float)
+    thresholds[:, :-1] = np.take_along_axis(tableau, order[:, 1:], axis=1)
+    thresholds[:, -1] = np.inf
+    return order, thresholds
+
+
+def _retrievable(
+    view: BlockPointsView,
+    xy: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """``R[r, i]`` = points of row ``r``'s candidates nearer than ``thresholds[r, i]``.
+
+    ``starts`` / ``lengths`` locate each candidate block's points in
+    ``view``.  Rows are gathered a few at a time so that no pass holds
+    more than about ``_GATHER_POINTS`` distances.
+    """
+    q, c = thresholds.shape
+    R = np.empty((q, c), dtype=np.int64)
+    totals = lengths.sum(axis=1)
+    ends = np.cumsum(totals)
+    lo = 0
+    while lo < q:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _GATHER_POINTS, side="right")))
+        rows = np.repeat(np.arange(hi - lo), totals[lo:hi])
+        gather = _concat_ranges(starts[lo:hi].ravel(), lengths[lo:hi].ravel())
+        x, y = xy[lo:hi, 0][rows], xy[lo:hi, 1][rows]
+        dists = np.hypot(view._xs[gather] - x, view._ys[gather] - y)
+        keys = np.empty((hi - lo, c), dtype=complex)
+        keys.real = np.arange(hi - lo)[:, None]
+        keys.imag = thresholds[lo:hi]
+        values = np.empty(dists.shape[0], dtype=complex)
+        values.real = rows
+        values.imag = dists
+        # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
+        # one overflow bin per row.
+        bins = np.searchsorted(keys.ravel(), values, side="right") + rows
+        counts = np.bincount(bins, minlength=(hi - lo) * (c + 1)).reshape(hi - lo, c + 1)
+        np.cumsum(counts[:, :c], axis=1, out=R[lo:hi])
+        lo = hi
+    return R
+
+
+def _concatenated(parts: list[Staircases]) -> Staircases:
+    """The staircases of consecutive anchor chunks, as one."""
+    shifts = np.cumsum([0] + [p.k_ends.shape[0] for p in parts[:-1]])
+    return Staircases(
+        np.concatenate([[0]] + [p.offsets[1:] + s for p, s in zip(parts, shifts)]),
+        np.concatenate([p.k_ends for p in parts]),
+        np.concatenate([p.costs for p in parts]),
+        np.concatenate([p.radii for p in parts]),
+    )
+
+
+def _select_chunk(anchor_coords: np.ndarray) -> Staircases:
+    return _staircases(
         _WORKER_STATE["summary"],
         _WORKER_STATE["view"],
         anchor_coords,
@@ -235,6 +373,48 @@ def _locality_chunk(
     return [locality_size_profile(inner, bounds, max_k) for bounds in rect_bounds]
 
 
+def profile_staircases(
+    snapshot,
+    view: BlockPointsView,
+    anchors,
+    max_k: int,
+    workers: int | None = None,
+) -> Staircases:
+    """Procedure 1 staircases (with coverage radii) for many anchors.
+
+    Args:
+        snapshot: Block summary of the data blocks (an
+            :class:`~repro.index.snapshot.IndexSnapshot`, or a raw
+            index to gather one from).
+        view: Columnar points view of the same blocks (same order).
+        anchors: ``(m, 2)`` anchor coordinates.
+        max_k: Largest k each staircase must cover.
+        workers: ``0``/``1``/``None`` for the serial in-process path,
+            ``N > 1`` for a process pool of N workers.
+
+    Returns:
+        The anchors' :class:`Staircases`, identical whatever ``workers``
+        is.
+
+    Raises:
+        ValueError: If ``max_k < 1``.
+    """
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    workers = resolve_workers(workers)
+    summary = as_snapshot(snapshot)
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
+    if workers <= 1 or anchors.shape[0] <= 1:
+        return _staircases(summary, view, anchors, max_k)
+    chunks = _chunked(anchors, workers * _CHUNKS_PER_WORKER)
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_select_worker,
+        initargs=(summary, view.points, view.offsets, max_k, active_backend()),
+    ) as pool:
+        return _concatenated(list(pool.map(_select_chunk, chunks)))
+
+
 def select_cost_profiles(
     snapshot,
     view: BlockPointsView,
@@ -242,38 +422,28 @@ def select_cost_profiles(
     max_k: int,
     workers: int | None = None,
 ) -> list[CoveredProfile]:
-    """Cost profiles (with coverage radii) for many anchors, in anchor order.
-
-    Args:
-        snapshot: Block summary of the data blocks (an
-            :class:`~repro.index.snapshot.IndexSnapshot`, or a raw
-            index to gather one from).
-        view: Columnar points view of the same blocks (same order).
-        anchors: Anchor points to profile.
-        max_k: Largest k each profile must cover.
-        workers: ``0``/``1``/``None`` for the serial in-process path,
-            ``N > 1`` for a process pool of N workers.
+    """:func:`profile_staircases` as ``select_cost_profile_covered`` tuples.
 
     Returns:
-        ``select_cost_profile_covered`` output per anchor — a
-        ``(profile, coverage_radius)`` pair, identical to calling it
-        serially, whatever ``workers`` is.
+        One ``(profile, coverage_radius)`` pair per anchor, in anchor
+        order — what ``select_cost_profile_covered`` returns for it.
     """
-    workers = resolve_workers(workers)
     if len(anchors) == 0:
         return []
-    summary = as_snapshot(snapshot)
-    coords = [(a.x, a.y) for a in anchors]
-    if workers <= 1 or len(anchors) <= 1:
-        return _profiles_batched(summary, view, coords, max_k)
-    chunks = _chunked(coords, workers * _CHUNKS_PER_WORKER)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_select_worker,
-        initargs=(summary, view.points, view.offsets, max_k, active_backend()),
-    ) as pool:
-        chunk_results = list(pool.map(_select_chunk, chunks))
-    return [profile for chunk in chunk_results for profile in chunk]
+    staircases = profile_staircases(
+        snapshot, view, [(a.x, a.y) for a in anchors], max_k, workers
+    )
+    offsets = staircases.offsets.tolist()
+    k_ends = staircases.k_ends.tolist()
+    costs = staircases.costs.tolist()
+    k_starts = [1] + [k + 1 for k in k_ends[:-1]]
+    for lo in offsets[:-1]:
+        if lo < len(k_starts):
+            k_starts[lo] = 1
+    return [
+        (list(zip(k_starts[lo:hi], k_ends[lo:hi], costs[lo:hi])), radius)
+        for lo, hi, radius in zip(offsets[:-1], offsets[1:], staircases.radii.tolist())
+    ]
 
 
 def locality_size_profiles(

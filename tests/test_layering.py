@@ -120,7 +120,10 @@ def test_the_walk_sees_function_level_imports():
 #: finds home blocks; the pass is the ``tests/reference_builds.py`` oracle);
 #: the four-link operator-selection chain, its presets and the planner /
 #: manager / engine / coordinator plumbing that fed it (one ``arbitrate``
-#: call decides every plan, pins are ``StatisticsManager(pinned_operators=)``).
+#: call decides every plan, pins are ``StatisticsManager(pinned_operators=)``);
+#: the per-anchor profile loop of the Staircase build, its catalog
+#: shortcut and its one-anchor gather (one ``perf.profile_staircases``
+#: batch pass profiles every anchor).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -176,6 +179,10 @@ RETIRED_NAMES = {
     "estimator_tiers",
     "_arbiter_tiers",
     "estimator_ranking",
+    "_profiles_batched",
+    "_catalog_from_profile_fast",
+    "_MINDIST_BATCH",
+    "gathered_distances",
 }
 
 

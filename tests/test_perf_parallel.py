@@ -120,21 +120,6 @@ class TestJoinEquivalence:
 # The batched building blocks match their per-item references
 # ----------------------------------------------------------------------
 class TestBlockPointsView:
-    def test_gather_matches_per_block_concat(self, tree):
-        blocks = tree.blocks
-        view = BlockPointsView.from_blocks(blocks)
-        rng = np.random.default_rng(7)
-        query = Point(317.5, 641.25)
-        order = rng.permutation(len(blocks))[: max(3, len(blocks) // 2)]
-        expected = np.concatenate([blocks[i].distances_from(query) for i in order])
-        got = view.gathered_distances(order, query)
-        assert np.array_equal(got, expected)
-
-    def test_gather_empty_order(self, tree):
-        view = BlockPointsView.from_blocks(tree.blocks)
-        out = view.gathered_distances(np.empty(0, dtype=np.int64), Point(0, 0))
-        assert out.shape == (0,)
-
     def test_from_no_blocks(self):
         view = BlockPointsView.from_blocks([])
         assert view.points.shape == (0, 2)
