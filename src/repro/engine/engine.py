@@ -17,17 +17,19 @@ from repro.engine.physical import (
 )
 from repro.engine.planner import (
     PlanExplanation,
-    plan_join,
-    plan_range,
-    plan_select_batch,
+    explain_join,
+    explain_range,
+    explain_select_batch,
+    physical_operator,
 )
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
+from repro.resilience.errors import InvalidQueryError
 from repro.resilience.guards import (
     guard_join_query,
     guard_range_query,
-    guard_select_query,
+    guard_select_batch,
 )
 
 Query = KnnSelectQuery | KnnJoinQuery | RangeQuery
@@ -71,12 +73,30 @@ class SpatialEngine:
     def explain_batch(self, queries: list[Query]) -> list[PlanExplanation]:
         """Cost a whole batch of queries without executing.
 
-        k-NN selects are planned through
-        :func:`~repro.engine.planner.plan_select_batch`: one estimator
-        resolution, snapshot access, and batched ``estimate_batch`` call
-        per table instead of per query.
+        k-NN selects are guarded and planned per table as arrays
+        (:func:`~repro.resilience.guards.guard_select_batch`,
+        :func:`~repro.engine.planner.explain_select_batch`): one guard
+        pass, one batched ``estimate_batch`` call and one cost
+        comparison per table instead of per query.  No physical
+        operator is built.
         """
-        return [explanation for __, explanation in self._plan_batch(queries)]
+        notes = self._guard_batch(queries)
+        explanations: list[PlanExplanation] = [None] * len(queries)  # type: ignore[list-item]
+        selects = [i for i, query in enumerate(queries) if isinstance(query, KnnSelectQuery)]
+        if selects:
+            batched = explain_select_batch(self.stats, [queries[i] for i in selects])
+            for i, explanation in zip(selects, batched):
+                explanations[i] = explanation
+        for i, query in enumerate(queries):
+            if isinstance(query, KnnJoinQuery):
+                explanations[i] = explain_join(self.stats, query)
+            elif isinstance(query, RangeQuery):
+                explanations[i] = explain_range(self.stats, query)
+            elif not isinstance(query, KnnSelectQuery):
+                raise TypeError(f"unsupported query type {type(query).__name__}")
+        for i, row in notes.items():
+            explanations[i].notes.extend(row)
+        return explanations
 
     def execute_batch(
         self, queries: list[Query]
@@ -87,21 +107,18 @@ class SpatialEngine:
         k-NN selects against the same table then run as one
         :func:`~repro.engine.physical.execute_incremental_knn_batch`
         call (one MINDIST pass per group of queries), and every other
-        operator executes itself.
+        plan runs its :func:`~repro.engine.planner.physical_operator`.
 
         Guard failures raise before anything executes.
         """
-        return self._run(queries, self._plan_batch(queries))
-
-    def _run(self, queries: list[Query], plans: list):
-        """Execute planned queries; incremental selects batch per table."""
-        results: list[ExecutionResult | None] = [None] * len(plans)
+        explanations = self.explain_batch(queries)
+        results: list[ExecutionResult | None] = [None] * len(queries)
         grouped: dict[str, list[int]] = {}
-        for i, (operator, __) in enumerate(plans):
-            if isinstance(operator, IncrementalKnnOperator):
-                grouped.setdefault(queries[i].table, []).append(i)
+        for i, (query, explanation) in enumerate(zip(queries, explanations)):
+            if explanation.chosen == IncrementalKnnOperator.name:
+                grouped.setdefault(query.table, []).append(i)
             else:
-                results[i] = operator.execute()
+                results[i] = physical_operator(self.stats, query, explanation).execute()
         for name, indices in grouped.items():
             table = self.stats.table(name)
             # The snapshot IncrementalKnnOperator.execute itself browses.
@@ -110,55 +127,53 @@ class SpatialEngine:
             )
             for i, out in zip(indices, outs):
                 results[i] = out
-        return [
-            (result, explanation)
-            for result, (__, explanation) in zip(results, plans)
-        ]
+        return list(zip(results, explanations))
 
-    def _plan_batch(self, queries: list[Query]):
-        """Guard and plan a batch; k-NN selects go through the batch planner."""
-        notes = [self._guard(query) for query in queries]
-        plans: list[tuple[object, PlanExplanation] | None] = [None] * len(queries)
-        select_indices = [
-            i for i, query in enumerate(queries) if isinstance(query, KnnSelectQuery)
-        ]
-        if select_indices:
-            batched = plan_select_batch(
-                self.stats, [queries[i] for i in select_indices]
-            )
-            for i, plan in zip(select_indices, batched):
-                plans[i] = plan
-        for i, query in enumerate(queries):
-            if plans[i] is not None:
-                continue
-            if isinstance(query, KnnJoinQuery):
-                plans[i] = plan_join(self.stats, query)
-            elif isinstance(query, RangeQuery):
-                plans[i] = plan_range(self.stats, query)
-            else:
-                raise TypeError(f"unsupported query type {type(query).__name__}")
-        for i, (__, explanation) in enumerate(plans):
-            explanation.notes.extend(notes[i])
-        return plans
+    def _guard_batch(self, queries: list[Query]) -> dict[int, list[str]]:
+        """Boundary-validate a batch; returns ``{position: notes}``.
 
-    def _guard(self, query: Query) -> list[str]:
-        """Boundary-validate a query; returns notes for the explanation.
-
-        Unknown table names raise ``KeyError`` (the registration bug),
-        unanswerable inputs raise
+        Selects are guarded one table group at a time
+        (:func:`~repro.resilience.guards.guard_select_batch`), joins
+        and ranges one by one.  Unknown table names raise ``KeyError``
+        (the registration bug), unanswerable inputs raise
         :class:`~repro.resilience.errors.InvalidQueryError`, and
-        suspicious ones raise only under ``strict``.
+        suspicious ones raise only under ``strict`` — always at the
+        first offender in batch order, as a loop over the queries would.
         """
+        try:
+            return self._guard_groups(queries)
+        except (InvalidQueryError, KeyError):
+            # Groups are not in batch order: re-guard query by query so
+            # the first offender is the one that raises.
+            for query in queries:
+                self._guard_groups([query])
+            raise
+
+    def _guard_groups(self, queries: list[Query]) -> dict[int, list[str]]:
         strict = self.stats.strict
-        if isinstance(query, KnnSelectQuery):
-            table = self.stats.table(query.table)
-            bounds = table.index.bounds if table.n_rows else None
-            return guard_select_query(query, table.n_rows, bounds, strict)
-        if isinstance(query, KnnJoinQuery):
-            outer = self.stats.table(query.outer)
-            inner = self.stats.table(query.inner)
-            return guard_join_query(query, outer.n_rows, inner.n_rows, strict)
-        if isinstance(query, RangeQuery):
-            table = self.stats.table(query.table)
-            return guard_range_query(query, table.n_rows, strict)
-        return []
+        notes: dict[int, list[str]] = {}
+        by_table: dict[str, list[int]] = {}
+        for i, query in enumerate(queries):
+            if isinstance(query, KnnSelectQuery):
+                by_table.setdefault(query.table, []).append(i)
+            elif isinstance(query, KnnJoinQuery):
+                outer = self.stats.table(query.outer)
+                inner = self.stats.table(query.inner)
+                notes[i] = guard_join_query(query, outer.n_rows, inner.n_rows, strict)
+            elif isinstance(query, RangeQuery):
+                table = self.stats.table(query.table)
+                notes[i] = guard_range_query(query, table.n_rows, strict)
+        for name, indices in by_table.items():
+            table = self.stats.table(name)
+            group = [queries[i] for i in indices]
+            flagged = guard_select_batch(
+                [(query.query.x, query.query.y) for query in group],
+                [query.k for query in group],
+                table.n_rows,
+                table.index.bounds if table.n_rows else None,
+                strict,
+                [query.region for query in group],
+            )
+            for j, row in flagged.items():
+                notes[indices[j]] = row
+        return notes

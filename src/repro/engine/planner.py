@@ -10,19 +10,21 @@ Cost model (block scans, per the paper):
 
 * ``filter-then-knn`` — the relation's block count (full scan).
 * ``incremental-knn`` — the Staircase estimate at the *effective*
-  ``k' = ceil(k / σ)`` where σ combines the relational predicate's
-  sampled selectivity and the spatial region's estimated selectivity
-  (independence assumed, the textbook simplification).
+  ``k' = max(k, ceil(k / σ))`` where σ combines the relational
+  predicate's sampled selectivity and the spatial region's estimated
+  selectivity (independence assumed, the textbook simplification);
+  ``k' = k`` exactly when σ = 1, and ``k'`` saturates at ``2**63 - 1``.
 * ``locality-join`` — the pair's join-catalog estimate at ``k'``.
 * ``per-point-selects`` — outer row count times the mean Staircase
   estimate over a spatial sample of outer rows.
+
+Planning builds explanations only; :func:`physical_operator` turns an
+explanation into the operator that runs it.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +40,26 @@ from repro.engine.physical import (
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
 from repro.geometry.backends import active_backend
-from repro.optimizer.selection import LinkDecision, arbitrate
+from repro.optimizer.selection import LinkDecision, arbitrate, arbitrate_batch
+from repro.resilience.guards import K_CEILING
 
 #: Number of outer rows sampled when costing per-point-selects.
 SELECT_COST_SAMPLE = 32
+
+#: A select's candidate columns, in tie order: the full scan's
+#: sequential pattern beats random-access browsing at equal block
+#: counts, and the pruned browser dominates the plain one whenever
+#: applicable.
+SELECT_TIE_ORDER = (
+    FilterThenKnnOperator.name,
+    RegionPrunedKnnOperator.name,
+    IncrementalKnnOperator.name,
+)
+
+_SELECT_OPERATORS = {
+    operator.name: operator
+    for operator in (FilterThenKnnOperator, IncrementalKnnOperator, RegionPrunedKnnOperator)
+}
 
 
 @dataclass
@@ -75,7 +93,8 @@ class PlanExplanation:
             degraded shard placeholders).
         trail: The arbitration's
             :class:`~repro.optimizer.selection.LinkDecision` record (one
-            entry, timed) — why the plan won, not just its cost.
+            entry; its ``elapsed_us`` is this plan's share of its
+            group's arbitration) — why the plan won, not just its cost.
     """
 
     chosen: str
@@ -155,222 +174,252 @@ def _record_preprocessing(explanation: PlanExplanation, estimator) -> None:
     explanation.preprocessing.update(stats.as_dict())
 
 
-def _decide(
+def _arbitrated(
     stats: StatisticsManager,
-    explanation: PlanExplanation,
     kind: str,
     table: str,
+    alternatives: dict[str, float],
     tie_order: tuple[str, ...],
-) -> None:
-    """Arbitrate the explanation's alternatives and record the verdict.
-
-    Every plan decision — including single-candidate range scans and
-    empty-table trivia — goes through here, so ``decided_by`` and the
-    one-record ``trail`` are uniformly present on every explanation.
-    """
-    tick = time.perf_counter()
-    record = arbitrate(
-        kind, table, explanation.alternatives, tie_order, stats.pinned_operators
-    )
-    record = replace(record, elapsed_us=(time.perf_counter() - tick) * 1e6)
-    explanation.chosen = record.operator
-    explanation.decided_by = record.link
-    explanation.trail = [record]
-
-
-def plan_select(
-    stats: StatisticsManager, query: KnnSelectQuery
-) -> tuple[object, PlanExplanation]:
-    """Choose among the k-NN-Select QEPs of Section 1: the batch of one."""
-    return plan_select_batch(stats, [query])[0]
-
-
-def _plan_trivial_select(
-    stats: StatisticsManager, query: KnnSelectQuery
+    **fields,
 ) -> PlanExplanation:
-    """The empty-table select plan: a zero-cost trivial scan.
+    """One plan's explanation, decided by :func:`arbitrate` (the batch of one).
 
-    Still arbitrated (single candidate) so the decision trail is
-    uniformly present.
+    Every single-plan decision — range scans, joins, degenerate joins —
+    goes through here, so ``decided_by`` and the one-record ``trail``
+    are uniformly present.
     """
-    explanation = PlanExplanation(
-        chosen="",
-        alternatives={FilterThenKnnOperator.name: 0.0},
-        effective_k=query.k,
-        selectivity=1.0,
-    )
-    _decide(stats, explanation, "select", query.table, (FilterThenKnnOperator.name,))
-    return explanation
-
-
-def assemble_select_explanation(
-    stats: StatisticsManager,
-    table,
-    query: KnnSelectQuery,
-    sigma: float,
-    effective_k: int,
-    cost_incremental: float,
-    *,
-    estimate_tier: str = "",
-    estimate_degraded: bool = False,
-    cache_hit: bool | None = None,
-) -> PlanExplanation:
-    """Build the alternatives table and arbitrate one select plan.
-
-    The one place a k-NN-Select's candidates, full-scan clamp and tie
-    order are spelled: everything after the browsing estimate is in
-    hand.  :func:`plan_select_batch` calls it with the statistics
-    manager's estimate; the data-shard serving coordinator calls it
-    with the cross-shard merged estimate, the worst answering tier and
-    the merged degraded flag.  :func:`~repro.optimizer.selection.arbitrate`
-    decides over the numbers, and its verdict, trail, and provenance land
-    on the explanation; a caller with a degraded estimate appends its own
-    note saying why.
-
-    Args:
-        stats: The statistics manager whose operator pins apply.
-        table: The queried (non-empty) relation.
-        query: The select.
-        sigma: Combined predicate × region selectivity.
-        effective_k: ``ceil(k / sigma)``, what the estimate was taken at.
-        cost_incremental: Estimated browsing cost in blocks.
-        estimate_tier: Tier that produced ``cost_incremental``
-            (``"estimate-cache"`` for a cache hit, ``""`` for a raw
-            estimator).
-        estimate_degraded: Whether a non-primary tier answered.
-        cache_hit: Estimate-cache outcome (``None`` when disabled).
-    """
-    cost_filter = float(table.index.num_blocks)
-    # Browsing can never scan more than every block once.
-    cost_incremental = min(cost_incremental, cost_filter)
-    alternatives: dict[str, float] = {
-        FilterThenKnnOperator.name: cost_filter,
-        IncrementalKnnOperator.name: cost_incremental,
-    }
-    # Ties resolve toward the earlier entry; the full scan's sequential
-    # pattern beats random-access browsing at equal block counts, and
-    # the pruned browser dominates the plain one whenever applicable.
-    order = [FilterThenKnnOperator.name, IncrementalKnnOperator.name]
-    if query.region is not None:
-        # Region pruning bounds browsing by the blocks inside the region.
-        region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
-        alternatives[RegionPrunedKnnOperator.name] = min(
-            cost_incremental, region_blocks
-        )
-        order.insert(1, RegionPrunedKnnOperator.name)
-    explanation = PlanExplanation(
-        chosen="",
+    record = arbitrate(kind, table, alternatives, tie_order, stats.pinned_operators)
+    return PlanExplanation(
+        chosen=record.operator,
         alternatives=alternatives,
-        effective_k=effective_k,
-        selectivity=sigma,
-        estimator_tier=estimate_tier,
-        degraded=estimate_degraded,
-        cache_hit=cache_hit,
-        kernel_backend=active_backend(),
+        decided_by=record.link,
+        trail=[record],
+        **fields,
     )
-    _decide(stats, explanation, "select", query.table, tuple(order))
-    return explanation
 
 
-def _select_operator_for(chosen: str, table, query: KnnSelectQuery):
-    """Instantiate the physical operator the arbitration picked."""
-    if chosen == RegionPrunedKnnOperator.name:
-        return RegionPrunedKnnOperator(table, query)
-    if chosen == IncrementalKnnOperator.name:
-        return IncrementalKnnOperator(table, query)
-    return FilterThenKnnOperator(table, query)
+def _effective_ks(ks, sigmas: np.ndarray | None) -> np.ndarray:
+    """k′ per query: ``max(k, ceil(k / σ))``, saturated at ``2**63 - 1``.
+
+    Exactly ``k`` where σ = 1 (or ``sigmas`` is ``None``) — no float
+    round trip, so a k past 2**53 plans at itself — and never below
+    ``k`` elsewhere.  The ceiling is taken in float64 and saturated
+    before the int64 cast, which would otherwise wrap.
+    """
+    out = np.array(ks, dtype=np.int64)
+    if sigmas is None:
+        return out
+    scaled = np.flatnonzero(sigmas < 1.0)
+    if scaled.size:
+        raw = np.ceil(out[scaled] / sigmas[scaled])
+        fits = raw < 2.0**63
+        widened = np.full(scaled.size, K_CEILING, dtype=np.int64)
+        widened[fits] = raw[fits]
+        out[scaled] = np.maximum(out[scaled], widened)
+    return out
 
 
-def plan_select_batch(
+def physical_operator(stats: StatisticsManager, query, explanation: PlanExplanation):
+    """The physical operator that runs ``query`` the way ``explanation`` chose."""
+    if isinstance(query, KnnJoinQuery):
+        outer, inner = stats.table(query.outer), stats.table(query.inner)
+        if explanation.chosen == LocalityJoinOperator.name:
+            return LocalityJoinOperator(
+                outer, inner, query, selectivity=explanation.selectivity
+            )
+        return PerPointSelectsOperator(outer, inner, query)
+    table = stats.table(query.table)
+    if isinstance(query, RangeQuery):
+        return IndexRangeScanOperator(table, query)
+    return _SELECT_OPERATORS[explanation.chosen](table, query)
+
+
+def explain_select_batch(
     stats: StatisticsManager, queries: list[KnnSelectQuery]
-) -> list[tuple[object, PlanExplanation]]:
+) -> list[PlanExplanation]:
     """Plan a batch of k-NN selects: the only select planner.
 
-    The per-call statistics work is paid once per *table*: one
-    estimator resolution, one snapshot access, and one batched
-    ``estimate_batch`` call covering every query against that table
-    (routed through the estimate cache when enabled, which replays a
-    one-by-one loop's hit/miss sequence).  A single query is the batch
-    of one (:func:`plan_select`).
+    Each table's group is planned as arrays: σ (computed only for rows
+    with a predicate or a region), k′, one batched ``estimate_batch``
+    call (routed through the estimate cache when enabled, which replays
+    a one-by-one loop's hit/miss sequence) and one cost comparison
+    (:func:`assemble_select_explanations`).  Per query, Python builds
+    only the explanation.  A single query is the batch of one.
 
     Args:
         stats: The statistics manager.
         queries: The batch, in serving order (any mix of tables).
 
     Returns:
-        ``(operator, explanation)`` pairs aligned with ``queries``.
+        Explanations aligned with ``queries``.
     """
-    plans: list[tuple[object, PlanExplanation] | None] = [None] * len(queries)
+    explanations: list[PlanExplanation] = [None] * len(queries)  # type: ignore[list-item]
     by_table: dict[str, list[int]] = {}
     for i, query in enumerate(queries):
         by_table.setdefault(query.table, []).append(i)
     for name, indices in by_table.items():
-        table = stats.table(name)
-        if table.n_rows == 0:
-            # Nothing to scan: either plan is a no-op; pick the trivial scan.
-            for i in indices:
-                plans[i] = (
-                    FilterThenKnnOperator(table, queries[i]),
-                    _plan_trivial_select(stats, queries[i]),
-                )
-            continue
-        sigmas = np.empty(len(indices), dtype=float)
-        effective_ks = np.empty(len(indices), dtype=np.int64)
-        for j, i in enumerate(indices):
-            query = queries[i]
+        group = [queries[i] for i in indices]
+        planned = _explain_select_group(stats, name, group)
+        for i, explanation in zip(indices, planned):
+            explanations[i] = explanation
+    return explanations
+
+
+def _explain_select_group(
+    stats: StatisticsManager, name: str, group: list[KnnSelectQuery]
+) -> list[PlanExplanation]:
+    """Plan every select of one table."""
+    table = stats.table(name)
+    n = len(group)
+    if table.n_rows == 0:
+        # Nothing to scan: either plan is a no-op; the trivial scan is
+        # the one candidate (still arbitrated, so pins are noted).
+        decisions = arbitrate_batch(
+            "select",
+            name,
+            np.zeros((n, 1)),
+            (FilterThenKnnOperator.name,),
+            stats.pinned_operators,
+        )
+        return [
+            PlanExplanation(
+                chosen=record.operator,
+                alternatives={FilterThenKnnOperator.name: 0.0},
+                effective_k=query.k,
+                decided_by=record.link,
+                trail=[record],
+            )
+            for query, record in zip(group, decisions)
+        ]
+    sigmas = np.ones(n)
+    filtered = False
+    for j, query in enumerate(group):
+        if query.predicate is not None or query.region is not None:
             sigma = stats.predicate_selectivity(name, query.predicate)
             sigma *= stats.region_selectivity(name, query.region)
-            sigma = min(max(sigma, 1.0 / max(table.n_rows, 1)), 1.0)
-            sigmas[j] = sigma
-            effective_ks[j] = int(math.ceil(query.k / sigma))
-        pts = np.array(
-            [[queries[i].query.x, queries[i].query.y] for i in indices], dtype=float
-        )
-        estimator = stats.select_estimator_for_planning(name)
-        costs, hits, outcomes = stats.estimate_select_costs_batch(
-            name, estimator, pts, effective_ks
-        )
-        preprocessing: dict[str, float] = {}
-        prep_stats = getattr(estimator, "preprocessing_stats", None)
-        if prep_stats is not None:
-            preprocessing = prep_stats.as_dict()
-        for j, i in enumerate(indices):
-            query = queries[i]
-            hit = bool(hits[j]) if hits is not None else None
-            # Shared provenance: per-query tier labels backed by the
-            # one batch-call attempt record.
-            if hit:
-                # The estimator never ran; label the answer's real source.
-                tier, degraded = "estimate-cache", False
-            elif outcomes[j] is not None:
-                tier, degraded = outcomes[j].tier, outcomes[j].degraded
-            else:
-                tier, degraded = "", False
-            explanation = assemble_select_explanation(
-                stats,
-                table,
-                query,
-                float(sigmas[j]),
-                int(effective_ks[j]),
-                float(costs[j]),
-                estimate_tier=tier,
-                estimate_degraded=degraded,
+            sigmas[j] = min(max(sigma, 1.0 / table.n_rows), 1.0)
+            filtered = True
+    effective_ks = _effective_ks([query.k for query in group], sigmas if filtered else None)
+    pts = np.array([(query.query.x, query.query.y) for query in group], dtype=float)
+    estimator = stats.select_estimator_for_planning(name)
+    costs, hits, provenance = stats.estimate_select_costs_batch(
+        name, estimator, pts, effective_ks
+    )
+    prep_stats = getattr(estimator, "preprocessing_stats", None)
+    explanations = assemble_select_explanations(
+        stats,
+        table,
+        sigmas,
+        effective_ks,
+        costs,
+        provenance.tiers,
+        provenance.degraded,
+        regions=[query.region for query in group] if filtered else None,
+        cache_hits=hits,
+        preprocessing=None if prep_stats is None else prep_stats.as_dict(),
+    )
+    for j in np.flatnonzero(provenance.degraded).tolist():
+        explanations[j].notes.append(provenance.outcome_for(j).describe())
+    return explanations
+
+
+def assemble_select_explanations(
+    stats: StatisticsManager,
+    table,
+    sigmas,
+    effective_ks,
+    costs,
+    tiers: list[str],
+    degraded,
+    *,
+    regions=None,
+    cache_hits: np.ndarray | None = None,
+    preprocessing: dict[str, float] | None = None,
+) -> list[PlanExplanation]:
+    """Arbitrate one relation's selects and build their explanations.
+
+    The one place a k-NN-Select's candidates, full-scan clamp and tie
+    order are spelled: everything after the browsing estimates is in
+    hand.  :func:`explain_select_batch` calls it with the statistics
+    manager's estimates; the data-shard serving coordinator calls it
+    with the cross-shard merged estimates, the worst answering tiers
+    and the merged degraded flags.  One
+    :func:`~repro.optimizer.selection.arbitrate_batch` over the
+    ``(n, 3)`` cost matrix decides every row (a row without a region
+    has no ``region-pruned-knn`` column); per query only the
+    explanation is built.  A caller with degraded estimates appends
+    its own note saying why.
+
+    Args:
+        stats: The statistics manager whose operator pins apply.
+        table: The queried (non-empty) relation.
+        sigmas: ``(n,)`` combined predicate × region selectivities.
+        effective_ks: ``(n,)`` k′, what the estimates were taken at.
+        costs: ``(n,)`` estimated browsing costs in blocks.
+        tiers: The tier that produced each cost (``"estimate-cache"``
+            for a cache hit, ``""`` for a raw estimator).
+        degraded: ``(n,)`` whether a non-primary tier answered.
+        regions: Per-query region or ``None``; omit when none has one.
+        cache_hits: ``(n,)`` estimate-cache outcomes (``None`` when the
+            cache is disabled).
+        preprocessing: The costing estimator's preprocessing
+            instrumentation, copied onto every row the cache did not
+            answer.
+    """
+    n = len(tiers)
+    cost_filter = float(table.index.num_blocks)
+    # Columns in SELECT_TIE_ORDER; a row without a region has no
+    # region-pruned candidate (+inf).
+    matrix = np.empty((n, 3))
+    matrix[:, 0] = cost_filter
+    matrix[:, 1] = np.inf
+    # Browsing can never scan more than every block once.
+    incremental = np.minimum(costs, cost_filter, out=matrix[:, 2])
+    for j, region in enumerate(regions or ()):
+        if region is not None:
+            # Region pruning bounds browsing by the blocks inside the region.
+            region_blocks = float(table.snapshot.overlapping(region).shape[0])
+            matrix[j, 1] = min(incremental[j], region_blocks)
+    decisions = arbitrate_batch(
+        "select", table.name, matrix, SELECT_TIE_ORDER, stats.pinned_operators
+    )
+    backend = active_backend()
+    hits = [None] * n if cache_hits is None else cache_hits.tolist()
+    explanations = []
+    for record, (__, pruned_cost, browse), k, sigma, tier, is_degraded, hit in zip(
+        decisions,
+        matrix.tolist(),
+        np.asarray(effective_ks).tolist(),
+        np.asarray(sigmas).tolist(),
+        tiers,
+        np.asarray(degraded).tolist(),
+        hits,
+    ):
+        alternatives = {
+            FilterThenKnnOperator.name: cost_filter,
+            IncrementalKnnOperator.name: browse,
+        }
+        if pruned_cost != np.inf:
+            alternatives[RegionPrunedKnnOperator.name] = pruned_cost
+        explanations.append(
+            PlanExplanation(
+                chosen=record.operator,
+                alternatives=alternatives,
+                effective_k=k,
+                selectivity=sigma,
+                estimator_tier=tier,
+                degraded=is_degraded,
+                preprocessing=dict(preprocessing) if preprocessing and not hit else {},
                 cache_hit=hit,
+                kernel_backend=backend,
+                decided_by=record.link,
+                trail=[record],
             )
-            if degraded:
-                explanation.notes.append(outcomes[j].describe())
-            if not hit:
-                explanation.preprocessing.update(preprocessing)
-            plans[i] = (
-                _select_operator_for(explanation.chosen, table, query),
-                explanation,
-            )
-    return plans  # type: ignore[return-value]
+        )
+    return explanations
 
 
-def plan_range(
-    stats: StatisticsManager, query: RangeQuery
-) -> tuple[IndexRangeScanOperator, PlanExplanation]:
+def explain_range(stats: StatisticsManager, query: RangeQuery) -> PlanExplanation:
     """Plan a range select (one QEP — its cost is fixed by the region).
 
     Included so ``EXPLAIN`` covers the range operator the paper
@@ -385,14 +434,15 @@ def plan_range(
         cost = 0.0
     sigma = stats.predicate_selectivity(query.table, query.predicate)
     sigma *= stats.region_selectivity(query.table, query.region)
-    explanation = PlanExplanation(
-        chosen="",
-        alternatives={IndexRangeScanOperator.name: cost},
+    return _arbitrated(
+        stats,
+        "range",
+        query.table,
+        {IndexRangeScanOperator.name: cost},
+        (IndexRangeScanOperator.name,),
         effective_k=0,
         selectivity=sigma,
     )
-    _decide(stats, explanation, "range", query.table, (IndexRangeScanOperator.name,))
-    return IndexRangeScanOperator(table, query), explanation
 
 
 def per_point_selects_cost(
@@ -416,25 +466,23 @@ def per_point_selects_cost(
     return float(np.mean(per_select)) * n
 
 
-def plan_join(
-    stats: StatisticsManager, query: KnnJoinQuery
-) -> tuple[LocalityJoinOperator | PerPointSelectsOperator, PlanExplanation]:
+def explain_join(stats: StatisticsManager, query: KnnJoinQuery) -> PlanExplanation:
     """Choose between the block-by-block join and per-point selects."""
     outer = stats.table(query.outer)
     inner = stats.table(query.inner)
     if outer.n_rows == 0 or inner.n_rows == 0:
         # Degenerate join: zero work either way.
-        explanation = PlanExplanation(
-            chosen="",
-            alternatives={PerPointSelectsOperator.name: 0.0},
+        return _arbitrated(
+            stats,
+            "join",
+            query.outer,
+            {PerPointSelectsOperator.name: 0.0},
+            (PerPointSelectsOperator.name,),
             effective_k=query.k,
-            selectivity=1.0,
         )
-        _decide(stats, explanation, "join", query.outer, (PerPointSelectsOperator.name,))
-        return PerPointSelectsOperator(outer, inner, query), explanation
     sigma = stats.predicate_selectivity(query.inner, query.inner_predicate)
     sigma = min(max(sigma, 1.0 / max(inner.n_rows, 1)), 1.0)
-    effective_k = int(math.ceil(query.k / sigma))
+    effective_k = int(_effective_ks([query.k], np.array([sigma]))[0])
 
     join_estimator = stats.join_estimator_for_planning(query.outer, query.inner)
     try:
@@ -462,26 +510,22 @@ def plan_join(
         None if sampled is None else sampled.outcome_for(len(sampled.tiers) - 1)
     )
 
-    explanation = PlanExplanation(
-        chosen="",
-        alternatives={
+    explanation = _arbitrated(
+        stats,
+        "join",
+        query.outer,
+        {
             LocalityJoinOperator.name: cost_join,
             PerPointSelectsOperator.name: cost_selects,
         },
+        (LocalityJoinOperator.name, PerPointSelectsOperator.name),
         effective_k=effective_k,
         selectivity=sigma,
-    )
-    _decide(
-        stats,
-        explanation,
-        "join",
-        query.outer,
-        (LocalityJoinOperator.name, PerPointSelectsOperator.name),
     )
     if explanation.chosen == LocalityJoinOperator.name:
         _record_provenance(explanation, join_outcome)
         _record_preprocessing(explanation, join_estimator)
-        return LocalityJoinOperator(outer, inner, query, selectivity=sigma), explanation
-    _record_provenance(explanation, select_outcome)
-    _record_preprocessing(explanation, select_estimator)
-    return PerPointSelectsOperator(outer, inner, query), explanation
+    else:
+        _record_provenance(explanation, select_outcome)
+        _record_preprocessing(explanation, select_estimator)
+    return explanation

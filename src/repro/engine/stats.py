@@ -49,7 +49,11 @@ from repro.index.snapshot import IndexSnapshot
 from repro.optimizer.selection import normalize_pins
 from repro.perf import resolve_workers
 from repro.resilience.errors import StaleCatalogError
-from repro.resilience.fallback import FallbackJoinEstimator, FallbackSelectEstimator
+from repro.resilience.fallback import (
+    FallbackBatchOutcome,
+    FallbackJoinEstimator,
+    FallbackSelectEstimator,
+)
 
 JoinTechnique = Literal["catalog-merge", "virtual-grid"]
 StalenessPolicy = Literal["rebuild", "raise"]
@@ -500,7 +504,7 @@ class StatisticsManager:
         estimator: SelectCostEstimator,
         pts: np.ndarray,
         ks: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray | None, list]:
+    ) -> tuple[np.ndarray, np.ndarray | None, FallbackBatchOutcome]:
         """Estimate one table's select costs, consulting the estimate cache.
 
         With the cache disabled this is exactly one
@@ -512,27 +516,32 @@ class StatisticsManager:
         call).
 
         Returns:
-            ``(costs, hits, outcomes)`` — ``hits`` is ``None`` when the
-            cache is disabled, else a per-query bool mask; ``outcomes``
-            holds one per-query
-            :class:`~repro.resilience.fallback.FallbackOutcome` (or
-            ``None`` for cache hits and raw estimators), so the planner
-            can attach the right provenance to every explanation even
-            when only a sub-batch reached the estimator.
+            ``(costs, hits, provenance)`` — ``hits`` is ``None`` when the
+            cache is disabled, else a per-query bool mask;
+            ``provenance`` is a
+            :class:`~repro.resilience.fallback.FallbackBatchOutcome`
+            over the whole batch: per query the tier that answered
+            (``"estimate-cache"`` for a hit, ``""`` for a raw
+            estimator) and whether it degraded, with the attempts of
+            the one estimator call.
         """
         cache = self.estimate_cache
+        m = pts.shape[0]
         if cache is None:
             costs = np.asarray(estimator.estimate_batch(pts, ks), dtype=float)
-            outcomes = self._batch_outcomes(estimator, list(range(pts.shape[0])), pts.shape[0])
-            return costs, None, outcomes
+            provenance = getattr(estimator, "last_batch_outcome", None)
+            if provenance is None:
+                provenance = FallbackBatchOutcome([""] * m, np.zeros(m, dtype=bool))
+            return costs, None, provenance
         table = self.table(name)
         generation = int(getattr(table.index, "data_generation", 0))
         self._sync_cache_generation(name, table, generation)
         keys = cache.keys_for(name, generation, pts, ks, table.index.bounds)
-        m = pts.shape[0]
         costs = np.empty(m, dtype=float)
         hits = np.zeros(m, dtype=bool)
-        outcomes: list = [None] * m
+        tiers = np.full(m, "", dtype=object)
+        degraded = np.zeros(m, dtype=bool)
+        attempts: list = []
         first_of_key: dict[object, int] = {}
         pending: list[int] = []
         aliases: list[tuple[int, int]] = []  # (query, first occurrence)
@@ -559,27 +568,16 @@ class StatisticsManager:
             costs[idx] = values
             for i, value in zip(pending, values):
                 cache.put(keys[i], float(value))
-            for position, outcome in zip(
-                pending, self._batch_outcomes(estimator, pending, len(pending))
-            ):
-                outcomes[position] = outcome
+            answered = getattr(estimator, "last_batch_outcome", None)
+            if answered is not None:
+                tiers[idx] = answered.tiers
+                degraded[idx] = answered.degraded
+                attempts = answered.attempts
         for i, j in aliases:
             costs[i] = costs[j]
-        return costs, hits, outcomes
-
-    @staticmethod
-    def _batch_outcomes(
-        estimator: SelectCostEstimator, positions: list[int], n: int
-    ) -> list:
-        """Per-query fallback provenance of the last batch call.
-
-        Raw estimators (``fallback=False``) carry no batch outcome and
-        yield ``None`` throughout.
-        """
-        batch_outcome = getattr(estimator, "last_batch_outcome", None)
-        if batch_outcome is None:
-            return [None] * len(positions)
-        return [batch_outcome.outcome_for(j) for j in range(n)]
+        # The estimator never ran for a hit; label the answer's real source.
+        tiers[hits] = "estimate-cache"
+        return costs, hits, FallbackBatchOutcome(tiers.tolist(), degraded, attempts)
 
     def estimate_select_provenance(
         self, name: str, pts: np.ndarray, ks: np.ndarray
@@ -589,28 +587,16 @@ class StatisticsManager:
         The data-shard serving tier's estimate round: each shard
         estimates its *local* browse costs and ships per-query
         ``(costs, tiers, degraded)`` to the coordinator, which sums the
-        costs and keeps the worst tier across shards — the same labels
-        :func:`~repro.engine.planner.plan_select_batch` would attach
+        costs and keeps the worst tier across shards — the labels of
+        :meth:`estimate_select_costs_batch`'s provenance
         ("estimate-cache" on a cache hit, the answering fallback tier
         otherwise, ``""`` for a raw estimator).
         """
         estimator = self.select_estimator_for_planning(name)
-        costs, hits, outcomes = self.estimate_select_costs_batch(
+        costs, __, provenance = self.estimate_select_costs_batch(
             name, estimator, np.asarray(pts, dtype=float), np.asarray(ks)
         )
-        tiers: list[str] = []
-        degraded: list[bool] = []
-        for j in range(costs.shape[0]):
-            if hits is not None and bool(hits[j]):
-                tiers.append("estimate-cache")
-                degraded.append(False)
-            elif outcomes[j] is not None:
-                tiers.append(outcomes[j].tier)
-                degraded.append(bool(outcomes[j].degraded))
-            else:
-                tiers.append("")
-                degraded.append(False)
-        return costs, tiers, degraded
+        return costs, list(provenance.tiers), provenance.degraded.tolist()
 
     def join_estimator_for_planning(self, outer: str, inner: str) -> JoinCostEstimator:
         """What the planner costs joins with (chain, or raw if disabled)."""

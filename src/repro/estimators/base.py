@@ -32,15 +32,33 @@ def normalize_batch_args(queries, ks) -> tuple[np.ndarray, np.ndarray]:
         ValueError: If the lengths disagree.
         InvalidQueryError: If ``ks`` is not integer-typed (mirrors the
             scalar path, where ``require_valid_k`` rejects non-integral
-            k values).
+            k values), or if a k exceeds ``2**63 - 1`` (named as the
+            caller gave it, at the first offender).
     """
+    # Deferred import: resilience.fallback subclasses this module's
+    # ABCs, so a module-level import would be circular.
+    from repro.resilience.errors import InvalidQueryError
+    from repro.resilience.guards import (
+        K_CEILING,
+        require_finite_coordinates,
+        require_valid_k,
+    )
+
     pts = np.asarray(queries, dtype=float).reshape(-1, 2)
+    if isinstance(ks, np.ndarray):
+        given = ks.reshape(-1).tolist() if ks.dtype.kind in "uO" else []
+    else:
+        given = list(ks) if isinstance(ks, (list, tuple)) else [ks]
+    if any(type(k) is int and k > K_CEILING for k in given):
+        # numpy would wrap, round or refuse a k past int64: reject the
+        # caller's k where a scalar loop would, coordinates first.
+        if len(given) == 1:
+            given *= len(pts)
+        for (x, y), k in zip(pts.tolist(), given):
+            require_finite_coordinates(x, y)
+            require_valid_k(k)
     raw_ks = np.asarray(ks)
     if raw_ks.dtype == np.bool_ or not np.issubdtype(raw_ks.dtype, np.integer):
-        # Deferred import: resilience.fallback subclasses this module's
-        # ABCs, so a module-level import would be circular.
-        from repro.resilience.errors import InvalidQueryError
-
         raise InvalidQueryError(
             f"k values must be integers, got dtype {raw_ks.dtype}"
         )

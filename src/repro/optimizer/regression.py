@@ -288,7 +288,7 @@ def _run_batch(dataset: str, substrate: str) -> dict:
 
 
 def _run_join(dataset: str, substrate: str) -> dict:
-    """Locality join vs. per-point selects, costed as ``plan_join`` costs them."""
+    """Locality join vs. per-point selects, costed as ``explain_join`` costs them."""
     outer_points = _part(dataset, "outer")
     outer_index = _index(dataset, "outer", substrate)
     inner_index = _index(dataset, "inner", substrate)

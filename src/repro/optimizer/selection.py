@@ -2,18 +2,21 @@
 
 The paper's cost estimates exist to drive *plan choice* — filter-then-kNN
 versus incremental distance browsing, many independent selects versus
-one shared k-NN-Join.  :func:`arbitrate` is that choice: the candidate
-with the least estimated block cost wins, ties going toward a preference
-order, unless an operator pin (experiments, tests, the CLI's
-``--pin-operator``) forces one.  It returns one :class:`LinkDecision`
-naming the rule that decided, which the planner stores as
+one shared k-NN-Join.  :func:`arbitrate_batch` is that choice over a
+cost matrix, one row per plan: the candidate with the least estimated
+block cost wins, ties going toward a preference order, unless an
+operator pin (experiments, tests, the CLI's ``--pin-operator``) forces
+one.  Each row gets one :class:`LinkDecision` naming the rule that
+decided, which the planner stores as
 :class:`~repro.engine.planner.PlanExplanation`'s ``decided_by`` and
 ``trail`` — ``EXPLAIN`` then shows *why* a plan won, not just its cost.
+:func:`arbitrate` is the batch of one.
 
 Arbitration is called from one place, :mod:`repro.engine.planner` (the
 serving coordinator arbitrates through the planner's select assembly),
 plus the golden corpus of :mod:`repro.optimizer.regression`, which hands
-it candidates costed on substrates the engine does not plan over.  The
+:func:`arbitrate` candidates costed on substrates the engine does not
+plan over.  The
 golden plan-regression suite (``tests/plan_regression/``, regenerated
 with ``python -m repro.optimizer.regression --update``) pins the
 decisions.
@@ -21,8 +24,12 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Operator-name vocabulary.
@@ -52,6 +59,9 @@ KNOWN_OPERATORS: dict[str, tuple[str, ...]] = {
 #: Wildcard table name in pin specifications.
 PIN_ANY_TABLE = "*"
 
+#: Bit ``j`` set when a cost-matrix row has the candidate of column ``j``.
+_COLUMN_BITS = 1 << np.arange(62)
+
 
 @dataclass(frozen=True)
 class LinkDecision:
@@ -64,15 +74,17 @@ class LinkDecision:
         operator: The chosen operator.
         note: Human-readable rationale, including rejected candidates
             and their costs.
-        elapsed_us: Wall-clock the arbitration took, microseconds
-            (stamped by the planner; 0.0 when unstamped).
+        elapsed_us: This decision's share of the arbitration's
+            wall-clock, microseconds (the batch's time over its rows;
+            0.0 when unstamped).  Not part of equality: two records
+            of the same decision compare equal.
     """
 
     link: str
     action: str
     operator: str
     note: str = ""
-    elapsed_us: float = 0.0
+    elapsed_us: float = field(default=0.0, compare=False)
 
     def describe(self) -> str:
         """One line for ``EXPLAIN`` output."""
@@ -165,15 +177,10 @@ def arbitrate(
     tie_order: tuple[str, ...],
     pins: Mapping[tuple[str, str], str] | None = None,
 ) -> LinkDecision:
-    """Choose one operator among ``candidates``.
+    """Choose one operator among ``candidates``: the batch of one.
 
-    An applicable pin wins — an exact ``(table, kind)`` pin over the
-    ``(*, kind)`` wildcard; a pin naming an operator this query cannot
-    use (e.g. ``region-pruned-knn`` without a region) is noted and
-    skipped.  Otherwise the least estimated block cost wins and equal
-    costs resolve toward the earlier entry of ``tie_order`` (a full
-    scan's sequential pattern beats random-access browsing at equal
-    block counts; a region-pruned browser dominates the plain one).
+    :func:`arbitrate_batch` over a one-row matrix of the candidates that
+    appear in ``tie_order`` (others are ignored).
 
     Args:
         kind: ``"select"``, ``"join"``, ``"range"`` or ``"batch"`` (the
@@ -186,34 +193,105 @@ def arbitrate(
     Raises:
         ValueError: If no candidate appears in ``tie_order``.
     """
-    order = [name for name in tie_order if name in candidates]
+    order = tuple(name for name in tie_order if name in candidates)
     if not order:
         raise ValueError(
             f"no candidates to arbitrate for kind {kind!r} "
             f"(tie_order {tie_order!r}, candidates {sorted(candidates)!r})"
         )
-    # ``min`` keeps the first of equal keys: ties go toward ``tie_order``.
-    best = min(order, key=candidates.__getitem__)
+    (decision,) = arbitrate_batch(
+        kind, table, [[candidates[name] for name in order]], order, pins
+    )
+    return decision
+
+
+def arbitrate_batch(
+    kind: str,
+    table: str,
+    costs,
+    tie_order: tuple[str, ...],
+    pins: Mapping[tuple[str, str], str] | None = None,
+) -> list[LinkDecision]:
+    """Choose one operator per row of a cost matrix.
+
+    An applicable pin wins — an exact ``(table, kind)`` pin over the
+    ``(*, kind)`` wildcard, looked up once for the whole matrix; a pin
+    naming an operator a row does not have (e.g. ``region-pruned-knn``
+    without a region) is noted and skipped.  Otherwise the least
+    estimated block cost wins and equal costs resolve toward the earlier
+    column — ``argmin`` keeps the first of equal values (a full scan's
+    sequential pattern beats random-access browsing at equal block
+    counts; a region-pruned browser dominates the plain one).
+
+    One clock pair spans the whole matrix: every record's
+    ``elapsed_us`` is its row's share of the arbitration's wall-clock.
+
+    Args:
+        kind: As for :func:`arbitrate`.
+        table: As for :func:`arbitrate`.
+        costs: ``(n, len(tie_order))`` estimated block costs, columns in
+            ``tie_order``; ``+inf`` marks a candidate the row does not
+            have.
+        tie_order: The columns' operator names, in preference order.
+        pins: Normalized pins (:func:`normalize_pins`), or ``None``.
+
+    Raises:
+        ValueError: If a row has no candidate.
+    """
+    tick = time.perf_counter()
+    width = len(tie_order)
+    costs = np.asarray(costs, dtype=float).reshape(-1, width)
+    if costs.shape[0] == 0:
+        return []
+    # A row's verdict is fixed by its candidate set and its winner: key
+    # rows by both, so each verdict is worded once and filled per row.
+    keys = ((costs != np.inf).dot(_COLUMN_BITS[:width]) * width + costs.argmin(1)).tolist()
     pin = None
     if pins:
         pin = pins.get((table, kind)) or pins.get((PIN_ANY_TABLE, kind))
-    if pin is not None and pin in candidates:
-        return LinkDecision(
-            "pinned-override",
-            "pinned",
-            pin,
-            f"forced {pin!r} for ({table!r}, {kind!r}); cost arbitration "
-            f"would have chosen {best!r} at {candidates[best]:.1f} blocks",
-        )
-    note = f"chose {best!r} at {candidates[best]:.1f} blocks"
-    rejected = ", ".join(
-        f"{name} at {candidates[name]:.1f}" for name in order if name != best
-    )
-    if rejected:
-        note += f" (rejected {rejected})"
+    verdicts = {
+        key: _verdict(kind, table, tie_order, pin, *divmod(key, width)) for key in set(keys)
+    }
+    chosen = [verdicts[key] for key in keys]
+    notes = [
+        template.format(*pick(row))
+        for (__, __, __, template, pick), row in zip(chosen, costs.tolist())
+    ]
+    elapsed_us = (time.perf_counter() - tick) * 1e6 / len(keys)
+    return [
+        LinkDecision(link, action, operator, note, elapsed_us)
+        for (link, action, operator, __, __), note in zip(chosen, notes)
+    ]
+
+
+def _verdict(kind: str, table: str, tie_order: tuple[str, ...], pin, code: int, best: int):
+    """``(link, action, operator, note template, row picker)`` of one verdict.
+
+    ``code`` holds the row's candidate columns as bits and ``best`` is
+    its cheapest column; the template's fields are filled with
+    ``pick(row)`` — the winner's cost, then the rejected candidates'.
+
+    Raises:
+        ValueError: If the row has no candidate.
+    """
+    if code == 0:
+        raise ValueError(f"no candidates to arbitrate for kind {kind!r} (tie_order {tie_order!r})")
+    columns = [j for j in range(len(tie_order)) if code >> j & 1]
+    others = [j for j in columns if j != best]
+    chose = f"{_literal(repr(tie_order[best]))} at {{0:.1f}} blocks"
+    if pin in tie_order and tie_order.index(pin) in columns:
+        forced = f"forced {pin!r} for ({table!r}, {kind!r}); cost arbitration would have chosen "
+        return "pinned-override", "pinned", pin, _literal(forced) + chose, itemgetter(best, best)
+    note = "chose " + chose
+    if others:
+        rejected = (f"{_literal(tie_order[j])} at {{{i}:.1f}}" for i, j in enumerate(others, 1))
+        note += f" (rejected {', '.join(rejected)})"
     if pin is not None:
-        note += (
-            f"; pin {pin!r} not applicable here "
-            f"(candidates: {', '.join(sorted(candidates))})"
-        )
-    return LinkDecision("cost-based", "chose", best, note)
+        names = ", ".join(sorted(tie_order[j] for j in columns))
+        note += _literal(f"; pin {pin!r} not applicable here (candidates: {names})")
+    return "cost-based", "chose", tie_order[best], note, itemgetter(best, *others or [best])
+
+
+def _literal(text: str) -> str:
+    """``text`` escaped for use inside a ``str.format`` template."""
+    return text.replace("{", "{{").replace("}", "}}")

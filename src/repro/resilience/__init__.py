@@ -39,6 +39,7 @@ from repro.resilience.guards import (
     guard_estimate_inputs,
     guard_join_query,
     guard_range_query,
+    guard_select_batch,
     guard_select_query,
     require_finite_coordinates,
     require_valid_k,
@@ -69,6 +70,7 @@ __all__ = [
     "OverloadError",
     "ShardExhaustedError",
     "guard_select_query",
+    "guard_select_batch",
     "guard_join_query",
     "guard_range_query",
     "guard_estimate_batch",

@@ -31,6 +31,10 @@ from repro.resilience.errors import InvalidQueryError
 #: density there, and a typo'd coordinate is the most likely cause).
 FAR_QUERY_DIAGONALS = 4.0
 
+#: The largest k a query may ask for: batches carry k as int64, and a
+#: larger value would wrap instead of planning.
+K_CEILING = 2**63 - 1
+
 
 def require_finite_coordinates(x: float, y: float, what: str = "query point") -> None:
     """Reject non-finite coordinates with a typed error.
@@ -45,15 +49,18 @@ def require_finite_coordinates(x: float, y: float, what: str = "query point") ->
 
 
 def require_valid_k(k: int, what: str = "k") -> None:
-    """Reject non-positive or non-integral k.
+    """Reject non-positive, non-integral or int64-overflowing k.
 
     Raises:
-        InvalidQueryError: If ``k`` is not a positive integer.
+        InvalidQueryError: If ``k`` is not an integer in
+            ``[1, K_CEILING]``.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise InvalidQueryError(f"{what} must be an integer, got {k!r}")
     if k < 1:
         raise InvalidQueryError(f"{what} must be >= 1, got {k}")
+    if k > K_CEILING:
+        raise InvalidQueryError(f"{what} must be <= 2**63 - 1, got {k}")
 
 
 def require_valid_region(region: Rect, strict: bool = False) -> list[str]:
@@ -138,13 +145,114 @@ def guard_select_query(query, n_rows: int, bounds: Rect | None, strict: bool = F
         InvalidQueryError: On inputs that cannot be answered (always)
             or suspicious ones (only when ``strict``).
     """
-    notes = check_query_point(query.query, bounds, strict)
-    notes += check_k_against_table(query.k, n_rows, strict)
-    if query.region is not None:
-        notes += require_valid_region(query.region, strict)
+    return _select_notes(query.query, query.k, query.region, n_rows, bounds, strict)
+
+
+def _select_notes(
+    point: Point, k, region: Rect | None, n_rows: int, bounds: Rect | None, strict: bool
+) -> list[str]:
+    """The scalar select rule: the focal point, then k, then the region."""
+    notes = check_query_point(point, bounds, strict)
+    notes += check_k_against_table(k, n_rows, strict)
+    if region is not None:
+        notes += require_valid_region(region, strict)
     if n_rows == 0:
         notes.append("relation is empty; the result is empty for every k")
     return notes
+
+
+def guard_select_batch(
+    points,
+    ks,
+    n_rows: int,
+    bounds: Rect | None,
+    strict: bool = False,
+    regions=None,
+) -> dict[int, list[str]]:
+    """:func:`guard_select_query` over one relation's selects at once.
+
+    One far-outside-bounds ``hypot`` over the batch (which a non-finite
+    coordinate fails too; one ``isfinite`` when the bounds have no
+    extent), and k validity and ``k > n_rows`` decided for the whole
+    group, flag the rows with anything to say; only those run the
+    scalar rule, so notes, error types and messages are exactly a
+    scalar loop's.  The first offender in batch order raises, and at
+    one query the coordinate check comes before the k check.
+
+    Args:
+        points: ``(m, 2)`` focal coordinates.
+        ks: The ``m`` k values as the queries carry them (their type
+            is part of the check).
+        n_rows: Row count of the queried relation.
+        bounds: Indexed bounds of the relation (``None`` when empty).
+        strict: Escalate suspicious inputs to errors.
+        regions: Per-query region or ``None``; omit when no query has
+            one.
+
+    Returns:
+        ``{row: notes}`` for the rows that have notes.
+
+    Raises:
+        InvalidQueryError: As a loop of :func:`guard_select_query`
+            would, at its first offender.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if n_rows == 0:
+        # Every row carries the empty-relation note.
+        ok = np.zeros(points.shape[0], dtype=bool)
+    else:
+        ok = _unremarkable_points(points, bounds)
+        k_flags = _k_flags(ks, min(n_rows, K_CEILING))
+        if k_flags is not None:
+            ok &= ~k_flags
+        if regions is not None and any(r is not None for r in regions):
+            ok &= [r is None or r.area != 0.0 for r in regions]
+    notes: dict[int, list[str]] = {}
+    if ok.all():
+        return notes
+    for j in np.flatnonzero(~ok).tolist():
+        x, y = points[j].tolist()
+        require_finite_coordinates(x, y)
+        region = None if regions is None else regions[j]
+        row = _select_notes(Point(x, y), ks[j], region, n_rows, bounds, strict)
+        if row:
+            notes[j] = row
+    return notes
+
+
+def _unremarkable_points(points: np.ndarray, bounds: Rect | None) -> np.ndarray:
+    """Rows :func:`check_query_point` certainly passes without a note.
+
+    Finite and, when the bounds have extent, within the far-outside
+    limit — one ``hypot`` over the batch.  A NaN or infinite coordinate
+    makes the distance NaN or infinite, which fails the ``<=``.
+    """
+    if bounds is None or bounds.diagonal == 0.0:
+        return np.isfinite(points).all(axis=1)
+    # Per axis max(lo - v, 0, v - hi), as the scalar rule spells it.
+    gap = np.subtract(points, (bounds.x_max, bounds.y_max))
+    np.maximum(gap, np.subtract((bounds.x_min, bounds.y_min), points), out=gap)
+    np.maximum(gap, 0.0, out=gap)
+    # np.hypot may sit an ulp from the scalar rule's math.hypot: draw
+    # the line a hair early and let the scalar rule decide the rest.
+    limit = FAR_QUERY_DIAGONALS * bounds.diagonal * (1.0 - 1e-9)
+    return np.hypot.reduce(gap, axis=1) <= limit
+
+
+def _k_flags(ks, limit: int) -> np.ndarray | None:
+    """Rows whose k is invalid or above ``limit`` (``None``: no row)."""
+    kinds = set(map(type, ks))
+    if bool not in kinds and all(issubclass(t, (int, np.integer)) for t in kinds):
+        if not kinds or 1 <= min(ks) and max(ks) <= limit:
+            return None
+        return np.array([not 1 <= k <= limit for k in ks], dtype=bool)
+    return np.array(
+        [
+            isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= limit
+            for k in ks
+        ],
+        dtype=bool,
+    )
 
 
 def guard_range_query(query, n_rows: int, strict: bool = False) -> list[str]:

@@ -62,8 +62,7 @@ from repro.engine.physical import (
     FilterThenKnnOperator,
     IncrementalKnnOperator,
 )
-from repro.engine.planner import PlanExplanation, assemble_select_explanation
-from repro.engine.queries import KnnSelectQuery
+from repro.engine.planner import PlanExplanation, assemble_select_explanations
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
 from repro.estimators.uniform_model import UniformModelEstimator
@@ -821,35 +820,29 @@ class ShardedServingTier:
             return rounds, gap_counts
         live = sorted(answers)
         estimates = {sid: answers[sid]["estimates"] for sid in live}
-        filter_pos: list[int] = []
-        inc_pos: list[int] = []
-        for i in range(m):
-            cost_inc, tier, est_degraded = merge_select_estimates(
+        merged = [
+            merge_select_estimates(
                 [estimates[sid][0][i] for sid in live],
                 [estimates[sid][1][i] for sid in live],
                 [estimates[sid][2][i] for sid in live],
                 self._guaranteed_bound,
             )
-            est_degraded = est_degraded or bool(dead)
-            k = int(ks[i])
-            # The planner's select assembly, over the merged estimate:
-            # the tier label is the worst shard's.
-            explanation = assemble_select_explanation(
-                self._arbiter,
-                self.table,
-                KnnSelectQuery(
-                    self.table.name, Point(float(pts[i, 0]), float(pts[i, 1])), k=k
-                ),
-                sigma=1.0,
-                effective_k=k,
-                cost_incremental=cost_inc,
-                estimate_tier=tier,
-                estimate_degraded=est_degraded,
-            )
-            if est_degraded:
+            for i in range(m)
+        ]
+        costs, tiers, est_degraded = (list(column) for column in zip(*merged))
+        est_degraded = np.asarray(est_degraded, dtype=bool) | bool(dead)
+        # The planner's select assembly, over the merged estimates: the
+        # tier label is the worst shard's.
+        chunk_plans = assemble_select_explanations(
+            self._arbiter, self.table, np.ones(m), ks, costs, tiers, est_degraded
+        )
+        filter_pos: list[int] = []
+        inc_pos: list[int] = []
+        for i, explanation in enumerate(chunk_plans):
+            if est_degraded[i]:
                 explanation.notes.append(
                     "merged shard estimates degraded (worst answering tier "
-                    f"{tier or 'unknown'!r})"
+                    f"{tiers[i] or 'unknown'!r})"
                 )
             explanations[chunk_idx[i]] = explanation
             if explanation.chosen == FilterThenKnnOperator.name:

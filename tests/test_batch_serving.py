@@ -13,7 +13,7 @@ layer:
 * the fallback chain's batch partitioning under injected faults —
   tier-wide exceptions move the whole pending sub-batch down, while
   per-element corruption moves only the offending elements;
-* ``plan_select_batch`` / ``explain_batch`` / ``execute_batch`` vs the
+* ``explain_select_batch`` / ``explain_batch`` / ``execute_batch`` vs the
   per-query engine loop, over a mixed workload (selects with predicates
   and regions, a range query, a join);
 * the batched incremental-k-NN executor vs the heap-based browser.
@@ -38,7 +38,7 @@ from repro.engine.physical import (
     IncrementalKnnOperator,
     execute_incremental_knn_batch,
 )
-from repro.engine.planner import plan_select, plan_select_batch
+from repro.engine.planner import explain_select_batch, physical_operator
 from repro.estimators import (
     DensityBasedEstimator,
     StaircaseEstimator,
@@ -498,11 +498,12 @@ class TestEngineBatchParity:
             stats.register(SpatialTable("t", pts, capacity=64))
             return stats
 
-        scalar_stats = build_stats()
-        scalar = [plan_select(scalar_stats, q) for q in queries]
-        batch = plan_select_batch(build_stats(), queries)
-        for i, ((op_s, ex_s), (op_b, ex_b)) in enumerate(zip(scalar, batch)):
-            assert type(op_s) is type(op_b), i
+        scalar_stats, batch_stats = build_stats(), build_stats()
+        scalar = [explain_select_batch(scalar_stats, [q])[0] for q in queries]
+        batch = explain_select_batch(batch_stats, queries)
+        for i, (query, ex_s, ex_b) in enumerate(zip(queries, scalar, batch)):
+            op_s = physical_operator(scalar_stats, query, ex_s)
+            assert type(op_s) is type(physical_operator(batch_stats, query, ex_b)), i
             assert ex_s.chosen == ex_b.chosen, i
             assert ex_s.alternatives == ex_b.alternatives, i
             assert ex_s.effective_k == ex_b.effective_k, i

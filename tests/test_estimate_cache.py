@@ -23,7 +23,7 @@ from repro.engine import (
     SpatialTable,
     StatisticsManager,
 )
-from repro.engine.planner import plan_select, plan_select_batch
+from repro.engine.planner import explain_select_batch
 from repro.geometry import Point, Rect
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
@@ -207,10 +207,10 @@ class TestStatisticsManagerIntegration:
 
     def test_replay_reports_hits(self, osm_points, queries):
         stats = _build_stats(osm_points, estimate_cache_size=4_096)
-        first = plan_select_batch(stats, queries)
-        second = plan_select_batch(stats, queries)
+        first = explain_select_batch(stats, queries)
+        second = explain_select_batch(stats, queries)
         assert stats.estimate_cache.hits >= len(queries)
-        for (__, ex1), (__, ex2) in zip(first, second):
+        for ex1, ex2 in zip(first, second):
             assert ex1.alternatives == ex2.alternatives
             assert ex2.cache_hit is True
             assert ex2.estimator_tier == "estimate-cache"
@@ -218,8 +218,8 @@ class TestStatisticsManagerIntegration:
     def test_scalar_replay_hits(self, osm_points, queries):
         stats = _build_stats(osm_points, estimate_cache_size=64)
         query = queries[0]
-        __, ex1 = plan_select(stats, query)
-        __, ex2 = plan_select(stats, query)
+        (ex1,) = explain_select_batch(stats, [query])
+        (ex2,) = explain_select_batch(stats, [query])
         assert ex1.cache_hit is False
         assert ex2.cache_hit is True
         assert ex2.estimator_tier == "estimate-cache"
@@ -228,21 +228,21 @@ class TestStatisticsManagerIntegration:
 
     def test_scalar_and_batch_paths_agree(self, osm_points, queries):
         scalar_stats = _build_stats(osm_points, estimate_cache_size=4_096)
-        scalar = [plan_select(scalar_stats, q) for q in queries]
+        scalar = [explain_select_batch(scalar_stats, [q])[0] for q in queries]
         batch_stats = _build_stats(osm_points, estimate_cache_size=4_096)
-        batch = plan_select_batch(batch_stats, queries)
+        batch = explain_select_batch(batch_stats, queries)
         assert (scalar_stats.estimate_cache.hits, scalar_stats.estimate_cache.misses) == (
             batch_stats.estimate_cache.hits,
             batch_stats.estimate_cache.misses,
         )
-        for i, ((__, ex_s), (__, ex_b)) in enumerate(zip(scalar, batch)):
+        for i, (ex_s, ex_b) in enumerate(zip(scalar, batch)):
             assert ex_s.alternatives == ex_b.alternatives, i
             assert ex_s.cache_hit == ex_b.cache_hit, i
             assert ex_s.estimator_tier == ex_b.estimator_tier, i
 
     def test_reregistering_purges_table_entries(self, osm_points, queries):
         stats = _build_stats(osm_points, estimate_cache_size=4_096)
-        plan_select_batch(stats, queries)
+        explain_select_batch(stats, queries)
         assert len(stats.estimate_cache) > 0
         stats.register(SpatialTable("t", osm_points, capacity=64))
         assert len(stats.estimate_cache) == 0
@@ -293,9 +293,9 @@ def test_generation_bump_invalidates(osm_points, policy):
         )
         for __ in range(20)
     ]
-    plan_select_batch(stats, queries)
+    explain_select_batch(stats, queries)
     hits_before = stats.estimate_cache.hits
-    plan_select_batch(stats, queries)
+    explain_select_batch(stats, queries)
     assert stats.estimate_cache.hits == hits_before + len(queries)
 
     tree.insert(50.0, 50.0)
@@ -304,18 +304,18 @@ def test_generation_bump_invalidates(osm_points, policy):
     # new generation and keep hitting, instead of the pre-PR wholesale
     # orphaning of every key.
     hits_at_bump = stats.estimate_cache.hits
-    results = plan_select_batch(stats, queries)
+    results = explain_select_batch(stats, queries)
     carried_hits = stats.estimate_cache.hits - hits_at_bump
     assert stats.cache_entries_carried > 0
     assert carried_hits > 0
-    hit_flags = [explanation.cache_hit for __, explanation in results]
+    hit_flags = [explanation.cache_hit for explanation in results]
     assert sum(hit_flags) == carried_hits
     # A query inside the mutated leaf must NOT be served a carried
     # entry (its cell intersects the dirty region).
     hits_now = stats.estimate_cache.hits
-    plan_select(stats, KnnSelectQuery("m", Point(50.0, 50.0), k=5))
+    explain_select_batch(stats, [KnnSelectQuery("m", Point(50.0, 50.0), k=5)])
     assert stats.estimate_cache.hits == hits_now
     # And the post-bump entries are themselves replayable.
     hits_now = stats.estimate_cache.hits
-    plan_select_batch(stats, queries)
+    explain_select_batch(stats, queries)
     assert stats.estimate_cache.hits == hits_now + len(queries)

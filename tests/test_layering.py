@@ -18,10 +18,11 @@ It also keeps the retired benchmark system retired: ``benchmarks/`` holds
 the one harness (``e2e/``) and the committed tables (``results/``), and
 nothing tracked mentions pytest-benchmark.
 
-A third keeps plan decisions in one place: ``arbitrate`` is called only
-by the engine planner (and the golden corpus, which hands it candidates
-costed on substrates the engine does not plan over), and
-``repro.optimizer`` stays pure arbitration — no executor, no engine.
+A third keeps plan decisions in one place: ``arbitrate`` /
+``arbitrate_batch`` are called only by the engine planner (and the
+golden corpus, which hands ``arbitrate`` candidates costed on substrates
+the engine does not plan over), and ``repro.optimizer`` stays pure
+arbitration — no executor, no engine.
 """
 
 from __future__ import annotations
@@ -123,7 +124,12 @@ def test_the_walk_sees_function_level_imports():
 #: call decides every plan, pins are ``StatisticsManager(pinned_operators=)``);
 #: the per-anchor profile loop of the Staircase build, its catalog
 #: shortcut and its one-anchor gather (one ``perf.profile_staircases``
-#: batch pass profiles every anchor).
+#: batch pass profiles every anchor); the per-query select assembly, its
+#: clock-stamping decider, the per-query outcome list, the trivial-select
+#: and operator helpers and the operator-building plan functions (a
+#: select group is one ``assemble_select_explanations`` array pass and
+#: one ``arbitrate_batch``; ``planner.physical_operator`` alone builds
+#: operators, and only to execute).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -183,6 +189,16 @@ RETIRED_NAMES = {
     "_catalog_from_profile_fast",
     "_MINDIST_BATCH",
     "gathered_distances",
+    "assemble_select_explanation",
+    "_decide",
+    "_batch_outcomes",
+    "_plan_trivial_select",
+    "_select_operator_for",
+    "_plan_batch",
+    "plan_join",
+    "plan_range",
+    "plan_select",
+    "plan_select_batch",
 }
 
 
@@ -276,14 +292,15 @@ def test_benchmarks_holds_one_harness_and_the_tables():
 
 
 def test_arbitrate_is_called_by_the_planner_and_the_corpus_only():
-    callers = {
-        name
-        for name, path in MODULES.items()
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "arbitrate"
-    }
-    assert callers == {"repro.engine.planner", "repro.optimizer.regression"}
+    callers: dict[str, set[str]] = {"arbitrate": set(), "arbitrate_batch": set()}
+    for name, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                callers.get(called, set()).add(name)
+    assert callers["arbitrate"] == {"repro.engine.planner", "repro.optimizer.regression"}
+    # The scalar call is the batch of one.
+    assert callers["arbitrate_batch"] == {"repro.engine.planner", "repro.optimizer.selection"}
 
 
 def test_the_optimizer_is_arbitration_only():

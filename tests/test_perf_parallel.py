@@ -299,14 +299,14 @@ class TestLocalitySemantics:
 # ----------------------------------------------------------------------
 class TestSurfacing:
     def test_plan_explanation_carries_preprocessing(self):
-        from repro.engine.planner import plan_select
+        from repro.engine.planner import explain_select_batch
         from repro.engine.queries import KnnSelectQuery
         from repro.engine.stats import SpatialTable, StatisticsManager
 
         stats = StatisticsManager(max_k=64)
         stats.register(SpatialTable("places", generate_osm_like(2_000, seed=3), capacity=64))
-        __, expl = plan_select(
-            stats, KnnSelectQuery(table="places", query=Point(500, 500), k=16)
+        (expl,) = explain_select_batch(
+            stats, [KnnSelectQuery(table="places", query=Point(500, 500), k=16)]
         )
         assert expl.preprocessing["anchors_deduped"] > 0
         assert expl.preprocessing["wall_seconds"] > 0

@@ -1,0 +1,478 @@
+"""The array select planner against the per-query oracle.
+
+``SpatialEngine.explain_batch`` plans a table's selects as arrays: one
+``guard_select_batch`` pass, one batched estimate, one
+``arbitrate_batch`` over the group's cost matrix.  This suite holds it
+to ``tests/reference_planner.py`` — the per-query planner it replaced —
+field for field (``LinkDecision.elapsed_us`` aside: it is a clock), and
+to a loop of scalar guards on errors:
+
+* a hypothesis property over mixed batches: several tables (one empty),
+  σ < 1 predicates, regions (zero-area ones too), far-outside points,
+  ``k > n_rows``, exact-table and wildcard pins (``region-pruned-knn``
+  on region-less rows included), the estimate cache, ``fallback=False``
+  and a primary tier corrupted through ``resilience.faultinject``;
+* error parity: a batch whose first invalid query is at position ``i``
+  raises exactly what a scalar loop raises at ``i``;
+* ``guard_select_batch`` against a loop of ``guard_select_query`` on
+  raw arrays (non-finite coordinates, bad k types, huge k, the far
+  boundary to the last ulp);
+* structure, by call counts (no wall-clock): a 64-query single-table
+  batch arbitrates once, builds 64 explanations, no fallback outcome
+  and no physical operator;
+* k at the int64 edge, scalar and batch.
+"""
+
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import generate_osm_like, generate_uniform
+from repro.engine import (
+    KnnJoinQuery,
+    KnnSelectQuery,
+    RangeQuery,
+    SpatialEngine,
+    SpatialTable,
+    StatisticsManager,
+    column,
+)
+from repro.engine import physical, planner
+from repro.geometry import Point, Rect
+from repro.resilience import (
+    FaultInjectingSelectEstimator,
+    FaultSchedule,
+    FaultSpec,
+    InvalidQueryError,
+)
+from repro.resilience import fallback, guards
+from repro.resilience.guards import guard_select_batch, guard_select_query, require_valid_k
+from tests.reference_planner import (
+    reference_effective_k,
+    reference_explain_batch,
+    reference_guard,
+)
+
+MAX_K = 32
+K_CEILING = 2**63 - 1
+
+TABLES = (
+    SpatialTable(
+        "a", generate_osm_like(400, seed=3), {"v": np.arange(400) % 10}, capacity=16
+    ),
+    SpatialTable("b", generate_uniform(250, seed=4), {"v": np.arange(250) % 7}, capacity=32),
+    SpatialTable("empty", np.empty((0, 2)), {"v": np.empty(0, dtype=np.int64)}, capacity=16),
+)
+N_ROWS = {table.name: table.n_rows for table in TABLES}
+
+
+def _engine(
+    *, cache=False, fallback=True, pins=None, fault=False, strict=False
+) -> SpatialEngine:
+    engine = SpatialEngine(
+        StatisticsManager(
+            max_k=MAX_K,
+            join_sample_size=20,
+            estimate_cache_size=64 if cache else 0,
+            fallback=fallback,
+            pinned_operators=pins,
+            strict=strict,
+        )
+    )
+    for table in TABLES:
+        engine.register(table)
+    if fault:
+        # The proxy corrupts every third scalar estimate: batches reach
+        # it through the ABC's per-query loop, so the chain degrades
+        # exactly those rows.
+        chain = engine.stats.resilient_select_estimator("a")
+        chain.wrap_tier(
+            chain.primary_tier,
+            lambda est: FaultInjectingSelectEstimator(
+                est, FaultSchedule(FaultSpec.corrupting(), every=3)
+            ),
+        )
+    return engine
+
+
+def _fields(explanation) -> dict:
+    """Every field; the preprocessing timings differ between two builds."""
+    out = dict(vars(explanation))
+    out["preprocessing"] = {
+        key: value for key, value in out["preprocessing"].items() if not key.endswith("seconds")
+    }
+    return out
+
+
+_coordinate = st.floats(0.0, 1000.0, allow_nan=False)
+_region = st.one_of(
+    st.none(),
+    st.tuples(_coordinate, _coordinate, st.floats(0.0, 400.0), st.floats(0.0, 400.0)).map(
+        lambda r: Rect(r[0], r[1], r[0] + r[2], r[1] + r[3])
+    ),
+    _coordinate.map(lambda x: Rect(x, 100.0, x, 700.0)),  # zero area
+)
+
+
+@st.composite
+def _select(draw, names=("a", "a", "b", "empty")):
+    name = draw(st.sampled_from(names))
+    if draw(st.integers(0, 9)) == 0:
+        point = Point(draw(st.sampled_from([-1e5, 1e5])), draw(_coordinate))  # far outside
+    else:
+        point = Point(draw(_coordinate), draw(_coordinate))
+    k = draw(st.one_of(st.integers(1, 3 * MAX_K), st.sampled_from([260, 399, 401, 5000])))
+    predicate = draw(st.one_of(st.none(), st.integers(1, 9).map(lambda t: column("v") < t)))
+    return KnnSelectQuery(name, point, k=k, predicate=predicate, region=draw(_region))
+
+
+_other = st.one_of(
+    st.builds(KnnJoinQuery, st.just("b"), st.just("a"), st.integers(1, MAX_K)),
+    st.builds(KnnJoinQuery, st.just("empty"), st.just("a"), st.integers(1, 4)),
+    _region.filter(lambda r: r is not None).map(lambda r: RangeQuery("a", r)),
+)
+
+_pins = st.sampled_from(
+    [
+        None,
+        {"a:select": "filter-then-knn"},
+        {"select": "incremental-knn"},
+        {"select": "region-pruned-knn"},  # inapplicable on region-less rows
+        {"b:select": "region-pruned-knn", "select": "filter-then-knn"},
+    ]
+)
+
+
+@st.composite
+def _configs(draw):
+    fallback = draw(st.booleans())
+    return {
+        "cache": draw(st.booleans()),
+        "fallback": fallback,
+        "pins": draw(_pins),
+        "fault": fallback and draw(st.booleans()),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=_configs(),
+    queries=st.lists(st.one_of(_select(), _select(), _select(), _other), min_size=1, max_size=20),
+)
+def test_explain_batch_equals_the_per_query_oracle(config, queries):
+    # A repeat makes cache hits, including within the batch.
+    queries = queries + queries[: len(queries) // 2]
+    expected = reference_explain_batch(_engine(**config).stats, queries)
+    got = _engine(**config).explain_batch(queries)
+    assert [_fields(e) for e in got] == [_fields(e) for e in expected]
+    for explanation in got:
+        (record,) = explanation.trail
+        assert record.elapsed_us > 0.0
+
+
+def test_the_property_reaches_every_rule():
+    """The shapes the property draws do reach degraded tiers, cache hits,
+    pins, region columns, σ < 1 and guard notes — checked once, here."""
+    queries = [
+        KnnSelectQuery("a", Point(500.0, 500.0), k=5, region=Rect(400, 400, 600, 600)),
+        KnnSelectQuery("a", Point(500.0, 500.0), k=5, predicate=column("v") < 3),
+        KnnSelectQuery("a", Point(1e5, 5.0), k=401, region=Rect(10, 100, 10, 700)),
+        KnnSelectQuery("empty", Point(5.0, 5.0), k=3),
+    ] * 4
+    expected = reference_explain_batch(
+        _engine(cache=True, fault=True, pins={"select": "region-pruned-knn"}).stats, queries
+    )
+    got = _engine(cache=True, fault=True, pins={"select": "region-pruned-knn"}).explain_batch(
+        queries
+    )
+    assert [_fields(e) for e in got] == [_fields(e) for e in expected]
+    assert any(e.degraded for e in got)
+    assert any(e.cache_hit for e in got)
+    assert {e.decided_by for e in got} == {"pinned-override", "cost-based"}
+    assert any(e.selectivity < 1.0 and e.effective_k > 5 for e in got)
+    assert any("exceeds" in note for e in got for note in e.notes)
+    assert any("zero area" in note for e in got for note in e.notes)
+    assert any("outside" in note for e in got for note in e.notes)
+
+
+# ----------------------------------------------------------------------
+# Error parity
+# ----------------------------------------------------------------------
+def _outcome(call):
+    try:
+        call()
+    except (InvalidQueryError, KeyError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_bad_select = st.one_of(
+    st.builds(
+        KnnSelectQuery,
+        st.sampled_from(["a", "b"]),
+        st.just(Point(500.0, 500.0)),
+        st.sampled_from([1.5, True, 2**63, 2**64]),
+    ),
+    st.builds(KnnSelectQuery, st.just("ghost"), st.just(Point(1.0, 1.0)), st.just(3)),
+)
+_bad_other = st.one_of(
+    st.builds(KnnJoinQuery, st.just("b"), st.just("a"), st.sampled_from([2**63, 2.5])),
+    st.builds(KnnJoinQuery, st.just("ghost"), st.just("a"), st.just(3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    queries=st.lists(
+        st.one_of(_select(), _select(), _other, _bad_select, _bad_other), min_size=1, max_size=12
+    ),
+    strict=st.booleans(),
+)
+def test_the_first_offender_in_batch_order_raises(queries, strict):
+    engine = _engine(strict=strict)
+    expected = _outcome(lambda: [reference_guard(engine.stats, query) for query in queries])
+    assert _outcome(lambda: engine.explain_batch(queries)) == expected
+    scalar = _engine(strict=strict)
+    if expected is not None:
+        assert _outcome(lambda: [scalar.explain(query) for query in queries]) == expected
+
+
+def test_a_mixed_batch_names_the_earliest_offender_across_groups():
+    queries = [
+        KnnSelectQuery("a", Point(500.0, 500.0), k=3),
+        KnnJoinQuery("b", "a", k=2**63),  # position 1: the first offender
+        KnnSelectQuery("b", Point(500.0, 500.0), k=1.5),
+        RangeQuery("a", Rect(1, 1, 1, 5)),
+    ]
+    with pytest.raises(InvalidQueryError, match=f"got {2**63}$"):
+        _engine().explain_batch(queries)
+    queries[1] = KnnJoinQuery("b", "a", k=3)
+    with pytest.raises(InvalidQueryError, match="integer, got 1.5"):
+        _engine().explain_batch(queries)
+    with pytest.raises(InvalidQueryError, match="integer, got 1.5"):
+        _engine(strict=True).explain_batch(queries)
+    queries[2] = KnnSelectQuery("b", Point(500.0, 500.0), k=3)
+    with pytest.raises(InvalidQueryError, match="zero area"):
+        _engine(strict=True).explain_batch(queries)
+
+
+# ----------------------------------------------------------------------
+# guard_select_batch == a loop of guard_select_query
+# ----------------------------------------------------------------------
+def _loop(points, ks, n_rows, bounds, strict, regions):
+    notes = {}
+    for j, ((x, y), k) in enumerate(zip(points, ks)):
+        query = SimpleNamespace(
+            query=SimpleNamespace(x=x, y=y), k=k, region=None if regions is None else regions[j]
+        )
+        row = guard_select_query(query, n_rows, bounds, strict)
+        if row:
+            notes[j] = row
+    return notes
+
+
+def _result(call):
+    try:
+        return call()
+    except InvalidQueryError as exc:
+        return type(exc), str(exc)
+
+
+_raw_coordinate = st.one_of(
+    st.floats(-50.0, 60.0, allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+)
+_raw_k = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([0, -3, 1.5, True, np.int64(7), np.uint64(2**64 - 1), 2**63 - 1, 2**63]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_raw_coordinate, _raw_coordinate, _raw_k, _region), max_size=8),
+    n_rows=st.sampled_from([0, 1, 20]),
+    bounds=st.sampled_from([Rect(0, 0, 3, 4), Rect(2, 2, 2, 2), None]),
+    strict=st.booleans(),
+)
+def test_guard_select_batch_equals_the_scalar_loop(rows, n_rows, bounds, strict):
+    points = [(x, y) for x, y, __, __ in rows]
+    ks = [k for __, __, k, __ in rows]
+    regions = [r for __, __, __, r in rows]
+    expected = _result(lambda: _loop(points, ks, n_rows, bounds, strict, regions))
+    assert _result(lambda: guard_select_batch(points, ks, n_rows, bounds, strict, regions)) == expected
+    if all(r is None for r in regions):
+        assert _result(lambda: guard_select_batch(points, ks, n_rows, bounds, strict)) == expected
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_the_far_boundary_is_the_scalar_rule_to_the_ulp(strict):
+    # Bounds 3 x 4: diagonal 5, far beyond 20 units.  23.0 is exactly on
+    # the line (not far); the next float up is past it.
+    bounds = Rect(0, 0, 3, 4)
+    xs = [23.0, np.nextafter(23.0, np.inf), np.nextafter(23.0, -np.inf), -20.0, 3.0 + 12.0]
+    points = [(x, 2.0) for x in xs] + [(3.0 + 12.0, 4.0 + 16.0), (15.0, np.nextafter(20.0, 99))]
+    ks = [1] * len(points)
+    expected = _result(lambda: _loop(points, ks, 10, bounds, strict, None))
+    assert _result(lambda: guard_select_batch(points, ks, 10, bounds, strict)) == expected
+    if not strict:
+        assert sorted(expected) == [1, 6]
+
+
+# ----------------------------------------------------------------------
+# Structure: what a 64-query select batch builds
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_64_query_batch_arbitrates_once_and_builds_no_operator(monkeypatch):
+    engine = _engine()
+    rng = np.random.default_rng(9)
+    queries = [
+        KnnSelectQuery("a", Point(*map(float, rng.uniform(100, 900, 2))), k=int(k))
+        for k in rng.integers(1, MAX_K + 20, size=64)
+    ]
+    engine.explain_batch(queries)  # catalogs built before counting
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, planner, "arbitrate_batch", counts, "arbitrate_batch")
+    _count_calls(monkeypatch, planner, "arbitrate", counts, "arbitrate")
+    _count_calls(monkeypatch, planner.PlanExplanation, "__init__", counts, "explanations")
+    _count_calls(monkeypatch, fallback.FallbackOutcome, "__init__", counts, "outcomes")
+    _count_calls(monkeypatch, guards, "_select_notes", counts, "scalar guards")
+    for operator in (
+        physical.FilterThenKnnOperator,
+        physical.IncrementalKnnOperator,
+        physical.RegionPrunedKnnOperator,
+        physical.IndexRangeScanOperator,
+        physical.LocalityJoinOperator,
+        physical.PerPointSelectsOperator,
+    ):
+        _count_calls(monkeypatch, operator, "__init__", counts, "operators")
+    explanations = engine.explain_batch(queries)
+    assert not any(e.degraded or e.notes for e in explanations)
+    assert counts == {"arbitrate_batch": 1, "explanations": 64}
+
+
+def test_only_degraded_rows_build_a_fallback_outcome(monkeypatch):
+    engine = _engine(fault=True)
+    queries = [KnnSelectQuery("a", Point(100.0 + 10 * i, 500.0), k=4) for i in range(30)]
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, fallback.FallbackOutcome, "__init__", counts, "outcomes")
+    explanations = engine.explain_batch(queries)
+    degraded = sum(e.degraded for e in explanations)
+    assert 0 < degraded < len(queries)
+    assert counts["outcomes"] == degraded
+
+
+def test_execute_builds_one_operator_per_non_browsing_plan(monkeypatch):
+    engine = _engine(pins={"a:select": "filter-then-knn"})
+    queries = [KnnSelectQuery(name, Point(500.0, 500.0), k=3) for name in ("a", "b", "a")]
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, physical.FilterThenKnnOperator, "__init__", counts, "filter")
+    _count_calls(monkeypatch, physical.IncrementalKnnOperator, "__init__", counts, "browse")
+    results = engine.execute_batch(queries)
+    assert [e.chosen for __, e in results] == [
+        "filter-then-knn", "incremental-knn", "filter-then-knn"
+    ]
+    # Browsing plans run as one batch per table, not as operators.
+    assert counts == {"filter": 2}
+
+
+# ----------------------------------------------------------------------
+# k at the int64 edge
+# ----------------------------------------------------------------------
+def test_require_valid_k_stops_at_int64():
+    require_valid_k(K_CEILING)
+    for k in (2**63, 2**64):
+        with pytest.raises(InvalidQueryError, match=f"got {k}$"):
+            require_valid_k(k)
+
+
+@pytest.mark.parametrize("k", [K_CEILING, 2**53 + 1, 2**62 + 1])
+def test_a_huge_k_plans_at_itself(k):
+    engine = _engine()
+    query = KnnSelectQuery("a", Point(500.0, 500.0), k=k)
+    for explanation in (engine.explain(query), engine.explain_batch([query, query])[1]):
+        assert explanation.effective_k == k
+        assert explanation.cost_of("incremental-knn") <= explanation.cost_of("filter-then-knn")
+        assert any("exceeds" in note for note in explanation.notes)
+    (result, explanation) = engine.execute(query)
+    assert result.row_ids.shape == (N_ROWS["a"],)
+
+
+@pytest.mark.parametrize("k", [2**63, 2**64])
+def test_a_k_past_int64_is_a_typed_error_naming_k(k):
+    engine = _engine()
+    select = KnnSelectQuery("a", Point(500.0, 500.0), k=k)
+    join = KnnJoinQuery("b", "a", k=k)
+    for call in (
+        lambda: engine.explain(select),
+        lambda: engine.explain_batch([KnnSelectQuery("a", Point(1.0, 1.0), k=3), select]),
+        lambda: engine.execute(select),
+        lambda: engine.execute_batch([select]),
+        lambda: engine.explain(join),
+    ):
+        with pytest.raises(InvalidQueryError, match=f"got {k}$"):
+            call()
+
+
+def test_a_saturated_k_prime_under_selectivity():
+    engine = _engine()
+    for query in (
+        KnnSelectQuery("a", Point(500.0, 500.0), k=2**62, predicate=column("v") < 3),
+        KnnSelectQuery("a", Point(500.0, 500.0), k=2**62, region=Rect(0, 0, 200, 200)),
+        KnnJoinQuery("b", "a", k=2**62, inner_predicate=column("v") < 3),
+        KnnJoinQuery("b", "a", k=K_CEILING),
+    ):
+        explanation = engine.explain(query)
+        assert explanation.selectivity < 1.0 or query.k == K_CEILING
+        assert explanation.effective_k == K_CEILING
+    result, __ = engine.execute(
+        KnnSelectQuery("a", Point(500.0, 500.0), k=2**62, predicate=column("v") < 3)
+    )
+    assert result.row_ids.shape == (120,)  # every qualifying row
+
+
+@pytest.mark.parametrize("name", ["staircase", "chain"])
+def test_estimate_batch_names_a_k_past_int64(name):
+    engine = _engine()
+    estimator = (
+        engine.stats.select_estimator("a")
+        if name == "staircase"
+        else engine.stats.resilient_select_estimator("a")
+    )
+    pts = np.array([[500.0, 500.0], [600.0, 600.0]])
+    for ks in ([3, 2**63], np.array([3, 2**63], dtype=np.uint64), [3, 2**64]):
+        with pytest.raises(InvalidQueryError, match=f"got {int(ks[1])}$"):
+            estimator.estimate_batch(pts, ks)
+    with pytest.raises(InvalidQueryError, match=f"got {2**63}$"):
+        estimator.estimate_batch(pts, 2**63)
+    # Coordinates first at one query, and the first offender in batch order.
+    with pytest.raises(InvalidQueryError, match="finite"):
+        estimator.estimate_batch(np.array([[np.nan, 1.0], [1.0, 1.0]]), [3, 2**63])
+    with pytest.raises(InvalidQueryError, match=f"got {2**63}$"):
+        estimator.estimate_batch(np.array([[1.0, 1.0], [np.nan, 1.0]]), [2**63, 3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.one_of(st.integers(1, 2**20), st.integers(2**52, 2**54), st.integers(1, K_CEILING)),
+    # The planner's σ is at least 1 / n_rows.
+    sigma=st.one_of(st.just(1.0), st.floats(2.0**-40, 1.0), st.sampled_from([0.5, 1 / 3, 1e-9])),
+)
+def test_vectorised_k_prime_equals_the_integer_rule(k, sigma):
+    got = planner._effective_ks([k, k], np.array([sigma, 1.0]))
+    assert got.tolist() == [reference_effective_k(k, sigma), k]
