@@ -7,7 +7,7 @@ Subcommands::
     python -m repro visualize points.csv --blocks
     python -m repro staircase points.csv --x 500 --y 500 --max-k 1024
     python -m repro estimate-select points.csv --x 500 --y 500 -k 64
-    python -m repro estimate-select points.csv --batch queries.csv --cache-size 4096
+    python -m repro estimate-select points.csv --batch queries.csv
     python -m repro estimate-join outer.csv inner.csv -k 32 --technique catalog-merge
 
 Every estimation command prints the estimate, the ground-truth cost,
@@ -239,11 +239,11 @@ def _run_select_batch(args: argparse.Namespace) -> int:
     Reads an ``x,y,k`` query CSV and replays it either through one
     ``SpatialEngine.execute_batch`` call (the default) or — with
     ``--shards N`` — through the supervised sharded serving tier, and
-    prints aggregate latency, throughput, and (unsharded) the estimate
-    cache's hit rate.  ``--strict`` keeps its meaning in both paths:
-    fallback degradation is disabled, so suspicious queries become
-    errors (exit code 2) and a lost shard becomes a
-    ``ShardExhaustedError`` (exit code 3) instead of degraded notes.
+    prints aggregate latency and throughput.  ``--strict`` keeps its
+    meaning in both paths: fallback degradation is disabled, so
+    suspicious queries become errors (exit code 2) and a lost shard
+    becomes a ``ShardExhaustedError`` (exit code 3) instead of
+    degraded notes.
     """
     from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
     from repro.workloads import QueryBatch, serve_workload
@@ -260,7 +260,6 @@ def _run_select_batch(args: argparse.Namespace) -> int:
             fallback=not args.strict,
             strict=args.strict,
             workers=args.workers,
-            estimate_cache_size=args.cache_size,
             pinned_operators=pins,
         )
     )
@@ -283,10 +282,8 @@ def _run_select_batch(args: argparse.Namespace) -> int:
                 # spent deadline or an oversized batch is refused with
                 # OverloadError (exit 3) before any worker spawns.
                 "admission": AdmissionController(),
-                # Workers mirror the reference engine's configuration
-                # (cache stays off: sharded answers must be
-                # bit-identical to the unsharded plan).  Operator pins
-                # travel as plain data.
+                # Workers mirror the reference engine's configuration;
+                # operator pins travel as plain data.
                 "manager_kwargs": {
                     "max_k": args.max_k,
                     "fallback": not args.strict,
@@ -416,12 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replay an x,y,k query CSV through execute_batch and report "
         "throughput instead of estimating one query",
-    )
-    p.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help="estimate-cache capacity for --batch serving (0 disables)",
     )
     p.add_argument(
         "--shards",

@@ -20,7 +20,6 @@ deliberately small but complete end-to-end:
   and ``execute`` queries.
 """
 
-from repro.engine.cache import EstimateCache
 from repro.engine.table import SpatialTable
 from repro.engine.expressions import (
     And,
@@ -37,7 +36,6 @@ from repro.engine.stats import StatisticsManager
 from repro.engine.engine import SpatialEngine
 
 __all__ = [
-    "EstimateCache",
     "SpatialTable",
     "Predicate",
     "AttributePredicate",

@@ -19,7 +19,9 @@ k-NN-Join operators:
 
 * :class:`LocalityJoinOperator` — block-by-block locality join
   (predicates handled by inflating k to ``k / σ`` before the per-point
-  top-k filter).
+  top-k filter, which is exact only while enough qualifying rows fall
+  inside each locality; a spatially correlated predicate breaks that
+  silently).
 * :class:`PerPointSelectsOperator` — one incremental k-NN-Select per
   outer row (wins for small outer relations).
 """
@@ -262,9 +264,12 @@ class LocalityJoinOperator:
     With a predicate of selectivity σ, localities are computed at the
     inflated ``k' = ceil(k / σ)`` so that, in expectation, enough
     qualifying inner rows fall inside each locality; the per-point
-    top-k then filters exactly.  (A guarantee would require predicate-
-    aware counts; the planner treats this operator as approximate when
-    a predicate is present, and the tests measure its recall.)
+    top-k then filters exactly.  Without a predicate the answer is
+    exact.  With one it is not guaranteed: when the qualifying rows are
+    spatially correlated (all in one region) a locality can hold fewer
+    than k of them, and the outer rows there get wrong neighbour lists.
+    Nothing flags this — the planner costs and picks this operator like
+    an exact one.
     """
 
     name = "locality-join"

@@ -81,10 +81,6 @@ class PlanExplanation:
             costing estimator (:meth:`repro.perf.PreprocessingStats.as_dict`
             — worker count, anchor dedup counters, per-phase seconds);
             empty when the estimator exposes none.
-        cache_hit: Whether the select-cost estimate came from the
-            statistics manager's estimate cache — ``None`` when the
-            cache is disabled (the default) or the plan needed no
-            select estimate.
         kernel_backend: Name of the geometry kernel backend active when
             the plan was costed (``"numpy"`` or ``"numba"``; "" when
             the plan needed no kernel work).
@@ -105,7 +101,6 @@ class PlanExplanation:
     degraded: bool = False
     notes: list[str] = field(default_factory=list)
     preprocessing: dict[str, float] = field(default_factory=dict)
-    cache_hit: bool | None = None
     kernel_backend: str = ""
     decided_by: str = ""
     trail: list[LinkDecision] = field(default_factory=list)
@@ -130,8 +125,6 @@ class PlanExplanation:
         if self.estimator_tier:
             status = "degraded" if self.degraded else "primary"
             lines.append(f"  estimator: {self.estimator_tier} ({status})")
-        if self.cache_hit is not None:
-            lines.append(f"  estimate cache: {'hit' if self.cache_hit else 'miss'}")
         if self.kernel_backend:
             lines.append(f"  kernel backend: {self.kernel_backend}")
         if self.preprocessing:
@@ -241,10 +234,9 @@ def explain_select_batch(
 
     Each table's group is planned as arrays: σ (computed only for rows
     with a predicate or a region), k′, one batched ``estimate_batch``
-    call (routed through the estimate cache when enabled, which replays
-    a one-by-one loop's hit/miss sequence) and one cost comparison
-    (:func:`assemble_select_explanations`).  Per query, Python builds
-    only the explanation.  A single query is the batch of one.
+    call and one cost comparison (:func:`assemble_select_explanations`).
+    Per query, Python builds only the explanation.  A single query is
+    the batch of one.
 
     Args:
         stats: The statistics manager.
@@ -302,9 +294,7 @@ def _explain_select_group(
     effective_ks = _effective_ks([query.k for query in group], sigmas if filtered else None)
     pts = np.array([(query.query.x, query.query.y) for query in group], dtype=float)
     estimator = stats.select_estimator_for_planning(name)
-    costs, hits, provenance = stats.estimate_select_costs_batch(
-        name, estimator, pts, effective_ks
-    )
+    costs, provenance = stats.estimate_select_costs_batch(name, estimator, pts, effective_ks)
     prep_stats = getattr(estimator, "preprocessing_stats", None)
     explanations = assemble_select_explanations(
         stats,
@@ -315,7 +305,6 @@ def _explain_select_group(
         provenance.tiers,
         provenance.degraded,
         regions=[query.region for query in group] if filtered else None,
-        cache_hits=hits,
         preprocessing=None if prep_stats is None else prep_stats.as_dict(),
     )
     for j in np.flatnonzero(provenance.degraded).tolist():
@@ -333,7 +322,6 @@ def assemble_select_explanations(
     degraded,
     *,
     regions=None,
-    cache_hits: np.ndarray | None = None,
     preprocessing: dict[str, float] | None = None,
 ) -> list[PlanExplanation]:
     """Arbitrate one relation's selects and build their explanations.
@@ -356,15 +344,12 @@ def assemble_select_explanations(
         sigmas: ``(n,)`` combined predicate × region selectivities.
         effective_ks: ``(n,)`` k′, what the estimates were taken at.
         costs: ``(n,)`` estimated browsing costs in blocks.
-        tiers: The tier that produced each cost (``"estimate-cache"``
-            for a cache hit, ``""`` for a raw estimator).
+        tiers: The tier that produced each cost (``""`` for a raw
+            estimator).
         degraded: ``(n,)`` whether a non-primary tier answered.
         regions: Per-query region or ``None``; omit when none has one.
-        cache_hits: ``(n,)`` estimate-cache outcomes (``None`` when the
-            cache is disabled).
         preprocessing: The costing estimator's preprocessing
-            instrumentation, copied onto every row the cache did not
-            answer.
+            instrumentation, copied onto every row.
     """
     n = len(tiers)
     cost_filter = float(table.index.num_blocks)
@@ -384,16 +369,14 @@ def assemble_select_explanations(
         "select", table.name, matrix, SELECT_TIE_ORDER, stats.pinned_operators
     )
     backend = active_backend()
-    hits = [None] * n if cache_hits is None else cache_hits.tolist()
     explanations = []
-    for record, (__, pruned_cost, browse), k, sigma, tier, is_degraded, hit in zip(
+    for record, (__, pruned_cost, browse), k, sigma, tier, is_degraded in zip(
         decisions,
         matrix.tolist(),
         np.asarray(effective_ks).tolist(),
         np.asarray(sigmas).tolist(),
         tiers,
         np.asarray(degraded).tolist(),
-        hits,
     ):
         alternatives = {
             FilterThenKnnOperator.name: cost_filter,
@@ -409,8 +392,7 @@ def assemble_select_explanations(
                 selectivity=sigma,
                 estimator_tier=tier,
                 degraded=is_degraded,
-                preprocessing=dict(preprocessing) if preprocessing and not hit else {},
-                cache_hit=hit,
+                preprocessing=dict(preprocessing) if preprocessing else {},
                 kernel_backend=backend,
                 decided_by=record.link,
                 trail=[record],

@@ -34,7 +34,6 @@ from typing import Callable, Literal
 import numpy as np
 
 from repro.catalog import CatalogStore
-from repro.engine.cache import DEFAULT_CACHE_CELLS, EstimateCache
 from repro.engine.expressions import Predicate
 from repro.engine.table import SpatialTable
 from repro.estimators.base import JoinCostEstimator, SelectCostEstimator
@@ -130,13 +129,6 @@ class StatisticsManager:
         workers: Worker processes for catalog preprocessing fan-out
             (``None``/0/1 builds in-process); threaded through to every
             estimator the manager constructs.
-        estimate_cache_size: Capacity of the generation-keyed LRU
-            estimate cache (:class:`~repro.engine.cache.EstimateCache`).
-            0 (the default) disables caching, keeping every estimate an
-            exact per-query computation; a positive size lets queries
-            sharing a quantized cell and k reuse one estimate.
-        estimate_cache_cells: Per-axis quantization resolution of the
-            estimate-cache key grid.
         pinned_operators: Forced per-table/per-kind operator choices —
             ``{"table:kind" | "kind" | (table, kind): operator}`` — that
             :func:`~repro.optimizer.selection.arbitrate` applies ahead of
@@ -146,8 +138,9 @@ class StatisticsManager:
 
     Raises:
         ValueError: On an unknown join technique or staleness policy, a
-            negative cache size, or an invalid pin — all checked here,
-            before anything plans.
+            ``max_k``, breaker threshold or cooldown below 1, a
+            non-positive time budget, a negative worker count, or an
+            invalid pin — all checked here, before anything plans.
     """
 
     def __init__(
@@ -164,14 +157,23 @@ class StatisticsManager:
         breaker_cooldown: int = 16,
         estimate_time_budget: float | None = None,
         workers: int | None = None,
-        estimate_cache_size: int = 0,
-        estimate_cache_cells: int = DEFAULT_CACHE_CELLS,
         pinned_operators: dict | None = None,
     ) -> None:
         if join_technique not in ("catalog-merge", "virtual-grid"):
             raise ValueError(f"unknown join technique {join_technique!r}")
         if staleness_policy not in ("rebuild", "raise"):
             raise ValueError(f"unknown staleness policy {staleness_policy!r}")
+        for arg, value in (
+            ("max_k", max_k),
+            ("breaker_threshold", breaker_threshold),
+            ("breaker_cooldown", breaker_cooldown),
+        ):
+            if value < 1:
+                raise ValueError(f"{arg} must be >= 1, got {value}")
+        if estimate_time_budget is not None and estimate_time_budget <= 0:
+            raise ValueError(
+                f"estimate_time_budget must be positive, got {estimate_time_budget}"
+            )
         self.workers = resolve_workers(workers)
         self.max_k = max_k
         self.join_technique: JoinTechnique = join_technique
@@ -194,21 +196,6 @@ class StatisticsManager:
         self._selectivities: dict[tuple[str, str], float] = {}
         self._resilient_selects: dict[str, FallbackSelectEstimator] = {}
         self._resilient_joins: dict[tuple[str, str], FallbackJoinEstimator] = {}
-        if estimate_cache_size < 0:
-            raise ValueError(
-                f"estimate_cache_size must be >= 0, got {estimate_cache_size}"
-            )
-        self.estimate_cache: EstimateCache | None = (
-            EstimateCache(estimate_cache_size, cells=estimate_cache_cells)
-            if estimate_cache_size
-            else None
-        )
-        #: Per-table generation the estimate cache was last synced at.
-        self._cache_generations: dict[str, int] = {}
-        #: Entries carried across generation bumps by log-driven
-        #: revalidation (vs. dropped because their cell was touched).
-        self.cache_entries_carried = 0
-        self.cache_entries_dropped = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -236,9 +223,6 @@ class StatisticsManager:
             for key, value in self._selectivities.items()
             if key[0] != table.name
         }
-        if self.estimate_cache is not None:
-            self.estimate_cache.invalidate(table.name)
-        self._cache_generations.pop(table.name, None)
 
     def table(self, name: str) -> SpatialTable:
         """Look up a registered relation.
@@ -294,12 +278,6 @@ class StatisticsManager:
             del self._snapshots[name]
             cached = None
         if cached is None:
-            # Any generation bump reached this snapshot: sync the
-            # estimate cache over the same generation range before the
-            # regather, so dependent cached estimates for untouched
-            # regions survive (log-driven revalidation) instead of
-            # being orphaned wholesale by the new generation.
-            self._sync_cache_generation(name, table, current)
             cached = IndexSnapshot.from_index(table.index)
             self._snapshots[name] = cached
         return cached
@@ -463,121 +441,33 @@ class StatisticsManager:
         return self.select_estimator(name)
 
     # ------------------------------------------------------------------
-    # Cache-aware estimation: the planner's select-cost entry points
+    # The planner's select-cost entry points
     # ------------------------------------------------------------------
-    def _sync_cache_generation(self, name: str, table, generation: int) -> None:
-        """Move the table's cached estimates to ``generation``.
-
-        Generation-ranged invalidation: when the table's index keeps a
-        generation-keyed update log, entries in cells no dirty region
-        touched are re-keyed to the new generation (a localized insert
-        no longer evicts estimates for untouched regions); entries in
-        touched cells are dropped.  Without a log — or when the log's
-        history was pruned past our watermark — the table's entries are
-        dropped wholesale, which is the pre-existing structural
-        behavior.
-        """
-        cache = self.estimate_cache
-        if cache is None:
-            return
-        known = self._cache_generations.get(name)
-        if known is None or known == generation:
-            self._cache_generations[name] = generation
-            return
-        index = table.index
-        getter = getattr(index, "dirty_region_items_since", None)
-        floor = getattr(index, "log_floor", None)
-        if getter is None or floor is None or known < floor:
-            self.cache_entries_dropped += cache.invalidate(name)
-        else:
-            dirty_bounds, __ = getter(known)
-            carried, dropped = cache.revalidate(
-                name, known, generation, dirty_bounds, index.bounds
-            )
-            self.cache_entries_carried += carried
-            self.cache_entries_dropped += dropped
-        self._cache_generations[name] = generation
-
     def estimate_select_costs_batch(
         self,
         name: str,
         estimator: SelectCostEstimator,
         pts: np.ndarray,
         ks: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray | None, FallbackBatchOutcome]:
-        """Estimate one table's select costs, consulting the estimate cache.
+    ) -> tuple[np.ndarray, FallbackBatchOutcome]:
+        """Estimate one table's select costs: one ``estimator.estimate_batch`` call.
 
-        With the cache disabled this is exactly one
-        ``estimator.estimate_batch`` call.  With it enabled, the probe
-        has the semantics of estimating one query at a time: a query
-        whose key was already cached — including by an *earlier query of
-        the same batch* — takes that value as a hit, and only
-        first-occurrence misses reach the estimator (as one batched
-        call).
+        ``name`` (the estimator's table) stays in the signature for
+        callers; the estimate reads only ``estimator``.
 
         Returns:
-            ``(costs, hits, provenance)`` — ``hits`` is ``None`` when the
-            cache is disabled, else a per-query bool mask;
-            ``provenance`` is a
+            ``(costs, provenance)`` — ``provenance`` is a
             :class:`~repro.resilience.fallback.FallbackBatchOutcome`
             over the whole batch: per query the tier that answered
-            (``"estimate-cache"`` for a hit, ``""`` for a raw
-            estimator) and whether it degraded, with the attempts of
-            the one estimator call.
+            (``""`` for a raw estimator) and whether it degraded, with
+            the attempts of the one estimator call.
         """
-        cache = self.estimate_cache
-        m = pts.shape[0]
-        if cache is None:
-            costs = np.asarray(estimator.estimate_batch(pts, ks), dtype=float)
-            provenance = getattr(estimator, "last_batch_outcome", None)
-            if provenance is None:
-                provenance = FallbackBatchOutcome([""] * m, np.zeros(m, dtype=bool))
-            return costs, None, provenance
-        table = self.table(name)
-        generation = int(getattr(table.index, "data_generation", 0))
-        self._sync_cache_generation(name, table, generation)
-        keys = cache.keys_for(name, generation, pts, ks, table.index.bounds)
-        costs = np.empty(m, dtype=float)
-        hits = np.zeros(m, dtype=bool)
-        tiers = np.full(m, "", dtype=object)
-        degraded = np.zeros(m, dtype=bool)
-        attempts: list = []
-        first_of_key: dict[object, int] = {}
-        pending: list[int] = []
-        aliases: list[tuple[int, int]] = []  # (query, first occurrence)
-        for i, key in enumerate(keys):
-            if key in first_of_key:
-                # A one-by-one loop would have cached the first
-                # occurrence's estimate by now; this query hits it.
-                cache.hits += 1
-                hits[i] = True
-                aliases.append((i, first_of_key[key]))
-                continue
-            cached = cache.get(key)
-            if cached is not None:
-                costs[i] = cached
-                hits[i] = True
-                continue
-            first_of_key[key] = i
-            pending.append(i)
-        if pending:
-            idx = np.asarray(pending, dtype=np.int64)
-            values = np.asarray(
-                estimator.estimate_batch(pts[idx], ks[idx]), dtype=float
-            )
-            costs[idx] = values
-            for i, value in zip(pending, values):
-                cache.put(keys[i], float(value))
-            answered = getattr(estimator, "last_batch_outcome", None)
-            if answered is not None:
-                tiers[idx] = answered.tiers
-                degraded[idx] = answered.degraded
-                attempts = answered.attempts
-        for i, j in aliases:
-            costs[i] = costs[j]
-        # The estimator never ran for a hit; label the answer's real source.
-        tiers[hits] = "estimate-cache"
-        return costs, hits, FallbackBatchOutcome(tiers.tolist(), degraded, attempts)
+        costs = np.asarray(estimator.estimate_batch(pts, ks), dtype=float)
+        provenance = getattr(estimator, "last_batch_outcome", None)
+        if provenance is None:
+            m = pts.shape[0]
+            provenance = FallbackBatchOutcome([""] * m, np.zeros(m, dtype=bool))
+        return costs, provenance
 
     def estimate_select_provenance(
         self, name: str, pts: np.ndarray, ks: np.ndarray
@@ -588,12 +478,11 @@ class StatisticsManager:
         estimates its *local* browse costs and ships per-query
         ``(costs, tiers, degraded)`` to the coordinator, which sums the
         costs and keeps the worst tier across shards — the labels of
-        :meth:`estimate_select_costs_batch`'s provenance
-        ("estimate-cache" on a cache hit, the answering fallback tier
-        otherwise, ``""`` for a raw estimator).
+        :meth:`estimate_select_costs_batch`'s provenance (the answering
+        fallback tier, ``""`` for a raw estimator).
         """
         estimator = self.select_estimator_for_planning(name)
-        costs, __, provenance = self.estimate_select_costs_batch(
+        costs, provenance = self.estimate_select_costs_batch(
             name, estimator, np.asarray(pts, dtype=float), np.asarray(ks)
         )
         return costs, list(provenance.tiers), provenance.degraded.tolist()

@@ -70,7 +70,6 @@ from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
 from repro.index.snapshot import as_snapshot
 from repro.knn.merge import QueryMerge, run_merges
-from repro.optimizer.selection import normalize_pins
 from repro.serving.merge import (
     PARTIAL_PLAN,
     merge_filter_topk,
@@ -285,9 +284,7 @@ class ShardedServingTier:
         strict: Raise :class:`ShardExhaustedError` instead of degrading.
         manager_kwargs: :class:`~repro.engine.StatisticsManager`
             configuration for the worker replicas.  Must match the
-            reference engine's configuration for bit-identical answers;
-            leave ``estimate_cache_size`` at 0 — a warm cache can flip
-            plan choices and break the identity.
+            reference engine's configuration for bit-identical answers.
         pinned_operators: Forced per-table/per-kind operator choices
             for every worker's statistics manager — plain picklable data
             (``{"table:kind" | "kind": operator}``), merged into
@@ -297,7 +294,10 @@ class ShardedServingTier:
 
     Raises:
         ValueError: On an unknown shard mode, a bad chunk size, an empty
-            table, or an invalid pin — before any worker spawns.
+            table, or a manager configuration
+            :class:`~repro.engine.StatisticsManager` refuses (an invalid
+            pin, ``max_k``, breaker or time budget) — before any worker
+            spawns.
 
     The tier is a context manager; :meth:`close` terminates every
     worker pool.
@@ -345,9 +345,10 @@ class ShardedServingTier:
         self._manager_kwargs = dict(manager_kwargs or {})
         if pinned_operators:
             self._manager_kwargs["pinned_operators"] = dict(pinned_operators)
-        # A bad pin is a configuration error: refuse it here rather than
-        # as an outage of every shard at its first chunk.
-        normalize_pins(self._manager_kwargs.get("pinned_operators"))
+        # A bad manager configuration is refused here rather than as an
+        # outage of every shard at its first chunk.  Data mode's
+        # coordinator-side plans are arbitrated under this manager.
+        self._arbiter = StatisticsManager(**self._manager_kwargs)
         capacity = int(table.index.capacity)
         if shard_mode == "replica":
             handles = {
@@ -457,9 +458,8 @@ class ShardedServingTier:
                 serve_fn=_serve_data_shard_chunk,
             )
         # Coordinator-side plans are arbitrated by the planner's own
-        # select assembly under this manager (pins included) — only the
-        # cost numbers come from the cross-shard estimate merge.
-        self._arbiter = StatisticsManager(**self._manager_kwargs)
+        # select assembly under the tier's manager (pins included) — only
+        # the cost numbers come from the cross-shard estimate merge.
         self._arbiter.register(self.table)
         return handles
 
@@ -555,8 +555,6 @@ class ShardedServingTier:
             seconds=seconds,
             results=results,
             explanations=explanations,
-            cache_hits=None,
-            cache_misses=None,
             latencies_us=latencies_us,
             shard_ids=shard_ids,
             degraded=degraded,
@@ -712,8 +710,6 @@ class ShardedServingTier:
             seconds=seconds,
             results=results,
             explanations=explanations,
-            cache_hits=None,
-            cache_misses=None,
             latencies_us=latencies_us,
             shard_ids=shard_ids,
             degraded=degraded,

@@ -30,7 +30,6 @@ PARTIAL_PLAN = "partial-coverage"
 #: explanation reports the *worst* tier any shard answered with.
 _TIER_RANK = {
     "": -1,
-    "estimate-cache": 0,
     "staircase": 0,
     "density": 1,
     "uniform-model": 2,

@@ -25,8 +25,8 @@ block is assigned to the shard containing its center, each worker
 receives only its blocks' rows (memory ∝ n/shards), and queries are
 answered by the streaming cross-shard merge in
 :mod:`repro.serving.merge`.  Either way, spatial routing gives each
-worker a spatially coherent stream (catalog and estimate-cache
-locality) and confines a shard failure to one region.
+worker a spatially coherent stream (catalog locality) and confines a
+shard failure to one region.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ against a :class:`~repro.engine.SpatialEngine` in one of two serving
 modes — ``"batch"`` (one :meth:`~repro.engine.SpatialEngine.execute_batch`
 call) or ``"sharded"`` (the supervised multi-process tier of
 :mod:`repro.serving`) — and returns a :class:`ServingReport` with
-wall-clock throughput, latency percentiles where the mode records them,
-and the estimate cache's hit/miss movement.  The CLI ``--batch`` mode
-is a thin wrapper over it.
+wall-clock throughput and latency percentiles where the mode records
+them.  The CLI ``--batch`` mode is a thin wrapper over it.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ class ServingReport:
         results: Per-query :class:`~repro.engine.ExecutionResult`, in
             workload order.
         explanations: Per-query :class:`~repro.engine.PlanExplanation`.
-        cache_hits: Estimate-cache hits this replay added (``None`` when
-            the engine's cache is disabled).
-        cache_misses: Estimate-cache misses this replay added.
         latencies_us: ``(n,)`` per-query latencies in microseconds, when
             the serving mode records them (``"sharded"`` amortizes per
             chunk; ``"batch"`` plans the whole workload at once, so
@@ -45,8 +41,6 @@ class ServingReport:
     seconds: float
     results: list
     explanations: list
-    cache_hits: int | None
-    cache_misses: int | None
     latencies_us: np.ndarray | None = None
 
     @property
@@ -84,14 +78,6 @@ class ServingReport:
         figure (``None`` when not recorded)."""
         return self._latency_percentile(99.0)
 
-    @property
-    def cache_hit_rate(self) -> float | None:
-        """This replay's hit fraction (``None`` with the cache disabled)."""
-        if self.cache_hits is None or self.cache_misses is None:
-            return None
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def describe(self) -> str:
         """Multi-line summary for the CLI."""
         lines = [
@@ -107,12 +93,6 @@ class ServingReport:
                 f"p50 {self.p50_latency_us:.1f} / "
                 f"p95 {self.p95_latency_us:.1f} / "
                 f"p99 {self.p99_latency_us:.1f} us/query"
-            )
-        rate = self.cache_hit_rate
-        if rate is not None:
-            lines.append(
-                f"cache:       {self.cache_hits} hits / "
-                f"{self.cache_misses} misses (hit rate {rate:.1%})"
             )
         return "\n".join(lines)
 
@@ -170,9 +150,6 @@ def serve_workload(
             **(tier_options or {}),
         )
     queries = batch.as_knn_queries(table)
-    cache = getattr(engine.stats, "estimate_cache", None)
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
     start = time.perf_counter()
     pairs = engine.execute_batch(queries)
     seconds = time.perf_counter() - start
@@ -182,6 +159,4 @@ def serve_workload(
         seconds=seconds,
         results=[result for result, __ in pairs],
         explanations=[explanation for __, explanation in pairs],
-        cache_hits=cache.hits - hits_before if cache is not None else None,
-        cache_misses=cache.misses - misses_before if cache is not None else None,
     )

@@ -93,7 +93,7 @@ def _decide(stats, explanation, kind, table, tie_order) -> None:
     explanation.trail = [record]
 
 
-def _assemble(stats, table, query, sigma, effective_k, cost, tier, degraded, hit):
+def _assemble(stats, table, query, sigma, effective_k, cost, tier, degraded):
     cost_filter = float(table.index.num_blocks)
     cost = min(cost, cost_filter)
     alternatives = {
@@ -112,7 +112,6 @@ def _assemble(stats, table, query, sigma, effective_k, cost, tier, degraded, hit
         selectivity=sigma,
         estimator_tier=tier,
         degraded=degraded,
-        cache_hit=hit,
         kernel_backend=active_backend(),
     )
     _decide(stats, explanation, "select", query.table, tuple(order))
@@ -148,33 +147,22 @@ def reference_explain_selects(stats, queries) -> list[PlanExplanation]:
             effective_ks.append(reference_effective_k(query.k, sigma))
         pts = np.array([[queries[i].query.x, queries[i].query.y] for i in indices], dtype=float)
         estimator = stats.select_estimator_for_planning(name)
-        costs, hits, __ = stats.estimate_select_costs_batch(
+        costs, __ = stats.estimate_select_costs_batch(
             name, estimator, pts, np.array(effective_ks, dtype=np.int64)
         )
-        # The rows the estimator answered are the non-hits, in order.
-        pending = [j for j in range(len(indices)) if hits is None or not hits[j]]
         answered = getattr(estimator, "last_batch_outcome", None)
-        outcomes = {}
-        if answered is not None and pending:
-            outcomes = {j: answered.outcome_for(p) for p, j in enumerate(pending)}
         prep_stats = getattr(estimator, "preprocessing_stats", None)
         preprocessing = {} if prep_stats is None else prep_stats.as_dict()
         for j, i in enumerate(indices):
-            hit = bool(hits[j]) if hits is not None else None
-            if hit:
-                tier, degraded = "estimate-cache", False
-            elif j in outcomes:
-                tier, degraded = outcomes[j].tier, outcomes[j].degraded
-            else:
-                tier, degraded = "", False
+            outcome = None if answered is None else answered.outcome_for(j)
+            tier, degraded = ("", False) if outcome is None else (outcome.tier, outcome.degraded)
             explanation = _assemble(
                 stats, table, queries[i], sigmas[j], effective_ks[j], float(costs[j]),
-                tier, degraded, hit,
+                tier, degraded,
             )
             if degraded:
-                explanation.notes.append(outcomes[j].describe())
-            if not hit:
-                explanation.preprocessing.update(preprocessing)
+                explanation.notes.append(outcome.describe())
+            explanation.preprocessing.update(preprocessing)
             plans[i] = explanation
     return plans  # type: ignore[return-value]
 

@@ -403,20 +403,16 @@ class TestEngineBatchParity:
             assert x_s.estimator_tier == x_b.estimator_tier, i
             assert x_s.notes == x_b.notes, i
 
-    @pytest.mark.parametrize(
-        "scenario", ["cache-off", "cache-on", "stale-raise", "faulted-primary"]
-    )
+    @pytest.mark.parametrize("scenario", ["healthy", "stale-raise", "faulted-primary"])
     def test_scalar_calls_are_the_batch_of_one(self, mixed_setup, scenario):
         """``explain(q)`` / ``execute(q)`` equal ``explain_batch([q])[0]`` /
         ``execute_batch([q])[0]`` field for field — there is no scalar
-        planning twin — with the estimate cache off and on and under a
-        degraded estimator."""
+        planning twin — healthy and under a degraded estimator."""
         build_mixed, queries = mixed_setup
 
         def build_engine() -> SpatialEngine:
             engine = build_mixed(
-                estimate_cache_size=256 if scenario == "cache-on" else 0,
-                staleness_policy="raise" if scenario == "stale-raise" else "rebuild",
+                staleness_policy="raise" if scenario == "stale-raise" else "rebuild"
             )
             if scenario == "stale-raise":
                 engine.explain(KnnSelectQuery("a", Point(500.0, 500.0), k=4))
@@ -445,7 +441,7 @@ class TestEngineBatchParity:
             }
             return out
 
-        # Repeats make cache hits; both engines see the same sequence.
+        # Both engines see the same sequence, repeats included.
         sequence = queries[:60] + queries[:20]
         scalar_engine, batch_engine = build_engine(), build_engine()
         degraded = 0
@@ -454,8 +450,6 @@ class TestEngineBatchParity:
             x_b = batch_engine.explain_batch([query])[0]
             assert fields(x_s) == fields(x_b), (i, query)
             degraded += x_s.degraded
-        if scenario == "cache-on":
-            assert scalar_engine.stats.estimate_cache.hits > 0
         if scenario in ("stale-raise", "faulted-primary"):
             assert degraded > 0
         for i, query in enumerate(sequence[:30]):
@@ -510,7 +504,6 @@ class TestEngineBatchParity:
             assert ex_s.selectivity == ex_b.selectivity, i
             assert ex_s.estimator_tier == ex_b.estimator_tier, i
             assert ex_s.degraded == ex_b.degraded, i
-            assert ex_s.cache_hit is None and ex_b.cache_hit is None
 
 
 class TestBatchedIncrementalKnn:

@@ -184,23 +184,12 @@ class TestEstimateSelectBatch:
         assert "mode:" in out and "batch" in out
         assert "throughput:" in out and "queries/s" in out
         assert "latency:" in out
-        # Cache disabled by default: no cache line.
-        assert "cache:" not in out
 
-    def test_batch_mode_with_cache_reports_hit_rate(
-        self, points_csv, queries_csv, capsys
-    ):
-        code = main(
-            [
-                "estimate-select", points_csv,
-                "--batch", queries_csv,
-                "--cache-size", "4096",
-                "--max-k", "64", "--capacity", "64",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cache:" in out and "hit rate" in out
+    def test_cache_size_is_an_unknown_argument(self, points_csv, queries_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate-select", points_csv, "--batch", queries_csv, "--cache-size", "4096"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-size" in capsys.readouterr().err
 
     def test_scalar_args_required_without_batch(self, points_csv, capsys):
         code = main(["estimate-select", points_csv])

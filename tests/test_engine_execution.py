@@ -229,6 +229,52 @@ class TestJoinExecution:
         assert result.n_results == 30
 
 
+class TestCorrelatedPredicateJoin:
+    """A predicate that keeps one side of the world (ROADMAP item 1).
+
+    The locality join raises k to k′ = ⌈k/σ⌉ and assumes enough
+    qualifying inner rows fall inside each outer block's k′-locality;
+    with the qualifying rows packed into the western third, they do not.
+    Here (10,000 inner and 2,000 outer OSM-like points sharing one city
+    structure, capacity 128, k = 5, σ = 0.336) the planner picks the
+    locality join at 4,731 estimated blocks against 6,224 for
+    per-point selects, and 748 of the 2,000 outer rows get a neighbour
+    list that differs from brute force over the qualifying rows.
+    """
+
+    K = 5
+    WEST = 1000.0 / 3.0
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        inner = generate_osm_like(10_000, seed=0, structure_seed=0)
+        outer = generate_osm_like(2_000, seed=1, structure_seed=0)
+        eng = SpatialEngine(StatisticsManager())
+        eng.register(SpatialTable("inner", inner, {"x": inner[:, 0]}, capacity=128))
+        eng.register(SpatialTable("outer", outer, capacity=128))
+        query = KnnJoinQuery("outer", "inner", k=self.K, inner_predicate=column("x") < self.WEST)
+        return eng, query, inner, outer
+
+    def test_the_planner_picks_the_locality_join(self, setup):
+        eng, query, __, __ = setup
+        explanation = eng.explain(query)
+        assert explanation.chosen == "locality-join"
+        assert explanation.cost_of("locality-join") < explanation.cost_of("per-point-selects")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_answers_equal_brute_force_over_the_qualifying_rows(self, setup):
+        eng, query, inner, outer = setup
+        result, __ = eng.execute(query)
+        qualifying = inner[inner[:, 0] < self.WEST]
+        pairs = dict(result.join_pairs)
+        wrong = 0
+        for row, (x, y) in enumerate(outer):
+            want = np.sort(np.hypot(qualifying[:, 0] - x, qualifying[:, 1] - y))[: self.K]
+            got = np.sort(np.hypot(inner[pairs[row], 0] - x, inner[pairs[row], 1] - y))
+            wrong += not np.array_equal(got, want)
+        assert wrong == 0, f"{wrong} of {len(outer)} outer rows differ from brute force"
+
+
 class TestEngineApi:
     def test_unknown_table(self, engine):
         with pytest.raises(KeyError):

@@ -157,7 +157,7 @@ class TestStaleTrackingRegressions:
 
     def test_estimator_never_consumes_the_log(self):
         """Maintenance must read the update log without truncating it —
-        other consumers (engine cache revalidation) share it."""
+        other consumers share it."""
         tree, __, __rng = build(n=300, capacity=16)
         maintained = MaintainedStaircaseEstimator(tree, max_k=16)
         maintained.refresh_incremental()

@@ -199,6 +199,20 @@ RETIRED_NAMES = {
     "plan_range",
     "plan_select",
     "plan_select_batch",
+    "EstimateCache",
+    "estimate_cache",
+    "estimate_cache_size",
+    "estimate_cache_cells",
+    "DEFAULT_CACHE_CELLS",
+    "cache_hit",
+    "cache_hits",
+    "cache_misses",
+    "cache_hit_rate",
+    "_sync_cache_generation",
+    "cache_entries_carried",
+    "cache_entries_dropped",
+    "estimate-cache",
+    "--cache-size",
 }
 
 
@@ -237,6 +251,7 @@ def test_retired_names_stay_retired():
     ]
     assert not hits, "retired names are back in src/:\n" + "\n".join(hits)
     assert not (SRC / "repro" / "index" / "count_index.py").exists()
+    assert not (SRC / "repro" / "engine" / "cache.py").exists()
     for module in ("chooser", "plans"):
         assert f"repro.optimizer.{module}" not in MODULES
 

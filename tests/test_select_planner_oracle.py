@@ -10,8 +10,8 @@ to a loop of scalar guards on errors:
 * a hypothesis property over mixed batches: several tables (one empty),
   σ < 1 predicates, regions (zero-area ones too), far-outside points,
   ``k > n_rows``, exact-table and wildcard pins (``region-pruned-knn``
-  on region-less rows included), the estimate cache, ``fallback=False``
-  and a primary tier corrupted through ``resilience.faultinject``;
+  on region-less rows included), ``fallback=False`` and a primary tier
+  corrupted through ``resilience.faultinject``;
 * error parity: a batch whose first invalid query is at position ``i``
   raises exactly what a scalar loop raises at ``i``;
 * ``guard_select_batch`` against a loop of ``guard_select_query`` on
@@ -72,14 +72,11 @@ TABLES = (
 N_ROWS = {table.name: table.n_rows for table in TABLES}
 
 
-def _engine(
-    *, cache=False, fallback=True, pins=None, fault=False, strict=False
-) -> SpatialEngine:
+def _engine(*, fallback=True, pins=None, fault=False, strict=False) -> SpatialEngine:
     engine = SpatialEngine(
         StatisticsManager(
             max_k=MAX_K,
             join_sample_size=20,
-            estimate_cache_size=64 if cache else 0,
             fallback=fallback,
             pinned_operators=pins,
             strict=strict,
@@ -153,7 +150,6 @@ _pins = st.sampled_from(
 def _configs(draw):
     fallback = draw(st.booleans())
     return {
-        "cache": draw(st.booleans()),
         "fallback": fallback,
         "pins": draw(_pins),
         "fault": fallback and draw(st.booleans()),
@@ -166,7 +162,7 @@ def _configs(draw):
     queries=st.lists(st.one_of(_select(), _select(), _select(), _other), min_size=1, max_size=20),
 )
 def test_explain_batch_equals_the_per_query_oracle(config, queries):
-    # A repeat makes cache hits, including within the batch.
+    # A repeat within the batch is planned as a query of its own.
     queries = queries + queries[: len(queries) // 2]
     expected = reference_explain_batch(_engine(**config).stats, queries)
     got = _engine(**config).explain_batch(queries)
@@ -177,8 +173,8 @@ def test_explain_batch_equals_the_per_query_oracle(config, queries):
 
 
 def test_the_property_reaches_every_rule():
-    """The shapes the property draws do reach degraded tiers, cache hits,
-    pins, region columns, σ < 1 and guard notes — checked once, here."""
+    """The shapes the property draws do reach degraded tiers, pins,
+    region columns, σ < 1 and guard notes — checked once, here."""
     queries = [
         KnnSelectQuery("a", Point(500.0, 500.0), k=5, region=Rect(400, 400, 600, 600)),
         KnnSelectQuery("a", Point(500.0, 500.0), k=5, predicate=column("v") < 3),
@@ -186,14 +182,11 @@ def test_the_property_reaches_every_rule():
         KnnSelectQuery("empty", Point(5.0, 5.0), k=3),
     ] * 4
     expected = reference_explain_batch(
-        _engine(cache=True, fault=True, pins={"select": "region-pruned-knn"}).stats, queries
+        _engine(fault=True, pins={"select": "region-pruned-knn"}).stats, queries
     )
-    got = _engine(cache=True, fault=True, pins={"select": "region-pruned-knn"}).explain_batch(
-        queries
-    )
+    got = _engine(fault=True, pins={"select": "region-pruned-knn"}).explain_batch(queries)
     assert [_fields(e) for e in got] == [_fields(e) for e in expected]
     assert any(e.degraded for e in got)
-    assert any(e.cache_hit for e in got)
     assert {e.decided_by for e in got} == {"pinned-override", "cost-based"}
     assert any(e.selectivity < 1.0 and e.effective_k > 5 for e in got)
     assert any("exceeds" in note for e in got for note in e.notes)

@@ -1,8 +1,8 @@
 """Tests for physical-operator arbitration: one cost comparison plus pins.
 
 Covers :func:`~repro.optimizer.selection.arbitrate`'s cost and pin
-rules, pin validation (at construction, before anything plans or any
-worker spawns), the operator vocabulary, arbitration/legacy parity
+rules, pin and manager-argument validation (at construction, before
+anything plans or any worker spawns), the operator vocabulary, arbitration/legacy parity
 across all three index substrates, the many-selects-vs-one-join
 decision through the engine, the stale-catalog story under both
 staleness policies, and the CLI surface.
@@ -148,16 +148,6 @@ class TestConfidenceSelection:
     """The estimate's provenance lives on the explanation; the cost
     comparison does not read it."""
 
-    def test_cache_hit_is_recorded(self):
-        from repro.engine import KnnSelectQuery
-
-        eng = _engine(estimate_cache_size=64)
-        query = KnnSelectQuery("points", Point(500, 500), k=8)
-        miss, hit = eng.explain(query), eng.explain(query)
-        assert (miss.cache_hit, miss.estimator_tier) == (False, "staircase")
-        assert (hit.cache_hit, hit.estimator_tier) == (True, "estimate-cache")
-        assert hit.chosen == miss.chosen and hit.decided_by == "cost-based"
-
     def test_primary_tier_is_recorded(self, engine):
         from repro.engine import KnnSelectQuery
 
@@ -240,6 +230,54 @@ class TestPinValidation:
         )
         with pytest.raises(ValueError, match="not a select operator"):
             ShardedServingTier(table, shard_mode=shard_mode, n_shards=2, **kwargs)
+        assert multiprocessing.active_children() == []
+
+
+BAD_MANAGER_ARGS = [
+    ("max_k", 0),
+    ("max_k", -5),
+    ("breaker_threshold", 0),
+    ("breaker_cooldown", 0),
+    ("breaker_cooldown", -1),
+    ("estimate_time_budget", 0.0),
+    ("estimate_time_budget", -1.0),
+]
+
+
+class TestManagerArgumentValidation:
+    """Every manager argument is checked at construction, naming itself —
+    not at the first ``explain`` as an error about the query's k."""
+
+    @pytest.mark.parametrize(("arg", "value"), BAD_MANAGER_ARGS)
+    def test_manager_rejects_the_argument(self, arg, value):
+        from repro.engine import StatisticsManager
+
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            StatisticsManager(**{arg: value})
+
+    @pytest.mark.parametrize("shard_mode", ["replica", "data"])
+    @pytest.mark.parametrize(("arg", "value"), BAD_MANAGER_ARGS)
+    def test_serving_tier_rejects_the_argument_before_spawning(
+        self, monkeypatch, shard_mode, arg, value
+    ):
+        from repro.engine import SpatialTable
+        from repro.serving import ShardedServingTier, coordinator
+
+        created = []
+
+        class RecordingHandle(coordinator.ShardWorkerHandle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(coordinator, "ShardWorkerHandle", RecordingHandle)
+        table = SpatialTable("t", generate_uniform(400, seed=4), capacity=32)
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            ShardedServingTier(
+                table, shard_mode=shard_mode, n_shards=2, manager_kwargs={arg: value}
+            )
+        # What ``pools_spawned`` would sum: no handle was even built.
+        assert sum(handle.spawned for handle in created) == 0 and created == []
         assert multiprocessing.active_children() == []
 
 

@@ -570,7 +570,7 @@ def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_
     for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
         for name in (
             "chosen", "alternatives", "decided_by", "estimator_tier",
-            "degraded", "effective_k", "selectivity", "cache_hit", "kernel_backend",
+            "degraded", "effective_k", "selectivity", "kernel_backend",
         ):
             assert getattr(served, name) == getattr(expected, name), (i, name)
         (record,) = served.trail
