@@ -43,13 +43,11 @@ from repro.knn import (
     DistanceBrowser,
     brute_force_knn,
     depth_first_knn,
-    knn_join,
     knn_join_cost,
     knn_select,
     locality_block_indices,
     locality_size,
     locality_size_profile,
-    naive_knn_join,
     select_cost,
     select_cost_exact,
     select_cost_profile,
@@ -110,13 +108,11 @@ __all__ = [
     "DistanceBrowser",
     "brute_force_knn",
     "depth_first_knn",
-    "knn_join",
     "knn_join_cost",
     "knn_select",
     "locality_block_indices",
     "locality_size",
     "locality_size_profile",
-    "naive_knn_join",
     "select_cost",
     "select_cost_exact",
     "select_cost_profile",

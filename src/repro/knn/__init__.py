@@ -14,9 +14,9 @@ validated against ground truth:
 * :mod:`~repro.knn.depth_first` — Roussopoulos et al.'s depth-first
   branch-and-bound k-NN, the suboptimal comparator of Section 2.
 * :mod:`~repro.knn.locality` — locality computation of Sankaranarayanan
-  et al. and its size-vs-k staircase profile (Procedure 2's semantics).
-* :mod:`~repro.knn.knn_join` — the locality-based block-by-block
-  k-NN-Join and a naive per-point join used as a correctness oracle.
+  et al., its size-vs-k staircase profile (Procedure 2's semantics) and
+  the exact locality-join cost; the join itself runs as the engine's
+  :class:`~repro.engine.physical.LocalityJoinOperator`.
 """
 
 from repro.knn.distance_browsing import (
@@ -29,16 +29,12 @@ from repro.knn.distance_browsing import (
 )
 from repro.knn.depth_first import depth_first_knn
 from repro.knn.locality import (
+    knn_join_cost,
     locality_block_indices,
     locality_coverage_radii,
     locality_size,
     locality_size_profile,
     locality_sizes,
-)
-from repro.knn.knn_join import (
-    knn_join,
-    knn_join_cost,
-    naive_knn_join,
 )
 
 __all__ = [
@@ -54,7 +50,5 @@ __all__ = [
     "locality_size",
     "locality_size_profile",
     "locality_sizes",
-    "knn_join",
     "knn_join_cost",
-    "naive_knn_join",
 ]

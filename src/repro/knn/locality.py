@@ -10,7 +10,7 @@ scan until a block with MINDIST greater than ``M`` appears.  Every
 encountered block (MINDIST <= M) belongs to the locality.
 
 The join cost the paper estimates is the total number of blocks scanned:
-the sum of locality sizes over all outer blocks.
+the sum of locality sizes over all outer blocks (:func:`knn_join_cost`).
 
 All functions here consume the columnar block summary — an
 :class:`~repro.index.snapshot.IndexSnapshot`, or anything
@@ -117,6 +117,25 @@ def locality_block_indices(inner, outer_rect, k: int) -> np.ndarray:
 def locality_size(inner, outer_rect, k: int) -> int:
     """Number of inner blocks in the locality of ``outer_rect`` for ``k``."""
     return int(locality_block_indices(inner, outer_rect, k).shape[0])
+
+
+def knn_join_cost(outer, inner, k: int) -> int:
+    """Exact locality-join cost: total inner blocks scanned.
+
+    The ground truth of every join estimator: what the engine's
+    :class:`~repro.engine.physical.LocalityJoinOperator` scans without
+    a predicate.
+
+    Args:
+        outer: Index of the outer relation ``R``.
+        inner: Index of the inner relation ``S``.
+        k: Number of neighbors per outer point.
+
+    Returns:
+        ``sum over outer blocks of |locality(block, k)|``.
+    """
+    inner_snapshot = IndexSnapshot.from_index(inner)
+    return sum(locality_size(inner_snapshot, block.rect, k) for block in outer.blocks)
 
 
 def locality_sizes(inner, outer_rects, k: int) -> np.ndarray:

@@ -6,10 +6,10 @@ A supervised, process-sharded front end over the
 * :mod:`~repro.serving.shards` — the shard planner (count-balanced
   spatial partitioning of query space), vectorized routing, and the
   block-level data partitioner for true data shards;
-* :mod:`~repro.serving.worker` — the per-shard worker process: either a
-  full engine replica serving chunks under a propagated deadline
-  (``shard_mode="replica"``) or a data shard streaming MINDIST-ordered
-  blocks to the coordinator (``shard_mode="data"``);
+* :mod:`~repro.serving.worker` — the per-shard worker process: it holds
+  the blocks its shard owns (every block with ``shard_mode="replica"``,
+  one slice with ``shard_mode="data"``) and answers the merge
+  protocol's rounds under a propagated deadline;
 * :mod:`~repro.serving.merge` — the full-scan top-k and estimate
   merges; the streaming k-NN merge itself is the engine's browser,
   :mod:`repro.knn.merge` (``QueryMerge`` is re-exported here);

@@ -3,43 +3,44 @@
 :class:`ShardedServingTier` is the front door of the serving
 subsystem.  Per batch it:
 
-1. asks the :class:`~repro.serving.admission.AdmissionController` (if
+1. guards the focal points and ``k`` values the way the engine does
+   (:func:`~repro.resilience.guards.guard_select_batch`), so a bad
+   query raises before it can cost a shard anything;
+2. asks the :class:`~repro.serving.admission.AdmissionController` (if
    configured) for admission under the batch's deadline;
-2. routes every query to its spatial shard via the
-   :class:`~repro.serving.shards.ShardPlan`;
-3. fans the per-shard sub-workloads out to supervised worker processes
-   in ``chunk_size`` chunks — on threads the tier owns: started on
-   first use, reused by every batch, joined by ``close()``; a batch
-   of a single chunk runs on its caller's thread — each chunk served
-   under the
+3. cuts the batch into ``chunk_size`` chunks, each addressed to the
+   shards that own its blocks, and drives every chunk through the
+   cross-shard merge protocol (open, arbitrate, merge — plus a scan
+   round for filter plans) on threads the tier owns: started on first
+   use, reused by every batch, joined by ``close()``; a batch one task
+   wide runs on its caller's thread.  Every round is served under the
    :class:`~repro.serving.supervisor.ShardSupervisor`'s
    deadline/retry/respawn/breaker contract;
-4. merges the per-shard answers back into workload order with
-   per-shard provenance (:class:`ShardReport`);
-5. degrades instead of failing: queries whose shard stayed unavailable
-   are answered by the coordinator's *local* uniform-model fallback —
-   an estimate-only answer clamped to the guaranteed bound (the
+4. merges the answers back into workload order with per-shard
+   provenance (:class:`ShardReport`);
+5. degrades instead of failing: a query none of whose shards answered
+   is served by the coordinator's *local* uniform-model fallback — an
+   estimate-only answer clamped to the guaranteed bound (the
    relation's block count), flagged ``degraded=True`` with
-   ``results[i] is None`` — unless ``strict`` serving was requested, in
-   which case a :class:`~repro.resilience.errors.ShardExhaustedError`
+   ``results[i] is None``; a query that lost a shard part-way comes
+   back ``partial`` (a verified prefix of the true answer, clamped by
+   the lost shard's bound) — unless ``strict`` serving was requested,
+   in which case a :class:`~repro.resilience.errors.ShardExhaustedError`
    is raised.
 
-The tier runs in one of two **shard modes**:
+The two **shard modes** differ only in which blocks a shard owns and
+which shards a query asks:
 
-* ``"replica"`` (the default) — every worker holds a full replica of
-  the point set; queries route to their spatial shard and come back
-  whole.  Because the quadtree partition is a pure function of
-  (points, capacity), every *non-degraded* answer is bit-identical to
-  an unsharded :class:`~repro.engine.SpatialEngine`.
-* ``"data"`` — the relation is *partitioned*: each worker holds only
-  its shard's index blocks and rows (memory ∝ n/shards), and every
-  query fans out to all shards, answered by the streaming cross-shard
-  merge of :mod:`repro.serving.merge`.  Answers are still bit-identical
-  to the unsharded engine — the merge replays the exact global block
-  admission — but a dead shard is now a *coverage gap*: affected
-  queries degrade to an explicit ``partial`` outcome (a verified
-  prefix of the true answer, clamped by the surviving shards' bounds)
-  instead of replica mode's estimate-only fallback.
+* ``"replica"`` (the default) — every shard owns every block; a query
+  routes to one shard by its focal point, and that shard's ``open``
+  reply is the whole answer.
+* ``"data"`` — the relation is *partitioned*: each shard owns only its
+  blocks and rows (memory ∝ n/shards), and every query asks all
+  shards.
+
+Either way every non-degraded answer is bit-identical to an unsharded
+:class:`~repro.engine.SpatialEngine`: the merge replays the exact
+global block admission.
 
 The tier is **long-lived**: :meth:`~ShardedServingTier.start` spawns
 every worker pool eagerly, :meth:`~ShardedServingTier.serve_many`
@@ -50,7 +51,6 @@ cost was paid exactly once across a sustained workload.
 
 from __future__ import annotations
 
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -75,12 +75,10 @@ from repro.serving.merge import (
     merge_filter_topk,
     merge_select_estimates,
 )
-from repro.serving.worker import (
-    _serve_data_shard_chunk,
-    _worker_stats,
-)
+from repro.serving.worker import _worker_stats
 from repro.resilience.errors import OverloadError, ShardExhaustedError
 from repro.resilience.faultinject import WorkerFaultPlan
+from repro.resilience.guards import guard_select_batch
 from repro.serving.admission import AdmissionController
 from repro.serving.shards import ShardPlan, partition_blocks, plan_shards
 from repro.serving.supervisor import (
@@ -106,18 +104,17 @@ class ShardReport:
 
     Attributes:
         shard_id: The shard.
-        n_queries: Queries routed to it this batch.
-        n_chunks: Chunks its stream(s) submitted.  In data mode every
-            query goes to every shard, and this counts the protocol
-            *rounds* (open, scan, resume) the shard was sent — one per
-            chunk for a healthy incremental-plan batch.
+        n_queries: Queries that asked it this batch.
+        n_chunks: Protocol *rounds* (open, scan, resume) the shard was
+            sent — one per chunk it was asked for in a healthy
+            incremental-plan batch.
         attempts: Worker submissions (includes retries).
         retries: Re-submissions after a failed attempt.
         respawns: Pool incarnations killed and replaced (crash or hang).
         timeouts: Attempts abandoned on the future timeout.
         failures: Failed attempts of any kind.
-        degraded_queries: Queries this shard could not answer (served by
-            the coordinator's local fallback instead).
+        degraded_queries: Queries left estimate-only or partial because
+            this shard did not answer.
         circuit_open: Whether the shard's breaker was open when the
             batch finished.
     """
@@ -161,10 +158,9 @@ class ShardedServingReport(ServingReport):
             data-shard mode — every query fans out to all shards).
         degraded: ``(n,)`` bool mask of estimate-only answers (their
             ``results`` entry is ``None``).
-        partial: ``(n,)`` bool mask of partial-coverage answers
-            (data-shard mode only): the result holds a *verified
-            prefix* of the true k-NN answer, clamped by the dead
-            shards' bounds.
+        partial: ``(n,)`` bool mask of partial-coverage answers: the
+            result holds a *verified prefix* of the true k-NN answer,
+            clamped by the dead shards' bounds.
         shards: Per-shard :class:`ShardReport`, ascending by shard id.
         deadline_ms: The deadline the batch ran under (``None`` =
             unbounded).
@@ -266,13 +262,13 @@ class ShardedServingTier:
     Args:
         table: The relation to serve (replicated to every worker in
             replica mode; partitioned across workers in data mode).
-        shard_mode: ``"replica"`` (full copy per worker, queries
-            routed by region) or ``"data"`` (each worker holds only
-            its shard's blocks, queries answered by the cross-shard
-            streaming merge).
+        shard_mode: ``"replica"`` (every shard owns every block, a
+            query asks the one shard its focal point routes to) or
+            ``"data"`` (each shard owns only its blocks, a query asks
+            every shard).
         n_shards: Spatial shards / worker pools.
         workers_per_shard: Processes per shard pool; each extra worker
-            adds one concurrent chunk stream for that shard's traffic.
+            adds one concurrent lane of chunks for that shard's traffic.
         chunk_size: Queries per worker submission (the retry and
             degradation granularity).
         deadline_ms: Default per-batch deadline (``None`` = unbounded);
@@ -283,7 +279,8 @@ class ShardedServingTier:
             (chaos testing).
         strict: Raise :class:`ShardExhaustedError` instead of degrading.
         manager_kwargs: :class:`~repro.engine.StatisticsManager`
-            configuration for the worker replicas.  Must match the
+            configuration for the workers' estimates and the
+            coordinator's arbitration and guards.  Must match the
             reference engine's configuration for bit-identical answers.
         pinned_operators: Forced per-table/per-kind operator choices
             for every worker's statistics manager — plain picklable data
@@ -346,35 +343,19 @@ class ShardedServingTier:
         if pinned_operators:
             self._manager_kwargs["pinned_operators"] = dict(pinned_operators)
         # A bad manager configuration is refused here rather than as an
-        # outage of every shard at its first chunk.  Data mode's
-        # coordinator-side plans are arbitrated under this manager.
+        # outage of every shard at its first chunk.  Coordinator-side
+        # plans are arbitrated under this manager (pins included).
         self._arbiter = StatisticsManager(**self._manager_kwargs)
-        capacity = int(table.index.capacity)
-        if shard_mode == "replica":
-            handles = {
-                sid: ShardWorkerHandle(
-                    sid,
-                    table.points,
-                    capacity,
-                    self._manager_kwargs,
-                    fault_plan=worker_faults,
-                    workers=workers_per_shard,
-                    backend=active_backend(),
-                )
-                for sid in range(self.plan.n_shards)
-            }
-        else:
-            handles = self._build_data_handles(
-                snapshot, capacity, worker_faults, workers_per_shard
-            )
-        self.supervisor = ShardSupervisor(handles, policy)
+        self.supervisor = ShardSupervisor(
+            self._build_handles(snapshot.canonical(), worker_faults), policy
+        )
         # The tier's own threads, started on first use and joined by
         # close().  Chunk tasks wait on fan-out tasks, so the two never
         # share a pool: a full chunk pool cannot starve the rounds it is
-        # waiting for.  Sizes: one batch's widest set of chunk tasks
+        # waiting for.  Sizes: one batch's widest set of lanes
         # (concurrent batches queue behind it), and one round to every
-        # shard per pooled data chunk plus one for a batch running
-        # inline on its caller's thread.
+        # shard per pooled lane plus one for a batch running inline on
+        # its caller's thread.
         n_shards, width = self.plan.n_shards, self._workers_per_shard
         self._chunk_pool = ThreadPoolExecutor(
             width * n_shards if shard_mode == "replica" else width,
@@ -388,80 +369,68 @@ class ShardedServingTier:
         self._fallback_model = UniformModelEstimator(snapshot)
         self._guaranteed_bound = float(table.index.num_blocks)
 
-    def _build_data_handles(
-        self,
-        snapshot,
-        capacity: int,
-        worker_faults: WorkerFaultPlan | None,
-        workers_per_shard: int,
+    def _build_handles(
+        self, canonical, worker_faults: WorkerFaultPlan | None
     ) -> dict[int, ShardWorkerHandle]:
-        """Partition the relation and build one data-shard handle each.
+        """Give every shard its blocks and build one worker handle each.
 
-        Blocks are assigned in *canonical* (ascending global block id)
-        order, so each shard's sub-snapshot inherits exactly its slice
-        of the global tie-break contract and the coordinator's merge
-        can replay the unsharded scan bit-for-bit.  Alongside each
-        shard's payload the coordinator keeps the shard's *hull bound*
-        — ``(union rect of its blocks, smallest member block id)`` —
-        the guaranteed lower bound used when the shard dies before
-        ever answering a query.
+        A data shard owns the blocks :func:`partition_blocks` assigns
+        it; a replica shard owns every block.  Blocks are listed in
+        *canonical* (ascending global block id) order, so each shard's
+        sub-snapshot inherits exactly its slice of the global tie-break
+        contract and the coordinator's merge can replay the unsharded
+        scan bit-for-bit.  Alongside each shard's payload the
+        coordinator keeps the shard's *hull bound* — ``(union rect of
+        its blocks, smallest member block id)`` — the guaranteed lower
+        bound used when the shard dies before ever answering a query.
         """
-        canonical = snapshot.canonical()
-        members, hulls = partition_blocks(canonical, self.plan)
-        counts = canonical.counts.astype(np.int64)
-        g_starts = np.zeros(canonical.n_blocks + 1, dtype=np.int64)
-        np.cumsum(counts, out=g_starts[1:])
-        self._hull_bounds: dict[int, tuple[tuple, int]] = {}
-        handles: dict[int, ShardWorkerHandle] = {}
-        for sid in range(self.plan.n_shards):
-            rows_m = members[sid]
-            if rows_m.size:
-                rows = np.concatenate(
-                    [
-                        np.asarray(
-                            self.table.block_row_ids(int(canonical.block_ids[m])),
-                            dtype=np.int64,
-                        )
-                        for m in rows_m
-                    ]
-                )
-                gpos = np.concatenate(
-                    [
-                        np.arange(g_starts[m], g_starts[m + 1], dtype=np.int64)
-                        for m in rows_m
-                    ]
-                )
-                self._hull_bounds[sid] = (
-                    hulls[sid],
-                    int(canonical.block_ids[rows_m[0]]),
-                )
-            else:
-                rows = np.empty(0, dtype=np.int64)
-                gpos = np.empty(0, dtype=np.int64)
-            payload = {
-                "snapshot": canonical.extract(rows_m),
-                "rows": rows,
-                "points": np.ascontiguousarray(self.table.points[rows]),
-                "gpos": gpos,
-                "capacity": capacity,
-                "manager_kwargs": self._manager_kwargs,
-            }
-            handles[sid] = ShardWorkerHandle(
+        n_shards = self.plan.n_shards
+        if self.shard_mode == "data":
+            members, hulls = partition_blocks(canonical, self.plan)
+            payloads = [self._shard_payload(canonical, blocks) for blocks in members]
+        else:
+            (every,), (hull,) = partition_blocks(canonical, plan_shards(canonical, 1))
+            members, hulls = [every] * n_shards, [hull] * n_shards
+            payloads = [self._shard_payload(canonical, every)] * n_shards
+        self._hull_bounds: dict[int, tuple[tuple, int]] = {
+            sid: (hulls[sid], int(canonical.block_ids[members[sid][0]]))
+            for sid in range(n_shards)
+            if members[sid].size
+        }
+        return {
+            sid: ShardWorkerHandle(
                 sid,
-                np.empty((0, 2), dtype=float),
-                capacity,
-                self._manager_kwargs,
+                payloads[sid],
                 fault_plan=worker_faults,
-                workers=workers_per_shard,
+                workers=self._workers_per_shard,
                 backend=active_backend(),
-                init_payload=payload,
-                serve_fn=_serve_data_shard_chunk,
             )
-        # Coordinator-side plans are arbitrated by the planner's own
-        # select assembly under the tier's manager (pins included) — only
-        # the cost numbers come from the cross-shard estimate merge.
-        self._arbiter.register(self.table)
-        return handles
+            for sid in range(n_shards)
+        }
+
+    def _shard_payload(self, canonical, blocks: np.ndarray) -> dict:
+        """What a worker owning ``blocks`` (canonical rows) is shipped."""
+        g_starts = np.zeros(canonical.n_blocks + 1, dtype=np.int64)
+        np.cumsum(canonical.counts, out=g_starts[1:])
+        empty = np.empty(0, dtype=np.int64)
+        rows = np.concatenate(
+            [empty]
+            + [
+                np.asarray(self.table.block_row_ids(int(canonical.block_ids[m])), dtype=np.int64)
+                for m in blocks
+            ]
+        )
+        gpos = np.concatenate(
+            [empty] + [np.arange(g_starts[m], g_starts[m + 1], dtype=np.int64) for m in blocks]
+        )
+        return {
+            "snapshot": canonical.extract(blocks),
+            "rows": rows,
+            "points": np.ascontiguousarray(self.table.points[rows]),
+            "gpos": gpos,
+            "capacity": int(self.table.index.capacity),
+            "manager_kwargs": self._manager_kwargs,
+        }
 
     # ------------------------------------------------------------------
     # Serving
@@ -471,16 +440,33 @@ class ShardedServingTier:
     ) -> ShardedServingReport:
         """Serve one workload batch through the shards.
 
+        The batch is guarded first, exactly as
+        :meth:`~repro.engine.SpatialEngine.execute_batch` guards it: a
+        bad query raises before admission and before any shard is
+        asked, and notes on suspicious ones are appended to the served
+        explanations.
+
         Args:
             batch: The workload.
             deadline_ms: Per-batch deadline override (``None`` =
                 unbounded; omitted = the tier default).
 
         Raises:
+            InvalidQueryError: On a non-finite focal point — and, when
+                the tier's manager is ``strict``, on a suspicious query
+                (far outside the indexed space, ``k`` above the row
+                count) — at the first offender in batch order.
             OverloadError: Refused at admission (queue or time budget).
             ShardExhaustedError: Under ``strict`` serving, when any
                 query's shard stayed unavailable through its retries.
         """
+        notes = guard_select_batch(
+            batch.points,
+            batch.ks,
+            self.table.n_rows,
+            self.table.index.bounds,
+            strict=self._arbiter.strict,
+        )
         effective_deadline = (
             self.deadline_ms if deadline_ms is _UNSET else deadline_ms
         )
@@ -489,65 +475,73 @@ class ShardedServingTier:
         if self.admission is not None:
             self.admission.admit(n, deadline.remaining())
         start = time.perf_counter()
-        serve = (
-            self._serve_admitted_data
-            if self.shard_mode == "data"
-            else self._serve_admitted
-        )
         try:
-            report = serve(batch, deadline, effective_deadline)
+            report = self._serve_admitted(batch, deadline, effective_deadline)
         finally:
             if self.admission is not None:
                 self.admission.release(n, time.perf_counter() - start)
+        for i, row in notes.items():
+            report.explanations[i].notes.extend(row)
         return report
 
     def _serve_admitted(
         self, batch: QueryBatch, deadline: Deadline, deadline_ms: float | None
     ) -> ShardedServingReport:
+        """Serve one admitted batch: every chunk through :meth:`_serve_data_chunk`.
+
+        A replica query asks the one shard its focal point routes to, a
+        data query every shard.  Each shard's chunks (in data mode, the
+        batch's) are dealt round-robin to ``workers_per_shard`` lanes:
+        lanes run concurrently, a lane's chunks one after another, so no
+        shard has more chunks in flight than worker processes.
+        """
         n = len(batch)
-        shard_ids = (
-            self.plan.assign(batch.points) if n else np.empty(0, dtype=np.int64)
-        )
+        sids = self.supervisor.shard_ids
+        if self.shard_mode == "replica":
+            shard_ids = self.plan.assign(batch.points) if n else np.empty(0, dtype=np.int64)
+            groups = [(np.flatnonzero(shard_ids == sid), (sid,)) for sid in sids]
+        else:
+            shard_ids = np.full(n, -1, dtype=np.int64)
+            groups = [(np.arange(n, dtype=np.int64), sids)]
+        lanes = []
+        for members, shards in groups:
+            chunks = [
+                (members[lo : lo + self.chunk_size], shards)
+                for lo in range(0, members.size, self.chunk_size)
+            ]
+            for lane in range(min(self._workers_per_shard, len(chunks))):
+                lanes.append(chunks[lane :: self._workers_per_shard])
         results: list = [None] * n
         explanations: list = [None] * n
         latencies_us = np.zeros(n, dtype=float)
         degraded = np.zeros(n, dtype=bool)
-        counters_before = {
-            sid: self._counter_snapshot(sid) for sid in self.supervisor.shard_ids
-        }
-        chunk_counts = dict.fromkeys(self.supervisor.shard_ids, 0)
-        streams: list[tuple[int, list[np.ndarray]]] = []
-        for sid in self.supervisor.shard_ids:
-            member_idx = np.flatnonzero(shard_ids == sid)
-            if member_idx.size == 0:
-                continue
-            chunks = [
-                member_idx[lo : lo + self.chunk_size]
-                for lo in range(0, member_idx.size, self.chunk_size)
-            ]
-            chunk_counts[sid] = len(chunks)
-            for stream_no in range(min(self._workers_per_shard, len(chunks))):
-                streams.append((sid, chunks[stream_no :: self._workers_per_shard]))
+        partial = np.zeros(n, dtype=bool)
+        counters_before = {sid: self._counter_snapshot(sid) for sid in sids}
+        rounds_total = dict.fromkeys(sids, 0)
+        gaps_total = dict.fromkeys(sids, 0)
         start = time.perf_counter()
-        shared = (batch, deadline, results, explanations, latencies_us, degraded)
-        self._run_chunk_tasks(
-            [
-                functools.partial(self._serve_stream, sid, chunks, *shared)
-                for sid, chunks in streams
-            ],
-            width=len(streams),
-        )
+        shared = (batch, deadline, results, explanations, latencies_us, degraded, partial)
+        for rounds, gaps in self._run_lanes(lanes, shared):
+            for sid in sids:
+                rounds_total[sid] += rounds[sid]
+                gaps_total[sid] += gaps[sid]
+        if self.strict and partial.any():
+            raise ShardExhaustedError(
+                f"{int(np.count_nonzero(partial))} of {n} queries lost shard "
+                "coverage (partial answers) and strict serving forbids "
+                "degradation"
+            )
         self._fill_degraded(batch, shard_ids, degraded, results, explanations)
         seconds = time.perf_counter() - start
         shard_reports = tuple(
             self._shard_report(
                 sid,
-                int(np.count_nonzero(shard_ids == sid)),
-                chunk_counts[sid],
-                int(np.count_nonzero(degraded[shard_ids == sid])),
+                n if self.shard_mode == "data" else int(np.count_nonzero(shard_ids == sid)),
+                rounds_total[sid],
+                gaps_total[sid],
                 counters_before[sid],
             )
-            for sid in self.supervisor.shard_ids
+            for sid in sids
         )
         return ShardedServingReport(
             mode="sharded",
@@ -558,50 +552,28 @@ class ShardedServingTier:
             latencies_us=latencies_us,
             shard_ids=shard_ids,
             degraded=degraded,
-            partial=np.zeros(n, dtype=bool),
+            partial=partial,
             shards=shard_reports,
             deadline_ms=deadline_ms,
-            shard_mode="replica",
+            shard_mode=self.shard_mode,
         )
 
-    def _serve_stream(
-        self,
-        shard_id: int,
-        chunks: list[np.ndarray],
-        batch: QueryBatch,
-        deadline: Deadline,
-        results: list,
-        explanations: list,
-        latencies_us: np.ndarray,
-        degraded: np.ndarray,
-    ) -> None:
-        """Serve one shard stream's chunks sequentially.
+    def _run_lanes(self, lanes: list[list], shared: tuple) -> list:
+        """Serve every lane's ``(chunk, shards)`` tasks; returns their outcomes.
 
-        Writes land at disjoint workload indices across streams, so the
-        shared output arrays need no locking.
+        A lane's chunks run in order.  A batch of one lane runs on the
+        caller's thread; wider ones go through the tier's chunk pool.
         """
-        for chunk_idx in chunks:
-            payload = {
-                "points": batch.points[chunk_idx],
-                "ks": batch.ks[chunk_idx],
-            }
-            chunk_start = time.perf_counter()
-            try:
-                (chunk_results, chunk_explanations), _attempts = (
-                    self.supervisor.serve_chunk(shard_id, payload, deadline)
-                )
-            except ShardUnavailable:
-                degraded[chunk_idx] = True
-                latencies_us[chunk_idx] = (
-                    (time.perf_counter() - chunk_start) / chunk_idx.size * 1e6
-                )
-                continue
-            latencies_us[chunk_idx] = (
-                (time.perf_counter() - chunk_start) / chunk_idx.size * 1e6
-            )
-            for offset, workload_i in enumerate(chunk_idx):
-                results[workload_i] = chunk_results[offset]
-                explanations[workload_i] = chunk_explanations[offset]
+
+        def run(lane: list) -> list:
+            return [self._serve_data_chunk(chunk, shards, *shared) for chunk, shards in lane]
+
+        if len(lanes) <= 1:
+            done = [run(lane) for lane in lanes]
+        else:
+            futures = [self._chunk_pool.submit(run, lane) for lane in lanes]
+            done = [future.result() for future in futures]
+        return [outcome for lane in done for outcome in lane]
 
     def _fill_degraded(
         self,
@@ -648,89 +620,8 @@ class ShardedServingTier:
             )
 
     # ------------------------------------------------------------------
-    # Data-shard serving: fan out, stream, merge
+    # The merge protocol: fan out, open, merge
     # ------------------------------------------------------------------
-    def _serve_admitted_data(
-        self, batch: QueryBatch, deadline: Deadline, deadline_ms: float | None
-    ) -> ShardedServingReport:
-        """Serve one batch in data-shard mode: every query, every shard.
-
-        With several workers per shard, chunks run concurrently
-        (pipelined through the worker pools); within a chunk the
-        coordinator drives the merge protocol of :mod:`repro.knn.merge`
-        — open (each shard's finished local browse), arbitrate, merge;
-        a scan round for filter plans, resume rounds only as fallback.
-        """
-        n = len(batch)
-        shard_ids = np.full(n, -1, dtype=np.int64)
-        results: list = [None] * n
-        explanations: list = [None] * n
-        latencies_us = np.zeros(n, dtype=float)
-        degraded = np.zeros(n, dtype=bool)
-        partial = np.zeros(n, dtype=bool)
-        counters_before = {
-            sid: self._counter_snapshot(sid) for sid in self.supervisor.shard_ids
-        }
-        rounds_total = dict.fromkeys(self.supervisor.shard_ids, 0)
-        gaps_total = dict.fromkeys(self.supervisor.shard_ids, 0)
-        chunks = [
-            np.arange(lo, min(lo + self.chunk_size, n), dtype=np.int64)
-            for lo in range(0, n, self.chunk_size)
-        ]
-        start = time.perf_counter()
-        shared = (batch, deadline, results, explanations, latencies_us, degraded, partial)
-        served = self._run_chunk_tasks(
-            [
-                functools.partial(self._serve_data_chunk, chunk_idx, *shared)
-                for chunk_idx in chunks
-            ],
-            width=min(len(chunks), self._workers_per_shard),
-        )
-        for rounds, gaps in served:
-            for sid in rounds_total:
-                rounds_total[sid] += rounds[sid]
-                gaps_total[sid] += gaps[sid]
-        if self.strict and partial.any():
-            raise ShardExhaustedError(
-                f"{int(np.count_nonzero(partial))} of {n} queries lost shard "
-                "coverage (partial answers) and strict serving forbids "
-                "degradation"
-            )
-        self._fill_degraded(batch, shard_ids, degraded, results, explanations)
-        seconds = time.perf_counter() - start
-        shard_reports = tuple(
-            self._shard_report(
-                sid, n, rounds_total[sid], gaps_total[sid], counters_before[sid]
-            )
-            for sid in self.supervisor.shard_ids
-        )
-        return ShardedServingReport(
-            mode="sharded",
-            n_queries=n,
-            seconds=seconds,
-            results=results,
-            explanations=explanations,
-            latencies_us=latencies_us,
-            shard_ids=shard_ids,
-            degraded=degraded,
-            partial=partial,
-            shards=shard_reports,
-            deadline_ms=deadline_ms,
-            shard_mode="data",
-        )
-
-    def _run_chunk_tasks(self, tasks: list, width: int) -> list:
-        """Run one batch's chunk tasks (no-argument callables), in task order.
-
-        A batch no wider than one concurrent task — a single chunk, or
-        one worker per shard in data mode — runs on the caller's thread;
-        anything wider goes through the tier's chunk pool.
-        """
-        if width <= 1:
-            return [task() for task in tasks]
-        futures = [self._chunk_pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
     def _fan_out(
         self,
         payloads: dict[int, dict],
@@ -779,6 +670,7 @@ class ShardedServingTier:
     def _serve_data_chunk(
         self,
         chunk_idx: np.ndarray,
+        shards: tuple[int, ...],
         batch: QueryBatch,
         deadline: Deadline,
         results: list,
@@ -787,12 +679,14 @@ class ShardedServingTier:
         degraded: np.ndarray,
         partial: np.ndarray,
     ) -> tuple[dict[int, int], dict[int, int]]:
-        """Drive one chunk through the full merge protocol.
+        """Drive one chunk through the full merge protocol on ``shards``.
 
-        Writes land at disjoint workload indices across chunks, so the
-        shared output arrays need no locking.  Returns per-shard
-        ``(rounds submitted, coverage-gap queries)`` for the batch's
-        shard reports.
+        ``shards`` are the shards that own the chunk's blocks: the one
+        a replica chunk routes to, or every data shard.  Writes land at
+        disjoint workload indices across chunks, so the shared output
+        arrays need no locking.  Returns per-shard ``(rounds
+        submitted, coverage-gap queries)`` for the batch's shard
+        reports.
         """
         chunk_start = time.perf_counter()
         pts = batch.points[chunk_idx]
@@ -804,11 +698,11 @@ class ShardedServingTier:
         dead: set[int] = set()
         open_payload = {"round": "open", "points": pts, "ks": ks}
         answers = self._fan_out(
-            {sid: open_payload for sid in all_sids}, deadline, rounds, dead
+            {sid: open_payload for sid in shards}, deadline, rounds, dead
         )
         if not answers:
-            # Every shard down: estimate-only degradation, as in
-            # replica mode (there is nothing to merge).
+            # Every asked shard down: there is nothing to merge, so the
+            # chunk degrades to estimate-only answers.
             degraded[chunk_idx] = True
             for sid in dead:
                 gap_counts[sid] += m
@@ -965,7 +859,8 @@ class ShardedServingTier:
         for i in inc_pos:
             point = Point(float(pts[i, 0]), float(pts[i, 1]))
             merge = QueryMerge(int(ks[i]))
-            for sid in self.supervisor.shard_ids:
+            # Every shard asked at open either answered or is dead.
+            for sid in sorted(answers.keys() | dead):
                 state = answers.get(sid)
                 if state is not None:
                     merge.add_stream(sid, *state["streams"][i])
@@ -1052,8 +947,8 @@ class ShardedServingTier:
     def start(self) -> "ShardedServingTier":
         """Spawn every shard's worker pool eagerly and wait until live.
 
-        Long-lived callers pay the spawn (and per-worker engine or
-        sub-snapshot build) exactly once here instead of on the first
+        Long-lived callers pay the spawn (and each worker's shard
+        build) exactly once here instead of on the first
         served batch; :attr:`pools_spawned` then stays at
         ``n_shards`` across any number of :meth:`serve` /
         :meth:`serve_many` calls unless a worker crashes and is

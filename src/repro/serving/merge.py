@@ -1,7 +1,8 @@
-"""What only a sharded tier needs of the k-NN merge (data-shard mode).
+"""What only a sharded tier needs of the k-NN merge.
 
-In data-shard mode every worker holds only *its* blocks, so the
-coordinator answers a k-NN query with the engine's own browser,
+Every worker holds only the blocks its shard owns (all of them in
+replica mode), so the coordinator answers a k-NN query with the
+engine's own browser,
 :mod:`repro.knn.merge`: each shard is one block-stream source of a
 :class:`~repro.knn.merge.QueryMerge` (re-exported here) and a dead
 shard is a coverage gap — bit-identical to the unsharded

@@ -16,15 +16,15 @@ shard.  Out-of-universe points are routed to the shard with the
 smallest MINDIST — routing never fails.
 
 The same plan drives both serving modes.  In **replica** mode the
-plan shards the *query space*: every worker holds a full replica of
-the point set, per-shard answers are trivially bit-identical to an
-unsharded engine, and any healthy shard can absorb a degraded
-sibling's region without a data migration.  In **data** mode
-(:func:`partition_blocks`) the plan shards the *data*: each index
-block is assigned to the shard containing its center, each worker
-receives only its blocks' rows (memory ∝ n/shards), and queries are
-answered by the streaming cross-shard merge in
-:mod:`repro.serving.merge`.  Either way, spatial routing gives each
+plan shards the *query space*: every worker owns every block, and a
+query is sent to the one shard its focal point routes to.  Nothing
+re-routes a dead shard's queries to a healthy sibling: they degrade
+to estimate-only answers.  In **data** mode (:func:`partition_blocks`)
+the plan shards the *data*: each index block is assigned to the shard
+containing its center, each worker receives only its blocks' rows
+(memory ∝ n/shards), and every query asks every shard.  Both modes
+answer through the streaming cross-shard merge of
+:mod:`repro.knn.merge`.  Either way, spatial partitioning gives each
 worker a spatially coherent stream (catalog locality) and confines a
 shard failure to one region.
 """

@@ -47,15 +47,13 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.resilience.fallback import _TierHealth
 from repro.resilience.faultinject import WorkerFaultPlan
 from repro.serving.worker import (
     _init_data_shard_worker,
-    _init_shard_worker,
-    _serve_shard_chunk,
+    _serve_data_shard_chunk,
     _worker_ping,
+    payload_bytes,
 )
 
 #: Default per-chunk timeout when no deadline bounds the batch.
@@ -154,53 +152,32 @@ class ShardWorkerHandle:
     incarnation number (shipped to the worker initializer, where the
     fault plan consults it).
 
-    Replica shards (the default) initialize each worker with the full
-    point set and serve through ``_serve_shard_chunk``.  Data shards
-    pass ``init_payload`` (the sub-snapshot bundle for
-    ``_init_data_shard_worker``) and their own ``serve_fn``; the
-    supervision contract is identical either way.  ``spawned`` counts
-    pool incarnations ever created — the long-lived-tier benchmarks
-    and the scale-smoke job assert it stays at one.
+    Every worker is initialized with the shard's payload (the
+    sub-snapshot bundle for ``_init_data_shard_worker``) and serves the
+    merge protocol's rounds through ``_serve_data_shard_chunk``.
+    ``spawned`` counts pool incarnations ever created — the
+    long-lived-tier benchmarks and the scale-smoke job assert it stays
+    at one.
     """
 
     def __init__(
         self,
         shard_id: int,
-        points: np.ndarray,
-        capacity: int,
-        manager_kwargs: dict,
+        payload: dict,
         fault_plan: WorkerFaultPlan | None = None,
         workers: int = 1,
         backend: str = "numpy",
-        init_payload: dict | None = None,
-        serve_fn=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.shard_id = int(shard_id)
         self.incarnation = -1  # bumped to 0 on first spawn
         self.spawned = 0
-        self._points = np.ascontiguousarray(points, dtype=float)
-        self._capacity = int(capacity)
-        self._manager_kwargs = dict(manager_kwargs)
         self._fault_plan = fault_plan
         self._workers = int(workers)
         self._backend = str(backend)
-        self._init_payload = init_payload
-        self._serve_fn = serve_fn or _serve_shard_chunk
-        if init_payload is None:
-            self.shipped_bytes = int(self._points.nbytes)
-        else:
-            snapshot = init_payload["snapshot"]
-            self.shipped_bytes = int(
-                snapshot.rects.nbytes
-                + snapshot.counts.nbytes
-                + snapshot.centers.nbytes
-                + snapshot.block_ids.nbytes
-                + np.asarray(init_payload["rows"]).nbytes
-                + np.asarray(init_payload["points"]).nbytes
-                + np.asarray(init_payload["gpos"]).nbytes
-            )
+        self._init_payload = payload
+        self.shipped_bytes = payload_bytes(payload)
         self._pool: ProcessPoolExecutor | None = None
         # Terminated incarnations close() still has to join.
         self._retired: list[list] = []
@@ -211,31 +188,17 @@ class ShardWorkerHandle:
             if self._pool is None:
                 self.incarnation += 1
                 self.spawned += 1
-                if self._init_payload is None:
-                    initializer = _init_shard_worker
-                    initargs = (
-                        self.shard_id,
-                        self.incarnation,
-                        self._points,
-                        self._capacity,
-                        self._manager_kwargs,
-                        self._fault_plan,
-                        self._backend,
-                    )
-                else:
-                    initializer = _init_data_shard_worker
-                    initargs = (
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._workers,
+                    mp_context=multiprocessing.get_context(_START_METHOD),
+                    initializer=_init_data_shard_worker,
+                    initargs=(
                         self.shard_id,
                         self.incarnation,
                         self._init_payload,
                         self._fault_plan,
                         self._backend,
-                    )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    mp_context=multiprocessing.get_context(_START_METHOD),
-                    initializer=initializer,
-                    initargs=initargs,
+                    ),
                 )
             return self._pool
 
@@ -258,7 +221,7 @@ class ShardWorkerHandle:
         swapped in a replacement.
         """
         pool = self._ensure_pool()
-        return pool, pool.submit(self._serve_fn, payload)
+        return pool, pool.submit(_serve_data_shard_chunk, payload)
 
     def submit_fn(self, fn, *args):
         """Submit an arbitrary function to the pool (telemetry RPCs)."""
@@ -396,10 +359,8 @@ class ShardSupervisor:
         """Serve one chunk on one shard under the full supervision contract.
 
         Returns:
-            ``(answer, attempts)`` — whatever the shard's serve
-            function returned (replica chunks: ``(results,
-            explanations)``; data-shard rounds: the round's reply
-            dict), plus the attempt log.
+            ``(answer, attempts)`` — the round's reply dict, plus the
+            attempt log.
 
         Raises:
             ShardUnavailable: After the retry budget (or an open

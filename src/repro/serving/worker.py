@@ -4,20 +4,14 @@ One shard = one single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
 whose process is initialized once with its (pickle-shipped) payload and
 serving configuration — the same ``initargs`` pattern as
 :mod:`repro.perf.parallel` — and then serves batched sub-workloads.
-Two kinds of worker, one per shard mode:
-
-* a **replica** worker (:func:`_init_shard_worker`,
-  :func:`_serve_shard_chunk`) builds a full
-  :class:`~repro.engine.SpatialEngine` over the whole point set; the
-  quadtree partition is a pure function of the points and capacity, so
-  its ``execute_batch`` output is bit-identical to the coordinator's
-  unsharded engine;
-* a **data** worker (:func:`_init_data_shard_worker`,
-  :func:`_serve_data_shard_chunk`) holds only its shard's blocks — a
-  sub-snapshot with global block ids, the member rows and points — and
-  answers the rounds of the cross-shard merge protocol
-  (``open`` / ``resume`` / ``scan``) that the coordinator's
-  :class:`~repro.knn.merge.QueryMerge` replays into the unsharded answer.
+There is one kind of worker (:func:`_init_data_shard_worker`,
+:func:`_serve_data_shard_chunk`): it holds the blocks its shard owns — a
+sub-snapshot with global block ids, the member rows and points — and
+answers the rounds of the cross-shard merge protocol
+(``open`` / ``resume`` / ``scan``) that the coordinator's
+:class:`~repro.knn.merge.QueryMerge` replays into the unsharded answer.
+A data shard owns one slice of the blocks; a replica shard owns every
+block, so its ``open`` reply already is the whole answer.
 
 Deadline propagation: every chunk message carries the coordinator's
 *remaining* time budget, and the worker calls
@@ -48,93 +42,22 @@ from repro.resilience.faultinject import WorkerFaultPlan
 #: Queries per cooperative budget checkpoint inside one chunk.
 BUDGET_SLICE = 256
 
-#: Relation name shard replicas register their table under.
+#: Relation name a shard registers its local table under.
 SHARD_TABLE = "__shard__"
 
 _WORKER_STATE: dict = {}
 
 
-def _init_shard_worker(
-    shard_id: int,
-    incarnation: int,
-    points: np.ndarray,
-    capacity: int,
-    manager_kwargs: dict,
-    fault_plan: WorkerFaultPlan | None,
-    backend: str = "numpy",
-) -> None:
-    """Pool initializer: build the shard's engine replica once.
-
-    Runs in the worker process.  The engine (and therefore any catalog
-    the statistics manager builds lazily) lives for the process's whole
-    incarnation, so repeated chunks amortize the build exactly like a
-    long-lived serving process would.  The coordinator ships its kernel
-    backend name so replicas compute with the same backend (results are
-    bit-identical either way; ``set_backend`` silently degrades to
-    numpy where the compiled backend is unavailable).
-    """
-    from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
-
-    set_backend(backend)
-    engine = SpatialEngine(StatisticsManager(**manager_kwargs))
-    engine.register(SpatialTable(SHARD_TABLE, points, capacity=capacity))
-    _WORKER_STATE.clear()
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["shard_id"] = int(shard_id)
-    _WORKER_STATE["incarnation"] = int(incarnation)
-    _WORKER_STATE["fault_plan"] = fault_plan
-    _WORKER_STATE["batches_served"] = 0
-    _WORKER_STATE["payload_bytes"] = int(np.asarray(points).nbytes)
-
-
-def _serve_shard_chunk(payload: dict) -> tuple[list, list]:
-    """Serve one chunk of queries inside the worker process.
-
-    Args:
-        payload: ``{"points": (m, 2) focal coords, "ks": (m,) ints,
-            "budget_seconds": float | None}``.
-
-    Returns:
-        ``(results, explanations)`` in chunk order —
-        :class:`~repro.engine.ExecutionResult` and
-        :class:`~repro.engine.PlanExplanation` objects (both pickle
-        back to the coordinator).
-
-    Raises:
-        BudgetExceededError: When the propagated deadline expires
-            between serving slices.
-    """
-    from repro.engine.queries import KnnSelectQuery
-    from repro.geometry import Point
-
-    engine = _WORKER_STATE["engine"]
-    fault_plan = _WORKER_STATE["fault_plan"]
-    batch_index = _WORKER_STATE["batches_served"]
-    _WORKER_STATE["batches_served"] = batch_index + 1
-    if fault_plan is not None:
-        fault_plan.apply(
-            _WORKER_STATE["shard_id"], batch_index, _WORKER_STATE["incarnation"]
-        )
-    pts = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
-    ks = np.asarray(payload["ks"], dtype=np.int64).reshape(-1)
-    budget = payload.get("budget_seconds")
-    start = time.perf_counter()
-    results: list = []
-    explanations: list = []
-    for lo in range(0, pts.shape[0], BUDGET_SLICE):
-        budget_check(start, budget, "shard serving")
-        queries = [
-            KnnSelectQuery(
-                SHARD_TABLE,
-                Point(float(pts[i, 0]), float(pts[i, 1])),
-                k=int(ks[i]),
-            )
-            for i in range(lo, min(lo + BUDGET_SLICE, pts.shape[0]))
-        ]
-        for result, explanation in engine.execute_batch(queries):
-            results.append(result)
-            explanations.append(explanation)
-    return results, explanations
+def payload_bytes(payload: dict) -> int:
+    """Bytes of data in a shard payload: its block arrays and row columns."""
+    snapshot = payload["snapshot"]
+    return int(
+        snapshot.rects.nbytes
+        + snapshot.counts.nbytes
+        + snapshot.centers.nbytes
+        + snapshot.block_ids.nbytes
+        + sum(np.asarray(payload[key]).nbytes for key in ("rows", "points", "gpos"))
+    )
 
 
 def _init_data_shard_worker(
@@ -144,7 +67,7 @@ def _init_data_shard_worker(
     fault_plan: WorkerFaultPlan | None,
     backend: str = "numpy",
 ) -> None:
-    """Pool initializer for a *data* shard: only this shard's blocks.
+    """Pool initializer: the blocks this shard owns, nothing else.
 
     ``payload`` carries the shard's canonical sub-snapshot (global
     block ids preserved), the member blocks' global row ids and points
@@ -152,7 +75,7 @@ def _init_data_shard_worker(
     the *global* block-order concatenation (``gpos`` — the unsharded
     full scan's tie-break key).  A local statistics manager over the
     shard's own points answers the estimate round; the coordinator
-    sums costs and worst-cases tiers across shards.
+    sums costs and worst-cases tiers across the shards it asked.
     """
     from repro.engine import SpatialTable, StatisticsManager
 
@@ -180,15 +103,7 @@ def _init_data_shard_worker(
     _WORKER_STATE["incarnation"] = int(incarnation)
     _WORKER_STATE["fault_plan"] = fault_plan
     _WORKER_STATE["batches_served"] = 0
-    _WORKER_STATE["payload_bytes"] = int(
-        snapshot.rects.nbytes
-        + snapshot.counts.nbytes
-        + snapshot.centers.nbytes
-        + snapshot.block_ids.nbytes
-        + rows.nbytes
-        + points.nbytes
-        + gpos.nbytes
-    )
+    _WORKER_STATE["payload_bytes"] = payload_bytes(payload)
 
 
 def _browse_to_local_stop(streams, ks: np.ndarray, block_rows, checkpoint) -> list[tuple]:

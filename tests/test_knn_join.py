@@ -1,10 +1,40 @@
-"""Tests for the locality-based k-NN-Join."""
+"""The engine's locality k-NN-Join against the brute-force join, and the
+exact join cost.
+
+``naive_knn_join`` is the oracle: every outer point's k nearest inner
+points by one distance matrix, no index involved.
+"""
 
 import numpy as np
 import pytest
 
-from repro.index import Quadtree
-from repro.knn import knn_join, knn_join_cost, naive_knn_join
+from repro.engine import KnnJoinQuery, SpatialTable
+from repro.engine.physical import LocalityJoinOperator
+from repro.knn import knn_join_cost
+
+
+def naive_knn_join(outer_points: np.ndarray, inner_points: np.ndarray, k: int) -> np.ndarray:
+    """Brute-force k-NN-Join: ``(n, min(k, m), 2)`` nearest inner points
+    of each outer point, in distance order (stable on ties)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    outer_points = np.asarray(outer_points, dtype=float).reshape(-1, 2)
+    inner_points = np.asarray(inner_points, dtype=float).reshape(-1, 2)
+    k_eff = min(k, inner_points.shape[0])
+    dists = np.hypot(
+        outer_points[:, 0, None] - inner_points[None, :, 0],
+        outer_points[:, 1, None] - inner_points[None, :, 1],
+    )
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k_eff]
+    return inner_points[order]
+
+
+def _locality_join(outer_pts, inner_pts, k, capacity):
+    """Run the engine's locality join with no predicate."""
+    outer = SpatialTable("outer", outer_pts, capacity=capacity)
+    inner = SpatialTable("inner", inner_pts, capacity=capacity)
+    result = LocalityJoinOperator(outer, inner, KnnJoinQuery("outer", "inner", k)).execute()
+    return outer, inner, result
 
 
 class TestJoinCorrectness:
@@ -12,31 +42,30 @@ class TestJoinCorrectness:
         rng = np.random.default_rng(0)
         outer_pts = rng.uniform(0, 100, size=(200, 2))
         inner_pts = rng.uniform(0, 100, size=(300, 2))
-        outer = Quadtree(outer_pts, capacity=32)
-        inner = Quadtree(inner_pts, capacity=32)
         k = 5
 
-        pairs, stats = knn_join(outer, inner, k)
-        for block_pts, neighbors in pairs:
-            want = naive_knn_join(block_pts, inner_pts, k)
-            d_got = np.linalg.norm(neighbors - block_pts[:, None, :], axis=2)
-            d_want = np.linalg.norm(want - block_pts[:, None, :], axis=2)
-            assert np.allclose(d_got, d_want)
-        assert stats.blocks_scanned == knn_join_cost(outer, inner, k)
-        assert stats.outer_blocks_processed == outer.num_blocks
+        outer, inner, result = _locality_join(outer_pts, inner_pts, k, capacity=32)
+        want = naive_knn_join(outer_pts, inner_pts, k)
+        assert sorted(row for row, __ in result.join_pairs) == list(range(200))
+        for outer_row, inner_rows in result.join_pairs:
+            assert np.array_equal(inner.points[inner_rows], want[outer_row]), outer_row
+        assert result.blocks_scanned == knn_join_cost(outer.index, inner.index, k)
 
     def test_k_exceeds_inner_size(self):
         rng = np.random.default_rng(1)
-        outer = Quadtree(rng.uniform(0, 10, size=(20, 2)), capacity=8)
+        outer_pts = rng.uniform(0, 10, size=(20, 2))
         inner_pts = rng.uniform(0, 10, size=(7, 2))
-        inner = Quadtree(inner_pts, capacity=8)
-        pairs, __stats = knn_join(outer, inner, 20)
-        for block_pts, neighbors in pairs:
-            assert neighbors.shape == (block_pts.shape[0], 7, 2)
+        outer, inner, result = _locality_join(outer_pts, inner_pts, 20, capacity=8)
+        assert len(result.join_pairs) == 20
+        for __, inner_rows in result.join_pairs:
+            assert inner_rows.shape == (7,)
+        assert result.blocks_scanned == knn_join_cost(outer.index, inner.index, 20)
 
     def test_rejects_k_zero(self, osm_quadtree, inner_quadtree):
         with pytest.raises(ValueError):
-            knn_join(osm_quadtree, inner_quadtree, 0)
+            KnnJoinQuery("outer", "inner", 0)
+        with pytest.raises(ValueError):
+            knn_join_cost(osm_quadtree, inner_quadtree, 0)
 
     def test_asymmetry(self, osm_quadtree, inner_quadtree):
         """R join S and S join R are different operations with, in

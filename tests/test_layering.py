@@ -213,6 +213,12 @@ RETIRED_NAMES = {
     "cache_entries_dropped",
     "estimate-cache",
     "--cache-size",
+    "_init_shard_worker",
+    "_serve_shard_chunk",
+    "_serve_stream",
+    "knn_join",
+    "JoinStats",
+    "_batch_knn",
 }
 
 

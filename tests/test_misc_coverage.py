@@ -6,7 +6,6 @@ import pytest
 from repro.experiments import join_support, select_support
 from repro.experiments.common import ExperimentResult, clear_caches, get_config
 from repro.experiments.common import _format_cell
-from repro.knn.knn_join import JoinStats
 from repro.optimizer import arbitrate, regression
 
 
@@ -58,15 +57,6 @@ class TestPlanChoice:
         choice = arbitrate("select", "t", candidates, tuple(candidates))
         assert choice.operator == "incremental-knn"
         assert regression.predicted_speedup(candidates) is None  # infinite
-
-
-class TestJoinStats:
-    def test_repr(self):
-        stats = JoinStats()
-        stats.blocks_scanned = 7
-        stats.outer_blocks_processed = 2
-        text = repr(stats)
-        assert "7" in text and "2" in text
 
 
 class TestResultColumnErrors:

@@ -29,6 +29,7 @@ from repro.datasets import generate_osm_like
 from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
 from repro.index import GridIndex, Quadtree, RTree
 from repro.resilience import (
+    InvalidQueryError,
     OverloadError,
     ShardExhaustedError,
     WorkerFaultPlan,
@@ -311,6 +312,37 @@ def test_strict_serving_raises_instead_of_degrading(dataset):
         )
 
 
+@pytest.mark.parametrize("shard_mode", ["replica", "data"])
+def test_a_non_finite_focal_point_is_refused_before_any_shard_is_asked(
+    shard_mode, dataset, reference
+):
+    """One NaN focal point raises, as in the unsharded engine: it costs
+    no shard an attempt or a breaker failure, degrades no neighbour, and
+    the next healthy batch is exact."""
+    points, batch = dataset
+    bad = QueryBatch(
+        points=np.vstack([batch.points[:3], [[np.nan, float(points[0, 1])]]]),
+        ks=batch.ks[:4],
+    )
+    with ShardedServingTier(
+        _table(points),
+        shard_mode=shard_mode,
+        n_shards=2,
+        chunk_size=2,
+        manager_kwargs={"max_k": MAX_K},
+        policy=CHAOS_POLICY,
+    ) as tier:
+        with pytest.raises(InvalidQueryError, match="must be finite"):
+            tier.serve(bad)
+        for sid in tier.supervisor.shard_ids:
+            assert tier.supervisor.counters(sid).attempts == 0, sid
+            health = tier.supervisor.health(sid)
+            assert health.total_failures == 0 and not health.circuit_open, sid
+        report = tier.serve(batch)
+    assert report.n_degraded == 0 and not report.partial.any()
+    _assert_data_exact_matches_reference(report, reference)
+
+
 def test_circuit_breaker_opens_on_a_dead_shard(dataset):
     points, batch = dataset
     faults = WorkerFaultPlan.of(
@@ -532,7 +564,7 @@ def test_data_sharding_matches_pinned_reference(operator, dataset):
     _assert_data_exact_matches_reference(report, reference)
 
 
-@pytest.mark.parametrize(
+MANAGER_LEGS = pytest.mark.parametrize(
     "manager_kwargs",
     [
         {},
@@ -545,13 +577,11 @@ def test_data_sharding_matches_pinned_reference(operator, dataset):
     ],
     ids=["arbitrated", "pinned-filter", "pinned-incremental", "degraded-estimate"],
 )
-def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_kwargs):
-    """The coordinator arbitrates through the planner's own select
-    assembly: with one shard the merged estimate *is* the global one, so
-    the whole explanation — not just the chosen operator — must equal
-    the unsharded engine's."""
-    points, batch = dataset
-    batch = QueryBatch(points=batch.points[:64], ks=batch.ks[:64])
+
+
+def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwargs):
+    """Serve ``batch`` and compare every explanation field but ``notes``
+    with the unsharded engine's; returns ``(report, reference)``."""
     manager_kwargs = {"max_k": MAX_K, **manager_kwargs}
     engine = SpatialEngine(StatisticsManager(**manager_kwargs))
     engine.register(_table(points))
@@ -559,11 +589,10 @@ def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_
     report = serve_sharded(
         _table(points),
         batch,
-        n_shards=1,
-        shard_mode="data",
         chunk_size=64,
         manager_kwargs=manager_kwargs,
         policy=CHAOS_POLICY,
+        **tier_kwargs,
     )
     assert report.n_degraded == 0 and not report.partial.any()
     _assert_data_exact_matches_reference(report, reference)
@@ -584,6 +613,49 @@ def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_
     if "estimate_time_budget" in manager_kwargs:
         assert all(e.degraded for e in report.explanations)
         assert {e.estimator_tier for e in report.explanations} == {"guaranteed-bound"}
+    return report, reference
+
+
+@MANAGER_LEGS
+def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_kwargs):
+    """The coordinator arbitrates through the planner's own select
+    assembly: with one shard the merged estimate *is* the global one, so
+    the whole explanation — not just the chosen operator — must equal
+    the unsharded engine's."""
+    points, batch = dataset
+    batch = QueryBatch(points=batch.points[:64], ks=batch.ks[:64])
+    _assert_plans_exactly_as_unsharded(
+        points, batch, manager_kwargs, n_shards=1, shard_mode="data"
+    )
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+@MANAGER_LEGS
+def test_replica_shards_plan_exactly_as_the_unsharded_planner(
+    dataset, manager_kwargs, n_shards
+):
+    """A replica shard owns every block, so the one shard a query routes
+    to estimates over all the points: the whole explanation equals the
+    unsharded engine's, and so do the guard notes of every row whose
+    estimate did not degrade (a focal point far outside the data, a k
+    above the row count)."""
+    points, batch = dataset
+    bounds = _table(points).index.bounds
+    far = [bounds.x_max + 10 * bounds.diagonal, bounds.y_min]
+    batch = QueryBatch(
+        points=np.vstack([batch.points[:62], [far], batch.points[:1]]),
+        ks=np.concatenate([batch.ks[:62], [5, N_POINTS + 1]]),
+    )
+    report, reference = _assert_plans_exactly_as_unsharded(
+        points, batch, manager_kwargs, n_shards=n_shards, shard_mode="replica"
+    )
+    noted = 0
+    for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
+        if not served.degraded:
+            assert served.notes == expected.notes, i
+            noted += bool(served.notes)
+    if "estimate_time_budget" not in manager_kwargs:
+        assert noted
 
 
 def test_replica_mode_reports_no_partials(dataset):
@@ -635,6 +707,40 @@ def test_dead_data_shard_yields_partial_prefix_answers(dataset, reference):
     _assert_data_exact_matches_reference(report, reference)
     gapped = next(s for s in report.shards if s.shard_id == 1)
     assert gapped.degraded_queries == report.n_partial
+
+
+def test_replica_shard_lost_after_open_yields_partial_prefixes(dataset):
+    """A replica shard answers ``open`` and dies before the scan round
+    of its filter plans: its queries come back ``partial`` (a verified
+    prefix of the true answer), the other shard's stay exact."""
+    points, batch = dataset
+    pins = {"select": "filter-then-knn"}
+    engine = SpatialEngine(StatisticsManager(max_k=MAX_K, pinned_operators=pins))
+    engine.register(_table(points))
+    reference = engine.execute_batch(batch.as_knn_queries("t"))
+    faults = WorkerFaultPlan.of(
+        WorkerFaultSpec(kind="crash", shard=0, on_batch=1, incarnation=0),
+        WorkerFaultSpec(kind="crash", shard=0, incarnation=1),
+    )
+    report = serve_sharded(
+        _table(points),
+        batch,
+        n_shards=2,
+        chunk_size=N_QUERIES,
+        manager_kwargs={"max_k": MAX_K, "pinned_operators": pins},
+        policy=CHAOS_POLICY,
+        worker_faults=faults,
+    )
+    assert report.n_degraded == 0
+    assert np.array_equal(report.partial, report.shard_ids == 0)
+    for i in np.flatnonzero(report.partial):
+        rows = report.results[i].row_ids
+        assert np.array_equal(rows, reference[i][0].row_ids[: rows.size]), i
+        assert report.explanations[i].degraded, i
+        assert any("partial" in note for note in report.explanations[i].notes), i
+    _assert_data_exact_matches_reference(report, reference)
+    lost = next(s for s in report.shards if s.shard_id == 0)
+    assert lost.degraded_queries == report.n_partial
 
 
 def test_strict_data_serving_raises_on_coverage_gap(dataset):
@@ -773,15 +879,14 @@ def test_data_mode_ships_sublinear_payloads(dataset):
         policy=CHAOS_POLICY,
     ) as data_tier:
         data_shipped = data_tier.shipped_bytes
-    # Every replica worker receives the full point payload; every data
-    # worker a strict slice: the worst shard stays well under one replica
-    # payload even after the ~2x per-row overhead of its row-id and
-    # global-position columns and the plan's count imbalance, and the
-    # whole tier ships far less than the 4x-replica total.
+    # Every replica worker receives the payload of every block; every
+    # data worker a strict slice of it: the worst shard stays well under
+    # one replica payload despite the plan's count imbalance, and the
+    # slices add up to exactly one replica payload, not four.
     per_replica = replica_shipped[0]
     assert all(size == per_replica for size in replica_shipped.values())
     assert max(data_shipped.values()) <= 0.75 * per_replica
-    assert sum(data_shipped.values()) <= 2.5 * per_replica
+    assert sum(data_shipped.values()) == per_replica
 
 
 # ----------------------------------------------------------------------
