@@ -419,7 +419,9 @@ class StaircaseEstimator(SelectCostEstimator):
         building a subset of the leaves yields exactly their rows of a
         full build.)  One :func:`~repro.perf.profile_staircases` batch
         pass — held to the per-anchor ``select_cost_profile_covered``,
-        optionally fanned out across worker processes — profiles them,
+        reading per spatial group of anchors only the blocks a MINDIST
+        bound cannot rule out, optionally fanned out across worker
+        processes — profiles them,
         and :func:`_catalogs_from` reads the catalogs straight off its
         output; the per-leaf Procedure 1 loop assembled from the public
         pieces is the ``tests/reference_builds.py`` oracle this build is

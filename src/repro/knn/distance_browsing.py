@@ -213,8 +213,8 @@ def select_cost_profile_covered(
     prefix and past the final threshold.
 
     :func:`repro.perf.profile_staircases` runs this scan for many
-    anchors at once, in fixed-shape rounds, and is held to it anchor
-    for anchor.
+    anchors at once, in fixed-shape rounds over candidate sets that
+    this bound certifies, and is held to it anchor for anchor.
 
     Returns:
         ``(profile, C)``.  ``C`` is ``inf`` — any mutation anywhere may

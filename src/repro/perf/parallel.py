@@ -8,7 +8,8 @@ the others.  This module provides the batching and fan-out shared by the
 Staircase, Catalog-Merge, and Virtual-Grid estimators:
 
 * :func:`profile_staircases` — Procedure 1 for many anchors at once, in
-  fixed-shape rounds over slabs of anchors, returned as
+  fixed-shape rounds over spatial groups of anchors, each reading only
+  the blocks a MINDIST bound cannot rule out, returned as
   :class:`Staircases`; :func:`select_cost_profiles` is the same pass as
   ``(profile, C)`` tuples.  Both equal the per-anchor scan byte for
   byte.
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.geometry.backends import active_backend, set_backend
-from repro.geometry.kernels import as_anchor, mindist_rects_batch
+from repro.geometry.kernels import as_anchor, maxdist_rects_batch, mindist_rects_batch
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 from repro.knn.locality import locality_size_profile
 
@@ -60,6 +61,22 @@ _CHUNKS_PER_WORKER = 4
 # process's peak RSS.
 _TABLEAU_CELLS = 1 << 14
 _GATHER_POINTS = 1 << 12
+
+# Grouping pays only where a group's candidates are a small part of the
+# index.  On OSM-like builds a group's candidate set spans 10-15 times
+# the first round's candidate count c; below 32 c blocks it holds most
+# of the index, and grouping lost to one pass over every block (8 %
+# slower at 128 blocks, c = 19; 18 % at 176 blocks, c = 13, where every
+# group's candidates were 160-176 blocks), while it won 4-21 % at
+# 448-716 blocks and 1.8x at 2,688.
+_GROUPED_BLOCKS_PER_C = 32
+
+# How far past its box's max_k-point MAXDIST a group's candidates reach.
+# Nearer 1 means fewer candidates and more anchors going round again
+# over every block.  On OSM-like and uniform data 1.1 already certified
+# every anchor at max_k 4-1024, and 1.5 read about a sixth more cells
+# than 1.25.
+_SLACK = 1.25
 
 
 class Staircases(NamedTuple):
@@ -215,10 +232,14 @@ def _staircases(
     anchors: np.ndarray,
     max_k: int,
 ) -> Staircases:
-    """Procedure 1 for every anchor, as fixed-shape rounds over slabs.
+    """Procedure 1 for every anchor, as fixed-shape rounds over candidate sets.
 
-    A slab of anchors shares one MINDIST tableau.  Each round takes
-    every pending row's ``c + 1`` nearest blocks (one row-wise
+    Anchors go in spatial groups (:func:`_groups`), each with a
+    candidate set ``S`` of blocks and a radius ``rho``: every block
+    outside ``S`` has a MINDIST greater than ``rho`` from the group's
+    bounding box, hence from each of its anchors.  A slab of a group's
+    anchors shares one MINDIST tableau over ``S``.  Each round takes
+    every pending row's ``c + 1`` nearest candidates (one row-wise
     ``argpartition`` and a stable sort), gathers their points in one
     pass and bins each distance against its row's thresholds (each
     next block's MINDIST) with one ``searchsorted`` over complex
@@ -226,10 +247,18 @@ def _staircases(
     real part, then imaginary part, so the binning is exact.  A
     ``bincount`` + ``cumsum`` gives the ``(rows, c)`` matrix ``R`` of
     points retrievable after each block; rows still short of ``max_k``
-    go to the next round at ``2c``, the last round being a full sort.
-    ``select_cost_profile_covered``'s proof makes any candidate count
-    that reaches ``max_k`` (or every block) give the same staircase, so
-    the rounds are that function, anchor for anchor, byte for byte.
+    go to the next round at ``2c``, the last round sorting all of ``S``.
+
+    ``R[i]`` counts the points nearer than ``thresholds[i]``, wherever
+    they lie, so a staircase depends only on the sorted MINDIST values,
+    never on the order of tied blocks.  An anchor whose threshold at its
+    first ``R >= max_k`` — its coverage radius — is below ``rho`` is
+    final: every block and point outside ``S`` lies beyond ``rho``, so
+    it could move no threshold and no count up to there.
+    ``select_cost_profile_covered``'s proof then makes the staircase
+    that function's, anchor for anchor, byte for byte.  The anchors
+    that miss the certificate run the same rounds again with ``S`` =
+    every block and ``rho = inf``, where every anchor is final.
     """
     m = anchors.shape[0]
     n = summary.n_blocks
@@ -238,42 +267,137 @@ def _staircases(
         return Staircases(np.zeros(m + 1, dtype=np.int64), empty, empty, np.full(m, np.inf))
     # Same first guess as the per-anchor scan; any guess gives the same result.
     avg_count = max(1.0, summary.total_count / n)
-    first_c = min(n, int(max_k / avg_count) + 8)
+    first_c = int(max_k / avg_count) + 8
     starts = view.offsets[summary.block_ids]
     lengths = view.offsets[summary.block_ids + 1] - starts
     cost_dtype = np.min_scalar_type(n)
-    radii = np.empty(m, dtype=float)
+    radii = np.full(m, np.nan)  # NaN until an anchor's staircase is final
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    slab = max(1, _TABLEAU_CELLS // n)
-    for lo in range(0, m, slab):
-        xy = anchors[lo : lo + slab]
-        tableau = mindist_rects_batch(xy, summary.rects)
-        pending = np.arange(xy.shape[0])
-        c = first_c
-        while pending.shape[0]:
-            order, thresholds = _nearest(tableau[pending], c)
-            R = _retrievable(view, xy[pending], starts[order], lengths[order], thresholds)
-            done = R[:, -1] >= max_k if c < n else np.ones(pending.shape[0], dtype=bool)
-            R, thresholds = R[done], thresholds[done]
-            # A step wherever R rises, up to the first R >= max_k.
-            before = np.zeros_like(R)
-            before[:, 1:] = R[:, :-1]
-            rows, cols = np.nonzero((R > before) & (before < max_k))
-            found.append(
-                (lo + pending[done][rows], R[rows, cols], (cols + 1).astype(cost_dtype))
-            )
-            reached = R >= max_k
-            first = reached.argmax(axis=1)
-            radii[lo + pending[done]] = np.where(
-                reached[:, -1], thresholds[np.arange(R.shape[0]), first], np.inf
-            )
-            pending = pending[~done]
-            c = min(n, 2 * c)
+
+    def rounds(group: np.ndarray, blocks: np.ndarray, rho: float) -> None:
+        """Profile ``group`` over the candidate rows ``blocks``; keep what ``rho`` certifies."""
+        width = blocks.shape[0]
+        if width == 0 or group.shape[0] == 0:
+            return
+        rects, starts_in, lengths_in = summary.rects[blocks], starts[blocks], lengths[blocks]
+        slab = max(1, _TABLEAU_CELLS // width)
+        for lo in range(0, group.shape[0], slab):
+            xy = anchors[group[lo : lo + slab]]
+            tableau = mindist_rects_batch(xy, rects)
+            pending = np.arange(xy.shape[0])
+            c = min(width, first_c)
+            while pending.shape[0]:
+                order, thresholds = _nearest(tableau[pending], c)
+                R = _retrievable(view, xy[pending], starts_in[order], lengths_in[order], thresholds)
+                done = R[:, -1] >= max_k if c < width else np.ones(pending.shape[0], dtype=bool)
+                R, thresholds, ids = R[done], thresholds[done], group[lo + pending[done]]
+                reached = R >= max_k
+                first = reached.argmax(axis=1)
+                radius = np.where(
+                    reached[:, -1], thresholds[np.arange(R.shape[0]), first], np.inf
+                )
+                if rho < np.inf:
+                    certified = radius < rho
+                    R, radius, ids = R[certified], radius[certified], ids[certified]
+                # A step wherever R rises, up to the first R >= max_k.
+                before = np.zeros_like(R)
+                before[:, 1:] = R[:, :-1]
+                rows, cols = np.nonzero((R > before) & (before < max_k))
+                found.append((ids[rows], R[rows, cols], (cols + 1).astype(cost_dtype)))
+                radii[ids] = radius
+                pending = pending[~done]
+                c = min(width, 2 * c)
+
+    for group, blocks, rho in _groups(summary, anchors, max_k, first_c):
+        rounds(group, blocks, rho)
+    rounds(np.flatnonzero(np.isnan(radii)), np.arange(n), np.inf)
     anchor_of, k_ends, costs = (np.concatenate(column) for column in zip(*found))
     by_anchor = np.argsort(anchor_of, kind="stable")
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(anchor_of, minlength=m), out=offsets[1:])
     return Staircases(offsets, k_ends[by_anchor], costs[by_anchor], radii)
+
+
+def _groups(summary: IndexSnapshot, anchors: np.ndarray, max_k: int, first_c: int):
+    """Yield ``(anchor rows, candidate block rows, rho)`` spatial groups.
+
+    Anchors that fit one tableau against every block, or an index too
+    small for grouping to pay (``_GROUPED_BLOCKS_PER_C``), make one group
+    over every block.  Otherwise the anchors are sorted along a Z-order
+    curve and a run is cut in two at its widest Z-cell boundary until it
+    is one anchor or its size times its candidate count fits
+    ``_TABLEAU_CELLS``.  A run gets candidates (:func:`_candidates`) once
+    its size times the first round's ``c`` fits the budget, and the
+    halves of a run that is cut again look only among its candidates.
+    """
+    m, n = anchors.shape[0], summary.n_blocks
+    if m * n <= _TABLEAU_CELLS or n < _GROUPED_BLOCKS_PER_C * first_c:
+        yield np.arange(m), np.arange(n), np.inf
+        return
+    keys = _z_keys(anchors)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    stack = [(0, m, np.arange(n), np.inf)]
+    while stack:
+        lo, hi, blocks, rho = stack.pop()
+        if hi - lo == 1 or (hi - lo) * first_c <= _TABLEAU_CELLS:
+            xy = anchors[order[lo:hi]]
+            blocks, rho = _candidates(summary, xy, blocks, rho, max_k)
+            if hi - lo == 1 or (hi - lo) * blocks.shape[0] <= _TABLEAU_CELLS:
+                yield order[lo:hi], blocks, rho
+                continue
+        first, last = int(keys[lo]), int(keys[hi - 1])
+        if first == last:
+            cut = (lo + hi) // 2
+        else:
+            # The first key that has the run's highest differing bit set.
+            bit = (first ^ last).bit_length() - 1
+            cut = lo + int(np.searchsorted(keys[lo:hi], (last >> bit) << bit))
+        stack += [(cut, hi, blocks, rho), (lo, cut, blocks, rho)]
+
+
+def _candidates(
+    summary: IndexSnapshot, xy: np.ndarray, blocks: np.ndarray, rho: float, max_k: int
+) -> tuple[np.ndarray, float]:
+    """Anchors ``xy``'s candidate rows among ``blocks`` and their radius.
+
+    The new radius is ``_SLACK`` times the smallest MAXDIST from the
+    anchors' bounding box at which the nearest blocks hold ``max_k``
+    points — every anchor in the box has ``max_k`` points that near —
+    capped at ``rho``, and the candidates are the ``blocks`` whose box
+    MINDIST is at most the new radius.  ``blocks`` must hold every
+    block whose MINDIST from the box is at most ``rho``: a block left
+    out then lies beyond ``rho`` from a larger box, so beyond the new
+    radius from this one.  ``blocks`` and ``rho`` come back unchanged
+    when ``blocks`` holds fewer than ``max_k`` points, and the radius is
+    ``inf`` when every block is a candidate.
+    """
+    box = np.concatenate([xy.min(axis=0), xy.max(axis=0)])[None, :]
+    rects = summary.rects[blocks]
+    far = maxdist_rects_batch(box, rects)[0]
+    by_far = np.argsort(far)
+    reach = int(np.searchsorted(np.cumsum(summary.counts[blocks[by_far]]), max_k))
+    if reach == blocks.shape[0]:
+        return blocks, rho
+    rho = min(rho, _SLACK * float(far[by_far[reach]]))
+    blocks = blocks[mindist_rects_batch(box, rects)[0] <= rho]
+    return blocks, (np.inf if blocks.shape[0] == summary.n_blocks else rho)
+
+
+def _z_keys(xy: np.ndarray) -> np.ndarray:
+    """Each point's position along a Z-order (Morton) curve.
+
+    Coordinates are quantized to 16 bits over the points' own bounding
+    box and their bits interleaved, x in the even bits.
+    """
+    lo = xy.min(axis=0)
+    span = xy.max(axis=0) - lo
+    cells = ((xy - lo) * (65535.0 / np.where(span > 0, span, 1.0))).astype(np.int64)
+    keys = np.zeros(xy.shape[0], dtype=np.int64)
+    for bit in range(16):
+        keys |= ((cells[:, 0] >> bit) & 1) << (2 * bit)
+        keys |= ((cells[:, 1] >> bit) & 1) << (2 * bit + 1)
+    return keys
 
 
 def _nearest(tableau: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """The batch pass is Procedure 1, anchor for anchor, byte for byte.
 
 ``repro.perf.profile_staircases`` profiles every anchor of a build or a
-reconcile in fixed-shape rounds over slabs of anchors.  These tests
+reconcile in fixed-shape rounds over spatial groups of anchors, each
+over a candidate set of blocks that a MINDIST bound certifies.  These tests
 hold it to the single-anchor ``select_cost_profile_covered`` (profile
 and coverage radius) over the geometry that could break a batched scan
 — ties, duplicates, zero-count blocks, short indexes, layouts,
@@ -72,15 +73,18 @@ class TestBatchPassEqualsPerAnchor:
         tableau_cells=st.integers(1, 200),
         gather_points=st.integers(1, 64),
         n_extra=st.integers(0, 12),
+        grouped=st.booleans(),
     )
     def test_lattice_indexes(
-        self, coords, kind, capacity, max_k, hilbert, tableau_cells, gather_points, n_extra
+        self, coords, kind, capacity, max_k, hilbert, tableau_cells, gather_points, n_extra,
+        grouped,
     ):
         # Lattice points give duplicates and distances equal to a
         # threshold; anchors on block corners and edges give MINDIST
         # ties; tiny slab and gather budgets put anchor counts across
         # slab and chunk boundaries; max_k past the point count gives
-        # short anchors.
+        # short anchors; ``grouped`` lets even these small indexes go in
+        # spatial groups.
         index = INDEXES[kind](np.array(coords, dtype=float), capacity)
         snapshot = IndexSnapshot.from_index(index)
         if hilbert:
@@ -90,7 +94,7 @@ class TestBatchPassEqualsPerAnchor:
         anchors = np.concatenate([anchors, rng.integers(-2, 15, size=(n_extra, 2)) / 2.0])
         with mock.patch.object(parallel, "_TABLEAU_CELLS", tableau_cells), mock.patch.object(
             parallel, "_GATHER_POINTS", gather_points
-        ):
+        ), mock.patch.object(parallel, "_GROUPED_BLOCKS_PER_C", 0 if grouped else 32):
             assert_batch_is_per_anchor(snapshot, index.blocks, anchors, max_k)
 
     @settings(max_examples=40, deadline=None)
@@ -158,12 +162,135 @@ class TestBatchPassEqualsPerAnchor:
             profile_staircases(index, BlockPointsView.from_blocks(index.blocks), [(0.0, 0.0)], 0)
 
 
+def groups_seen():
+    """Patch ``parallel._groups`` to record every ``(group, blocks, rho)`` it yields."""
+    seen = []
+    groups = parallel._groups
+
+    def spy(*args):
+        for group in groups(*args):
+            seen.append(group)
+            yield group
+
+    return seen, mock.patch.object(parallel, "_groups", spy)
+
+
+def fallback_anchors(seen, radii: np.ndarray) -> int:
+    """Anchors whose coverage radius missed their group's certificate."""
+    return sum(int((radii[group] >= rho).sum()) for group, __, rho in seen)
+
+
+class TestGroupedPass:
+    """Spatial groups over certified candidate sets, held to the per-anchor scan.
+
+    The indexes here are small, so every test lets them go in groups.
+    """
+
+    @pytest.fixture(autouse=True)
+    def group_small_indexes(self):
+        with mock.patch.object(parallel, "_GROUPED_BLOCKS_PER_C", 0):
+            yield
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_points=st.integers(20, 400),
+        kind=st.sampled_from(sorted(INDEXES)),
+        capacity=st.integers(2, 12),
+        max_k=st.integers(1, 500),
+        tableau_cells=st.integers(1, 400),
+        slack=st.sampled_from([0.0, 0.5, 1.0, 1.25, 3.0]),
+    )
+    def test_clustered_data(self, seed, n_points, kind, capacity, max_k, tableau_cells, slack):
+        # Three tight cities and little else: blocks crowd the clusters
+        # and the regions between hold none, so a group's box reaches
+        # over empty space.  Block corners are anchors, so groups have
+        # anchors on their box edges; a few anchors sit far outside the
+        # universe; max_k runs past the point count; a tiny cell budget
+        # splits the anchors into many groups (single anchors included);
+        # a low slack makes anchors miss the certificate.
+        points = generate_osm_like(
+            n_points, seed=seed, bounds=Rect(0, 0, 12, 12), n_cities=3, n_roads=1,
+            city_fraction=0.9, road_fraction=0.05,
+        )
+        index = INDEXES[kind](points, capacity)
+        snapshot = IndexSnapshot.from_index(index)
+        anchors = edge_anchors(snapshot.rects)[:: 1 + len(snapshot.rects) // 12]
+        far = np.array([[-1e4, 6.0], [6.0, 1e4], [1e6, -1e6]])
+        anchors = np.concatenate([anchors, far])
+        with mock.patch.object(parallel, "_TABLEAU_CELLS", tableau_cells), mock.patch.object(
+            parallel, "_SLACK", slack
+        ):
+            assert_batch_is_per_anchor(snapshot, index.blocks, anchors, max_k)
+
+    def test_anchors_that_miss_the_certificate_fall_back(self):
+        # A slack of 0.5 stops a group's candidates at half the box's
+        # max_k-point MAXDIST: anchors whose coverage reaches past that
+        # go round again over every block, the others stay certified.
+        index = Quadtree(generate_osm_like(1_500, seed=7), capacity=16)
+        snapshot = IndexSnapshot.from_index(index)
+        anchors = edge_anchors(snapshot.rects)[::9]
+        seen, spy = groups_seen()
+        with spy, mock.patch.object(parallel, "_SLACK", 0.5):
+            assert_batch_is_per_anchor(snapshot, index.blocks, anchors, 48)
+        radii = profile_staircases(
+            snapshot, BlockPointsView.from_blocks(index.blocks), anchors, 48
+        ).radii
+        assert len(seen) > 1
+        assert 0 < fallback_anchors(seen, radii) < anchors.shape[0]
+
+    def test_anchors_on_group_box_edges(self):
+        # A lattice of points in unit blocks and every lattice node an
+        # anchor: each group's box has anchors on all four edges, and
+        # block edges coincide with box edges, so box MINDISTs are 0 or
+        # equal to anchor MINDISTs.
+        xs, ys = np.meshgrid(np.arange(16) + 0.5, np.arange(16) + 0.5)
+        points = np.stack([xs.ravel(), ys.ravel()], axis=1).repeat(2, axis=0)
+        index = Quadtree(points, bounds=Rect(0, 0, 16, 16), capacity=2)
+        snapshot = IndexSnapshot.from_index(index)
+        anchors = np.stack(
+            [c.ravel() for c in np.meshgrid(np.arange(17.0), np.arange(17.0))], axis=1
+        )
+        seen, spy = groups_seen()
+        with spy, mock.patch.object(parallel, "_TABLEAU_CELLS", 2_000):
+            assert_batch_is_per_anchor(snapshot, index.blocks, anchors, 9)
+        assert len(seen) > 1
+        assert all(rho < np.inf for __, __, rho in seen)
+
+    def test_max_k_past_the_point_count_uses_every_block(self):
+        # No candidate set can hold max_k points: every group is every
+        # block, and every coverage radius is unbounded.
+        index = Quadtree(generate_osm_like(300, seed=3), capacity=4)
+        snapshot = IndexSnapshot.from_index(index)
+        anchors = edge_anchors(snapshot.rects)[::4]
+        seen, spy = groups_seen()
+        with spy, mock.patch.object(parallel, "_TABLEAU_CELLS", 500):
+            assert_batch_is_per_anchor(snapshot, index.blocks, anchors, 301)
+        assert len(seen) > 1
+        assert all(blocks.shape[0] == snapshot.n_blocks for __, blocks, __ in seen)
+        radii = profile_staircases(
+            snapshot, BlockPointsView.from_blocks(index.blocks), anchors, 301
+        ).radii
+        assert np.isinf(radii).all()
+
+
 class TestCatalogsAfterChurn:
     """Fifty churn phases: maintained == fresh == the per-anchor reference."""
 
     @pytest.mark.parametrize("variant", ["center+corners", "center"])
     @pytest.mark.parametrize("workers", [None, 2])
     def test_maintained_equals_fresh_and_reference(self, variant, workers):
+        self.check_churn(variant, workers)
+
+    @pytest.mark.parametrize("variant", ["center+corners", "center"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_grouped_maintained_equals_fresh_and_reference(self, variant, workers):
+        # The same churn with even this small index's build and reconciles
+        # going in spatial anchor groups (forked workers inherit the patch).
+        with mock.patch.object(parallel, "_GROUPED_BLOCKS_PER_C", 0):
+            self.check_churn(variant, workers)
+
+    def check_churn(self, variant, workers):
         bounds = Rect(0.0, 0.0, 1000.0, 1000.0)
         initial = generate_osm_like(600, seed=9)
         tree = MutableQuadtree(initial, bounds=bounds, capacity=16)
@@ -185,6 +312,20 @@ class TestCatalogsAfterChurn:
         assert got == fresh.to_store().to_bytes()
         assert got == staircase_store(tree, 32, variant).to_bytes()
         assert np.array_equal(maintained._coverage, fresh._coverage)
+
+    @pytest.mark.parametrize("variant", ["center+corners", "center"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_grouped_build_equals_reference(self, variant, workers):
+        # 800-odd blocks against a first round of 12 candidates: large
+        # enough that the build goes in spatial groups unpatched.
+        tree = Quadtree(generate_osm_like(6_000, seed=21), capacity=16)
+        seen, spy = groups_seen()
+        with spy:
+            built = StaircaseEstimator(tree, max_k=32, variant=variant, workers=workers)
+        assert built.to_store().to_bytes() == staircase_store(tree, 32, variant).to_bytes()
+        if workers is None:
+            assert len(seen) > 1
+            assert all(blocks.shape[0] < len(tree.blocks) for __, blocks, __ in seen)
 
     def test_refresh_with_nothing_missing_profiles_nothing(self):
         # The auxiliary leaves cover the south-west corner; a mutation in
@@ -235,3 +376,24 @@ def test_build_traced_peak_stays_under_budget():
     finally:
         tracemalloc.stop()
     assert peak / 1e6 < BUILD_PEAK_CEILING_MB
+
+
+def test_build_reads_a_quarter_of_the_all_blocks_tableau():
+    # MINDIST cells of the same 20k-point build: the grouped pass
+    # computes 550,137 (group tableaus plus one box row per candidate
+    # search) where a tableau of every anchor against every block has
+    # 2,704 x 915 = 2,474,160 — 0.222 of it.  Cells are a count, so
+    # this needs no wall clock.
+    tree = Quadtree(generate_osm_like(20_000, seed=800), capacity=64)
+    cells = []
+    kernel = parallel.mindist_rects_batch
+
+    def spy(anchors, rects):
+        tableau = kernel(anchors, rects)
+        cells.append(tableau.size)
+        return tableau
+
+    with mock.patch.object(parallel, "mindist_rects_batch", spy):
+        estimator = StaircaseEstimator(tree, max_k=256)
+    n_anchors = estimator.preprocessing_stats.anchors_unique
+    assert sum(cells) <= n_anchors * IndexSnapshot.from_index(tree).n_blocks / 4
