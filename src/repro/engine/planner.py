@@ -234,9 +234,12 @@ def explain_select_batch(
 
     Each table's group is planned as arrays: σ (computed only for rows
     with a predicate or a region), k′, one batched ``estimate_batch``
-    call and one cost comparison (:func:`assemble_select_explanations`).
-    Per query, Python builds only the explanation.  A single query is
-    the batch of one.
+    call and one cost comparison — one
+    :func:`~repro.optimizer.selection.arbitrate_batch` over the ``(n, 3)``
+    cost matrix, whose candidate set, full-scan clamp and tie order are
+    spelled only here.  Per query, Python builds only the explanation.
+    A single query is the batch of one; the sharded serving coordinator
+    plans each chunk through here too.
 
     Args:
         stats: The statistics manager.
@@ -296,62 +299,7 @@ def _explain_select_group(
     estimator = stats.select_estimator_for_planning(name)
     costs, provenance = stats.estimate_select_costs_batch(name, estimator, pts, effective_ks)
     prep_stats = getattr(estimator, "preprocessing_stats", None)
-    explanations = assemble_select_explanations(
-        stats,
-        table,
-        sigmas,
-        effective_ks,
-        costs,
-        provenance.tiers,
-        provenance.degraded,
-        regions=[query.region for query in group] if filtered else None,
-        preprocessing=None if prep_stats is None else prep_stats.as_dict(),
-    )
-    for j in np.flatnonzero(provenance.degraded).tolist():
-        explanations[j].notes.append(provenance.outcome_for(j).describe())
-    return explanations
-
-
-def assemble_select_explanations(
-    stats: StatisticsManager,
-    table,
-    sigmas,
-    effective_ks,
-    costs,
-    tiers: list[str],
-    degraded,
-    *,
-    regions=None,
-    preprocessing: dict[str, float] | None = None,
-) -> list[PlanExplanation]:
-    """Arbitrate one relation's selects and build their explanations.
-
-    The one place a k-NN-Select's candidates, full-scan clamp and tie
-    order are spelled: everything after the browsing estimates is in
-    hand.  :func:`explain_select_batch` calls it with the statistics
-    manager's estimates; the data-shard serving coordinator calls it
-    with the cross-shard merged estimates, the worst answering tiers
-    and the merged degraded flags.  One
-    :func:`~repro.optimizer.selection.arbitrate_batch` over the
-    ``(n, 3)`` cost matrix decides every row (a row without a region
-    has no ``region-pruned-knn`` column); per query only the
-    explanation is built.  A caller with degraded estimates appends
-    its own note saying why.
-
-    Args:
-        stats: The statistics manager whose operator pins apply.
-        table: The queried (non-empty) relation.
-        sigmas: ``(n,)`` combined predicate × region selectivities.
-        effective_ks: ``(n,)`` k′, what the estimates were taken at.
-        costs: ``(n,)`` estimated browsing costs in blocks.
-        tiers: The tier that produced each cost (``""`` for a raw
-            estimator).
-        degraded: ``(n,)`` whether a non-primary tier answered.
-        regions: Per-query region or ``None``; omit when none has one.
-        preprocessing: The costing estimator's preprocessing
-            instrumentation, copied onto every row.
-    """
-    n = len(tiers)
+    preprocessing = {} if prep_stats is None else prep_stats.as_dict()
     cost_filter = float(table.index.num_blocks)
     # Columns in SELECT_TIE_ORDER; a row without a region has no
     # region-pruned candidate (+inf).
@@ -360,23 +308,21 @@ def assemble_select_explanations(
     matrix[:, 1] = np.inf
     # Browsing can never scan more than every block once.
     incremental = np.minimum(costs, cost_filter, out=matrix[:, 2])
-    for j, region in enumerate(regions or ()):
-        if region is not None:
+    for j, query in enumerate(group):
+        if query.region is not None:
             # Region pruning bounds browsing by the blocks inside the region.
-            region_blocks = float(table.snapshot.overlapping(region).shape[0])
+            region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
             matrix[j, 1] = min(incremental[j], region_blocks)
-    decisions = arbitrate_batch(
-        "select", table.name, matrix, SELECT_TIE_ORDER, stats.pinned_operators
-    )
+    decisions = arbitrate_batch("select", name, matrix, SELECT_TIE_ORDER, stats.pinned_operators)
     backend = active_backend()
     explanations = []
     for record, (__, pruned_cost, browse), k, sigma, tier, is_degraded in zip(
         decisions,
         matrix.tolist(),
-        np.asarray(effective_ks).tolist(),
-        np.asarray(sigmas).tolist(),
-        tiers,
-        np.asarray(degraded).tolist(),
+        effective_ks.tolist(),
+        sigmas.tolist(),
+        provenance.tiers,
+        provenance.degraded.tolist(),
     ):
         alternatives = {
             FilterThenKnnOperator.name: cost_filter,
@@ -392,12 +338,14 @@ def assemble_select_explanations(
                 selectivity=sigma,
                 estimator_tier=tier,
                 degraded=is_degraded,
-                preprocessing=dict(preprocessing) if preprocessing else {},
+                preprocessing=dict(preprocessing),
                 kernel_backend=backend,
                 decided_by=record.link,
                 trail=[record],
             )
         )
+    for j in np.flatnonzero(provenance.degraded).tolist():
+        explanations[j].notes.append(provenance.outcome_for(j).describe())
     return explanations
 
 

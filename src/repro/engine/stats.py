@@ -469,24 +469,6 @@ class StatisticsManager:
             provenance = FallbackBatchOutcome([""] * m, np.zeros(m, dtype=bool))
         return costs, provenance
 
-    def estimate_select_provenance(
-        self, name: str, pts: np.ndarray, ks: np.ndarray
-    ) -> tuple[np.ndarray, list[str], list[bool]]:
-        """Batched select-cost estimates with per-query tier provenance.
-
-        The data-shard serving tier's estimate round: each shard
-        estimates its *local* browse costs and ships per-query
-        ``(costs, tiers, degraded)`` to the coordinator, which sums the
-        costs and keeps the worst tier across shards — the labels of
-        :meth:`estimate_select_costs_batch`'s provenance (the answering
-        fallback tier, ``""`` for a raw estimator).
-        """
-        estimator = self.select_estimator_for_planning(name)
-        costs, provenance = self.estimate_select_costs_batch(
-            name, estimator, np.asarray(pts, dtype=float), np.asarray(ks)
-        )
-        return costs, list(provenance.tiers), provenance.degraded.tolist()
-
     def join_estimator_for_planning(self, outer: str, inner: str) -> JoinCostEstimator:
         """What the planner costs joins with (chain, or raw if disabled)."""
         if self.fallback:

@@ -83,7 +83,7 @@ class ShardExhaustedError(EstimationError):
     """Every eligible shard failed and degradation was disabled.
 
     Under the default graceful-degradation policy an unavailable shard's
-    queries are answered by the coordinator's local fallback tier and
-    marked degraded; under ``strict`` serving that degradation is an
+    queries keep the coordinator's plan and come back estimate-only or
+    partial, marked degraded; under ``strict`` serving that degradation is an
     error, and this is it.  Names the shards that failed.
     """

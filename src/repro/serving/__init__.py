@@ -10,14 +10,15 @@ A supervised, process-sharded front end over the
   the blocks its shard owns (every block with ``shard_mode="replica"``,
   one slice with ``shard_mode="data"``) and answers the merge
   protocol's rounds under a propagated deadline;
-* :mod:`~repro.serving.merge` — the full-scan top-k and estimate
-  merges; the streaming k-NN merge itself is the engine's browser,
+* :mod:`~repro.serving.merge` — the full-scan top-k merge; the
+  streaming k-NN merge itself is the engine's browser,
   :mod:`repro.knn.merge` (``QueryMerge`` is re-exported here);
 * :mod:`~repro.serving.supervisor` — deadlines, bounded retries with
   backoff, worker respawn, and per-shard circuit breakers;
 * :mod:`~repro.serving.admission` — queue-depth and time-budget load
   shedding via :class:`~repro.resilience.errors.OverloadError`;
-* :mod:`~repro.serving.coordinator` — routing, fan-out, merge with
+* :mod:`~repro.serving.coordinator` — planning (the engine's own
+  planner over the whole relation), routing, fan-out, merge with
   per-shard provenance, and graceful degradation.
 
 Entry points: :class:`ShardedServingTier` for long-lived serving,
@@ -27,7 +28,6 @@ Entry points: :class:`ShardedServingTier` for long-lived serving,
 
 from repro.serving.admission import AdmissionController
 from repro.serving.coordinator import (
-    DEGRADED_PLAN,
     ServeManyReport,
     ShardedServingReport,
     ShardedServingTier,
@@ -46,7 +46,6 @@ from repro.serving.supervisor import (
 
 __all__ = [
     "AdmissionController",
-    "DEGRADED_PLAN",
     "Deadline",
     "PARTIAL_PLAN",
     "QueryMerge",

@@ -9,24 +9,25 @@ subsystem.  Per batch it:
 2. asks the :class:`~repro.serving.admission.AdmissionController` (if
    configured) for admission under the batch's deadline;
 3. cuts the batch into ``chunk_size`` chunks, each addressed to the
-   shards that own its blocks, and drives every chunk through the
-   cross-shard merge protocol (open, arbitrate, merge — plus a scan
-   round for filter plans) on threads the tier owns: started on first
-   use, reused by every batch, joined by ``close()``; a batch one task
-   wide runs on its caller's thread.  Every round is served under the
+   shards that own its blocks, plans every chunk at the coordinator
+   with the engine's own planner over the whole relation
+   (:func:`~repro.engine.planner.explain_select_batch`; workers keep no
+   statistics), and drives it through the cross-shard merge protocol
+   (open, merge — plus a scan round for filter plans) on threads the
+   tier owns: started on first use, reused by every batch, joined by
+   ``close()``; a batch one task wide runs on its caller's thread.
+   Every round is served under the
    :class:`~repro.serving.supervisor.ShardSupervisor`'s
    deadline/retry/respawn/breaker contract;
 4. merges the answers back into workload order with per-shard
    provenance (:class:`ShardReport`);
-5. degrades instead of failing: a query none of whose shards answered
-   is served by the coordinator's *local* uniform-model fallback — an
-   estimate-only answer clamped to the guaranteed bound (the
-   relation's block count), flagged ``degraded=True`` with
-   ``results[i] is None``; a query that lost a shard part-way comes
-   back ``partial`` (a verified prefix of the true answer, clamped by
-   the lost shard's bound) — unless ``strict`` serving was requested,
-   in which case a :class:`~repro.resilience.errors.ShardExhaustedError`
-   is raised.
+5. degrades instead of failing, and only the answer, never the plan: a
+   query none of whose shards answered is estimate-only
+   (``degraded=True``, ``results[i] is None``, its explanation the
+   plan); a query that lost a shard part-way comes back ``partial`` (a
+   verified prefix of the true answer, clamped by the lost shard's
+   bound) — unless ``strict`` serving was requested, in which case a
+   :class:`~repro.resilience.errors.ShardExhaustedError` is raised.
 
 The two **shard modes** differ only in which blocks a shard owns and
 which shards a query asks:
@@ -51,6 +52,7 @@ cost was paid exactly once across a sustained workload.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -62,19 +64,15 @@ from repro.engine.physical import (
     FilterThenKnnOperator,
     IncrementalKnnOperator,
 )
-from repro.engine.planner import PlanExplanation, assemble_select_explanations
+from repro.engine.planner import PlanExplanation, explain_select_batch
+from repro.engine.queries import KnnSelectQuery
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
-from repro.estimators.uniform_model import UniformModelEstimator
 from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
 from repro.index.snapshot import as_snapshot
 from repro.knn.merge import QueryMerge, run_merges
-from repro.serving.merge import (
-    PARTIAL_PLAN,
-    merge_filter_topk,
-    merge_select_estimates,
-)
+from repro.serving.merge import PARTIAL_PLAN, merge_filter_topk
 from repro.serving.worker import _worker_stats
 from repro.resilience.errors import OverloadError, ShardExhaustedError
 from repro.resilience.faultinject import WorkerFaultPlan
@@ -90,9 +88,6 @@ from repro.serving.supervisor import (
 )
 from repro.workloads.queries import QueryBatch
 from repro.workloads.serving import ServingReport
-
-#: Plan label for degraded, estimate-only answers.
-DEGRADED_PLAN = "degraded-estimate-only"
 
 #: Sentinel distinguishing "use the tier default" from an explicit None.
 _UNSET = object()
@@ -176,7 +171,7 @@ class ShardedServingReport(ServingReport):
 
     @property
     def n_degraded(self) -> int:
-        """Queries answered by the coordinator's degraded fallback."""
+        """Estimate-only queries: planned, but no shard answered them."""
         return int(np.count_nonzero(self.degraded))
 
     @property
@@ -279,11 +274,10 @@ class ShardedServingTier:
             (chaos testing).
         strict: Raise :class:`ShardExhaustedError` instead of degrading.
         manager_kwargs: :class:`~repro.engine.StatisticsManager`
-            configuration for the workers' estimates and the
-            coordinator's arbitration and guards.  Must match the
-            reference engine's configuration for bit-identical answers.
+            configuration of the coordinator's planner (estimates,
+            arbitration, pins, guards).  Must match the reference
+            engine's configuration for bit-identical plans.
         pinned_operators: Forced per-table/per-kind operator choices
-            for every worker's statistics manager — plain picklable data
             (``{"table:kind" | "kind": operator}``), merged into
             ``manager_kwargs``.  The reference engine must be configured
             with the same pins or the bit-identity with unsharded
@@ -339,13 +333,17 @@ class ShardedServingTier:
         self.plan: ShardPlan = (
             shard_plan if shard_plan is not None else plan_shards(snapshot, n_shards)
         )
-        self._manager_kwargs = dict(manager_kwargs or {})
+        manager_kwargs = dict(manager_kwargs or {})
         if pinned_operators:
-            self._manager_kwargs["pinned_operators"] = dict(pinned_operators)
-        # A bad manager configuration is refused here rather than as an
-        # outage of every shard at its first chunk.  Coordinator-side
-        # plans are arbitrated under this manager (pins included).
-        self._arbiter = StatisticsManager(**self._manager_kwargs)
+            manager_kwargs["pinned_operators"] = dict(pinned_operators)
+        # A bad manager configuration is refused here, before any worker
+        # spawns.  Every query is planned under this manager, over the
+        # whole relation, exactly as the unsharded engine plans it.  The
+        # manager builds its estimators lazily, and chunks are planned
+        # on several threads, so planning holds a lock.
+        self._planner = StatisticsManager(**manager_kwargs)
+        self._planner.register(table)
+        self._plan_lock = threading.Lock()
         self.supervisor = ShardSupervisor(
             self._build_handles(snapshot.canonical(), worker_faults), policy
         )
@@ -364,10 +362,6 @@ class ShardedServingTier:
         self._fan_pool = ThreadPoolExecutor(
             n_shards * (width + 1), thread_name_prefix="tier-fan"
         )
-        # The degradation tier: location-independent, estimate-only,
-        # always inside the guaranteed bound.
-        self._fallback_model = UniformModelEstimator(snapshot)
-        self._guaranteed_bound = float(table.index.num_blocks)
 
     def _build_handles(
         self, canonical, worker_faults: WorkerFaultPlan | None
@@ -428,8 +422,6 @@ class ShardedServingTier:
             "rows": rows,
             "points": np.ascontiguousarray(self.table.points[rows]),
             "gpos": gpos,
-            "capacity": int(self.table.index.capacity),
-            "manager_kwargs": self._manager_kwargs,
         }
 
     # ------------------------------------------------------------------
@@ -465,7 +457,7 @@ class ShardedServingTier:
             batch.ks,
             self.table.n_rows,
             self.table.index.bounds,
-            strict=self._arbiter.strict,
+            strict=self._planner.strict,
         )
         effective_deadline = (
             self.deadline_ms if deadline_ms is _UNSET else deadline_ms
@@ -525,13 +517,12 @@ class ShardedServingTier:
             for sid in sids:
                 rounds_total[sid] += rounds[sid]
                 gaps_total[sid] += gaps[sid]
-        if self.strict and partial.any():
+        if self.strict and (degraded.any() or partial.any()):
+            lost = sorted(sid for sid, gaps in gaps_total.items() if gaps)
             raise ShardExhaustedError(
-                f"{int(np.count_nonzero(partial))} of {n} queries lost shard "
-                "coverage (partial answers) and strict serving forbids "
-                "degradation"
+                f"{int(np.count_nonzero(degraded | partial))} of {n} queries lost "
+                f"shards {lost} and strict serving forbids degradation"
             )
-        self._fill_degraded(batch, shard_ids, degraded, results, explanations)
         seconds = time.perf_counter() - start
         shard_reports = tuple(
             self._shard_report(
@@ -574,50 +565,6 @@ class ShardedServingTier:
             futures = [self._chunk_pool.submit(run, lane) for lane in lanes]
             done = [future.result() for future in futures]
         return [outcome for lane in done for outcome in lane]
-
-    def _fill_degraded(
-        self,
-        batch: QueryBatch,
-        shard_ids: np.ndarray,
-        degraded: np.ndarray,
-        results: list,
-        explanations: list,
-    ) -> None:
-        """Answer unavailable-shard queries from the local fallback tier."""
-        degraded_idx = np.flatnonzero(degraded)
-        if degraded_idx.size == 0:
-            return
-        if self.strict:
-            failed = sorted(int(s) for s in np.unique(shard_ids[degraded_idx]))
-            raise ShardExhaustedError(
-                f"{degraded_idx.size} of {len(batch)} queries lost their shard "
-                f"(shards {failed}) and strict serving forbids degradation"
-            )
-        costs = self._fallback_model.estimate_batch(
-            batch.points[degraded_idx], batch.ks[degraded_idx]
-        )
-        # Belt and braces: the degraded answer must respect the
-        # guaranteed bound even if the model misbehaves.
-        costs = np.minimum(
-            np.where(np.isfinite(costs) & (costs >= 0.0), costs, self._guaranteed_bound),
-            self._guaranteed_bound,
-        )
-        for offset, workload_i in enumerate(degraded_idx):
-            k = int(batch.ks[workload_i])
-            sid = int(shard_ids[workload_i])
-            where = "all data shards" if sid < 0 else f"shard {sid}"
-            results[workload_i] = None
-            explanations[workload_i] = PlanExplanation(
-                chosen=DEGRADED_PLAN,
-                alternatives={DEGRADED_PLAN: float(costs[offset])},
-                effective_k=k,
-                estimator_tier="uniform-model",
-                degraded=True,
-                notes=[
-                    f"{where} unavailable; "
-                    "estimate-only answer from the coordinator's local fallback"
-                ],
-            )
 
     # ------------------------------------------------------------------
     # The merge protocol: fan out, open, merge
@@ -696,45 +643,34 @@ class ShardedServingTier:
         rounds = dict.fromkeys(all_sids, 0)
         gap_counts = dict.fromkeys(all_sids, 0)
         dead: set[int] = set()
+        queries = [
+            KnnSelectQuery(self.table.name, batch.point(i), k=int(batch.ks[i]))
+            for i in chunk_idx.tolist()
+        ]
+        with self._plan_lock:
+            chunk_plans = explain_select_batch(self._planner, queries)
+        for i, explanation in zip(chunk_idx.tolist(), chunk_plans):
+            explanations[i] = explanation
         open_payload = {"round": "open", "points": pts, "ks": ks}
         answers = self._fan_out(
             {sid: open_payload for sid in shards}, deadline, rounds, dead
         )
         if not answers:
             # Every asked shard down: there is nothing to merge, so the
-            # chunk degrades to estimate-only answers.
+            # chunk's answers are estimate-only.  Its plans stand.
             degraded[chunk_idx] = True
             for sid in dead:
                 gap_counts[sid] += m
+            for explanation in chunk_plans:
+                explanation.degraded = True
+                explanation.notes.append(
+                    f"shards {sorted(dead)} unavailable; estimate-only answer"
+                )
             latencies_us[chunk_idx] = (time.perf_counter() - chunk_start) / m * 1e6
             return rounds, gap_counts
-        live = sorted(answers)
-        estimates = {sid: answers[sid]["estimates"] for sid in live}
-        merged = [
-            merge_select_estimates(
-                [estimates[sid][0][i] for sid in live],
-                [estimates[sid][1][i] for sid in live],
-                [estimates[sid][2][i] for sid in live],
-                self._guaranteed_bound,
-            )
-            for i in range(m)
-        ]
-        costs, tiers, est_degraded = (list(column) for column in zip(*merged))
-        est_degraded = np.asarray(est_degraded, dtype=bool) | bool(dead)
-        # The planner's select assembly, over the merged estimates: the
-        # tier label is the worst shard's.
-        chunk_plans = assemble_select_explanations(
-            self._arbiter, self.table, np.ones(m), ks, costs, tiers, est_degraded
-        )
         filter_pos: list[int] = []
         inc_pos: list[int] = []
         for i, explanation in enumerate(chunk_plans):
-            if est_degraded[i]:
-                explanation.notes.append(
-                    "merged shard estimates degraded (worst answering tier "
-                    f"{tiers[i] or 'unknown'!r})"
-                )
-            explanations[chunk_idx[i]] = explanation
             if explanation.chosen == FilterThenKnnOperator.name:
                 filter_pos.append(i)
             else:
@@ -809,7 +745,7 @@ class ShardedServingTier:
                 gap_sids.append(sid)
                 t_gap = shard_min if t_gap is None else min(t_gap, shard_min)
             workload_i = int(chunk_idx[i])
-            blocks_scanned = int(self._guaranteed_bound)
+            blocks_scanned = int(self.table.index.num_blocks)
             if t_gap is None:
                 results[workload_i] = ExecutionResult(
                     FilterThenKnnOperator.name, blocks_scanned, row_ids=rows
@@ -948,8 +884,9 @@ class ShardedServingTier:
         """Spawn every shard's worker pool eagerly and wait until live.
 
         Long-lived callers pay the spawn (and each worker's shard
-        build) exactly once here instead of on the first
-        served batch; :attr:`pools_spawned` then stays at
+        build) exactly once here instead of on the first served batch,
+        and the planner's catalogs are built on the calling thread while
+        the workers boot; :attr:`pools_spawned` then stays at
         ``n_shards`` across any number of :meth:`serve` /
         :meth:`serve_many` calls unless a worker crashes and is
         respawned.  Returns ``self`` so ``tier.start()`` chains with
@@ -959,8 +896,12 @@ class ShardedServingTier:
             self._fan_pool.submit(self.supervisor.handle(sid).spawn)
             for sid in self.supervisor.shard_ids
         ]
-        for future in futures:
-            future.result()
+        try:
+            with self._plan_lock:
+                self._planner.select_estimator(self.table.name)
+        finally:
+            for future in futures:
+                future.result()
         return self
 
     @property

@@ -10,12 +10,8 @@ shard is a coverage gap — bit-identical to the unsharded
 replay over n sources instead of one.
 
 Left here: the full-scan top-k merge for queries whose plan chose the
-filter operator, and the per-query estimate merge — incremental-scan
-cost is the *sum* of the per-shard estimates (each shard browses its
-own blocks), the tier is the *worst* (most degraded) shard tier, and
-the merged numbers are arbitrated by the unsharded planner's own select
-assembly (one cost comparison plus the manager's operator pins), so
-``PlanExplanation`` keeps its shape.
+filter operator.  Plans are not merged at all: the coordinator plans
+every query with the unsharded planner over the whole relation.
 """
 
 from __future__ import annotations
@@ -26,27 +22,6 @@ from repro.knn.merge import QueryMerge, ShardStream  # noqa: F401 (re-exported)
 
 #: Note marker for partial-coverage degraded answers.
 PARTIAL_PLAN = "partial-coverage"
-
-#: Select-estimator tiers from most to least trusted; the merged
-#: explanation reports the *worst* tier any shard answered with.
-_TIER_RANK = {
-    "": -1,
-    "staircase": 0,
-    "density": 1,
-    "uniform-model": 2,
-    "guaranteed-bound": 3,
-}
-
-
-def worst_tier(tiers) -> str:
-    """The most degraded tier label among per-shard answers."""
-    worst = ""
-    rank = -1
-    for tier in tiers:
-        r = _TIER_RANK.get(tier, 3)
-        if r > rank:
-            worst, rank = tier, r
-    return worst
 
 
 def merge_filter_topk(
@@ -72,16 +47,3 @@ def merge_filter_topk(
     gpos = np.concatenate([c[2] for c in live])
     order = np.lexsort((gpos, dists))[:k]
     return rows[order], dists[order]
-
-
-def merge_select_estimates(
-    costs: list[float], tiers: list[str], degraded: list[bool], bound: float
-) -> tuple[float, str, bool]:
-    """Merge per-shard select estimates into one global estimate.
-
-    The browse cost sums (each shard browses its own blocks for its
-    own ``k``-prefix), clamped by the full-scan bound; the tier is the
-    worst answering tier; degradation is sticky.
-    """
-    total = float(sum(costs)) if costs else bound
-    return min(total, bound), worst_tier(tiers), bool(any(degraded))

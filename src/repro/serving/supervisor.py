@@ -24,7 +24,8 @@ chunk submitted to a shard runs under:
 
 A chunk that exhausts its retries (or meets an open breaker) raises
 :class:`ShardUnavailable`; the coordinator catches it and degrades
-those queries to its local fallback tier instead of failing the batch.
+those queries' answers (estimate-only or partial) instead of failing
+the batch.
 
 Worker pools never fork the coordinator: the supervisor respawns pools
 from coordinator threads, and forking a multi-threaded process is where

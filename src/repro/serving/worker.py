@@ -42,9 +42,6 @@ from repro.resilience.faultinject import WorkerFaultPlan
 #: Queries per cooperative budget checkpoint inside one chunk.
 BUDGET_SLICE = 256
 
-#: Relation name a shard registers its local table under.
-SHARD_TABLE = "__shard__"
-
 _WORKER_STATE: dict = {}
 
 
@@ -73,12 +70,9 @@ def _init_data_shard_worker(
     block ids preserved), the member blocks' global row ids and points
     concatenated in canonical block order, and each row's position in
     the *global* block-order concatenation (``gpos`` — the unsharded
-    full scan's tie-break key).  A local statistics manager over the
-    shard's own points answers the estimate round; the coordinator
-    sums costs and worst-cases tiers across the shards it asked.
+    full scan's tie-break key).  A worker keeps no statistics: the
+    coordinator plans every query over the whole relation.
     """
-    from repro.engine import SpatialTable, StatisticsManager
-
     set_backend(backend)
     snapshot = payload["snapshot"]
     rows = np.asarray(payload["rows"], dtype=np.int64)
@@ -86,19 +80,12 @@ def _init_data_shard_worker(
     gpos = np.asarray(payload["gpos"], dtype=np.int64)
     starts = np.zeros(snapshot.n_blocks + 1, dtype=np.int64)
     np.cumsum(snapshot.counts, out=starts[1:])
-    stats = None
-    if points.shape[0]:
-        stats = StatisticsManager(**payload.get("manager_kwargs", {}))
-        stats.register(
-            SpatialTable(SHARD_TABLE, points, capacity=int(payload["capacity"]))
-        )
     _WORKER_STATE.clear()
     _WORKER_STATE["snapshot"] = snapshot
     _WORKER_STATE["rows"] = rows
     _WORKER_STATE["points"] = points
     _WORKER_STATE["gpos"] = gpos
     _WORKER_STATE["starts"] = starts
-    _WORKER_STATE["stats"] = stats
     _WORKER_STATE["shard_id"] = int(shard_id)
     _WORKER_STATE["incarnation"] = int(incarnation)
     _WORKER_STATE["fault_plan"] = fault_plan
@@ -169,9 +156,7 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
       ended on, ``(entries, cursor, bound)``.  The shard's own k-th
       distance upper-bounds the global one, so the coordinator's merge
       never has to extend what a healthy shard opened with (see
-      ``docs/serving.md``).  The reply also carries the local
-      select-cost estimates for the coordinator's merged
-      :class:`~repro.engine.PlanExplanation`;
+      ``docs/serving.md``);
     * ``"resume"`` — the stateless fallback: continue named queries'
       streams from their ``cursors`` until ``min_points`` are gathered
       or ``min_mindists`` is reached, replied in the same format
@@ -212,7 +197,6 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     start = time.perf_counter()
     rows, points = _WORKER_STATE["rows"], _WORKER_STATE["points"]
     if round_kind in ("open", "resume"):
-        m = pts.shape[0]
         starts = _WORKER_STATE["starts"]
 
         def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,17 +208,9 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
         )
         checkpoint = partial(budget_check, start, budget)
         if round_kind == "resume":
+            m = pts.shape[0]
             return {"streams": _resume_streams(streams, m, payload, block_rows, checkpoint)}
-        replies = _browse_to_local_stop(streams, ks, block_rows, checkpoint)
-        stats = _WORKER_STATE["stats"]
-        if stats is None:
-            estimates = ([0.0] * m, [""] * m, [False] * m)
-        else:
-            costs, tiers, degraded = stats.estimate_select_provenance(
-                SHARD_TABLE, pts, ks
-            )
-            estimates = ([float(c) for c in costs], tiers, degraded)
-        return {"streams": replies, "estimates": estimates}
+        return {"streams": _browse_to_local_stop(streams, ks, block_rows, checkpoint)}
     if round_kind == "scan":
         gpos = _WORKER_STATE["gpos"]
         topk = []

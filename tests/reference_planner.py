@@ -8,8 +8,8 @@ order under the pin rule (the old ``arbitrate``) and one
 ``PlanExplanation`` with its provenance.  It is assembled from what the
 planner still shares with it — the statistics manager's selectivities
 and batched estimate, the scalar guards, the physical operator names —
-and from nothing of ``guard_select_batch``, ``explain_select_batch``,
-``assemble_select_explanations`` or ``arbitrate_batch``.  Per-query
+and from nothing of ``guard_select_batch``, ``explain_select_batch``
+or ``arbitrate_batch``.  Per-query
 provenance is read off the estimator's own batch record, not off the
 manager's merged one.
 

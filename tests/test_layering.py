@@ -127,9 +127,13 @@ def test_the_walk_sees_function_level_imports():
 #: batch pass profiles every anchor); the per-query select assembly, its
 #: clock-stamping decider, the per-query outcome list, the trivial-select
 #: and operator helpers and the operator-building plan functions (a
-#: select group is one ``assemble_select_explanations`` array pass and
-#: one ``arbitrate_batch``; ``planner.physical_operator`` alone builds
-#: operators, and only to execute).
+#: select group is one array pass and one ``arbitrate_batch``;
+#: ``planner.physical_operator`` alone builds operators, and only to
+#: execute); the shard workers' statistics, the coordinator's merge of
+#: their estimates, its arbitration-only manager and its uniform-model
+#: degraded answers (the coordinator plans every sharded query through
+#: ``explain_select_batch``, which spells the select assembly itself, and
+#: an estimate-only answer keeps that plan).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -219,6 +223,16 @@ RETIRED_NAMES = {
     "knn_join",
     "JoinStats",
     "_batch_knn",
+    "SHARD_TABLE",
+    "estimate_select_provenance",
+    "merge_select_estimates",
+    "worst_tier",
+    "_TIER_RANK",
+    "assemble_select_explanations",
+    "_arbiter",
+    "DEGRADED_PLAN",
+    "_fallback_model",
+    "_fill_degraded",
 }
 
 

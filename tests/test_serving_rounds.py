@@ -123,6 +123,8 @@ def test_open_replies_finish_the_merge_without_a_resume(
     )
     payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
     tier.close()
+    # A shard is shipped its blocks and rows, and no planner configuration.
+    assert all(set(p) == {"snapshot", "rows", "points", "gpos"} for p in payloads)
     if relation == "handful" and n_shards == 5:
         assert any(p["rows"].size == 0 for p in payloads)  # an empty shard
     assert min(p["rows"].size for p in payloads) < int(batch.ks.max())
@@ -135,6 +137,8 @@ def test_open_replies_finish_the_merge_without_a_resume(
                 {"round": "open", "points": batch.points, "ks": batch.ks}
             )
         )
+        # The streams only: a worker keeps no statistics to estimate with.
+        assert set(replies[-1]) == {"streams"}
     for i, (expected, __) in enumerate(reference):
         merge = QueryMerge(int(batch.ks[i]))
         for sid, reply in enumerate(replies):

@@ -4,13 +4,15 @@ The tier's contract, asserted here end to end:
 
 * **bit-identity** — every non-degraded sharded answer (row ids, blocks
   scanned, chosen plan, costs) equals the unsharded engine's answer for
-  the same workload, regardless of which index substrate the shard
-  plan was derived from;
+  the same workload, in both shard modes and regardless of which index
+  substrate the shard plan was derived from: the coordinator plans with
+  the unsharded planner over the whole relation;
 * **fault tolerance** — killing, hanging, or slowing workers
   mid-workload never fails a query: the supervisor retries/respawns,
-  and queries whose shard stays down degrade to bounded estimate-only
-  answers instead of raising;
-* **guaranteed bounds** — every degraded answer's cost lies within
+  and queries whose shard stays down degrade to estimate-only answers
+  instead of raising;
+* **plans survive faults** — a degraded answer keeps the unsharded
+  engine's plan, and every one of its costs lies within
   ``[0, num_blocks]`` (the same invariant the fallback chains promise);
 * **admission control** — overload is refused up front with a typed
   :class:`~repro.resilience.errors.OverloadError` and a retry hint.
@@ -36,7 +38,6 @@ from repro.resilience import (
     WorkerFaultSpec,
 )
 from repro.serving import (
-    DEGRADED_PLAN,
     AdmissionController,
     Deadline,
     ShardedServingTier,
@@ -89,10 +90,11 @@ def _routing_index(substrate: str, points):
     return RTree(points, capacity=CAPACITY)
 
 
-def _assert_exact_matches_reference(report, reference, indices=None):
-    indices = range(len(reference)) if indices is None else indices
-    for i in indices:
-        if report.degraded[i]:
+def _assert_exact_matches_reference(report, reference):
+    """Every answer that is neither estimate-only nor partial equals the
+    unsharded engine's: rows, blocks scanned and the whole plan."""
+    for i in range(len(reference)):
+        if report.degraded[i] or report.partial[i]:
             continue
         ref_result, ref_explanation = reference[i]
         result = report.results[i]
@@ -102,6 +104,21 @@ def _assert_exact_matches_reference(report, reference, indices=None):
         assert explanation.chosen == ref_explanation.chosen, i
         assert explanation.alternatives == ref_explanation.alternatives, i
         assert explanation.effective_k == ref_explanation.effective_k, i
+
+
+def _assert_estimate_only_keeps_the_plan(report, reference, table):
+    """A query no shard answered has no rows, but its plan is the
+    unsharded engine's, with every cost inside the guaranteed bound."""
+    bound = float(table.index.num_blocks)
+    for i in np.flatnonzero(report.degraded):
+        assert report.results[i] is None, i
+        explanation, expected = report.explanations[i], reference[i][1]
+        assert explanation.degraded, i
+        assert explanation.chosen == expected.chosen, i
+        assert explanation.alternatives == expected.alternatives, i
+        assert explanation.estimator_tier == expected.estimator_tier, i
+        assert all(0.0 <= c <= bound for c in explanation.alternatives.values()), i
+        assert any("estimate-only" in note for note in explanation.notes), i
 
 
 # ----------------------------------------------------------------------
@@ -259,21 +276,14 @@ def test_permanently_down_shard_degrades_within_bounds(dataset, reference):
     down = report.shard_ids == 1
     assert np.array_equal(report.degraded, down)
     assert 0 < report.n_degraded < N_QUERIES
-    bound = float(table.index.num_blocks)
-    for i in np.flatnonzero(report.degraded):
-        assert report.results[i] is None
-        explanation = report.explanations[i]
-        assert explanation.degraded
-        assert explanation.chosen == DEGRADED_PLAN
-        cost = explanation.alternatives[DEGRADED_PLAN]
-        assert 0.0 <= cost <= bound
+    _assert_estimate_only_keeps_the_plan(report, reference, table)
     # The healthy shard's answers are still exact.
     _assert_exact_matches_reference(report, reference)
     breaker = next(s for s in report.shards if s.shard_id == 1)
     assert breaker.degraded_queries == report.n_degraded
 
 
-def test_all_shards_down_degrades_every_query(dataset):
+def test_all_shards_down_degrades_every_query(dataset, reference):
     points, batch = dataset
     table = _table(points)
     faults = WorkerFaultPlan.of(WorkerFaultSpec(kind="crash", incarnation=None))
@@ -287,11 +297,7 @@ def test_all_shards_down_degrades_every_query(dataset):
         worker_faults=faults,
     )
     assert report.n_degraded == N_QUERIES
-    bound = float(table.index.num_blocks)
-    for i in range(N_QUERIES):
-        assert report.results[i] is None
-        cost = report.explanations[i].alternatives[DEGRADED_PLAN]
-        assert 0.0 <= cost <= bound
+    _assert_estimate_only_keeps_the_plan(report, reference, table)
 
 
 def test_strict_serving_raises_instead_of_degrading(dataset):
@@ -340,7 +346,7 @@ def test_a_non_finite_focal_point_is_refused_before_any_shard_is_asked(
             assert health.total_failures == 0 and not health.circuit_open, sid
         report = tier.serve(batch)
     assert report.n_degraded == 0 and not report.partial.any()
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
 
 
 def test_circuit_breaker_opens_on_a_dead_shard(dataset):
@@ -469,29 +475,6 @@ def test_admission_releases_capacity_after_failures(dataset):
 # ----------------------------------------------------------------------
 # Data-shard mode: block partitioning, streaming merge, bit-identity
 # ----------------------------------------------------------------------
-def _assert_data_exact_matches_reference(report, reference, indices=None):
-    """Bit-identity for data-shard answers.
-
-    Unlike the replica helper this does NOT compare ``alternatives``:
-    the coordinator's arbiter sums per-shard estimates, which is
-    plan-equivalent but not numerically identical to the global
-    estimate.  Everything the executed plan depends on — row ids,
-    blocks scanned, chosen operator, effective k — must still match
-    bit for bit.
-    """
-    indices = range(len(reference)) if indices is None else indices
-    for i in indices:
-        if report.degraded[i] or report.partial[i]:
-            continue
-        ref_result, ref_explanation = reference[i]
-        result = report.results[i]
-        assert np.array_equal(result.row_ids, ref_result.row_ids), i
-        assert result.blocks_scanned == ref_result.blocks_scanned, i
-        explanation = report.explanations[i]
-        assert explanation.chosen == ref_explanation.chosen, i
-        assert explanation.effective_k == ref_explanation.effective_k, i
-
-
 def test_partition_blocks_covers_every_row(dataset):
     from repro.index import as_snapshot
 
@@ -532,7 +515,7 @@ def test_data_sharding_is_bit_identical_to_unsharded(
     assert report.n_degraded == 0
     assert not report.partial.any()
     assert report.latencies_us is not None and report.p50_latency_us is not None
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
 
 
 @pytest.mark.parametrize(
@@ -561,7 +544,7 @@ def test_data_sharding_matches_pinned_reference(operator, dataset):
     for i, (ref_result, ref_explanation) in enumerate(reference):
         assert ref_explanation.chosen == operator, i
         assert report.explanations[i].chosen == operator, i
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
 
 
 MANAGER_LEGS = pytest.mark.parametrize(
@@ -570,9 +553,10 @@ MANAGER_LEGS = pytest.mark.parametrize(
         {},
         {"pinned_operators": {"select": "filter-then-knn"}},
         {"pinned_operators": {"select": "incremental-knn"}},
-        # A budget no call can meet: every tier of the shard's chain (and
-        # of the unsharded engine's) blows it, deterministically, so the
-        # estimate is the guaranteed bound, degraded.
+        # A budget no call can meet: every tier of the coordinator's
+        # chain (and of the unsharded engine's) blows it,
+        # deterministically, so the estimate is the guaranteed bound,
+        # degraded.
         {"estimate_time_budget": 1e-12},
     ],
     ids=["arbitrated", "pinned-filter", "pinned-incremental", "degraded-estimate"],
@@ -580,8 +564,9 @@ MANAGER_LEGS = pytest.mark.parametrize(
 
 
 def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwargs):
-    """Serve ``batch`` and compare every explanation field but ``notes``
-    with the unsharded engine's; returns ``(report, reference)``."""
+    """Serve ``batch`` and compare every explanation field with the
+    unsharded engine's — ``notes`` on the rows whose estimate did not
+    degrade (a degraded row's note carries a wall-clock figure)."""
     manager_kwargs = {"max_k": MAX_K, **manager_kwargs}
     engine = SpatialEngine(StatisticsManager(**manager_kwargs))
     engine.register(_table(points))
@@ -595,7 +580,7 @@ def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwa
         **tier_kwargs,
     )
     assert report.n_degraded == 0 and not report.partial.any()
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
     for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
         for name in (
             "chosen", "alternatives", "decided_by", "estimator_tier",
@@ -610,22 +595,46 @@ def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwa
             expected_record.operator,
             expected_record.note,
         ), i
+        if not served.degraded:
+            assert served.notes == expected.notes, i
     if "estimate_time_budget" in manager_kwargs:
         assert all(e.degraded for e in report.explanations)
         assert {e.estimator_tier for e in report.explanations} == {"guaranteed-bound"}
-    return report, reference
+    else:
+        assert any(e.notes for e in report.explanations)
+
+
+def _guarded_batch(points, batch) -> QueryBatch:
+    """64 queries, two of which draw guard notes: a focal point far
+    outside the data, and a ``k`` above the row count."""
+    bounds = _table(points).index.bounds
+    far = [bounds.x_max + 10 * bounds.diagonal, bounds.y_min]
+    return QueryBatch(
+        points=np.vstack([batch.points[:62], [far], batch.points[:1]]),
+        ks=np.concatenate([batch.ks[:62], [5, N_POINTS + 1]]),
+    )
 
 
 @MANAGER_LEGS
 def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_kwargs):
-    """The coordinator arbitrates through the planner's own select
-    assembly: with one shard the merged estimate *is* the global one, so
-    the whole explanation — not just the chosen operator — must equal
-    the unsharded engine's."""
+    """The coordinator plans with the unsharded planner: the whole
+    explanation — not just the chosen operator — equals the engine's."""
     points, batch = dataset
-    batch = QueryBatch(points=batch.points[:64], ks=batch.ks[:64])
     _assert_plans_exactly_as_unsharded(
-        points, batch, manager_kwargs, n_shards=1, shard_mode="data"
+        points, _guarded_batch(points, batch), manager_kwargs, n_shards=1, shard_mode="data"
+    )
+
+
+@pytest.mark.parametrize("n_shards", [2, 3, 5])
+@MANAGER_LEGS
+def test_data_shards_plan_exactly_as_the_unsharded_planner(dataset, manager_kwargs, n_shards):
+    """However the relation is split, a data tier's plans are the
+    unsharded engine's: the estimate is taken over the whole relation at
+    the coordinator, not summed over the shards' own indexes."""
+    points, batch = dataset
+    _assert_plans_exactly_as_unsharded(
+        points, _guarded_batch(points, batch), manager_kwargs,
+        n_shards=n_shards, shard_mode="data",
     )
 
 
@@ -634,28 +643,13 @@ def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_
 def test_replica_shards_plan_exactly_as_the_unsharded_planner(
     dataset, manager_kwargs, n_shards
 ):
-    """A replica shard owns every block, so the one shard a query routes
-    to estimates over all the points: the whole explanation equals the
-    unsharded engine's, and so do the guard notes of every row whose
-    estimate did not degrade (a focal point far outside the data, a k
-    above the row count)."""
+    """Replica queries are planned at the coordinator too: the whole
+    explanation equals the unsharded engine's, guard notes included."""
     points, batch = dataset
-    bounds = _table(points).index.bounds
-    far = [bounds.x_max + 10 * bounds.diagonal, bounds.y_min]
-    batch = QueryBatch(
-        points=np.vstack([batch.points[:62], [far], batch.points[:1]]),
-        ks=np.concatenate([batch.ks[:62], [5, N_POINTS + 1]]),
+    _assert_plans_exactly_as_unsharded(
+        points, _guarded_batch(points, batch), manager_kwargs,
+        n_shards=n_shards, shard_mode="replica",
     )
-    report, reference = _assert_plans_exactly_as_unsharded(
-        points, batch, manager_kwargs, n_shards=n_shards, shard_mode="replica"
-    )
-    noted = 0
-    for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
-        if not served.degraded:
-            assert served.notes == expected.notes, i
-            noted += bool(served.notes)
-    if "estimate_time_budget" not in manager_kwargs:
-        assert noted
 
 
 def test_replica_mode_reports_no_partials(dataset):
@@ -677,7 +671,8 @@ def test_dead_data_shard_yields_partial_prefix_answers(dataset, reference):
     """Kill 1 of 4 data shards permanently: queries needing its blocks
     come back ``partial`` — a verified prefix of the true answer,
     clamped by the surviving shards' bounds — and everything else stays
-    bit-identical."""
+    bit-identical.  The lost shard degrades answers, never plans: every
+    query, partial or not, keeps the unsharded engine's estimate."""
     points, batch = dataset
     faults = WorkerFaultPlan.of(
         WorkerFaultSpec(kind="crash", shard=1, on_batch=None, incarnation=None)
@@ -703,8 +698,12 @@ def test_dead_data_shard_yields_partial_prefix_answers(dataset, reference):
         explanation = report.explanations[i]
         assert explanation.degraded, i
         assert any("partial" in note for note in explanation.notes), i
+    for (__, expected), served in zip(reference, report.explanations):
+        assert served.chosen == expected.chosen
+        assert served.alternatives == expected.alternatives
+        assert served.estimator_tier == expected.estimator_tier
     # Queries untouched by the gap are exact.
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
     gapped = next(s for s in report.shards if s.shard_id == 1)
     assert gapped.degraded_queries == report.n_partial
 
@@ -738,7 +737,7 @@ def test_replica_shard_lost_after_open_yields_partial_prefixes(dataset):
         assert np.array_equal(rows, reference[i][0].row_ids[: rows.size]), i
         assert report.explanations[i].degraded, i
         assert any("partial" in note for note in report.explanations[i].notes), i
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
     lost = next(s for s in report.shards if s.shard_id == 0)
     assert lost.degraded_queries == report.n_partial
 
@@ -781,12 +780,12 @@ def test_transient_data_shard_crash_recovers_exactly(dataset, reference):
     )
     assert report.n_degraded == 0
     assert not report.partial.any()
-    _assert_data_exact_matches_reference(report, reference)
+    _assert_exact_matches_reference(report, reference)
     crashed = next(s for s in report.shards if s.shard_id == 2)
     assert crashed.respawns >= 1
 
 
-def test_all_data_shards_down_degrades_every_query(dataset):
+def test_all_data_shards_down_degrades_every_query(dataset, reference):
     points, batch = dataset
     table = _table(points)
     faults = WorkerFaultPlan.of(WorkerFaultSpec(kind="crash", incarnation=None))
@@ -801,11 +800,7 @@ def test_all_data_shards_down_degrades_every_query(dataset):
         worker_faults=faults,
     )
     assert report.n_degraded == N_QUERIES
-    bound = float(table.index.num_blocks)
-    for i in range(N_QUERIES):
-        assert report.results[i] is None
-        cost = report.explanations[i].alternatives[DEGRADED_PLAN]
-        assert 0.0 <= cost <= bound
+    _assert_estimate_only_keeps_the_plan(report, reference, table)
 
 
 # ----------------------------------------------------------------------
@@ -830,15 +825,10 @@ def test_long_lived_tier_spawns_pools_exactly_once(shard_mode, dataset, referenc
     assert many.n_batches == 2
     assert many.n_overloaded == 0
     # Pipelined batches stay bit-identical to the unsharded engine.
-    exact = (
-        _assert_data_exact_matches_reference
-        if shard_mode == "data"
-        else _assert_exact_matches_reference
-    )
     for report in many.reports:
         assert report.shard_mode == shard_mode
         assert report.n_degraded == 0 and not report.partial.any()
-        exact(report, reference)
+        _assert_exact_matches_reference(report, reference)
 
 
 def test_serve_many_concatenates_per_query_latencies(dataset):
