@@ -13,10 +13,13 @@ subsystem.  Per batch it:
    with the engine's own planner over the whole relation
    (:func:`~repro.engine.planner.explain_select_batch`; workers keep no
    statistics), and drives it through the cross-shard merge protocol
-   (open, merge — plus a scan round for filter plans) on threads the
-   tier owns: started on first use, reused by every batch, joined by
-   ``close()``; a batch one task wide runs on its caller's thread.
-   Every round is served under the
+   (open, merge — plus a scan round for filter plans).  The chunk's own
+   thread sends each round to every shard's worker over its pipe and
+   reads the replies; it sends the ``open`` round before planning, so
+   the coordinator plans while the shards browse.  A batch's concurrent
+   lanes run on a chunk pool the tier owns (started on first use,
+   reused by every batch, joined by ``close()``); a batch one lane wide
+   runs on its caller's thread.  Every round is served under the
    :class:`~repro.serving.supervisor.ShardSupervisor`'s
    deadline/retry/respawn/breaker contract;
 4. merges the answers back into workload order with per-shard
@@ -44,8 +47,8 @@ Either way every non-degraded answer is bit-identical to an unsharded
 global block admission.
 
 The tier is **long-lived**: :meth:`~ShardedServingTier.start` spawns
-every worker pool eagerly, :meth:`~ShardedServingTier.serve_many`
-pipelines multiple in-flight batches through the same pools with
+every worker eagerly, :meth:`~ShardedServingTier.serve_many`
+pipelines multiple in-flight batches through the same workers with
 per-query latency accounting, and ``pools_spawned`` proves the spawn
 cost was paid exactly once across a sustained workload.
 """
@@ -81,8 +84,8 @@ from repro.serving.admission import AdmissionController
 from repro.serving.shards import ShardPlan, partition_blocks, plan_shards
 from repro.serving.supervisor import (
     Deadline,
+    Round,
     ShardSupervisor,
-    ShardUnavailable,
     ShardWorkerHandle,
     SupervisionPolicy,
 )
@@ -103,10 +106,11 @@ class ShardReport:
         n_chunks: Protocol *rounds* (open, scan, resume) the shard was
             sent — one per chunk it was asked for in a healthy
             incremental-plan batch.
-        attempts: Worker submissions (includes retries).
-        retries: Re-submissions after a failed attempt.
-        respawns: Pool incarnations killed and replaced (crash or hang).
-        timeouts: Attempts abandoned on the future timeout.
+        attempts: Worker requests (includes retries).
+        retries: Re-sent requests after a failed attempt.
+        respawns: Worker incarnations killed and replaced (crash, hang
+            or stale reply).
+        timeouts: Attempts abandoned on the wait timeout.
         failures: Failed attempts of any kind.
         degraded_queries: Queries left estimate-only or partial because
             this shard did not answer.
@@ -261,10 +265,10 @@ class ShardedServingTier:
             query asks the one shard its focal point routes to) or
             ``"data"`` (each shard owns only its blocks, a query asks
             every shard).
-        n_shards: Spatial shards / worker pools.
-        workers_per_shard: Processes per shard pool; each extra worker
+        n_shards: Spatial shards.
+        workers_per_shard: Worker processes per shard; each extra worker
             adds one concurrent lane of chunks for that shard's traffic.
-        chunk_size: Queries per worker submission (the retry and
+        chunk_size: Queries per worker request (the retry and
             degradation granularity).
         deadline_ms: Default per-batch deadline (``None`` = unbounded);
             :meth:`serve` can override per batch.
@@ -291,7 +295,7 @@ class ShardedServingTier:
             spawns.
 
     The tier is a context manager; :meth:`close` terminates every
-    worker pool.
+    worker.
     """
 
     def __init__(
@@ -348,19 +352,12 @@ class ShardedServingTier:
             self._build_handles(snapshot.canonical(), worker_faults), policy
         )
         # The tier's own threads, started on first use and joined by
-        # close().  Chunk tasks wait on fan-out tasks, so the two never
-        # share a pool: a full chunk pool cannot starve the rounds it is
-        # waiting for.  Sizes: one batch's widest set of lanes
-        # (concurrent batches queue behind it), and one round to every
-        # shard per pooled lane plus one for a batch running inline on
-        # its caller's thread.
-        n_shards, width = self.plan.n_shards, self._workers_per_shard
+        # close(): one batch's widest set of lanes (concurrent batches
+        # queue behind it).  A lane's thread drives its rounds itself.
+        width = self._workers_per_shard
         self._chunk_pool = ThreadPoolExecutor(
-            width * n_shards if shard_mode == "replica" else width,
+            width * self.plan.n_shards if shard_mode == "replica" else width,
             thread_name_prefix="tier-chunk",
-        )
-        self._fan_pool = ThreadPoolExecutor(
-            n_shards * (width + 1), thread_name_prefix="tier-fan"
         )
 
     def _build_handles(
@@ -567,35 +564,30 @@ class ShardedServingTier:
         return [outcome for lane in done for outcome in lane]
 
     # ------------------------------------------------------------------
-    # The merge protocol: fan out, open, merge
+    # The merge protocol: send, open, merge
     # ------------------------------------------------------------------
-    def _fan_out(
+    def _send(
         self,
         payloads: dict[int, dict],
         deadline: Deadline,
         rounds: dict[int, int],
         dead: set[int],
-    ) -> dict[int, dict]:
-        """One protocol round against several shards, concurrently.
+    ) -> Round:
+        """Send one protocol round to every shard not yet ``dead``."""
+        payloads = {sid: payload for sid, payload in payloads.items() if sid not in dead}
+        for sid in payloads:
+            rounds[sid] += 1
+        return self.supervisor.send(payloads, deadline)
 
-        A shard that exhausts its supervision budget joins ``dead`` for
+    def _collect(self, round_: Round, dead: set[int]) -> dict[int, dict]:
+        """The round's answers.
+
+        A shard that exhausted its supervision budget joins ``dead`` for
         the rest of this chunk; its absence from the returned answers
         is how the callers learn about the coverage gap.
         """
-        answers: dict[int, dict] = {}
-        futures = {
-            sid: self._fan_pool.submit(self.supervisor.serve_chunk, sid, payload, deadline)
-            for sid, payload in payloads.items()
-            if sid not in dead
-        }
-        for sid, future in futures.items():
-            rounds[sid] += 1
-            try:
-                answer, __ = future.result()
-            except ShardUnavailable:
-                dead.add(sid)
-            else:
-                answers[sid] = answer
+        answers = self.supervisor.collect(round_)
+        dead.update(round_.payloads.keys() - answers.keys())
         return answers
 
     def _dead_bound(self, sid: int, point: Point) -> tuple | None:
@@ -643,18 +635,23 @@ class ShardedServingTier:
         rounds = dict.fromkeys(all_sids, 0)
         gap_counts = dict.fromkeys(all_sids, 0)
         dead: set[int] = set()
+        # The open payload does not depend on the plan: the shards browse
+        # while the chunk is planned.
+        open_payload = {"round": "open", "points": pts, "ks": ks}
+        opened = self._send({sid: open_payload for sid in shards}, deadline, rounds, dead)
         queries = [
             KnnSelectQuery(self.table.name, batch.point(i), k=int(batch.ks[i]))
             for i in chunk_idx.tolist()
         ]
-        with self._plan_lock:
-            chunk_plans = explain_select_batch(self._planner, queries)
+        try:
+            with self._plan_lock:
+                chunk_plans = explain_select_batch(self._planner, queries)
+        finally:
+            # Read the replies even when planning raises: a worker goes
+            # back to its idle queue only once its reply is read.
+            answers = self._collect(opened, dead)
         for i, explanation in zip(chunk_idx.tolist(), chunk_plans):
             explanations[i] = explanation
-        open_payload = {"round": "open", "points": pts, "ks": ks}
-        answers = self._fan_out(
-            {sid: open_payload for sid in shards}, deadline, rounds, dead
-        )
         if not answers:
             # Every asked shard down: there is nothing to merge, so the
             # chunk's answers are estimate-only.  Its plans stand.
@@ -713,11 +710,8 @@ class ShardedServingTier:
         """
         fidx = np.asarray(filter_pos, dtype=np.int64)
         payload = {"round": "scan", "points": pts[fidx], "ks": ks[fidx]}
-        scan_answers = self._fan_out(
-            {sid: payload for sid in answers if sid not in dead},
-            deadline,
-            rounds,
-            dead,
+        scan_answers = self._collect(
+            self._send({sid: payload for sid in answers}, deadline, rounds, dead), dead
         )
         for j, i in enumerate(filter_pos):
             k = int(ks[i])
@@ -823,7 +817,7 @@ class ShardedServingTier:
                     "min_points": np.asarray([r[2] for r in asked], dtype=np.int64),
                     "min_mindists": np.asarray([r[3] for r in asked], dtype=float),
                 }
-            replies = self._fan_out(payloads, deadline, rounds, dead)
+            replies = self._collect(self._send(payloads, deadline, rounds, dead), dead)
             return {sid: reply["streams"] for sid, reply in replies.items()}
 
         run_merges(merges, fetch)
@@ -881,32 +875,33 @@ class ShardedServingTier:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardedServingTier":
-        """Spawn every shard's worker pool eagerly and wait until live.
+        """Spawn every shard's workers eagerly and wait until live.
 
         Long-lived callers pay the spawn (and each worker's shard
         build) exactly once here instead of on the first served batch,
         and the planner's catalogs are built on the calling thread while
         the workers boot; :attr:`pools_spawned` then stays at
-        ``n_shards`` across any number of :meth:`serve` /
+        ``n_shards * workers_per_shard`` across any number of :meth:`serve` /
         :meth:`serve_many` calls unless a worker crashes and is
         respawned.  Returns ``self`` so ``tier.start()`` chains with
         the context-manager form.
         """
-        futures = [
-            self._fan_pool.submit(self.supervisor.handle(sid).spawn)
-            for sid in self.supervisor.shard_ids
-        ]
+        waits = [self.supervisor.handle(sid).spawn() for sid in self.supervisor.shard_ids]
         try:
             with self._plan_lock:
                 self._planner.select_estimator(self.table.name)
         finally:
-            for future in futures:
-                future.result()
+            for wait_live in waits:
+                wait_live()
         return self
 
     @property
     def pools_spawned(self) -> int:
-        """Total pool incarnations ever created across all shards."""
+        """Worker processes ever booted across all shards.
+
+        ``n_shards * workers_per_shard`` after :meth:`start`, plus one
+        per respawn.
+        """
         return sum(
             self.supervisor.handle(sid).spawned for sid in self.supervisor.shard_ids
         )
@@ -927,11 +922,10 @@ class ShardedServingTier:
 
     def worker_stats(self, timeout: float = 30.0) -> list[dict]:
         """Live per-shard worker telemetry (peak RSS, payload bytes)."""
-        futures = [
-            self.supervisor.handle(sid).submit_fn(_worker_stats)[1]
+        return [
+            self.supervisor.handle(sid).call(_worker_stats, timeout=timeout)
             for sid in self.supervisor.shard_ids
         ]
-        return [future.result(timeout=timeout) for future in futures]
 
     def serve_many(
         self,
@@ -939,7 +933,7 @@ class ShardedServingTier:
         deadline_ms: float | None | object = _UNSET,
         max_in_flight: int = 4,
     ) -> ServeManyReport:
-        """Serve several batches pipelined through the live worker pools.
+        """Serve several batches pipelined through the live workers.
 
         Up to ``max_in_flight`` batches are in flight at once, so one
         batch's merge rounds interleave with another's through the same
@@ -980,12 +974,11 @@ class ShardedServingTier:
     def close(self) -> None:
         """Stop the tier: afterwards none of its threads or workers is alive.
 
-        The tier's thread pools are shut down and joined first (a batch
+        The tier's chunk pool is shut down and joined first (a batch
         still being served finishes), then every worker process is
         terminated and joined.  A closed tier serves nothing more.
         """
         self._chunk_pool.shutdown(wait=True, cancel_futures=True)
-        self._fan_pool.shutdown(wait=True, cancel_futures=True)
         self.supervisor.close()
 
     def __enter__(self) -> "ShardedServingTier":

@@ -1,34 +1,41 @@
 """Worker supervision: deadlines, retries, respawn, circuit breaking.
 
 The supervisor owns the robustness contract of the sharded tier.  Every
-chunk submitted to a shard runs under:
+shard worker slot is one long-lived process with one duplex pipe, and a
+protocol round is driven by the thread that serves the chunk: it checks
+out an idle worker per shard and sends each its payload
+(:meth:`ShardSupervisor.send`), is free to do other work while the
+shards serve, then waits on every pipe and process sentinel at once
+(:meth:`ShardSupervisor.collect`).  Every attempt runs under:
 
 * a **deadline** — the coordinator's remaining time budget is
   propagated into the worker (where it feeds
   :func:`~repro.resilience.fallback.budget_check`) *and* enforced
-  coordinator-side as a future timeout, so even a worker that stops
+  coordinator-side as the wait's timeout, so even a worker that stops
   responding cannot stall the batch;
 * **bounded retries with exponential backoff + jitter** — transient
   failures (a crashed worker, a blown budget) are retried up to
-  ``max_retries`` times, never sleeping past the remaining deadline;
-* **automatic respawn** — a poisoned pool (``BrokenProcessPool`` after
-  a worker death) or a hung worker (future timeout) is killed and
-  recreated with a bumped *incarnation* number, which the
-  fault-injection plan uses to distinguish "crash once" from
-  "permanently down";
+  ``max_retries`` times, never waiting past the remaining deadline;
+* **automatic respawn** — a dead worker (EOF on its pipe, or its
+  process sentinel), a hung one (no reply within the timeout) or one
+  whose reply is not the one asked for (a stale sequence number) is
+  terminated, and the slot's next request boots a fresh process with a
+  bumped *incarnation* number, which the fault-injection plan uses to
+  distinguish "crash once" from "permanently down";
 * a **per-shard circuit breaker** mirroring the fallback chains'
   :class:`~repro.resilience.fallback._TierHealth` — after
   ``breaker_threshold`` consecutive chunk failures the shard is skipped
   for ``breaker_cooldown`` chunk attempts, so a dead shard costs one
   health check instead of a full retry ladder per chunk.
 
-A chunk that exhausts its retries (or meets an open breaker) raises
-:class:`ShardUnavailable`; the coordinator catches it and degrades
+A shard that exhausts its retries (or meets an open breaker) is missing
+from the round's answers (:meth:`ShardSupervisor.serve_chunk`, a round
+of one, raises :class:`ShardUnavailable`); the coordinator degrades
 those queries' answers (estimate-only or partial) instead of failing
 the batch.
 
-Worker pools never fork the coordinator: the supervisor respawns pools
-from coordinator threads, and forking a multi-threaded process is where
+Workers never fork the coordinator: the supervisor respawns them from
+coordinator threads, and forking a multi-threaded process is where
 deadlocks live.  Workers are forked from multiprocessing's fork server
 instead (plain ``spawn`` where there is none) — a small single-threaded
 process of its own, so a worker starts from the same memory whatever
@@ -41,18 +48,19 @@ exits with it.
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import random
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections.abc import Callable
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from repro.resilience.fallback import _TierHealth
 from repro.resilience.faultinject import WorkerFaultPlan
 from repro.serving.worker import (
-    _init_data_shard_worker,
     _serve_data_shard_chunk,
+    _worker_main,
     _worker_ping,
     payload_bytes,
 )
@@ -60,12 +68,12 @@ from repro.serving.worker import (
 #: Default per-chunk timeout when no deadline bounds the batch.
 DEFAULT_CHUNK_TIMEOUT = 30.0
 
-#: Grace added to the future timeout so a worker's own (typed)
+#: Grace added to the wait timeout so a worker's own (typed)
 #: BudgetExceededError wins the race against the coordinator's
 #: untyped timeout when both fire around the same instant.
 _TIMEOUT_GRACE = 0.1
 
-#: Start method of the worker pools (see the module docstring).
+#: Start method of the worker processes (see the module docstring).
 _START_METHOD = (
     "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
 )
@@ -144,21 +152,39 @@ class _ShardCounters:
                 setattr(self, name, getattr(self, name) + delta)
 
 
-class ShardWorkerHandle:
-    """Coordinator-side lifecycle of one shard's worker pool.
+class _WorkerLost(RuntimeError):
+    """A worker's pipe broke, its process died, or its reply was stale."""
 
-    The pool is created lazily and replaced wholesale on
-    :meth:`retire` — a crashed or hung incarnation is terminated, and
-    the next :meth:`submit` spawns a fresh one with an incremented
+
+class _Worker:
+    """One worker slot: its process and pipe end (``None`` until booted
+    and after retirement) and ``seq``, the number of the last request
+    sent on the pipe — the reply to be read next must echo it."""
+
+    __slots__ = ("incarnation", "process", "conn", "seq")
+
+    def __init__(self) -> None:
+        self.incarnation, self.process, self.conn, self.seq = -1, None, None, 0
+
+
+class ShardWorkerHandle:
+    """Coordinator-side lifecycle of one shard's worker processes.
+
+    The shard has ``workers`` slots, each one long-lived process with
+    one duplex pipe, kept in an idle queue: a round checks a slot out,
+    sends on its pipe, and checks it back in only after the reply has
+    been read (or the slot was retired).  A slot boots lazily on its
+    first request; :meth:`retire` terminates a crashed or hung process,
+    and the slot's next request boots a fresh one with an incremented
     incarnation number (shipped to the worker initializer, where the
     fault plan consults it).
 
     Every worker is initialized with the shard's payload (the
     sub-snapshot bundle for ``_init_data_shard_worker``) and serves the
     merge protocol's rounds through ``_serve_data_shard_chunk``.
-    ``spawned`` counts pool incarnations ever created — the
-    long-lived-tier benchmarks and the scale-smoke job assert it stays
-    at one.
+    ``spawned`` counts worker processes ever booted — the long-lived
+    tier benchmarks and the scale-smoke job assert it stays at one per
+    slot.
     """
 
     def __init__(
@@ -172,118 +198,169 @@ class ShardWorkerHandle:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.shard_id = int(shard_id)
-        self.incarnation = -1  # bumped to 0 on first spawn
         self.spawned = 0
         self._fault_plan = fault_plan
-        self._workers = int(workers)
         self._backend = str(backend)
         self._init_payload = payload
         self.shipped_bytes = payload_bytes(payload)
-        self._pool: ProcessPoolExecutor | None = None
-        # Terminated incarnations close() still has to join.
-        self._retired: list[list] = []
+        self._slots = [_Worker() for __ in range(int(workers))]
+        self._idle: queue.SimpleQueue = queue.SimpleQueue()
+        for worker in self._slots:
+            self._idle.put(worker)
+        # Terminated processes close() still has to join.
+        self._retired: list = []
         self._lock = threading.Lock()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _boot(self, worker: _Worker) -> None:
+        """Start a fresh process in ``worker``'s slot (not yet initialized)."""
+        context = multiprocessing.get_context(_START_METHOD)
+        conn, child = context.Pipe()
+        process = context.Process(target=_worker_main, args=(child,), daemon=True)
+        process.start()
+        child.close()
+        worker.incarnation += 1
+        worker.process, worker.conn, worker.seq = process, conn, 0
         with self._lock:
-            if self._pool is None:
-                self.incarnation += 1
-                self.spawned += 1
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    mp_context=multiprocessing.get_context(_START_METHOD),
-                    initializer=_init_data_shard_worker,
-                    initargs=(
-                        self.shard_id,
-                        self.incarnation,
-                        self._init_payload,
-                        self._fault_plan,
-                        self._backend,
-                    ),
-                )
-            return self._pool
+            self.spawned += 1
 
-    def spawn(self) -> None:
-        """Eagerly spawn the pool and wait for every worker to be live.
+    def checkout(self, timeout: float | None) -> _Worker | None:
+        """An idle worker slot, or ``None`` if none frees up within ``timeout``."""
+        try:
+            return self._idle.get(timeout=timeout)
+        except queue.Empty:
+            return None
 
-        One :func:`~repro.serving.worker._worker_ping` per worker slot,
-        resolved before returning — ``start()`` uses this so the first
-        served batch pays no spawn latency.
+    def checkin(self, worker: _Worker | None) -> None:
+        """Return a slot whose reply has been read (or that was retired)."""
+        if worker is not None:
+            self._idle.put(worker)
+
+    def send(self, worker: _Worker, fn, *args) -> None:
+        """Send one request ``fn(*args)``, booting the slot first if needed.
+
+        A fresh process is sent its initializer arguments ahead of its
+        first request.
+
+        Raises:
+            _WorkerLost: The pipe is broken (the process died).
         """
-        pool = self._ensure_pool()
-        for future in [pool.submit(_worker_ping) for __ in range(self._workers)]:
-            future.result()
+        if worker.process is None:
+            self._boot(worker)
+        try:
+            if worker.seq == 0:
+                init = (self._init_payload, self._fault_plan, self._backend)
+                worker.conn.send((self.shard_id, worker.incarnation, *init))
+            worker.seq += 1
+            worker.conn.send((worker.seq, fn, args))
+        except OSError as exc:
+            raise _WorkerLost(f"worker crashed ({type(exc).__name__})") from exc
 
-    def submit(self, payload: dict):
-        """Submit one chunk; returns ``(pool, future)``.
+    def read(self, worker: _Worker) -> tuple[bool, object]:
+        """Read the reply to the last request: ``(ok, result or exception)``.
 
-        The pool reference lets the caller :meth:`retire` exactly the
-        incarnation it submitted to, even if another thread has already
-        swapped in a replacement.
+        Raises:
+            _WorkerLost: On EOF (the process died) or a reply that does
+                not echo the last request's sequence number — never an
+                answer to be trusted.
         """
-        pool = self._ensure_pool()
-        return pool, pool.submit(_serve_data_shard_chunk, payload)
+        try:
+            seq, ok, value = worker.conn.recv()
+        except Exception as exc:  # noqa: BLE001 — EOF, a reset, a torn message
+            raise _WorkerLost(f"worker crashed ({type(exc).__name__})") from exc
+        if seq != worker.seq:
+            raise _WorkerLost(f"stale reply (seq {seq}, expected {worker.seq})")
+        return ok, value
 
-    def submit_fn(self, fn, *args):
-        """Submit an arbitrary function to the pool (telemetry RPCs)."""
-        pool = self._ensure_pool()
-        return pool, pool.submit(fn, *args)
+    def call(self, fn, *args, timeout: float):
+        """``fn(*args)`` on an idle worker, answered within ``timeout``."""
+        worker = self.checkout(timeout)
+        if worker is None:
+            raise TimeoutError(f"shard {self.shard_id}: no idle worker within {timeout:.3f}s")
+        try:
+            return self._call(worker, timeout, fn, *args)
+        finally:
+            self.checkin(worker)
 
-    def retire(self, pool: ProcessPoolExecutor) -> None:
-        """Kill one pool incarnation (hung or poisoned) for respawn.
+    def _call(self, worker: _Worker, timeout: float, fn, *args):
+        """One request on a checked-out slot, answered within ``timeout``.
 
-        Terminates the worker processes outright — a hung worker would
-        otherwise survive a plain ``shutdown`` and keep its CPU and
-        memory until its sleep ends — but does not wait for them: this
-        runs on the serving path.  :meth:`close` joins what is left.
+        Raises:
+            _WorkerLost: The worker died or did not answer in time (it
+                is retired).
+            Exception: Whatever ``fn`` raised in the worker.
         """
-        with self._lock:
-            if self._pool is pool:
-                self._pool = None
-        leftovers = _terminate(pool)
-        with self._lock:
-            self._retired = [left for left in self._retired if left[0].is_alive()]
-            if leftovers:
-                self._retired.append(leftovers)
+        try:
+            self.send(worker, fn, *args)
+            if not wait([worker.conn], timeout):
+                raise _WorkerLost(f"no answer within {timeout:.3f}s")
+            ok, value = self.read(worker)
+        except _WorkerLost:
+            self.retire(worker)
+            raise
+        if not ok:
+            raise value
+        return value
 
-    def close(self) -> None:
-        """Terminate the current pool and leave nothing running.
+    def spawn(self) -> Callable[[], None]:
+        """Boot every worker slot now; returns the wait until each is live.
 
-        Waits until the worker processes of this and of every retired
-        incarnation are gone, and their pools' manager threads with
-        them: :data:`_JOIN_TIMEOUT` for ``SIGTERM`` to work, then
-        ``kill``.
+        The processes start here, without waiting for them; the returned
+        function initializes and pings each one (a
+        :func:`~repro.serving.worker._worker_ping`) — ``start()`` runs
+        the coordinator's own set-up in between, so the two overlap.
         """
-        with self._lock:
-            pool, self._pool = self._pool, None
-            retired, self._retired = self._retired, []
-        if pool is not None and (leftovers := _terminate(pool)):
-            retired.append(leftovers)
-        for manager, *processes in retired:
-            # A pool's manager thread reaps its workers, then exits.
-            manager.join(timeout=_JOIN_TIMEOUT)
-            if manager.is_alive():  # pragma: no cover - a worker ignored SIGTERM
-                for process in processes:
-                    process.kill()
-                manager.join(timeout=_JOIN_TIMEOUT)
+        workers = [self._idle.get() for __ in self._slots]
+        for worker in workers:
+            if worker.process is None:
+                self._boot(worker)
 
+        def wait_live() -> None:
+            try:
+                for worker in workers:
+                    self._call(worker, DEFAULT_CHUNK_TIMEOUT, _worker_ping)
+            finally:
+                for worker in workers:
+                    self.checkin(worker)
 
-def _terminate(pool: ProcessPoolExecutor) -> list:
-    """Kill a pool's workers without waiting for them.
+        return wait_live
 
-    Returns:
-        ``[manager thread, *worker processes]`` — what is still to be
-        joined (empty for a pool that never started a worker).
-    """
-    manager = getattr(pool, "_executor_manager_thread", None)
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for process in processes:
+    def retire(self, worker: _Worker) -> None:
+        """Kill a slot's process (crashed, hung or out of step) for respawn.
+
+        Terminates it outright — a hung worker would otherwise keep its
+        CPU and memory until its sleep ends — but does not wait for it:
+        this runs on the serving path.  :meth:`close` joins what is left.
+        """
+        process, conn = worker.process, worker.conn
+        worker.process = worker.conn = None
+        if conn is not None:
+            conn.close()
+        if process is None:
+            return
         try:
             process.terminate()
         except Exception:  # pragma: no cover - already-dead process
             pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    return [manager, *processes] if manager is not None else []
+        with self._lock:
+            self._retired = [p for p in self._retired if p.is_alive()]
+            self._retired.append(process)
+
+    def close(self) -> None:
+        """Terminate every worker and leave nothing running.
+
+        Waits until the processes of every slot and every retired
+        incarnation are gone: :data:`_JOIN_TIMEOUT` for ``SIGTERM`` to
+        work, then ``kill``.
+        """
+        for worker in self._slots:
+            self.retire(worker)
+        with self._lock:
+            retired, self._retired = self._retired, []
+        for process in retired:
+            process.join(timeout=_JOIN_TIMEOUT)
+            if process.is_alive():  # pragma: no cover - a worker ignored SIGTERM
+                process.kill()
+                process.join(timeout=_JOIN_TIMEOUT)
 
 
 @dataclass(frozen=True)
@@ -321,6 +398,35 @@ class SupervisionPolicy:
             raise ValueError(f"chunk_timeout must be positive, got {self.chunk_timeout}")
 
 
+class Round:
+    """One protocol round to several shards, sent but not yet collected.
+
+    Built by :meth:`ShardSupervisor.send` and finished by
+    :meth:`ShardSupervisor.collect`.
+
+    Attributes (by shard id):
+        payloads: The payload sent to it.
+        answers: Its reply, if it answered.
+        log: Human-readable per-attempt outcomes.
+        flights: ``(worker, attempt, timeout, expires)`` of the attempt
+            whose reply is still unread.
+        retries: ``(due, attempt, worker)`` of a retry waiting out its
+            backoff.
+    """
+
+    __slots__ = ("payloads", "deadline", "answers", "log", "flights", "retries")
+
+    def __init__(self, payloads: dict[int, dict], deadline: Deadline) -> None:
+        # Ascending shard order: every round checks workers out in the
+        # same order, so two rounds never wait on each other's workers.
+        self.payloads = dict(sorted(payloads.items()))
+        self.deadline = deadline
+        self.answers: dict[int, object] = {}
+        self.log: dict[int, list[str]] = {sid: [] for sid in self.payloads}
+        self.flights: dict[int, tuple] = {}
+        self.retries: dict[int, tuple] = {}
+
+
 class ShardSupervisor:
     """Retry, respawn, and circuit-break chunk serving across shards."""
 
@@ -351,13 +457,13 @@ class ShardSupervisor:
         return self._counters[shard_id]
 
     def handle(self, shard_id: int) -> ShardWorkerHandle:
-        """One shard's pool handle (the fault-injection seam)."""
+        """One shard's worker handle (the fault-injection seam)."""
         return self._handles[shard_id]
 
     def serve_chunk(
         self, shard_id: int, payload: dict, deadline: Deadline
     ) -> tuple[object, list[str]]:
-        """Serve one chunk on one shard under the full supervision contract.
+        """Serve one chunk on one shard: a round of one.
 
         Returns:
             ``(answer, attempts)`` — the round's reply dict, plus the
@@ -367,71 +473,147 @@ class ShardSupervisor:
             ShardUnavailable: After the retry budget (or an open
                 breaker, or an expired deadline) — the caller degrades.
         """
-        policy = self.policy
-        handle = self._handles[shard_id]
-        health = self._health[shard_id]
-        counters = self._counters[shard_id]
-        attempts: list[str] = []
-        for attempt in range(policy.max_retries + 1):
-            if health.circuit_open:
-                health.tick_skip()
-                attempts.append("skipped (circuit open)")
-                raise ShardUnavailable(shard_id, attempts)
-            remaining = deadline.remaining()
-            if remaining is not None and remaining <= 0:
-                attempts.append("deadline exhausted")
-                raise ShardUnavailable(shard_id, attempts)
-            timeout = (
-                policy.chunk_timeout
-                if remaining is None
-                else min(remaining, policy.chunk_timeout)
-            )
-            counters.bump(attempts=1, retries=1 if attempt else 0)
-            pool = future = None
-            try:
-                pool, future = handle.submit(
-                    dict(payload, budget_seconds=timeout)
-                )
-                answer = future.result(timeout=timeout + _TIMEOUT_GRACE)
-            except BrokenExecutor:
-                counters.bump(respawns=1, failures=1)
-                health.record_failure(policy.breaker_threshold, policy.breaker_cooldown)
-                attempts.append("worker crashed (pool poisoned; respawning)")
-                if pool is not None:
-                    handle.retire(pool)
-            except FutureTimeoutError:
-                counters.bump(respawns=1, timeouts=1, failures=1)
-                health.record_failure(policy.breaker_threshold, policy.breaker_cooldown)
-                attempts.append(
-                    f"no answer within {timeout:.3f}s (worker hung; respawning)"
-                )
-                if future is not None:
-                    future.cancel()
-                if pool is not None:
-                    handle.retire(pool)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                counters.bump(failures=1)
-                health.record_failure(policy.breaker_threshold, policy.breaker_cooldown)
-                attempts.append(f"{type(exc).__name__}: {exc}")
-            else:
-                health.record_success()
-                attempts.append("ok")
-                return answer, attempts
-            self._backoff(shard_id, attempt, deadline)
-        raise ShardUnavailable(shard_id, attempts)
+        round_ = self.send({shard_id: payload}, deadline)
+        answers = self.collect(round_)
+        if shard_id not in answers:
+            raise ShardUnavailable(shard_id, round_.log[shard_id])
+        return answers[shard_id], round_.log[shard_id]
 
-    def _backoff(self, shard_id: int, attempt: int, deadline: Deadline) -> None:
-        """Sleep before the next attempt, never past the deadline."""
+    def send(self, payloads: dict[int, dict], deadline: Deadline) -> "Round":
+        """Start a round: check out a worker per shard and send its payload.
+
+        Returns at once; the workers serve while the caller does other
+        work.  Every round sent must be finished with :meth:`collect`,
+        which is what returns its workers to the idle queues.
+        """
+        round_ = Round(payloads, deadline)
+        for sid in round_.payloads:
+            self._attempt(round_, sid, 0, None)
+        return round_
+
+    def collect(self, round_: "Round") -> dict[int, object]:
+        """Finish a round: read every reply, retrying failed shards.
+
+        One thread waits on every in-flight pipe and process sentinel at
+        once (:func:`multiprocessing.connection.wait`), bounded by the
+        earliest attempt timeout or due retry.
+
+        Returns:
+            ``{shard id: reply}`` for the shards that answered; a shard
+            missing from it is unavailable (``round_.log`` says why).
+        """
+        flights, retries = round_.flights, round_.retries
+        while flights or retries:
+            now = time.perf_counter()
+            for sid in [sid for sid, (due, *__) in retries.items() if due <= now]:
+                __, attempt, worker = retries.pop(sid)
+                self._attempt(round_, sid, attempt, worker)
+            expiries = [f[3] for f in flights.values()] + [r[0] for r in retries.values()]
+            wake = min(expiries, default=now)  # empty: the last retry gave up
+            if not flights:
+                time.sleep(max(0.0, wake - now))
+                continue
+            workers = [f[0] for f in flights.values()]
+            waitables = [w.conn for w in workers] + [w.process.sentinel for w in workers]
+            ready = set(wait(waitables, max(0.0, wake - now)))
+            now = time.perf_counter()
+            for sid, (worker, attempt, timeout, expires) in list(flights.items()):
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    del flights[sid]
+                    self._settle(round_, sid, worker, attempt, worker.conn in ready)
+                elif now >= expires:
+                    del flights[sid]
+                    hung = f"no answer within {timeout:.3f}s (worker hung; respawning)"
+                    self._fail(round_, sid, attempt, worker, hung, respawn=True, timeout=True)
+        return round_.answers
+
+    def _attempt(self, round_: "Round", sid: int, attempt: int, worker) -> None:
+        """Send attempt ``attempt`` of ``sid``'s payload, or give the shard up.
+
+        ``worker`` is the slot a retry keeps (``None``: check one out).
+        """
+        policy = self.policy
+        handle = self._handles[sid]
+        health = self._health[sid]
+        log = round_.log[sid]
+        if health.circuit_open:
+            health.tick_skip()
+            log.append("skipped (circuit open)")
+            handle.checkin(worker)
+            return
+        remaining = round_.deadline.remaining()
+        if remaining is not None and remaining <= 0:
+            log.append("deadline exhausted")
+            handle.checkin(worker)
+            return
+        timeout = (
+            policy.chunk_timeout if remaining is None else min(remaining, policy.chunk_timeout)
+        )
+        self._counters[sid].bump(attempts=1, retries=1 if attempt else 0)
+        if worker is None:
+            worker = handle.checkout(timeout)
+            if worker is None:
+                idle = f"no idle worker within {timeout:.3f}s"
+                self._fail(round_, sid, attempt, None, idle, timeout=True)
+                return
+        try:
+            handle.send(
+                worker, _serve_data_shard_chunk, dict(round_.payloads[sid], budget_seconds=timeout)
+            )
+        except _WorkerLost as lost:
+            self._fail(round_, sid, attempt, worker, f"{lost}; respawning", respawn=True)
+            return
+        expires = time.perf_counter() + timeout + _TIMEOUT_GRACE
+        round_.flights[sid] = (worker, attempt, timeout, expires)
+
+    def _settle(self, round_: "Round", sid: int, worker, attempt: int, readable: bool) -> None:
+        """Take one shard's reply (or its worker's death) off the wire."""
+        try:
+            if not readable:
+                raise _WorkerLost("worker crashed (process exited)")
+            ok, value = self._handles[sid].read(worker)
+        except _WorkerLost as lost:
+            self._fail(round_, sid, attempt, worker, f"{lost}; respawning", respawn=True)
+            return
+        if not ok:
+            self._fail(round_, sid, attempt, worker, f"{type(value).__name__}: {value}")
+            return
+        self._health[sid].record_success()
+        round_.log[sid].append("ok")
+        round_.answers[sid] = value
+        self._handles[sid].checkin(worker)
+
+    def _fail(self, round_, sid, attempt, worker, reason, *, respawn=False, timeout=False) -> None:
+        """Count a failed attempt; schedule the retry or give the shard up.
+
+        A crash, a hang or a stale reply retires the worker's process
+        (``respawn``); a typed error keeps it.  The retry keeps the slot.
+        """
+        policy = self.policy
+        self._counters[sid].bump(
+            failures=1, respawns=1 if respawn else 0, timeouts=1 if timeout else 0
+        )
+        self._health[sid].record_failure(policy.breaker_threshold, policy.breaker_cooldown)
+        round_.log[sid].append(reason)
+        if respawn:
+            self._handles[sid].retire(worker)
+        if attempt < policy.max_retries:
+            due = time.perf_counter() + self._backoff(sid, attempt, round_.deadline)
+            round_.retries[sid] = (due, attempt + 1, worker)
+        else:
+            self._handles[sid].checkin(worker)
+
+    def _backoff(self, shard_id: int, attempt: int, deadline: Deadline) -> float:
+        """The delay before the next attempt, never past the deadline."""
         policy = self.policy
         delay = min(policy.backoff_cap, policy.backoff_base * (2.0**attempt))
         delay *= 0.5 + self._rngs[shard_id].random()  # jitter in [0.5, 1.5)
         remaining = deadline.remaining()
         if remaining is not None:
             delay = min(delay, max(0.0, remaining - 1e-3))
-        if delay > 0:
-            time.sleep(delay)
+        return delay
 
     def close(self) -> None:
-        """Shut every shard pool down."""
+        """Terminate every shard's workers."""
         for handle in self._handles.values():
             handle.close()

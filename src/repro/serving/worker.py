@@ -1,10 +1,11 @@
 """Shard-worker process internals.
 
-One shard = one single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-whose process is initialized once with its (pickle-shipped) payload and
-serving configuration — the same ``initargs`` pattern as
-:mod:`repro.perf.parallel` — and then serves batched sub-workloads.
-There is one kind of worker (:func:`_init_data_shard_worker`,
+Every worker slot of a shard is one long-lived process with one duplex
+pipe to the coordinator (:func:`_worker_main`).  The process is
+initialized once with its (pickle-shipped) payload and serving
+configuration, then answers requests ``(seq, function, args)`` with
+``(seq, ok, value)`` until the coordinator closes its end.  There is
+one kind of worker (:func:`_init_data_shard_worker`,
 :func:`_serve_data_shard_chunk`): it holds the blocks its shard owns — a
 sub-snapshot with global block ids, the member rows and points — and
 answers the rounds of the cross-shard merge protocol
@@ -57,6 +58,38 @@ def payload_bytes(payload: dict) -> int:
     )
 
 
+def _worker_main(conn) -> None:
+    """A worker process: initialize from the first message, then serve.
+
+    The first message is the argument tuple of
+    :func:`_init_data_shard_worker`.  Every later one is a request
+    ``(seq, function, args)``, answered with ``(seq, True, result)`` or
+    ``(seq, False, exception)`` — a typed error goes back to the
+    coordinator and the worker stays up.  The coordinator closing its
+    end of the pipe ends the loop.
+    """
+    try:
+        init = conn.recv()
+    except EOFError:
+        return
+    _init_data_shard_worker(*init)
+    while True:
+        try:
+            seq, fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (seq, True, fn(*args))
+        except Exception as exc:  # noqa: BLE001 — returned typed, not raised
+            reply = (seq, False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the coordinator is gone
+            return
+        except Exception as exc:  # noqa: BLE001 — an unpicklable reply
+            conn.send((seq, False, RuntimeError(f"unpicklable reply: {exc!r}")))
+
+
 def _init_data_shard_worker(
     shard_id: int,
     incarnation: int,
@@ -64,7 +97,7 @@ def _init_data_shard_worker(
     fault_plan: WorkerFaultPlan | None,
     backend: str = "numpy",
 ) -> None:
-    """Pool initializer: the blocks this shard owns, nothing else.
+    """Worker initializer: the blocks this shard owns, nothing else.
 
     ``payload`` carries the shard's canonical sub-snapshot (global
     block ids preserved), the member blocks' global row ids and points

@@ -270,20 +270,21 @@ def test_truncated_open_replies_are_extended_through_resume():
     points, capacity = RELATIONS["lattice"]
     batch = _adversarial_batch(points)
     with _live_tier(INCREMENTAL, chunk_size=16) as tier:
-        serve_chunk = tier.supervisor.serve_chunk
+        collect = tier.supervisor.collect
 
-        def truncating(shard_id, payload, deadline):
-            answer, attempts = serve_chunk(shard_id, payload, deadline)
-            if payload["round"] == "open":
-                answer["streams"] = [
-                    (entries[:1], cursor - len(entries) + 1, entries[1][:3])
-                    if len(entries) > 1
-                    else (entries, cursor, bound)
-                    for entries, cursor, bound in answer["streams"]
-                ]
-            return answer, attempts
+        def truncating(round_):
+            answers = collect(round_)
+            for sid, answer in answers.items():
+                if round_.payloads[sid]["round"] == "open":
+                    answer["streams"] = [
+                        (entries[:1], cursor - len(entries) + 1, entries[1][:3])
+                        if len(entries) > 1
+                        else (entries, cursor, bound)
+                        for entries, cursor, bound in answer["streams"]
+                    ]
+            return answers
 
-        tier.supervisor.serve_chunk = truncating
+        tier.supervisor.collect = truncating
         report = tier.serve(batch)
     _assert_same_answers(report, _reference(points, capacity, batch, INCREMENTAL))
     opens = math.ceil(len(batch) / 16)
@@ -311,9 +312,10 @@ def test_serving_starts_no_thread_per_request_and_close_leaves_nothing(
             tier.serve(batch)
         monkeypatch.undo()
         tier_threads = [t.name for t in threading.enumerate() if t.name.startswith("tier-")]
-        # Pools fill lazily up to their size — two shards: four fan-out
-        # threads, at most two chunk threads — however many batches run.
-        assert len(started) <= len(tier_threads) <= 6, (started, tier_threads)
+        # Only the chunk pool holds threads, filled lazily up to its size
+        # — two shards: at most two — however many batches run.  A
+        # chunk's thread drives its rounds itself.
+        assert len(started) <= len(tier_threads) <= 2, (started, tier_threads)
         assert len(multiprocessing.active_children()) == 2
     finally:
         tier.close()
