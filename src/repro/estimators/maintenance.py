@@ -41,6 +41,7 @@ changed inside noted regions and the coverage test decides as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -91,6 +92,19 @@ def tracks_updates(index) -> bool:
     return hasattr(index, "dirty_region_items_since") and hasattr(index, "log_floor")
 
 
+def dirty_since(index, since: int, *, full: bool = False) -> np.ndarray | None:
+    """``(m, 4)`` bounds of the regions noted dirty after generation ``since``.
+
+    ``None`` when the caller asked for a full rebuild or the index
+    cannot say what changed (no update log, or history pruned past
+    ``since``): the conservative-drop rule then treats everything as
+    stale.
+    """
+    if full or not tracks_updates(index) or since < index.log_floor:
+        return None
+    return index.dirty_region_items_since(since)[0]
+
+
 def stale_entries(
     index, since: int, rects: np.ndarray, coverage: np.ndarray, *, full: bool = False
 ) -> np.ndarray:
@@ -108,12 +122,40 @@ def stale_entries(
         changed since ``since``.
     """
     n = rects.shape[0]
-    if full or not tracks_updates(index) or since < index.log_floor:
+    dirty = dirty_since(index, since, full=full)
+    if dirty is None:
         return np.ones(n, dtype=bool)
-    dirty, __ = index.dirty_region_items_since(since)
     if n == 0 or dirty.shape[0] == 0:
         return np.zeros(n, dtype=bool)
     return (mindist_rects_batch(rects, dirty) <= coverage[:, None]).any(axis=1)
+
+
+def maximal_regions(rects: np.ndarray) -> np.ndarray:
+    """The rows of a distinct ``(m, 4)`` bounds array inside no other row."""
+    inside = (
+        (rects[:, None, 0] >= rects[None, :, 0])
+        & (rects[:, None, 1] >= rects[None, :, 1])
+        & (rects[:, None, 2] <= rects[None, :, 2])
+        & (rects[:, None, 3] <= rects[None, :, 3])
+    )
+    np.fill_diagonal(inside, False)
+    return rects[~inside.any(axis=1)]
+
+
+def spliced(old, runs: list[tuple[int, int]], pieces: list):
+    """``old`` with each run ``[lo, hi)`` replaced by its piece.
+
+    ``runs`` are ascending and disjoint; ``old`` and the pieces are all
+    arrays (concatenated along the first axis) or all lists.
+    """
+    parts, prev = [], 0
+    for (lo, hi), piece in zip(runs, pieces):
+        parts += [old[prev:lo], piece]
+        prev = hi
+    parts.append(old[prev:])
+    if isinstance(old, np.ndarray):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(parts))
 
 
 def region_keys(rects: np.ndarray) -> list[RegionKey]:

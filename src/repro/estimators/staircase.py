@@ -26,8 +26,8 @@ query flow of Figure 5.
 The paper builds the catalogs once, offline.  Here the build is
 :meth:`StaircaseEstimator.refresh_incremental` — the constructor is that
 call on an empty table — so the same estimator stays valid under
-inserts and deletes by rebuilding only the leaves whose coverage disc
-met a mutation (see :mod:`repro.estimators.maintenance`).
+inserts and deletes by re-profiling only the anchors whose coverage
+disc met a mutation (see :mod:`repro.estimators.maintenance`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import gc
 import math
 import time
+from dataclasses import replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -50,13 +51,14 @@ from repro.estimators.density import DensityBasedEstimator
 from repro.estimators.maintenance import (
     MaintenanceReport,
     RegionKey,
-    carry_over,
-    patched,
+    dirty_since,
+    maximal_regions,
     region_keys,
-    stale_entries,
+    spliced,
+    tracks_updates,
 )
 from repro.geometry import Point
-from repro.geometry.kernels import staircase_interpolate
+from repro.geometry.kernels import mindist_rects_batch, staircase_interpolate
 from repro.index.base import Block
 from repro.index.locator import BlockLocator
 from repro.index.quadtree import Quadtree
@@ -152,12 +154,32 @@ def _catalogs_from(
         last = np.ones(dense.shape, dtype=bool)
         np.not_equal(dense[:, :-1], dense[:, 1:], out=last[:, :-1])
         leaf, col = np.nonzero(last)
-        cut = np.cumsum(last.sum(axis=1))[:-1]
+        k_ends, costs = col + 1, dense[leaf, col].astype(float)
+        ends = np.cumsum(last.sum(axis=1)).tolist()
         corners.extend(
-            IntervalCatalog._from_arrays(k, c)
-            for k, c in zip(np.split(col + 1, cut), np.split(dense[leaf, col].astype(float), cut))
+            IntervalCatalog._from_arrays(k_ends[lo:hi], costs[lo:hi])
+            for lo, hi in zip([0] + ends[:-1], ends)
         )
     return center, corners
+
+
+def _leaf_anchors(rects: np.ndarray, per_leaf: int) -> np.ndarray:
+    """``(n_leaves * per_leaf, 2)`` anchors: per leaf its center, then (for
+    the corners variant) SW, SE, NW, NE — :meth:`Rect.corners` order."""
+    centers = (rects[:, 0:2] + rects[:, 2:4]) / 2.0
+    if per_leaf == 1:
+        return centers
+    corners = [rects[:, (0, 1)], rects[:, (2, 1)], rects[:, (0, 3)], rects[:, (2, 3)]]
+    return np.stack([centers, *corners], axis=1).reshape(-1, 2)
+
+
+#: The staircases of no anchor.
+_NO_STAIRCASES = Staircases(
+    np.zeros(1, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.uint8),
+    np.empty(0),
+)
 
 
 def _fallback_over(snapshot: IndexSnapshot) -> DensityBasedEstimator | None:
@@ -261,7 +283,8 @@ class StaircaseEstimator(SelectCostEstimator):
         self.built_at_generation = generation
         #: Entries dropped because their region stopped being a leaf.
         self.evictions = 0
-        self._set_table(np.empty((0, 4), dtype=float), [], [], [], np.empty(0, dtype=float))
+        self._set_table(np.empty((0, 4), dtype=float), [], [], [])
+        self._clear_anchors()
         # preprocessing_seconds is a single-shot wall time feeding
         # Figure 13's millisecond-scale comparisons; a gen-2 collector
         # pause landing inside the shorter build variant would swamp the
@@ -280,18 +303,15 @@ class StaircaseEstimator(SelectCostEstimator):
         leaf_keys: list[RegionKey],
         center: list[IntervalCatalog],
         corners: list[IntervalCatalog],
-        coverage: np.ndarray,
     ) -> None:
         """Install the per-leaf catalog table (rows align with ``leaf_rects``).
 
         ``leaf_keys`` is ``region_keys(leaf_rects)``, the hashable form.
+        Rows run in the auxiliary index's depth-first leaf order.
 
         Catalogs key by leaf *bounds*, not node identity: one gathered
         ``(n_leaves, 4)`` array serves anchor collection, query-time
         leaf lookup and entry reuse across refreshes alike.
-        ``coverage[i]`` is leaf ``i``'s coverage radius: a mutation
-        region farther than it (by rect MINDIST, which lower-bounds
-        every anchor's MINDIST) cannot change either catalog.
 
         What estimation reads *through* the table — the home-leaf
         locator with the per-leaf Eq. 1 geometry, and the stacked
@@ -303,9 +323,24 @@ class StaircaseEstimator(SelectCostEstimator):
         self._leaf_keys = leaf_keys
         self._center_catalogs = center
         self._corner_catalogs = corners  # empty for the Center-Only variant
-        self._coverage = coverage
         self._leaf_lookup: tuple[BlockLocator, np.ndarray] | None = None
         self._stacked: tuple[StackedCatalogs, StackedCatalogs | None] | None = None
+
+    def _clear_anchors(self) -> None:
+        """Forget the per-anchor state: the next refresh gathers everything.
+
+        ``_anchors`` / ``_staircases`` are every unique anchor's
+        coordinates and staircase (with its coverage radius), and
+        ``_anchor_ids[i]`` names leaf ``i``'s anchor rows.  The points
+        view and ``_leaf_counts`` (points per leaf, kept only when the
+        data index is its own partition) are what a splice needs
+        besides.
+        """
+        self._anchors: np.ndarray | None = None
+        self._staircases: Staircases | None = None
+        self._anchor_ids: np.ndarray | None = None
+        self._leaf_counts: np.ndarray | None = None
+        self._view: BlockPointsView | None = None
 
     def _home_leaves(self) -> tuple[BlockLocator, np.ndarray]:
         """The leaf locator and the ``(n_leaves, 3)`` Eq. 1 geometry.
@@ -351,123 +386,243 @@ class StaircaseEstimator(SelectCostEstimator):
     def refresh_incremental(self, *, full: bool = False) -> MaintenanceReport:
         """Bring every auxiliary leaf's catalogs up to the current data.
 
-        Entries whose coverage disc misses every region the data index
-        noted dirty since the last refresh are kept — they are
-        bit-for-bit what a from-scratch build would produce — and only
-        the rest is rebuilt, by the same routine that built them at
-        construction.  With ``full=True`` (or when the index cannot say
-        what changed) nothing is kept.
+        The catalogs are read off per-anchor staircases, and an anchor
+        whose own coverage disc misses every region the data index
+        noted dirty since the last refresh keeps its staircase — it is
+        bit-for-bit what a from-scratch build would produce.  Only the
+        other anchors and those of new leaves are profiled, and only the
+        leaves that reference one are re-assembled, by the same routines
+        that built them at construction.  When the data index is its own
+        partition, the leaves and blocks under each maximal dirty region
+        are spliced into the table, the block summary and the points
+        view in place of their old run (see :meth:`_splice`).  With
+        ``full=True``, when the index cannot say what changed, or on the
+        first refresh of a restored estimator, everything is gathered
+        and profiled afresh.
 
         Returns:
             A :class:`MaintenanceReport` with the rebuilt/reused split.
         """
         generation = int(getattr(self._data_index, "data_generation", 0))
-        n_old = len(self._leaf_keys)
         if not full and generation == self.built_at_generation:
             return MaintenanceReport.of_pass(
-                full=False, generation=generation, total=n_old, rebuilt=0
+                full=False, generation=generation, total=len(self._leaf_keys), rebuilt=0
             )
-        stale = stale_entries(
-            self._data_index,
-            self.built_at_generation,
-            self._leaf_rects,
-            self._coverage,
-            full=full,
+        dirty = None
+        if self._staircases is not None:
+            dirty = dirty_since(self._data_index, self.built_at_generation, full=full)
+        if dirty is None:
+            new_rows, near = self._gather(generation), np.zeros(0, dtype=bool)
+        else:
+            regions = maximal_regions(dirty)
+            near = (
+                mindist_rects_batch(self._anchors, regions) <= self._staircases.radii[:, None]
+            ).any(axis=1)
+            if self._leaf_counts is not None and self._view is not None:
+                new_rows = self._splice(regions, generation)
+            else:
+                # A separate auxiliary index is static: only the blocks moved.
+                self._snapshot = IndexSnapshot.from_index(self._data_index)
+                self._view = None
+                new_rows = np.empty(0, dtype=np.int64)
+        self._fallback = _fallback_over(self._snapshot)
+        rebuilt = self._rebuild(new_rows, near)
+        if not tracks_updates(self._data_index):
+            self._clear_anchors()  # every later refresh of this index gathers
+        elif self._leaf_counts is None:
+            self._view = None  # only a splice reuses the points
+        self.built_at_generation = generation
+        return MaintenanceReport.of_pass(
+            full=full, generation=generation, total=len(self._leaf_keys), rebuilt=rebuilt
         )
+
+    def _gather(self, generation: int) -> np.ndarray:
+        """Gather the block summary and the leaf table afresh; every leaf is new.
+
+        Returns:
+            The rows of the leaves to build: all of them.
+        """
         if self._snapshot is None or self._snapshot.data_generation != generation:
             self._snapshot = IndexSnapshot.from_index(self._data_index)
-        self._fallback = _fallback_over(self._snapshot)
+        self._view = None
         leaf_rects = partition_bounds(self._aux)
         keys = region_keys(leaf_rects)
         self.evictions += len(set(self._leaf_keys).difference(keys))
-        source = carry_over(self._leaf_keys, stale, keys)
-        missing = np.flatnonzero(source < 0)
-
-        start = time.perf_counter()
-        stats = PreprocessingStats(technique="staircase", workers=self._workers)
-        center, corners, built_coverage = self._build_shared(leaf_rects[missing], stats)
-        self.preprocessing_seconds = stats.wall_seconds = time.perf_counter() - start
-        self.preprocessing_stats = stats
-
+        self._leaf_counts = None
+        if self._aux is self._data_index and hasattr(self._aux, "leaves_under"):
+            # Blocks are the non-empty leaves, in the same order.
+            counts = dict(zip(region_keys(self._snapshot.rects), self._snapshot.counts.tolist()))
+            self._leaf_counts = np.array([counts.get(key, 0) for key in keys], dtype=np.int64)
+        n = len(keys)
         both = self._variant == "center+corners"
-        self._set_table(
-            leaf_rects,
-            keys,
-            patched(self._center_catalogs, center, source),
-            patched(self._corner_catalogs, corners, source) if both else [],
-            np.array(patched(self._coverage, built_coverage, source), dtype=float),
-        )
-        self.built_at_generation = generation
-        return MaintenanceReport.of_pass(
-            full=full, generation=generation, total=len(keys), rebuilt=len(missing)
-        )
+        self._set_table(leaf_rects, keys, [None] * n, [None] * n if both else [])
+        self._anchor_ids = np.full((n, 5 if both else 1), -1, dtype=np.int64)
+        self._anchors = np.empty((0, 2), dtype=float)
+        self._staircases = _NO_STAIRCASES
+        return np.arange(n)
 
-    def _build_shared(
-        self, leaf_rects: np.ndarray, stats: PreprocessingStats
-    ) -> tuple[list[IntervalCatalog], list[IntervalCatalog], np.ndarray]:
-        """Shared-anchor build: dedupe anchors, profile each one once.
+    def _splice(self, regions: np.ndarray, generation: int) -> np.ndarray:
+        """Replace each maximal dirty region's leaves and blocks with those under it now.
 
-        All catalog anchors (leaf centers plus, for the center+corners
-        variant, the four leaf corners) are collected up front as one
-        coordinate array; anchors with bit-identical coordinates —
-        interior corners shared by up to four sibling leaves — are
-        deduped with one ``np.unique`` pass, profiled once, and their
-        staircase shared.  (Catalog assembly is order-independent, so
-        the sorted unique order is as good as first-appearance order;
-        each anchor's profile is a pure function of the blocks and the
-        anchor, so the dedup grouping never changes per-leaf results and
-        building a subset of the leaves yields exactly their rows of a
-        full build.)  One :func:`~repro.perf.profile_staircases` batch
-        pass — held to the per-anchor ``select_cost_profile_covered``,
-        reading per spatial group of anchors only the blocks a MINDIST
-        bound cannot rule out, optionally fanned out across worker
-        processes — profiles them,
-        and :func:`_catalogs_from` reads the catalogs straight off its
-        output; the per-leaf Procedure 1 loop assembled from the public
-        pieces is the ``tests/reference_builds.py`` oracle this build is
-        compared against byte for byte.  With no leaves to build it
-        returns before flattening a single block.
+        The update log notes every leaf that changed, split or merged,
+        so outside the maximal dirty regions (``regions``) no leaf and
+        no block changed, and each region was a node before the
+        mutations and still is.  Its leaves are one contiguous run of
+        the depth-first leaf table, and its non-empty ones one run of
+        the block summary and of the points view; each run is replaced
+        by what :meth:`~repro.index.mutable_quadtree.MutableQuadtree.leaves_under`
+        reads now.  The result equals a gather over the whole tree,
+        array for array.
 
         Returns:
-            ``(center, corners, coverage)`` for the given leaves, where
-            ``coverage[i]`` is the max coverage radius over leaf ``i``'s
-            anchors, each reported by its profile scan.
+            The rows of the new leaves.
         """
-        n_leaves = leaf_rects.shape[0]
-        if n_leaves == 0:
-            return [], [], np.empty(0, dtype=float)
-        both = self._variant == "center+corners"
-        per_leaf = 5 if both else 1
+        rects = self._leaf_rects
+        inside = (
+            (rects[:, None, :2] >= regions[None, :, :2])
+            & (rects[:, None, 2:] <= regions[None, :, 2:])
+        ).all(axis=2)
+        firsts = inside.argmax(axis=0)
+        filled = np.zeros(rects.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self._leaf_counts > 0, out=filled[1:])
+        leaf_runs, block_runs, runs = [], [], []
+        for j in np.argsort(firsts).tolist():
+            lo = int(firsts[j])
+            hi = lo + int(inside[:, j].sum())
+            leaf_runs.append((lo, hi))
+            block_runs.append((int(filled[lo]), int(filled[hi])))
+            runs.append(self._data_index.leaves_under(tuple(regions[j].tolist())))
+        new_rects = [np.array([leaf.rect.as_tuple() for leaf in run]) for run in runs]
+        new_counts = [np.array([len(leaf.points_list) for leaf in run]) for run in runs]
+        new_keys = [region_keys(r) for r in new_rects]
+        for (lo, hi), keys in zip(leaf_runs, new_keys):
+            self.evictions += len(set(self._leaf_keys[lo:hi]).difference(keys))
+
+        snapshot = self._snapshot
+        block_rects = spliced(
+            snapshot.rects, block_runs, [r[c > 0] for r, c in zip(new_rects, new_counts)]
+        )
+        self._snapshot = replace(
+            snapshot,
+            rects=block_rects,
+            counts=spliced(snapshot.counts, block_runs, [c[c > 0] for c in new_counts]),
+            centers=(block_rects[:, 0:2] + block_rects[:, 2:4]) / 2.0,
+            block_ids=np.arange(block_rects.shape[0]),
+            data_generation=generation,
+        )
+        self._view = self._view.spliced(
+            block_runs,
+            [
+                BlockPointsView(
+                    np.array([p for leaf in run for p in leaf.points_list], dtype=float),
+                    np.concatenate([[0], np.cumsum(c[c > 0])]),
+                )
+                for run, c in zip(runs, new_counts)
+            ],
+        )
+
+        per_leaf = self._anchor_ids.shape[1]
+        self._leaf_counts = spliced(self._leaf_counts, leaf_runs, new_counts)
+        self._anchor_ids = spliced(
+            self._anchor_ids, leaf_runs, [np.full((len(run), per_leaf), -1) for run in runs]
+        )
+        unbuilt = [[None] * len(run) for run in runs]
+        self._set_table(
+            spliced(rects, leaf_runs, new_rects),
+            spliced(self._leaf_keys, leaf_runs, new_keys),
+            spliced(self._center_catalogs, leaf_runs, unbuilt),
+            spliced(self._corner_catalogs, leaf_runs, unbuilt) if per_leaf > 1 else [],
+        )
+        return np.flatnonzero(self._anchor_ids[:, 0] < 0)
+
+    def _rebuild(self, new_rows: np.ndarray, near: np.ndarray) -> int:
+        """Profile what changed and re-assemble the leaves that read it.
+
+        The anchors to profile are those of the leaves at ``new_rows``
+        (whose anchor ids are ``-1``) and every kept anchor that
+        ``near`` marks — its disc reaches a dirty region.  All are
+        collected as one coordinate array and deduped with one
+        ``np.unique`` pass, so an interior corner shared by up to four
+        leaves is profiled once; the surviving anchors keep their
+        staircase, and anchors no leaf references any more are dropped.
+        One :func:`~repro.perf.profile_staircases` batch pass — held to
+        the per-anchor ``select_cost_profile_covered``, reading per
+        spatial group of anchors only the blocks a MINDIST bound cannot
+        rule out, optionally fanned out across worker processes —
+        profiles them, and :func:`_catalogs_from` reads the catalogs of
+        every leaf that references a profiled anchor straight off the
+        staircases.  Each anchor's staircase is a pure function of the
+        blocks and the anchor, so the result is exactly a full build's
+        rows; the per-leaf Procedure 1 loop assembled from the public
+        pieces is the ``tests/reference_builds.py`` oracle it is
+        compared against byte for byte.  With nothing to profile it
+        reads no point.
+
+        Returns:
+            The number of leaves re-assembled.
+        """
+        start = time.perf_counter()
+        stats = PreprocessingStats(technique="staircase", workers=self._workers)
+        ids = self._anchor_ids
+        per_leaf = ids.shape[1]
         with stats.phase("collect"):
-            rects = leaf_rects
-            centers = (rects[:, 0:2] + rects[:, 2:4]) / 2.0
-            if both:
-                # Per leaf: [center, SW, SE, NW, NE] — Rect.corners() order.
-                stacked = np.stack(
-                    [
-                        centers,
-                        rects[:, (0, 1)],
-                        rects[:, (2, 1)],
-                        rects[:, (0, 3)],
-                        rects[:, (2, 3)],
-                    ],
-                    axis=1,
-                ).reshape(-1, 2)
-            else:
-                stacked = centers
-            anchors, inverse = np.unique(stacked, axis=0, return_inverse=True)
-            ids = inverse.reshape(n_leaves, per_leaf)
-            view = BlockPointsView.from_blocks(self._data_index.blocks)
-        stats.anchors_total = per_leaf * n_leaves
+            old = ids >= 0
+            live = np.zeros(near.shape[0], dtype=bool)
+            live[ids[old]] = True
+            near &= live
+            stale, kept = np.flatnonzero(near), np.flatnonzero(live & ~near)
+            reads_stale = np.zeros(ids.shape, dtype=bool)
+            reads_stale[old] = near[ids[old]]
+            rebuilt = np.union1d(new_rows, np.flatnonzero(reads_stale.any(axis=1)))
+            coords = np.concatenate(
+                [self._anchors[stale], _leaf_anchors(self._leaf_rects[new_rows], per_leaf)]
+            )
+            # Row-wise unique over complex keys: numpy orders complex
+            # numbers by real, then imaginary part, as ``axis=0`` orders
+            # rows, at a fraction of its cost.
+            keys = np.empty(coords.shape[0], dtype=complex)
+            keys.real, keys.imag = coords[:, 0], coords[:, 1]
+            unique, inverse = np.unique(keys, return_inverse=True)
+            anchors = np.stack([unique.real, unique.imag], axis=1)
+            inverse = inverse.reshape(-1) + kept.shape[0]
+            remap = np.full(near.shape[0], -1, dtype=np.int64)
+            remap[kept] = np.arange(kept.shape[0])
+            remap[stale] = inverse[: stale.shape[0]]
+            ids[old] = remap[ids[old]]
+            ids[new_rows] = inverse[stale.shape[0] :].reshape(-1, per_leaf)
+        stats.anchors_total = per_leaf * rebuilt.shape[0]
         stats.anchors_unique = stats.profiles_computed = anchors.shape[0]
 
-        with stats.phase("profiles"):
-            staircases = profile_staircases(
-                self._snapshot, view, anchors, self._max_k, self._workers
-            )
+        parts = [self._staircases.take(kept)]
+        if anchors.shape[0]:
+            with stats.phase("profiles"):
+                parts.append(
+                    profile_staircases(
+                        self._snapshot, self._points_view(), anchors, self._max_k, self._workers
+                    )
+                )
+        self._anchors = np.concatenate([self._anchors[kept], anchors])
+        self._staircases = Staircases.concatenated(parts)
         with stats.phase("assemble"):
-            center, corners = _catalogs_from(staircases, ids, self._max_k)
-        return center, corners, staircases.radii[ids].max(axis=1)
+            rows, local = np.unique(ids[rebuilt], return_inverse=True)
+            if rows.shape[0] < self._anchors.shape[0]:
+                read = self._staircases.take(rows)
+            else:  # a full build reads every anchor: no copy
+                read = self._staircases
+            center, corners = _catalogs_from(read, local.reshape(-1, per_leaf), self._max_k)
+            for row, catalog in zip(rebuilt.tolist(), center):
+                self._center_catalogs[row] = catalog
+            for row, catalog in zip(rebuilt.tolist(), corners):
+                self._corner_catalogs[row] = catalog
+        self.preprocessing_seconds = stats.wall_seconds = time.perf_counter() - start
+        self.preprocessing_stats = stats
+        return rebuilt.shape[0]
+
+    def _points_view(self) -> BlockPointsView:
+        """The columnar points of the data blocks, flattened on first use."""
+        if self._view is None:
+            self._view = BlockPointsView.from_blocks(self._data_index.blocks)
+        return self._view
 
     # ------------------------------------------------------------------
     # Estimation (Section 3.3)
@@ -662,9 +817,9 @@ class StaircaseEstimator(SelectCostEstimator):
 
         The data and auxiliary indexes must be the ones the store was
         built from; a leaf-count mismatch is rejected.  A store records
-        no coverage radii, so the restored entries carry ``inf``: the
-        first :meth:`refresh_incremental` after a mutation rebuilds
-        everything rather than trust an entry it cannot test.
+        no staircases and no coverage radii, so the first
+        :meth:`refresh_incremental` after a mutation rebuilds everything
+        rather than trust an entry it cannot test.
 
         Raises:
             ValueError: If the store does not describe a Staircase
@@ -740,9 +895,8 @@ class StaircaseEstimator(SelectCostEstimator):
         # estimator works even if the auxiliary index was itself rebuilt
         # (equal geometry, different node objects).
         leaf_rects = partition_bounds(aux_index)
-        estimator._set_table(
-            leaf_rects, region_keys(leaf_rects), center, corners, np.full(n_leaves, np.inf)
-        )
+        estimator._set_table(leaf_rects, region_keys(leaf_rects), center, corners)
+        estimator._clear_anchors()
         estimator.evictions = 0
         estimator._workers = 0
         estimator.preprocessing_seconds = 0.0

@@ -9,26 +9,26 @@ the catalog estimators' ``refresh_incremental()`` (see
 affected catalogs.
 
 Change tracking is **generation-keyed and coalesced**: every mutation
-bumps the monotone :attr:`data_generation`, and the tree keeps two
-append-only logs keyed by region bounds —
-
-* the *dirty log* maps each touched leaf region to the generation of
-  its latest mutation (repeated mutations of one region coalesce into
-  one entry, so the log is bounded by the number of distinct regions,
-  not the number of mutations);
-* the *dead log* maps each region that stopped being a leaf (a split
-  parent, merged children) to the generation of its death, so
-  region-keyed consumers can evict exactly the catalogs whose key no
-  longer names a live leaf.
+bumps the monotone :attr:`data_generation`, and the *dirty log* maps
+each touched region to the generation of its latest mutation (repeated
+mutations of one region coalesce into one entry, so the log is bounded
+by the number of distinct regions, not the number of mutations).  An
+insert notes its leaf — the one a split kills — and a merge notes the
+parent that absorbs its children, so every leaf that appeared or died
+lies inside a noted region: the log's *maximal* regions (those inside
+no other noted region) were nodes before the mutations and still are,
+and everything outside them is unchanged.  :meth:`leaves_under` reads
+the leaves now under such a region, which is how a consumer splices
+its per-leaf state without walking the whole tree.
 
 Consumers hold private generation watermarks and ask
-:meth:`dirty_region_items_since` / :meth:`dead_region_items_since` for
-everything after their watermark; :meth:`prune_logs` (and the
-back-compat :meth:`clear_dirty`) advances :attr:`log_floor`, below
-which history is discarded — a consumer whose watermark predates the
-floor must treat everything as dirty (that conservative fallback is
-what fixes the old watermark-desync bug, where an external
-``clear_dirty()`` silently marked mutated leaves clean forever).
+:meth:`dirty_region_items_since` for everything after their watermark;
+:meth:`prune_logs` (and the back-compat :meth:`clear_dirty`) advances
+:attr:`log_floor`, below which history is discarded — a consumer whose
+watermark predates the floor must treat everything as dirty (that
+conservative fallback is what fixes the old watermark-desync bug, where
+an external ``clear_dirty()`` silently marked mutated leaves clean
+forever).
 
 Blocks are materialized lazily: the mutable tree keeps per-leaf Python
 lists for O(1) appends and converts to the immutable
@@ -110,9 +110,6 @@ class MutableQuadtree(SpatialIndex):
         self._blocks_cache: list[Block] | None = None
         #: region bounds -> generation of the region's latest mutation.
         self._dirty_log: dict[tuple[float, float, float, float], int] = {}
-        #: region bounds -> generation at which the region stopped being
-        #: a leaf (split parents, merged children).
-        self._dead_log: dict[tuple[float, float, float, float], int] = {}
         self._log_floor = 0
         self._mutations_since_clear = 0
         self._data_generation = 0
@@ -137,8 +134,7 @@ class MutableQuadtree(SpatialIndex):
         leaf.points_list.append((x, y))
         self._n_points += 1
         affected = leaf.rect
-        # Note the change *before* splitting so the split's dead-region
-        # entries carry this mutation's (already bumped) generation.
+        # The noted region is the leaf a split below kills.
         self._note_change(affected)
         if len(leaf.points_list) > self._capacity and leaf.depth < self._max_depth:
             self._split(leaf)
@@ -184,7 +180,6 @@ class MutableQuadtree(SpatialIndex):
                 self._note_change(parent.rect)
                 for child in parent.children:
                     merged.extend(child.points_list)
-                    self._record_death(child.rect)
                 parent._children = []
                 parent.points_list = merged
             else:
@@ -204,9 +199,6 @@ class MutableQuadtree(SpatialIndex):
         return node.children[(0 if p.x < cx else 1) + (0 if p.y < cy else 2)]
 
     def _split(self, leaf: _MutNode) -> None:
-        # The leaf's region stops being a leaf region: record its death
-        # so region-keyed catalog caches can evict their entry.
-        self._record_death(leaf.rect)
         children = [_MutNode(q, leaf.depth + 1) for q in leaf.rect.quadrants()]
         cx = (leaf.rect.x_min + leaf.rect.x_max) / 2.0
         cy = (leaf.rect.y_min + leaf.rect.y_max) / 2.0
@@ -226,33 +218,9 @@ class MutableQuadtree(SpatialIndex):
         self._dirty_log[region.as_tuple()] = self._data_generation
         self._mutations_since_clear += 1
 
-    def _record_death(self, region: Rect) -> None:
-        """Log that ``region`` stopped being a leaf (split or merge).
-
-        Deaths share the generation of the mutation that caused them
-        (``_note_change`` runs first), so any consumer whose watermark
-        predates the mutation observes the death too.  A region can be
-        reborn later (a merge recreating a split parent); the death
-        entry keeps the *latest* death generation, and consumers compare
-        it against their per-region build watermark: an entry rebuilt
-        after the rebirth is newer than the death and survives.
-        """
-        self._dead_log[region.as_tuple()] = self._data_generation
-
     # ------------------------------------------------------------------
     # Update tracking
     # ------------------------------------------------------------------
-    @property
-    def dirty_regions(self) -> tuple[Rect, ...]:
-        """Distinct leaf regions touched since the last :meth:`clear_dirty`.
-
-        Coalesced: a region mutated many times appears once, so the
-        tuple's size is bounded by the number of distinct touched
-        regions (the old per-mutation list grew without bound between
-        refreshes).
-        """
-        return tuple(Rect(*bounds) for bounds in self._dirty_log)
-
     @property
     def mutations_since_clear(self) -> int:
         """Number of tracked mutations since the last clear."""
@@ -271,11 +239,11 @@ class MutableQuadtree(SpatialIndex):
 
     @property
     def log_floor(self) -> int:
-        """Generation below which dirty/dead history has been pruned.
+        """Generation below which dirty history has been pruned.
 
-        ``dirty_region_items_since(g)`` / ``dead_region_items_since(g)``
-        can only answer for watermarks ``g >= log_floor``; a consumer
-        holding an older watermark must treat its whole cache as dirty.
+        ``dirty_region_items_since(g)`` can only answer for watermarks
+        ``g >= log_floor``; a consumer holding an older watermark must
+        treat its whole cache as dirty.
         """
         return self._log_floor
 
@@ -312,27 +280,8 @@ class MutableQuadtree(SpatialIndex):
         gens = np.array([g for __, g in items], dtype=np.int64)
         return bounds, gens
 
-    def dead_region_items_since(
-        self, generation: int
-    ) -> list[tuple[tuple[float, float, float, float], int]]:
-        """Regions that stopped being leaves after ``generation``.
-
-        Returns ``(bounds, death_generation)`` pairs; see
-        :meth:`dirty_region_items_since` for watermark semantics.
-
-        Raises:
-            ValueError: If ``generation`` predates :attr:`log_floor`.
-        """
-        generation = int(generation)
-        if generation < self._log_floor:
-            raise ValueError(
-                f"dead-region history before generation {self._log_floor} "
-                f"has been pruned; cannot answer since {generation}"
-            )
-        return [(b, g) for b, g in self._dead_log.items() if g > generation]
-
     def prune_logs(self, before_generation: int | None = None) -> None:
-        """Discard dirty/dead history up to ``before_generation``.
+        """Discard dirty history up to ``before_generation``.
 
         Bounds the logs' memory under sustained churn once every
         consumer's watermark has advanced past ``before_generation``
@@ -350,13 +299,12 @@ class MutableQuadtree(SpatialIndex):
         self._dirty_log = {
             b: g for b, g in self._dirty_log.items() if g > cutoff
         }
-        self._dead_log = {b: g for b, g in self._dead_log.items() if g > cutoff}
         self._log_floor = cutoff
 
     def clear_dirty(self) -> None:
         """Forget tracked changes (after statistics refresh).
 
-        Prunes the whole dirty/dead history (advancing
+        Prunes the whole dirty history (advancing
         :attr:`log_floor` to the current generation) and resets
         :attr:`mutations_since_clear`.  :attr:`data_generation` is never
         reset, and generation-watermarked consumers stay *correct*
@@ -425,6 +373,34 @@ class MutableQuadtree(SpatialIndex):
         # Materialize so leaf.block is in sync for callers that read it.
         __ = self.blocks
         return self._descend(p)
+
+    def leaves_under(self, region: tuple[float, float, float, float]) -> list[_MutNode]:
+        """The leaves under the node whose region is ``region``, depth-first.
+
+        Descends from the root to that node only and materializes no
+        block, so the cost is the path plus the subtree.  The leaves
+        come in :attr:`leaves` order: in a quadtree every node's leaves
+        are one contiguous run of the depth-first leaf sequence.
+
+        Raises:
+            ValueError: If no node has exactly that region.
+        """
+        region = tuple(region)
+        middle = Point((region[0] + region[2]) / 2.0, (region[1] + region[3]) / 2.0)
+        node = self._root
+        while node.rect.as_tuple() != region:
+            if node.is_leaf or not node.rect.contains_point(middle):
+                raise ValueError(f"no quadtree node has the region {region}")
+            node = self._child_for(node, middle)
+        out: list[_MutNode] = []
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        return out
 
     @property
     def leaves(self) -> list[_MutNode]:

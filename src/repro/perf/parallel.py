@@ -113,6 +113,30 @@ class Staircases(NamedTuple):
         runs[last[:-1] + 1] = k_ends[last[:-1] + 1]
         return np.repeat(self.costs[steps], runs).reshape(anchors.shape[0], max_k)
 
+    def take(self, anchors: np.ndarray) -> "Staircases":
+        """The staircases of rows ``anchors``, in that order."""
+        lo = self.offsets[anchors]
+        lengths = self.offsets[anchors + 1] - lo
+        steps = _concat_ranges(lo, lengths)
+        offsets = np.zeros(anchors.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return Staircases(offsets, self.k_ends[steps], self.costs[steps], self.radii[anchors])
+
+    @staticmethod
+    def concatenated(parts: Sequence["Staircases"]) -> "Staircases":
+        """The staircases of consecutive anchor runs, as one (a sole
+        non-empty run is returned as it is, not copied)."""
+        parts = [p for p in parts if p.radii.shape[0]] or parts[:1]
+        if len(parts) == 1:
+            return parts[0]
+        shifts = np.cumsum([0] + [p.k_ends.shape[0] for p in parts[:-1]])
+        return Staircases(
+            np.concatenate([[0]] + [p.offsets[1:] + s for p, s in zip(parts, shifts)]),
+            np.concatenate([p.k_ends for p in parts]),
+            np.concatenate([p.costs for p in parts]),
+            np.concatenate([p.radii for p in parts]),
+        )
+
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``workers`` argument to a non-negative int.
@@ -166,6 +190,26 @@ class BlockPointsView:
         else:
             points = np.empty((0, 2), dtype=float)
         return cls(points, offsets)
+
+    def spliced(
+        self, runs: Sequence[tuple[int, int]], pieces: Sequence["BlockPointsView"]
+    ) -> "BlockPointsView":
+        """This view with each block run ``[lo, hi)`` replaced by a piece's blocks.
+
+        ``runs`` are ascending and disjoint.  The result equals
+        :meth:`from_blocks` over the spliced block list.
+        """
+        counts = np.diff(self.offsets)
+        parts_points, parts_counts, prev = [], [], 0
+        for (lo, hi), piece in zip(runs, pieces):
+            parts_points += [self.points[self.offsets[prev] : self.offsets[lo]], piece.points]
+            parts_counts += [counts[prev:lo], np.diff(piece.offsets)]
+            prev = hi
+        parts_points.append(self.points[self.offsets[prev] :])
+        parts_counts.append(counts[prev:])
+        offsets = np.zeros(sum(c.shape[0] for c in parts_counts) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(parts_counts), out=offsets[1:])
+        return BlockPointsView(np.concatenate(parts_points), offsets)
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -461,17 +505,6 @@ def _retrievable(
     return R
 
 
-def _concatenated(parts: list[Staircases]) -> Staircases:
-    """The staircases of consecutive anchor chunks, as one."""
-    shifts = np.cumsum([0] + [p.k_ends.shape[0] for p in parts[:-1]])
-    return Staircases(
-        np.concatenate([[0]] + [p.offsets[1:] + s for p, s in zip(parts, shifts)]),
-        np.concatenate([p.k_ends for p in parts]),
-        np.concatenate([p.costs for p in parts]),
-        np.concatenate([p.radii for p in parts]),
-    )
-
-
 def _select_chunk(anchor_coords: np.ndarray) -> Staircases:
     return _staircases(
         _WORKER_STATE["summary"],
@@ -514,7 +547,9 @@ def profile_staircases(
         anchors: ``(m, 2)`` anchor coordinates.
         max_k: Largest k each staircase must cover.
         workers: ``0``/``1``/``None`` for the serial in-process path,
-            ``N > 1`` for a process pool of N workers.
+            ``N > 1`` for a process pool of N workers — unless the
+            anchors-by-blocks tableau fits ``N`` of the in-process
+            budgets, when the pass stays in-process.
 
     Returns:
         The anchors' :class:`Staircases`, identical whatever ``workers``
@@ -528,7 +563,10 @@ def profile_staircases(
     workers = resolve_workers(workers)
     summary = as_snapshot(snapshot)
     anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
-    if workers <= 1 or anchors.shape[0] <= 1:
+    # A pass whose whole tableau fits one budget per worker is over
+    # before a pool could start.
+    m = anchors.shape[0]
+    if workers <= 1 or m <= 1 or m * summary.n_blocks <= workers * _TABLEAU_CELLS:
         return _staircases(summary, view, anchors, max_k)
     chunks = _chunked(anchors, workers * _CHUNKS_PER_WORKER)
     with ProcessPoolExecutor(
@@ -536,7 +574,7 @@ def profile_staircases(
         initializer=_init_select_worker,
         initargs=(summary, view.points, view.offsets, max_k, active_backend()),
     ) as pool:
-        return _concatenated(list(pool.map(_select_chunk, chunks)))
+        return Staircases.concatenated(list(pool.map(_select_chunk, chunks)))
 
 
 def select_cost_profiles(

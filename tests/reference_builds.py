@@ -17,8 +17,13 @@ sample (:func:`per_point_selects_cost`) are what
 ``StaircaseEstimator.estimate_batch`` and the planner ran before the
 stacked catalogs.  All four are the oracles of their replacements:
 equal to the last bit, first-offender errors included.
+
+A whole-tree gather (:func:`assert_matches_gather`) is the oracle of the
+block summary, points view and leaf table that an incremental Staircase
+refresh splices together region by region.
 """
 
+import dataclasses
 import heapq
 from typing import Callable, Sequence
 
@@ -29,11 +34,13 @@ from repro.catalog.store import CatalogStore
 from repro.estimators.block_sample import sample_block_indices
 from repro.engine.planner import SELECT_COST_SAMPLE
 from repro.estimators.base import normalize_batch_args
+from repro.estimators.maintenance import region_keys
 from repro.estimators.staircase import build_select_catalog
 from repro.geometry import Point, Rect
 from repro.geometry.kernels import as_anchor, staircase_interpolate
-from repro.index.snapshot import IndexSnapshot, as_snapshot
+from repro.index.snapshot import IndexSnapshot, as_snapshot, partition_bounds
 from repro.knn.locality import locality_size_profile
+from repro.perf import BlockPointsView
 
 
 def plane_sweep(
@@ -284,3 +291,30 @@ def per_point_selects_cost(select_estimator, outer_points: np.ndarray, effective
         for i in sample
     ]
     return float(np.mean(per_select)) * n
+
+
+def assert_matches_gather(estimator, tree) -> None:
+    """A Staircase estimator's block summary, points view and leaf table
+    equal a gather over the whole of ``tree`` (its own partition).
+
+    Every snapshot field, dtype included; the points view (when the
+    estimator holds one); the leaf rects, keys and per-leaf counts.
+    """
+    gathered = IndexSnapshot.from_index(tree)
+    for field in dataclasses.fields(IndexSnapshot):
+        got, want = getattr(estimator._snapshot, field.name), getattr(gathered, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+    if estimator._view is not None:
+        view = BlockPointsView.from_blocks(tree.blocks)
+        assert np.array_equal(estimator._view.points, view.points)
+        assert np.array_equal(estimator._view.offsets, view.offsets)
+    leaves = partition_bounds(tree)
+    assert np.array_equal(estimator._leaf_rects, leaves)
+    assert estimator._leaf_keys == region_keys(leaves)
+    if estimator._leaf_counts is not None:
+        counts = [len(leaf.points_list) for leaf in tree.leaves]
+        assert estimator._leaf_counts.tolist() == counts
+    assert len(estimator._center_catalogs) == leaves.shape[0]

@@ -7,6 +7,7 @@ from repro.estimators import MaintainedStaircaseEstimator, StaircaseEstimator
 from repro.geometry import Point, Rect
 from repro.index import MutableQuadtree, Quadtree
 from repro.knn import select_cost
+from tests.reference_builds import assert_matches_gather
 
 
 def build(n=2_000, seed=0, capacity=64):
@@ -107,7 +108,10 @@ class TestStaleTrackingRegressions:
         """Splits and merges kill leaf regions; their cached catalogs
         must be evicted, not leaked (pre-fix, dead keys accumulated
         forever and could even serve a query whose focal point re-landed
-        in a recreated region of the same bounds)."""
+        in a recreated region of the same bounds).  The dirty log alone
+        says where: a split notes the leaf it kills and a merge the
+        parent that absorbs the dead children, and the refresh splices
+        what is under those regions now — the table equals a gather."""
         tree, __, __rng = build(n=200, capacity=8)
         maintained = MaintainedStaircaseEstimator(tree, max_k=16)
         maintained.refresh_incremental()  # cache every live leaf
@@ -121,18 +125,18 @@ class TestStaleTrackingRegressions:
         for x, y in pile:
             tree.insert(x, y)
         maintained.refresh_incremental()
-        live = {
-            tuple(float(v) for v in leaf.rect.as_tuple()) for leaf in tree.leaves
-        }
-        assert set(maintained.catalog_entries()) <= live
+        assert_matches_gather(maintained, tree)
+        live = {leaf.rect.as_tuple() for leaf in tree.leaves}
+        assert set(maintained.catalog_entries()) == live
+        evicted_by_splits = maintained.evictions
+        assert evicted_by_splits > 0
         for x, y in pile:
             tree.delete(x, y)
         maintained.refresh_incremental()
-        live = {
-            tuple(float(v) for v in leaf.rect.as_tuple()) for leaf in tree.leaves
-        }
-        assert set(maintained.catalog_entries()) <= live
-        assert maintained.evictions > 0
+        assert_matches_gather(maintained, tree)
+        live = {leaf.rect.as_tuple() for leaf in tree.leaves}
+        assert set(maintained.catalog_entries()) == live
+        assert maintained.evictions > evicted_by_splits
 
     def test_external_clear_dirty_does_not_serve_stale(self):
         """An external ``clear_dirty()`` prunes the update log past the

@@ -93,19 +93,27 @@ class TestDelete:
         assert tree.num_points == 50
 
 
+def dirty_keys(tree, since):
+    bounds, __ = tree.dirty_region_items_since(since)
+    return {tuple(row) for row in bounds.tolist()}
+
+
 class TestDirtyTracking:
     def test_bulk_load_is_clean(self):
         tree, __ = fresh_tree()
-        assert tree.dirty_regions == ()
+        assert dirty_keys(tree, tree.log_floor) == set()
         assert tree.mutations_since_clear == 0
 
     def test_mutations_tracked(self):
         tree, pts = fresh_tree(n=50)
+        watermark = tree.data_generation
         region = tree.insert(10.0, 10.0)
         assert region.contains_point(Point(10.0, 10.0))
-        tree.delete(float(pts[0, 0]), float(pts[0, 1]))
+        x, y = float(pts[0, 0]), float(pts[0, 1])
+        deleted_from = tree.leaf_for(Point(x, y)).rect.as_tuple()
+        tree.delete(x, y)
         assert tree.mutations_since_clear == 2
-        assert len(tree.dirty_regions) >= 2
+        assert {region.as_tuple(), deleted_from} <= dirty_keys(tree, watermark)
 
     def test_clear(self):
         tree, __ = fresh_tree(n=20)
@@ -124,7 +132,6 @@ class TestGenerationLog:
         bounds, gens = tree.dirty_region_items_since(tree.data_generation)
         assert bounds.shape == (0, 4)
         assert gens.shape == (0,)
-        assert tree.dead_region_items_since(tree.data_generation) == []
 
     def test_dirty_log_records_mutated_regions(self):
         tree, pts = fresh_tree(n=50)
@@ -149,17 +156,37 @@ class TestGenerationLog:
         assert bounds.shape[0] >= 1
         assert gens.max() == tree.data_generation
 
-    def test_dead_log_records_split_parent(self):
+    def test_dirty_log_records_split_leaf(self):
         tree = MutableQuadtree(bounds=Rect(0, 0, 10, 10), capacity=2)
         tree.insert(1.0, 1.0)
         watermark = tree.data_generation
         old_leaf = tree.leaf_for(Point(1.0, 1.0)).rect.as_tuple()
         # Overflow the leaf: it splits and stops being a leaf region.
+        # The insert notes the leaf it killed, so a consumer splices
+        # the leaf's new children in under that region.
         tree.insert(1.1, 1.1)
         tree.insert(1.2, 1.2)
-        dead = tree.dead_region_items_since(watermark)
-        assert any(b == tuple(float(v) for v in old_leaf) for b, __ in dead)
-        assert all(g > watermark for __, g in dead)
+        assert old_leaf in dirty_keys(tree, watermark)
+        assert old_leaf not in {leaf.rect.as_tuple() for leaf in tree.leaves}
+        under = tree.leaves_under(old_leaf)
+        assert len(under) > 1
+        assert all(Rect(*old_leaf).contains_rect(leaf.rect) for leaf in under)
+
+    def test_dirty_log_records_merge_parent(self):
+        tree = MutableQuadtree(bounds=Rect(0, 0, 10, 10), capacity=2)
+        pts = [(1.0, 1.0), (1.1, 1.1), (1.2, 1.2)]
+        for x, y in pts:
+            tree.insert(x, y)
+        split = {leaf.rect.as_tuple() for leaf in tree.leaves}
+        watermark = tree.data_generation
+        for x, y in pts[1:]:
+            tree.delete(x, y)
+        # The children died in a merge; the region that absorbed them
+        # is noted and contains every one of them.
+        dead = split - {leaf.rect.as_tuple() for leaf in tree.leaves}
+        assert dead
+        noted = [Rect(*key) for key in dirty_keys(tree, watermark)]
+        assert all(any(r.contains_rect(Rect(*key)) for r in noted) for key in dead)
 
     def test_prune_raises_floor_and_old_watermarks_error(self):
         tree, __ = fresh_tree(n=50)
@@ -169,8 +196,6 @@ class TestGenerationLog:
         assert tree.log_floor == tree.data_generation
         with pytest.raises(ValueError, match="pruned"):
             tree.dirty_region_items_since(watermark)
-        with pytest.raises(ValueError, match="pruned"):
-            tree.dead_region_items_since(watermark)
         # At-floor watermarks still answer (emptily, post-prune).
         bounds, __ = tree.dirty_region_items_since(tree.log_floor)
         assert bounds.shape[0] == 0
@@ -193,6 +218,27 @@ class TestGenerationLog:
         tree.clear_dirty()
         assert tree.data_generation == generation  # never reset
         assert tree.log_floor == generation
+
+
+class TestLeavesUnder:
+    def test_every_node_is_a_run_of_the_leaf_order(self):
+        tree, __ = fresh_tree(n=400, capacity=8)
+        leaves = [leaf.rect.as_tuple() for leaf in tree.leaves]
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            run = [leaf.rect.as_tuple() for leaf in tree.leaves_under(node.rect.as_tuple())]
+            first = leaves.index(run[0])
+            assert leaves[first : first + len(run)] == run
+            assert all(node.rect.contains_rect(Rect(*key)) for key in run)
+
+    def test_a_region_that_is_no_node_raises(self):
+        tree, __ = fresh_tree(n=100, capacity=8)
+        with pytest.raises(ValueError, match="no quadtree node"):
+            tree.leaves_under((0.0, 0.0, 30.0, 30.0))
+        with pytest.raises(ValueError, match="no quadtree node"):
+            tree.leaves_under((200.0, 200.0, 300.0, 300.0))
 
 
 class TestMergeEdgeCases:

@@ -133,7 +133,10 @@ def test_the_walk_sees_function_level_imports():
 #: their estimates, its arbitration-only manager and its uniform-model
 #: degraded answers (the coordinator plans every sharded query through
 #: ``explain_select_batch``, which spells the select assembly itself, and
-#: an estimate-only answer keeps that plan).
+#: an estimate-only answer keeps that plan); the mutable quadtree's
+#: dead-region log and its tests-only dirty-region view, and the Staircase
+#: build over whole leaves (a refresh splices the maximal dirty regions,
+#: read off the dirty log alone, and profiles per anchor).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -233,6 +236,11 @@ RETIRED_NAMES = {
     "DEGRADED_PLAN",
     "_fallback_model",
     "_fill_degraded",
+    "_dead_log",
+    "_record_death",
+    "dead_region_items_since",
+    "dirty_regions",
+    "_build_shared",
 }
 
 
