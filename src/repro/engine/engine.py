@@ -106,8 +106,8 @@ class SpatialEngine:
         Planning is batched as in :meth:`explain_batch`; incremental
         k-NN selects against the same table then run as one
         :func:`~repro.engine.physical.execute_incremental_knn_batch`
-        call (one MINDIST pass per group of queries), and every other
-        plan runs its :func:`~repro.engine.planner.physical_operator`.
+        call (one array browse of the group), and every other plan runs
+        its :func:`~repro.engine.planner.physical_operator`.
 
         Guard failures raise before anything executes.
         """

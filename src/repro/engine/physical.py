@@ -13,7 +13,8 @@ k-NN-Select operators (the two QEPs of Section 1):
   that intersect the query's region.
 
 All browsing runs through :func:`execute_incremental_knn_batch`, the
-block stream + k-bounded merge of :mod:`repro.knn.merge`.
+array browse of :mod:`repro.knn.browse` (fixed-shape rounds over a
+whole batch of queries).
 
 k-NN-Join operators:
 
@@ -37,9 +38,8 @@ import numpy as np
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
 from repro.geometry import Point
-from repro.knn.distance_browsing import SnapshotBlockStream
+from repro.knn.browse import browse
 from repro.knn.locality import locality_block_indices
-from repro.knn.merge import QueryMerge, gather_blocks, run_merges
 
 
 @dataclass
@@ -139,13 +139,9 @@ def execute_incremental_knn_batch(
 ) -> list[ExecutionResult]:
     """Execute incremental k-NN selects: the engine's one distance browser.
 
-    Per query, a :class:`~repro.knn.distance_browsing.SnapshotBlockStream`
-    over ``snapshot`` feeds a :class:`~repro.knn.merge.QueryMerge`, and
-    :func:`~repro.knn.merge.run_merges` — the serving coordinator's loop,
-    here over one in-process source whose resume rounds are plain
-    ``take`` calls — drives a group of queries at a time.  A group
-    shares its MINDIST pass, first block ordering and each round's
-    distance pass; only the blocks a merge fetches are ever gathered.
+    One :func:`~repro.knn.browse.browse` over ``snapshot`` takes every
+    query to its stop in fixed-shape array rounds, and each answer is
+    the stable argsort of its scanned prefix's distances, cut at ``k``.
 
     This is exactly heap-based distance browsing: leaf blocks are
     scanned in MINDIST order, and a block is scanned iff fewer than
@@ -161,39 +157,27 @@ def execute_incremental_knn_batch(
             table's blocks in any layout — the whole index, or the
             sub-snapshot of the blocks the queries may scan.
     """
-
-    blocks = table.index.blocks
-
-    def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return table.block_row_ids(block_id), blocks[block_id].points
-
-    def fetch(requests: dict) -> dict:
-        asked = requests[0]
-        pulls = [(streams[i], *need) for i, *need in asked]
-        return {0: gather_blocks(pulls, block_rows, [keeps[i] for i, *__ in asked])}
-
-    results: list[ExecutionResult] = []
-    # Groups bound what is alive at once: <= 8 MB of MINDIST rows.
-    step = min(1024, max(1, (1 << 20) // max(snapshot.n_blocks, 1)))
-    for lo in range(0, len(queries), step):
-        group = queries[lo : lo + step]
-        streams = list(SnapshotBlockStream.batch(snapshot, [q.query for q in group]))
-        keeps = [
-            partial(_row_mask, table, q)
-            if q.predicate is not None or q.region is not None
-            else None
-            for q in group
-        ]
-        merges = {i: QueryMerge(q.k) for i, q in enumerate(group)}
-        for merge, stream in zip(merges.values(), streams):
-            merge.add_stream(0, [], 0, stream.bound(0))
-        run_merges(merges, fetch)
-        for merge in merges.values():
-            row_ids, scanned, __ = merge.result()
-            results.append(
-                ExecutionResult(IncrementalKnnOperator.name, scanned, row_ids=row_ids)
-            )
-    return results
+    masks = [
+        partial(_row_mask, table, q) if q.predicate is not None or q.region is not None else None
+        for q in queries
+    ]
+    view, row_ids = table.block_points
+    browsed = browse(
+        snapshot,
+        view,
+        row_ids,
+        [(q.query.x, q.query.y) for q in queries],
+        [q.k for q in queries],
+        masks if any(masks) else None,
+    )
+    return [
+        ExecutionResult(
+            IncrementalKnnOperator.name,
+            len(b.mindists),
+            row_ids=b.row_ids[np.argsort(b.dists, kind="stable")[: q.k]],
+        )
+        for q, b in zip(queries, browsed)
+    ]
 
 
 class RegionPrunedKnnOperator:

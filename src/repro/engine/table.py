@@ -17,6 +17,7 @@ import numpy as np
 from repro.index.base import validate_points
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import IndexSnapshot
+from repro.knn.browse import BlockPointsView
 
 
 class SpatialTable:
@@ -64,6 +65,7 @@ class SpatialTable:
         else:
             self._index = _RowTaggedQuadtree(np.empty((0, 3)), capacity=capacity)
         self._snapshot = IndexSnapshot.from_index(self._index)
+        self._block_points: tuple[BlockPointsView, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -93,6 +95,17 @@ class SpatialTable:
         """The table's Count-Index: its index's block summary, canonical
         layout (no blocks when the table is empty)."""
         return self._snapshot
+
+    @property
+    def block_points(self) -> tuple[BlockPointsView, np.ndarray]:
+        """The blocks' points as a view (view block = block id) and each
+        point's row id: what the distance browse reads, built on first use."""
+        if self._block_points is None:
+            blocks = self._index.blocks
+            row_ids = [self.block_row_ids(b.block_id) for b in blocks]
+            row_ids = np.concatenate(row_ids) if row_ids else np.empty(0, dtype=np.int64)
+            self._block_points = (BlockPointsView.from_blocks(blocks), row_ids)
+        return self._block_points
 
     # ------------------------------------------------------------------
     # Row access

@@ -29,6 +29,11 @@ from bisect import bisect_right
 import numpy as np
 
 
+#: Batches up to this size go through :meth:`BlockLocator.home_of` point
+#: by point, below the array pass's fixed cost of some twenty numpy calls.
+_SMALL_BATCH = 16
+
+
 def _axis_edges(minima: np.ndarray, lo: float, hi: float, per_axis: int) -> np.ndarray:
     """Sorted cell edges of one axis: ``lo``, ``hi`` and inner cuts.
 
@@ -159,10 +164,15 @@ class BlockLocator:
         A constant number of array calls whatever ``n`` is: every
         point's bucket is laid out in one flat candidate array, tested
         in one pass, and the first hit of each point's (row-ascending)
-        segment wins.
+        segment wins.  Up to :data:`_SMALL_BATCH` points are answered by
+        :meth:`home_of` one at a time instead.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1)
         ys = np.asarray(ys, dtype=float).reshape(-1)
+        if xs.shape[0] <= _SMALL_BATCH:
+            return np.array(
+                [self.home_of(x, y) for x, y in zip(xs.tolist(), ys.tolist())], dtype=np.int64
+            )
         out = np.full(xs.shape[0], -1, dtype=np.int64)
         inside, cell = self._buckets(xs, ys)
         lengths = self._len[cell]

@@ -8,9 +8,12 @@ validated against ground truth:
   distance browsing, the I/O-optimal state of the art for k-NN-Select,
   plus its exact block-scan cost and the full cost-vs-k staircase
   profile (the machinery behind Procedure 1).
-* :mod:`~repro.knn.merge` — the production browser: MINDIST-ordered
-  block streams, a k-bounded merge and one resume loop, run by the
-  engine over one source and by the serving tier over n data shards.
+* :mod:`~repro.knn.browse` — the production browser: a select batch
+  browsed to each query's stop in fixed-shape array rounds, run by the
+  engine and by each data shard's ``open`` round.
+* :mod:`~repro.knn.merge` — the cross-shard merge: MINDIST-ordered
+  block streams, a k-bounded replay and its resume loop, run by the
+  serving coordinator over n data shards.
 * :mod:`~repro.knn.depth_first` — Roussopoulos et al.'s depth-first
   branch-and-bound k-NN, the suboptimal comparator of Section 2.
 * :mod:`~repro.knn.locality` — locality computation of Sankaranarayanan

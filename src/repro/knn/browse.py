@@ -1,0 +1,271 @@
+"""The local distance browse: a select batch as fixed-shape array rounds.
+
+:func:`browse` takes every query of a batch to distance browsing's stop
+— the first block after which ``k`` qualifying rows lie strictly below
+the next block's MINDIST, Procedure 1's staircase read at the query's
+own ``k`` — in a few array passes.  It executes every local k-NN select:
+the engine's and a data shard's ``open`` round.  Each round:
+
+1. **Window on a cheap key.**  ``dx`` and ``dy`` come from the MINDIST
+   kernel's own ufunc chain over every block and each row is
+   partitioned on ``dx*dx + dy*dy``; only the ``w``-key window gets the
+   exact ``np.hypot`` MINDIST (the kernel's float), ordered by
+   ``(MINDIST, block id)``.
+2. **Certificate.**  An excluded block's MINDIST is at least ``L =
+   sqrt(w-th key) * (1 - 1e-12)`` — 0 when that key is not finite or
+   below ``2**-900``, where squares overflow or lose relative precision
+   — so window ranks strictly below ``L`` (``complete`` of them) are the
+   global scan order.  A rank's threshold is ``min(next window MINDIST,
+   L)``: exact up to the certain ranks and a lower bound past them, so a
+   stop found at a certain rank is the true first stop.
+3. **Stop rule.**  The window's rows are gathered from a
+   :class:`BlockPointsView` (one ``np.hypot``), masked per query, and
+   binned against the thresholds by :func:`count_below`.  Rows whose
+   stop is not certain go round again at twice the window; the last
+   round holds every block.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.index.snapshot import IndexSnapshot
+
+#: Cells (queries x blocks) per slab: bounds each transient ``dx`` /
+#: ``dy`` / key array to half a megabyte.
+_SLAB_CELLS = 1 << 16
+#: Blocks the first window holds beyond those a slab's median ``k`` fills.
+_WINDOW_SLACK = 8
+#: Below this key a square may have lost relative precision.
+_TINY_KEY = 2.0**-900
+#: Margin of the certified bound below ``sqrt(key)``.
+_SHRINK = 1.0 - 1e-12
+
+
+class BlockPointsView:
+    """Columnar view of a block list's points, for batched gathers.
+
+    Block ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of the points,
+    held as two contiguous coordinate columns ``xs`` / ``ys``, so a batch
+    pass gathers any blocks' points with two 1-D fancy indexes and
+    measures them with one ``np.hypot`` — bitwise
+    ``Block.distances_from``.  Plain ndarrays, so the view pickles as a
+    worker payload.
+    """
+
+    __slots__ = ("offsets", "xs", "ys")
+
+    def __init__(self, points: np.ndarray, offsets: np.ndarray) -> None:
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
+        self.xs = np.ascontiguousarray(points[:, 0])
+        self.ys = np.ascontiguousarray(points[:, 1])
+
+    @property
+    def points(self) -> np.ndarray:
+        """The ``(total, 2)`` points (a fresh array)."""
+        return np.column_stack((self.xs, self.ys))
+
+    def gather(self, xy: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        """Row ``r``'s blocks (``(q, c)`` view ``starts`` / ``lengths``),
+        point by point: ``(row, distance from xy[row], view position)``."""
+        row = np.repeat(np.arange(xy.shape[0]), lengths.sum(axis=1))
+        at = concat_ranges(starts.ravel(), lengths.ravel())
+        return row, np.hypot(self.xs[at] - xy[:, 0][row], self.ys[at] - xy[:, 1][row]), at
+
+    @classmethod
+    def from_blocks(cls, blocks: Sequence) -> "BlockPointsView":
+        """Flatten a block sequence into the columnar layout."""
+        arrays = [np.asarray(b.points, dtype=float).reshape(-1, 2) for b in blocks]
+        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+        if arrays:
+            np.cumsum([a.shape[0] for a in arrays], out=offsets[1:])
+            points = np.concatenate(arrays)
+        else:
+            points = np.empty((0, 2), dtype=float)
+        return cls(points, offsets)
+
+    def spliced(
+        self, runs: Sequence[tuple[int, int]], pieces: Sequence["BlockPointsView"]
+    ) -> "BlockPointsView":
+        """This view with each block run ``[lo, hi)`` replaced by a piece's blocks.
+
+        ``runs`` are ascending and disjoint.  The result equals
+        :meth:`from_blocks` over the spliced block list.
+        """
+        counts, points = np.diff(self.offsets), self.points
+        parts_points, parts_counts, prev = [], [], 0
+        for (lo, hi), piece in zip(runs, pieces):
+            parts_points += [points[self.offsets[prev] : self.offsets[lo]], piece.points]
+            parts_counts += [counts[prev:lo], np.diff(piece.offsets)]
+            prev = hi
+        parts_points.append(points[self.offsets[prev] :])
+        parts_counts.append(counts[prev:])
+        offsets = np.zeros(sum(c.shape[0] for c in parts_counts) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(parts_counts), out=offsets[1:])
+        return BlockPointsView(np.concatenate(parts_points), offsets)
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges ``[starts[j], starts[j] + lengths[j])``, concatenated.
+
+    Each output slot holds its range's start minus the range's output
+    offset, and one global ``arange`` supplies the progression.
+    """
+    out_offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - out_offsets, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
+def count_below(rows: np.ndarray, dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``R[r, i]`` = values of row ``r`` strictly below ``thresholds[r, i]``.
+
+    ``rows[j]`` is value ``j``'s row; ``thresholds`` (``(q, c)``) rise
+    along each row.  One ``searchsorted`` over complex ``row + 1j *
+    threshold`` keys (numpy orders complex numbers by real, then
+    imaginary part, so the binning is exact), a ``bincount`` and a
+    ``cumsum``.
+    """
+    q, c = thresholds.shape
+    keys = np.empty((q, c), dtype=complex)
+    keys.real = np.arange(q)[:, None]
+    keys.imag = thresholds
+    values = np.empty(dists.shape[0], dtype=complex)
+    values.real = rows
+    values.imag = dists
+    # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
+    # one overflow bin per row.
+    bins = np.searchsorted(keys.ravel(), values, side="right") + rows
+    counts = np.bincount(bins, minlength=q * (c + 1)).reshape(q, c + 1)
+    return np.cumsum(counts[:, :c], axis=1)
+
+
+class Browsed(NamedTuple):
+    """One query's browse up to its stop: the scanned blocks' MINDISTs,
+    ids and qualifying row counts (their number is ``blocks_scanned``),
+    those rows and their distances in scan order, and the next block's
+    ``(mindist, block id, threshold)`` when bounds were asked for and a
+    block is left (else ``None``)."""
+
+    mindists: np.ndarray
+    block_ids: np.ndarray
+    sizes: np.ndarray
+    row_ids: np.ndarray
+    dists: np.ndarray
+    bound: tuple[float, int, float] | None
+
+
+def browse(
+    snapshot: IndexSnapshot,
+    view: BlockPointsView,
+    row_ids: np.ndarray,
+    points: np.ndarray,
+    ks: np.ndarray,
+    masks: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
+    *,
+    blocks: np.ndarray | None = None,
+    bounds: bool = False,
+    checkpoint: Callable[[], None] | None = None,
+) -> list[Browsed]:
+    """Browse every query to its stop over ``snapshot``'s blocks (any layout).
+
+    Snapshot row ``i`` owns view block ``blocks[i]`` (default: its block
+    id) and ``row_ids`` names each view point's row.  ``masks[i]``, if
+    set, keeps query ``i``'s qualifying rows (a masked row still counts
+    its block as scanned); ``bounds`` also certifies each next block;
+    ``checkpoint`` is called before every round.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    n = snapshot.n_blocks
+    if n == 0:
+        none = np.empty(0, dtype=np.int64)
+        return [Browsed(np.empty(0), none, none, none, np.empty(0), None)] * ks.shape[0]
+    blocks = snapshot.block_ids if blocks is None else blocks
+    per_block = max(1.0, snapshot.total_count / n)
+    rects = snapshot.rects
+    out: list[Browsed] = []
+    step = max(1, _SLAB_CELLS // n)
+    for lo in range(0, ks.shape[0], step):
+        xy, k = points[lo : lo + step], ks[lo : lo + step]
+        keep_of = None if masks is None else masks[lo : lo + step]
+        x, y = xy[:, :1], xy[:, 1:]
+        # The MINDIST kernel's own chain: hypot(dx, dy) is its float.
+        dx = np.maximum(np.maximum(rects[:, 0] - x, 0.0), x - rects[:, 2])
+        dy = np.maximum(np.maximum(rects[:, 1] - y, 0.0), y - rects[:, 3])
+        key = dx * dx
+        key += dy * dy
+        q = k.shape[0]
+        slab: list[Browsed | None] = [None] * q
+        pending = np.arange(q)
+        # The window the slab's (upper) median k fills, plus slack.
+        w = min(n, int(min(float(np.sort(k)[q // 2]) / per_block, n)) + _WINDOW_SLACK)
+        while pending.shape[0]:
+            if checkpoint is not None:
+                checkpoint()
+            p = pending.shape[0]
+            each, at = np.arange(p)[:, None], pending[:, None]
+            if w < n:
+                part = np.argpartition(key if p == q else key[pending], w, axis=1)
+                window = part[:, :w]
+                edge = key[pending, part[:, w]]
+                certain = np.where(
+                    (edge >= _TINY_KEY) & (edge < np.inf), np.sqrt(edge) * _SHRINK, 0.0
+                )
+            else:
+                window = np.broadcast_to(np.arange(n), (p, n))
+                certain = np.full(p, np.inf)
+            mindists = np.hypot(dx[at, window], dy[at, window])
+            ids = snapshot.block_ids[window]
+            order = np.lexsort((ids, mindists), axis=1)
+            window, mindists, ids = window[each, order], mindists[each, order], ids[each, order]
+            complete = (mindists < certain[:, None]).sum(axis=1)
+            thresholds = np.empty_like(mindists)
+            np.minimum(mindists[:, 1:], certain[:, None], out=thresholds[:, :-1])
+            thresholds[:, -1] = certain
+
+            # Every window block's rows in scan order, with their distances.
+            owner = blocks[window]
+            starts = view.offsets[owner]
+            sizes = view.offsets[owner + 1] - starts
+            row, dists, pos = view.gather(xy[pending], starts, sizes)
+            rows = row_ids[pos]
+            masked = [] if keep_of is None else [
+                i for i, j in enumerate(pending.tolist()) if keep_of[j] is not None
+            ]
+            if masked:
+                keep = np.ones(rows.shape[0], dtype=bool)
+                cuts = np.cumsum(sizes.sum(axis=1)).tolist()
+                for i in masked:
+                    a = cuts[i - 1] if i else 0
+                    keep[a : cuts[i]] = keep_of[pending[i]](rows[a : cuts[i]])
+                row, dists, rows = row[keep], dists[keep], rows[keep]
+                slot = np.repeat(np.arange(p * w), sizes.ravel())
+                sizes = np.bincount(slot[keep], minlength=p * w).reshape(p, w)
+            reached = count_below(row, dists, thresholds) >= k[pending][:, None]
+            found = reached.any(axis=1)
+            stop = reached.argmax(axis=1)
+            if w == n:
+                done = np.ones(p, dtype=bool)
+                stop[~found] = n - 1
+            else:
+                # A certain stop (and, for bounds, a certain next block).
+                done = found & (stop + int(bounds) < complete)
+            ends = np.cumsum(sizes, axis=1)
+            firsts = (np.cumsum(ends[:, -1]) - ends[:, -1]).tolist()
+            for i in np.flatnonzero(done).tolist():
+                s = int(stop[i]) + 1
+                a, b = firsts[i], firsts[i] + int(ends[i, s - 1])
+                nxt = None
+                if bounds and s < w:
+                    nxt = (float(mindists[i, s]), int(ids[i, s]), float(mindists[i, s]))
+                slab[pending[i]] = Browsed(
+                    mindists[i, :s], ids[i, :s], sizes[i, :s], rows[a:b], dists[a:b], nxt
+                )
+            pending = pending[~done]
+            w = min(n, 2 * w)
+        out += slab
+    return out

@@ -21,11 +21,13 @@ leaf) blocks scanned.  Two cost paths are provided:
   MINDIST order, so the profile can be computed over the flat block
   list; the test suite cross-checks both paths against each other.
 * :class:`SnapshotBlockStream` — the same flat MINDIST order as a
-  cursor-resumable block stream: the source side of the production
-  browser (:mod:`repro.knn.merge`), which executes every k-NN select.
-  The scan cost is identical to the hierarchical reference: the strict
-  ``<`` return test means every block at MINDIST below the next
-  returned distance must be scanned regardless of tie order.
+  cursor-resumable block stream: the source side of the cross-shard
+  merge (:mod:`repro.knn.merge`) and of a shard's ``resume`` rounds.
+  Every local select runs as an array pass instead
+  (:mod:`repro.knn.browse`); the scan cost of both is the hierarchical
+  reference's: the strict ``<`` return test means every block at
+  MINDIST below the next returned distance must be scanned regardless
+  of tie order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.geometry import Point, mindist_point_rect
-from repro.geometry.kernels import mindist_rects, mindist_rects_batch
+from repro.geometry.kernels import mindist_rects
 from repro.index.base import Block, SpatialIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 
@@ -333,37 +335,29 @@ def brute_force_knn(points: np.ndarray, query: Point, k: int) -> np.ndarray:
     return pts[idx]
 
 
-def _ordered_windows(snapshot: IndexSnapshot, tableau: np.ndarray, want: int):
-    """Per tableau row, its nearest blocks in ``(MINDIST, block id)`` order.
+def _ordered_window(snapshot: IndexSnapshot, mindists: np.ndarray, want: int):
+    """A row's nearest blocks in ``(MINDIST, block id)`` order.
 
-    Yields one ``(mindists, block_ids, snapshot rows, complete)`` window
-    per row: the ``want + 1`` smallest MINDISTs (a partial partition),
-    sorted.  Only the first ``complete`` ranks are a prefix of the row's
-    global scan order — those strictly below the largest selected value,
-    since a block tied with it may have been left out — unless the
-    window spans every block.  Ties can leave ``complete`` short of
-    ``want``, even at zero; callers retry with a larger ``want``.
+    Returns ``(mindists, block_ids, snapshot rows, complete)`` for the
+    ``want + 1`` smallest MINDISTs (a partial partition), sorted.  Only
+    the first ``complete`` ranks are a prefix of the global scan order —
+    those strictly below the largest selected value, since a block tied
+    with it may have been left out — unless the window spans every
+    block.  Ties can leave ``complete`` short of ``want``, even at zero;
+    callers retry with a larger ``want``.
     """
-    m, n = tableau.shape
-    if want < n:
-        rows = np.argpartition(tableau, want, axis=1)[:, : want + 1]
-    else:
-        rows = np.broadcast_to(np.arange(n), (m, n))
-    each = np.arange(m)[:, None]
-    mindists, block_ids = tableau[each, rows], snapshot.block_ids[rows]
-    order = np.lexsort((block_ids, mindists), axis=1)
-    rows, mindists, block_ids = rows[each, order], mindists[each, order], block_ids[each, order]
-    if want < n:
-        complete = (mindists < mindists[:, -1:]).sum(axis=1).tolist()
-    else:
-        complete = [n] * m
-    return zip(mindists, block_ids, rows, complete)
+    n = mindists.shape[0]
+    rows = np.argpartition(mindists, want)[: want + 1] if want < n else np.arange(n)
+    rows = rows[np.lexsort((snapshot.block_ids[rows], mindists[rows]))]
+    window = mindists[rows]
+    complete = int((window < window[-1]).sum()) if want < n else n
+    return window, snapshot.block_ids[rows], rows, complete
 
 
 class SnapshotBlockStream:
     """Resumable MINDIST-ordered block stream over one snapshot.
 
-    The source side of the production browser (:mod:`repro.knn.merge`):
+    The source side of the cross-shard merge (:mod:`repro.knn.merge`):
     the snapshot's blocks in the exact (MINDIST, ascending block id)
     order distance browsing visits them, but *incrementally* — the
     consumer pulls a prefix, merges it (against other sources' streams,
@@ -373,11 +367,10 @@ class SnapshotBlockStream:
     protocol state, so a respawned worker incarnation resumes a stream
     mid-query without any handshake.
 
-    MINDISTs come from the
-    :func:`~repro.geometry.kernels.mindist_rects_batch` kernel
-    (:meth:`batch` shares the pass across queries), but a query that
-    scans a handful of blocks never sorts every leaf: only a window of
-    the :data:`FIRST_WINDOW` nearest is ordered, doubled on demand.
+    MINDISTs come from the :func:`~repro.geometry.kernels.mindist_rects`
+    kernel, but a query that scans a handful of blocks never sorts every
+    leaf: only a window of the :data:`FIRST_WINDOW` nearest is ordered,
+    doubled on demand.
     A block's stop-test ``threshold`` *is* its MINDIST: the kernel and
     the scalar :func:`~repro.geometry.mindist_point_rect` the heap
     browser compares gathered distances against are one float.
@@ -396,25 +389,10 @@ class SnapshotBlockStream:
         self._snapshot = snapshot
         self.query = query
         # MINDIST per snapshot row (unordered) and the ordered window of
-        # the nearest rows (see _ordered_windows): filled in on first use
-        # — or up front, for many queries at once, by batch().
+        # the nearest rows (see _ordered_window): filled in on first use.
         self._mindists: np.ndarray | None = None
         self._window = (None, None, None, 0)
         self._entries: dict[int, tuple[float, int, float, int]] = {}
-
-    @classmethod
-    def batch(cls, snapshot: IndexSnapshot, queries: list[Point]):
-        """Yield one stream per query, sharing MINDIST passes and first orderings."""
-        pts = np.array([(q.x, q.y) for q in queries], dtype=float).reshape(-1, 2)
-        # Cache-sized tableau chunks: a pass costs the same per cell either way.
-        step = max(1, (1 << 14) // max(snapshot.n_blocks, 1))
-        for lo in range(0, len(queries), step):
-            tableau = mindist_rects_batch(pts[lo : lo + step], snapshot.rects)
-            windows = _ordered_windows(snapshot, tableau, cls.FIRST_WINDOW)
-            for query, mindists, window in zip(queries[lo : lo + step], tableau, windows):
-                stream = cls(snapshot, query)
-                stream._mindists, stream._window = mindists, window
-                yield stream
 
     @property
     def n_blocks(self) -> int:
@@ -438,9 +416,7 @@ class SnapshotBlockStream:
                 )
             want = max(2 * (rank + 1), self.FIRST_WINDOW)
             while rank >= self._window[3]:
-                (self._window,) = _ordered_windows(
-                    self._snapshot, self._mindists[None, :], want
-                )
+                self._window = _ordered_window(self._snapshot, self._mindists, want)
                 want *= 2
             mindists, block_ids, rows, __ = self._window
             mindist = float(mindists[rank])

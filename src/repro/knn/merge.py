@@ -1,31 +1,29 @@
-"""The production distance browser: block streams + a k-bounded merge.
+"""The cross-shard k-NN merge: block streams + a k-bounded replay.
 
-Every k-NN select the system executes — scalar or batched, filtered or
-region-pruned, in-process or fanned out over data shards — is the same
-three pieces:
+Local selects — the engine's, and each data shard's ``open`` round —
+run as one array pass per batch (:func:`repro.knn.browse.browse`).
+What crosses shards is this module, at the serving coordinator:
 
 * :class:`~repro.knn.distance_browsing.SnapshotBlockStream` sources,
   each walking *its* blocks in ``(MINDIST, block id)`` order from a
-  plain integer cursor; :func:`gather_blocks` attaches each emitted
-  block's rows and distances and reports the stream's **bound** — the
-  next unfetched block's key, below which the source holds nothing;
+  plain integer cursor; a shard opens with the prefix its local browse
+  scanned and the next block's key as the stream's **bound**, below
+  which the source holds nothing, and :func:`gather_blocks` answers a
+  ``resume`` round's pulls in the same format;
 * one :class:`QueryMerge` per query, admitting whichever source's head
   sorts first on the global key and applying the browser's stop rule:
   once ``k`` gathered rows lie *strictly* below the next block's
   MINDIST (the entries' ``threshold`` field, the same float), no
   unscanned block can contribute;
 * :func:`run_merges`, the resume loop — ``advance()`` → fetch what
-  starved → ``extend()`` — parameterised only by how a resume is
-  fetched (an in-process ``take`` in the engine, one supervised round
-  per shard at the serving coordinator).
+  starved → ``extend()`` — whose fetch is one supervised round per
+  starved shard.
 
 The admitted block count is distance browsing's ``blocks_scanned`` and
 the emitted rows — a stable argsort over the admitted blocks' distances
 — its answer in (distance, scan order); n sources replay the same
-global block sequence as one, with the same floats.  A filtered block
-still counts as scanned but only its qualifying rows enter the merge,
-so the replay stops at ``k`` *qualifying* rows, exactly like a browser
-filtering row by row.
+global block sequence the local browse scans over one, with the same
+floats.
 
 **Coverage gaps.**  A dead source contributes only a lower bound (its
 last reported bound, or a hull bound when it never answered).  When
@@ -51,16 +49,14 @@ from repro.knn.distance_browsing import SnapshotBlockStream
 def gather_blocks(
     pulls: list[tuple[SnapshotBlockStream, int, int, float]],
     block_rows: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    keeps: list[Callable[[np.ndarray], np.ndarray] | None] | None = None,
 ) -> list[tuple[list, int, tuple | None]]:
     """Answer block-stream pulls in merge format, with one distance pass.
 
     Each pull ``(stream, cursor, min_points, min_mindist)`` takes blocks
     from ``cursor`` (see :meth:`SnapshotBlockStream.take`);
     ``block_rows(block_id, row)`` returns a block's ``(row_ids,
-    points)`` in scan order, distances are computed over whole blocks —
-    all pulls' blocks at once — and ``keeps[i](row_ids)``, an optional
-    boolean row mask per pull, drops non-qualifying rows.
+    points)`` in scan order, and distances are computed over whole
+    blocks — all pulls' blocks at once.
 
     Returns:
         Per pull ``(entries, new_cursor, bound)`` with entries
@@ -76,16 +72,13 @@ def gather_blocks(
         delta = np.concatenate([pts for held in blocks for __, pts in held]) - focus
         dists = np.hypot(delta[:, 0], delta[:, 1])
     replies, lo = [], 0
-    for i, ((stream, *__), (raw, cursor), held) in enumerate(zip(pulls, taken, blocks)):
-        keep = keeps[i] if keeps is not None else None
+    for (stream, *__), (raw, cursor), held in zip(pulls, taken, blocks):
         entries = []
         for (mindist, block_id, threshold, __), (row_ids, __) in zip(raw, held):
-            part = dists[lo : lo + row_ids.shape[0]]
+            entries.append(
+                (mindist, block_id, threshold, row_ids, dists[lo : lo + row_ids.shape[0]])
+            )
             lo += row_ids.shape[0]
-            if keep is not None:
-                mask = keep(row_ids)
-                row_ids, part = row_ids[mask], part[mask]
-            entries.append((mindist, block_id, threshold, row_ids, part))
         replies.append((entries, cursor, stream.bound(cursor)))
     return replies
 

@@ -13,10 +13,11 @@ Staircase, Catalog-Merge, and Virtual-Grid estimators:
   :class:`Staircases`; :func:`select_cost_profiles` is the same pass as
   ``(profile, C)`` tuples.  Both equal the per-anchor scan byte for
   byte.
-* :class:`BlockPointsView` — a columnar, picklable stand-in for a block
-  list whose points the batch pass gathers with one fancy-index and one
-  ``np.hypot`` call.  The values are elementwise identical to the
-  per-block ``distances_from`` path.
+* :class:`~repro.knn.browse.BlockPointsView` (re-exported here) — a
+  columnar, picklable stand-in for a block list whose points the batch
+  pass gathers with one fancy-index and one ``np.hypot`` call, binned
+  by :func:`~repro.knn.browse.count_below` — the gather and the binning
+  the engine's select browse runs too.
 * :func:`locality_size_profiles` — ordered many-rect fan-out of
   Procedure 2.
 
@@ -44,6 +45,7 @@ from repro.geometry import Point
 from repro.geometry.backends import active_backend, set_backend
 from repro.geometry.kernels import as_anchor, maxdist_rects_batch, mindist_rects_batch
 from repro.index.snapshot import IndexSnapshot, as_snapshot
+from repro.knn.browse import BlockPointsView, concat_ranges, count_below
 from repro.knn.locality import locality_size_profile
 
 Profile = list[tuple[int, int, int]]
@@ -105,7 +107,7 @@ class Staircases(NamedTuple):
         """
         lo = self.offsets[anchors]
         lengths = self.offsets[anchors + 1] - lo
-        steps = _concat_ranges(lo, lengths)
+        steps = concat_ranges(lo, lengths)
         k_ends = self.k_ends[steps]
         last = np.cumsum(lengths) - 1
         k_ends[last] = max_k
@@ -117,7 +119,7 @@ class Staircases(NamedTuple):
         """The staircases of rows ``anchors``, in that order."""
         lo = self.offsets[anchors]
         lengths = self.offsets[anchors + 1] - lo
-        steps = _concat_ranges(lo, lengths)
+        steps = concat_ranges(lo, lengths)
         offsets = np.zeros(anchors.shape[0] + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return Staircases(offsets, self.k_ends[steps], self.costs[steps], self.radii[anchors])
@@ -153,75 +155,6 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
-
-
-class BlockPointsView:
-    """Columnar view of a block list's points, for batched gathers.
-
-    Stores every block's points in one ``(total, 2)`` array plus an
-    offsets array (block ``b`` owns rows ``offsets[b]:offsets[b + 1]``),
-    so the batch pass gathers the points of any blocks for any anchors
-    with one fancy index and one ``np.hypot``.  Because ``np.hypot`` is
-    elementwise, each distance is bitwise the one
-    ``Block.distances_from`` returns.
-
-    The two arrays are plain ndarrays, so the view ships to worker
-    processes as an ``initargs`` payload without custom pickling.
-    """
-
-    __slots__ = ("points", "offsets", "_xs", "_ys")
-
-    def __init__(self, points: np.ndarray, offsets: np.ndarray) -> None:
-        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        # Contiguous per-coordinate copies: two 1-D gathers beat one
-        # strided 2-D row gather in the hot loop.
-        self._xs = np.ascontiguousarray(self.points[:, 0])
-        self._ys = np.ascontiguousarray(self.points[:, 1])
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence) -> "BlockPointsView":
-        """Flatten a block sequence into the columnar layout."""
-        arrays = [np.asarray(b.points, dtype=float).reshape(-1, 2) for b in blocks]
-        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-        if arrays:
-            np.cumsum([a.shape[0] for a in arrays], out=offsets[1:])
-            points = np.concatenate(arrays)
-        else:
-            points = np.empty((0, 2), dtype=float)
-        return cls(points, offsets)
-
-    def spliced(
-        self, runs: Sequence[tuple[int, int]], pieces: Sequence["BlockPointsView"]
-    ) -> "BlockPointsView":
-        """This view with each block run ``[lo, hi)`` replaced by a piece's blocks.
-
-        ``runs`` are ascending and disjoint.  The result equals
-        :meth:`from_blocks` over the spliced block list.
-        """
-        counts = np.diff(self.offsets)
-        parts_points, parts_counts, prev = [], [], 0
-        for (lo, hi), piece in zip(runs, pieces):
-            parts_points += [self.points[self.offsets[prev] : self.offsets[lo]], piece.points]
-            parts_counts += [counts[prev:lo], np.diff(piece.offsets)]
-            prev = hi
-        parts_points.append(self.points[self.offsets[prev] :])
-        parts_counts.append(counts[prev:])
-        offsets = np.zeros(sum(c.shape[0] for c in parts_counts) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(parts_counts), out=offsets[1:])
-        return BlockPointsView(np.concatenate(parts_points), offsets)
-
-
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The index ranges ``[starts[j], starts[j] + lengths[j])``, concatenated.
-
-    Each output slot holds its range's start minus the range's output
-    offset, and one global ``arange`` supplies the progression.
-    """
-    out_offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - out_offsets, lengths) + np.arange(
-        int(lengths.sum()), dtype=np.int64
-    )
 
 
 def _chunked(items: Sequence, n_chunks: int) -> list[Sequence]:
@@ -486,21 +419,8 @@ def _retrievable(
     while lo < q:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + _GATHER_POINTS, side="right")))
-        rows = np.repeat(np.arange(hi - lo), totals[lo:hi])
-        gather = _concat_ranges(starts[lo:hi].ravel(), lengths[lo:hi].ravel())
-        x, y = xy[lo:hi, 0][rows], xy[lo:hi, 1][rows]
-        dists = np.hypot(view._xs[gather] - x, view._ys[gather] - y)
-        keys = np.empty((hi - lo, c), dtype=complex)
-        keys.real = np.arange(hi - lo)[:, None]
-        keys.imag = thresholds[lo:hi]
-        values = np.empty(dists.shape[0], dtype=complex)
-        values.real = rows
-        values.imag = dists
-        # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
-        # one overflow bin per row.
-        bins = np.searchsorted(keys.ravel(), values, side="right") + rows
-        counts = np.bincount(bins, minlength=(hi - lo) * (c + 1)).reshape(hi - lo, c + 1)
-        np.cumsum(counts[:, :c], axis=1, out=R[lo:hi])
+        rows, dists, __ = view.gather(xy[lo:hi], starts[lo:hi], lengths[lo:hi])
+        R[lo:hi] = count_below(rows, dists, thresholds[lo:hi])
         lo = hi
     return R
 

@@ -11,8 +11,8 @@ A supervised, process-sharded front end over the
   one slice with ``shard_mode="data"``) and answers the merge
   protocol's rounds under a propagated deadline;
 * :mod:`~repro.serving.merge` — the full-scan top-k merge; the
-  streaming k-NN merge itself is the engine's browser,
-  :mod:`repro.knn.merge` (``QueryMerge`` is re-exported here);
+  streaming k-NN merge itself is :mod:`repro.knn.merge` (``QueryMerge``
+  is re-exported here);
 * :mod:`~repro.serving.supervisor` — deadlines, bounded retries with
   backoff, worker respawn, and per-shard circuit breakers;
 * :mod:`~repro.serving.admission` — queue-depth and time-budget load

@@ -1,13 +1,12 @@
 """What only a sharded tier needs of the k-NN merge.
 
 Every worker holds only the blocks its shard owns (all of them in
-replica mode), so the coordinator answers a k-NN query with the
-engine's own browser,
-:mod:`repro.knn.merge`: each shard is one block-stream source of a
-:class:`~repro.knn.merge.QueryMerge` (re-exported here) and a dead
-shard is a coverage gap — bit-identical to the unsharded
-:func:`~repro.engine.physical.execute_incremental_knn_batch`, the same
-replay over n sources instead of one.
+replica mode) and browses them with the engine's executor
+(:func:`repro.knn.browse.browse`); the coordinator merges the shards'
+replies with :mod:`repro.knn.merge`: each shard is one block-stream
+source of a :class:`~repro.knn.merge.QueryMerge` (re-exported here)
+and a dead shard is a coverage gap — bit-identical to the unsharded
+:func:`~repro.engine.physical.execute_incremental_knn_batch`.
 
 Left here: the full-scan top-k merge for queries whose plan chose the
 filter operator.  Plans are not merged at all: the coordinator plans

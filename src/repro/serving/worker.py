@@ -106,6 +106,8 @@ def _init_data_shard_worker(
     full scan's tie-break key).  A worker keeps no statistics: the
     coordinator plans every query over the whole relation.
     """
+    from repro.knn.browse import BlockPointsView
+
     set_backend(backend)
     snapshot = payload["snapshot"]
     rows = np.asarray(payload["rows"], dtype=np.int64)
@@ -118,7 +120,7 @@ def _init_data_shard_worker(
     _WORKER_STATE["rows"] = rows
     _WORKER_STATE["points"] = points
     _WORKER_STATE["gpos"] = gpos
-    _WORKER_STATE["starts"] = starts
+    _WORKER_STATE["view"] = BlockPointsView(points, starts)
     _WORKER_STATE["shard_id"] = int(shard_id)
     _WORKER_STATE["incarnation"] = int(incarnation)
     _WORKER_STATE["fault_plan"] = fault_plan
@@ -126,34 +128,38 @@ def _init_data_shard_worker(
     _WORKER_STATE["payload_bytes"] = payload_bytes(payload)
 
 
-def _browse_to_local_stop(streams, ks: np.ndarray, block_rows, checkpoint) -> list[tuple]:
-    """The open round: browse each query's stream to the shard's own stop.
+def _browse_to_local_stop(pts: np.ndarray, ks: np.ndarray, checkpoint) -> list[tuple]:
+    """The open round: browse each query to the shard's own stop.
 
-    One :class:`~repro.knn.merge.QueryMerge` per query over its single
-    local stream, driven by :func:`~repro.knn.merge.run_merges` with
-    in-process :func:`~repro.knn.merge.gather_blocks` fetches — the
-    engine executor's loop — ``BUDGET_SLICE`` queries at a time.  The
-    reply per query is the stream its merge ended on, ``(entries,
-    cursor, bound)``: every block up to the one the stop rule fired on.
+    One :func:`~repro.knn.browse.browse` over the shard's blocks, the
+    engine executor's, ``BUDGET_SLICE`` queries at a time.  The reply
+    per query is a stream ending at the local stop, ``(entries, cursor,
+    bound)``: every block up to the one the stop rule fired on, and the
+    next block's key.
     """
-    from repro.knn.merge import QueryMerge, gather_blocks, run_merges
+    from repro.knn.browse import browse
 
-    def fetch(requests: dict) -> dict:
-        checkpoint("shard local browse")
-        pulls = [(group[i], *need) for i, *need in requests[0]]
-        return {0: gather_blocks(pulls, block_rows)}
-
+    snapshot = _WORKER_STATE["snapshot"]
+    view, rows = _WORKER_STATE["view"], _WORKER_STATE["rows"]
+    local = np.arange(snapshot.n_blocks)
     replies = []
     for lo in range(0, ks.shape[0], BUDGET_SLICE):
         checkpoint("shard stream open")
-        group = list(itertools.islice(streams, BUDGET_SLICE))
-        merges = {i: QueryMerge(int(k)) for i, k in enumerate(ks[lo : lo + BUDGET_SLICE])}
-        for merge, stream in zip(merges.values(), group):
-            merge.add_stream(0, [], 0, stream.bound(0))
-        run_merges(merges, fetch)
-        for merge in merges.values():
-            local = merge.streams[0]
-            replies.append((local.entries, local.cursor, local.bound))
+        for b in browse(
+            snapshot, view, rows, pts[lo : lo + BUDGET_SLICE], ks[lo : lo + BUDGET_SLICE],
+            blocks=local, bounds=True, checkpoint=partial(checkpoint, "shard local browse"),
+        ):
+            cuts = np.cumsum(b.sizes)[:-1]
+            entries = [
+                (mindist, block_id, mindist, ids, dists)
+                for mindist, block_id, ids, dists in zip(
+                    b.mindists.tolist(),
+                    b.block_ids.tolist(),
+                    np.split(b.row_ids, cuts),
+                    np.split(b.dists, cuts),
+                )
+            ]
+            replies.append((entries, len(entries), b.bound))
     return replies
 
 
@@ -185,8 +191,8 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     Three round kinds (``payload["round"]``):
 
     * ``"open"`` — the shard's own finished **local browse**
-      (:func:`_browse_to_local_stop`): per query the stream its merge
-      ended on, ``(entries, cursor, bound)``.  The shard's own k-th
+      (:func:`_browse_to_local_stop`): per query a stream ending at the
+      local stop, ``(entries, cursor, bound)``.  The shard's own k-th
       distance upper-bounds the global one, so the coordinator's merge
       never has to extend what a healthy shard opened with (see
       ``docs/serving.md``);
@@ -199,18 +205,18 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
 
     Distances are computed here, over each block's rows in canonical
     order, so the coordinator's merge reproduces the unsharded
-    browser's gather bit-for-bit.  Rounds are stateless in the worker
-    (streams are rebuilt from the cursor), so a respawned incarnation
-    resumes transparently and retries are idempotent.  The fault plan
-    fires per *round* — ``batches_served`` counts rounds — which is how
-    the chaos suite kills a data shard mid-stream.
+    browser's gather bit-for-bit.  Rounds are stateless in the worker (a
+    resume rebuilds each stream from its cursor), so a respawned
+    incarnation resumes transparently and retries are idempotent.  The
+    fault plan fires per *round* — ``batches_served`` counts rounds —
+    which is how the chaos suite kills a data shard mid-stream.
 
     Raises:
         ValueError: On an unknown round kind, or a resume round whose
             cursors, point minima or MINDIST minima are missing or not
             one per query.
         BudgetExceededError: When the propagated deadline expires
-            between serving slices or local fetches.
+            between serving slices or local browse rounds.
     """
     from repro.geometry import Point
     from repro.knn.distance_browsing import SnapshotBlockStream
@@ -229,21 +235,18 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     budget = payload.get("budget_seconds")
     start = time.perf_counter()
     rows, points = _WORKER_STATE["rows"], _WORKER_STATE["points"]
-    if round_kind in ("open", "resume"):
-        starts = _WORKER_STATE["starts"]
+    checkpoint = partial(budget_check, start, budget)
+    if round_kind == "open":
+        return {"streams": _browse_to_local_stop(pts, ks, checkpoint)}
+    if round_kind == "resume":
+        starts = _WORKER_STATE["view"].offsets
 
         def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = int(starts[row]), int(starts[row + 1])
             return rows[lo:hi], points[lo:hi]
 
-        streams = SnapshotBlockStream.batch(
-            snapshot, [Point(x, y) for x, y in pts.tolist()]
-        )
-        checkpoint = partial(budget_check, start, budget)
-        if round_kind == "resume":
-            m = pts.shape[0]
-            return {"streams": _resume_streams(streams, m, payload, block_rows, checkpoint)}
-        return {"streams": _browse_to_local_stop(streams, ks, block_rows, checkpoint)}
+        streams = (SnapshotBlockStream(snapshot, Point(x, y)) for x, y in pts.tolist())
+        return {"streams": _resume_streams(streams, pts.shape[0], payload, block_rows, checkpoint)}
     if round_kind == "scan":
         gpos = _WORKER_STATE["gpos"]
         topk = []

@@ -19,6 +19,7 @@ import numpy as np
 from repro.engine.queries import KnnSelectQuery
 from repro.engine.table import SpatialTable
 from repro.geometry import Point, mindist_point_rect
+from repro.knn.browse import BlockPointsView
 
 
 class IndexTable:
@@ -26,8 +27,9 @@ class IndexTable:
 
     Row ids are positions in the block-order concatenation of the
     index's points — enough of :class:`SpatialTable` (``index``,
-    ``points``, ``block_row_ids``) for predicate-free browsing over grid and R-tree
-    substrates, which ``SpatialTable`` (quadtree only) cannot carry.
+    ``points``, ``block_row_ids``, ``block_points``) for predicate-free
+    browsing over grid and R-tree substrates, which ``SpatialTable``
+    (quadtree only) cannot carry.
     """
 
     def __init__(self, index) -> None:
@@ -39,6 +41,7 @@ class IndexTable:
             np.arange(starts[i], starts[i + 1], dtype=np.int64)
             for i in range(len(blocks))
         ]
+        self.block_points = (BlockPointsView.from_blocks(blocks), np.arange(starts[-1]))
 
     def block_row_ids(self, block_id: int) -> np.ndarray:
         return self._row_ids[block_id]

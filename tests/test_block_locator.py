@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.catalog.intervals as intervals
+import repro.index.locator as locator_module
 from repro.catalog import CatalogLookupError
 from repro.datasets import generate_osm_like, generate_uniform
 from repro.engine import KnnJoinQuery, SpatialEngine
@@ -115,6 +116,27 @@ class TestLocatorEqualsTheFullPass:
             snapshot.rects, probes[:, 0], probes[:, 1], snapshot.bounds
         )
         assert np.array_equal(snapshot.leaf_ids_for_points(probes), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_points, st.sampled_from(sorted(SUBSTRATES)), st.integers(0, 2**32 - 1))
+    def test_home_loops_home_of_up_to_the_cut_and_agrees_past_it(self, pts, substrate, seed):
+        index = SUBSTRATES[substrate](pts)
+        snapshot = IndexSnapshot.from_index(index)
+        x0, y0, x1, y1 = snapshot.bounds
+        # NaN, the universe's corners, and just outside it.
+        odd = np.array(
+            [[np.nan, y0], [x0, np.nan], [x1, y1], [x0, y1], [x1, y0], [x0 - 1e-9, y0], [x1, y1 + 1]]
+        )
+        probes = np.concatenate([_probes(snapshot.rects, snapshot.bounds, pts), odd])
+        locator = BlockLocator(snapshot.rects, snapshot.bounds)
+        rng = np.random.default_rng(seed)
+        cut = locator_module._SMALL_BATCH
+        for size in (1, 2, cut, cut + 1, 2 * cut):
+            pick = probes[rng.choice(probes.shape[0], size)]
+            expected = [locator.home_of(x, y) for x, y in pick.tolist()]
+            assert locator.home(pick[:, 0], pick[:, 1]).tolist() == expected
+            full = leaf_ids_for_points(snapshot.rects, pick[:, 0], pick[:, 1], snapshot.bounds)
+            assert full.tolist() == expected
 
     @settings(max_examples=25, deadline=None)
     @given(small_points, st.sampled_from(["quadtree", "churned"]))

@@ -1,11 +1,10 @@
 """The block stream's lazily ordered windows against a full sort.
 
 ``SnapshotBlockStream`` orders only the nearest blocks (a partial
-partition, doubled on demand) and :meth:`SnapshotBlockStream.batch`
-shares one MINDIST pass and one first ordering across many queries.
-Whatever the window, the emitted sequence must be the full ``(MINDIST,
-block id)`` sort of every block — on lattice rects, where MINDISTs tie
-by the dozen, in any physical layout, from any resume cursor.
+partition, doubled on demand).  Whatever the window, the emitted
+sequence must be the full ``(MINDIST, block id)`` sort of every block —
+on lattice rects, where MINDISTs tie by the dozen, in any physical
+layout, from any resume cursor.
 """
 
 from __future__ import annotations
@@ -56,28 +55,24 @@ def _full_sort(snapshot: IndexSnapshot, query: Point) -> list:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_snapshots(), st.lists(_points, min_size=1, max_size=5), st.data())
 def test_stream_emits_the_full_sort(snapshot, queries, data):
-    batched = list(SnapshotBlockStream.batch(snapshot, queries))
-    assert len(batched) == len(queries)
-    for query, shared in zip(queries, batched):
+    for query in queries:
         expected = _full_sort(snapshot, query)
         n = len(expected)
-        for stream in (shared, SnapshotBlockStream(snapshot, query)):
-            assert stream.n_blocks == n
-            # Pull the whole stream in uneven steps; the cursor is the state.
-            emitted, cursor = [], 0
-            while cursor < n:
-                assert stream.bound(cursor) == expected[cursor][:3]
-                pulled, cursor = stream.take(
-                    cursor, min_points=data.draw(st.integers(0, 12))
-                )
-                emitted += pulled
-                if not pulled:  # min_points=0 pulls nothing: step one block
-                    emitted.append(stream.entry(cursor))
-                    cursor += 1
-            assert emitted == expected
-            assert all(entry[0] == entry[2] for entry in emitted)  # one MINDIST float
-            assert stream.bound(n) is None
-            assert stream.take(n, min_points=3) == ([], n)
+        stream = SnapshotBlockStream(snapshot, query)
+        assert stream.n_blocks == n
+        # Pull the whole stream in uneven steps; the cursor is the state.
+        emitted, cursor = [], 0
+        while cursor < n:
+            assert stream.bound(cursor) == expected[cursor][:3]
+            pulled, cursor = stream.take(cursor, min_points=data.draw(st.integers(0, 12)))
+            emitted += pulled
+            if not pulled:  # min_points=0 pulls nothing: step one block
+                emitted.append(stream.entry(cursor))
+                cursor += 1
+        assert emitted == expected
+        assert all(entry[0] == entry[2] for entry in emitted)  # one MINDIST float
+        assert stream.bound(n) is None
+        assert stream.take(n, min_points=3) == ([], n)
         # A fresh stream resumes mid-sequence (a respawned worker does).
         if n:
             cursor = data.draw(st.integers(0, n - 1))

@@ -136,7 +136,13 @@ def test_the_walk_sees_function_level_imports():
 #: an estimate-only answer keeps that plan); the mutable quadtree's
 #: dead-region log and its tests-only dirty-region view, and the Staircase
 #: build over whole leaves (a refresh splices the maximal dirty regions,
-#: read off the dirty log alone, and profiles per anchor).
+#: read off the dirty log alone, and profiles per anchor); the executor's
+#: per-pull row masks of ``gather_blocks``, the block stream's batched
+#: window ordering and the private range helper the array browse made
+#: public (``repro.knn.browse`` runs every local select and a shard's open
+#: round; ``gather_blocks`` answers resume rounds only, and
+#: ``SnapshotBlockStream`` orders one row's window, with no shared-pass
+#: ``batch``).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -241,6 +247,9 @@ RETIRED_NAMES = {
     "dead_region_items_since",
     "dirty_regions",
     "_build_shared",
+    "keeps",
+    "_concat_ranges",
+    "_ordered_windows",
 }
 
 

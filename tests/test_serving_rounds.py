@@ -30,7 +30,9 @@ import pytest
 
 from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
 from repro.index import GridIndex, Quadtree, RTree
-from repro.knn.merge import QueryMerge
+from repro.geometry import Point
+from repro.knn.distance_browsing import SnapshotBlockStream
+from repro.knn.merge import QueryMerge, gather_blocks, run_merges
 from repro.resilience import WorkerFaultPlan, WorkerFaultSpec
 from repro.resilience.errors import BudgetExceededError
 from repro.serving import ShardedServingTier, SupervisionPolicy, plan_shards
@@ -149,6 +151,60 @@ def test_open_replies_finish_the_merge_without_a_resume(
         assert blocks_scanned == expected.blocks_scanned, i
 
 
+def _old_open_loop(payload: dict, point: Point, k: int) -> tuple[list, int]:
+    """The open round as it was before the array browse: one
+    ``QueryMerge`` over the shard's single block stream, resumed with
+    in-process ``gather_blocks`` fetches.  Returns the entries up to the
+    local stop and the stop itself (the merge's admitted blocks)."""
+    snapshot, rows, points = payload["snapshot"], payload["rows"], payload["points"]
+    starts = np.concatenate([[0], np.cumsum(snapshot.counts)])
+
+    def block_rows(block_id: int, row: int):
+        return rows[starts[row] : starts[row + 1]], points[starts[row] : starts[row + 1]]
+
+    stream = SnapshotBlockStream(snapshot, point)
+    merge = QueryMerge(k)
+    merge.add_stream(0, [], 0, stream.bound(0))
+    run_merges(
+        {0: merge},
+        lambda asked: {0: gather_blocks([(stream, *need) for __, *need in asked[0]], block_rows)},
+    )
+    return merge.streams[0].entries[: merge.admitted], merge.admitted
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_open_replies_are_the_old_loops_entries_up_to_the_local_stop(seed, worker_state):
+    """Same blocks, keys, rows and distance bits as the merge loop the
+    open round used to run — cut at the local stop, not at what the old
+    loop happened to fetch — and the stream's own bound at that cursor."""
+    rng = np.random.default_rng(seed)
+    lattice = _lattice()
+    points = np.vstack(
+        [lattice[rng.choice(lattice.shape[0], 120)], rng.uniform(0.0, 11.0, (120, 2))]
+    )
+    tier = ShardedServingTier(
+        SpatialTable("t", points, capacity=int(rng.choice([4, 8, 16]))),
+        shard_mode="data",
+        n_shards=int(rng.integers(2, 5)),
+        manager_kwargs={"max_k": MAX_K},
+    )
+    payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
+    tier.close()
+    focal = np.vstack([rng.uniform(-3.0, 14.0, (24, 2)), points[rng.choice(240, 8)]])
+    ks = rng.integers(1, 80, focal.shape[0])
+    for sid, payload in enumerate(payloads):
+        worker._init_data_shard_worker(sid, 0, payload, None)
+        reply = worker._serve_data_shard_chunk({"round": "open", "points": focal, "ks": ks})
+        for (entries, cursor, bound), (x, y), k in zip(reply["streams"], focal.tolist(), ks):
+            old, stop = _old_open_loop(payload, Point(x, y), int(k))
+            assert cursor == stop == len(entries) == len(old)
+            assert bound == SnapshotBlockStream(payload["snapshot"], Point(x, y)).bound(cursor)
+            for new, was in zip(entries, old):
+                assert new[:3] == was[:3]
+                assert new[3].tolist() == was[3].tolist()
+                assert new[4].tobytes() == was[4].tobytes()
+
+
 def test_two_shard_merge_scans_the_block_whose_corner_holds_the_kth_row(worker_state):
     """``dist == MINDIST`` is not strictly below: heap == engine == 2-shard merge."""
     table, query = corner_tie_table()
@@ -208,7 +264,7 @@ def test_local_browse_checks_the_budget_between_fetches(worker_state, monkeypatc
     """A deadline blown inside the open round surfaces mid-round.
 
     The first checkpoints pass; the clock is then moved past the budget,
-    so the error can only come from a check between local fetches.
+    so the error can only come from a check between browse rounds.
     """
     points, capacity = RELATIONS["lattice"]
     batch = _adversarial_batch(points)
