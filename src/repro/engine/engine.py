@@ -19,8 +19,9 @@ from repro.engine.planner import (
     PlanExplanation,
     explain_join,
     explain_range,
-    explain_select_batch,
+    explain_select_groups,
     physical_operator,
+    select_groups,
 )
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
@@ -73,20 +74,15 @@ class SpatialEngine:
     def explain_batch(self, queries: list[Query]) -> list[PlanExplanation]:
         """Cost a whole batch of queries without executing.
 
-        k-NN selects are guarded and planned per table as arrays
-        (:func:`~repro.resilience.guards.guard_select_batch`,
-        :func:`~repro.engine.planner.explain_select_batch`): one guard
-        pass, one batched ``estimate_batch`` call and one cost
-        comparison per table instead of per query.  No physical
-        operator is built.
+        k-NN selects are grouped by table and materialized once
+        (:func:`~repro.engine.planner.select_groups`), then guarded and
+        planned per table as arrays: one guard pass, one batched
+        ``estimate_batch`` call and one cost comparison per table
+        instead of per query.  No physical operator is built.
         """
-        notes = self._guard_batch(queries)
-        explanations: list[PlanExplanation] = [None] * len(queries)  # type: ignore[list-item]
-        selects = [i for i, query in enumerate(queries) if isinstance(query, KnnSelectQuery)]
-        if selects:
-            batched = explain_select_batch(self.stats, [queries[i] for i in selects])
-            for i, explanation in zip(selects, batched):
-                explanations[i] = explanation
+        groups = select_groups(queries)
+        notes = self._guard_batch(queries, groups)
+        explanations = explain_select_groups(self.stats, groups, len(queries))
         for i, query in enumerate(queries):
             if isinstance(query, KnnJoinQuery):
                 explanations[i] = explain_join(self.stats, query)
@@ -129,7 +125,7 @@ class SpatialEngine:
                 results[i] = out
         return list(zip(results, explanations))
 
-    def _guard_batch(self, queries: list[Query]) -> dict[int, list[str]]:
+    def _guard_batch(self, queries: list[Query], groups: dict) -> dict[int, list[str]]:
         """Boundary-validate a batch; returns ``{position: notes}``.
 
         Selects are guarded one table group at a time
@@ -141,39 +137,35 @@ class SpatialEngine:
         first offender in batch order, as a loop over the queries would.
         """
         try:
-            return self._guard_groups(queries)
+            return self._guard_groups(queries, groups)
         except (InvalidQueryError, KeyError):
             # Groups are not in batch order: re-guard query by query so
             # the first offender is the one that raises.
             for query in queries:
-                self._guard_groups([query])
+                self._guard_groups([query], select_groups([query]))
             raise
 
-    def _guard_groups(self, queries: list[Query]) -> dict[int, list[str]]:
+    def _guard_groups(self, queries: list[Query], groups: dict) -> dict[int, list[str]]:
         strict = self.stats.strict
         notes: dict[int, list[str]] = {}
-        by_table: dict[str, list[int]] = {}
         for i, query in enumerate(queries):
-            if isinstance(query, KnnSelectQuery):
-                by_table.setdefault(query.table, []).append(i)
-            elif isinstance(query, KnnJoinQuery):
+            if isinstance(query, KnnJoinQuery):
                 outer = self.stats.table(query.outer)
                 inner = self.stats.table(query.inner)
                 notes[i] = guard_join_query(query, outer.n_rows, inner.n_rows, strict)
             elif isinstance(query, RangeQuery):
                 table = self.stats.table(query.table)
                 notes[i] = guard_range_query(query, table.n_rows, strict)
-        for name, indices in by_table.items():
+        for name, group in groups.items():
             table = self.stats.table(name)
-            group = [queries[i] for i in indices]
             flagged = guard_select_batch(
-                [(query.query.x, query.query.y) for query in group],
-                [query.k for query in group],
+                group.points,
+                group.ks,
                 table.n_rows,
                 table.index.bounds if table.n_rows else None,
                 strict,
-                [query.region for query in group],
+                [query.region for query in group.queries],
             )
             for j, row in flagged.items():
-                notes[indices[j]] = row
+                notes[group.positions[j]] = row
         return notes

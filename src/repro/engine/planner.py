@@ -25,6 +25,7 @@ explanation into the operator that runs it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,6 +228,30 @@ def physical_operator(stats: StatisticsManager, query, explanation: PlanExplanat
     return _SELECT_OPERATORS[explanation.chosen](table, query)
 
 
+class SelectGroup(NamedTuple):
+    """One table's selects: batch positions, queries, ``(m, 2)`` focal
+    points and ks as carried — materialized once for guard and planner."""
+
+    positions: list[int]
+    queries: list[KnnSelectQuery]
+    points: np.ndarray
+    ks: list[int]
+
+
+def select_groups(queries: list) -> dict[str, SelectGroup]:
+    """The batch's k-NN selects by table, in order of first appearance."""
+    by_table: dict[str, list[int]] = {}
+    for i, query in enumerate(queries):
+        if isinstance(query, KnnSelectQuery):
+            by_table.setdefault(query.table, []).append(i)
+    groups = {}
+    for name, positions in by_table.items():
+        group = [queries[i] for i in positions]
+        points = np.array([(q.query.x, q.query.y) for q in group], dtype=float)
+        groups[name] = SelectGroup(positions, group, points, [q.k for q in group])
+    return groups
+
+
 def explain_select_batch(
     stats: StatisticsManager, queries: list[KnnSelectQuery]
 ) -> list[PlanExplanation]:
@@ -248,24 +273,27 @@ def explain_select_batch(
     Returns:
         Explanations aligned with ``queries``.
     """
-    explanations: list[PlanExplanation] = [None] * len(queries)  # type: ignore[list-item]
-    by_table: dict[str, list[int]] = {}
-    for i, query in enumerate(queries):
-        by_table.setdefault(query.table, []).append(i)
-    for name, indices in by_table.items():
-        group = [queries[i] for i in indices]
-        planned = _explain_select_group(stats, name, group)
-        for i, explanation in zip(indices, planned):
+    return explain_select_groups(stats, select_groups(queries), len(queries))
+
+
+def explain_select_groups(
+    stats: StatisticsManager, groups: dict[str, SelectGroup], n: int
+) -> list[PlanExplanation | None]:
+    """:func:`explain_select_batch` of a batch of ``n`` in :func:`select_groups`."""
+    explanations: list[PlanExplanation | None] = [None] * n
+    for name, group in groups.items():
+        for i, explanation in zip(group.positions, _explain_select_group(stats, name, group)):
             explanations[i] = explanation
     return explanations
 
 
 def _explain_select_group(
-    stats: StatisticsManager, name: str, group: list[KnnSelectQuery]
+    stats: StatisticsManager, name: str, group: SelectGroup
 ) -> list[PlanExplanation]:
     """Plan every select of one table."""
     table = stats.table(name)
-    n = len(group)
+    __, queries, points, ks = group
+    n = len(queries)
     if table.n_rows == 0:
         # Nothing to scan: either plan is a no-op; the trivial scan is
         # the one candidate (still arbitrated, so pins are noted).
@@ -280,24 +308,23 @@ def _explain_select_group(
             PlanExplanation(
                 chosen=record.operator,
                 alternatives={FilterThenKnnOperator.name: 0.0},
-                effective_k=query.k,
+                effective_k=k,
                 decided_by=record.link,
                 trail=[record],
             )
-            for query, record in zip(group, decisions)
+            for k, record in zip(ks, decisions)
         ]
     sigmas = np.ones(n)
     filtered = False
-    for j, query in enumerate(group):
+    for j, query in enumerate(queries):
         if query.predicate is not None or query.region is not None:
             sigma = stats.predicate_selectivity(name, query.predicate)
             sigma *= stats.region_selectivity(name, query.region)
             sigmas[j] = min(max(sigma, 1.0 / table.n_rows), 1.0)
             filtered = True
-    effective_ks = _effective_ks([query.k for query in group], sigmas if filtered else None)
-    pts = np.array([(query.query.x, query.query.y) for query in group], dtype=float)
+    effective_ks = _effective_ks(ks, sigmas if filtered else None)
     estimator = stats.select_estimator_for_planning(name)
-    costs, provenance = stats.estimate_select_costs_batch(name, estimator, pts, effective_ks)
+    costs, provenance = stats.estimate_select_costs_batch(name, estimator, points, effective_ks)
     prep_stats = getattr(estimator, "preprocessing_stats", None)
     preprocessing = {} if prep_stats is None else prep_stats.as_dict()
     cost_filter = float(table.index.num_blocks)
@@ -308,7 +335,7 @@ def _explain_select_group(
     matrix[:, 1] = np.inf
     # Browsing can never scan more than every block once.
     incremental = np.minimum(costs, cost_filter, out=matrix[:, 2])
-    for j, query in enumerate(group):
+    for j, query in enumerate(queries):
         if query.region is not None:
             # Region pruning bounds browsing by the blocks inside the region.
             region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
@@ -316,14 +343,14 @@ def _explain_select_group(
     decisions = arbitrate_batch("select", name, matrix, SELECT_TIE_ORDER, stats.pinned_operators)
     backend = active_backend()
     explanations = []
-    for record, (__, pruned_cost, browse), k, sigma, tier, is_degraded in zip(
+    for j, (record, (__, pruned_cost, browse), k, sigma, tier, is_degraded) in enumerate(zip(
         decisions,
         matrix.tolist(),
         effective_ks.tolist(),
         sigmas.tolist(),
         provenance.tiers,
         provenance.degraded.tolist(),
-    ):
+    )):
         alternatives = {
             FilterThenKnnOperator.name: cost_filter,
             IncrementalKnnOperator.name: browse,
@@ -338,14 +365,13 @@ def _explain_select_group(
                 selectivity=sigma,
                 estimator_tier=tier,
                 degraded=is_degraded,
+                notes=[provenance.outcome_for(j).describe()] if is_degraded else [],
                 preprocessing=dict(preprocessing),
                 kernel_backend=backend,
                 decided_by=record.link,
                 trail=[record],
             )
         )
-    for j in np.flatnonzero(provenance.degraded).tolist():
-        explanations[j].notes.append(provenance.outcome_for(j).describe())
     return explanations
 
 

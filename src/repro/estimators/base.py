@@ -26,7 +26,7 @@ def normalize_batch_args(queries, ks) -> tuple[np.ndarray, np.ndarray]:
 
     Returns:
         ``(points, ks)`` as a float64 ``(m, 2)`` array and an int64
-        ``(m,)`` array.
+        ``(m,)`` array — the arguments themselves when they already are.
 
     Raises:
         ValueError: If the lengths disagree.
@@ -35,6 +35,9 @@ def normalize_batch_args(queries, ks) -> tuple[np.ndarray, np.ndarray]:
             k values), or if a k exceeds ``2**63 - 1`` (named as the
             caller gave it, at the first offender).
     """
+    if type(queries) is type(ks) is np.ndarray and queries.shape[1:] == (2,):
+        if (queries.dtype, ks.dtype, ks.shape) == (np.float64, np.int64, queries.shape[:1]):
+            return queries, ks
     # Deferred import: resilience.fallback subclasses this module's
     # ABCs, so a module-level import would be circular.
     from repro.resilience.errors import InvalidQueryError

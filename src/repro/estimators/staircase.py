@@ -324,7 +324,9 @@ class StaircaseEstimator(SelectCostEstimator):
         self._center_catalogs = center
         self._corner_catalogs = corners  # empty for the Center-Only variant
         self._leaf_lookup: tuple[BlockLocator, np.ndarray] | None = None
-        self._stacked: tuple[StackedCatalogs, StackedCatalogs | None] | None = None
+        self._stacked: tuple[StackedCatalogs, StackedCatalogs | None, bool] | None = None
+        bounds = np.array(self._aux.bounds.as_tuple())
+        self._bounds = (bounds[:2], bounds[2:])  # (x_min, y_min), (x_max, y_max)
 
     def _clear_anchors(self) -> None:
         """Forget the per-anchor state: the next refresh gathers everything.
@@ -369,15 +371,14 @@ class StaircaseEstimator(SelectCostEstimator):
             )
         return self._leaf_lookup
 
-    def _stacked_catalogs(self) -> tuple[StackedCatalogs, StackedCatalogs | None]:
-        """The ``(center, corners)`` catalogs as batch lookup columns."""
+    def _stacked_catalogs(self) -> tuple[StackedCatalogs, StackedCatalogs | None, bool]:
+        """The ``(center, corners)`` catalogs as batch lookup columns, and
+        whether any of them ends below ``max_k`` (a damaged store)."""
         if self._stacked is None:
-            self._stacked = (
-                StackedCatalogs(self._center_catalogs),
-                StackedCatalogs(self._corner_catalogs)
-                if self._corner_catalogs
-                else None,
-            )
+            center = StackedCatalogs(self._center_catalogs)
+            corners = StackedCatalogs(self._corner_catalogs) if self._corner_catalogs else None
+            short = any((s.max_ks < self._max_k).any() for s in (center, corners) if s)
+            self._stacked = (center, corners, short)
         return self._stacked
 
     # ------------------------------------------------------------------
@@ -614,6 +615,7 @@ class StaircaseEstimator(SelectCostEstimator):
                 self._center_catalogs[row] = catalog
             for row, catalog in zip(rebuilt.tolist(), corners):
                 self._corner_catalogs[row] = catalog
+        self._stacked = None  # its columns (and facts) are the replaced catalogs'
         self.preprocessing_seconds = stats.wall_seconds = time.perf_counter() - start
         self.preprocessing_stats = stats
         return rebuilt.shape[0]
@@ -690,13 +692,13 @@ class StaircaseEstimator(SelectCostEstimator):
         """Vectorized :meth:`estimate` over a whole query batch.
 
         A constant number of array calls however many leaves the index
-        has and however many of them the batch touches: one guard
-        sweep, one staleness check, one :class:`BlockLocator` pass for
-        the home leaves, one stacked-catalog gather per variant and one
-        Eq. 1–2 evaluation.  Queries with ``k`` beyond the catalog limit
-        or focal points outside the auxiliary universe are partitioned
-        to the density fallback's own batch path, exactly as the scalar
-        flow routes them (Figure 5).
+        has.  One certificate — every point finite and inside the
+        auxiliary bounds, every k in ``[1, max_k]`` — clears an ordinary
+        batch; only a batch that fails it runs the guard sweep and sends
+        rows past the catalog limit or the auxiliary universe to the
+        density fallback's own batch path, as the scalar flow routes
+        them (Figure 5).  The rest take one :class:`BlockLocator` pass,
+        one stacked-catalog gather per variant and one Eq. 1–2 kernel.
 
         Bit-identity with the scalar path is part of the contract: both
         read the same per-leaf center/diagonal floats and the Eq. 1
@@ -715,7 +717,13 @@ class StaircaseEstimator(SelectCostEstimator):
             ``(m,)`` float64 array of estimated block-scan costs.
         """
         pts, ks_arr = normalize_batch_args(queries, ks)
-        guard_estimate_batch(pts, ks_arr)
+        m = pts.shape[0]
+        lo, hi = self._bounds
+        inside = (lo <= pts) & (pts <= hi)
+        in_range = np.count_nonzero((1 <= ks_arr) & (ks_arr <= self._max_k))
+        ordinary = m > 0 and np.count_nonzero(inside) == 2 * m and in_range == m
+        if not ordinary:
+            guard_estimate_batch(pts, ks_arr)
         if self.is_stale:
             raise StaleCatalogError(
                 f"catalogs were built at data generation "
@@ -725,64 +733,45 @@ class StaircaseEstimator(SelectCostEstimator):
         variant = self._variant if variant is None else variant
         if variant == "center+corners" and self._variant == "center":
             raise ValueError("corner catalogs were not built; construct with center+corners")
-        m = pts.shape[0]
-        out = np.empty(m, dtype=float)
-        if m == 0:
-            return out
-        bounds = self._aux.bounds
-        xs = pts[:, 0]
-        ys = pts[:, 1]
-        in_bounds = (
-            (xs >= bounds.x_min)
-            & (xs <= bounds.x_max)
-            & (ys >= bounds.y_min)
-            & (ys <= bounds.y_max)
-        )
-        routed = (ks_arr > self._max_k) | ~in_bounds
-        if routed.any():
-            out[routed] = (
-                self._fallback.estimate_batch(pts[routed], ks_arr[routed])
-                if self._fallback
-                else 0.0
-            )
-        fast = np.flatnonzero(~routed)
-        if fast.shape[0] == 0:
-            return out
+        xs, ys, fast_ks = pts[:, 0], pts[:, 1], ks_arr
+        if not ordinary:
+            out = np.empty(m, dtype=float)
+            routed = (ks_arr > self._max_k) | ~inside.all(axis=1)
+            if routed.any():
+                out[routed] = (
+                    self._fallback.estimate_batch(pts[routed], ks_arr[routed])
+                    if self._fallback
+                    else 0.0
+                )
+            fast = np.flatnonzero(~routed)
+            if fast.shape[0] == 0:
+                return out
+            xs, ys, fast_ks = xs[fast], ys[fast], ks_arr[fast]
         locator, geometry = self._home_leaves()
-        fast_xs = xs[fast]
-        fast_ys = ys[fast]
-        leaf_ids = locator.home(fast_xs, fast_ys)
-        if np.any(leaf_ids < 0):
+        leaf_ids = locator.home(xs, ys)
+        if np.count_nonzero(leaf_ids < 0):
             j = int(np.argmax(leaf_ids < 0))
-            raise ValueError(
-                f"no partition leaf contains ({float(fast_xs[j])}, {float(fast_ys[j])})"
-            )
-        center, corners = self._stacked_catalogs()
-        fast_ks = ks_arr[fast]
-        short = fast_ks > center.max_ks[leaf_ids]
+            raise ValueError(f"no partition leaf contains ({float(xs[j])}, {float(ys[j])})")
+        center, corners, short_catalogs = self._stacked_catalogs()
+        if short_catalogs:
+            short = fast_ks > center.max_ks[leaf_ids]
+            if variant != "center":
+                short |= fast_ks > corners.max_ks[leaf_ids]
+            if short.any():
+                # A catalog shorter than ``max_k``: raise what the
+                # lowest such leaf's own catalogs raise.
+                leaf_id = int(leaf_ids[short].min())
+                leaf_ks = fast_ks[leaf_ids == leaf_id]
+                self._center_catalogs[leaf_id].lookup_many(leaf_ks)
+                self._corner_catalogs[leaf_id].lookup_many(leaf_ks)
+        costs = center.lookup(leaf_ids, fast_ks)
         if variant != "center":
-            short |= fast_ks > corners.max_ks[leaf_ids]
-        if short.any():
-            # A catalog shorter than ``max_k`` (a damaged store): raise
-            # what the lowest such leaf's own catalogs raise.
-            leaf_id = int(leaf_ids[short].min())
-            leaf_ks = fast_ks[leaf_ids == leaf_id]
-            self._center_catalogs[leaf_id].lookup_many(leaf_ks)
-            self._corner_catalogs[leaf_id].lookup_many(leaf_ks)
-        c_center = center.lookup(leaf_ids, fast_ks)
-        if variant == "center":
-            out[fast] = c_center
-            return out
-        home = geometry[leaf_ids]
-        out[fast] = staircase_interpolate(
-            fast_xs,
-            fast_ys,
-            home[:, 0],
-            home[:, 1],
-            home[:, 2],
-            c_center,
-            corners.lookup(leaf_ids, fast_ks),
-        )
+            home = geometry[leaf_ids]
+            c_corner = corners.lookup(leaf_ids, fast_ks)
+            costs = staircase_interpolate(xs, ys, home[:, 0], home[:, 1], home[:, 2], costs, c_corner)
+        if ordinary:
+            return costs
+        out[fast] = costs
         return out
 
     # ------------------------------------------------------------------

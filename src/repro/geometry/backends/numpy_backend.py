@@ -99,7 +99,7 @@ def interval_gather(
     :class:`~repro.catalog.intervals.IntervalCatalog`; each ``ks[i]``
     is already validated to lie in ``[1, k_end[-1]]``.
     """
-    return cost[np.searchsorted(k_end, ks, side="left")]
+    return cost[k_end.searchsorted(ks, side="left")]
 
 
 def staircase_interpolate(
@@ -123,6 +123,8 @@ def staircase_interpolate(
     """
     dist = np.hypot(xs - cx, ys - cy)
     delta = c_corner - c_center
+    if np.count_nonzero(diagonal) == diagonal.shape[0]:  # no degenerate leaf: no 0 / 0
+        return c_center + (2.0 * dist / diagonal) * delta
     with np.errstate(divide="ignore", invalid="ignore"):
         out = c_center + (2.0 * dist / diagonal) * delta
     return np.where(diagonal == 0.0, c_center, out)

@@ -282,10 +282,8 @@ def staircase_interpolate(
     ``hypot`` and apply exactly this expression order, so scalar and
     batched Staircase estimates agree bitwise across backends.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    c_center = np.asarray(c_center, dtype=float).reshape(-1)
-    c_corner = np.asarray(c_corner, dtype=float).reshape(-1)
+    vectors = (xs, ys, c_center, c_corner)
+    xs, ys, c_center, c_corner = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not (xs.shape == ys.shape == c_center.shape == c_corner.shape):
         raise ValueError(
             "staircase_interpolate arrays must share one length: "
@@ -293,10 +291,10 @@ def staircase_interpolate(
             f"c_center {c_center.shape}, c_corner {c_corner.shape}"
         )
     try:
-        cx, cy, diagonal = (
-            np.broadcast_to(np.asarray(v, dtype=float), xs.shape)
-            for v in (cx, cy, diagonal)
-        )
+        cx, cy, diagonal = [np.asarray(v, dtype=float) for v in (cx, cy, diagonal)]
+        cx, cy, diagonal = [
+            v if v.shape == xs.shape else np.broadcast_to(v, xs.shape) for v in (cx, cy, diagonal)
+        ]
     except ValueError:
         raise ValueError(
             "staircase_interpolate centre and diagonal must be scalars or "

@@ -24,6 +24,7 @@ the edges are free to sit where the rects are (see
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -93,6 +94,7 @@ class BlockLocator:
         "_lo_y",
         "_hi_x",
         "_hi_y",
+        "_rule",
     )
 
     def __init__(self, rects: np.ndarray, bounds) -> None:
@@ -132,6 +134,10 @@ class BlockLocator:
         self._lo_y = np.ascontiguousarray(rects[:, 1])
         self._hi_x = np.where(rects[:, 2] >= b[2], np.inf, rects[:, 2])
         self._hi_y = np.where(rects[:, 3] >= b[3], np.inf, rects[:, 3])
+        # The same columns as C doubles, which index to Python floats
+        # (:meth:`home_of` tests a few rects, below numpy's per-item cost).
+        columns = (self._lo_x, self._lo_y, self._hi_x, self._hi_y)
+        self._rule = tuple(array("d", v.tobytes()) for v in columns)
 
     def _buckets(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(inside, cell)``: the in-universe points and their cells."""
@@ -208,7 +214,7 @@ class BlockLocator:
             bisect_right(self._x_edge_list, x) - 1, self._nx - 1
         )
         start = self._start[cell]
-        lo_x, lo_y, hi_x, hi_y = self._lo_x, self._lo_y, self._hi_x, self._hi_y
+        lo_x, lo_y, hi_x, hi_y = self._rule
         for row in self._rows[start : start + self._len[cell]].tolist():
             if lo_x[row] <= x < hi_x[row] and lo_y[row] <= y < hi_y[row]:
                 return row

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
 
@@ -264,12 +265,14 @@ def arbitrate_batch(
     ]
 
 
+@lru_cache(maxsize=1024)
 def _verdict(kind: str, table: str, tie_order: tuple[str, ...], pin, code: int, best: int):
     """``(link, action, operator, note template, row picker)`` of one verdict.
 
     ``code`` holds the row's candidate columns as bits and ``best`` is
     its cheapest column; the template's fields are filled with
     ``pick(row)`` — the winner's cost, then the rejected candidates'.
+    Pure, so memoized: each verdict is worded once per process.
 
     Raises:
         ValueError: If the row has no candidate.

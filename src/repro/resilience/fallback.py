@@ -217,6 +217,7 @@ class _FallbackChain:
         # coordinator must not let thread A's batch overwrite the
         # outcome thread B is about to read back.
         self._outcomes = threading.local()
+        self._merged = None
 
     # ------------------------------------------------------------------
     # Per-call provenance (thread-local, so concurrent callers each see
@@ -347,15 +348,20 @@ class _FallbackChain:
         guaranteed bound, so the batch never raises for
         estimator-internal failures.
 
+        The ordinary call is one certificate: the first tier that answers
+        answers the whole batch with finite, non-negative values, so it
+        records one success and is every row's tier; only a batch that
+        fails it is partitioned row by row.
+
         Health accounting treats one batch call to a tier as one call:
         a tier records one success when it cleanly answered everything
         it was given and one failure otherwise, so circuit-breaker
         thresholds keep their "consecutive calls" meaning under batched
-        serving.
+        serving.  The returned array is always a fresh one.
         """
         m = pts.shape[0]
         out = np.empty(m, dtype=float)
-        tiers_used = np.full(m, GUARANTEED_BOUND_TIER, dtype=object)
+        tiers_used = [GUARANTEED_BOUND_TIER] * m
         degraded = np.zeros(m, dtype=bool)
         attempts: list[TierAttempt] = []
         pending = np.arange(m)
@@ -367,12 +373,12 @@ class _FallbackChain:
                 health.tick_skip()
                 attempts.append(TierAttempt(name, "skipped (circuit open)"))
                 continue
+            whole = pending.shape[0] == m
             start = time.perf_counter()
             try:
                 estimator = self.tier_instance(name)
-                values = np.asarray(
-                    call(estimator, pts[pending], ks[pending]), dtype=float
-                ).reshape(-1)
+                sub = (pts, ks) if whole else (pts[pending], ks[pending])
+                values = np.asarray(call(estimator, *sub), dtype=float).reshape(-1)
                 if values.shape[0] != pending.shape[0]:
                     raise EstimationError(
                         f"tier returned {values.shape[0]} estimates for "
@@ -393,13 +399,20 @@ class _FallbackChain:
                     )
                 )
                 continue
-            bad = ~np.isfinite(values) | (values < 0.0)
-            good = ~bad
+            if whole and values.min() >= 0.0 and values.max() < np.inf:
+                health.record_success()
+                attempts.append(TierAttempt(name, "ok"))
+                self.last_batch_outcome = FallbackBatchOutcome(
+                    tiers=[name] * m, degraded=np.full(m, position > 0), attempts=attempts
+                )
+                return values.copy()
+            good = (values >= 0.0) & (values < np.inf)
             answered = pending[good]
             out[answered] = values[good]
-            tiers_used[answered] = name
+            for i in answered.tolist():
+                tiers_used[i] = name
             degraded[answered] = position > 0
-            n_bad = int(np.count_nonzero(bad))
+            n_bad = pending.shape[0] - answered.shape[0]
             if n_bad:
                 health.record_failure(self._threshold, self._cooldown)
                 attempts.append(
@@ -412,14 +425,14 @@ class _FallbackChain:
             else:
                 health.record_success()
                 attempts.append(TierAttempt(name, "ok"))
-            pending = pending[bad]
+            pending = pending[~good]
         if pending.shape[0]:
             bound = float(self._bound() if callable(self._bound) else self._bound)
             out[pending] = bound
             degraded[pending] = True
             attempts.append(TierAttempt(GUARANTEED_BOUND_TIER, "ok"))
         self.last_batch_outcome = FallbackBatchOutcome(
-            tiers=tiers_used.tolist(), degraded=degraded, attempts=attempts
+            tiers=tiers_used, degraded=degraded, attempts=attempts
         )
         return out
 
@@ -459,15 +472,18 @@ class _FallbackChain:
 
         collected = [
             stats
-            for stats in (
+            for stats in [
                 getattr(est, "preprocessing_stats", None)
                 for est in self._instances.values()
-            )
+            ]
             if stats is not None
         ]
         if not collected:
             return None
-        return PreprocessingStats.merged(collected)
+        # A build installs a fresh stats object: merge once per set.
+        if self._merged is None or self._merged[0] != collected:
+            self._merged = (collected, PreprocessingStats.merged(collected))
+        return self._merged[1]
 
 
 class FallbackSelectEstimator(_FallbackChain, SelectCostEstimator):

@@ -208,7 +208,7 @@ def guard_select_batch(
         if regions is not None and any(r is not None for r in regions):
             ok &= [r is None or r.area != 0.0 for r in regions]
     notes: dict[int, list[str]] = {}
-    if ok.all():
+    if np.count_nonzero(ok) == ok.shape[0]:
         return notes
     for j in np.flatnonzero(~ok).tolist():
         x, y = points[j].tolist()
@@ -227,7 +227,8 @@ def _unremarkable_points(points: np.ndarray, bounds: Rect | None) -> np.ndarray:
     limit — one ``hypot`` over the batch.  A NaN or infinite coordinate
     makes the distance NaN or infinite, which fails the ``<=``.
     """
-    if bounds is None or bounds.diagonal == 0.0:
+    diagonal = 0.0 if bounds is None else bounds.diagonal
+    if diagonal == 0.0:
         return np.isfinite(points).all(axis=1)
     # Per axis max(lo - v, 0, v - hi), as the scalar rule spells it.
     gap = np.subtract(points, (bounds.x_max, bounds.y_max))
@@ -235,7 +236,7 @@ def _unremarkable_points(points: np.ndarray, bounds: Rect | None) -> np.ndarray:
     np.maximum(gap, 0.0, out=gap)
     # np.hypot may sit an ulp from the scalar rule's math.hypot: draw
     # the line a hair early and let the scalar rule decide the rest.
-    limit = FAR_QUERY_DIAGONALS * bounds.diagonal * (1.0 - 1e-9)
+    limit = FAR_QUERY_DIAGONALS * diagonal * (1.0 - 1e-9)
     return np.hypot.reduce(gap, axis=1) <= limit
 
 
@@ -316,6 +317,8 @@ def guard_estimate_batch(points: np.ndarray, ks: np.ndarray) -> None:
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     ks = np.asarray(ks)
+    if np.count_nonzero(np.isfinite(points)) == points.size and not np.count_nonzero(ks < 1):
+        return
     bad = ~np.isfinite(points).all(axis=1) | (ks < 1)
     if bad.any():
         i = int(np.argmax(bad))
