@@ -17,7 +17,9 @@ What crosses shards is this module, at the serving coordinator:
   unscanned block can contribute;
 * :func:`run_merges`, the resume loop — ``advance()`` → fetch what
   starved → ``extend()`` — whose fetch is one supervised round per
-  starved shard.
+  starved shard;
+* :func:`merge_open`, that replay for a healthy chunk in one array pass
+  over :class:`OpenReply` columns, refusing what it cannot certify.
 
 The admitted block count is distance browsing's ``blocks_scanned`` and
 the emitted rows — a stable argsort over the admitted blocks' distances
@@ -39,11 +41,85 @@ to ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.knn.browse import concat_ranges
 from repro.knn.distance_browsing import SnapshotBlockStream
+
+
+class OpenReply(NamedTuple):
+    """A shard's ``open`` reply as flat columns.  Query ``i`` owns the next
+    ``counts[i]`` blocks (``mindists``, ``block_ids``, row counts ``sizes``)
+    and their rows (``row_ids``, ``dists``) in scan order; ``bounds[i]`` is
+    its next block's ``(mindist, block id, threshold)``, NaN when spent."""
+
+    counts: np.ndarray
+    mindists: np.ndarray
+    block_ids: np.ndarray
+    sizes: np.ndarray
+    row_ids: np.ndarray
+    dists: np.ndarray
+    bounds: np.ndarray
+
+    def stream(self, i: int) -> tuple[list, int, tuple | None]:
+        """Query ``i``'s ``(entries, cursor, bound)``, as :meth:`QueryMerge.add_stream` takes it."""
+        lo, hi = int(self.counts[:i].sum()), int(self.counts[: i + 1].sum())
+        ends = [0, *np.cumsum(self.sizes[:hi]).tolist()]
+        entries = [
+            (float(self.mindists[b]), int(self.block_ids[b]), float(self.mindists[b]),
+             self.row_ids[ends[b] : ends[b + 1]], self.dists[ends[b] : ends[b + 1]])
+            for b in range(lo, hi)
+        ]
+        mindist, block_id, threshold = self.bounds[i].tolist()
+        return entries, hi - lo, None if np.isnan(mindist) else (mindist, int(block_id), threshold)
+
+
+def merge_open(replies: list[OpenReply], ks: np.ndarray, queries: np.ndarray) -> list:
+    """Answer a healthy chunk's ``queries`` from all its shards' open replies at once.
+
+    Blocks and live bounds (zero-row markers) sort on ``(query, mindist,
+    block id)`` into the scan :class:`QueryMerge` replays.  Rows lie at or
+    beyond their block's MINDIST, so the stop is the first block whose
+    threshold — the next key's MINDIST in its query, +inf after the last
+    — exceeds the query's ``k``-th distance, else its last block; it is
+    certified when no marker comes before it.  Returns per query
+    ``(row_ids, dists, blocks_scanned)``, or ``None`` where refused.
+    """
+    slot = np.full(replies[0].counts.shape[0], -1)  # -1: not asked; sorts first, cut
+    slot[queries] = np.arange(queries.shape[0])
+    slots = np.concatenate([slot] * len(replies))
+    bounds = np.concatenate([r.bounds for r in replies])
+    live = np.flatnonzero(~np.isnan(bounds[:, 0]))
+    sizes = np.concatenate([r.sizes for r in replies])
+    # Every block, then every live bound as a marker: no rows, start -1.
+    q = np.concatenate((np.repeat(slots, np.concatenate([r.counts for r in replies])), slots[live]))
+    mindist = np.concatenate([r.mindists for r in replies] + [bounds[live, 0]])
+    block_id = np.concatenate([r.block_ids for r in replies] + [bounds[live, 1].astype(np.int64)])
+    order = np.lexsort((block_id, mindist, q))[np.count_nonzero(q < 0) :]
+    q, mindist = q[order], mindist[order]
+    size = np.concatenate((sizes, np.zeros(live.shape[0], dtype=np.int64)))[order]
+    start = np.concatenate((np.cumsum(sizes) - sizes, np.full(live.shape[0], -1)))[order]
+    at = concat_ranges(start, size)
+    dists = np.concatenate([r.dists for r in replies])[at]
+    row_ids = np.concatenate([r.row_ids for r in replies])[at]
+    first, end = (np.searchsorted(q, slot[queries], side=side) for side in ("left", "right"))
+    ends = np.concatenate(([0], np.cumsum(size)))
+    k = np.asarray(ks)[queries]
+    kth, nearest = np.empty(queries.shape[0]), []
+    for j, (lo, hi, kj) in enumerate(zip(ends[first].tolist(), ends[end].tolist(), k.tolist())):
+        near = dists[lo:hi]
+        take = np.argsort(near, kind="stable")[:kj]
+        kth[j] = near[take[-1]] if take.shape[0] == kj else np.inf
+        nearest.append((row_ids[lo:hi][take], near[take]))
+    threshold = np.append(np.where(q[1:] == q[:-1], mindist[1:], np.inf), np.inf)
+    hits = np.flatnonzero((threshold > kth[q]) & (start >= 0))
+    stop = np.minimum(np.append(hits, q.shape[0])[np.searchsorted(hits, first)], end - 1)
+    marks = np.flatnonzero(start < 0)
+    certified = np.append(marks, q.shape[0])[np.searchsorted(marks, first)] > stop
+    answers = zip(nearest, stop.tolist(), first.tolist(), certified.tolist())
+    return [(*rows, s - f + 1) if ok else None for rows, s, f, ok in answers]
 
 
 def gather_blocks(

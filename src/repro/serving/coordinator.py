@@ -74,7 +74,7 @@ from repro.engine.table import SpatialTable
 from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
 from repro.index.snapshot import as_snapshot
-from repro.knn.merge import QueryMerge, run_merges
+from repro.knn.merge import QueryMerge, merge_open, run_merges
 from repro.serving.merge import PARTIAL_PLAN, merge_filter_topk
 from repro.serving.worker import _worker_stats
 from repro.resilience.errors import OverloadError, ShardExhaustedError
@@ -724,13 +724,10 @@ class ShardedServingTier:
             for sid in sorted(dead):
                 state = answers.get(sid)
                 if state is not None:
-                    entries, __, bound = state["streams"][i]
-                    if entries:
-                        shard_min = float(entries[0][0])
-                    elif bound is not None:
-                        shard_min = float(bound[0])
-                    else:
+                    entries, __, bound = state["columns"].stream(i)
+                    if not entries and bound is None:
                         continue  # stream spent: shard holds no rows here
+                    shard_min = float((entries[0] if entries else bound)[0])
                 else:
                     hull_bound = self._dead_bound(sid, point)
                     if hull_bound is None:
@@ -774,26 +771,29 @@ class ShardedServingTier:
         explanations: list,
         partial: np.ndarray,
     ) -> None:
-        """Distance-browsing-chosen queries: the streaming merge loop.
+        """Distance-browsing-chosen queries: one array merge, then the replay loop.
 
-        Each query's :class:`~repro.knn.merge.QueryMerge` replays the
-        global block admission under :func:`~repro.knn.merge.run_merges`
-        — the local executor's loop — over what the shards opened with.
-        Every shard browsed to its own stop, which the global replay
-        provably never passes, so a healthy chunk's merges finish
-        without a fetch: one round per shard.  A stream that does
-        starve (a dead shard's gap to drain, a truncated reply) is
-        resumed, batched into one round per shard per iteration.
+        Shards browse to their own stops, which the global scan never
+        passes, so :func:`~repro.knn.merge.merge_open` answers a healthy
+        chunk.  The rest replay in :class:`~repro.knn.merge.QueryMerge`
+        under :func:`~repro.knn.merge.run_merges`, resuming what starves.
         """
+        columns = [answers[sid]["columns"] for sid in sorted(answers)]
+        merged = [None] * len(inc_pos) if dead else merge_open(columns, ks, np.asarray(inc_pos))
         merges: dict[int, QueryMerge] = {}
-        for i in inc_pos:
+        for i, done in zip(inc_pos, merged):
+            if done is not None:
+                results[int(chunk_idx[i])] = ExecutionResult(
+                    IncrementalKnnOperator.name, done[2], row_ids=done[0]
+                )
+                continue
             point = Point(float(pts[i, 0]), float(pts[i, 1]))
             merge = QueryMerge(int(ks[i]))
             # Every shard asked at open either answered or is dead.
             for sid in sorted(answers.keys() | dead):
                 state = answers.get(sid)
                 if state is not None:
-                    merge.add_stream(sid, *state["streams"][i])
+                    merge.add_stream(sid, *state["columns"].stream(i))
                     if sid in dead:  # answered open, died since
                         merge.mark_dead(sid)
                     continue

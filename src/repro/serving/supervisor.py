@@ -41,8 +41,8 @@ instead (plain ``spawn`` where there is none) — a small single-threaded
 process of its own, so a worker starts from the same memory whatever
 the coordinator's heap holds at that moment (a child of the coordinator
 starts life with the coordinator's resident set as its peak, across
-``exec`` too).  The server is shared by every tier of the process and
-exits with it.
+``exec`` too).  The server imports the worker module before it forks
+any worker, is shared by every tier of the process and exits with it.
 """
 
 from __future__ import annotations
@@ -214,6 +214,8 @@ class ShardWorkerHandle:
     def _boot(self, worker: _Worker) -> None:
         """Start a fresh process in ``worker``'s slot (not yet initialized)."""
         context = multiprocessing.get_context(_START_METHOD)
+        if _START_METHOD == "forkserver":  # read once, when the server starts
+            context.set_forkserver_preload(["repro.serving.worker"])
         conn, child = context.Pipe()
         process = context.Process(target=_worker_main, args=(child,), daemon=True)
         process.start()

@@ -9,8 +9,8 @@ one kind of worker (:func:`_init_data_shard_worker`,
 :func:`_serve_data_shard_chunk`): it holds the blocks its shard owns — a
 sub-snapshot with global block ids, the member rows and points — and
 answers the rounds of the cross-shard merge protocol
-(``open`` / ``resume`` / ``scan``) that the coordinator's
-:class:`~repro.knn.merge.QueryMerge` replays into the unsharded answer.
+(``open`` / ``resume`` / ``scan``) that :mod:`repro.knn.merge` merges
+into the unsharded answer at the coordinator.
 A data shard owns one slice of the blocks; a replica shard owns every
 block, so its ``open`` reply already is the whole answer.
 
@@ -128,39 +128,31 @@ def _init_data_shard_worker(
     _WORKER_STATE["payload_bytes"] = payload_bytes(payload)
 
 
-def _browse_to_local_stop(pts: np.ndarray, ks: np.ndarray, checkpoint) -> list[tuple]:
+def _browse_to_local_stop(pts: np.ndarray, ks: np.ndarray, checkpoint):
     """The open round: browse each query to the shard's own stop.
 
     One :func:`~repro.knn.browse.browse` over the shard's blocks, the
-    engine executor's, ``BUDGET_SLICE`` queries at a time.  The reply
-    per query is a stream ending at the local stop, ``(entries, cursor,
-    bound)``: every block up to the one the stop rule fired on, and the
-    next block's key.
+    engine executor's, ``BUDGET_SLICE`` queries at a time, replied as
+    flat columns (:class:`~repro.knn.merge.OpenReply`): per query every
+    block up to the one the stop rule fired on, and the next block's key.
     """
     from repro.knn.browse import browse
+    from repro.knn.merge import OpenReply
 
     snapshot = _WORKER_STATE["snapshot"]
     view, rows = _WORKER_STATE["view"], _WORKER_STATE["rows"]
     local = np.arange(snapshot.n_blocks)
-    replies = []
+    browsed = []
     for lo in range(0, ks.shape[0], BUDGET_SLICE):
         checkpoint("shard stream open")
-        for b in browse(
+        browsed += browse(
             snapshot, view, rows, pts[lo : lo + BUDGET_SLICE], ks[lo : lo + BUDGET_SLICE],
             blocks=local, bounds=True, checkpoint=partial(checkpoint, "shard local browse"),
-        ):
-            cuts = np.cumsum(b.sizes)[:-1]
-            entries = [
-                (mindist, block_id, mindist, ids, dists)
-                for mindist, block_id, ids, dists in zip(
-                    b.mindists.tolist(),
-                    b.block_ids.tolist(),
-                    np.split(b.row_ids, cuts),
-                    np.split(b.dists, cuts),
-                )
-            ]
-            replies.append((entries, len(entries), b.bound))
-    return replies
+        )
+    *columns, bounds = zip(*browsed)
+    counts = np.array([len(mindists) for mindists in columns[0]], dtype=np.int64)
+    bounds = np.array([bound or (np.nan,) * 3 for bound in bounds], dtype=float)
+    return OpenReply(counts, *(np.concatenate(column) for column in columns), bounds)
 
 
 def _resume_streams(streams, m: int, payload: dict, block_rows, checkpoint) -> list[tuple]:
@@ -191,15 +183,14 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     Three round kinds (``payload["round"]``):
 
     * ``"open"`` — the shard's own finished **local browse**
-      (:func:`_browse_to_local_stop`): per query a stream ending at the
-      local stop, ``(entries, cursor, bound)``.  The shard's own k-th
-      distance upper-bounds the global one, so the coordinator's merge
-      never has to extend what a healthy shard opened with (see
-      ``docs/serving.md``);
+      (:func:`_browse_to_local_stop`) as ``{"columns": OpenReply}``.  The
+      shard's own k-th distance upper-bounds the global one, so the
+      coordinator's merge never has to extend what a healthy shard
+      opened with (see ``docs/serving.md``);
     * ``"resume"`` — the stateless fallback: continue named queries'
       streams from their ``cursors`` until ``min_points`` are gathered
-      or ``min_mindists`` is reached, replied in the same format
-      (:func:`~repro.knn.merge.gather_blocks`);
+      or ``min_mindists`` is reached, replied as ``{"streams": [(entries,
+      cursor, bound), ...]}`` (:func:`~repro.knn.merge.gather_blocks`);
     * ``"scan"`` — the shard's full-scan local top-k with global
       tie-break keys, for queries whose plan chose the filter operator.
 
@@ -237,7 +228,7 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     rows, points = _WORKER_STATE["rows"], _WORKER_STATE["points"]
     checkpoint = partial(budget_check, start, budget)
     if round_kind == "open":
-        return {"streams": _browse_to_local_stop(pts, ks, checkpoint)}
+        return {"columns": _browse_to_local_stop(pts, ks, checkpoint)}
     if round_kind == "resume":
         starts = _WORKER_STATE["view"].offsets
 

@@ -1,17 +1,19 @@
 """One round per shard: the data tier's open round and thread ownership.
 
 A data shard answers ``open`` with its own finished local browse — every
-block up to the one its stop rule fired on — so the coordinator's
-cross-shard merge finishes on the opening streams alone.  Asserted here
-without a wall clock:
+block up to the one its stop rule fired on, as flat columns
+(``OpenReply``) — so the coordinator's cross-shard merge finishes on the
+opening streams alone.  Asserted here without a wall clock:
 
 * **the one-round invariant**, in-process on adversarial inputs
   (distance ties at the k-th, duplicates, ``k`` beyond a shard's or the
   relation's row count, an empty shard, a query outside the universe):
-  the first ``QueryMerge.advance()`` over the shards' open replies
-  returns ``None`` and the answer equals the unsharded engine's;
+  ``merge_open`` certifies every query, the first ``QueryMerge.advance()``
+  over the same replies returns ``None``, and both answers equal the
+  unsharded engine's to the distance bit;
 * **round counts** of a live tier: one round per shard per chunk for
-  incremental plans, open + scan for the filter plan;
+  incremental plans, open + scan for the filter plan, and a healthy
+  chunk builds no ``QueryMerge``;
 * **the fallback**: open replies cut short are extended through
   ``resume`` to the same answers;
 * **hygiene**: serving starts no thread per request, ``close()`` leaves
@@ -32,11 +34,11 @@ from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
 from repro.index import GridIndex, Quadtree, RTree
 from repro.geometry import Point
 from repro.knn.distance_browsing import SnapshotBlockStream
-from repro.knn.merge import QueryMerge, gather_blocks, run_merges
+from repro.knn.merge import OpenReply, QueryMerge, gather_blocks, merge_open, run_merges
 from repro.resilience import WorkerFaultPlan, WorkerFaultSpec
 from repro.resilience.errors import BudgetExceededError
 from repro.serving import ShardedServingTier, SupervisionPolicy, plan_shards
-from repro.serving import worker
+from repro.serving import coordinator, worker
 from repro.workloads import QueryBatch
 from tests.heap_oracle import corner_tie_table, heap_knn_select
 
@@ -97,6 +99,26 @@ def _reference(points: np.ndarray, capacity: int, batch: QueryBatch, pins: dict)
     return engine.execute_batch(batch.as_knn_queries("t"))
 
 
+def replay(replies: list[OpenReply], i: int, k: int):
+    """Query ``i`` through one ``QueryMerge`` over the replies' streams:
+    ``(row_ids, dists, blocks_scanned)``, or ``None`` when it would resume."""
+    merge = QueryMerge(k)
+    for sid, reply in enumerate(replies):
+        merge.add_stream(sid, *reply.stream(i))
+    if merge.advance() is not None:
+        return None
+    rows, blocks_scanned, __ = merge.result()
+    dists = np.concatenate([np.empty(0), *merge._dist_parts])
+    return rows, np.sort(dists, kind="stable")[: rows.shape[0]], blocks_scanned
+
+
+def assert_same_merge(merged, replayed) -> None:
+    """Row ids, distance bits and ``blocks_scanned`` of two merged answers."""
+    assert merged[0].tolist() == replayed[0].tolist()
+    assert merged[1].tobytes() == replayed[1].tobytes()
+    assert merged[2] == replayed[2]
+
+
 @pytest.fixture()
 def worker_state():
     """The worker module's process state, emptied again afterwards."""
@@ -139,16 +161,17 @@ def test_open_replies_finish_the_merge_without_a_resume(
                 {"round": "open", "points": batch.points, "ks": batch.ks}
             )
         )
-        # The streams only: a worker keeps no statistics to estimate with.
-        assert set(replies[-1]) == {"streams"}
+        # The columns only: a worker keeps no statistics to estimate with.
+        assert set(replies[-1]) == {"columns"}
+    columns = [reply["columns"] for reply in replies]
+    merged = merge_open(columns, batch.ks, np.arange(len(batch)))
     for i, (expected, __) in enumerate(reference):
-        merge = QueryMerge(int(batch.ks[i]))
-        for sid, reply in enumerate(replies):
-            merge.add_stream(sid, *reply["streams"][i])
-        assert merge.advance() is None, f"query {i} asked for a resume"
-        row_ids, blocks_scanned, __ = merge.result()
-        assert np.array_equal(row_ids, expected.row_ids), i
-        assert blocks_scanned == expected.blocks_scanned, i
+        replayed = replay(columns, i, int(batch.ks[i]))
+        assert replayed is not None, f"query {i} asked for a resume"
+        assert merged[i] is not None, f"query {i} was refused"
+        assert_same_merge(merged[i], replayed)
+        assert np.array_equal(merged[i][0], expected.row_ids), i
+        assert merged[i][2] == expected.blocks_scanned, i
 
 
 def _old_open_loop(payload: dict, point: Point, k: int) -> tuple[list, int]:
@@ -176,7 +199,8 @@ def _old_open_loop(payload: dict, point: Point, k: int) -> tuple[list, int]:
 def test_open_replies_are_the_old_loops_entries_up_to_the_local_stop(seed, worker_state):
     """Same blocks, keys, rows and distance bits as the merge loop the
     open round used to run — cut at the local stop, not at what the old
-    loop happened to fetch — and the stream's own bound at that cursor."""
+    loop happened to fetch — and the stream's own bound at that cursor,
+    read back from the reply's columns."""
     rng = np.random.default_rng(seed)
     lattice = _lattice()
     points = np.vstack(
@@ -194,11 +218,17 @@ def test_open_replies_are_the_old_loops_entries_up_to_the_local_stop(seed, worke
     ks = rng.integers(1, 80, focal.shape[0])
     for sid, payload in enumerate(payloads):
         worker._init_data_shard_worker(sid, 0, payload, None)
-        reply = worker._serve_data_shard_chunk({"round": "open", "points": focal, "ks": ks})
-        for (entries, cursor, bound), (x, y), k in zip(reply["streams"], focal.tolist(), ks):
+        columns = worker._serve_data_shard_chunk(
+            {"round": "open", "points": focal, "ks": ks}
+        )["columns"]
+        assert columns.counts.sum() == columns.mindists.shape[0] == columns.sizes.shape[0]
+        assert columns.sizes.sum() == columns.row_ids.shape[0] == columns.dists.shape[0]
+        for i, ((x, y), k) in enumerate(zip(focal.tolist(), ks)):
+            entries, cursor, bound = columns.stream(i)
             old, stop = _old_open_loop(payload, Point(x, y), int(k))
-            assert cursor == stop == len(entries) == len(old)
+            assert cursor == stop == len(entries) == len(old) == columns.counts[i]
             assert bound == SnapshotBlockStream(payload["snapshot"], Point(x, y)).bound(cursor)
+            assert np.isnan(columns.bounds[i]).all() == (bound is None)
             for new, was in zip(entries, old):
                 assert new[:3] == was[:3]
                 assert new[3].tolist() == was[3].tolist()
@@ -218,16 +248,17 @@ def test_two_shard_merge_scans_the_block_whose_corner_holds_the_kth_row(worker_s
     payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
     tier.close()
     assert all(p["rows"].size for p in payloads)  # the four blocks span both shards
-    merge = QueryMerge(query.k)
     point = np.array([[query.query.x, query.query.y]])
+    columns = []
     for sid, payload in enumerate(payloads):
         worker._init_data_shard_worker(sid, 0, payload, None)
         reply = worker._serve_data_shard_chunk({"round": "open", "points": point, "ks": [query.k]})
-        merge.add_stream(sid, *reply["streams"][0])
-    assert merge.advance() is None
-    row_ids, blocks_scanned, __ = merge.result()
-    assert row_ids.tolist() == expected.row_ids.tolist() == rows.tolist() == [2, 1, 0]
-    assert blocks_scanned == expected.blocks_scanned == scanned == 4
+        columns.append(reply["columns"])
+    (merged,) = merge_open(columns, np.array([query.k]), np.arange(1))
+    replayed = replay(columns, 0, query.k)
+    assert_same_merge(merged, replayed)
+    assert merged[0].tolist() == expected.row_ids.tolist() == rows.tolist() == [2, 1, 0]
+    assert merged[2] == expected.blocks_scanned == scanned == 4
 
 
 def _serve_on_one_shard(points, capacity, payload: dict) -> dict:
@@ -269,7 +300,7 @@ def test_local_browse_checks_the_budget_between_fetches(worker_state, monkeypatc
     points, capacity = RELATIONS["lattice"]
     batch = _adversarial_batch(points)
     payload = {"round": "open", "points": batch.points, "ks": batch.ks, "budget_seconds": 5.0}
-    assert len(_serve_on_one_shard(points, capacity, payload)["streams"]) == len(batch)
+    assert _serve_on_one_shard(points, capacity, payload)["columns"].counts.shape == (len(batch),)
 
     real = worker.time.perf_counter
     calls = []
@@ -321,10 +352,42 @@ def test_healthy_batch_takes_one_round_per_shard_per_chunk(pins, rounds_per_chun
         assert shard.retries == shard.respawns == shard.failures == 0
 
 
-def test_truncated_open_replies_are_extended_through_resume():
-    """(c) cut every open stream back to its first block: resume repairs it."""
+def first_blocks_only(columns: OpenReply) -> OpenReply:
+    """Each query's reply cut back to its first block; where more
+    followed, the bound becomes the first cut block's key."""
+    starts = np.cumsum(columns.counts) - columns.counts
+    kept = np.zeros(columns.mindists.shape[0], dtype=bool)
+    kept[starts[columns.counts > 0]] = True
+    cut = columns.counts > 1
+    bounds = columns.bounds.copy()
+    nxt = starts[cut] + 1
+    bounds[cut] = np.column_stack(
+        (columns.mindists[nxt], columns.block_ids[nxt], columns.mindists[nxt])
+    )
+    rows = np.repeat(kept, columns.sizes)
+    return OpenReply(
+        np.minimum(columns.counts, 1), columns.mindists[kept], columns.block_ids[kept],
+        columns.sizes[kept], columns.row_ids[rows], columns.dists[rows], bounds,
+    )
+
+
+class CountingMerge(QueryMerge):
+    """A ``QueryMerge`` that counts its instances."""
+
+    built = 0
+
+    def __init__(self, k: int) -> None:
+        type(self).built += 1
+        super().__init__(k)
+
+
+def test_truncated_open_replies_are_extended_through_resume(monkeypatch):
+    """(c) cut every open reply's columns back to each query's first
+    block: the array merge refuses, and resume repairs it."""
     points, capacity = RELATIONS["lattice"]
     batch = _adversarial_batch(points)
+    monkeypatch.setattr(CountingMerge, "built", 0)
+    monkeypatch.setattr(coordinator, "QueryMerge", CountingMerge)
     with _live_tier(INCREMENTAL, chunk_size=16) as tier:
         collect = tier.supervisor.collect
 
@@ -332,12 +395,7 @@ def test_truncated_open_replies_are_extended_through_resume():
             answers = collect(round_)
             for sid, answer in answers.items():
                 if round_.payloads[sid]["round"] == "open":
-                    answer["streams"] = [
-                        (entries[:1], cursor - len(entries) + 1, entries[1][:3])
-                        if len(entries) > 1
-                        else (entries, cursor, bound)
-                        for entries, cursor, bound in answer["streams"]
-                    ]
+                    answer["columns"] = first_blocks_only(answer["columns"])
             return answers
 
         tier.supervisor.collect = truncating
@@ -345,6 +403,27 @@ def test_truncated_open_replies_are_extended_through_resume():
     _assert_same_answers(report, _reference(points, capacity, batch, INCREMENTAL))
     opens = math.ceil(len(batch) / 16)
     assert all(shard.n_chunks > opens for shard in report.shards)
+    assert CountingMerge.built > 0
+
+
+def test_a_healthy_chunk_builds_no_query_merge_and_sends_no_resume(monkeypatch):
+    """The array merge answers every healthy incremental chunk by itself."""
+    points, capacity = RELATIONS["lattice"]
+    batch = _adversarial_batch(points)
+    monkeypatch.setattr(CountingMerge, "built", 0)
+    monkeypatch.setattr(coordinator, "QueryMerge", CountingMerge)
+    with _live_tier(INCREMENTAL, chunk_size=8) as tier:
+        send, kinds = tier.supervisor.send, []
+
+        def recording(payloads, deadline):
+            kinds.extend(payload["round"] for payload in payloads.values())
+            return send(payloads, deadline)
+
+        tier.supervisor.send = recording
+        report = tier.serve(batch)
+    _assert_same_answers(report, _reference(points, capacity, batch, INCREMENTAL))
+    assert CountingMerge.built == 0
+    assert kinds == ["open"] * (2 * math.ceil(len(batch) / 8))
 
 
 @pytest.mark.parametrize("shard_mode", ["data", "replica"])
