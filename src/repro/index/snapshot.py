@@ -25,6 +25,7 @@ the shared copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -126,10 +127,11 @@ class IndexSnapshot:
         object.__setattr__(self, "diagonals", _readonly(np.hypot(widths, heights)))
 
     def __getstate__(self) -> dict:
-        # The block locator is derived (rebuilt on first use in ~1 ms):
-        # a snapshot shipped to a worker does not carry it.
+        # The block locator and runs are derived (rebuilt on first use in
+        # ~1 ms): a snapshot shipped to a worker does not carry them.
         state = dict(self.__dict__)
         state.pop("_locator_cache", None)
+        state.pop("_runs_cache", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -324,6 +326,22 @@ class IndexSnapshot:
         if cached is None:
             cached = _readonly(np.argsort(self.block_ids, kind="stable"))
             object.__setattr__(self, "_tie_order_cache", cached)
+        return cached
+
+    @property
+    def block_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in ``G`` runs of ``g = isqrt(n)``, as rect columns: each
+        run's bounding rect ``(4, G)`` and its block rects ``(4, G, g)``,
+        NaN past the last row.  Cached on first use; not pickled."""
+        cached = self.__dict__.get("_runs_cache")
+        if cached is None:
+            n, g = self.n_blocks, math.isqrt(self.n_blocks)
+            starts = np.arange(0, n, g)
+            lo = np.minimum.reduceat(self.rects[:, :2], starts)
+            hi = np.maximum.reduceat(self.rects[:, 2:], starts)
+            cols = np.vstack((self.rects, np.full((starts.shape[0] * g - n, 4), np.nan)))
+            cached = (_readonly(np.hstack((lo, hi)).T), _readonly(cols.T.reshape(4, -1, g)))
+            object.__setattr__(self, "_runs_cache", cached)
         return cached
 
     # ------------------------------------------------------------------

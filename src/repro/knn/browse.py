@@ -6,23 +6,27 @@ the next block's MINDIST, Procedure 1's staircase read at the query's
 own ``k`` — in a few array passes.  It executes every local k-NN select:
 the engine's and a data shard's ``open`` round.  Each round:
 
-1. **Window on a cheap key.**  ``dx`` and ``dy`` come from the MINDIST
-   kernel's own ufunc chain over every block and each row is
-   partitioned on ``dx*dx + dy*dy``; only the ``w``-key window gets the
-   exact ``np.hypot`` MINDIST (the kernel's float), ordered by
-   ``(MINDIST, block id)``.
-2. **Certificate.**  An excluded block's MINDIST is at least ``L =
-   sqrt(w-th key) * (1 - 1e-12)`` — 0 when that key is not finite or
-   below ``2**-900``, where squares overflow or lose relative precision
-   — so window ranks strictly below ``L`` (``complete`` of them) are the
-   global scan order.  A rank's threshold is ``min(next window MINDIST,
-   L)``: exact up to the certain ranks and a lower bound past them, so a
-   stop found at a certain rank is the true first stop.
+1. **Runs, candidates, window.**  Each query keys the snapshot's runs of
+   ``g = isqrt(n)`` rows (:attr:`IndexSnapshot.block_runs`; Z-ordered
+   rows make a run compact), then the blocks of its ``m`` nearest runs
+   (of all once ``m`` reaches their count; NaN pads key NaN, which
+   partitions last), on ``dx*dx + dy*dy``, the MINDIST kernel's own
+   ufunc chain.  Only the ``w``-key window of these candidates gets the
+   exact ``np.hypot`` MINDIST, ordered by ``(MINDIST, block id)``.
+2. **Certificate.**  The chain is monotone in floats, so a block keys at
+   least its run's key, and an excluded block's MINDIST is at least ``L
+   = sqrt(min(w-th candidate key, m-th run key)) * (1 - 1e-12)``
+   (0-based) — 0 when that key is not finite or below ``2**-900``, where
+   squares overflow or lose precision.  Window ranks below ``L`` are the
+   global scan order, and a rank's threshold is ``min(next window
+   MINDIST, L)``: exact up to them and a lower bound past them, so a stop
+   found at a certain rank is the true first stop.
 3. **Stop rule.**  The window's rows are gathered from a
-   :class:`BlockPointsView` (one ``np.hypot``), masked per query, and
-   binned against the thresholds by :func:`count_below`.  Rows whose
-   stop is not certain go round again at twice the window; the last
-   round holds every block.
+   :class:`BlockPointsView` and masked per query.  A block's rows lie at
+   or beyond its MINDIST, so ``k`` rows lie below a threshold iff the
+   query's ``k``-th distance does: the stop is the first threshold above
+   it.  Unsure rows go round again with twice the window and the runs;
+   the last round holds every block.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ _WINDOW_SLACK = 8
 _TINY_KEY = 2.0**-900
 #: Margin of the certified bound below ``sqrt(key)``.
 _SHRINK = 1.0 - 1e-12
+#: Runs the first round keeps at least.
+_RUNS = 8
+#: Rows per query below which one sort beats a partition per query.
+_SHORT_ROWS = 32
 
 
 class BlockPointsView:
@@ -120,29 +128,6 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
-def count_below(rows: np.ndarray, dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``R[r, i]`` = values of row ``r`` strictly below ``thresholds[r, i]``.
-
-    ``rows[j]`` is value ``j``'s row; ``thresholds`` (``(q, c)``) rise
-    along each row.  One ``searchsorted`` over complex ``row + 1j *
-    threshold`` keys (numpy orders complex numbers by real, then
-    imaginary part, so the binning is exact), a ``bincount`` and a
-    ``cumsum``.
-    """
-    q, c = thresholds.shape
-    keys = np.empty((q, c), dtype=complex)
-    keys.real = np.arange(q)[:, None]
-    keys.imag = thresholds
-    values = np.empty(dists.shape[0], dtype=complex)
-    values.real = rows
-    values.imag = dists
-    # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
-    # one overflow bin per row.
-    bins = np.searchsorted(keys.ravel(), values, side="right") + rows
-    counts = np.bincount(bins, minlength=q * (c + 1)).reshape(q, c + 1)
-    return np.cumsum(counts[:, :c], axis=1)
-
-
 class Browsed(NamedTuple):
     """One query's browse up to its stop: the scanned blocks' MINDISTs,
     ids and qualifying row counts (their number is ``blocks_scanned``),
@@ -186,39 +171,47 @@ def browse(
         return [Browsed(np.empty(0), none, none, none, np.empty(0), None)] * ks.shape[0]
     blocks = snapshot.block_ids if blocks is None else blocks
     per_block = max(1.0, snapshot.total_count / n)
-    rects = snapshot.rects
+    mbrs, cols = snapshot.block_runs
+    __, n_runs, g = cols.shape
     out: list[Browsed] = []
-    step = max(1, _SLAB_CELLS // n)
+    step = max(1, _SLAB_CELLS // (n_runs * g))
     for lo in range(0, ks.shape[0], step):
         xy, k = points[lo : lo + step], ks[lo : lo + step]
         keep_of = None if masks is None else masks[lo : lo + step]
-        x, y = xy[:, :1], xy[:, 1:]
-        # The MINDIST kernel's own chain: hypot(dx, dy) is its float.
-        dx = np.maximum(np.maximum(rects[:, 0] - x, 0.0), x - rects[:, 2])
-        dy = np.maximum(np.maximum(rects[:, 1] - y, 0.0), y - rects[:, 3])
-        key = dx * dx
-        key += dy * dy
         q = k.shape[0]
         slab: list[Browsed | None] = [None] * q
         pending = np.arange(q)
-        # The window the slab's (upper) median k fills, plus slack.
+        # The window the slab's (upper) median k fills plus slack; runs for w + 1.
         w = min(n, int(min(float(np.sort(k)[q // 2]) / per_block, n)) + _WINDOW_SLACK)
+        m = max(_RUNS, -(-(w + 1 + n_runs * g - n) // g))
         while pending.shape[0]:
             if checkpoint is not None:
                 checkpoint()
             p = pending.shape[0]
-            each, at = np.arange(p)[:, None], pending[:, None]
+            each = np.arange(p)[:, None]
+            x, y = xy[pending, :1], xy[pending, 1:]
+            if m < n_runs:
+                run_key = _gaps(*mbrs, x, y)[2]
+                part = np.argpartition(run_key, m, axis=1)
+                near, run_bound = part[:, :m], run_key[each[:, 0], part[:, m]]
+                # Candidate blocks: run r's slots r * g .. r * g + g - 1.
+                cand = (near[:, :, None] * g + np.arange(g)).reshape(p, -1)
+                rects = cols[:, near].reshape(4, p, -1)
+            else:
+                cand = np.broadcast_to(np.arange(n_runs * g), (p, n_runs * g))
+                rects, run_bound = cols.reshape(4, 1, -1), np.inf
+            dx, dy, key = _gaps(*rects, x, y)
             if w < n:
-                part = np.argpartition(key if p == q else key[pending], w, axis=1)
-                window = part[:, :w]
-                edge = key[pending, part[:, w]]
+                part = np.argpartition(key, w, axis=1)
+                pick, edge = part[:, :w], np.minimum(key[each[:, 0], part[:, w]], run_bound)
                 certain = np.where(
                     (edge >= _TINY_KEY) & (edge < np.inf), np.sqrt(edge) * _SHRINK, 0.0
                 )
             else:
-                window = np.broadcast_to(np.arange(n), (p, n))
+                pick = np.broadcast_to(np.arange(n), (p, n))
                 certain = np.full(p, np.inf)
-            mindists = np.hypot(dx[at, window], dy[at, window])
+            window = cand[each, pick]
+            mindists = np.hypot(dx[each, pick], dy[each, pick])
             ids = snapshot.block_ids[window]
             order = np.lexsort((ids, mindists), axis=1)
             window, mindists, ids = window[each, order], mindists[each, order], ids[each, order]
@@ -245,17 +238,16 @@ def browse(
                 row, dists, rows = row[keep], dists[keep], rows[keep]
                 slot = np.repeat(np.arange(p * w), sizes.ravel())
                 sizes = np.bincount(slot[keep], minlength=p * w).reshape(p, w)
-            reached = count_below(row, dists, thresholds) >= k[pending][:, None]
+            ends = np.cumsum(sizes, axis=1)
+            firsts = np.cumsum(ends[:, -1]) - ends[:, -1]
+            reached = thresholds > _kth(row, dists, firsts, ends[:, -1], k[pending])[:, None]
             found = reached.any(axis=1)
             stop = reached.argmax(axis=1)
-            if w == n:
-                done = np.ones(p, dtype=bool)
-                stop[~found] = n - 1
-            else:
-                # A certain stop (and, for bounds, a certain next block).
-                done = found & (stop + int(bounds) < complete)
-            ends = np.cumsum(sizes, axis=1)
-            firsts = (np.cumsum(ends[:, -1]) - ends[:, -1]).tolist()
+            # A certain stop (and, for bounds, a certain next block); the last
+            # round, which holds every block, ends every row.
+            done = found & (stop + int(bounds) < complete) if w < n else np.ones(p, dtype=bool)
+            stop[~found] = n - 1
+            firsts = firsts.tolist()
             for i in np.flatnonzero(done).tolist():
                 s = int(stop[i]) + 1
                 a, b = firsts[i], firsts[i] + int(ends[i, s - 1])
@@ -266,6 +258,30 @@ def browse(
                     mindists[i, :s], ids[i, :s], sizes[i, :s], rows[a:b], dists[a:b], nxt
                 )
             pending = pending[~done]
-            w = min(n, 2 * w)
+            w, m = min(n, 2 * w), 2 * m
         out += slab
     return out
+
+
+def _gaps(x0, y0, x1, y1, x: np.ndarray, y: np.ndarray):
+    """The MINDIST kernel's ``dx``, ``dy`` (its float is their hypot) and key."""
+    dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
+    dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
+    key = dx * dx
+    key += dy * dy
+    return dx, dy, key
+
+
+def _kth(row, dists, firsts, totals, k) -> np.ndarray:
+    """Row ``r``'s ``k[r]``-th distance of ``dists[firsts[r]:][:totals[r]]``
+    (``inf`` if fewer): a partition each, or for short rows one sort of
+    complex ``row + 1j * dist`` keys (by real, then imaginary part)."""
+    kth, has = np.full(k.shape[0], np.inf), np.flatnonzero(totals >= k)
+    if row.shape[0] < _SHORT_ROWS * k.shape[0]:
+        keys = np.empty(row.shape[0], dtype=complex)
+        keys.real, keys.imag = row, dists
+        kth[has] = np.sort(keys).imag[firsts[has] + k[has] - 1]
+    else:
+        for r, a, i in zip(has.tolist(), firsts[has].tolist(), (k[has] - 1).tolist()):
+            kth[r] = np.partition(dists[a : a + int(totals[r])], i)[i]
+    return kth

@@ -15,9 +15,9 @@ Staircase, Catalog-Merge, and Virtual-Grid estimators:
   byte.
 * :class:`~repro.knn.browse.BlockPointsView` (re-exported here) — a
   columnar, picklable stand-in for a block list whose points the batch
-  pass gathers with one fancy-index and one ``np.hypot`` call, binned
-  by :func:`~repro.knn.browse.count_below` — the gather and the binning
-  the engine's select browse runs too.
+  pass gathers with one fancy-index and one ``np.hypot`` call (the
+  gather the engine's select browse runs too), binned by
+  :func:`count_below`.
 * :func:`locality_size_profiles` — ordered many-rect fan-out of
   Procedure 2.
 
@@ -45,7 +45,7 @@ from repro.geometry import Point
 from repro.geometry.backends import active_backend, set_backend
 from repro.geometry.kernels import as_anchor, maxdist_rects_batch, mindist_rects_batch
 from repro.index.snapshot import IndexSnapshot, as_snapshot
-from repro.knn.browse import BlockPointsView, concat_ranges, count_below
+from repro.knn.browse import BlockPointsView, concat_ranges
 from repro.knn.locality import locality_size_profile
 
 Profile = list[tuple[int, int, int]]
@@ -219,11 +219,9 @@ def _staircases(
     every pending row's ``c + 1`` nearest candidates (one row-wise
     ``argpartition`` and a stable sort), gathers their points in one
     pass and bins each distance against its row's thresholds (each
-    next block's MINDIST) with one ``searchsorted`` over complex
-    ``row + 1j * threshold`` keys — numpy orders complex numbers by
-    real part, then imaginary part, so the binning is exact.  A
-    ``bincount`` + ``cumsum`` gives the ``(rows, c)`` matrix ``R`` of
-    points retrievable after each block; rows still short of ``max_k``
+    next block's MINDIST) with :func:`count_below` into the ``(rows, c)``
+    matrix ``R`` of points retrievable after each block (a staircase
+    reads all of it); rows still short of ``max_k``
     go to the next round at ``2c``, the last round sorting all of ``S``.
 
     ``R[i]`` counts the points nearer than ``thresholds[i]``, wherever
@@ -396,6 +394,24 @@ def _nearest(tableau: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     thresholds[:, :-1] = np.take_along_axis(tableau, order[:, 1:], axis=1)
     thresholds[:, -1] = np.inf
     return order, thresholds
+
+
+def count_below(rows: np.ndarray, dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``R[r, i]`` = values of row ``r`` (``rows[j]`` is value ``j``'s)
+    strictly below ``thresholds[r, i]``, which rise along each row: one
+    ``searchsorted`` over complex ``row + 1j * threshold`` keys (ordered by
+    real, then imaginary part, so exact), a ``bincount`` and a ``cumsum``.
+    """
+    q, c = thresholds.shape
+    keys = np.empty((q, c), dtype=complex)
+    keys.real, keys.imag = np.arange(q)[:, None], thresholds
+    values = np.empty(dists.shape[0], dtype=complex)
+    values.real, values.imag = rows, dists
+    # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
+    # one overflow bin per row.
+    bins = np.searchsorted(keys.ravel(), values, side="right") + rows
+    counts = np.bincount(bins, minlength=q * (c + 1)).reshape(q, c + 1)
+    return np.cumsum(counts[:, :c], axis=1)
 
 
 def _retrievable(
