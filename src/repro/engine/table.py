@@ -3,9 +3,9 @@
 A :class:`SpatialTable` is the engine's base relation: an ``(n, 2)``
 point array, named attribute columns aligned with the points, and a
 quadtree index over the locations.  Because the quadtree reorders the
-points into blocks, each block remembers the original row positions so
-attribute lookups stay aligned; the table keeps a parallel "block row
-map" from (block, offset) to row id.
+points into blocks, it records each block's input row positions as it
+partitions (:meth:`~repro.index.quadtree.Quadtree.row_ids_for`), so
+attribute lookups stay aligned.
 """
 
 from __future__ import annotations
@@ -55,15 +55,7 @@ class SpatialTable:
                     f"({pts.shape[0]},)"
                 )
             self._attributes[column] = arr
-        # Index the points tagged with their row ids so blocks can map
-        # back to attribute rows: the quadtree partitions an (n, 3)
-        # array's first two columns... instead we index (x, y) and keep
-        # a row-id column by indexing an augmented array and slicing.
-        if pts.shape[0]:
-            augmented = np.column_stack([pts, np.arange(pts.shape[0], dtype=float)])
-            self._index = _RowTaggedQuadtree(augmented, capacity=capacity)
-        else:
-            self._index = _RowTaggedQuadtree(np.empty((0, 3)), capacity=capacity)
+        self._index = Quadtree(pts, capacity=capacity)
         self._snapshot = IndexSnapshot.from_index(self._index)
         self._block_points: tuple[BlockPointsView, np.ndarray] | None = None
 
@@ -136,53 +128,3 @@ class SpatialTable:
         for column, values in self._attributes.items():
             out[column] = values[row_ids]
         return out
-
-
-class _RowTaggedQuadtree(Quadtree):
-    """A quadtree that remembers each block's original row ids.
-
-    The quadtree split is a pure function of (x, y) and the bounds, so
-    re-running the same deterministic partition over (x, y, row_id)
-    rows reproduces every block's membership in construction order; the
-    tags are collected per block without touching the (immutable) block
-    objects.
-    """
-
-    def __init__(self, augmented: np.ndarray, capacity: int) -> None:
-        self._augmented = augmented
-        super().__init__(
-            augmented[:, :2] if augmented.size else np.empty((0, 2)),
-            capacity=capacity,
-        )
-        self._row_ids: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for __ in self.blocks
-        ]
-        self._attach_row_ids()
-
-    def row_ids_for(self, block_id: int) -> np.ndarray:
-        """Original row ids of the points in block ``block_id``."""
-        return self._row_ids[block_id]
-
-    def _attach_row_ids(self) -> None:
-        """Recompute the partition over (x, y, row) and collect tags."""
-        if self._augmented.shape[0] == 0:
-            return
-        next_block = iter(range(len(self.blocks)))
-
-        def recurse(rows: np.ndarray, rect, depth: int) -> None:
-            if rows.shape[0] <= self.capacity or depth >= self._max_depth:
-                if rows.shape[0]:
-                    block_id = next(next_block)
-                    self._row_ids[block_id] = rows[:, 2].astype(np.int64)
-                return
-            cx = (rect.x_min + rect.x_max) / 2.0
-            cy = (rect.y_min + rect.y_max) / 2.0
-            west = rows[:, 0] < cx
-            south = rows[:, 1] < cy
-            for mask, quadrant in zip(
-                (west & south, ~west & south, west & ~south, ~west & ~south),
-                rect.quadrants(),
-            ):
-                recurse(rows[mask], quadrant, depth + 1)
-
-        recurse(self._augmented, self.bounds, 0)

@@ -100,19 +100,26 @@ class Quadtree(SpatialIndex):
                 n_out = int(np.count_nonzero(~(inside_x & inside_y)))
                 raise ValueError(f"{n_out} point(s) fall outside the index bounds")
         self._blocks: list[Block] = []
+        self._row_ids: list[np.ndarray] = []
         self._leaves: list[QuadtreeNode] = []
-        self._root = self._build(pts, self._bounds, depth=0)
+        self._root = self._build(
+            pts, np.arange(pts.shape[0], dtype=np.int64), self._bounds, depth=0
+        )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, pts: np.ndarray, rect: Rect, depth: int) -> QuadtreeNode:
-        """Recursively build the subtree for ``pts`` within ``rect``."""
+    def _build(
+        self, pts: np.ndarray, rows: np.ndarray, rect: Rect, depth: int
+    ) -> QuadtreeNode:
+        """Recursively build the subtree for ``pts`` (input rows ``rows``)
+        within ``rect``."""
         if pts.shape[0] <= self._capacity or depth >= self._max_depth:
             block: Block | None = None
             if pts.shape[0]:
                 block = Block(block_id=len(self._blocks), rect=rect, points=pts)
                 self._blocks.append(block)
+                self._row_ids.append(rows)
             leaf = QuadtreeNode(rect, [], block, depth)
             self._leaves.append(leaf)
             return leaf
@@ -127,7 +134,7 @@ class Quadtree(SpatialIndex):
             ~west & ~south,  # NE
         )
         children = [
-            self._build(pts[mask], quadrant, depth + 1)
+            self._build(pts[mask], rows[mask], quadrant, depth + 1)
             for mask, quadrant in zip(quadrant_masks, rect.quadrants())
         ]
         return QuadtreeNode(rect, children, None, depth)
@@ -150,6 +157,11 @@ class Quadtree(SpatialIndex):
     @property
     def capacity(self) -> int:
         return self._capacity
+
+    def row_ids_for(self, block_id: int) -> np.ndarray:
+        """Input row positions of the points in block ``block_id``, in
+        the block's point order."""
+        return self._row_ids[block_id]
 
     # ------------------------------------------------------------------
     # Space-partitioning specific operations

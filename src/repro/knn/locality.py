@@ -27,7 +27,11 @@ example): with inner blocks ``b_1..b_n`` in MINDIST order, cumulative
 counts ``S_i`` and running maxima ``M_i = max(MAXDIST(b_1..b_i))``, the
 locality size for every ``k`` in ``[S_{i-1}+1, S_i]`` is
 ``#{b : MINDIST(b) <= M_i}``; consecutive equal-cost ranges are merged
-(the paper's redundant-entry elimination).
+(the paper's redundant-entry elimination).  It orders only a window of
+the nearest blocks by MINDIST, certified when the mark ``M`` at
+``max_k`` is strictly below every MINDIST outside it (the bounds-only
+test: a block whose MINDIST exceeds a certified distance is never
+read), and grows the window up to every block otherwise.
 
 Zero-count-block semantics
 --------------------------
@@ -58,10 +62,16 @@ from repro.geometry.kernels import (
     maxdist_rects,
     maxdist_rects_batch,
     mindist_argsort,
+    mindist_rects,
     mindist_rects_batch,
     tie_stable_argsort,
 )
 from repro.index.snapshot import IndexSnapshot, as_snapshot
+
+# The first window of locality_size_profile, in multiples of the blocks
+# that hold max_k points on average (plus 8), and its growth factor.
+_FIRST_WINDOW_PER_C = 8
+_WINDOW_GROWTH = 4
 
 
 def _outer_anchor(outer_rect) -> np.ndarray:
@@ -252,6 +262,14 @@ def locality_size_profile(
 ) -> list[tuple[int, int, int]]:
     """Locality-size-vs-k staircase for one outer block (Procedure 2).
 
+    Read from a window of the ``w`` nearest inner blocks by MINDIST,
+    ordered by ``(MINDIST, canonical tie rank)``.  The window is
+    certified when the running-MAXDIST mark at the prefix that reaches
+    ``max_k`` points is strictly below the smallest MINDIST outside it:
+    every block the profile counts (MINDIST <= a mark) is then inside,
+    so the profile is the full scan's.  Otherwise ``w`` grows by
+    ``_WINDOW_GROWTH`` up to every block, where nothing is outside.
+
     Args:
         inner: Block summary of the inner relation.
         outer_rect: Extent of the outer block (``Rect`` or bounds).
@@ -268,26 +286,42 @@ def locality_size_profile(
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     snap = as_snapshot(inner)
-    if snap.n_blocks == 0:
+    n = snap.n_blocks
+    if n == 0:
         return []
     anchor = _outer_anchor(outer_rect)
-    order, mindists = mindist_argsort(anchor, snap.rects, tie_order=snap.tie_order)
-    counts = snap.counts[order]
-    maxdists = maxdist_rects(anchor, snap.rects)[order]
-    cumulative = np.cumsum(counts)
-    running_max = np.maximum.accumulate(maxdists)
+    tie = snap.tie_order
+    mindists = mindist_rects(anchor, snap.rects)
+    if tie is not None:
+        mindists = mindists[tie]  # by canonical position: a block's tie rank
+    w = min(n, _FIRST_WINDOW_PER_C * (int(max_k * n / max(1, snap.total_count)) + 8))
+    while True:
+        if w < n:
+            nearest = np.argpartition(mindists, w)
+            window, outside = nearest[:w], mindists[nearest[w]]
+        else:
+            window, outside = np.arange(n), np.inf
+        window = window[np.lexsort((window, mindists[window]))]
+        rows = window if tie is None else tie[window]
+        cumulative = np.cumsum(snap.counts[rows])
+        reach = int(np.searchsorted(cumulative, max_k, side="left"))
+        if reach < w or w == n:
+            running_max = np.maximum.accumulate(
+                maxdist_rects(anchor, snap.rects[rows[: reach + 1]])
+            )
+            if w == n or running_max[-1] < outside:
+                break
+        w = min(n, _WINDOW_GROWTH * w)
     # For the prefix ending at block i, the locality size is the number
-    # of blocks with MINDIST <= running_max[i]; mindists is sorted so a
-    # single vectorized searchsorted covers all prefixes at once.
-    sizes = np.searchsorted(mindists, running_max, side="right")
+    # of blocks with MINDIST <= running_max[i]; the window's mindists are
+    # sorted so a single vectorized searchsorted covers all prefixes.
+    sizes = np.searchsorted(mindists[window], running_max, side="right")
 
     profile: list[tuple[int, int, int]] = []
     k_reached = 0
-    for i in range(order.shape[0]):
-        k_end = int(cumulative[i])
+    for k_end, size in zip(cumulative.tolist(), sizes.tolist()):
         if k_end <= k_reached:
             continue  # zero-count block: raises the mark, adds no range
-        size = int(sizes[i])
         if profile and profile[-1][2] == size:
             # Redundant-entry elimination: extend the previous range.
             k_start, __, __ = profile[-1]
@@ -295,6 +329,4 @@ def locality_size_profile(
         else:
             profile.append((k_reached + 1, k_end, size))
         k_reached = k_end
-        if k_reached >= max_k:
-            break
     return profile

@@ -16,8 +16,8 @@ Staircase, Catalog-Merge, and Virtual-Grid estimators:
 * :class:`~repro.knn.browse.BlockPointsView` (re-exported here) — a
   columnar, picklable stand-in for a block list whose points the batch
   pass gathers with one fancy-index and one ``np.hypot`` call (the
-  gather the engine's select browse runs too), binned by
-  :func:`count_below`.
+  gather the engine's select browse runs too); :func:`count_below` sorts
+  each anchor's distances once and searches its thresholds into them.
 * :func:`locality_size_profiles` — ordered many-rect fan-out of
   Procedure 2.
 
@@ -218,10 +218,10 @@ def _staircases(
     anchors shares one MINDIST tableau over ``S``.  Each round takes
     every pending row's ``c + 1`` nearest candidates (one row-wise
     ``argpartition`` and a stable sort), gathers their points in one
-    pass and bins each distance against its row's thresholds (each
-    next block's MINDIST) with :func:`count_below` into the ``(rows, c)``
-    matrix ``R`` of points retrievable after each block (a staircase
-    reads all of it); rows still short of ``max_k``
+    pass, and :func:`count_below` sorts each row's distances once and
+    searches its thresholds (each next block's MINDIST) into them: the
+    ``(rows, c)`` matrix ``R`` of points retrievable after each block (a
+    staircase reads all of it); rows still short of ``max_k``
     go to the next round at ``2c``, the last round sorting all of ``S``.
 
     ``R[i]`` counts the points nearer than ``thresholds[i]``, wherever
@@ -396,22 +396,18 @@ def _nearest(tableau: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return order, thresholds
 
 
-def count_below(rows: np.ndarray, dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``R[r, i]`` = values of row ``r`` (``rows[j]`` is value ``j``'s)
-    strictly below ``thresholds[r, i]``, which rise along each row: one
-    ``searchsorted`` over complex ``row + 1j * threshold`` keys (ordered by
-    real, then imaginary part, so exact), a ``bincount`` and a ``cumsum``.
+def count_below(dists: np.ndarray, lengths: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``R[r, i]`` = values of row ``r`` strictly below ``thresholds[r, i]``,
+    where row ``r`` owns the next ``lengths[r]`` values of ``dists`` after
+    rows ``0..r-1``: one ``np.sort`` per row and a ``side="left"``
+    ``searchsorted`` of its thresholds into it.
     """
-    q, c = thresholds.shape
-    keys = np.empty((q, c), dtype=complex)
-    keys.real, keys.imag = np.arange(q)[:, None], thresholds
-    values = np.empty(dists.shape[0], dtype=complex)
-    values.real, values.imag = rows, dists
-    # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
-    # one overflow bin per row.
-    bins = np.searchsorted(keys.ravel(), values, side="right") + rows
-    counts = np.bincount(bins, minlength=q * (c + 1)).reshape(q, c + 1)
-    return np.cumsum(counts[:, :c], axis=1)
+    R = np.empty(thresholds.shape, dtype=np.int64)
+    lo = 0
+    for r, hi in enumerate(np.cumsum(lengths).tolist()):
+        R[r] = np.searchsorted(np.sort(dists[lo:hi]), thresholds[r], side="left")
+        lo = hi
+    return R
 
 
 def _retrievable(
@@ -435,8 +431,8 @@ def _retrievable(
     while lo < q:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + _GATHER_POINTS, side="right")))
-        rows, dists, __ = view.gather(xy[lo:hi], starts[lo:hi], lengths[lo:hi])
-        R[lo:hi] = count_below(rows, dists, thresholds[lo:hi])
+        __, dists, __ = view.gather(xy[lo:hi], starts[lo:hi], lengths[lo:hi])
+        R[lo:hi] = count_below(dists, totals[lo:hi], thresholds[lo:hi])
         lo = hi
     return R
 

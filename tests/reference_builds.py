@@ -21,6 +21,14 @@ equal to the last bit, first-offender errors included.
 A whole-tree gather (:func:`assert_matches_gather`) is the oracle of the
 block summary, points view and leaf table that an incremental Staircase
 refresh splices together region by region.
+
+The cold set-up's former passes are the oracles of their replacements:
+the complex-key binning (:func:`count_below_complex`) of the sort-per-row
+``repro.perf.parallel.count_below``; Procedure 2 over a full stable MINDIST
+sort (:func:`full_locality_size_profile`) of the certified-window
+``repro.knn.locality.locality_size_profile``; and the second partition
+over ``(x, y, row)`` (:func:`partition_row_ids`) of the row ids a
+``Quadtree`` records while it builds.
 """
 
 import dataclasses
@@ -37,9 +45,8 @@ from repro.estimators.base import normalize_batch_args
 from repro.estimators.maintenance import region_keys
 from repro.estimators.staircase import build_select_catalog
 from repro.geometry import Point, Rect
-from repro.geometry.kernels import as_anchor, staircase_interpolate
+from repro.geometry.kernels import as_anchor, maxdist_rects, mindist_argsort, staircase_interpolate
 from repro.index.snapshot import IndexSnapshot, as_snapshot, partition_bounds
-from repro.knn.locality import locality_size_profile
 from repro.perf import BlockPointsView
 
 
@@ -122,7 +129,7 @@ def catalog_merge_store(outer, inner, sample_size: int, max_k: int) -> CatalogSt
     sample = sample_block_indices(outer_snap.n_blocks, sample_size)
     temporaries = [
         IntervalCatalog.from_profile(
-            locality_size_profile(inner_snap, rect, max_k), max_k=max_k
+            full_locality_size_profile(inner_snap, rect, max_k), max_k=max_k
         ).truncated(max_k)
         for rect in outer_snap.rects[sample]
     ]
@@ -318,3 +325,75 @@ def assert_matches_gather(estimator, tree) -> None:
         counts = [len(leaf.points_list) for leaf in tree.leaves]
         assert estimator._leaf_counts.tolist() == counts
     assert len(estimator._center_catalogs) == leaves.shape[0]
+
+
+def count_below_complex(lengths: np.ndarray, dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``R[r, i]`` = row ``r``'s values strictly below ``thresholds[r, i]``
+    (rising along each row; row ``r`` owns the next ``lengths[r]`` values):
+    one ``searchsorted`` of every value into complex ``row + 1j * threshold``
+    keys, a ``bincount`` and a ``cumsum``."""
+    q, c = thresholds.shape
+    rows = np.repeat(np.arange(q), lengths)
+    keys = np.empty((q, c), dtype=complex)
+    keys.real, keys.imag = np.arange(q)[:, None], thresholds
+    values = np.empty(dists.shape[0], dtype=complex)
+    values.real, values.imag = rows, dists
+    # Row r's value lands at r * c + #{thresholds <= dist}; + r skips
+    # one overflow bin per row.
+    bins = np.searchsorted(keys.ravel(), values, side="right") + rows
+    counts = np.bincount(bins, minlength=q * (c + 1)).reshape(q, c + 1)
+    return np.cumsum(counts[:, :c], axis=1)
+
+
+def full_locality_size_profile(inner, outer_rect, max_k: int) -> list[tuple[int, int, int]]:
+    """Procedure 2 with every inner block in stable ``(MINDIST, tie rank)``
+    order, MAXDIST of every block and a cumulative pass over all of them."""
+    snap = as_snapshot(inner)
+    if snap.n_blocks == 0:
+        return []
+    anchor = as_anchor(outer_rect)
+    order, mindists = mindist_argsort(anchor, snap.rects, tie_order=snap.tie_order)
+    cumulative = np.cumsum(snap.counts[order])
+    running_max = np.maximum.accumulate(maxdist_rects(anchor, snap.rects)[order])
+    sizes = np.searchsorted(mindists, running_max, side="right")
+    profile: list[tuple[int, int, int]] = []
+    k_reached = 0
+    for i in range(order.shape[0]):
+        k_end = int(cumulative[i])
+        if k_end <= k_reached:
+            continue
+        size = int(sizes[i])
+        if profile and profile[-1][2] == size:
+            profile[-1] = (profile[-1][0], k_end, size)
+        else:
+            profile.append((k_reached + 1, k_end, size))
+        k_reached = k_end
+        if k_reached >= max_k:
+            break
+    return profile
+
+
+def partition_row_ids(points: np.ndarray, tree) -> list[np.ndarray]:
+    """Each block's input rows of ``tree`` (built over ``points``): the
+    quadtree's partition run again over ``(x, y, row)`` rows."""
+    rows = np.column_stack([points, np.arange(points.shape[0], dtype=float)])
+    found: list[np.ndarray] = []
+
+    def recurse(rows: np.ndarray, rect, depth: int) -> None:
+        if rows.shape[0] <= tree.capacity or depth >= tree._max_depth:
+            if rows.shape[0]:
+                found.append(rows[:, 2].astype(np.int64))
+            return
+        cx = (rect.x_min + rect.x_max) / 2.0
+        cy = (rect.y_min + rect.y_max) / 2.0
+        west = rows[:, 0] < cx
+        south = rows[:, 1] < cy
+        for mask, quadrant in zip(
+            (west & south, ~west & south, west & ~south, ~west & ~south),
+            rect.quadrants(),
+        ):
+            recurse(rows[mask], quadrant, depth + 1)
+
+    if points.shape[0]:
+        recurse(rows, tree.bounds, 0)
+    return found

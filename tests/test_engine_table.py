@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine import SpatialTable
+from repro.geometry import Rect
+from repro.index import Quadtree
+from tests.reference_builds import partition_row_ids
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +72,47 @@ class TestRowMapping:
             [t.block_row_ids(b.block_id) for b in t.index.blocks]
         )
         assert np.array_equal(np.sort(seen), np.arange(20))
+
+
+def assert_row_ids_are_the_second_partition(points, tree, row_ids_for):
+    """Each block's recorded rows equal the rows a second run of the
+    partition over ``(x, y, row)`` finds, and index its points."""
+    want = partition_row_ids(points, tree)
+    assert len(want) == len(tree.blocks)
+    for block, rows in zip(tree.blocks, want):
+        got = row_ids_for(block.block_id)
+        assert got.dtype == np.int64 and np.array_equal(got, rows)
+        assert np.array_equal(points[got], block.points)
+
+
+class TestRowIdsFromTheBuild:
+    """The quadtree records each block's rows as it partitions; the second
+    partition that used to recover them is the oracle."""
+
+    @pytest.mark.parametrize(
+        "points, capacity",
+        [
+            (np.random.default_rng(0).uniform(0, 100, size=(2_000, 2)), 64),
+            (np.random.default_rng(1).integers(0, 9, size=(300, 2)).astype(float), 1),
+            # Duplicates no split can separate: leaves stop at max_depth.
+            (np.array([[1.0, 1.0]] * 10 + [[2.0, 2.0]] * 7 + [[1.0, 2.0]]), 2),
+            # Points on the split lines of a [0, 8] universe's quadrants.
+            (np.array([[x, y] for x in range(9) for y in range(9)], dtype=float), 3),
+        ],
+        ids=["uniform", "capacity-1", "duplicates-past-max-depth", "split-lines"],
+    )
+    def test_table_rows_equal_the_old_recursion(self, points, capacity):
+        table = SpatialTable("t", points, capacity=capacity)
+        assert_row_ids_are_the_second_partition(points, table.index, table.block_row_ids)
+
+    def test_a_shallow_tree_with_duplicates(self):
+        points = np.array([[0.0, 0.0]] * 6 + [[4.0, 4.0]] * 5 + [[0.0, 4.0], [4.0, 0.0]])
+        tree = Quadtree(points, bounds=Rect(0, 0, 4, 4), capacity=1, max_depth=2)
+        assert any(b.count > 1 for b in tree.blocks)
+        assert_row_ids_are_the_second_partition(points, tree, tree.row_ids_for)
+
+    def test_an_empty_table(self):
+        table = SpatialTable("empty", np.empty((0, 2)))
+        assert table.index.blocks == [] and partition_row_ids(table.points, table.index) == []
+        view, row_ids = table.block_points
+        assert row_ids.dtype == np.int64 and row_ids.shape == (0,)

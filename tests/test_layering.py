@@ -250,6 +250,8 @@ RETIRED_NAMES = {
     "keeps",
     "_concat_ranges",
     "_ordered_windows",
+    "_RowTaggedQuadtree",
+    "_attach_row_ids",
 }
 
 

@@ -12,6 +12,7 @@ catalogs built from it to ``tests/reference_builds.py`` after churn.
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import generate_osm_like
+from repro.engine import SpatialTable
 from repro.estimators import StaircaseEstimator
 from repro.geometry import Point, Rect
 from repro.geometry.hilbert import hilbert_order
@@ -29,7 +31,7 @@ from repro.index.base import Block
 from repro.knn.distance_browsing import select_cost_profile_covered
 from repro.perf import BlockPointsView, parallel, profile_staircases, select_cost_profiles
 from repro.workloads import churn_phases
-from tests.reference_builds import staircase_store
+from tests.reference_builds import count_below_complex, staircase_store
 
 
 def assert_batch_is_per_anchor(snapshot, blocks, anchors, max_k, workers=None):
@@ -407,3 +409,109 @@ def test_build_reads_a_quarter_of_the_all_blocks_tableau():
         estimator = StaircaseEstimator(tree, max_k=256)
     n_anchors = estimator.preprocessing_stats.anchors_unique
     assert sum(cells) <= n_anchors * IndexSnapshot.from_index(tree).n_blocks / 4
+
+
+# ----------------------------------------------------------------------
+# The binning: count_below sorts each row once and searches its thresholds
+# into it.  Held to the complex-key binning it replaced and to a brute
+# (values < threshold).sum() on the cases that bend a strict '<'.
+
+
+def brute_count_below(lengths, dists, thresholds):
+    ends = np.cumsum(lengths)
+    return np.array(
+        [[int((dists[end - n : end] < t).sum()) for t in row]
+         for n, end, row in zip(lengths, ends, thresholds)],
+        dtype=np.int64,
+    ).reshape(thresholds.shape)
+
+
+def assert_bins_like_oracles(lengths, dists, thresholds):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    dists = np.asarray(dists, dtype=float)
+    thresholds = np.asarray(thresholds, dtype=float).reshape(lengths.shape[0], -1)
+    R = parallel.count_below(dists, lengths, thresholds)
+    assert R.dtype == np.int64
+    assert np.array_equal(R, count_below_complex(lengths, dists, thresholds))
+    assert np.array_equal(R, brute_count_below(lengths, dists, thresholds))
+
+
+class TestCountBelow:
+    def test_a_value_equal_to_a_threshold_is_not_below_it(self):
+        assert_bins_like_oracles([3, 2], [2.0, 1.0, 3.0, 5.0, 5.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_infinite_thresholds_count_every_finite_value(self):
+        assert_bins_like_oracles(
+            [4, 3], [3.0, 0.0, np.inf, 1.0, 2.0, 2.0, 7.0], [[1.0, np.inf, np.inf], [2.0, 7.0, np.inf]]
+        )
+
+    def test_rows_with_no_values(self):
+        assert_bins_like_oracles([0, 2, 0, 1], [1.0, 0.5, 4.0], [[1.0, 2.0]] * 4)
+
+    def test_rows_whose_values_lie_past_every_threshold(self):
+        assert_bins_like_oracles([2, 3], [9.0, 8.0, 5.0, 6.0, 7.0], [[1.0, 2.0, 4.0], [0.0, 1.0, 5.0]])
+
+    def test_a_single_row(self):
+        assert_bins_like_oracles([5], [4.0, 1.0, 1.0, 3.0, 0.0], [[0.0, 1.0, 1.5, 4.0, np.inf]])
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("longest", [14, 400])
+    def test_random_rows_on_a_tied_grid_match_both_oracles(self, seed, longest):
+        rng = np.random.default_rng(seed)
+        q, c = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        lengths = rng.integers(0, longest, size=q)
+        # Quarter-steps: many values tie each other and the thresholds.
+        dists = rng.integers(0, 3 * longest, size=int(lengths.sum())) / 4.0
+        thresholds = rng.integers(0, 3 * longest, size=(q, c)) / 4.0
+        thresholds[rng.random((q, c)) < 0.1] = np.inf
+        assert_bins_like_oracles(lengths, dists, np.sort(thresholds, axis=1))
+
+    @pytest.mark.parametrize("gather_points", [1, 7, 40])
+    def test_rows_on_both_sides_of_a_gather_cut(self, monkeypatch, gather_points):
+        """``_retrievable`` cuts a round into gathers of about
+        ``_GATHER_POINTS`` distances; rows on either side of each cut bin
+        like one brute pass over the round."""
+        monkeypatch.setattr(parallel, "_GATHER_POINTS", gather_points)
+        rng = np.random.default_rng(gather_points)
+        points = rng.integers(0, 6, size=(60, 2)).astype(float)
+        view = BlockPointsView(points, np.arange(0, 61, 5))
+        q, c = 6, 4
+        xy = rng.integers(0, 6, size=(q, 2)).astype(float)
+        blocks = np.stack([rng.permutation(12)[:c] for __ in range(q)])
+        starts, lengths = view.offsets[blocks], np.full((q, c), 5)
+        thresholds = np.sort(rng.integers(0, 9, size=(q, c)) / 1.0, axis=1)
+        R = parallel._retrievable(view, xy, starts, lengths, thresholds)
+        __, dists, __ = view.gather(xy, starts, lengths)
+        assert np.array_equal(R, brute_count_below(lengths.sum(axis=1), dists, thresholds))
+
+
+# ----------------------------------------------------------------------
+# The benchmark's Staircase build, pinned without a clock: the OSM-like
+# 60,000 points of seed 800 at capacity 64 and max_k 256.
+
+#: sha256 of the build's ``to_store().to_bytes()`` (688,148 bytes), as the
+#: complex-key binning produced it.
+BENCHMARK_STAIRCASE_SHA256 = "bb5cb3937f50797272365b1671d18555c6c586554c67cbd78e18ddf888f28527"
+
+
+@pytest.fixture(scope="module")
+def benchmark_table():
+    points = generate_osm_like(60_000, seed=np.random.default_rng([800, 0]), structure_seed=2015)
+    return SpatialTable("points", points, capacity=64)
+
+
+def test_the_benchmark_build_is_byte_identical_and_its_work_pinned(benchmark_table, monkeypatch):
+    passes, gathered = [], []
+    real = parallel._retrievable
+
+    def spy(view, xy, starts, lengths, thresholds):
+        passes.append(1)
+        gathered.append(int(lengths.sum()))
+        return real(view, xy, starts, lengths, thresholds)
+
+    monkeypatch.setattr(parallel, "_retrievable", spy)
+    table = benchmark_table
+    store = StaircaseEstimator(table.index, max_k=256, snapshot=table.snapshot).to_store()
+    assert hashlib.sha256(store.to_bytes()).hexdigest() == BENCHMARK_STAIRCASE_SHA256
+    assert len(passes) == 418
+    assert sum(gathered) == 5_319_349
