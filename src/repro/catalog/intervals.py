@@ -135,8 +135,7 @@ class IntervalCatalog:
             raise CatalogLookupError(
                 f"k={k} exceeds the catalog's supported maximum {self.max_k}"
             )
-        # The range gather is kernel-backed (numpy searchsorted or the
-        # numba bisect loop — integer-exact either way).
+        # The range gather is the kernel's searchsorted (integer-exact).
         return interval_gather(self._k_end, self._cost, ks)
 
     # ------------------------------------------------------------------

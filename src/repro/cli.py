@@ -55,7 +55,6 @@ from repro.estimators import (
 )
 from repro.estimators import UniformModelEstimator
 from repro.geometry import Point
-from repro.geometry.backends import active_backend
 from repro.index import IndexSnapshot, Quadtree
 from repro.knn import knn_join_cost, select_cost_exact, select_cost_profile
 from repro.optimizer.selection import parse_pin_spec
@@ -193,7 +192,6 @@ def _cmd_estimate_select(args: argparse.Namespace) -> int:
     actual = select_cost_exact(snapshot, index.blocks, query, args.k)
     error = abs(estimate - actual) / max(actual, 1)
     print(f"technique:  {args.technique}")
-    print(f"backend:    {active_backend()}")
     print(f"estimate:   {estimate:.2f} blocks ({elapsed * 1e6:.1f} us)")
     print(f"actual:     {actual} blocks")
     print(f"error:      {error:.1%}")

@@ -40,7 +40,6 @@ from repro.engine.physical import (
 )
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
-from repro.geometry.backends import active_backend
 from repro.optimizer.selection import LinkDecision, arbitrate, arbitrate_batch
 from repro.resilience.guards import K_CEILING
 
@@ -82,9 +81,6 @@ class PlanExplanation:
             costing estimator (:meth:`repro.perf.PreprocessingStats.as_dict`
             — worker count, anchor dedup counters, per-phase seconds);
             empty when the estimator exposes none.
-        kernel_backend: Name of the geometry kernel backend active when
-            the plan was costed (``"numpy"`` or ``"numba"``; "" when
-            the plan needed no kernel work).
         decided_by: The rule that decided — ``"cost-based"`` or
             ``"pinned-override"`` ("" for plans never arbitrated, e.g.
             degraded shard placeholders).
@@ -102,7 +98,6 @@ class PlanExplanation:
     degraded: bool = False
     notes: list[str] = field(default_factory=list)
     preprocessing: dict[str, float] = field(default_factory=dict)
-    kernel_backend: str = ""
     decided_by: str = ""
     trail: list[LinkDecision] = field(default_factory=list)
 
@@ -126,8 +121,6 @@ class PlanExplanation:
         if self.estimator_tier:
             status = "degraded" if self.degraded else "primary"
             lines.append(f"  estimator: {self.estimator_tier} ({status})")
-        if self.kernel_backend:
-            lines.append(f"  kernel backend: {self.kernel_backend}")
         if self.preprocessing:
             wall = self.preprocessing.get("wall_seconds", 0.0)
             deduped = int(self.preprocessing.get("anchors_deduped", 0))
@@ -341,7 +334,6 @@ def _explain_select_group(
             region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
             matrix[j, 1] = min(incremental[j], region_blocks)
     decisions = arbitrate_batch("select", name, matrix, SELECT_TIE_ORDER, stats.pinned_operators)
-    backend = active_backend()
     explanations = []
     for j, (record, (__, pruned_cost, browse), k, sigma, tier, is_degraded) in enumerate(zip(
         decisions,
@@ -367,7 +359,6 @@ def _explain_select_group(
                 degraded=is_degraded,
                 notes=[provenance.outcome_for(j).describe()] if is_degraded else [],
                 preprocessing=dict(preprocessing),
-                kernel_backend=backend,
                 decided_by=record.link,
                 trail=[record],
             )

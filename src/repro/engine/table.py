@@ -14,10 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.index.base import validate_points
+from repro.index.base import BlockPointsView, validate_points
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import IndexSnapshot
-from repro.knn.browse import BlockPointsView
 
 
 class SpatialTable:
@@ -91,12 +90,13 @@ class SpatialTable:
     @property
     def block_points(self) -> tuple[BlockPointsView, np.ndarray]:
         """The blocks' points as a view (view block = block id) and each
-        point's row id: what the distance browse reads, built on first use."""
+        point's row id: what the distance browse reads, built on first use.
+        The view is the index's own, which the table's Staircase
+        estimator reads too."""
         if self._block_points is None:
-            blocks = self._index.blocks
-            row_ids = [self.block_row_ids(b.block_id) for b in blocks]
+            row_ids = [self.block_row_ids(b.block_id) for b in self._index.blocks]
             row_ids = np.concatenate(row_ids) if row_ids else np.empty(0, dtype=np.int64)
-            self._block_points = (BlockPointsView.from_blocks(blocks), row_ids)
+            self._block_points = (self._index.points_view, row_ids)
         return self._block_points
 
     # ------------------------------------------------------------------

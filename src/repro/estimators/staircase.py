@@ -621,9 +621,9 @@ class StaircaseEstimator(SelectCostEstimator):
         return rebuilt.shape[0]
 
     def _points_view(self) -> BlockPointsView:
-        """The columnar points of the data blocks, flattened on first use."""
+        """The columnar points of the data blocks: the index's own view."""
         if self._view is None:
-            self._view = BlockPointsView.from_blocks(self._data_index.blocks)
+            self._view = self._data_index.points_view
         return self._view
 
     # ------------------------------------------------------------------
@@ -679,11 +679,11 @@ class StaircaseEstimator(SelectCostEstimator):
         center_x, center_y, diagonal = geometry[leaf_id].tolist()
         if diagonal == 0.0:
             return c_center
-        # Equations 1-2, mirroring the backend kernel op for op.  The
+        # Equations 1-2, mirroring the array kernel op for op.  The
         # scalar ``np.hypot`` is the same libm call the kernel's array
         # path makes (never ``math``'s correctly-rounded hypot),
-        # so scalar and batched estimates agree bitwise whatever backend
-        # is active — without paying three array allocations per query.
+        # so scalar and batched estimates agree bitwise — without
+        # paying three array allocations per query.
         dist = np.hypot(query.x - center_x, query.y - center_y)
         delta = c_corner - c_center  # Equation 2
         return float(c_center + (2.0 * dist / diagonal) * delta)  # Equation 1
@@ -703,10 +703,9 @@ class StaircaseEstimator(SelectCostEstimator):
         Bit-identity with the scalar path is part of the contract: both
         read the same per-leaf center/diagonal floats and the Eq. 1
         interpolation is the
-        :func:`~repro.geometry.kernels.staircase_interpolate` backend
-        kernel, whose operation order the scalar path mirrors, so
-        element ``i`` equals ``estimate(Point(*queries[i]), ks[i])``
-        exactly, whatever kernel backend is active.
+        :func:`~repro.geometry.kernels.staircase_interpolate` kernel,
+        whose operation order the scalar path mirrors, so element ``i``
+        equals ``estimate(Point(*queries[i]), ks[i])`` exactly.
 
         Args:
             queries: ``(m, 2)`` array-like of query coordinates.

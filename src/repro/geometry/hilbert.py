@@ -14,8 +14,8 @@ physically.
 The ordering is a pure layout concern: consumers recover canonical
 tie-break semantics through the snapshot's
 :attr:`~repro.index.snapshot.IndexSnapshot.tie_order`, so results stay
-bit-identical whatever the physical order (the parity contract of
-``tests/test_kernel_backends.py``).
+bit-identical whatever the physical order (the layout-invariance tests
+of ``tests/test_kernel_backends.py``).
 """
 
 from __future__ import annotations

@@ -7,16 +7,12 @@ kernels are that primitive in structure-of-arrays form: each takes an
 ``rects`` column of an :class:`~repro.index.snapshot.IndexSnapshot`)
 and answers for every block at once.
 
-This module is the kernels' *dispatch layer*: it validates shapes and
-dtypes once, then forwards the raw array computation to the active
-backend registered in :mod:`repro.geometry.backends` — the numpy
-reference, or the optional numba-JIT implementation (selected at
-import, ``REPRO_KERNEL_BACKEND`` override).  Backends are bit-parity
-gated: whatever is active, outputs are **bitwise identical** to the
-numpy reference ufunc chains.  These kernels are the *only* array
-definition of MINDIST/MAXDIST; the scalar forms of
-:mod:`repro.geometry.metrics` compute the same float (same per-axis
-operation order, same libm ``hypot``), which
+Each kernel validates shapes and dtypes once, then runs one numpy
+ufunc chain.  These kernels are the *only* array definition of
+MINDIST/MAXDIST; the scalar forms of :mod:`repro.geometry.metrics`
+compute the same float (same per-axis operation order, same libm
+``hypot`` through :func:`numpy.hypot` — never CPython's
+correctly-rounded :func:`math.hypot`, which can differ by 1 ulp), which
 ``tests/test_geometry_metrics.py`` asserts with ``==``.  New estimation
 code should call these directly on snapshot arrays instead of
 materializing per-leaf objects.
@@ -34,7 +30,7 @@ Tie-break contract
 Sorting kernels (:func:`mindist_argsort`, :func:`tie_stable_argsort`)
 use **stable** sorts only: equal keys keep their input order, so the
 result is a pure function of the key values and the input order — no
-backend, sort algorithm, or physical layout may change it.  Canonical
+sort algorithm or physical layout may change it.  Canonical
 snapshots are ordered by ascending ``block_ids``, so on a canonical
 snapshot equal MINDISTs resolve in block-id order.  A physically
 reordered snapshot (e.g. Hilbert layout, see
@@ -42,16 +38,11 @@ reordered snapshot (e.g. Hilbert layout, see
 ``tie_order`` — the permutation restoring canonical order — and the
 sorting kernels then reproduce the canonical tie-break exactly:
 ``order = tie_order[argsort(values[tie_order], kind="stable")]``.
-Ranking/argsorting is deliberately *not* part of the backend surface:
-only value computation is, which is what keeps the contract
-backend-independent.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.geometry import backends
 
 __all__ = [
     "as_anchor",
@@ -123,7 +114,14 @@ def mindist_rects(anchor, rects: np.ndarray) -> np.ndarray:
     :func:`repro.geometry.metrics.mindist_point_rect` /
     :func:`~repro.geometry.metrics.mindist_rect_rect` bit for bit.
     """
-    return backends.active().mindist_rects(as_anchor(anchor), _as_rects(rects))
+    a, rects = as_anchor(anchor), _as_rects(rects)
+    if a.shape[0] == 2:
+        dx = np.maximum(np.maximum(rects[:, 0] - a[0], 0.0), a[0] - rects[:, 2])
+        dy = np.maximum(np.maximum(rects[:, 1] - a[1], 0.0), a[1] - rects[:, 3])
+    else:
+        dx = np.maximum(np.maximum(rects[:, 0] - a[2], 0.0), a[0] - rects[:, 2])
+        dy = np.maximum(np.maximum(rects[:, 1] - a[3], 0.0), a[1] - rects[:, 3])
+    return np.hypot(dx, dy)
 
 
 def maxdist_rects(anchor, rects: np.ndarray) -> np.ndarray:
@@ -132,7 +130,14 @@ def maxdist_rects(anchor, rects: np.ndarray) -> np.ndarray:
     Matches :func:`repro.geometry.metrics.maxdist_point_rect` /
     :func:`~repro.geometry.metrics.maxdist_rect_rect` bit for bit.
     """
-    return backends.active().maxdist_rects(as_anchor(anchor), _as_rects(rects))
+    a, rects = as_anchor(anchor), _as_rects(rects)
+    if a.shape[0] == 2:
+        dx = np.maximum(np.abs(a[0] - rects[:, 0]), np.abs(a[0] - rects[:, 2]))
+        dy = np.maximum(np.abs(a[1] - rects[:, 1]), np.abs(a[1] - rects[:, 3]))
+        return np.hypot(dx, dy)
+    dx = np.maximum(rects[:, 2] - a[0], a[2] - rects[:, 0])
+    dy = np.maximum(rects[:, 3] - a[1], a[3] - rects[:, 1])
+    return np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
 
 
 def _as_anchor_batch(anchors) -> np.ndarray:
@@ -155,20 +160,44 @@ def mindist_rects_batch(anchors, rects: np.ndarray) -> np.ndarray:
     """``(m, n)`` MINDIST matrix of many anchors against many rects.
 
     Row ``i`` is elementwise identical to
-    ``mindist_rects(anchors[i], rects)`` — every backend applies the
-    same FP operation sequence — so batching callers stay bit-for-bit
-    compatible with the per-anchor path.
+    ``mindist_rects(anchors[i], rects)`` — the same FP operation
+    sequence — so batching callers stay bit-for-bit compatible with the
+    per-anchor path.
     """
-    return backends.active().mindist_rects_batch(
-        _as_anchor_batch(anchors), _as_rects(rects)
-    )
+    a, rects = _as_anchor_batch(anchors), _as_rects(rects)
+    if a.shape[1] == 2:
+        x = a[:, 0][:, None]
+        y = a[:, 1][:, None]
+        dx = np.maximum(np.maximum(rects[None, :, 0] - x, 0.0), x - rects[None, :, 2])
+        dy = np.maximum(np.maximum(rects[None, :, 1] - y, 0.0), y - rects[None, :, 3])
+    else:
+        dx = np.maximum(
+            np.maximum(rects[None, :, 0] - a[:, 2][:, None], 0.0),
+            a[:, 0][:, None] - rects[None, :, 2],
+        )
+        dy = np.maximum(
+            np.maximum(rects[None, :, 1] - a[:, 3][:, None], 0.0),
+            a[:, 1][:, None] - rects[None, :, 3],
+        )
+    return np.hypot(dx, dy)
 
 
 def maxdist_rects_batch(anchors, rects: np.ndarray) -> np.ndarray:
     """``(m, n)`` MAXDIST matrix of many anchors against many rects."""
-    return backends.active().maxdist_rects_batch(
-        _as_anchor_batch(anchors), _as_rects(rects)
+    a, rects = _as_anchor_batch(anchors), _as_rects(rects)
+    if a.shape[1] == 2:
+        x = a[:, 0][:, None]
+        y = a[:, 1][:, None]
+        dx = np.maximum(np.abs(x - rects[None, :, 0]), np.abs(x - rects[None, :, 2]))
+        dy = np.maximum(np.abs(y - rects[None, :, 1]), np.abs(y - rects[None, :, 3]))
+        return np.hypot(dx, dy)
+    dx = np.maximum(
+        rects[None, :, 2] - a[:, 0][:, None], a[:, 2][:, None] - rects[None, :, 0]
     )
+    dy = np.maximum(
+        rects[None, :, 3] - a[:, 1][:, None], a[:, 3][:, None] - rects[None, :, 1]
+    )
+    return np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
 
 
 def mindist_argsort(
@@ -182,8 +211,7 @@ def mindist_argsort(
 
     The sort is pinned ``kind="stable"`` (see the module-level
     *tie-break contract*): on a canonical snapshot equal MINDISTs
-    resolve in block-id order, and no backend may diverge on ties
-    because ranking never enters the backend surface.
+    resolve in block-id order.
 
     Args:
         anchor: Point or rect anchor.
@@ -245,7 +273,13 @@ def rect_overlap_mask(region, rects: np.ndarray) -> np.ndarray:
     r = as_anchor(region)
     if r.shape[0] != 4:
         raise ValueError("region must be rect bounds (4,)")
-    return backends.active().rect_overlap_mask(r, _as_rects(rects))
+    rects = _as_rects(rects)
+    return (
+        (rects[:, 0] <= r[2])
+        & (r[0] <= rects[:, 2])
+        & (rects[:, 1] <= r[3])
+        & (r[1] <= rects[:, 3])
+    )
 
 
 def interval_gather(
@@ -258,7 +292,7 @@ def interval_gather(
     :meth:`~repro.catalog.intervals.IntervalCatalog.lookup_many`, with
     every ``ks[i]`` pre-validated to lie in ``[1, k_end[-1]]``.
     """
-    return backends.active().interval_gather(k_end, cost, ks)
+    return cost[k_end.searchsorted(ks, side="left")]
 
 
 def staircase_interpolate(
@@ -278,9 +312,9 @@ def staircase_interpolate(
     own k, ``cx`` / ``cy`` / ``diagonal`` are that leaf's center and
     diagonal — per query, or scalars when the whole batch shares one
     leaf — and a zero-diagonal (degenerate) leaf pins its estimates at
-    ``C_center``.  All backends compute distances with the C library's
-    ``hypot`` and apply exactly this expression order, so scalar and
-    batched Staircase estimates agree bitwise across backends.
+    ``C_center``.  The distance is the C library's ``hypot`` and the
+    expression order is exactly this one, which the scalar estimate
+    mirrors, so scalar and batched Staircase estimates agree bitwise.
     """
     vectors = (xs, ys, c_center, c_corner)
     xs, ys, c_center, c_corner = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
@@ -300,6 +334,10 @@ def staircase_interpolate(
             "staircase_interpolate centre and diagonal must be scalars or "
             f"share the batch length {xs.shape}"
         ) from None
-    return backends.active().staircase_interpolate(
-        xs, ys, cx, cy, diagonal, c_center, c_corner
-    )
+    dist = np.hypot(xs - cx, ys - cy)
+    delta = c_corner - c_center
+    if np.count_nonzero(diagonal) == diagonal.shape[0]:  # no degenerate leaf: no 0 / 0
+        return c_center + (2.0 * dist / diagonal) * delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = c_center + (2.0 * dist / diagonal) * delta
+    return np.where(diagonal == 0.0, c_center, out)

@@ -12,11 +12,11 @@ Following Roussopoulos et al. (cited as [19] in the paper):
   corners; ``MINDIST(a, b)`` is zero when the blocks overlap.
 
 Only the scalar forms (one anchor, one rectangle) live here.  The array
-forms — the inner loop of every estimator and of the executor — are the
-backend-dispatched :mod:`repro.geometry.kernels`, and the two are *one
-float*: every distance below goes through :func:`numpy.hypot` (the C
-library's ``hypot``, never the ``math`` module's correctly-rounded one,
-which differs from it by 1 ulp on ≈ 0.6 % of inputs) after the kernels'
+forms — the inner loop of every estimator and of the executor — are
+:mod:`repro.geometry.kernels`, and the two are *one float*: every
+distance below goes through :func:`numpy.hypot` (the C library's
+``hypot``, never the ``math`` module's correctly-rounded one, which
+differs from it by 1 ulp on ≈ 0.6 % of inputs) after the kernels'
 per-axis operation order, so ``mindist_point_rect(p, r) ==
 kernels.mindist_rects(p, [r])[0]`` exactly.  That equality is what lets
 the strict ``<`` stop test, the ground truth and the catalogs agree on

@@ -19,12 +19,13 @@ Staircase technique requires from the auxiliary index (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.geometry import Point, Rect
-from repro.index.base import Block, IndexNode, SpatialIndex, validate_points
+from repro.index.base import Block, BlockPointsView, IndexNode, SpatialIndex, validate_points
 
 #: Default maximum leaf capacity.  The paper uses 10,000 at OSM scale
 #: (10M-100M points); the reproduction default is scaled so that the
@@ -157,6 +158,13 @@ class Quadtree(SpatialIndex):
     @property
     def capacity(self) -> int:
         return self._capacity
+
+    @cached_property
+    def points_view(self) -> BlockPointsView:
+        """The blocks' points in block order, flattened once: the tree
+        never changes, so its table and its Staircase estimator share
+        this one view."""
+        return BlockPointsView.from_blocks(self._blocks)
 
     def row_ids_for(self, block_id: int) -> np.ndarray:
         """Input row positions of the points in block ``block_id``, in

@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.index.base import BlockPointsView
 from repro.index.snapshot import IndexSnapshot
 
 #: Cells (queries x blocks) per slab: bounds each transient ``dx`` /
@@ -50,82 +51,6 @@ _SHRINK = 1.0 - 1e-12
 _RUNS = 8
 #: Rows per query below which one sort beats a partition per query.
 _SHORT_ROWS = 32
-
-
-class BlockPointsView:
-    """Columnar view of a block list's points, for batched gathers.
-
-    Block ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of the points,
-    held as two contiguous coordinate columns ``xs`` / ``ys``, so a batch
-    pass gathers any blocks' points with two 1-D fancy indexes and
-    measures them with one ``np.hypot`` — bitwise
-    ``Block.distances_from``.  Plain ndarrays, so the view pickles as a
-    worker payload.
-    """
-
-    __slots__ = ("offsets", "xs", "ys")
-
-    def __init__(self, points: np.ndarray, offsets: np.ndarray) -> None:
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        self.xs = np.ascontiguousarray(points[:, 0])
-        self.ys = np.ascontiguousarray(points[:, 1])
-
-    @property
-    def points(self) -> np.ndarray:
-        """The ``(total, 2)`` points (a fresh array)."""
-        return np.column_stack((self.xs, self.ys))
-
-    def gather(self, xy: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-        """Row ``r``'s blocks (``(q, c)`` view ``starts`` / ``lengths``),
-        point by point: ``(row, distance from xy[row], view position)``."""
-        row = np.repeat(np.arange(xy.shape[0]), lengths.sum(axis=1))
-        at = concat_ranges(starts.ravel(), lengths.ravel())
-        return row, np.hypot(self.xs[at] - xy[:, 0][row], self.ys[at] - xy[:, 1][row]), at
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence) -> "BlockPointsView":
-        """Flatten a block sequence into the columnar layout."""
-        arrays = [np.asarray(b.points, dtype=float).reshape(-1, 2) for b in blocks]
-        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-        if arrays:
-            np.cumsum([a.shape[0] for a in arrays], out=offsets[1:])
-            points = np.concatenate(arrays)
-        else:
-            points = np.empty((0, 2), dtype=float)
-        return cls(points, offsets)
-
-    def spliced(
-        self, runs: Sequence[tuple[int, int]], pieces: Sequence["BlockPointsView"]
-    ) -> "BlockPointsView":
-        """This view with each block run ``[lo, hi)`` replaced by a piece's blocks.
-
-        ``runs`` are ascending and disjoint.  The result equals
-        :meth:`from_blocks` over the spliced block list.
-        """
-        counts, points = np.diff(self.offsets), self.points
-        parts_points, parts_counts, prev = [], [], 0
-        for (lo, hi), piece in zip(runs, pieces):
-            parts_points += [points[self.offsets[prev] : self.offsets[lo]], piece.points]
-            parts_counts += [counts[prev:lo], np.diff(piece.offsets)]
-            prev = hi
-        parts_points.append(points[self.offsets[prev] :])
-        parts_counts.append(counts[prev:])
-        offsets = np.zeros(sum(c.shape[0] for c in parts_counts) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(parts_counts), out=offsets[1:])
-        return BlockPointsView(np.concatenate(parts_points), offsets)
-
-
-def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The index ranges ``[starts[j], starts[j] + lengths[j])``, concatenated.
-
-    Each output slot holds its range's start minus the range's output
-    offset, and one global ``arange`` supplies the progression.
-    """
-    out_offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - out_offsets, lengths) + np.arange(
-        int(lengths.sum()), dtype=np.int64
-    )
 
 
 class Browsed(NamedTuple):

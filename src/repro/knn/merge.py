@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.knn.browse import concat_ranges
+from repro.index.base import concat_ranges
 from repro.knn.distance_browsing import SnapshotBlockStream
 
 

@@ -13,7 +13,7 @@ Staircase, Catalog-Merge, and Virtual-Grid estimators:
   :class:`Staircases`; :func:`select_cost_profiles` is the same pass as
   ``(profile, C)`` tuples.  Both equal the per-anchor scan byte for
   byte.
-* :class:`~repro.knn.browse.BlockPointsView` (re-exported here) — a
+* :class:`~repro.index.base.BlockPointsView` (re-exported here) — a
   columnar, picklable stand-in for a block list whose points the batch
   pass gathers with one fancy-index and one ``np.hypot`` call (the
   gather the engine's select browse runs too); :func:`count_below` sorts
@@ -42,10 +42,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.geometry import Point
-from repro.geometry.backends import active_backend, set_backend
 from repro.geometry.kernels import as_anchor, maxdist_rects_batch, mindist_rects_batch
+from repro.index.base import BlockPointsView, concat_ranges
 from repro.index.snapshot import IndexSnapshot, as_snapshot
-from repro.knn.browse import BlockPointsView, concat_ranges
 from repro.knn.locality import locality_size_profile
 
 Profile = list[tuple[int, int, int]]
@@ -192,12 +191,7 @@ def _init_select_worker(
     points: np.ndarray,
     offsets: np.ndarray,
     max_k: int,
-    backend: str = "numpy",
 ) -> None:
-    # Workers follow the parent's kernel backend (spawned interpreters
-    # re-run backend selection from scratch; set_backend silently
-    # degrades to numpy where the compiled backend is unavailable).
-    set_backend(backend)
     _WORKER_STATE["summary"] = snapshot
     _WORKER_STATE["view"] = BlockPointsView(points, offsets)
     _WORKER_STATE["max_k"] = int(max_k)
@@ -446,10 +440,7 @@ def _select_chunk(anchor_coords: np.ndarray) -> Staircases:
     )
 
 
-def _init_locality_worker(
-    snapshot: IndexSnapshot, max_k: int, backend: str = "numpy"
-) -> None:
-    set_backend(backend)
+def _init_locality_worker(snapshot: IndexSnapshot, max_k: int) -> None:
     _WORKER_STATE["inner"] = snapshot
     _WORKER_STATE["max_k"] = int(max_k)
 
@@ -504,7 +495,7 @@ def profile_staircases(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_select_worker,
-        initargs=(summary, view.points, view.offsets, max_k, active_backend()),
+        initargs=(summary, view.points, view.offsets, max_k),
     ) as pool:
         return Staircases.concatenated(list(pool.map(_select_chunk, chunks)))
 
@@ -571,7 +562,7 @@ def locality_size_profiles(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_locality_worker,
-        initargs=(summary, max_k, active_backend()),
+        initargs=(summary, max_k),
     ) as pool:
         chunk_results = list(pool.map(_locality_chunk, chunks))
     return [profile for chunk in chunk_results for profile in chunk]

@@ -72,7 +72,6 @@ from repro.engine.queries import KnnSelectQuery
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
 from repro.geometry import Point, Rect, mindist_point_rect
-from repro.geometry.backends import active_backend
 from repro.index.snapshot import as_snapshot
 from repro.knn.merge import QueryMerge, merge_open, run_merges
 from repro.serving.merge import PARTIAL_PLAN, merge_filter_topk
@@ -394,7 +393,6 @@ class ShardedServingTier:
                 payloads[sid],
                 fault_plan=worker_faults,
                 workers=self._workers_per_shard,
-                backend=active_backend(),
             )
             for sid in range(n_shards)
         }

@@ -193,14 +193,12 @@ class ShardWorkerHandle:
         payload: dict,
         fault_plan: WorkerFaultPlan | None = None,
         workers: int = 1,
-        backend: str = "numpy",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.shard_id = int(shard_id)
         self.spawned = 0
         self._fault_plan = fault_plan
-        self._backend = str(backend)
         self._init_payload = payload
         self.shipped_bytes = payload_bytes(payload)
         self._slots = [_Worker() for __ in range(int(workers))]
@@ -250,8 +248,9 @@ class ShardWorkerHandle:
             self._boot(worker)
         try:
             if worker.seq == 0:
-                init = (self._init_payload, self._fault_plan, self._backend)
-                worker.conn.send((self.shard_id, worker.incarnation, *init))
+                worker.conn.send(
+                    (self.shard_id, worker.incarnation, self._init_payload, self._fault_plan)
+                )
             worker.seq += 1
             worker.conn.send((worker.seq, fn, args))
         except OSError as exc:

@@ -36,7 +36,6 @@ from functools import partial
 
 import numpy as np
 
-from repro.geometry.backends import set_backend
 from repro.resilience.fallback import budget_check
 from repro.resilience.faultinject import WorkerFaultPlan
 
@@ -95,7 +94,6 @@ def _init_data_shard_worker(
     incarnation: int,
     payload: dict,
     fault_plan: WorkerFaultPlan | None,
-    backend: str = "numpy",
 ) -> None:
     """Worker initializer: the blocks this shard owns, nothing else.
 
@@ -106,9 +104,8 @@ def _init_data_shard_worker(
     full scan's tie-break key).  A worker keeps no statistics: the
     coordinator plans every query over the whole relation.
     """
-    from repro.knn.browse import BlockPointsView
+    from repro.index.base import BlockPointsView
 
-    set_backend(backend)
     snapshot = payload["snapshot"]
     rows = np.asarray(payload["rows"], dtype=np.int64)
     points = np.asarray(payload["points"], dtype=float).reshape(-1, 2)

@@ -37,7 +37,6 @@ from repro.engine.physical import (
 )
 from repro.engine.planner import PlanExplanation, explain_join, explain_range
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
-from repro.geometry.backends import active_backend
 from repro.optimizer.selection import PIN_ANY_TABLE, LinkDecision
 from repro.resilience.guards import (
     guard_join_query,
@@ -112,7 +111,6 @@ def _assemble(stats, table, query, sigma, effective_k, cost, tier, degraded):
         selectivity=sigma,
         estimator_tier=tier,
         degraded=degraded,
-        kernel_backend=active_backend(),
     )
     _decide(stats, explanation, "select", query.table, tuple(order))
     return explanation

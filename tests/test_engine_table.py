@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.engine import SpatialTable
-from repro.geometry import Rect
+from repro.engine import KnnSelectQuery, SpatialEngine, SpatialTable, StatisticsManager
+from repro.geometry import Point, Rect
 from repro.index import Quadtree
-from tests.reference_builds import partition_row_ids
+from tests.reference_builds import partition_row_ids, staircase_store
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,23 @@ class TestConstruction:
     def test_unknown_column(self, table):
         with pytest.raises(KeyError):
             table.column_values("nope")
+
+
+class TestOnePointsView:
+    """A table's blocks are flattened once: the planner's Staircase
+    estimator and the executor read the index's one view."""
+
+    def test_the_estimator_and_the_executor_read_one_view(self):
+        rng = np.random.default_rng(5)
+        table = SpatialTable("t", rng.uniform(0, 100, size=(3_000, 2)), capacity=32)
+        stats = StatisticsManager(max_k=64)
+        stats.register(table)
+        SpatialEngine(stats).execute(KnnSelectQuery("t", Point(40.0, 60.0), 8))
+        estimator = stats.select_estimator("t")
+        view, __ = table.block_points
+        assert view is table.index.points_view
+        assert estimator._points_view() is view
+        assert estimator.to_store().to_bytes() == staircase_store(table.index, 64).to_bytes()
 
 
 class TestRowMapping:

@@ -1,11 +1,11 @@
-"""Kernel-backend and snapshot-layout parity suite.
+"""Kernel input checks and snapshot-layout parity suite.
 
-The backend contract (:mod:`repro.geometry.backends`): every registered
-backend computes **bitwise identical** outputs to the numpy reference,
-and a physically reordered snapshot (Hilbert layout) answers every
-query bit-identically to the canonical layout — across quadtree, grid,
-and R-tree substrates.  Numba-specific cases skip cleanly where numba
-is not installed (the default container); the CI numba leg runs them.
+The kernels of :mod:`repro.geometry.kernels` take conforming arrays
+without a copy, reject malformed shapes, and break ties stably; a
+physically reordered snapshot (Hilbert layout) answers every query
+bit-identically to the canonical layout — across quadtree, grid, and
+R-tree substrates.  The kernels' bit parity with the scalar metrics is
+``tests/test_geometry_metrics.py``.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ from repro.datasets import generate_osm_like
 from repro.engine.physical import execute_incremental_knn_batch
 from repro.engine.queries import KnnSelectQuery
 from repro.estimators import DensityBasedEstimator, StaircaseEstimator
-from repro.geometry import Point, backends
-from repro.geometry.backends import numpy_backend
+from repro.geometry import Point
 from repro.geometry.hilbert import hilbert_d, hilbert_order
 from repro.geometry.kernels import (
     _as_anchor_batch,
     _as_rects,
     as_anchor,
     interval_gather,
-    maxdist_rects,
-    maxdist_rects_batch,
     mindist_argsort,
     mindist_rects,
     mindist_rects_batch,
@@ -71,48 +68,7 @@ def _random_rects(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_numpy_always_available(self) -> None:
-        assert "numpy" in backends.available_backends()
-        assert backends.get_backend("numpy") is numpy_backend
-
-    def test_unknown_backend_rejected(self) -> None:
-        with pytest.raises(ValueError, match="unknown"):
-            backends.get_backend("cuda")
-        with pytest.raises(ValueError, match="unknown"):
-            backends.set_backend("cuda")
-
-    def test_active_matches_module(self) -> None:
-        assert backends.active().name == backends.active_backend()
-
-    def test_numba_request_degrades_silently_when_absent(self) -> None:
-        before = backends.active_backend()
-        try:
-            backends.set_backend("numba")
-            if "numba" in backends.available_backends():
-                assert backends.active_backend() == "numba"
-            else:
-                assert backends.active_backend() == "numpy"
-        finally:
-            backends.set_backend(before)
-
-    def test_unknown_env_name_warns_and_falls_back(self, monkeypatch) -> None:
-        # A config typo must not crash every entry point at import
-        # time: the env path warns and runs the numpy reference.
-        before = backends.active_backend()
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
-        try:
-            with pytest.warns(RuntimeWarning, match="REPRO_KERNEL_BACKEND"):
-                backends._select_at_import()
-            assert backends.active_backend() == "numpy"
-        finally:
-            backends.set_backend(before)
-
-
-# ----------------------------------------------------------------------
-# Dispatch-layer fast paths and tie-break contract
+# No-copy fast paths and tie-break contract
 # ----------------------------------------------------------------------
 class TestDispatch:
     def test_as_anchor_no_copy(self) -> None:
@@ -161,124 +117,6 @@ class TestDispatch:
         base = np.argsort(values, axis=1, kind="stable")
         moved = tie_stable_argsort(values[:, perm], tie_order)
         assert np.array_equal(perm[moved], base)
-
-
-# ----------------------------------------------------------------------
-# Cross-backend bit identity (runs in the CI numba leg)
-# ----------------------------------------------------------------------
-class TestNumbaParity:
-    @pytest.fixture(autouse=True)
-    def _require_numba(self):
-        pytest.importorskip("numba")
-        self.nb = backends.get_backend("numba")
-
-    def test_distance_kernels_bit_identical(self) -> None:
-        rng = np.random.default_rng(11)
-        rects = _random_rects(rng, 257)
-        anchors = [
-            np.array([0.0, 0.0]),
-            np.array([3.5, -2.0]),
-            rects[5].copy(),  # anchor ON a rect boundary
-            np.array([rects[9, 0], rects[9, 1], rects[9, 2], rects[9, 3]]),
-            np.array([-100.0, -100.0, 100.0, 100.0]),  # contains everything
-        ]
-        for a in anchors:
-            assert np.array_equal(
-                numpy_backend.mindist_rects(a, rects), self.nb.mindist_rects(a, rects)
-            )
-            assert np.array_equal(
-                numpy_backend.maxdist_rects(a, rects), self.nb.maxdist_rects(a, rects)
-            )
-        pts = rng.uniform(-60, 60, size=(33, 2))
-        rect_anchors = _random_rects(rng, 33)
-        for batch in (pts, rect_anchors):
-            assert np.array_equal(
-                numpy_backend.mindist_rects_batch(batch, rects),
-                self.nb.mindist_rects_batch(batch, rects),
-            )
-            assert np.array_equal(
-                numpy_backend.maxdist_rects_batch(batch, rects),
-                self.nb.maxdist_rects_batch(batch, rects),
-            )
-
-    def test_overlap_and_gather_bit_identical(self) -> None:
-        rng = np.random.default_rng(12)
-        rects = _random_rects(rng, 129)
-        region = np.array([-10.0, -5.0, 30.0, 25.0])
-        assert np.array_equal(
-            numpy_backend.rect_overlap_mask(region, rects),
-            self.nb.rect_overlap_mask(region, rects),
-        )
-        k_end = np.array([1, 4, 9, 100], dtype=np.int64)
-        cost = np.array([1.0, 2.5, 7.0, 11.0])
-        ks = rng.integers(1, 101, size=64)
-        assert np.array_equal(
-            numpy_backend.interval_gather(k_end, cost, ks),
-            self.nb.interval_gather(k_end, cost, ks),
-        )
-
-    def test_staircase_interpolate_bit_identical(self) -> None:
-        rng = np.random.default_rng(13)
-        xs = rng.uniform(-50, 50, size=100)
-        ys = rng.uniform(-50, 50, size=100)
-        c_center = rng.uniform(1, 40, size=100)
-        c_corner = c_center + rng.uniform(0, 20, size=100)
-        # Per-row centre and diagonal (a batch over many home leaves),
-        # zero-diagonal rows among them; one shared leaf is the same
-        # call with constant columns.
-        cx = rng.uniform(-5, 5, size=100)
-        cy = rng.uniform(-5, 5, size=100)
-        diagonals = rng.choice([14.142135623730951, 0.0, 3.5], size=100)
-        for centre_x, centre_y, diagonal in (
-            (cx, cy, diagonals),
-            (np.full(100, 1.5), np.full(100, -2.5), np.full(100, 14.142135623730951)),
-            (np.full(100, 1.5), np.full(100, -2.5), np.zeros(100)),
-        ):
-            assert np.array_equal(
-                numpy_backend.staircase_interpolate(
-                    xs, ys, centre_x, centre_y, diagonal, c_center, c_corner
-                ),
-                self.nb.staircase_interpolate(
-                    xs, ys, centre_x, centre_y, diagonal, c_center, c_corner
-                ),
-            )
-
-    def test_dispatch_results_identical_under_numba(self, snapshot_and_index) -> None:
-        snap, index = snapshot_and_index
-        anchor = np.array([200.0, 450.0])
-        region = np.array([100.0, 100.0, 600.0, 500.0])
-        # The executor takes its MINDIST tableau from the dispatched
-        # kernel, so the forced backend reaches execute_batch too.
-        table = IndexTable(index)
-        queries = [
-            KnnSelectQuery("t", Point(*xy), k=k)
-            for xy, k in (((250.0, 400.0), 40), ((900.0, 100.0), 7), ((-30.0, 512.0), 300))
-        ]
-        ref_answers = execute_incremental_knn_batch(table, queries, snap)
-        ref = {
-            "mindist": mindist_rects(anchor, snap.rects),
-            "maxdist": maxdist_rects(anchor, snap.rects),
-            "mindist_b": mindist_rects_batch(snap.centers[:50], snap.rects),
-            "maxdist_b": maxdist_rects_batch(snap.rects[:50], snap.rects),
-            "overlap": rect_overlap_mask(region, snap.rects),
-        }
-        before = backends.active_backend()
-        try:
-            backends.set_backend("numba")
-            assert np.array_equal(ref["mindist"], mindist_rects(anchor, snap.rects))
-            assert np.array_equal(ref["maxdist"], maxdist_rects(anchor, snap.rects))
-            assert np.array_equal(
-                ref["mindist_b"], mindist_rects_batch(snap.centers[:50], snap.rects)
-            )
-            assert np.array_equal(
-                ref["maxdist_b"], maxdist_rects_batch(snap.rects[:50], snap.rects)
-            )
-            assert np.array_equal(ref["overlap"], rect_overlap_mask(region, snap.rects))
-            for a, b in zip(ref_answers, execute_incremental_knn_batch(table, queries, snap)):
-                assert a.blocks_scanned == b.blocks_scanned
-                assert np.array_equal(a.row_ids, b.row_ids)
-        finally:
-            backends.set_backend(before)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +270,7 @@ class TestLayoutInvariance:
 
 
 # ----------------------------------------------------------------------
-# Dispatch-layer kernels still validate after the backend refactor
+# Kernel input checks
 # ----------------------------------------------------------------------
 class TestDispatchValidation:
     def test_bad_shapes_rejected(self) -> None:

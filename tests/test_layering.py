@@ -16,7 +16,9 @@ back under their old names.
 
 It also keeps the retired benchmark system retired: ``benchmarks/`` holds
 the one harness (``e2e/``) and the committed tables (``results/``), and
-nothing tracked mentions pytest-benchmark.
+nothing tracked mentions pytest-benchmark; and the retired kernel
+backend switch: nothing in ``src/`` or ``tests/`` mentions numba or
+``REPRO_KERNEL_BACKEND``.
 
 A third keeps plan decisions in one place: ``arbitrate`` /
 ``arbitrate_batch`` are called only by the engine planner (and the
@@ -142,7 +144,10 @@ def test_the_walk_sees_function_level_imports():
 #: public (``repro.knn.browse`` runs every local select and a shard's open
 #: round; ``gather_blocks`` answers resume rounds only, and
 #: ``SnapshotBlockStream`` orders one row's window, with no shared-pass
-#: ``batch``).
+#: ``batch``); the kernel backend registry, its numba backend, its
+#: import-time selection and the plumbing that carried the active
+#: backend's name to workers, plans and the CLI (``geometry/kernels.py``
+#: runs one numpy ufunc chain per kernel).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -252,6 +257,14 @@ RETIRED_NAMES = {
     "_ordered_windows",
     "_RowTaggedQuadtree",
     "_attach_row_ids",
+    "set_backend",
+    "active_backend",
+    "get_backend",
+    "available_backends",
+    "kernel_backend",
+    "numba_backend",
+    "numpy_backend",
+    "_select_at_import",
 }
 
 
@@ -291,6 +304,7 @@ def test_retired_names_stay_retired():
     assert not hits, "retired names are back in src/:\n" + "\n".join(hits)
     assert not (SRC / "repro" / "index" / "count_index.py").exists()
     assert not (SRC / "repro" / "engine" / "cache.py").exists()
+    assert not list((SRC / "repro" / "geometry" / "backends").glob("*.py"))
     for module in ("chooser", "plans"):
         assert f"repro.optimizer.{module}" not in MODULES
 
@@ -343,6 +357,25 @@ def test_benchmarks_holds_one_harness_and_the_tables():
         if any(word in path.read_text() for word in retired)
     ]
     assert not hits, "the pytest-benchmark suite is back: " + ", ".join(hits)
+
+
+def test_one_kernel_path_no_backend_switch():
+    # The kernels are one numpy path: no module under src/ or tests/
+    # reads the retired backend variable or mentions the compiled backend.
+    retired = ("REPRO_KERNEL_BACKEND", "numba")
+    sources = [
+        path
+        for root in (SRC, REPO / "tests")
+        for path in root.rglob("*.py")
+        if path != Path(__file__).resolve()
+    ]
+    assert sources
+    hits = [
+        str(path.relative_to(REPO))
+        for path in sources
+        if any(word in path.read_text() for word in retired)
+    ]
+    assert not hits, "the kernel backend switch is back: " + ", ".join(hits)
 
 
 def test_arbitrate_is_called_by_the_planner_and_the_corpus_only():

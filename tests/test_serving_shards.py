@@ -584,7 +584,7 @@ def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwa
     for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
         for name in (
             "chosen", "alternatives", "decided_by", "estimator_tier",
-            "degraded", "effective_k", "selectivity", "kernel_backend",
+            "degraded", "effective_k", "selectivity",
         ):
             assert getattr(served, name) == getattr(expected, name), (i, name)
         (record,) = served.trail
