@@ -38,7 +38,7 @@ import numpy as np
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
 from repro.geometry import Point
-from repro.knn.browse import browse
+from repro.knn.browse import browse, view_gather
 from repro.knn.locality import locality_block_indices
 
 
@@ -161,11 +161,9 @@ def execute_incremental_knn_batch(
         partial(_row_mask, table, q) if q.predicate is not None or q.region is not None else None
         for q in queries
     ]
-    view, row_ids = table.block_points
     browsed = browse(
         snapshot,
-        view,
-        row_ids,
+        view_gather(*table.block_points),
         [(q.query.x, q.query.y) for q in queries],
         [q.k for q in queries],
         masks if any(masks) else None,

@@ -75,10 +75,11 @@ class BlockPointsView:
 
     def gather(self, xy: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
         """Row ``r``'s blocks (``(q, c)`` view ``starts`` / ``lengths``),
-        point by point: ``(row, distance from xy[row], view position)``."""
-        row = np.repeat(np.arange(xy.shape[0]), lengths.sum(axis=1))
+        point by point: ``(distance from xy[r], view position)``."""
+        totals = lengths.sum(axis=1)
         at = concat_ranges(starts.ravel(), lengths.ravel())
-        return row, np.hypot(self.xs[at] - xy[:, 0][row], self.ys[at] - xy[:, 1][row]), at
+        dx = self.xs[at] - np.repeat(xy[:, 0], totals)
+        return np.hypot(dx, self.ys[at] - np.repeat(xy[:, 1], totals)), at
 
     @classmethod
     def from_blocks(cls, blocks: Sequence) -> "BlockPointsView":

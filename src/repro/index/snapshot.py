@@ -264,18 +264,17 @@ class IndexSnapshot:
         )
 
     def extract(self, rows: np.ndarray) -> "IndexSnapshot":
-        """A sub-snapshot of selected canonical rows (data sharding).
+        """A sub-snapshot of selected canonical rows.
 
-        Built for the serving tier's data-shard mode: each shard holds
-        the summaries of *its* blocks only, while every row keeps its
-        **global** ``block_ids`` entry.  Because the rows are taken in
+        Each row keeps its **global** ``block_ids`` entry (the
+        region-pruned operator browses the blocks a region overlaps this
+        way, and a shard's slice is one).  Because the rows are taken in
         ascending canonical order, the result is itself ``"canonical"``
         (``tie_order is None``), so position tie-breaks inside the
         sub-snapshot resolve by ascending *global* block id — exactly
-        the slice of the parent's tie-break sequence that belongs to
-        this shard.  A cross-shard merge keyed on ``(MINDIST, global
-        block id)`` therefore reproduces the parent's scan order
-        bit-for-bit.
+        the slice of the parent's tie-break sequence it holds.  A merge
+        keyed on ``(MINDIST, global block id)`` therefore reproduces the
+        parent's scan order bit-for-bit.
 
         Args:
             rows: Strictly ascending canonical row indices to keep.

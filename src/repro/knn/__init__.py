@@ -10,10 +10,11 @@ validated against ground truth:
   profile (the machinery behind Procedure 1).
 * :mod:`~repro.knn.browse` — the production browser: a select batch
   browsed to each query's stop in fixed-shape array rounds, run by the
-  engine and by each data shard's ``open`` round.
-* :mod:`~repro.knn.merge` — the cross-shard merge: MINDIST-ordered
-  block streams, a k-bounded replay and its resume loop, run by the
-  serving coordinator over n data shards.
+  engine over its local view and by the serving coordinator, whose
+  rounds gather from the shards.
+* :mod:`~repro.knn.merge` — a per-query k-bounded replay over
+  MINDIST-ordered block streams: the benchmark's merge probe and a
+  test oracle.
 * :mod:`~repro.knn.depth_first` — Roussopoulos et al.'s depth-first
   branch-and-bound k-NN, the suboptimal comparator of Section 2.
 * :mod:`~repro.knn.locality` — locality computation of Sankaranarayanan

@@ -1,10 +1,11 @@
-"""The local distance browse: a select batch as fixed-shape array rounds.
+"""The distance browse: a select batch as fixed-shape array rounds.
 
 :func:`browse` takes every query of a batch to distance browsing's stop
 — the first block after which ``k`` qualifying rows lie strictly below
 the next block's MINDIST, Procedure 1's staircase read at the query's
-own ``k`` — in a few array passes.  It executes every local k-NN select:
-the engine's and a data shard's ``open`` round.  Each round:
+own ``k`` — in a few array passes.  It executes every k-NN select: the
+engine's over its local view, and the serving coordinator's over the
+shards that own the blocks.  Each round:
 
 1. **Runs, candidates, window.**  Each query keys the snapshot's runs of
    ``g = isqrt(n)`` rows (:attr:`IndexSnapshot.block_runs`; Z-ordered
@@ -21,12 +22,20 @@ the engine's and a data shard's ``open`` round.  Each round:
    global scan order, and a rank's threshold is ``min(next window
    MINDIST, L)``: exact up to them and a lower bound past them, so a stop
    found at a certain rank is the true first stop.
-3. **Stop rule.**  The window's rows are gathered from a
-   :class:`BlockPointsView` and masked per query.  A block's rows lie at
-   or beyond its MINDIST, so ``k`` rows lie below a threshold iff the
-   query's ``k``-th distance does: the stop is the first threshold above
-   it.  Unsure rows go round again with twice the window and the runs;
-   the last round holds every block.
+3. **Gather and stop rule.**  The window's rows come from a *gather*
+   (the only step that reads points: :func:`view_gather` for a local
+   :class:`BlockPointsView`, a round to the shards at the coordinator)
+   and are masked per query.  A block's rows lie at or beyond its
+   MINDIST, so ``k`` rows lie below a threshold iff the query's ``k``-th
+   distance does: the stop is the first threshold above it.  Unsure
+   rows go round again with twice the window and the runs; the last
+   round holds every block.
+
+A gather may report blocks as **lost** (a shard that did not answer).
+Their rows lie at or beyond their MINDIST, so a query whose stop comes
+before its first lost block is exact; one whose first lost block comes
+first at a certain rank stops there, and only its rows strictly below
+that block's MINDIST (:attr:`Browsed.gap`) are a verified prefix.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from repro.index.snapshot import IndexSnapshot
 #: Cells (queries x blocks) per slab: bounds each transient ``dx`` /
 #: ``dy`` / key array to half a megabyte.
 _SLAB_CELLS = 1 << 16
-#: Blocks the first window holds beyond those a slab's median ``k`` fills.
+#: Blocks the first window holds beyond twice those a slab's largest ``k`` fills.
 _WINDOW_SLACK = 8
 #: Below this key a square may have lost relative precision.
 _TINY_KEY = 2.0**-900
@@ -56,37 +65,54 @@ _SHORT_ROWS = 32
 class Browsed(NamedTuple):
     """One query's browse up to its stop: the scanned blocks' MINDISTs,
     ids and qualifying row counts (their number is ``blocks_scanned``),
-    those rows and their distances in scan order, and the next block's
-    ``(mindist, block id, threshold)`` when bounds were asked for and a
-    block is left (else ``None``)."""
+    and those rows and their distances in scan order.  ``gap`` is
+    ``None`` for an exact browse, else the MINDIST of the lost block it
+    stopped before: only its rows strictly below ``gap`` are certain."""
 
     mindists: np.ndarray
     block_ids: np.ndarray
     sizes: np.ndarray
     row_ids: np.ndarray
     dists: np.ndarray
-    bound: tuple[float, int, float] | None
+    gap: float | None
+
+
+#: ``gather(xy, block_ids)`` of a round: ``xy`` ``(p, 2)`` focal points,
+#: ``block_ids`` ``(p, w)`` their window's blocks in scan order.  Returns
+#: the blocks' rows ``(row_ids, dists)`` — query by query, block by block,
+#: each block's rows in view order — and their ``(p, w)`` counts, ``-1``
+#: for a lost block (which contributes no rows).
+Gather = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def view_gather(view: BlockPointsView, row_ids: np.ndarray) -> Gather:
+    """The gather of a local view in which view block = block id, and
+    ``row_ids`` names each view point's row."""
+
+    def gather(xy: np.ndarray, block_ids: np.ndarray):
+        starts = view.offsets[block_ids]
+        sizes = view.offsets[block_ids + 1] - starts
+        dists, at = view.gather(xy, starts, sizes)
+        return row_ids[at], dists, sizes
+
+    return gather
 
 
 def browse(
     snapshot: IndexSnapshot,
-    view: BlockPointsView,
-    row_ids: np.ndarray,
+    gather: Gather,
     points: np.ndarray,
     ks: np.ndarray,
     masks: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
     *,
-    blocks: np.ndarray | None = None,
-    bounds: bool = False,
     checkpoint: Callable[[], None] | None = None,
 ) -> list[Browsed]:
     """Browse every query to its stop over ``snapshot``'s blocks (any layout).
 
-    Snapshot row ``i`` owns view block ``blocks[i]`` (default: its block
-    id) and ``row_ids`` names each view point's row.  ``masks[i]``, if
-    set, keeps query ``i``'s qualifying rows (a masked row still counts
-    its block as scanned); ``bounds`` also certifies each next block;
-    ``checkpoint`` is called before every round.
+    ``gather`` reads each round's window (see :data:`Gather`).
+    ``masks[i]``, if set, keeps query ``i``'s qualifying rows (a masked
+    row still counts its block as scanned); ``checkpoint`` is called
+    before every round.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     ks = np.asarray(ks, dtype=np.int64).reshape(-1)
@@ -94,7 +120,6 @@ def browse(
     if n == 0:
         none = np.empty(0, dtype=np.int64)
         return [Browsed(np.empty(0), none, none, none, np.empty(0), None)] * ks.shape[0]
-    blocks = snapshot.block_ids if blocks is None else blocks
     per_block = max(1.0, snapshot.total_count / n)
     mbrs, cols = snapshot.block_runs
     __, n_runs, g = cols.shape
@@ -106,8 +131,9 @@ def browse(
         q = k.shape[0]
         slab: list[Browsed | None] = [None] * q
         pending = np.arange(q)
-        # The window the slab's (upper) median k fills plus slack; runs for w + 1.
-        w = min(n, int(min(float(np.sort(k)[q // 2]) / per_block, n)) + _WINDOW_SLACK)
+        # Twice the blocks the slab's largest k fills, plus slack: a round
+        # may be a round trip to the shards.  Runs for w + 1.
+        w = min(n, int(min(2.0 * float(k.max()) / per_block, n)) + _WINDOW_SLACK)
         m = max(_RUNS, -(-(w + 1 + n_runs * g - n) // g))
         while pending.shape[0]:
             if checkpoint is not None:
@@ -139,18 +165,17 @@ def browse(
             mindists = np.hypot(dx[each, pick], dy[each, pick])
             ids = snapshot.block_ids[window]
             order = np.lexsort((ids, mindists), axis=1)
-            window, mindists, ids = window[each, order], mindists[each, order], ids[each, order]
+            mindists, ids = mindists[each, order], ids[each, order]
             complete = (mindists < certain[:, None]).sum(axis=1)
             thresholds = np.empty_like(mindists)
             np.minimum(mindists[:, 1:], certain[:, None], out=thresholds[:, :-1])
             thresholds[:, -1] = certain
 
             # Every window block's rows in scan order, with their distances.
-            owner = blocks[window]
-            starts = view.offsets[owner]
-            sizes = view.offsets[owner + 1] - starts
-            row, dists, pos = view.gather(xy[pending], starts, sizes)
-            rows = row_ids[pos]
+            rows, dists, sizes = gather(xy[pending], ids)
+            lost = sizes < 0
+            gap_at = np.where(lost.any(axis=1), lost.argmax(axis=1), w)
+            sizes = np.maximum(sizes, 0)
             masked = [] if keep_of is None else [
                 i for i, j in enumerate(pending.tolist()) if keep_of[j] is not None
             ]
@@ -160,27 +185,30 @@ def browse(
                 for i in masked:
                     a = cuts[i - 1] if i else 0
                     keep[a : cuts[i]] = keep_of[pending[i]](rows[a : cuts[i]])
-                row, dists, rows = row[keep], dists[keep], rows[keep]
+                dists, rows = dists[keep], rows[keep]
                 slot = np.repeat(np.arange(p * w), sizes.ravel())
                 sizes = np.bincount(slot[keep], minlength=p * w).reshape(p, w)
             ends = np.cumsum(sizes, axis=1)
             firsts = np.cumsum(ends[:, -1]) - ends[:, -1]
-            reached = thresholds > _kth(row, dists, firsts, ends[:, -1], k[pending])[:, None]
+            reached = thresholds > _kth(dists, firsts, ends[:, -1], k[pending])[:, None]
             found = reached.any(axis=1)
             stop = reached.argmax(axis=1)
-            # A certain stop (and, for bounds, a certain next block); the last
-            # round, which holds every block, ends every row.
-            done = found & (stop + int(bounds) < complete) if w < n else np.ones(p, dtype=bool)
-            stop[~found] = n - 1
+            stop[~found] = w - 1
+            # Certain ranks; the last round, which holds every block, ends
+            # every row.  A stop before the first lost block is exact; a
+            # certain lost block before the stop ends the row there.
+            if w >= n:
+                found[:], complete = True, np.full(p, w)
+            exact = found & (stop < np.minimum(complete, gap_at))
+            done = exact | (gap_at < complete)
+            ends_at = np.where(exact, stop + 1, gap_at)
             firsts = firsts.tolist()
             for i in np.flatnonzero(done).tolist():
-                s = int(stop[i]) + 1
-                a, b = firsts[i], firsts[i] + int(ends[i, s - 1])
-                nxt = None
-                if bounds and s < w:
-                    nxt = (float(mindists[i, s]), int(ids[i, s]), float(mindists[i, s]))
+                s = int(ends_at[i])
+                a, b = firsts[i], firsts[i] + (int(ends[i, s - 1]) if s else 0)
+                gap = None if exact[i] else float(mindists[i, s])
                 slab[pending[i]] = Browsed(
-                    mindists[i, :s], ids[i, :s], sizes[i, :s], rows[a:b], dists[a:b], nxt
+                    mindists[i, :s], ids[i, :s], sizes[i, :s], rows[a:b], dists[a:b], gap
                 )
             pending = pending[~done]
             w, m = min(n, 2 * w), 2 * m
@@ -197,14 +225,14 @@ def _gaps(x0, y0, x1, y1, x: np.ndarray, y: np.ndarray):
     return dx, dy, key
 
 
-def _kth(row, dists, firsts, totals, k) -> np.ndarray:
+def _kth(dists, firsts, totals, k) -> np.ndarray:
     """Row ``r``'s ``k[r]``-th distance of ``dists[firsts[r]:][:totals[r]]``
     (``inf`` if fewer): a partition each, or for short rows one sort of
     complex ``row + 1j * dist`` keys (by real, then imaginary part)."""
     kth, has = np.full(k.shape[0], np.inf), np.flatnonzero(totals >= k)
-    if row.shape[0] < _SHORT_ROWS * k.shape[0]:
-        keys = np.empty(row.shape[0], dtype=complex)
-        keys.real, keys.imag = row, dists
+    if dists.shape[0] < _SHORT_ROWS * k.shape[0]:
+        keys = np.empty(dists.shape[0], dtype=complex)
+        keys.real, keys.imag = np.repeat(np.arange(k.shape[0]), totals), dists
         kth[has] = np.sort(keys).imag[firsts[has] + k[has] - 1]
     else:
         for r, a, i in zip(has.tolist(), firsts[has].tolist(), (k[has] - 1).tolist()):

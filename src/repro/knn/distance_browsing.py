@@ -21,9 +21,9 @@ leaf) blocks scanned.  Two cost paths are provided:
   MINDIST order, so the profile can be computed over the flat block
   list; the test suite cross-checks both paths against each other.
 * :class:`SnapshotBlockStream` — the same flat MINDIST order as a
-  cursor-resumable block stream: the source side of the cross-shard
-  merge (:mod:`repro.knn.merge`) and of a shard's ``resume`` rounds.
-  Every local select runs as an array pass instead
+  cursor-resumable block stream: the source side of the per-query
+  merge (:mod:`repro.knn.merge`).  Every select runs as an array pass
+  instead
   (:mod:`repro.knn.browse`); the scan cost of both is the hierarchical
   reference's: the strict ``<`` return test means every block at
   MINDIST below the next returned distance must be scanned regardless
@@ -357,15 +357,13 @@ def _ordered_window(snapshot: IndexSnapshot, mindists: np.ndarray, want: int):
 class SnapshotBlockStream:
     """Resumable MINDIST-ordered block stream over one snapshot.
 
-    The source side of the cross-shard merge (:mod:`repro.knn.merge`):
+    The source side of the per-query merge (:mod:`repro.knn.merge`):
     the snapshot's blocks in the exact (MINDIST, ascending block id)
     order distance browsing visits them, but *incrementally* — the
     consumer pulls a prefix, merges it (against other sources' streams,
-    when the snapshot is one data shard's slice), and resumes from a
-    plain integer cursor only while this stream's :meth:`bound` is
-    still below the running k-th distance.  The cursor is the whole
-    protocol state, so a respawned worker incarnation resumes a stream
-    mid-query without any handshake.
+    when the snapshot is one shard's slice), and resumes from a plain
+    integer cursor only while this stream's :meth:`bound` is still
+    below the running k-th distance.  The cursor is the whole state.
 
     MINDISTs come from the :func:`~repro.geometry.kernels.mindist_rects`
     kernel, but a query that scans a handful of blocks never sorts every

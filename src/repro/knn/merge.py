@@ -1,200 +1,38 @@
-"""The cross-shard k-NN merge: block streams + a k-bounded replay.
+"""A per-query k-NN merge over block streams, for probes and oracles.
 
-Local selects — the engine's, and each data shard's ``open`` round —
-run as one array pass per batch (:func:`repro.knn.browse.browse`).
-What crosses shards is this module, at the serving coordinator:
+Every select — the engine's, and the serving coordinator's over its
+shards — runs :func:`repro.knn.browse.browse`; no answer goes through
+this module.  It keeps the per-query replay that the serving tier's
+benchmark probe times, and that tests hold the browse to:
 
 * :class:`~repro.knn.distance_browsing.SnapshotBlockStream` sources,
   each walking *its* blocks in ``(MINDIST, block id)`` order from a
-  plain integer cursor; a shard opens with the prefix its local browse
-  scanned and the next block's key as the stream's **bound**, below
-  which the source holds nothing, and :func:`gather_blocks` answers a
-  ``resume`` round's pulls in the same format;
+  plain integer cursor, with the next block's key as the stream's
+  **bound**, below which the source holds nothing;
 * one :class:`QueryMerge` per query, admitting whichever source's head
   sorts first on the global key and applying the browser's stop rule:
   once ``k`` gathered rows lie *strictly* below the next block's
   MINDIST (the entries' ``threshold`` field, the same float), no
-  unscanned block can contribute;
-* :func:`run_merges`, the resume loop — ``advance()`` → fetch what
-  starved → ``extend()`` — whose fetch is one supervised round per
-  starved shard;
-* :func:`merge_open`, that replay for a healthy chunk in one array pass
-  over :class:`OpenReply` columns, refusing what it cannot certify.
+  unscanned block can contribute.
 
 The admitted block count is distance browsing's ``blocks_scanned`` and
 the emitted rows — a stable argsort over the admitted blocks' distances
-— its answer in (distance, scan order); n sources replay the same
-global block sequence the local browse scans over one, with the same
-floats.
+— its answer in (distance, scan order).
 
 **Coverage gaps.**  A dead source contributes only a lower bound (its
-last reported bound, or a hull bound when it never answered).  When
-the replay's next global block belongs to a dead source, either the
-stop rule already holds at the dead bound's threshold — the true scan
-would have stopped there too, and the answer is **exact** — or the
-query degrades to a **partial** answer: the live sources are drained
-below the gap threshold ``t_gap`` and the verified prefix is returned,
-every row strictly below ``t_gap`` in global emission order, clamped
-to ``k``.
+last reported bound).  When the replay's next global block belongs to a
+dead source, either the stop rule already holds at the dead bound's
+threshold — the answer is **exact** — or the query degrades to a
+**partial** answer: the live sources are drained below the gap
+threshold ``t_gap`` and the verified prefix is returned, every row
+strictly below ``t_gap`` in global emission order, clamped to ``k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
-
-from repro.index.base import concat_ranges
-from repro.knn.distance_browsing import SnapshotBlockStream
-
-
-class OpenReply(NamedTuple):
-    """A shard's ``open`` reply as flat columns.  Query ``i`` owns the next
-    ``counts[i]`` blocks (``mindists``, ``block_ids``, row counts ``sizes``)
-    and their rows (``row_ids``, ``dists``) in scan order; ``bounds[i]`` is
-    its next block's ``(mindist, block id, threshold)``, NaN when spent."""
-
-    counts: np.ndarray
-    mindists: np.ndarray
-    block_ids: np.ndarray
-    sizes: np.ndarray
-    row_ids: np.ndarray
-    dists: np.ndarray
-    bounds: np.ndarray
-
-    def stream(self, i: int) -> tuple[list, int, tuple | None]:
-        """Query ``i``'s ``(entries, cursor, bound)``, as :meth:`QueryMerge.add_stream` takes it."""
-        lo, hi = int(self.counts[:i].sum()), int(self.counts[: i + 1].sum())
-        ends = [0, *np.cumsum(self.sizes[:hi]).tolist()]
-        entries = [
-            (float(self.mindists[b]), int(self.block_ids[b]), float(self.mindists[b]),
-             self.row_ids[ends[b] : ends[b + 1]], self.dists[ends[b] : ends[b + 1]])
-            for b in range(lo, hi)
-        ]
-        mindist, block_id, threshold = self.bounds[i].tolist()
-        return entries, hi - lo, None if np.isnan(mindist) else (mindist, int(block_id), threshold)
-
-
-def merge_open(replies: list[OpenReply], ks: np.ndarray, queries: np.ndarray) -> list:
-    """Answer a healthy chunk's ``queries`` from all its shards' open replies at once.
-
-    Blocks and live bounds (zero-row markers) sort on ``(query, mindist,
-    block id)`` into the scan :class:`QueryMerge` replays.  Rows lie at or
-    beyond their block's MINDIST, so the stop is the first block whose
-    threshold — the next key's MINDIST in its query, +inf after the last
-    — exceeds the query's ``k``-th distance, else its last block; it is
-    certified when no marker comes before it.  Returns per query
-    ``(row_ids, dists, blocks_scanned)``, or ``None`` where refused.
-    """
-    slot = np.full(replies[0].counts.shape[0], -1)  # -1: not asked; sorts first, cut
-    slot[queries] = np.arange(queries.shape[0])
-    slots = np.concatenate([slot] * len(replies))
-    bounds = np.concatenate([r.bounds for r in replies])
-    live = np.flatnonzero(~np.isnan(bounds[:, 0]))
-    sizes = np.concatenate([r.sizes for r in replies])
-    # Every block, then every live bound as a marker: no rows, start -1.
-    q = np.concatenate((np.repeat(slots, np.concatenate([r.counts for r in replies])), slots[live]))
-    mindist = np.concatenate([r.mindists for r in replies] + [bounds[live, 0]])
-    block_id = np.concatenate([r.block_ids for r in replies] + [bounds[live, 1].astype(np.int64)])
-    order = np.lexsort((block_id, mindist, q))[np.count_nonzero(q < 0) :]
-    q, mindist = q[order], mindist[order]
-    size = np.concatenate((sizes, np.zeros(live.shape[0], dtype=np.int64)))[order]
-    start = np.concatenate((np.cumsum(sizes) - sizes, np.full(live.shape[0], -1)))[order]
-    at = concat_ranges(start, size)
-    dists = np.concatenate([r.dists for r in replies])[at]
-    row_ids = np.concatenate([r.row_ids for r in replies])[at]
-    first, end = (np.searchsorted(q, slot[queries], side=side) for side in ("left", "right"))
-    ends = np.concatenate(([0], np.cumsum(size)))
-    k = np.asarray(ks)[queries]
-    kth, nearest = np.empty(queries.shape[0]), []
-    for j, (lo, hi, kj) in enumerate(zip(ends[first].tolist(), ends[end].tolist(), k.tolist())):
-        near = dists[lo:hi]
-        take = np.argsort(near, kind="stable")[:kj]
-        kth[j] = near[take[-1]] if take.shape[0] == kj else np.inf
-        nearest.append((row_ids[lo:hi][take], near[take]))
-    threshold = np.append(np.where(q[1:] == q[:-1], mindist[1:], np.inf), np.inf)
-    hits = np.flatnonzero((threshold > kth[q]) & (start >= 0))
-    stop = np.minimum(np.append(hits, q.shape[0])[np.searchsorted(hits, first)], end - 1)
-    marks = np.flatnonzero(start < 0)
-    certified = np.append(marks, q.shape[0])[np.searchsorted(marks, first)] > stop
-    answers = zip(nearest, stop.tolist(), first.tolist(), certified.tolist())
-    return [(*rows, s - f + 1) if ok else None for rows, s, f, ok in answers]
-
-
-def gather_blocks(
-    pulls: list[tuple[SnapshotBlockStream, int, int, float]],
-    block_rows: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-) -> list[tuple[list, int, tuple | None]]:
-    """Answer block-stream pulls in merge format, with one distance pass.
-
-    Each pull ``(stream, cursor, min_points, min_mindist)`` takes blocks
-    from ``cursor`` (see :meth:`SnapshotBlockStream.take`);
-    ``block_rows(block_id, row)`` returns a block's ``(row_ids,
-    points)`` in scan order, and distances are computed over whole
-    blocks — all pulls' blocks at once.
-
-    Returns:
-        Per pull ``(entries, new_cursor, bound)`` with entries
-        ``(mindist, block_id, threshold, row_ids, dists)`` — the triple
-        :meth:`ShardStream.extend` takes.
-    """
-    taken = [s.take(c, min_points=p, min_mindist=m) for s, c, p, m in pulls]
-    blocks = [[block_rows(e[1], e[3]) for e in raw] for raw, __ in taken]
-    sizes = [sum(ids.shape[0] for ids, __ in held) for held in blocks]
-    dists = np.empty(0)
-    if any(sizes):
-        focus = np.array([(s.query.x, s.query.y) for s, *__ in pulls]).repeat(sizes, axis=0)
-        delta = np.concatenate([pts for held in blocks for __, pts in held]) - focus
-        dists = np.hypot(delta[:, 0], delta[:, 1])
-    replies, lo = [], 0
-    for (stream, *__), (raw, cursor), held in zip(pulls, taken, blocks):
-        entries = []
-        for (mindist, block_id, threshold, __), (row_ids, __) in zip(raw, held):
-            entries.append(
-                (mindist, block_id, threshold, row_ids, dists[lo : lo + row_ids.shape[0]])
-            )
-            lo += row_ids.shape[0]
-        replies.append((entries, cursor, stream.bound(cursor)))
-    return replies
-
-
-def run_merges(
-    merges: dict[int, "QueryMerge"],
-    fetch: Callable[[dict[int, list[tuple[int, int, int, float]]]], dict[int, list]],
-) -> None:
-    """Drive every merge to its answer: advance → fetch → extend.
-
-    Args:
-        merges: ``{query key: merge}``; each is finished on return.
-        fetch: Answers one resume round.  Given ``{source id: [(query
-            key, cursor, min_points, min_mindist), ...]}`` it returns
-            ``{source id: [(entries, cursor, bound), ...]}`` aligned
-            with the requests.  A requested source missing from the
-            reply stopped answering: it becomes a permanent coverage
-            gap (its last known bound) on every still-running merge.
-    """
-    pending = dict(merges)
-    while True:
-        requests: dict[int, list[tuple[int, int, int, float]]] = {}
-        for key in list(pending):
-            needs = pending[key].advance()
-            if needs is None:
-                del pending[key]
-                continue
-            for sid, need in needs.items():
-                requests.setdefault(sid, []).append((key, *need))
-        if not pending:
-            return
-        replies = fetch(requests)
-        for sid, asked in requests.items():
-            if sid not in replies:
-                for merge in pending.values():
-                    if sid in merge.streams:
-                        merge.mark_dead(sid)
-                continue
-            for (key, *__), reply in zip(asked, replies[sid]):
-                pending[key].streams[sid].extend(*reply)
 
 
 @dataclass
@@ -232,7 +70,7 @@ class ShardStream:
 class QueryMerge:
     """Replay the global block admission for one query across sources.
 
-    Drive with :meth:`advance` (or :func:`run_merges`): it admits blocks
+    Drive with :meth:`advance`: it admits blocks
     until the query is answered (``None``) or a live stream starves (a
     ``{shard_id: (cursor, min_points, min_mindist)}`` resume request).
     Feed resume results back through the streams'

@@ -425,7 +425,7 @@ def _retrievable(
     while lo < q:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + _GATHER_POINTS, side="right")))
-        __, dists, __ = view.gather(xy[lo:hi], starts[lo:hi], lengths[lo:hi])
+        dists, __ = view.gather(xy[lo:hi], starts[lo:hi], lengths[lo:hi])
         R[lo:hi] = count_below(dists, totals[lo:hi], thresholds[lo:hi])
         lo = hi
     return R

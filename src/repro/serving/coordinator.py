@@ -9,42 +9,48 @@ subsystem.  Per batch it:
 2. asks the :class:`~repro.serving.admission.AdmissionController` (if
    configured) for admission under the batch's deadline;
 3. cuts the batch into ``chunk_size`` chunks, each addressed to the
-   shards that own its blocks, plans every chunk at the coordinator
-   with the engine's own planner over the whole relation
-   (:func:`~repro.engine.planner.explain_select_batch`; workers keep no
-   statistics), and drives it through the cross-shard merge protocol
-   (open, merge — plus a scan round for filter plans).  The chunk's own
-   thread sends each round to every shard's worker over its pipe and
-   reads the replies; it sends the ``open`` round before planning, so
-   the coordinator plans while the shards browse.  A batch's concurrent
-   lanes run on a chunk pool the tier owns (started on first use,
-   reused by every batch, joined by ``close()``); a batch one lane wide
-   runs on its caller's thread.  Every round is served under the
+   shards that own its blocks, and answers every chunk with the
+   engine's own distance browse (:func:`~repro.knn.browse.browse`) over
+   the table's global snapshot: the coordinator orders the blocks, and
+   each round's gather — the only step that reads points — is one
+   stateless ``gather`` round to the shards that own that round's
+   window blocks (a shard that owns none is not asked).  The chunk's
+   own thread sends a round to every asked shard's pipe and reads the
+   replies; it sends the first round before planning the chunk
+   (:func:`~repro.engine.planner.explain_select_batch`, the engine's
+   planner over the whole relation; workers keep no statistics), so the
+   coordinator plans while the shards gather.  Filter plans add a
+   ``scan`` round.  A batch's concurrent lanes run on a chunk pool the
+   tier owns (started on first use, reused by every batch, joined by
+   ``close()``); a batch one lane wide runs on its caller's thread.
+   Every round is served under the
    :class:`~repro.serving.supervisor.ShardSupervisor`'s
-   deadline/retry/respawn/breaker contract;
-4. merges the answers back into workload order with per-shard
+   deadline/retry/respawn/breaker contract, and a gather reply whose
+   lengths do not match its blocks' counts is a failed attempt;
+4. writes the answers back into workload order with per-shard
    provenance (:class:`ShardReport`);
 5. degrades instead of failing, and only the answer, never the plan: a
-   query none of whose shards answered is estimate-only
-   (``degraded=True``, ``results[i] is None``, its explanation the
-   plan); a query that lost a shard part-way comes back ``partial`` (a
-   verified prefix of the true answer, clamped by the lost shard's
-   bound) — unless ``strict`` serving was requested, in which case a
+   chunk no shard answered is estimate-only (``degraded=True``,
+   ``results[i] is None``, its explanation the plan); a query whose
+   browse reaches a block of a shard that did not answer, before its
+   stop, comes back ``partial`` (its rows strictly below that block's
+   MINDIST, a verified prefix of the true answer) — unless ``strict``
+   serving was requested, in which case a
    :class:`~repro.resilience.errors.ShardExhaustedError` is raised.
 
 The two **shard modes** differ only in which blocks a shard owns and
 which shards a query asks:
 
 * ``"replica"`` (the default) — every shard owns every block; a query
-  routes to one shard by its focal point, and that shard's ``open``
-  reply is the whole answer.
+  routes to one shard by its focal point, and every gather round goes
+  to that shard.
 * ``"data"`` — the relation is *partitioned*: each shard owns only its
-  blocks and rows (memory ∝ n/shards), and every query asks all
-  shards.
+  blocks and rows (memory ∝ n/shards), and a gather round asks the
+  shards that own its window's blocks.
 
 Either way every non-degraded answer is bit-identical to an unsharded
-:class:`~repro.engine.SpatialEngine`: the merge replays the exact
-global block admission.
+:class:`~repro.engine.SpatialEngine` by construction: the browse is the
+engine's, and the shards return the engine's distance floats.
 
 The tier is **long-lived**: :meth:`~ShardedServingTier.start` spawns
 every worker eagerly, :meth:`~ShardedServingTier.serve_many`
@@ -71,9 +77,9 @@ from repro.engine.planner import PlanExplanation, explain_select_batch
 from repro.engine.queries import KnnSelectQuery
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
-from repro.geometry import Point, Rect, mindist_point_rect
-from repro.index.snapshot import as_snapshot
-from repro.knn.merge import QueryMerge, merge_open, run_merges
+from repro.geometry.kernels import mindist_rects_batch
+from repro.index.base import concat_ranges
+from repro.knn.browse import browse
 from repro.serving.merge import PARTIAL_PLAN, merge_filter_topk
 from repro.serving.worker import _worker_stats
 from repro.resilience.errors import OverloadError, ShardExhaustedError
@@ -102,9 +108,8 @@ class ShardReport:
     Attributes:
         shard_id: The shard.
         n_queries: Queries that asked it this batch.
-        n_chunks: Protocol *rounds* (open, scan, resume) the shard was
-            sent — one per chunk it was asked for in a healthy
-            incremental-plan batch.
+        n_chunks: Protocol *rounds* (gather, scan) the shard was sent —
+            one per browse round whose window holds blocks it owns.
         attempts: Worker requests (includes retries).
         retries: Re-sent requests after a failed attempt.
         respawns: Worker incarnations killed and replaced (crash, hang
@@ -327,7 +332,7 @@ class ShardedServingTier:
         self.strict = bool(strict)
         self.admission = admission
         self._workers_per_shard = int(workers_per_shard)
-        snapshot = as_snapshot(table.index)
+        snapshot = table.snapshot
         # Routing (replica mode) and partitioning (data mode) are pure
         # load-balancing concerns: any ShardPlan over any substrate
         # yields the same answers.  A caller may therefore supply a
@@ -347,9 +352,7 @@ class ShardedServingTier:
         self._planner = StatisticsManager(**manager_kwargs)
         self._planner.register(table)
         self._plan_lock = threading.Lock()
-        self.supervisor = ShardSupervisor(
-            self._build_handles(snapshot.canonical(), worker_faults), policy
-        )
+        self.supervisor = ShardSupervisor(self._build_handles(snapshot, worker_faults), policy)
         # The tier's own threads, started on first use and joined by
         # close(): one batch's widest set of lanes (concurrent batches
         # queue behind it).  A lane's thread drives its rounds itself.
@@ -366,27 +369,27 @@ class ShardedServingTier:
 
         A data shard owns the blocks :func:`partition_blocks` assigns
         it; a replica shard owns every block.  Blocks are listed in
-        *canonical* (ascending global block id) order, so each shard's
-        sub-snapshot inherits exactly its slice of the global tie-break
-        contract and the coordinator's merge can replay the unsharded
-        scan bit-for-bit.  Alongside each shard's payload the
-        coordinator keeps the shard's *hull bound* — ``(union rect of
-        its blocks, smallest member block id)`` — the guaranteed lower
-        bound used when the shard dies before ever answering a query.
+        *canonical* (ascending global block id) order.  The coordinator
+        keeps each block's owner and row count (by global block id) to
+        address gather rounds and check their replies, and each shard's
+        member rows for a filter plan's dead-shard bound.
         """
         n_shards = self.plan.n_shards
+        ids = canonical.block_ids
+        self._counts = np.zeros(int(ids.max(initial=-1)) + 1, dtype=np.int64)
+        self._counts[ids] = canonical.counts
         if self.shard_mode == "data":
-            members, hulls = partition_blocks(canonical, self.plan)
+            members, __ = partition_blocks(canonical, self.plan)
             payloads = [self._shard_payload(canonical, blocks) for blocks in members]
+            self._owner = np.empty_like(self._counts)
+            for sid, blocks in enumerate(members):
+                self._owner[ids[blocks]] = sid
         else:
-            (every,), (hull,) = partition_blocks(canonical, plan_shards(canonical, 1))
-            members, hulls = [every] * n_shards, [hull] * n_shards
+            every = np.arange(canonical.n_blocks)
+            members = [every] * n_shards
             payloads = [self._shard_payload(canonical, every)] * n_shards
-        self._hull_bounds: dict[int, tuple[tuple, int]] = {
-            sid: (hulls[sid], int(canonical.block_ids[members[sid][0]]))
-            for sid in range(n_shards)
-            if members[sid].size
-        }
+            self._owner = None
+        self._members = members
         return {
             sid: ShardWorkerHandle(
                 sid,
@@ -413,7 +416,8 @@ class ShardedServingTier:
             [empty] + [np.arange(g_starts[m], g_starts[m + 1], dtype=np.int64) for m in blocks]
         )
         return {
-            "snapshot": canonical.extract(blocks),
+            "block_ids": canonical.block_ids[blocks].astype(np.int64),
+            "counts": canonical.counts[blocks].astype(np.int64),
             "rows": rows,
             "points": np.ascontiguousarray(self.table.points[rows]),
             "gpos": gpos,
@@ -562,7 +566,7 @@ class ShardedServingTier:
         return [outcome for lane in done for outcome in lane]
 
     # ------------------------------------------------------------------
-    # The merge protocol: send, open, merge
+    # The protocol: gather rounds for the browse, a scan for filter plans
     # ------------------------------------------------------------------
     def _send(
         self,
@@ -570,12 +574,13 @@ class ShardedServingTier:
         deadline: Deadline,
         rounds: dict[int, int],
         dead: set[int],
+        check=None,
     ) -> Round:
         """Send one protocol round to every shard not yet ``dead``."""
         payloads = {sid: payload for sid, payload in payloads.items() if sid not in dead}
         for sid in payloads:
             rounds[sid] += 1
-        return self.supervisor.send(payloads, deadline)
+        return self.supervisor.send(payloads, deadline, check)
 
     def _collect(self, round_: Round, dead: set[int]) -> dict[int, dict]:
         """The round's answers.
@@ -587,22 +592,6 @@ class ShardedServingTier:
         answers = self.supervisor.collect(round_)
         dead.update(round_.payloads.keys() - answers.keys())
         return answers
-
-    def _dead_bound(self, sid: int, point: Point) -> tuple | None:
-        """A never-answering shard's hull bound for one query.
-
-        ``(MINDIST to the union rect of its blocks, smallest member
-        block id, same MINDIST as stop threshold)`` — conservative
-        (the true nearest block can only be farther), which keeps
-        exact-at-the-bound finishes and partial prefixes safe.
-        ``None`` for a shard that owns no blocks (no possible gap).
-        """
-        hull = self._hull_bounds.get(sid)
-        if hull is None:
-            return None
-        rect, gid = hull
-        mindist = mindist_point_rect(point, Rect(*rect))
-        return (mindist, gid, mindist)
 
     def _serve_data_chunk(
         self,
@@ -616,7 +605,7 @@ class ShardedServingTier:
         degraded: np.ndarray,
         partial: np.ndarray,
     ) -> tuple[dict[int, int], dict[int, int]]:
-        """Drive one chunk through the full merge protocol on ``shards``.
+        """Browse one chunk over ``shards``, then scan its filter plans.
 
         ``shards`` are the shards that own the chunk's blocks: the one
         a replica chunk routes to, or every data shard.  Writes land at
@@ -633,25 +622,26 @@ class ShardedServingTier:
         rounds = dict.fromkeys(all_sids, 0)
         gap_counts = dict.fromkeys(all_sids, 0)
         dead: set[int] = set()
-        # The open payload does not depend on the plan: the shards browse
-        # while the chunk is planned.
-        open_payload = {"round": "open", "points": pts, "ks": ks}
-        opened = self._send({sid: open_payload for sid in shards}, deadline, rounds, dead)
         queries = [
             KnnSelectQuery(self.table.name, batch.point(i), k=int(batch.ks[i]))
             for i in chunk_idx.tolist()
         ]
-        try:
+        chunk_plans: list[PlanExplanation] = []
+
+        def plan() -> None:
             with self._plan_lock:
-                chunk_plans = explain_select_batch(self._planner, queries)
-        finally:
-            # Read the replies even when planning raises: a worker goes
-            # back to its idle queue only once its reply is read.
-            answers = self._collect(opened, dead)
+                chunk_plans.extend(explain_select_batch(self._planner, queries))
+
+        # The first gather round does not depend on the plan: the shards
+        # gather while the chunk is planned.
+        gather = _ChunkGather(self, shards, deadline, rounds, dead, plan)
+        browsed = browse(self.table.snapshot, gather, pts, ks)
+        if gather.before_collect is not None:
+            plan()
         for i, explanation in zip(chunk_idx.tolist(), chunk_plans):
             explanations[i] = explanation
-        if not answers:
-            # Every asked shard down: there is nothing to merge, so the
+        if not gather.answered:
+            # Every asked shard down: nothing was gathered, so the
             # chunk's answers are estimate-only.  Its plans stand.
             degraded[chunk_idx] = True
             for sid in dead:
@@ -663,25 +653,46 @@ class ShardedServingTier:
                 )
             latencies_us[chunk_idx] = (time.perf_counter() - chunk_start) / m * 1e6
             return rounds, gap_counts
+        lost = sorted(sid for sid in dead if self._members[sid].size)
         filter_pos: list[int] = []
-        inc_pos: list[int] = []
-        for i, explanation in enumerate(chunk_plans):
+        for i, (explanation, found) in enumerate(zip(chunk_plans, browsed)):
             if explanation.chosen == FilterThenKnnOperator.name:
                 filter_pos.append(i)
-            else:
-                inc_pos.append(i)
+                continue
+            k = int(ks[i])
+            order = np.argsort(found.dists, kind="stable")
+            if found.gap is not None:
+                order = order[found.dists[order] < found.gap]
+            rows = found.row_ids[order[:k]]
+            self._answer(
+                int(chunk_idx[i]), IncrementalKnnOperator.name, len(found.mindists), rows,
+                found.gap, lost, gap_counts, results, explanations, partial,
+            )
         if filter_pos:
             self._serve_filter_group(
-                filter_pos, pts, ks, chunk_idx, answers, dead, deadline,
-                rounds, gap_counts, results, explanations, partial,
-            )
-        if inc_pos:
-            self._serve_incremental_group(
-                inc_pos, pts, ks, chunk_idx, answers, dead, deadline,
+                filter_pos, pts, ks, chunk_idx, shards, dead, deadline,
                 rounds, gap_counts, results, explanations, partial,
             )
         latencies_us[chunk_idx] = (time.perf_counter() - chunk_start) / m * 1e6
         return rounds, gap_counts
+
+    def _answer(
+        self, i, operator, blocks_scanned, rows, gap, lost, gap_counts,
+        results, explanations, partial,
+    ) -> None:
+        """Record query ``i``'s answer; below a ``gap`` it is a partial one."""
+        results[i] = ExecutionResult(operator, blocks_scanned, row_ids=rows)
+        if gap is None:
+            return
+        partial[i] = True
+        for sid in lost:
+            gap_counts[sid] += 1
+        explanation = explanations[i]
+        explanation.degraded = True
+        explanation.notes.append(
+            f"{PARTIAL_PLAN}: shards {lost} unreachable; verified "
+            f"prefix of {int(rows.shape[0])} row(s) below bound {gap:.6g}"
+        )
 
     def _serve_filter_group(
         self,
@@ -689,7 +700,7 @@ class ShardedServingTier:
         pts: np.ndarray,
         ks: np.ndarray,
         chunk_idx: np.ndarray,
-        answers: dict[int, dict],
+        shards: tuple[int, ...],
         dead: set[int],
         deadline: Deadline,
         rounds: dict[int, int],
@@ -703,139 +714,33 @@ class ShardedServingTier:
         Each surviving shard returns its local top-k with global
         ``(distance, concatenation position)`` tie keys;
         :func:`~repro.serving.merge.merge_filter_topk` reproduces the
-        unsharded full scan's stable emission.  Dead shards clamp the
-        answer to the verified prefix below their tightest known bound.
+        unsharded full scan's stable emission.  A dead shard's rows lie
+        at or beyond the MINDIST of its nearest owned block, so the
+        answer is clamped to the verified prefix below the nearest such
+        bound.
         """
         fidx = np.asarray(filter_pos, dtype=np.int64)
         payload = {"round": "scan", "points": pts[fidx], "ks": ks[fidx]}
         scan_answers = self._collect(
-            self._send({sid: payload for sid in answers}, deadline, rounds, dead), dead
+            self._send({sid: payload for sid in shards}, deadline, rounds, dead), dead
         )
+        lost = sorted(sid for sid in dead if self._members[sid].size)
+        rects = self.table.snapshot.rects
+        bounds = [
+            mindist_rects_batch(pts[fidx], rects[self._members[sid]]).min(axis=1) for sid in lost
+        ]
+        t_gaps = np.min(bounds, axis=0) if bounds else None
+        blocks_scanned = int(self.table.index.num_blocks)
         for j, i in enumerate(filter_pos):
-            k = int(ks[i])
-            point = Point(float(pts[i, 0]), float(pts[i, 1]))
             rows, dists = merge_filter_topk(
-                k, [scan_answers[sid]["topk"][j] for sid in sorted(scan_answers)]
+                int(ks[i]), [scan_answers[sid]["topk"][j] for sid in sorted(scan_answers)]
             )
-            t_gap = None
-            gap_sids: list[int] = []
-            for sid in sorted(dead):
-                state = answers.get(sid)
-                if state is not None:
-                    entries, __, bound = state["columns"].stream(i)
-                    if not entries and bound is None:
-                        continue  # stream spent: shard holds no rows here
-                    shard_min = float((entries[0] if entries else bound)[0])
-                else:
-                    hull_bound = self._dead_bound(sid, point)
-                    if hull_bound is None:
-                        continue  # shard owns no blocks: no gap
-                    shard_min = float(hull_bound[0])
-                gap_sids.append(sid)
-                t_gap = shard_min if t_gap is None else min(t_gap, shard_min)
-            workload_i = int(chunk_idx[i])
-            blocks_scanned = int(self.table.index.num_blocks)
-            if t_gap is None:
-                results[workload_i] = ExecutionResult(
-                    FilterThenKnnOperator.name, blocks_scanned, row_ids=rows
-                )
-            else:
-                keep = rows[dists < t_gap]
-                results[workload_i] = ExecutionResult(
-                    FilterThenKnnOperator.name, blocks_scanned, row_ids=keep
-                )
-                partial[workload_i] = True
-                for sid in gap_sids:
-                    gap_counts[sid] += 1
-                explanation = explanations[workload_i]
-                explanation.degraded = True
-                explanation.notes.append(
-                    f"{PARTIAL_PLAN}: shards {gap_sids} unreachable; verified "
-                    f"prefix of {int(keep.shape[0])} row(s) below bound {t_gap:.6g}"
-                )
-
-    def _serve_incremental_group(
-        self,
-        inc_pos: list[int],
-        pts: np.ndarray,
-        ks: np.ndarray,
-        chunk_idx: np.ndarray,
-        answers: dict[int, dict],
-        dead: set[int],
-        deadline: Deadline,
-        rounds: dict[int, int],
-        gap_counts: dict[int, int],
-        results: list,
-        explanations: list,
-        partial: np.ndarray,
-    ) -> None:
-        """Distance-browsing-chosen queries: one array merge, then the replay loop.
-
-        Shards browse to their own stops, which the global scan never
-        passes, so :func:`~repro.knn.merge.merge_open` answers a healthy
-        chunk.  The rest replay in :class:`~repro.knn.merge.QueryMerge`
-        under :func:`~repro.knn.merge.run_merges`, resuming what starves.
-        """
-        columns = [answers[sid]["columns"] for sid in sorted(answers)]
-        merged = [None] * len(inc_pos) if dead else merge_open(columns, ks, np.asarray(inc_pos))
-        merges: dict[int, QueryMerge] = {}
-        for i, done in zip(inc_pos, merged):
-            if done is not None:
-                results[int(chunk_idx[i])] = ExecutionResult(
-                    IncrementalKnnOperator.name, done[2], row_ids=done[0]
-                )
-                continue
-            point = Point(float(pts[i, 0]), float(pts[i, 1]))
-            merge = QueryMerge(int(ks[i]))
-            # Every shard asked at open either answered or is dead.
-            for sid in sorted(answers.keys() | dead):
-                state = answers.get(sid)
-                if state is not None:
-                    merge.add_stream(sid, *state["columns"].stream(i))
-                    if sid in dead:  # answered open, died since
-                        merge.mark_dead(sid)
-                    continue
-                # Never answered: a gap from the start, at its hull bound.
-                hull_bound = self._dead_bound(sid, point)
-                if hull_bound is not None:  # None: owns no blocks, no gap
-                    merge.add_stream(sid, [], 0, hull_bound)
-                    merge.mark_dead(sid)
-            merges[i] = merge
-
-        def fetch(requests: dict[int, list]) -> dict[int, list]:
-            """One resume round per starved shard; a lost shard is absent."""
-            payloads = {}
-            for sid, asked in requests.items():
-                ridx = np.asarray([r[0] for r in asked], dtype=np.int64)
-                payloads[sid] = {
-                    "round": "resume",
-                    "points": pts[ridx],
-                    "ks": ks[ridx],
-                    "cursors": np.asarray([r[1] for r in asked], dtype=np.int64),
-                    "min_points": np.asarray([r[2] for r in asked], dtype=np.int64),
-                    "min_mindists": np.asarray([r[3] for r in asked], dtype=float),
-                }
-            replies = self._collect(self._send(payloads, deadline, rounds, dead), dead)
-            return {sid: reply["streams"] for sid, reply in replies.items()}
-
-        run_merges(merges, fetch)
-        for i, merge in merges.items():
-            rows, blocks_scanned, n_verified = merge.result()
-            workload_i = int(chunk_idx[i])
-            results[workload_i] = ExecutionResult(
-                IncrementalKnnOperator.name, blocks_scanned, row_ids=rows
+            gap = None if t_gaps is None else float(t_gaps[j])
+            self._answer(
+                int(chunk_idx[i]), FilterThenKnnOperator.name, blocks_scanned,
+                rows if gap is None else rows[dists < gap], gap, lost, gap_counts,
+                results, explanations, partial,
             )
-            if merge.partial:
-                partial[workload_i] = True
-                for sid in merge.gap_shards:
-                    gap_counts[sid] += 1
-                explanation = explanations[workload_i]
-                explanation.degraded = True
-                explanation.notes.append(
-                    f"{PARTIAL_PLAN}: shards {list(merge.gap_shards)} unreachable; "
-                    f"verified prefix of {n_verified} row(s) below bound "
-                    f"{merge.t_gap:.6g}"
-                )
 
     # ------------------------------------------------------------------
     # Provenance
@@ -984,6 +889,83 @@ class ShardedServingTier:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _ChunkGather:
+    """One chunk's gather rounds: the browse's gather at the coordinator.
+
+    Each call sends one ``gather`` round to the shards that own the
+    window's blocks (not to a shard already dead in this chunk), reads
+    the replies and lays their rows out query by query, block by block.
+    A dead shard's blocks come back lost (``-1``).  ``before_collect``
+    runs once, between the first round's send and its collect.
+    """
+
+    def __init__(self, tier, shards, deadline, rounds, dead, before_collect) -> None:
+        self.tier, self.shards, self.deadline = tier, shards, deadline
+        self.rounds, self.dead = rounds, dead
+        self.before_collect = before_collect
+        #: Whether any shard answered a round.
+        self.answered = False
+
+    def __call__(self, xy: np.ndarray, ids: np.ndarray):
+        tier = self.tier
+        p, w = ids.shape
+        sizes = tier._counts[ids].ravel()
+        flat = ids.ravel()
+        # Each asked shard's pairs (query, block), in scan order.
+        if tier._owner is None:
+            pairs = {self.shards[0]: np.arange(p * w)}
+        else:
+            owner = tier._owner[flat]
+            pairs = {sid: np.flatnonzero(owner == sid) for sid in self.shards}
+            pairs = {sid: at for sid, at in pairs.items() if at.size}
+        payloads, expected = {}, {}
+        for sid, at in pairs.items():
+            counts = np.bincount(at // w, minlength=p)
+            asked = counts > 0
+            # Raw column bytes: see repro.serving.worker._gather.
+            payloads[sid] = {
+                "round": "gather",
+                "points": xy[asked].tobytes(),
+                "counts": counts[asked].tobytes(),
+                "blocks": flat[at].tobytes(),
+            }
+            expected[sid] = 8 * int(sizes[at].sum())
+
+        def check(sid: int, reply) -> str | None:
+            try:
+                got = (len(reply["row_ids"]), len(reply["dists"]))
+            except (KeyError, TypeError):
+                return f"malformed gather reply {type(reply).__name__}"
+            if got != (expected[sid], expected[sid]):
+                return f"gather reply of {got[0]} and {got[1]} bytes for {expected[sid] // 8} rows"
+            return None
+
+        round_ = tier._send(payloads, self.deadline, self.rounds, self.dead, check)
+        try:
+            if self.before_collect is not None:
+                hook, self.before_collect = self.before_collect, None
+                hook()
+        finally:
+            # Read the replies even when planning raises: a worker goes
+            # back to its idle queue only once its reply is read.
+            answers = tier._collect(round_, self.dead)
+        self.answered |= bool(answers)
+        rows = np.frombuffer(b"".join(a["row_ids"] for a in answers.values()), dtype=np.int64)
+        dists = np.frombuffer(b"".join(a["dists"] for a in answers.values()), dtype=float)
+        if len(pairs) == 1 and answers.keys() == pairs.keys():
+            return rows, dists, sizes.reshape(p, w)
+        start = np.zeros(p * w, dtype=np.int64)
+        live = np.zeros(p * w, dtype=bool)
+        base = 0
+        for sid in answers:  # the replies' order in rows and dists
+            at = pairs[sid]
+            start[at] = base + np.cumsum(sizes[at]) - sizes[at]
+            live[at] = True
+            base += expected[sid] // 8
+        take = concat_ranges(start[live], sizes[live])
+        return rows[take], dists[take], np.where(live, sizes, -1).reshape(p, w)
 
 
 def serve_sharded(table: SpatialTable, batch: QueryBatch, **tier_kwargs) -> ShardedServingReport:

@@ -1,16 +1,13 @@
 """What only a sharded tier needs of the k-NN merge.
 
-Every worker holds only the blocks its shard owns (all of them in
-replica mode) and browses them with the engine's executor
-(:func:`repro.knn.browse.browse`); the coordinator merges the shards'
-replies with :mod:`repro.knn.merge`: each shard is one block-stream
-source of a :class:`~repro.knn.merge.QueryMerge` (re-exported here)
-and a dead shard is a coverage gap — bit-identical to the unsharded
-:func:`~repro.engine.physical.execute_incremental_knn_batch`.
-
+The coordinator answers every distance-browsing query with the engine's
+own browse (:func:`repro.knn.browse.browse`), gathering each round's
+blocks from the shards that own them, so no browse answer is merged.
 Left here: the full-scan top-k merge for queries whose plan chose the
-filter operator.  Plans are not merged at all: the coordinator plans
-every query with the unsharded planner over the whole relation.
+filter operator, and :class:`~repro.knn.merge.QueryMerge` re-exported
+for the benchmark's merge probe.  Plans are not merged at all: the
+coordinator plans every query with the unsharded planner over the whole
+relation.
 """
 
 from __future__ import annotations

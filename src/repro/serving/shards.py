@@ -22,11 +22,12 @@ re-routes a dead shard's queries to a healthy sibling: they degrade
 to estimate-only answers.  In **data** mode (:func:`partition_blocks`)
 the plan shards the *data*: each index block is assigned to the shard
 containing its center, each worker receives only its blocks' rows
-(memory ∝ n/shards), and every query asks every shard.  Both modes
-answer through the streaming cross-shard merge of
-:mod:`repro.knn.merge`.  Either way, spatial partitioning gives each
-worker a spatially coherent stream (catalog locality) and confines a
-shard failure to one region.
+(memory ∝ n/shards), and a query's browse asks the shards that own
+its window's blocks.  Both modes answer through the coordinator's
+distance browse (:func:`repro.knn.browse.browse`), whose gather rounds
+go to the owning shards.  Either way, spatial partitioning gives each
+worker a spatially coherent stream and confines a shard failure to one
+region.
 """
 
 from __future__ import annotations
@@ -182,10 +183,8 @@ def partition_blocks(
     Returns:
         ``(members, hulls)`` — per shard, the ascending member row
         indices and the union bounding rect of the member block rects
-        (``None`` for a shard that owns no blocks).  The hull is the
-        coordinator's *guaranteed lower bound* for a shard that dies
-        before ever answering: no row of the shard can be nearer than
-        the hull's MINDIST.
+        (``None`` for a shard that owns no blocks): no row of the shard
+        is nearer than the hull's MINDIST.
     """
     if snapshot.layout != "canonical":
         raise ValueError("partition_blocks needs a canonical snapshot")

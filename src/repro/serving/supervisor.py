@@ -18,9 +18,10 @@ shards serve, then waits on every pipe and process sentinel at once
   ``max_retries`` times, never waiting past the remaining deadline;
 * **automatic respawn** — a dead worker (EOF on its pipe, or its
   process sentinel), a hung one (no reply within the timeout) or one
-  whose reply is not the one asked for (a stale sequence number) is
-  terminated, and the slot's next request boots a fresh process with a
-  bumped *incarnation* number, which the fault-injection plan uses to
+  whose reply is not the one asked for (a stale sequence number, or a
+  reply that does not fit its request) is terminated, and the slot's
+  next request boots a fresh process with a bumped *incarnation*
+  number, which the fault-injection plan uses to
   distinguish "crash once" from "permanently down";
 * a **per-shard circuit breaker** mirroring the fallback chains'
   :class:`~repro.resilience.fallback._TierHealth` — after
@@ -179,9 +180,9 @@ class ShardWorkerHandle:
     incarnation number (shipped to the worker initializer, where the
     fault plan consults it).
 
-    Every worker is initialized with the shard's payload (the
-    sub-snapshot bundle for ``_init_data_shard_worker``) and serves the
-    merge protocol's rounds through ``_serve_data_shard_chunk``.
+    Every worker is initialized with the shard's payload (its blocks'
+    ids, counts and rows for ``_init_data_shard_worker``) and serves the
+    gather and scan rounds through ``_serve_data_shard_chunk``.
     ``spawned`` counts worker processes ever booted — the long-lived
     tier benchmarks and the scale-smoke job assert it stays at one per
     slot.
@@ -407,6 +408,8 @@ class Round:
 
     Attributes (by shard id):
         payloads: The payload sent to it.
+        check: ``check(shard id, reply)`` — a reason the reply does not
+            fit its payload, or ``None``; a misfit is a failed attempt.
         answers: Its reply, if it answered.
         log: Human-readable per-attempt outcomes.
         flights: ``(worker, attempt, timeout, expires)`` of the attempt
@@ -415,13 +418,14 @@ class Round:
             backoff.
     """
 
-    __slots__ = ("payloads", "deadline", "answers", "log", "flights", "retries")
+    __slots__ = ("payloads", "deadline", "check", "answers", "log", "flights", "retries")
 
-    def __init__(self, payloads: dict[int, dict], deadline: Deadline) -> None:
+    def __init__(self, payloads: dict[int, dict], deadline: Deadline, check=None) -> None:
         # Ascending shard order: every round checks workers out in the
         # same order, so two rounds never wait on each other's workers.
         self.payloads = dict(sorted(payloads.items()))
         self.deadline = deadline
+        self.check = check
         self.answers: dict[int, object] = {}
         self.log: dict[int, list[str]] = {sid: [] for sid in self.payloads}
         self.flights: dict[int, tuple] = {}
@@ -480,14 +484,21 @@ class ShardSupervisor:
             raise ShardUnavailable(shard_id, round_.log[shard_id])
         return answers[shard_id], round_.log[shard_id]
 
-    def send(self, payloads: dict[int, dict], deadline: Deadline) -> "Round":
+    def send(
+        self,
+        payloads: dict[int, dict],
+        deadline: Deadline,
+        check: Callable[[int, object], str | None] | None = None,
+    ) -> "Round":
         """Start a round: check out a worker per shard and send its payload.
 
         Returns at once; the workers serve while the caller does other
         work.  Every round sent must be finished with :meth:`collect`,
-        which is what returns its workers to the idle queues.
+        which is what returns its workers to the idle queues.  A reply
+        ``check`` refuses is never an answer: the worker is retired and
+        the attempt retried, as for a stale reply.
         """
-        round_ = Round(payloads, deadline)
+        round_ = Round(payloads, deadline, check)
         for sid in round_.payloads:
             self._attempt(round_, sid, 0, None)
         return round_
@@ -578,6 +589,10 @@ class ShardSupervisor:
             return
         if not ok:
             self._fail(round_, sid, attempt, worker, f"{type(value).__name__}: {value}")
+            return
+        misfit = None if round_.check is None else round_.check(sid, value)
+        if misfit is not None:
+            self._fail(round_, sid, attempt, worker, f"{misfit}; respawning", respawn=True)
             return
         self._health[sid].record_success()
         round_.log[sid].append("ok")

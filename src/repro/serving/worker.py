@@ -6,33 +6,30 @@ initialized once with its (pickle-shipped) payload and serving
 configuration, then answers requests ``(seq, function, args)`` with
 ``(seq, ok, value)`` until the coordinator closes its end.  There is
 one kind of worker (:func:`_init_data_shard_worker`,
-:func:`_serve_data_shard_chunk`): it holds the blocks its shard owns — a
-sub-snapshot with global block ids, the member rows and points — and
-answers the rounds of the cross-shard merge protocol
-(``open`` / ``resume`` / ``scan``) that :mod:`repro.knn.merge` merges
-into the unsharded answer at the coordinator.
-A data shard owns one slice of the blocks; a replica shard owns every
-block, so its ``open`` reply already is the whole answer.
+:func:`_serve_data_shard_chunk`): it holds the points of the blocks its
+shard owns — every block in replica mode, one slice in data mode — and
+answers two stateless rounds: ``gather``, the rows and distances of
+named blocks for the coordinator's distance browse, and ``scan``, a
+full-scan top-k for filter plans.  The coordinator orders the blocks;
+a worker never browses.
 
 Deadline propagation: every chunk message carries the coordinator's
-*remaining* time budget, and the worker calls
+*remaining* time budget, and the scan round calls
 :func:`~repro.resilience.fallback.budget_check` between serving slices
 — a blown deadline surfaces as a typed
-:class:`~repro.resilience.errors.BudgetExceededError` mid-chunk instead
+:class:`~repro.resilience.errors.BudgetExceededError` mid-round instead
 of the worker obliviously finishing work nobody is waiting for.
 
 Fault injection: the initializer also receives a
 :class:`~repro.resilience.faultinject.WorkerFaultPlan` plus this
 process's incarnation number; the plan is applied at the top of every
-batch, which is how the chaos suite kills, hangs, or slows a worker on
-a chosen batch deterministically.
+round, which is how the chaos suite kills, hangs, or slows a worker on
+a chosen round deterministically.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from functools import partial
 
 import numpy as np
 
@@ -46,15 +43,8 @@ _WORKER_STATE: dict = {}
 
 
 def payload_bytes(payload: dict) -> int:
-    """Bytes of data in a shard payload: its block arrays and row columns."""
-    snapshot = payload["snapshot"]
-    return int(
-        snapshot.rects.nbytes
-        + snapshot.counts.nbytes
-        + snapshot.centers.nbytes
-        + snapshot.block_ids.nbytes
-        + sum(np.asarray(payload[key]).nbytes for key in ("rows", "points", "gpos"))
-    )
+    """Bytes of data in a shard payload: its block and row columns."""
+    return int(sum(np.asarray(column).nbytes for column in payload.values()))
 
 
 def _worker_main(conn) -> None:
@@ -97,26 +87,24 @@ def _init_data_shard_worker(
 ) -> None:
     """Worker initializer: the blocks this shard owns, nothing else.
 
-    ``payload`` carries the shard's canonical sub-snapshot (global
-    block ids preserved), the member blocks' global row ids and points
-    concatenated in canonical block order, and each row's position in
-    the *global* block-order concatenation (``gpos`` — the unsharded
-    full scan's tie-break key).  A worker keeps no statistics: the
-    coordinator plans every query over the whole relation.
+    ``payload`` carries the owned blocks' global ids (ascending) and
+    row counts, their rows' global ids and points concatenated in that
+    block order, and each row's position in the *global* block-order
+    concatenation (``gpos`` — the unsharded full scan's tie-break key).
+    A worker keeps no statistics and no block geometry: the coordinator
+    plans and orders every query over the whole relation.
     """
     from repro.index.base import BlockPointsView
 
-    snapshot = payload["snapshot"]
-    rows = np.asarray(payload["rows"], dtype=np.int64)
+    counts = np.asarray(payload["counts"], dtype=np.int64)
     points = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
-    gpos = np.asarray(payload["gpos"], dtype=np.int64)
-    starts = np.zeros(snapshot.n_blocks + 1, dtype=np.int64)
-    np.cumsum(snapshot.counts, out=starts[1:])
+    starts = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
     _WORKER_STATE.clear()
-    _WORKER_STATE["snapshot"] = snapshot
-    _WORKER_STATE["rows"] = rows
+    _WORKER_STATE["block_ids"] = np.asarray(payload["block_ids"], dtype=np.int64)
+    _WORKER_STATE["rows"] = np.asarray(payload["rows"], dtype=np.int64)
     _WORKER_STATE["points"] = points
-    _WORKER_STATE["gpos"] = gpos
+    _WORKER_STATE["gpos"] = np.asarray(payload["gpos"], dtype=np.int64)
     _WORKER_STATE["view"] = BlockPointsView(points, starts)
     _WORKER_STATE["shard_id"] = int(shard_id)
     _WORKER_STATE["incarnation"] = int(incarnation)
@@ -125,90 +113,79 @@ def _init_data_shard_worker(
     _WORKER_STATE["payload_bytes"] = payload_bytes(payload)
 
 
-def _browse_to_local_stop(pts: np.ndarray, ks: np.ndarray, checkpoint):
-    """The open round: browse each query to the shard's own stop.
+def _gather(payload: dict) -> dict:
+    """The gather round: named blocks' rows and distances, block by block.
 
-    One :func:`~repro.knn.browse.browse` over the shard's blocks, the
-    engine executor's, ``BUDGET_SLICE`` queries at a time, replied as
-    flat columns (:class:`~repro.knn.merge.OpenReply`): per query every
-    block up to the one the stop rule fired on, and the next block's key.
+    Every column travels as raw native-endian bytes (a numpy array's
+    buffer pickles at several times the cost): ``points`` holds the
+    round's ``m`` focal points as float64 ``(x, y)`` pairs, ``counts``
+    the number of blocks asked for each (int64) and ``blocks`` their
+    global ids, point by point (int64).  Replies ``{"row_ids",
+    "dists"}`` as int64 / float64 bytes: each block's rows in the
+    shard's view order, with ``np.hypot`` distances (the engine's
+    floats).
     """
-    from repro.knn.browse import browse
-    from repro.knn.merge import OpenReply
+    owned, view = _WORKER_STATE["block_ids"], _WORKER_STATE["view"]
+    try:
+        points = np.frombuffer(payload["points"], dtype=float).reshape(-1, 2)
+        counts = np.frombuffer(payload["counts"], dtype=np.int64)
+        blocks = np.frombuffer(payload["blocks"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"a gather round needs float64 points, int64 counts and ids: {exc}")
+    if counts.shape != points.shape[:1] or (counts < 0).any() or counts.sum() != blocks.shape[0]:
+        raise ValueError("a gather round needs m points, m block counts and their block ids")
+    local = np.searchsorted(owned, blocks)
+    if (local >= owned.shape[0]).any() or (owned[local] != blocks).any():
+        raise ValueError("a gather round names a block this shard does not own")
+    starts = view.offsets[local]
+    lengths = view.offsets[local + 1] - starts
+    dists, at = view.gather(np.repeat(points, counts, axis=0), starts[:, None], lengths[:, None])
+    return {"row_ids": _WORKER_STATE["rows"][at].tobytes(), "dists": dists.tobytes()}
 
-    snapshot = _WORKER_STATE["snapshot"]
-    view, rows = _WORKER_STATE["view"], _WORKER_STATE["rows"]
-    local = np.arange(snapshot.n_blocks)
-    browsed = []
-    for lo in range(0, ks.shape[0], BUDGET_SLICE):
-        checkpoint("shard stream open")
-        browsed += browse(
-            snapshot, view, rows, pts[lo : lo + BUDGET_SLICE], ks[lo : lo + BUDGET_SLICE],
-            blocks=local, bounds=True, checkpoint=partial(checkpoint, "shard local browse"),
-        )
-    *columns, bounds = zip(*browsed)
-    counts = np.array([len(mindists) for mindists in columns[0]], dtype=np.int64)
-    bounds = np.array([bound or (np.nan,) * 3 for bound in bounds], dtype=float)
-    return OpenReply(counts, *(np.concatenate(column) for column in columns), bounds)
 
-
-def _resume_streams(streams, m: int, payload: dict, block_rows, checkpoint) -> list[tuple]:
-    """The resume round: continue each named stream from its cursor.
-
-    ``payload`` must name ``cursors``, ``min_points`` and
-    ``min_mindists``, one per each of the ``m`` queries (see
-    :meth:`~repro.knn.distance_browsing.SnapshotBlockStream.take`).
-    """
-    from repro.knn.merge import gather_blocks
-
-    needs = [payload.get(key) for key in ("cursors", "min_points", "min_mindists")]
-    if any(need is None or len(need) != m for need in needs):
-        raise ValueError(
-            f"a resume round needs cursors, min_points and min_mindists, one per query ({m})"
-        )
-    pulls = zip(streams, *(np.asarray(need).tolist() for need in needs))
-    replies = []
-    while chunk := list(itertools.islice(pulls, BUDGET_SLICE)):
-        checkpoint("shard stream resume")
-        replies += gather_blocks(chunk, block_rows)
-    return replies
+def _scan(payload: dict) -> dict:
+    """The scan round: the shard's full-scan local top-k, with global tie keys."""
+    rows, points, gpos = (_WORKER_STATE[key] for key in ("rows", "points", "gpos"))
+    pts = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
+    ks = np.asarray(payload["ks"], dtype=np.int64).reshape(-1)
+    start, budget = time.perf_counter(), payload.get("budget_seconds")
+    topk = []
+    for i in range(pts.shape[0]):
+        if i % BUDGET_SLICE == 0:
+            budget_check(start, budget, "shard full scan")
+        if points.shape[0] == 0:
+            empty = np.empty(0, dtype=np.int64)
+            topk.append((empty, np.empty(0, dtype=float), empty))
+            continue
+        dists = np.hypot(points[:, 0] - pts[i, 0], points[:, 1] - pts[i, 1])
+        order = np.lexsort((gpos, dists))[: int(ks[i])]
+        topk.append((rows[order], dists[order], gpos[order]))
+    return {"topk": topk}
 
 
 def _serve_data_shard_chunk(payload: dict) -> dict:
-    """Serve one round of the cross-shard merge protocol.
+    """Serve one round: ``payload["round"]`` is ``"gather"`` or ``"scan"``.
 
-    Three round kinds (``payload["round"]``):
+    * ``"gather"`` (:func:`_gather`) — one round of the coordinator's
+      distance browse: the rows and distances of the blocks it names.
+      Distances are computed here, over each block's rows in canonical
+      order, so the coordinator's browse is the engine's bit for bit;
+    * ``"scan"`` (:func:`_scan`) — the shard's full-scan local top-k
+      with global tie-break keys, for queries whose plan chose the
+      filter operator.
 
-    * ``"open"`` — the shard's own finished **local browse**
-      (:func:`_browse_to_local_stop`) as ``{"columns": OpenReply}``.  The
-      shard's own k-th distance upper-bounds the global one, so the
-      coordinator's merge never has to extend what a healthy shard
-      opened with (see ``docs/serving.md``);
-    * ``"resume"`` — the stateless fallback: continue named queries'
-      streams from their ``cursors`` until ``min_points`` are gathered
-      or ``min_mindists`` is reached, replied as ``{"streams": [(entries,
-      cursor, bound), ...]}`` (:func:`~repro.knn.merge.gather_blocks`);
-    * ``"scan"`` — the shard's full-scan local top-k with global
-      tie-break keys, for queries whose plan chose the filter operator.
-
-    Distances are computed here, over each block's rows in canonical
-    order, so the coordinator's merge reproduces the unsharded
-    browser's gather bit-for-bit.  Rounds are stateless in the worker (a
-    resume rebuilds each stream from its cursor), so a respawned
-    incarnation resumes transparently and retries are idempotent.  The
-    fault plan fires per *round* — ``batches_served`` counts rounds —
-    which is how the chaos suite kills a data shard mid-stream.
+    Rounds are stateless in the worker, so a respawned incarnation
+    serves any round and retries are idempotent.  The fault plan fires
+    per *round* — ``batches_served`` counts rounds — which is how the
+    chaos suite kills a data shard mid-browse.
 
     Raises:
-        ValueError: On an unknown round kind, or a resume round whose
-            cursors, point minima or MINDIST minima are missing or not
-            one per query.
+        ValueError: On an unknown round kind, or a gather round whose
+            points, counts and block ids do not fit together or name a
+            block the shard does not own.
         BudgetExceededError: When the propagated deadline expires
-            between serving slices or local browse rounds.
+            between a scan round's serving slices.
     """
-    from repro.geometry import Point
-    from repro.knn.distance_browsing import SnapshotBlockStream
-
     fault_plan = _WORKER_STATE["fault_plan"]
     batch_index = _WORKER_STATE["batches_served"]
     _WORKER_STATE["batches_served"] = batch_index + 1
@@ -216,39 +193,11 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
         fault_plan.apply(
             _WORKER_STATE["shard_id"], batch_index, _WORKER_STATE["incarnation"]
         )
-    snapshot = _WORKER_STATE["snapshot"]
     round_kind = payload["round"]
-    pts = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
-    ks = np.asarray(payload["ks"], dtype=np.int64).reshape(-1)
-    budget = payload.get("budget_seconds")
-    start = time.perf_counter()
-    rows, points = _WORKER_STATE["rows"], _WORKER_STATE["points"]
-    checkpoint = partial(budget_check, start, budget)
-    if round_kind == "open":
-        return {"columns": _browse_to_local_stop(pts, ks, checkpoint)}
-    if round_kind == "resume":
-        starts = _WORKER_STATE["view"].offsets
-
-        def block_rows(block_id: int, row: int) -> tuple[np.ndarray, np.ndarray]:
-            lo, hi = int(starts[row]), int(starts[row + 1])
-            return rows[lo:hi], points[lo:hi]
-
-        streams = (SnapshotBlockStream(snapshot, Point(x, y)) for x, y in pts.tolist())
-        return {"streams": _resume_streams(streams, pts.shape[0], payload, block_rows, checkpoint)}
+    if round_kind == "gather":
+        return _gather(payload)
     if round_kind == "scan":
-        gpos = _WORKER_STATE["gpos"]
-        topk = []
-        for i in range(pts.shape[0]):
-            if i % BUDGET_SLICE == 0:
-                budget_check(start, budget, "shard full scan")
-            if points.shape[0] == 0:
-                empty = np.empty(0, dtype=np.int64)
-                topk.append((empty, np.empty(0, dtype=float), empty))
-                continue
-            dists = np.hypot(points[:, 0] - pts[i, 0], points[:, 1] - pts[i, 1])
-            order = np.lexsort((gpos, dists))[: int(ks[i])]
-            topk.append((rows[order], dists[order], gpos[order]))
-        return {"topk": topk}
+        return _scan(payload)
     raise ValueError(f"unknown data-shard round {round_kind!r}")
 
 

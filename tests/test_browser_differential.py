@@ -29,13 +29,15 @@ quadtree's universe can be given.
 The browse keys runs of ``isqrt(n)`` consecutive blocks before it keys
 their blocks, and reads each stop from the query's ``k``-th distance.
 The last section holds each query's whole ``Browsed`` (blocks, sizes,
-rows, distance bits, next block) to a block-at-a-time oracle where that
-can go wrong: a run bound below the window's key, a padded last run or
-one of a single block, overflowing keys, Hilbert and strided layouts, a
-shard's sub-snapshot, overlapping and zero-area R-tree leaves, masks
-that reject every row, ``k >= n`` and a full slab of queries over a tiny
-index.  It also pins, without a clock, the work of a round on the
-benchmark's data: no ``(q, n)`` key pass, and the round count.
+rows, distance bits, gap) to a block-at-a-time oracle where that can go
+wrong: a run bound below the window's key, a padded last run or one of
+a single block, overflowing keys, Hilbert and strided layouts,
+overlapping and zero-area R-tree leaves, masks that reject every row,
+``k >= n`` and a full slab of queries over a tiny index — each with a
+gather that loses a region's blocks as well (a shard that did not
+answer: the oracle stops at the first lost block it reaches).  It also
+pins, without a clock, the work of a round on the benchmark's data: no
+``(q, n)`` key pass, and the round count.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.hilbert import hilbert_order
 from repro.index import IndexSnapshot, Quadtree, RTree
 from repro.knn import browse as browse_module
-from repro.knn.browse import BlockPointsView, Browsed, browse
-from repro.knn.distance_browsing import SnapshotBlockStream
+from repro.knn.browse import BlockPointsView, Browsed, browse, view_gather
 from tests.heap_oracle import IndexTable, corner_tie_table, heap_knn_select, qualifies
 
 #: cell -> (has predicate, has region, pinned operator)
@@ -315,7 +316,7 @@ def test_a_key_tied_across_the_cut_does_not_lift_the_last_threshold(far_first):
         points.append(point)
     snapshot = IndexSnapshot.from_arrays(np.array(rects), np.ones(len(rects), dtype=np.int64))
     view = BlockPointsView(np.array(points), np.arange(len(points) + 1))
-    (got,) = browse(snapshot, view, np.arange(len(points)), [(0.0, 0.0)], [1])
+    (got,) = browse(snapshot, view_gather(view, np.arange(len(points))), [(0.0, 0.0)], [1])
     assert len(got.mindists) == _scan_oracle(snapshot, view, Point(0.0, 0.0), 1) == 9
     # The ninth block scanned is E, wherever its row went.
     assert got.row_ids.tolist() == list(range(8)) + [9 if far_first else 8]
@@ -347,13 +348,14 @@ def test_empty_table_browses_nothing(operator):
 
 
 def test_a_next_block_past_the_certain_ranks_goes_round_again():
-    """A shard's bound is certified too, not just its stop.
+    """A lost block is certified too, not just the stop.
 
     Twenty blocks tie at MINDIST 1 around the query's own block, so the
     first window keeps only some of them and no tied rank is certain.
-    The stop (after the first block) is certain, but the next block is
-    the tied one with the smallest id, which the window may have left
-    out: the browse must go round again rather than report the window's.
+    With the tied block of the smallest id lost, the scan meets it
+    right after the first block; with the largest lost, after all the
+    others.  The window may have left either out: the browse must go
+    round again rather than trust the window's order.
     """
     rects = [(-0.5, -0.5, 0.5, 0.5)] + [
         (1.0, -0.5 - 0.01 * i, 2.0, 0.5 + 0.01 * i) for i in range(20)
@@ -364,27 +366,33 @@ def test_a_next_block_past_the_certain_ranks_goes_round_again():
         base = IndexSnapshot.from_arrays(np.array(rects), np.ones(21, dtype=np.int64))
         snapshot = base.with_layout(rng.permutation(21), name="shuffled")
         view = BlockPointsView(np.array(points), np.arange(22))
-        (got,) = browse(snapshot, view, np.arange(21), [(0.0, 0.0)], [1], bounds=True)
-        assert len(got.mindists) == 1
-        assert got.bound == SnapshotBlockStream(snapshot, Point(0.0, 0.0)).bound(1) == (1.0, 1, 1.0)
+        for lost, scanned in ((1, 1), (20, 20)):
+            lose = np.arange(21) == lost
+            got = _check_browse(snapshot, view, np.arange(21), [(0.0, 0.0)], [2], lose=lose)
+            assert len(got[0].mindists) == scanned and got[0].gap == 1.0
 
 
 # ----------------------------------------------------------------------
 # The browse's two-level window: runs of blocks, then candidates, then a
 # window.  Every case below compares each query's whole ``Browsed`` —
-# blocks, sizes, rows, distance bits and the next block — with the
-# block-at-a-time oracle.
+# blocks, sizes, rows, distance bits and the gap — with the
+# block-at-a-time oracle, over the local view and over a gather that
+# loses blocks.
 
 
-def _oracle(snapshot, view, row_ids, query, k, keep=None, blocks=None, bounds=False) -> Browsed:
-    """Distance browsing one block at a time from a full sort, as a ``Browsed``."""
-    blocks = snapshot.block_ids if blocks is None else blocks
+def _oracle(snapshot, view, row_ids, query, k, keep=None, lose=None) -> Browsed:
+    """Distance browsing one block at a time from a full sort, as a
+    ``Browsed``; it stops at the first block ``lose`` names that it reaches."""
     x, y = query
     mindists = np.array([mindist_point_rect(Point(x, y), Rect(*r)) for r in snapshot.rects])
     order = np.lexsort((snapshot.block_ids, mindists))
-    sizes, rows, dists = [], [], []
+    sizes, rows, dists, gap = [], [], [], None
     for rank, i in enumerate(order.tolist()):
-        lo, hi = view.offsets[blocks[i]], view.offsets[blocks[i] + 1]
+        b = snapshot.block_ids[i]
+        if lose is not None and lose[b]:
+            gap = float(mindists[i])
+            break
+        lo, hi = view.offsets[b], view.offsets[b + 1]
         d, r = np.hypot(view.xs[lo:hi] - x, view.ys[lo:hi] - y), row_ids[lo:hi]
         if keep is not None:
             d, r = d[keep(r)], r[keep(r)]
@@ -394,17 +402,14 @@ def _oracle(snapshot, view, row_ids, query, k, keep=None, blocks=None, bounds=Fa
         nxt = mindists[order[rank + 1]] if rank + 1 < order.shape[0] else np.inf
         if np.count_nonzero(np.concatenate(dists) < nxt) >= k:
             break
-    s, bound = len(sizes), None
-    if bounds and s < order.shape[0]:
-        j = order[s]
-        bound = (float(mindists[j]), int(snapshot.block_ids[j]), float(mindists[j]))
+    s = len(sizes)
     return Browsed(
         mindists[order[:s]],
         snapshot.block_ids[order[:s]],
         np.array(sizes, dtype=np.int64),
-        np.concatenate(rows).astype(np.int64),
-        np.concatenate(dists),
-        bound,
+        np.concatenate([np.empty(0, dtype=np.int64), *rows]).astype(np.int64),
+        np.concatenate([np.empty(0), *dists]),
+        gap,
     )
 
 
@@ -413,15 +418,40 @@ def _assert_same(got: Browsed, want: Browsed) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert got.bound == want.bound
+    assert got.gap == want.gap
 
 
-def _check_browse(snapshot, view, row_ids, queries, ks, masks=None, blocks=None, bounds=False):
-    got = browse(snapshot, view, row_ids, queries, ks, masks, blocks=blocks, bounds=bounds)
+def _losing_gather(view, row_ids, lose):
+    """A gather that loses the blocks ``lose`` names (by block id)."""
+
+    def gather(xy, block_ids):
+        starts = view.offsets[block_ids]
+        sizes = np.where(lose[block_ids], 0, view.offsets[block_ids + 1] - starts)
+        dists, at = view.gather(xy, starts, sizes)
+        return row_ids[at], dists, np.where(lose[block_ids], -1, sizes)
+
+    return gather
+
+
+def _west(snapshot) -> np.ndarray:
+    """By block id: the blocks whose centre lies in the western third,
+    as a dead shard's."""
+    lose = np.zeros(int(snapshot.block_ids.max(initial=-1)) + 1, dtype=bool)
+    xs = snapshot.centers[:, 0]
+    with np.errstate(invalid="ignore"):
+        lose[snapshot.block_ids] = xs < np.quantile(xs, 1 / 3)
+    return lose
+
+
+def _check_browse(snapshot, view, row_ids, queries, ks, masks=None, lossy=False, lose=None):
+    if lossy:
+        lose = _west(snapshot)
+    gather = view_gather(view, row_ids) if lose is None else _losing_gather(view, row_ids, lose)
+    got = browse(snapshot, gather, queries, ks, masks)
     assert len(got) == len(ks)
     for i, (query, k) in enumerate(zip(np.asarray(queries, dtype=float).tolist(), ks)):
         keep = None if masks is None else masks[i]
-        want = _oracle(snapshot, view, row_ids, query, int(k), keep, blocks, bounds)
+        want = _oracle(snapshot, view, row_ids, query, int(k), keep, lose)
         _assert_same(got[i], want)
     return got
 
@@ -435,9 +465,9 @@ def _queries(rng, m: int):
     return rng.uniform(-10.0, 110.0, (m, 2)), rng.integers(1, 120, m)
 
 
-@pytest.mark.parametrize("bounds", [False, True])
+@pytest.mark.parametrize("lossy", [False, True])
 @pytest.mark.parametrize("layout", ["canonical", "hilbert"])
-def test_runs_of_a_quadtree_browse_like_the_oracle(layout, bounds):
+def test_runs_of_a_quadtree_browse_like_the_oracle(layout, lossy):
     """Hundreds of blocks: the first round keys a few runs, not every block."""
     table = _uniform_table(6000, 16, seed=5)
     snapshot = _relaid(table.snapshot, layout)
@@ -445,11 +475,11 @@ def test_runs_of_a_quadtree_browse_like_the_oracle(layout, bounds):
     assert n_runs > 8 and snapshot.n_blocks > 300
     view, row_ids = table.block_points
     queries, ks = _queries(np.random.default_rng(6), 60)
-    _check_browse(snapshot, view, row_ids, queries, ks, bounds=bounds)
+    _check_browse(snapshot, view, row_ids, queries, ks, lossy=lossy)
 
 
-@pytest.mark.parametrize("bounds", [False, True])
-def test_the_run_bound_is_the_binding_certificate(bounds):
+@pytest.mark.parametrize("lossy", [False, True])
+def test_the_run_bound_is_the_binding_certificate(lossy):
     """Runs that each span the whole table: the run bound is 0.
 
     Run ``r`` holds every ``G``-th block, so each run's bounding rect
@@ -474,7 +504,7 @@ def test_the_run_bound_is_the_binding_certificate(bounds):
         assert np.count_nonzero(inside) >= mbrs.shape[1] - 1
         assert np.count_nonzero(snapshot.mindist_from(Point(x, y)) == 0.0) <= 4
     view, row_ids = table.block_points
-    _check_browse(snapshot, view, row_ids, queries, ks, bounds=bounds)
+    _check_browse(snapshot, view, row_ids, queries, ks, lossy=lossy)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**520])
@@ -497,28 +527,9 @@ def test_the_last_run_padded_or_holding_one_block(n, scale):
     assert np.isnan(cols.reshape(4, -1)[:, n:]).all()
     view = BlockPointsView(points, np.arange(n + 1))
     queries, ks = rng.uniform(-side, side, (24, 2)) * scale, rng.integers(1, 12, 24)
-    for bounds in (False, True):
+    for lossy in (False, True):
         with np.errstate(over="ignore"):
-            _check_browse(snapshot, view, np.arange(n), queries, ks, bounds=bounds)
-
-
-def test_a_shard_sub_snapshot_browses_its_own_blocks_with_bounds():
-    """A data shard's ``open`` round: an ``extract``ed sub-snapshot keeps
-    global block ids, its view is local (``blocks=``) and it certifies
-    each next block."""
-    table = _uniform_table(6000, 16, seed=12)
-    full = table.snapshot
-    rows = np.flatnonzero(full.centers[:, 0] + 0.3 * full.centers[:, 1] < 60.0)
-    shard = full.extract(rows)
-    assert shard.n_blocks > 100 and not np.array_equal(shard.block_ids, np.arange(shard.n_blocks))
-    view, row_ids = table.block_points
-    parts = [view.offsets[b] + np.arange(view.offsets[b + 1] - view.offsets[b]) for b in shard.block_ids]
-    at = np.concatenate(parts)
-    local = BlockPointsView(view.points[at], np.concatenate([[0], np.cumsum(shard.counts)]))
-    queries, ks = _queries(np.random.default_rng(13), 40)
-    _check_browse(
-        shard, local, row_ids[at], queries, ks, blocks=np.arange(shard.n_blocks), bounds=True
-    )
+            _check_browse(snapshot, view, np.arange(n), queries, ks, lossy=lossy)
 
 
 @pytest.mark.parametrize("capacity", [1, 3, 8])
@@ -536,8 +547,8 @@ def test_r_tree_overlapping_and_zero_area_leaves(capacity):
     view, row_ids = table.block_points
     queries = rng.integers(-2, 14, (40, 2)).astype(float)
     ks = rng.integers(1, 30, 40)
-    for bounds in (False, True):
-        _check_browse(snapshot, view, row_ids, queries, ks, bounds=bounds)
+    for lossy in (False, True):
+        _check_browse(snapshot, view, row_ids, queries, ks, lossy=lossy)
 
 
 def test_masks_that_reject_every_row_and_k_at_least_n():
@@ -552,11 +563,11 @@ def test_masks_that_reject_every_row_and_k_at_least_n():
     odd = lambda rows: rows % 2 == 1  # noqa: E731
     ks = np.array([1, 5, 3000, 3001, 10, 2999, 1, 40])
     masks = [nothing, None, None, odd, nothing, odd, None, nothing]
-    for bounds in (False, True):
-        got = _check_browse(snapshot, view, row_ids, queries, ks, masks, bounds=bounds)
-        for i in (0, 4, 7):
-            assert len(got[i].mindists) == snapshot.n_blocks and got[i].row_ids.size == 0
-        assert got[2].row_ids.size == 3000
+    got = _check_browse(snapshot, view, row_ids, queries, ks, masks)
+    for i in (0, 4, 7):
+        assert len(got[i].mindists) == snapshot.n_blocks and got[i].row_ids.size == 0
+    assert got[2].row_ids.size == 3000
+    _check_browse(snapshot, view, row_ids, queries, ks, masks, lossy=True)
 
 
 def test_a_tiny_index_with_a_full_slab_of_queries():
@@ -571,7 +582,7 @@ def test_a_tiny_index_with_a_full_slab_of_queries():
     queries, ks = rng.uniform(-10.0, 110.0, (m, 2)), rng.integers(1, 12, m)
     masks = [None] * m
     masks[5] = masks[5_500] = lambda rows: rows % 3 == 0
-    _check_browse(snapshot, view, row_ids, queries, ks, masks, bounds=True)
+    _check_browse(snapshot, view, row_ids, queries, ks, masks, lossy=True)
 
 
 def test_a_browse_pickles_its_snapshot_to_the_same_bytes():
@@ -579,8 +590,7 @@ def test_a_browse_pickles_its_snapshot_to_the_same_bytes():
     table = _uniform_table(3000, 16, seed=18)
     snapshot = table.snapshot
     before = pickle.dumps(snapshot)
-    view, row_ids = table.block_points
-    browse(snapshot, view, row_ids, [(50.0, 50.0)], [10])
+    browse(snapshot, view_gather(*table.block_points), [(50.0, 50.0)], [10])
     assert "_runs_cache" in snapshot.__dict__
     assert pickle.dumps(snapshot) == before
     assert "_runs_cache" not in pickle.loads(before).__dict__
@@ -615,7 +625,7 @@ def _requests(points: np.ndarray, n: int = 128):
 
 def test_a_certified_request_keys_runs_and_candidates_never_every_block(osm_table, monkeypatch):
     snapshot = osm_table.snapshot
-    view, row_ids = osm_table.block_points
+    gather = view_gather(*osm_table.block_points)
     n = snapshot.n_blocks
     __, n_runs, g = snapshot.block_runs[1].shape
     widths = []
@@ -630,7 +640,7 @@ def test_a_certified_request_keys_runs_and_candidates_never_every_block(osm_tabl
     for focal, ks in _requests(osm_table.points, 16):
         rounds = []
         widths.clear()
-        browse(snapshot, view, row_ids, focal, ks, checkpoint=lambda: rounds.append(1))
+        browse(snapshot, gather, focal, ks, checkpoint=lambda: rounds.append(1))
         if len(rounds) == 1:
             one_round += 1
             # One run pass and one candidate pass: at most 8 runs of g blocks
@@ -641,10 +651,11 @@ def test_a_certified_request_keys_runs_and_candidates_never_every_block(osm_tabl
 
 
 def test_the_benchmark_requests_take_a_pinned_number_of_rounds(osm_table):
-    """164 rounds for 128 requests (the all-block window took 163)."""
+    """131 rounds for 128 requests: three need a second.  The first window
+    sized from the slab's median ``k`` took 164, the all-block window 163."""
     snapshot = osm_table.snapshot
-    view, row_ids = osm_table.block_points
+    gather = view_gather(*osm_table.block_points)
     rounds = []
     for focal, ks in _requests(osm_table.points):
-        browse(snapshot, view, row_ids, focal, ks, checkpoint=lambda: rounds.append(1))
-    assert len(rounds) == 164
+        browse(snapshot, gather, focal, ks, checkpoint=lambda: rounds.append(1))
+    assert len(rounds) == 131

@@ -141,13 +141,16 @@ def test_the_walk_sees_function_level_imports():
 #: read off the dirty log alone, and profiles per anchor); the executor's
 #: per-pull row masks of ``gather_blocks``, the block stream's batched
 #: window ordering and the private range helper the array browse made
-#: public (``repro.knn.browse`` runs every local select and a shard's open
-#: round; ``gather_blocks`` answers resume rounds only, and
+#: public (``repro.knn.browse`` runs every select, and
 #: ``SnapshotBlockStream`` orders one row's window, with no shared-pass
 #: ``batch``); the kernel backend registry, its numba backend, its
 #: import-time selection and the plumbing that carried the active
 #: backend's name to workers, plans and the CLI (``geometry/kernels.py``
-#: runs one numpy ufunc chain per kernel).
+#: runs one numpy ufunc chain per kernel); the data tier's open / resume
+#: protocol — the shard's local browse and its columns, the array merge,
+#: the resume gather and loop, and the coordinator's replay bounds (the
+#: coordinator browses the global snapshot, and a round's gather goes to
+#: the shards that own its blocks).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -265,6 +268,14 @@ RETIRED_NAMES = {
     "numba_backend",
     "numpy_backend",
     "_select_at_import",
+    "merge_open",
+    "OpenReply",
+    "_browse_to_local_stop",
+    "_resume_streams",
+    "gather_blocks",
+    "run_merges",
+    "_dead_bound",
+    "_hull_bounds",
 }
 
 

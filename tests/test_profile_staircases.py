@@ -481,7 +481,7 @@ class TestCountBelow:
         starts, lengths = view.offsets[blocks], np.full((q, c), 5)
         thresholds = np.sort(rng.integers(0, 9, size=(q, c)) / 1.0, axis=1)
         R = parallel._retrievable(view, xy, starts, lengths, thresholds)
-        __, dists, __ = view.gather(xy, starts, lengths)
+        dists, __ = view.gather(xy, starts, lengths)
         assert np.array_equal(R, brute_count_below(lengths.sum(axis=1), dists, thresholds))
 
 

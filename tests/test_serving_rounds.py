@@ -1,21 +1,26 @@
-"""One round per shard: the data tier's open round and thread ownership.
+"""The data tier's gather rounds and thread ownership.
 
-A data shard answers ``open`` with its own finished local browse — every
-block up to the one its stop rule fired on, as flat columns
-(``OpenReply``) — so the coordinator's cross-shard merge finishes on the
-opening streams alone.  Asserted here without a wall clock:
+The coordinator runs the engine's distance browse over the table's
+global snapshot, and each browse round's gather is one stateless
+``gather`` round to the shards that own its window blocks: a shard
+replies, per (query, block), the block's row ids and ``np.hypot``
+distances from its own view.  Asserted here without a wall clock:
 
-* **the one-round invariant**, in-process on adversarial inputs
-  (distance ties at the k-th, duplicates, ``k`` beyond a shard's or the
-  relation's row count, an empty shard, a query outside the universe):
-  ``merge_open`` certifies every query, the first ``QueryMerge.advance()``
-  over the same replies returns ``None``, and both answers equal the
-  unsharded engine's to the distance bit;
-* **round counts** of a live tier: one round per shard per chunk for
-  incremental plans, open + scan for the filter plan, and a healthy
-  chunk builds no ``QueryMerge``;
-* **the fallback**: open replies cut short are extended through
-  ``resume`` to the same answers;
+* **served == engine**, in-process on adversarial inputs (distance ties
+  at the k-th, duplicates, ``k`` beyond a shard's or the relation's row
+  count, an empty shard, a query outside the universe) in both shard
+  modes over one to five shards: every query's whole ``Browsed`` —
+  blocks, sizes, row ids and distance bits — and its answer and plan
+  equal the unsharded engine's; a window inside one shard asks that
+  shard alone; a worker's gather reply is its view's, bit for bit;
+* **refusals**: a malformed gather payload is a ``ValueError``; a reply
+  whose lengths do not fit its blocks' counts is a failed attempt
+  (retried, never an answer), as a stale reply is;
+* **the deadline** is checked between browse rounds: a round sent after
+  it expired asks no worker, and what it would have gathered is lost;
+* **round counts** of a live tier: one gather round per chunk here,
+  plus a scan for the filter plan, and on the benchmark's seed-800
+  requests a pinned count of gather rounds and shards asked;
 * **hygiene**: serving starts no thread per request, ``close()`` leaves
   no thread and no worker process behind, and pipelined multi-chunk
   batches cannot deadlock the tier's pools.
@@ -30,17 +35,19 @@ import threading
 import numpy as np
 import pytest
 
+from repro.datasets import generate_osm_like
 from repro.engine import SpatialEngine, SpatialTable, StatisticsManager
 from repro.index import GridIndex, Quadtree, RTree
-from repro.geometry import Point
-from repro.knn.distance_browsing import SnapshotBlockStream
-from repro.knn.merge import OpenReply, QueryMerge, gather_blocks, merge_open, run_merges
+from repro.knn.browse import browse as engine_browse
+from repro.knn.browse import view_gather
 from repro.resilience import WorkerFaultPlan, WorkerFaultSpec
-from repro.resilience.errors import BudgetExceededError
-from repro.serving import ShardedServingTier, SupervisionPolicy, plan_shards
+from repro.knn import browse as browse_module
+from repro.serving import Deadline, ShardedServingTier, SupervisionPolicy, plan_shards
 from repro.serving import coordinator, worker
+from repro.serving.supervisor import Round
 from repro.workloads import QueryBatch
 from tests.heap_oracle import corner_tie_table, heap_knn_select
+from tests.test_browser_differential import _requests
 
 MAX_K = 64
 POLICY = SupervisionPolicy(max_retries=1, backoff_base=0.01, chunk_timeout=20.0)
@@ -99,26 +106,6 @@ def _reference(points: np.ndarray, capacity: int, batch: QueryBatch, pins: dict)
     return engine.execute_batch(batch.as_knn_queries("t"))
 
 
-def replay(replies: list[OpenReply], i: int, k: int):
-    """Query ``i`` through one ``QueryMerge`` over the replies' streams:
-    ``(row_ids, dists, blocks_scanned)``, or ``None`` when it would resume."""
-    merge = QueryMerge(k)
-    for sid, reply in enumerate(replies):
-        merge.add_stream(sid, *reply.stream(i))
-    if merge.advance() is not None:
-        return None
-    rows, blocks_scanned, __ = merge.result()
-    dists = np.concatenate([np.empty(0), *merge._dist_parts])
-    return rows, np.sort(dists, kind="stable")[: rows.shape[0]], blocks_scanned
-
-
-def assert_same_merge(merged, replayed) -> None:
-    """Row ids, distance bits and ``blocks_scanned`` of two merged answers."""
-    assert merged[0].tolist() == replayed[0].tolist()
-    assert merged[1].tobytes() == replayed[1].tobytes()
-    assert merged[2] == replayed[2]
-
-
 @pytest.fixture()
 def worker_state():
     """The worker module's process state, emptied again afterwards."""
@@ -126,192 +113,206 @@ def worker_state():
     worker._WORKER_STATE.clear()
 
 
+def in_process(tier: ShardedServingTier) -> list:
+    """Serve ``tier``'s rounds in this process, each shard from its own
+    payload: its supervisor's ``send`` runs the worker's round function
+    and ``collect`` returns the replies.  Returns the rounds' payloads by
+    shard, as sent."""
+    supervisor = tier.supervisor
+    inits = {sid: supervisor.handle(sid)._init_payload for sid in supervisor.shard_ids}
+    sent, lock = [], threading.Lock()  # replica lanes run on the tier's threads
+
+    def send(payloads, deadline, check=None):
+        round_ = Round(payloads, deadline, check)
+        with lock:
+            sent.append(round_.payloads)
+            for sid, payload in round_.payloads.items():
+                worker._init_data_shard_worker(sid, 0, inits[sid], None)
+                reply = worker._serve_data_shard_chunk(payload)
+                assert check is None or check(sid, reply) is None
+                round_.answers[sid] = reply
+        return round_
+
+    supervisor.send = send
+    supervisor.collect = lambda round_: round_.answers
+    return sent
+
+
+def _assert_same_browse(got, want) -> None:
+    for name in got._fields[:-1]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.gap is want.gap is None
+
+
 # ----------------------------------------------------------------------
-# (a) The one-round invariant, in-process
+# (a) Served == engine, in-process
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("n_shards", [2, 3, 5])
+@pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
 @pytest.mark.parametrize("substrate", ["quadtree", "grid", "rtree"])
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
-def test_open_replies_finish_the_merge_without_a_resume(
-    relation, substrate, n_shards, worker_state
+def test_gather_rounds_browse_as_the_engine(
+    relation, substrate, n_shards, worker_state, monkeypatch
 ):
+    """Both shard modes: whole ``Browsed`` tuples, answers and plans."""
     points, capacity = RELATIONS[relation]
     batch = _adversarial_batch(points)
+    table = SpatialTable("t", points, capacity=capacity)
     reference = _reference(points, capacity, batch, INCREMENTAL)
-    # Never started: the tier only partitions the relation here.
-    tier = ShardedServingTier(
-        SpatialTable("t", points, capacity=capacity),
-        shard_mode="data",
-        shard_plan=plan_shards(_routing_index(substrate, points), n_shards),
-        manager_kwargs={"max_k": MAX_K},
-    )
-    payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
-    tier.close()
-    # A shard is shipped its blocks and rows, and no planner configuration.
-    assert all(set(p) == {"snapshot", "rows", "points", "gpos"} for p in payloads)
-    if relation == "handful" and n_shards == 5:
-        assert any(p["rows"].size == 0 for p in payloads)  # an empty shard
-    assert min(p["rows"].size for p in payloads) < int(batch.ks.max())
+    view = view_gather(*table.block_points)
+    expected = engine_browse(table.snapshot, view, batch.points, batch.ks)
+    browsed = {}
 
-    replies = []
-    for sid, payload in enumerate(payloads):
-        worker._init_data_shard_worker(sid, 0, payload, None)
-        replies.append(
-            worker._serve_data_shard_chunk(
-                {"round": "open", "points": batch.points, "ks": batch.ks}
-            )
+    def recording(snapshot, gather, pts, ks):
+        out = engine_browse(snapshot, gather, pts, ks)
+        browsed.update(((x, y, k), b) for (x, y), k, b in zip(pts.tolist(), ks.tolist(), out))
+        return out
+
+    monkeypatch.setattr(coordinator, "browse", recording)
+    for shard_mode in ("data", "replica"):
+        browsed.clear()
+        tier = ShardedServingTier(
+            table,
+            shard_mode=shard_mode,
+            shard_plan=plan_shards(_routing_index(substrate, points), n_shards),
+            chunk_size=16,
+            manager_kwargs={"max_k": MAX_K, "pinned_operators": INCREMENTAL},
         )
-        # The columns only: a worker keeps no statistics to estimate with.
-        assert set(replies[-1]) == {"columns"}
-    columns = [reply["columns"] for reply in replies]
-    merged = merge_open(columns, batch.ks, np.arange(len(batch)))
-    for i, (expected, __) in enumerate(reference):
-        replayed = replay(columns, i, int(batch.ks[i]))
-        assert replayed is not None, f"query {i} asked for a resume"
-        assert merged[i] is not None, f"query {i} was refused"
-        assert_same_merge(merged[i], replayed)
-        assert np.array_equal(merged[i][0], expected.row_ids), i
-        assert merged[i][2] == expected.blocks_scanned, i
+        payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
+        # A shard is shipped its blocks and rows, and no planner configuration.
+        assert all(set(p) == {"block_ids", "counts", "rows", "points", "gpos"} for p in payloads)
+        if shard_mode == "data" and relation == "handful" and n_shards == 5:
+            assert any(p["rows"].size == 0 for p in payloads)  # an empty shard
+        in_process(tier)
+        report = tier.serve(batch)
+        tier.close()
+        assert report.n_degraded == 0 and report.n_partial == 0
+        for i, (want, explanation) in enumerate(reference):
+            got, served = report.results[i], report.explanations[i]
+            assert got.row_ids.tolist() == want.row_ids.tolist(), (shard_mode, i)
+            assert got.blocks_scanned == want.blocks_scanned, (shard_mode, i)
+            for name in ("chosen", "alternatives", "estimator_tier", "effective_k", "notes"):
+                assert getattr(served, name) == getattr(explanation, name), (shard_mode, i, name)
+            # The query's browse is the engine's to the distance bit.
+            (x, y), k = batch.points[i].tolist(), int(batch.ks[i])
+            _assert_same_browse(browsed[x, y, k], expected[i])
 
 
-def _old_open_loop(payload: dict, point: Point, k: int) -> tuple[list, int]:
-    """The open round as it was before the array browse: one
-    ``QueryMerge`` over the shard's single block stream, resumed with
-    in-process ``gather_blocks`` fetches.  Returns the entries up to the
-    local stop and the stop itself (the merge's admitted blocks)."""
-    snapshot, rows, points = payload["snapshot"], payload["rows"], payload["points"]
-    starts = np.concatenate([[0], np.cumsum(snapshot.counts)])
-
-    def block_rows(block_id: int, row: int):
-        return rows[starts[row] : starts[row + 1]], points[starts[row] : starts[row + 1]]
-
-    stream = SnapshotBlockStream(snapshot, point)
-    merge = QueryMerge(k)
-    merge.add_stream(0, [], 0, stream.bound(0))
-    run_merges(
-        {0: merge},
-        lambda asked: {0: gather_blocks([(stream, *need) for __, *need in asked[0]], block_rows)},
+def test_a_window_inside_one_shard_asks_that_shard_alone(worker_state):
+    """Small ``k`` near a corner: the window's blocks, and so the round,
+    are one shard's; ``k >= n`` sends one round to every shard."""
+    points, capacity = RELATIONS["lattice"]
+    table = SpatialTable("t", points, capacity=capacity)
+    tier = ShardedServingTier(
+        table, shard_mode="data", n_shards=3, manager_kwargs={"max_k": MAX_K}
     )
-    return merge.streams[0].entries[: merge.admitted], merge.admitted
+    sent = in_process(tier)
+    corner = QueryBatch(points=np.array([[0.0, 0.0]]), ks=np.array([1]))
+    report = tier.serve(corner)
+    (asked,) = sent
+    owner = tier.plan.assign(np.array([[0.0, 0.0]]))[0]
+    assert list(asked) == [owner]
+    assert [s.n_chunks for s in report.shards] == [int(s == owner) for s in range(3)]
+    sent.clear()
+    n = points.shape[0]
+    every = QueryBatch(points=np.array([[5.0, 5.0], [40.0, -3.0]]), ks=np.array([n, n + 5]))
+    report = tier.serve(every)
+    tier.close()
+    (asked,) = sent
+    assert list(asked) == [0, 1, 2]
+    for got, (want, __) in zip(report.results, _reference(points, capacity, every, {})):
+        assert got.row_ids.tolist() == want.row_ids.tolist()
+        assert got.blocks_scanned == want.blocks_scanned == table.index.num_blocks
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_open_replies_are_the_old_loops_entries_up_to_the_local_stop(seed, worker_state):
-    """Same blocks, keys, rows and distance bits as the merge loop the
-    open round used to run — cut at the local stop, not at what the old
-    loop happened to fetch — and the stream's own bound at that cursor,
-    read back from the reply's columns."""
+def test_a_worker_gather_is_the_views_to_the_distance_bit(seed, worker_state):
+    """A data shard's gather reply, for any of its blocks in any order and
+    any focal points, is the engine view's gather: row ids and distance
+    bits, block by block."""
     rng = np.random.default_rng(seed)
     lattice = _lattice()
     points = np.vstack(
         [lattice[rng.choice(lattice.shape[0], 120)], rng.uniform(0.0, 11.0, (120, 2))]
     )
+    table = SpatialTable("t", points, capacity=int(rng.choice([4, 8, 16])))
     tier = ShardedServingTier(
-        SpatialTable("t", points, capacity=int(rng.choice([4, 8, 16]))),
-        shard_mode="data",
-        n_shards=int(rng.integers(2, 5)),
-        manager_kwargs={"max_k": MAX_K},
+        table, shard_mode="data", n_shards=int(rng.integers(2, 5)), manager_kwargs={"max_k": MAX_K}
     )
     payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
     tier.close()
+    view = view_gather(*table.block_points)
     focal = np.vstack([rng.uniform(-3.0, 14.0, (24, 2)), points[rng.choice(240, 8)]])
-    ks = rng.integers(1, 80, focal.shape[0])
     for sid, payload in enumerate(payloads):
+        owned = payload["block_ids"]
+        if owned.size == 0:
+            continue
         worker._init_data_shard_worker(sid, 0, payload, None)
-        columns = worker._serve_data_shard_chunk(
-            {"round": "open", "points": focal, "ks": ks}
-        )["columns"]
-        assert columns.counts.sum() == columns.mindists.shape[0] == columns.sizes.shape[0]
-        assert columns.sizes.sum() == columns.row_ids.shape[0] == columns.dists.shape[0]
-        for i, ((x, y), k) in enumerate(zip(focal.tolist(), ks)):
-            entries, cursor, bound = columns.stream(i)
-            old, stop = _old_open_loop(payload, Point(x, y), int(k))
-            assert cursor == stop == len(entries) == len(old) == columns.counts[i]
-            assert bound == SnapshotBlockStream(payload["snapshot"], Point(x, y)).bound(cursor)
-            assert np.isnan(columns.bounds[i]).all() == (bound is None)
-            for new, was in zip(entries, old):
-                assert new[:3] == was[:3]
-                assert new[3].tolist() == was[3].tolist()
-                assert new[4].tobytes() == was[4].tobytes()
+        w = int(rng.integers(1, owned.size + 1))
+        blocks = np.stack([rng.permutation(owned)[:w] for __ in range(focal.shape[0])])
+        reply = worker._serve_data_shard_chunk(
+            {"round": "gather", "points": focal.tobytes(),
+             "counts": np.full(focal.shape[0], w).tobytes(), "blocks": blocks.tobytes()}
+        )
+        rows, dists, sizes = view(focal, blocks)
+        assert reply["row_ids"] == rows.tobytes() and reply["dists"] == dists.tobytes()
+        assert sizes.sum() == rows.shape[0]
 
 
-def test_two_shard_merge_scans_the_block_whose_corner_holds_the_kth_row(worker_state):
-    """``dist == MINDIST`` is not strictly below: heap == engine == 2-shard merge."""
+def test_a_two_shard_tier_scans_the_block_whose_corner_holds_the_kth_row(worker_state):
+    """``dist == MINDIST`` is not strictly below: heap == engine == 2-shard tier."""
     table, query = corner_tie_table()
     rows, scanned = heap_knn_select(table, query)
     engine = SpatialEngine(StatisticsManager(max_k=MAX_K, pinned_operators=INCREMENTAL))
     engine.register(table)
     expected, __ = engine.execute(query)
     tier = ShardedServingTier(
-        table, shard_mode="data", n_shards=2, manager_kwargs={"max_k": MAX_K}
+        table, shard_mode="data", n_shards=2,
+        manager_kwargs={"max_k": MAX_K, "pinned_operators": INCREMENTAL},
     )
     payloads = [tier.supervisor.handle(sid)._init_payload for sid in tier.supervisor.shard_ids]
-    tier.close()
     assert all(p["rows"].size for p in payloads)  # the four blocks span both shards
-    point = np.array([[query.query.x, query.query.y]])
-    columns = []
-    for sid, payload in enumerate(payloads):
-        worker._init_data_shard_worker(sid, 0, payload, None)
-        reply = worker._serve_data_shard_chunk({"round": "open", "points": point, "ks": [query.k]})
-        columns.append(reply["columns"])
-    (merged,) = merge_open(columns, np.array([query.k]), np.arange(1))
-    replayed = replay(columns, 0, query.k)
-    assert_same_merge(merged, replayed)
-    assert merged[0].tolist() == expected.row_ids.tolist() == rows.tolist() == [2, 1, 0]
-    assert merged[2] == expected.blocks_scanned == scanned == 4
+    in_process(tier)
+    batch = QueryBatch(np.array([[query.query.x, query.query.y]]), np.array([query.k]))
+    (served,) = tier.serve(batch).results
+    tier.close()
+    assert served.row_ids.tolist() == expected.row_ids.tolist() == rows.tolist() == [2, 1, 0]
+    assert served.blocks_scanned == expected.blocks_scanned == scanned == 4
 
 
-def _serve_on_one_shard(points, capacity, payload: dict) -> dict:
+def _one_shard(points, capacity) -> dict:
+    """Make this process the one shard of a tier over ``points``; returns its payload."""
     table = SpatialTable("t", points, capacity=capacity)
     tier = ShardedServingTier(table, shard_mode="data", n_shards=1)
     init = tier.supervisor.handle(0)._init_payload
     tier.close()
     worker._init_data_shard_worker(0, 0, init, None)
-    return worker._serve_data_shard_chunk(payload)
+    return init
 
 
-@pytest.mark.parametrize("missing", ["cursors", "min_points", "min_mindists"])
-def test_malformed_resume_round_is_a_value_error(missing, worker_state):
+@pytest.mark.parametrize("malformed", ["counts", "points", "blocks"])
+def test_malformed_gather_round_is_a_value_error(malformed, worker_state):
     points, capacity = RELATIONS["lattice"]
+    owned = _one_shard(points, capacity)["block_ids"]
     payload = {
-        "round": "resume",
+        "round": "gather",
         "points": points[:2],
-        "ks": [3, 3],
-        "cursors": [0, 0],
-        "min_points": [3, 3],
-        "min_mindists": [-np.inf, -np.inf],
+        "counts": np.array([2, 1]),
+        "blocks": owned[[0, 1, 2]],
     }
-    well_formed = _serve_on_one_shard(points, capacity, payload)
-    assert [cursor for __, cursor, __ in well_formed["streams"]] == [1, 1]
-    del payload[missing]
-    with pytest.raises(ValueError, match="resume round needs"):
-        worker._serve_data_shard_chunk(payload)
-    payload[missing] = [0]  # one value for two queries
-    with pytest.raises(ValueError, match="resume round needs"):
-        worker._serve_data_shard_chunk(payload)
-
-
-def test_local_browse_checks_the_budget_between_fetches(worker_state, monkeypatch):
-    """A deadline blown inside the open round surfaces mid-round.
-
-    The first checkpoints pass; the clock is then moved past the budget,
-    so the error can only come from a check between browse rounds.
-    """
-    points, capacity = RELATIONS["lattice"]
-    batch = _adversarial_batch(points)
-    payload = {"round": "open", "points": batch.points, "ks": batch.ks, "budget_seconds": 5.0}
-    assert _serve_on_one_shard(points, capacity, payload)["columns"].counts.shape == (len(batch),)
-
-    real = worker.time.perf_counter
-    calls = []
-
-    def clock() -> float:
-        calls.append(None)
-        return real() + (10.0 if len(calls) > 3 else 0.0)
-
-    monkeypatch.setattr(worker.time, "perf_counter", clock)
-    with pytest.raises(BudgetExceededError, match="local browse"):
-        worker._serve_data_shard_chunk(payload)
+    well_formed = worker._serve_data_shard_chunk(payload)
+    assert len(well_formed["row_ids"]) == len(well_formed["dists"]) > 0
+    bad = {
+        "counts": [dict(payload, counts=np.array([2, 2])), dict(payload, counts=np.array([3]))],
+        "points": [dict(payload, points=points[:3]), dict(payload, points=np.zeros((2, 3)))],
+        "blocks": [
+            dict(payload, blocks=owned[[0, 1]]),
+            dict(payload, blocks=np.array([0, 1, owned.max() + 1])),
+        ],
+    }[malformed]
+    for payload in bad:
+        with pytest.raises(ValueError, match="gather round"):
+            worker._serve_data_shard_chunk(payload)
 
 
 # ----------------------------------------------------------------------
@@ -352,78 +353,140 @@ def test_healthy_batch_takes_one_round_per_shard_per_chunk(pins, rounds_per_chun
         assert shard.retries == shard.respawns == shard.failures == 0
 
 
-def first_blocks_only(columns: OpenReply) -> OpenReply:
-    """Each query's reply cut back to its first block; where more
-    followed, the bound becomes the first cut block's key."""
-    starts = np.cumsum(columns.counts) - columns.counts
-    kept = np.zeros(columns.mindists.shape[0], dtype=bool)
-    kept[starts[columns.counts > 0]] = True
-    cut = columns.counts > 1
-    bounds = columns.bounds.copy()
-    nxt = starts[cut] + 1
-    bounds[cut] = np.column_stack(
-        (columns.mindists[nxt], columns.block_ids[nxt], columns.mindists[nxt])
-    )
-    rows = np.repeat(kept, columns.sizes)
-    return OpenReply(
-        np.minimum(columns.counts, 1), columns.mindists[kept], columns.block_ids[kept],
-        columns.sizes[kept], columns.row_ids[rows], columns.dists[rows], bounds,
-    )
-
-
-class CountingMerge(QueryMerge):
-    """A ``QueryMerge`` that counts its instances."""
-
-    built = 0
-
-    def __init__(self, k: int) -> None:
-        type(self).built += 1
-        super().__init__(k)
-
-
-def test_truncated_open_replies_are_extended_through_resume(monkeypatch):
-    """(c) cut every open reply's columns back to each query's first
-    block: the array merge refuses, and resume repairs it."""
+def test_a_healthy_chunk_sends_gather_rounds_only():
+    """Every chunk of eight holds a ``k >= n`` query, so its one window
+    holds every block: one gather round to each shard, nothing else."""
     points, capacity = RELATIONS["lattice"]
     batch = _adversarial_batch(points)
-    monkeypatch.setattr(CountingMerge, "built", 0)
-    monkeypatch.setattr(coordinator, "QueryMerge", CountingMerge)
-    with _live_tier(INCREMENTAL, chunk_size=16) as tier:
-        collect = tier.supervisor.collect
-
-        def truncating(round_):
-            answers = collect(round_)
-            for sid, answer in answers.items():
-                if round_.payloads[sid]["round"] == "open":
-                    answer["columns"] = first_blocks_only(answer["columns"])
-            return answers
-
-        tier.supervisor.collect = truncating
-        report = tier.serve(batch)
-    _assert_same_answers(report, _reference(points, capacity, batch, INCREMENTAL))
-    opens = math.ceil(len(batch) / 16)
-    assert all(shard.n_chunks > opens for shard in report.shards)
-    assert CountingMerge.built > 0
-
-
-def test_a_healthy_chunk_builds_no_query_merge_and_sends_no_resume(monkeypatch):
-    """The array merge answers every healthy incremental chunk by itself."""
-    points, capacity = RELATIONS["lattice"]
-    batch = _adversarial_batch(points)
-    monkeypatch.setattr(CountingMerge, "built", 0)
-    monkeypatch.setattr(coordinator, "QueryMerge", CountingMerge)
     with _live_tier(INCREMENTAL, chunk_size=8) as tier:
         send, kinds = tier.supervisor.send, []
 
-        def recording(payloads, deadline):
+        def recording(payloads, deadline, check=None):
             kinds.extend(payload["round"] for payload in payloads.values())
-            return send(payloads, deadline)
+            return send(payloads, deadline, check)
 
         tier.supervisor.send = recording
         report = tier.serve(batch)
     _assert_same_answers(report, _reference(points, capacity, batch, INCREMENTAL))
-    assert CountingMerge.built == 0
-    assert kinds == ["open"] * (2 * math.ceil(len(batch) / 8))
+    assert kinds == ["gather"] * (2 * math.ceil(len(batch) / 8))
+
+
+@pytest.mark.parametrize("column", ["row_ids", "dists"])
+def test_a_gather_reply_cut_short_is_a_failed_attempt(column):
+    """A reply whose lengths do not match its blocks' counts is never an
+    answer: the worker is retired and the round retried, exactly."""
+    points, capacity = RELATIONS["lattice"]
+    batch = _adversarial_batch(points)
+    with _live_tier(INCREMENTAL, chunk_size=len(batch)) as tier:
+        handle = tier.supervisor.handle(0)
+        read, cut = handle.read, []
+
+        def cutting(slot):
+            ok, value = read(slot)
+            if ok and not cut:
+                cut.append(column)
+                value = dict(value, **{column: value[column][:-1]})
+            return ok, value
+
+        handle.read = cutting
+        report = tier.serve(batch)
+        spawned = tier.pools_spawned
+    _assert_same_answers(report, _reference(points, capacity, batch, INCREMENTAL))
+    shard = report.shards[0]
+    assert cut == [column]
+    assert shard.failures == shard.retries == shard.respawns == 1 and spawned == 3
+    assert shard.attempts == shard.n_chunks + 1
+
+
+class _SpentAfterFirstRound(Deadline):
+    """A deadline that expires once the first round has been read."""
+
+    spent = False
+
+    def remaining(self) -> float:
+        return 0.0 if self.spent else 60.0
+
+    def expired(self) -> bool:
+        return self.spent
+
+
+def test_the_deadline_is_checked_between_browse_rounds(monkeypatch):
+    """Past the deadline a gather round asks no worker: the queries the
+    first round finished are exact, the rest come back partial — a
+    verified prefix below their first block that was not gathered."""
+    points, capacity = RELATIONS["lattice"]
+    batch = QueryBatch(
+        points=np.array([[5.5, 5.5], [5.0, 5.0], [3.0, 6.0], [11.0, 0.0], [-7.0, 4.5]]),
+        ks=np.array([1, 1, 2, 1, 3]),
+    )
+    reference = _reference(points, capacity, batch, INCREMENTAL)
+    deadline = _SpentAfterFirstRound(None)
+    monkeypatch.setattr(coordinator.Deadline, "after_ms", staticmethod(lambda ms: deadline))
+    # One block of slack: the first window is a block or two, too few for some.
+    monkeypatch.setattr(browse_module, "_WINDOW_SLACK", 1)
+    with _live_tier(INCREMENTAL, chunk_size=len(batch)) as tier:
+        collect = tier.supervisor.collect
+
+        def expiring(round_):
+            answers = collect(round_)
+            deadline.spent = True
+            return answers
+
+        tier.supervisor.collect = expiring
+        report = tier.serve(batch)
+    assert report.n_degraded == 0 and 0 < report.n_partial < len(batch)
+    first_round = [s.n_chunks for s in report.shards]
+    assert all(s.attempts <= 1 for s in report.shards) and sum(first_round) > sum(
+        s.attempts for s in report.shards
+    )
+    for i, (expected, __) in enumerate(reference):
+        rows = report.results[i].row_ids
+        if report.partial[i]:
+            assert rows.tolist() == expected.row_ids[: rows.size].tolist(), i
+            assert any("partial" in note for note in report.explanations[i].notes), i
+        else:
+            assert rows.tolist() == expected.row_ids.tolist(), i
+            assert report.results[i].blocks_scanned == expected.blocks_scanned, i
+
+
+@pytest.fixture()
+def benchmark_tier():
+    """The benchmark's ``serve_data`` tier at seed 800: 60,000 OSM-like
+    points at capacity 64 over two data shards, ``max_k`` 256."""
+    points = generate_osm_like(60_000, seed=np.random.default_rng([800, 0]), structure_seed=2015)
+    tier = ShardedServingTier(
+        SpatialTable("points", points, capacity=64),
+        shard_mode="data",
+        n_shards=2,
+        manager_kwargs={"max_k": 256},
+    )
+    with tier:
+        yield tier
+
+
+def test_the_benchmark_requests_take_pinned_gather_rounds(benchmark_tier):
+    """The 128 requests of ``serve_data`` (4 queries each): 131 gather
+    rounds — three requests need a second — that ask 250 shards in all
+    (six rounds find every window block on one shard), and no scan
+    round.  The open protocol asked both shards once per request: 256
+    rounds, each a whole local browse."""
+    tier = benchmark_tier
+    send, rounds = tier.supervisor.send, []
+
+    def recording(payloads, deadline, check=None):
+        rounds.append(sorted((sid, payload["round"]) for sid, payload in payloads.items()))
+        return send(payloads, deadline, check)
+
+    tier.supervisor.send = recording
+    one_round = asked = 0
+    for focal, ks in _requests(tier.table.points):
+        before = len(rounds)
+        report = tier.serve(QueryBatch(focal, ks))
+        assert report.n_degraded == 0 and report.n_partial == 0
+        one_round += len(rounds) - before == 1
+        asked += sum(s.n_chunks for s in report.shards)
+    kinds = {kind for sent in rounds for __, kind in sent}
+    assert (len(rounds), asked, one_round, kinds) == (131, 250, 125, {"gather"})
 
 
 @pytest.mark.parametrize("shard_mode", ["data", "replica"])

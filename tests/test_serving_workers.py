@@ -10,8 +10,9 @@ reaches the same supervision contract from outside it:
   worker is kept: no respawn, no new process;
 * the **stale-reply guard**: a reply that does not echo the request's
   sequence number is never taken for an answer — the worker is retired;
-* the ``open`` round is **sent before planning**, and a plan that raises
-  still has the open replies read, so every worker goes back idle;
+* the first ``gather`` round is **sent before planning**, and a plan
+  that raises still has its replies read, so every worker goes back
+  idle;
 * chunk threads **share each shard's idle queue** without losing a
   worker, under a short switch interval.
 """
@@ -92,12 +93,13 @@ def test_a_worker_killed_between_batches_is_respawned(tier, relation):
 def test_a_typed_worker_error_keeps_the_worker(tier, relation):
     __, batch, reference = relation
     before = tier.pools_spawned
-    malformed = {"round": "resume", "points": batch.points[:4], "ks": batch.ks[:4]}
+    malformed = {"round": "gather", "points": batch.points[:4], "counts": [1] * 4, "blocks": [0]}
     with pytest.raises(ShardUnavailable) as caught:
         tier.supervisor.serve_chunk(0, malformed, Deadline(None))
     attempts = POLICY.max_retries + 1
     assert len(caught.value.attempts) == attempts
-    assert all(line.startswith("ValueError: a resume round needs") for line in caught.value.attempts)
+    needs = "ValueError: a gather round needs"
+    assert all(line.startswith(needs) for line in caught.value.attempts)
     counters = tier.supervisor.counters(0)
     assert counters.failures == counters.attempts == attempts
     assert counters.respawns == 0 and counters.timeouts == 0
@@ -121,7 +123,7 @@ def test_a_stale_reply_is_never_an_answer(tier, relation):
     assert tier.pools_spawned == N_SHARDS + 1
 
 
-def test_the_open_round_is_sent_before_planning(tier, relation, monkeypatch):
+def test_the_first_gather_round_is_sent_before_planning(tier, relation, monkeypatch):
     __, batch, reference = relation
     plan = coordinator.explain_select_batch
     sent_at_plan = []
@@ -133,11 +135,11 @@ def test_the_open_round_is_sent_before_planning(tier, relation, monkeypatch):
     monkeypatch.setattr(coordinator, "explain_select_batch", planning)
     _assert_exact(tier.serve(batch), reference)
     # Three chunks of eight, one round each: chunk c plans after its own
-    # open round went out to both shards.
+    # first gather round went out to both shards.
     assert sent_at_plan == [[1, 1], [2, 2], [3, 3]]
 
 
-def test_a_plan_that_raises_still_reads_the_open_replies(tier, relation, monkeypatch):
+def test_a_plan_that_raises_still_reads_the_first_round_replies(tier, relation, monkeypatch):
     __, batch, reference = relation
 
     def failing(stats, queries):
