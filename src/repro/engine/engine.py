@@ -80,15 +80,16 @@ class SpatialEngine:
         ``estimate_batch`` call and one cost comparison per table
         instead of per query.  No physical operator is built.
         """
-        groups = select_groups(queries)
-        notes = self._guard_batch(queries, groups)
+        groups, others = select_groups(queries)
+        notes = self._guard_batch(queries, groups, others)
         explanations = explain_select_groups(self.stats, groups, len(queries))
-        for i, query in enumerate(queries):
+        for i in others:
+            query = queries[i]
             if isinstance(query, KnnJoinQuery):
                 explanations[i] = explain_join(self.stats, query)
             elif isinstance(query, RangeQuery):
                 explanations[i] = explain_range(self.stats, query)
-            elif not isinstance(query, KnnSelectQuery):
+            else:
                 raise TypeError(f"unsupported query type {type(query).__name__}")
         for i, row in notes.items():
             explanations[i].notes.extend(row)
@@ -125,30 +126,35 @@ class SpatialEngine:
                 results[i] = out
         return list(zip(results, explanations))
 
-    def _guard_batch(self, queries: list[Query], groups: dict) -> dict[int, list[str]]:
+    def _guard_batch(
+        self, queries: list[Query], groups: dict, others: list[int]
+    ) -> dict[int, list[str]]:
         """Boundary-validate a batch; returns ``{position: notes}``.
 
         Selects are guarded one table group at a time
-        (:func:`~repro.resilience.guards.guard_select_batch`), joins
-        and ranges one by one.  Unknown table names raise ``KeyError``
-        (the registration bug), unanswerable inputs raise
-        :class:`~repro.resilience.errors.InvalidQueryError`, and
+        (:func:`~repro.resilience.guards.guard_select_batch`), the
+        ``others`` — joins and ranges — one by one.  Unknown table names
+        raise ``KeyError`` (the registration bug), unanswerable inputs
+        raise :class:`~repro.resilience.errors.InvalidQueryError`, and
         suspicious ones raise only under ``strict`` — always at the
         first offender in batch order, as a loop over the queries would.
         """
         try:
-            return self._guard_groups(queries, groups)
+            return self._guard_groups(queries, groups, others)
         except (InvalidQueryError, KeyError):
             # Groups are not in batch order: re-guard query by query so
             # the first offender is the one that raises.
             for query in queries:
-                self._guard_groups([query], select_groups([query]))
+                self._guard_groups([query], *select_groups([query]))
             raise
 
-    def _guard_groups(self, queries: list[Query], groups: dict) -> dict[int, list[str]]:
+    def _guard_groups(
+        self, queries: list[Query], groups: dict, others: list[int]
+    ) -> dict[int, list[str]]:
         strict = self.stats.strict
         notes: dict[int, list[str]] = {}
-        for i, query in enumerate(queries):
+        for i in others:
+            query = queries[i]
             if isinstance(query, KnnJoinQuery):
                 outer = self.stats.table(query.outer)
                 inner = self.stats.table(query.inner)
@@ -169,3 +175,4 @@ class SpatialEngine:
             for j, row in flagged.items():
                 notes[group.positions[j]] = row
         return notes
+

@@ -25,6 +25,7 @@ explanation into the operator that runs it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -231,18 +232,28 @@ class SelectGroup(NamedTuple):
     ks: list[int]
 
 
-def select_groups(queries: list) -> dict[str, SelectGroup]:
-    """The batch's k-NN selects by table, in order of first appearance."""
-    by_table: dict[str, list[int]] = {}
-    for i, query in enumerate(queries):
-        if isinstance(query, KnnSelectQuery):
-            by_table.setdefault(query.table, []).append(i)
+def select_groups(queries: list) -> tuple[dict[str, SelectGroup], list[int]]:
+    """The batch's k-NN selects by table, in order of first appearance,
+    and the positions of every other query."""
+    positions = [i for i, query in enumerate(queries) if isinstance(query, KnnSelectQuery)]
+    others = [] if len(positions) == len(queries) else [
+        i for i, query in enumerate(queries) if not isinstance(query, KnnSelectQuery)
+    ]
+    selects = [queries[i] for i in positions]
+    tables = [query.table for query in selects]
+    names = dict.fromkeys(tables)
     groups = {}
-    for name, positions in by_table.items():
-        group = [queries[i] for i in positions]
-        points = np.array([(q.query.x, q.query.y) for q in group], dtype=float)
-        groups[name] = SelectGroup(positions, group, points, [q.k for q in group])
-    return groups
+    for name in names:
+        at, group = positions, selects
+        if len(names) > 1:
+            at = [i for i, table in zip(positions, tables) if table == name]
+            group = [queries[i] for i in at]
+        focal = [query.query for query in group]
+        points = np.empty((len(group), 2))
+        points[:, 0] = [point.x for point in focal]
+        points[:, 1] = [point.y for point in focal]
+        groups[name] = SelectGroup(at, group, points, [query.k for query in group])
+    return groups, others
 
 
 def explain_select_batch(
@@ -266,7 +277,7 @@ def explain_select_batch(
     Returns:
         Explanations aligned with ``queries``.
     """
-    return explain_select_groups(stats, select_groups(queries), len(queries))
+    return explain_select_groups(stats, select_groups(queries)[0], len(queries))
 
 
 def explain_select_groups(
@@ -309,12 +320,15 @@ def _explain_select_group(
         ]
     sigmas = np.ones(n)
     filtered = False
+    with_region: list[int] = []
     for j, query in enumerate(queries):
         if query.predicate is not None or query.region is not None:
             sigma = stats.predicate_selectivity(name, query.predicate)
             sigma *= stats.region_selectivity(name, query.region)
             sigmas[j] = min(max(sigma, 1.0 / table.n_rows), 1.0)
             filtered = True
+            if query.region is not None:
+                with_region.append(j)
     effective_ks = _effective_ks(ks, sigmas if filtered else None)
     estimator = stats.select_estimator_for_planning(name)
     costs, provenance = stats.estimate_select_costs_batch(name, estimator, points, effective_ks)
@@ -328,41 +342,27 @@ def _explain_select_group(
     matrix[:, 1] = np.inf
     # Browsing can never scan more than every block once.
     incremental = np.minimum(costs, cost_filter, out=matrix[:, 2])
-    for j, query in enumerate(queries):
-        if query.region is not None:
-            # Region pruning bounds browsing by the blocks inside the region.
-            region_blocks = float(table.snapshot.overlapping(query.region).shape[0])
-            matrix[j, 1] = min(incremental[j], region_blocks)
+    for j in with_region:
+        # Region pruning bounds browsing by the blocks inside the region.
+        region_blocks = float(table.snapshot.overlapping(queries[j].region).shape[0])
+        matrix[j, 1] = min(incremental[j], region_blocks)
     decisions = arbitrate_batch("select", name, matrix, SELECT_TIE_ORDER, stats.pinned_operators)
-    explanations = []
-    for j, (record, (__, pruned_cost, browse), k, sigma, tier, is_degraded) in enumerate(zip(
-        decisions,
-        matrix.tolist(),
-        effective_ks.tolist(),
-        sigmas.tolist(),
-        provenance.tiers,
-        provenance.degraded.tolist(),
-    )):
-        alternatives = {
-            FilterThenKnnOperator.name: cost_filter,
-            IncrementalKnnOperator.name: browse,
-        }
-        if pruned_cost != np.inf:
-            alternatives[RegionPrunedKnnOperator.name] = pruned_cost
-        explanations.append(
-            PlanExplanation(
-                chosen=record.operator,
-                alternatives=alternatives,
-                effective_k=k,
-                selectivity=sigma,
-                estimator_tier=tier,
-                degraded=is_degraded,
-                notes=[provenance.outcome_for(j).describe()] if is_degraded else [],
-                preprocessing=dict(preprocessing),
-                decided_by=record.link,
-                trail=[record],
-            )
+    # One record per row, built positionally from the group's columns.
+    filter_name, pruned_name, browse_name = SELECT_TIE_ORDER
+    explanations = [
+        PlanExplanation(
+            record.operator,
+            {filter_name: cost_filter, browse_name: browse} if pruned_cost == np.inf
+            else {filter_name: cost_filter, browse_name: browse, pruned_name: pruned_cost},
+            k, sigma, tier, is_degraded, [], preprocessing.copy(), record.link, [record],
         )
+        for record, (__, pruned_cost, browse), k, sigma, tier, is_degraded in zip(
+            decisions, matrix.tolist(), effective_ks.tolist(), sigmas.tolist(),
+            provenance.tiers, provenance.degraded.tolist(),
+        )
+    ]
+    for j in np.flatnonzero(provenance.degraded).tolist():
+        explanations[j].notes.append(provenance.outcome_for(j).describe())
     return explanations
 
 
@@ -408,9 +408,21 @@ def per_point_selects_cost(
         effective_k: Neighbors each select browses for.
     """
     n = outer_points.shape[0]
-    sample = np.random.default_rng(0).integers(0, n, size=min(SELECT_COST_SAMPLE, n))
-    per_select = select_estimator.estimate_batch(outer_points[sample], effective_k)
+    per_select = select_estimator.estimate_batch(outer_points[_cost_sample(n)], effective_k)
     return float(np.mean(per_select)) * n
+
+
+@lru_cache(maxsize=64)
+def _cost_sample(n: int) -> np.ndarray:
+    """The outer rows :func:`per_point_selects_cost` samples from ``n``.
+
+    ``default_rng(0).integers(0, n, size=min(SELECT_COST_SAMPLE, n))``:
+    it depends on ``n`` alone, so it is drawn once per row count (and
+    handed out read-only).
+    """
+    sample = np.random.default_rng(0).integers(0, n, size=min(SELECT_COST_SAMPLE, n))
+    sample.flags.writeable = False
+    return sample
 
 
 def explain_join(stats: StatisticsManager, query: KnnJoinQuery) -> PlanExplanation:

@@ -53,11 +53,11 @@ class BlockPointsView:
     """Columnar view of a block list's points, for batched gathers.
 
     Block ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of the points,
-    held as two contiguous coordinate columns ``xs`` / ``ys``, so a batch
-    pass gathers any blocks' points with two 1-D fancy indexes and
-    measures them with one ``np.hypot`` — bitwise
-    ``Block.distances_from``.  Plain ndarrays, so the view pickles as a
-    worker payload.
+    read through two coordinate columns ``xs`` / ``ys`` (views of the
+    points, not copies), so a batch pass gathers any blocks' points with
+    two 1-D fancy indexes and measures them with one ``np.hypot`` —
+    bitwise ``Block.distances_from``.  Plain ndarrays, so the view
+    pickles as a worker payload.
     """
 
     __slots__ = ("offsets", "xs", "ys")
@@ -65,8 +65,8 @@ class BlockPointsView:
     def __init__(self, points: np.ndarray, offsets: np.ndarray) -> None:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        self.xs = np.ascontiguousarray(points[:, 0])
-        self.ys = np.ascontiguousarray(points[:, 1])
+        self.xs = points[:, 0]
+        self.ys = points[:, 1]
 
     @property
     def points(self) -> np.ndarray:

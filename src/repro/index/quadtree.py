@@ -100,29 +100,39 @@ class Quadtree(SpatialIndex):
             if not np.all(inside_x & inside_y):
                 n_out = int(np.count_nonzero(~(inside_x & inside_y)))
                 raise ValueError(f"{n_out} point(s) fall outside the index bounds")
-        self._blocks: list[Block] = []
         self._row_ids: list[np.ndarray] = []
         self._leaves: list[QuadtreeNode] = []
+        filled: list[QuadtreeNode] = []
         self._root = self._build(
-            pts, np.arange(pts.shape[0], dtype=np.int64), self._bounds, depth=0
+            pts, np.arange(pts.shape[0], dtype=np.int64), self._bounds, 0, filled
         )
+        # The points once, in block order: each block's points are a
+        # slice of it, and points_view reads its columns.
+        self._ordered = pts[np.concatenate(self._row_ids)] if filled else pts
+        self._offsets = np.zeros(len(filled) + 1, dtype=np.int64)
+        np.cumsum([rows.shape[0] for rows in self._row_ids], out=self._offsets[1:])
+        bounds = self._offsets.tolist()
+        self._blocks: list[Block] = []
+        for block_id, leaf in enumerate(filled):
+            points = self._ordered[bounds[block_id] : bounds[block_id + 1]]
+            leaf._block = Block(block_id, leaf.rect, points)
+            self._blocks.append(leaf._block)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build(
-        self, pts: np.ndarray, rows: np.ndarray, rect: Rect, depth: int
+        self, pts: np.ndarray, rows: np.ndarray, rect: Rect, depth: int, filled: list
     ) -> QuadtreeNode:
         """Recursively build the subtree for ``pts`` (input rows ``rows``)
-        within ``rect``."""
+        within ``rect``; non-empty leaves join ``filled``, in block order,
+        to get their blocks once the tree is built."""
         if pts.shape[0] <= self._capacity or depth >= self._max_depth:
-            block: Block | None = None
-            if pts.shape[0]:
-                block = Block(block_id=len(self._blocks), rect=rect, points=pts)
-                self._blocks.append(block)
-                self._row_ids.append(rows)
-            leaf = QuadtreeNode(rect, [], block, depth)
+            leaf = QuadtreeNode(rect, [], None, depth)
             self._leaves.append(leaf)
+            if pts.shape[0]:
+                filled.append(leaf)
+                self._row_ids.append(rows)
             return leaf
         cx = (rect.x_min + rect.x_max) / 2.0
         cy = (rect.y_min + rect.y_max) / 2.0
@@ -135,7 +145,7 @@ class Quadtree(SpatialIndex):
             ~west & ~south,  # NE
         )
         children = [
-            self._build(pts[mask], rows[mask], quadrant, depth + 1)
+            self._build(pts[mask], rows[mask], quadrant, depth + 1, filled)
             for mask, quadrant in zip(quadrant_masks, rect.quadrants())
         ]
         return QuadtreeNode(rect, children, None, depth)
@@ -161,10 +171,10 @@ class Quadtree(SpatialIndex):
 
     @cached_property
     def points_view(self) -> BlockPointsView:
-        """The blocks' points in block order, flattened once: the tree
-        never changes, so its table and its Staircase estimator share
-        this one view."""
-        return BlockPointsView.from_blocks(self._blocks)
+        """The blocks' points in block order: the tree never changes, so
+        its table and its Staircase estimator share this one view, and
+        it reads the same columns the blocks slice."""
+        return BlockPointsView(self._ordered, self._offsets)
 
     def row_ids_for(self, block_id: int) -> np.ndarray:
         """Input row positions of the points in block ``block_id``, in

@@ -18,14 +18,6 @@ benchmark probe times, and that tests hold the browse to:
 The admitted block count is distance browsing's ``blocks_scanned`` and
 the emitted rows — a stable argsort over the admitted blocks' distances
 — its answer in (distance, scan order).
-
-**Coverage gaps.**  A dead source contributes only a lower bound (its
-last reported bound).  When the replay's next global block belongs to a
-dead source, either the stop rule already holds at the dead bound's
-threshold — the answer is **exact** — or the query degrades to a
-**partial** answer: the live sources are drained below the gap
-threshold ``t_gap`` and the verified prefix is returned, every row
-strictly below ``t_gap`` in global emission order, clamped to ``k``.
 """
 
 from __future__ import annotations
@@ -49,8 +41,6 @@ class ShardStream:
             token).
         bound: ``(mindist, global block id, threshold)`` of the next
             *unfetched* block, or ``None`` when the stream is spent.
-        dead: Whether the source stopped answering; fetched entries stay
-            admissible, but the bound becomes a permanent coverage gap.
     """
 
     shard_id: int
@@ -58,7 +48,6 @@ class ShardStream:
     pos: int = 0
     cursor: int = 0
     bound: tuple | None = None
-    dead: bool = False
 
     def extend(self, entries: list, cursor: int, bound: tuple | None) -> None:
         """Append one resume round's entries and advance the cursor."""
@@ -92,8 +81,6 @@ class QueryMerge:
         self._nearest, self._pooled, self._kth = np.empty(0), 0, np.inf
         self.gathered = 0
         self.admitted = 0
-        self.t_gap: float | None = None
-        self.gap_shards: tuple[int, ...] = ()
         self.finished = False
 
     # -- stream wiring --------------------------------------------------
@@ -104,15 +91,6 @@ class QueryMerge:
         self.streams[shard_id] = ShardStream(
             int(shard_id), list(entries), 0, int(cursor), bound
         )
-
-    def mark_dead(self, shard_id: int) -> None:
-        """Demote a stream whose source stopped answering: bound = gap."""
-        self.streams[shard_id].dead = True
-
-    @property
-    def partial(self) -> bool:
-        """Whether the replay crossed a dead source's coverage gap."""
-        return self.t_gap is not None
 
     # -- the replay -----------------------------------------------------
     def _k_below(self, threshold: float) -> bool:
@@ -130,61 +108,41 @@ class QueryMerge:
         """Admit blocks until answered (``None``) or a resume is needed.
 
         Returns:
-            ``None`` when the query is answered (exact or partial), or
+            ``None`` when the query is answered, or
             ``{shard_id: (cursor, min_points, min_mindist)}`` naming
-            every live stream whose next blocks must be fetched before
-            the replay can continue.
+            every starved stream whose next blocks must be fetched
+            before the replay can continue (``min_points`` is ``k``,
+            ``min_mindist`` is ``-inf``).
         """
         while True:
             # Keys are (mindist, block id, threshold): block ids are
             # unique, so the order is the global (mindist, block id) scan
-            # order and the stop-test threshold rides along.  ``live`` is
+            # order and the stop-test threshold rides along.  ``nxt`` is
             # the smallest fetched head (held by ``source``) or starved
-            # live bound (``source`` None); ``gap`` the smallest dead one.
-            live = gap = source = None
+            # bound (``source`` None).
+            nxt = source = None
             for stream in self.streams.values():
                 if stream.pos < len(stream.entries):
                     key = stream.entries[stream.pos][:3]
-                    if live is None or key < live:
-                        live, source = key, stream
+                    if nxt is None or key < nxt:
+                        nxt, source = key, stream
                 elif stream.bound is not None:
                     key = tuple(stream.bound)
-                    if stream.dead:
-                        if gap is None or key < gap:
-                            gap = key
-                    elif live is None or key < live:
-                        live, source = key, None
-            if self.t_gap is not None:
-                # Partial mode: drain live blocks strictly below the gap
-                # (the dead source's rows all lie at or beyond it) until
-                # k rows are verified below it or nothing closer is left.
-                if live is None or live[0] >= self.t_gap or self._k_below(self.t_gap):
-                    self.finished = True
-                    return None
-                if source is None:
-                    return self._resume_requests(min_mindist=self.t_gap)
-            else:
-                nxt = live if gap is None or (live is not None and live < gap) else gap
-                # Every stream spent, or the browser's stop rule on the
-                # threshold of whichever block comes next globally.
-                if nxt is None or (self.gathered >= self.k and self._k_below(nxt[2])):
-                    self.finished = True
-                    return None
-                if nxt is gap:
-                    # The next global block is unreachable: coverage gap.
-                    self.t_gap = float(gap[2])
-                    self.gap_shards = tuple(
-                        sorted(
-                            s.shard_id
-                            for s in self.streams.values()
-                            if s.dead and s.bound is not None
-                        )
-                    )
-                    continue
-                if source is None:
-                    # A live stream's bound gates the merge: fetch more
-                    # (from every starved live stream, batching round trips).
-                    return self._resume_requests(min_points=self.k)
+                    if nxt is None or key < nxt:
+                        nxt, source = key, None
+            # Every stream spent, or the browser's stop rule on the
+            # threshold of whichever block comes next globally.
+            if nxt is None or (self.gathered >= self.k and self._k_below(nxt[2])):
+                self.finished = True
+                return None
+            if source is None:
+                # A bound gates the merge: fetch more from every starved
+                # stream, batching round trips.
+                return {
+                    stream.shard_id: (stream.cursor, self.k, -np.inf)
+                    for stream in self.streams.values()
+                    if stream.pos >= len(stream.entries) and stream.bound is not None
+                }
             __, __, __, rows, dists = source.entries[source.pos]
             source.pos += 1
             self._row_parts.append(rows)
@@ -192,41 +150,16 @@ class QueryMerge:
             self.gathered += int(rows.shape[0])
             self.admitted += 1
 
-    def _resume_requests(
-        self, *, min_points: int = 0, min_mindist: float = -np.inf
-    ) -> dict[int, tuple[int, int, float]]:
-        needs = {
-            stream.shard_id: (stream.cursor, min_points, float(min_mindist))
-            for stream in self.streams.values()
-            if not stream.dead
-            and stream.pos >= len(stream.entries)
-            and stream.bound is not None
-            and (min_mindist == -np.inf or stream.bound[0] < min_mindist)
-        }
-        if not needs:  # pragma: no cover - defensive: advance() gates this
-            raise RuntimeError("merge starved with no resumable stream")
-        return needs
-
     # -- the answer -----------------------------------------------------
     def result(self) -> tuple[np.ndarray, int, int]:
-        """The merged answer: ``(row_ids, blocks_scanned, n_verified)``.
+        """The merged answer: ``(row_ids, blocks_scanned, n_rows)``.
 
-        Exact queries return the ``k`` nearest rows (fewer only when
-        the relation holds fewer); partial queries return the verified
-        prefix — rows strictly below the gap threshold, clamped to
-        ``k``.  ``n_verified`` counts rows the merge could prove
-        correct (== ``len(row_ids)``; exposed for reporting).
+        The ``k`` nearest rows (fewer only when the relation holds
+        fewer); ``n_rows`` is ``len(row_ids)``.
         """
         if not self.finished:
             raise RuntimeError("merge has not finished")
         if not self._row_parts:
             return np.empty(0, dtype=np.int64), self.admitted, 0
-        rows = np.concatenate(self._row_parts)
-        dists = np.concatenate(self._dist_parts)
-        order = np.argsort(dists, kind="stable")
-        if self.t_gap is not None:
-            verified = order[dists[order] < self.t_gap]
-            take = verified[: self.k]
-        else:
-            take = order[: self.k]
-        return rows[take], self.admitted, int(take.shape[0])
+        order = np.argsort(np.concatenate(self._dist_parts), kind="stable")[: self.k]
+        return np.concatenate(self._row_parts)[order], self.admitted, int(order.shape[0])

@@ -25,7 +25,6 @@ decisions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
@@ -64,9 +63,12 @@ PIN_ANY_TABLE = "*"
 _COLUMN_BITS = 1 << np.arange(62)
 
 
-@dataclass(frozen=True)
 class LinkDecision:
     """The record of one plan choice.
+
+    A plain record, not a dataclass: a batch builds one per plan.
+    Equality and the hash read ``link``, ``action``, ``operator`` and
+    ``note``; ``repr`` and pickles carry ``elapsed_us`` too.
 
     Attributes:
         link: The deciding rule — ``"cost-based"`` or
@@ -74,24 +76,50 @@ class LinkDecision:
         action: ``"chose"`` (least cost) or ``"pinned"`` (forced).
         operator: The chosen operator.
         note: Human-readable rationale, including rejected candidates
-            and their costs.
+            and their costs.  :func:`arbitrate_batch` passes
+            ``((template, pick), costs)`` instead, worded when first read.
         elapsed_us: This decision's share of the arbitration's
             wall-clock, microseconds (the batch's time over its rows;
             0.0 when unstamped).  Not part of equality: two records
             of the same decision compare equal.
     """
 
-    link: str
-    action: str
-    operator: str
-    note: str = ""
-    elapsed_us: float = field(default=0.0, compare=False)
+    __slots__ = ("link", "action", "operator", "_note", "elapsed_us")
+
+    def __init__(self, link: str, action: str, operator: str, note="", elapsed_us: float = 0.0):
+        self.link, self.action, self.operator = link, action, operator
+        self._note, self.elapsed_us = note, elapsed_us
+
+    @property
+    def note(self) -> str:
+        if self._note.__class__ is tuple:
+            (template, pick), costs = self._note
+            self._note = template.format(*pick(costs))
+        return self._note
+
+    def _fields(self) -> tuple:
+        return self.link, self.action, self.operator, self.note, self.elapsed_us
+
+    def __reduce__(self):
+        return LinkDecision, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields()[:4] == other._fields()[:4]
+
+    def __hash__(self) -> int:
+        return hash(self._fields()[:4])
+
+    def __repr__(self) -> str:
+        names = ("link", "action", "operator", "note", "elapsed_us")
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields()))
+        return f"LinkDecision({fields})"
 
     def describe(self) -> str:
         """One line for ``EXPLAIN`` output."""
-        line = f"{self.link} [{self.action}]: {self.note}" if self.note else (
-            f"{self.link} [{self.action}]"
-        )
+        note = self.note
+        line = f"{self.link} [{self.action}]: {note}" if note else f"{self.link} [{self.action}]"
         if self.elapsed_us > 0.0:
             line += f" ({self.elapsed_us:.1f} us)"
         return line
@@ -253,21 +281,19 @@ def arbitrate_batch(
     verdicts = {
         key: _verdict(kind, table, tie_order, pin, *divmod(key, width)) for key in set(keys)
     }
-    chosen = [verdicts[key] for key in keys]
-    notes = [
-        template.format(*pick(row))
-        for (__, __, __, template, pick), row in zip(chosen, costs.tolist())
-    ]
     elapsed_us = (time.perf_counter() - tick) * 1e6 / len(keys)
+    # Each note is worded from its verdict's template when first read.
     return [
-        LinkDecision(link, action, operator, note, elapsed_us)
-        for (link, action, operator, __, __), note in zip(chosen, notes)
+        LinkDecision(link, action, operator, (wording, row), elapsed_us)
+        for (link, action, operator, wording), row in zip(
+            map(verdicts.__getitem__, keys), costs.tolist()
+        )
     ]
 
 
 @lru_cache(maxsize=1024)
 def _verdict(kind: str, table: str, tie_order: tuple[str, ...], pin, code: int, best: int):
-    """``(link, action, operator, note template, row picker)`` of one verdict.
+    """``(link, action, operator, (note template, row picker))`` of one verdict.
 
     ``code`` holds the row's candidate columns as bits and ``best`` is
     its cheapest column; the template's fields are filled with
@@ -284,7 +310,7 @@ def _verdict(kind: str, table: str, tie_order: tuple[str, ...], pin, code: int, 
     chose = f"{_literal(repr(tie_order[best]))} at {{0:.1f}} blocks"
     if pin in tie_order and tie_order.index(pin) in columns:
         forced = f"forced {pin!r} for ({table!r}, {kind!r}); cost arbitration would have chosen "
-        return "pinned-override", "pinned", pin, _literal(forced) + chose, itemgetter(best, best)
+        return "pinned-override", "pinned", pin, (_literal(forced) + chose, itemgetter(best, best))
     note = "chose " + chose
     if others:
         rejected = (f"{_literal(tie_order[j])} at {{{i}:.1f}}" for i, j in enumerate(others, 1))
@@ -292,7 +318,7 @@ def _verdict(kind: str, table: str, tie_order: tuple[str, ...], pin, code: int, 
     if pin is not None:
         names = ", ".join(sorted(tie_order[j] for j in columns))
         note += _literal(f"; pin {pin!r} not applicable here (candidates: {names})")
-    return "cost-based", "chose", tie_order[best], note, itemgetter(best, *others or [best])
+    return "cost-based", "chose", tie_order[best], (note, itemgetter(best, *others or [best]))
 
 
 def _literal(text: str) -> str:

@@ -17,6 +17,7 @@ import repro.index.locator as locator_module
 from repro.catalog import CatalogLookupError
 from repro.datasets import generate_osm_like, generate_uniform
 from repro.engine import KnnJoinQuery, SpatialEngine
+from repro.engine import planner
 from repro.engine.planner import per_point_selects_cost
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
@@ -523,6 +524,15 @@ class TestBatchedJoinSample:
         assert per_point_selects_cost(estimator, outer[:5], 3) == (
             reference_builds.per_point_selects_cost(estimator, outer[:5], 3)
         )
+
+    @pytest.mark.parametrize("n", [1, 5, 31, 32, 33, 1000])
+    def test_the_sample_is_the_seeded_draw_for_its_row_count(self, n):
+        expected = np.random.default_rng(0).integers(0, n, size=min(32, n))
+        for __ in range(2):  # drawn once, then handed out again
+            sample = planner._cost_sample(n)
+            assert np.array_equal(sample, expected) and sample.dtype == expected.dtype
+            assert not sample.flags.writeable
+        assert planner._cost_sample(n) is sample
 
     def test_healthy_explain_names_the_primary_tier(self):
         explanation = _join_engine().explain(KnnJoinQuery("uni", "osm", k=4))

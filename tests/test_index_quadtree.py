@@ -84,6 +84,20 @@ class TestInvariants:
         ids = [b.block_id for b in osm_quadtree.blocks]
         assert ids == list(range(len(ids)))
 
+    def test_blocks_slice_the_one_array_the_points_view_reads(self, osm_points, osm_quadtree):
+        """The tree holds its points once: every block's points and both
+        columns of ``points_view`` are views of one block-ordered array."""
+        view = osm_quadtree.points_view
+        (base,) = {id(view.xs.base), id(view.ys.base)}
+        bounds = view.offsets.tolist()
+        for block in osm_quadtree.blocks:
+            assert id(block.points.base) == base
+            lo, hi = bounds[block.block_id], bounds[block.block_id + 1]
+            assert np.array_equal(block.points, np.column_stack((view.xs, view.ys))[lo:hi])
+            rows = osm_quadtree.row_ids_for(block.block_id)
+            assert np.array_equal(block.points, osm_points[rows])
+        assert view.xs.base.shape == osm_points.shape
+
     def test_multiset_of_points_preserved(self, osm_points, osm_quadtree):
         collected = osm_quadtree.all_points()
         assert collected.shape == osm_points.shape

@@ -19,7 +19,9 @@ to a loop of scalar guards on errors:
   boundary to the last ulp);
 * structure, by call counts (no wall-clock): a 64-query single-table
   batch arbitrates once, builds 64 explanations, no fallback outcome
-  and no physical operator;
+  and no physical operator, and words no decision note until one is
+  read; explaining a batch twice does the same work twice (no memo
+  keyed on query values);
 * k at the int64 edge, scalar and batch;
 * the certificates are the old rules: ``estimate_batch`` (Staircase
   both variants and with a zero-diagonal leaf, each with and without
@@ -60,6 +62,7 @@ from repro.engine import (
     StatisticsManager,
     column,
 )
+from repro.engine import engine as engine_module
 from repro.engine import physical, planner
 from repro.estimators import DensityBasedEstimator, StaircaseEstimator
 from repro.estimators.base import SelectCostEstimator
@@ -378,6 +381,45 @@ def test_a_64_query_batch_arbitrates_once_and_builds_no_operator(monkeypatch):
     explanations = engine.explain_batch(queries)
     assert not any(e.degraded or e.notes for e in explanations)
     assert counts == {"arbitrate_batch": 1, "explanations": 64}
+    # No decision note is worded until one is read.
+    records = [e.trail[0] for e in explanations]
+    assert all(record._note.__class__ is tuple for record in records)
+    note = records[5].note
+    assert records[5]._note is note and note.startswith("chose ")
+    assert sum(record._note.__class__ is tuple for record in records) == 63
+
+
+def test_explaining_a_batch_twice_does_the_same_work_twice(monkeypatch):
+    """No memo keyed on query values: the second explain of a batch
+    estimates, arbitrates and builds everything again."""
+    queries = [
+        KnnSelectQuery("a", Point(120.0 + 11.0 * i, 640.0 - 7.0 * i), k=1 + i % MAX_K)
+        for i in range(40)
+    ] + [
+        KnnSelectQuery("b", Point(300.0, 300.0), k=3, region=Rect(200, 200, 500, 500)),
+        KnnSelectQuery("a", Point(510.0, 490.0), k=9, predicate=column("v") < 4),
+        KnnJoinQuery("b", "a", 5),
+        RangeQuery("a", Rect(100, 100, 400, 400)),
+    ]
+    # Warm the process-wide verdict wording and join sample on one
+    # engine, and a second engine's catalogs on another batch.
+    _engine().explain_batch(queries)
+    engine = _engine()
+    engine.explain_batch([queries[0], queries[-4], queries[-3], queries[-2]])
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, StaircaseEstimator, "estimate_batch", counts, "estimates")
+    _count_calls(monkeypatch, planner, "arbitrate_batch", counts, "arbitrate_batch")
+    _count_calls(monkeypatch, planner.PlanExplanation, "__init__", counts, "explanations")
+    _count_calls(monkeypatch, engine_module, "guard_select_batch", counts, "guards")
+    seen, calls = [], []
+    for __ in range(2):
+        counts.clear()
+        calls.append(_repro_calls(lambda: seen.append(engine.explain_batch(queries))))
+        assert counts == {
+            "estimates": 3, "arbitrate_batch": 2, "explanations": 44, "guards": 2
+        }, counts
+    assert calls[0] == calls[1]
+    assert [_fields(e) for e in seen[0]] == [_fields(e) for e in seen[1]]
 
 
 def test_only_degraded_rows_build_a_fallback_outcome(monkeypatch):
@@ -830,7 +872,8 @@ def _repro_calls(call) -> int:
 
 
 #: Calls a warm plan makes into ``repro`` (a generator counts once per
-#: resume): 91 and 86 on Python 3.11, plus 10 % — the per-layer
+#: resume): 90 and 82 on Python 3.11 (each ``LinkDecision.__init__``
+#: counts; the dataclass one was generated code), plus 10 % — the per-layer
 #: re-validation and re-indexing this budget guards against made 112
 #: and 107.  Python 3.12 inlines comprehensions, so it counts fewer.
 #: If this trips, a change added per-call work to planning a select:

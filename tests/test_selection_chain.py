@@ -11,6 +11,7 @@ staleness policies, and the CLI surface.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from repro.datasets import generate_uniform
 from repro.estimators import StaircaseEstimator
 from repro.geometry import Point
 from repro.index import GridIndex, Quadtree, RTree
+from tests.reference_planner import reference_arbitrate
 from repro.optimizer.selection import (
     KNOWN_OPERATORS,
     PIN_ANY_TABLE,
     LinkDecision,
     arbitrate,
+    arbitrate_batch,
     normalize_pins,
     parse_pin_spec,
 )
@@ -202,6 +205,73 @@ class TestPinnedOverrideSelection:
     def test_operator_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="not a select operator"):
             normalize_pins({("points", "select"): "locality-join"})
+
+
+class TestLazyNotes:
+    """A batch's records word their notes when first read: whatever is
+    read first, each record is an eagerly worded one."""
+
+    ORDER = ("filter-then-knn", "region-pruned-knn", "incremental-knn")
+    SHAPES = {
+        "one candidate": ({"incremental-knn": 8.0}, None),
+        "rejected candidates": (
+            {"filter-then-knn": 64.0, "region-pruned-knn": 12.25, "incremental-knn": 8.125},
+            None,
+        ),
+        "pinned override": (CANDIDATES, {(PIN_ANY_TABLE, "select"): "filter-then-knn"}),
+        "inapplicable pin": (CANDIDATES, {("points", "select"): "region-pruned-knn"}),
+    }
+    READS = {
+        "note": lambda d: d.note,
+        "describe": lambda d: d.describe(),
+        "repr": repr,
+        "equality": lambda d: (d, d),
+        "hash": hash,
+        "pickle": lambda d: pickle.loads(pickle.dumps(d)),
+    }
+
+    def _pair(self, shape):
+        candidates, pins = self.SHAPES[shape]
+        row = [candidates.get(name, np.inf) for name in self.ORDER]
+        (lazy,) = arbitrate_batch("select", "points", [row], self.ORDER, pins)
+        eager = reference_arbitrate("select", "points", candidates, self.ORDER, pins)
+        eager.elapsed_us = lazy.elapsed_us
+        assert eager.elapsed_us > 0.0 and eager._note.__class__ is str
+        return lazy, eager
+
+    @pytest.mark.parametrize("first", list(READS))
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_a_record_reads_as_its_eager_twin(self, shape, first):
+        lazy, eager = self._pair(shape)
+        read = self.READS[first](lazy)
+        if first == "equality":
+            assert lazy == eager and eager == lazy and not lazy != eager
+        elif first == "pickle":
+            assert read == eager and read.note == eager.note
+            assert repr(read) == repr(eager)
+        else:
+            assert read == self.READS[first](eager)
+        assert lazy.note == eager.note
+        assert (lazy.describe(), repr(lazy), hash(lazy)) == (
+            eager.describe(), repr(eager), hash(eager),
+        )
+        assert {lazy: 1}[eager] == 1
+
+    def test_a_record_is_unworded_until_read(self):
+        lazy, eager = self._pair("rejected candidates")
+        assert (lazy.link, lazy.action, lazy.operator) == (eager.link, eager.action, eager.operator)
+        assert lazy._note.__class__ is tuple
+        assert lazy.note is lazy.note == eager.note
+
+    def test_elapsed_time_is_not_part_of_equality(self):
+        lazy, eager = self._pair("one candidate")
+        eager.elapsed_us += 1.0
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert repr(lazy) != repr(eager)
+
+    def test_records_of_other_types_compare_unequal(self):
+        lazy, __ = self._pair("one candidate")
+        assert lazy != (lazy.link, lazy.action, lazy.operator, lazy.note)
 
 
 class TestPinValidation:
