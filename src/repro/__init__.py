@@ -40,7 +40,6 @@ from repro.index import (
     as_snapshot,
 )
 from repro.knn import (
-    DistanceBrowser,
     brute_force_knn,
     depth_first_knn,
     knn_join_cost,
@@ -51,6 +50,7 @@ from repro.knn import (
     select_cost,
     select_cost_exact,
     select_cost_profile,
+    select_costs,
 )
 from repro.catalog import (
     CatalogLookupError,
@@ -105,7 +105,6 @@ __all__ = [
     "SpatialIndex",
     "as_snapshot",
     # knn operators
-    "DistanceBrowser",
     "brute_force_knn",
     "depth_first_knn",
     "knn_join_cost",
@@ -116,6 +115,7 @@ __all__ = [
     "select_cost",
     "select_cost_exact",
     "select_cost_profile",
+    "select_costs",
     # catalogs
     "CatalogLookupError",
     "CatalogStore",

@@ -38,7 +38,6 @@ import time
 
 import numpy as np
 
-from repro.catalog import IntervalCatalog
 from repro.datasets import (
     generate_osm_like,
     generate_skewed,
@@ -52,11 +51,12 @@ from repro.estimators import (
     DensityBasedEstimator,
     StaircaseEstimator,
     VirtualGridEstimator,
+    build_select_catalog,
 )
 from repro.estimators import UniformModelEstimator
 from repro.geometry import Point
 from repro.index import IndexSnapshot, Quadtree
-from repro.knn import knn_join_cost, select_cost_exact, select_cost_profile
+from repro.knn import knn_join_cost, select_cost_exact
 from repro.optimizer.selection import parse_pin_spec
 from repro.resilience.errors import (
     EstimationError,
@@ -125,11 +125,10 @@ def _cmd_staircase(args: argparse.Namespace) -> int:
     snapshot = IndexSnapshot.from_index(index)
     require_finite_coordinates(args.x, args.y, "anchor point")
     anchor = Point(args.x, args.y)
-    profile = select_cost_profile(snapshot, index.blocks, anchor, args.max_k)
+    catalog = build_select_catalog(snapshot, index.blocks, anchor, args.max_k)
     print(f"{'k_start':>8} {'k_end':>8} {'cost':>6}")
-    for k_start, k_end, cost in profile:
-        print(f"{k_start:>8} {min(k_end, args.max_k):>8} {cost:>6}")
-    catalog = IntervalCatalog.from_profile(profile, max_k=args.max_k)
+    for k_start, k_end, cost in catalog.entries():
+        print(f"{k_start:>8} {k_end:>8} {int(cost):>6}")
     print()
     print(render_staircase(catalog))
     return 0

@@ -20,9 +20,8 @@ k-NN-Join operators:
 
 * :class:`LocalityJoinOperator` — block-by-block locality join
   (predicates handled by inflating k to ``k / σ`` before the per-point
-  top-k filter, which is exact only while enough qualifying rows fall
-  inside each locality; a spatially correlated predicate breaks that
-  silently).
+  top-k filter; the outer rows whose k-th qualifying candidate a block
+  outside the locality could still beat are browsed instead).
 * :class:`PerPointSelectsOperator` — one incremental k-NN-Select per
   outer row (wins for small outer relations).
 """
@@ -38,6 +37,7 @@ import numpy as np
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
 from repro.geometry import Point
+from repro.geometry.kernels import mindist_rects
 from repro.knn.browse import browse, view_gather
 from repro.knn.locality import locality_block_indices
 
@@ -246,12 +246,17 @@ class LocalityJoinOperator:
     With a predicate of selectivity σ, localities are computed at the
     inflated ``k' = ceil(k / σ)`` so that, in expectation, enough
     qualifying inner rows fall inside each locality; the per-point
-    top-k then filters exactly.  Without a predicate the answer is
-    exact.  With one it is not guaranteed: when the qualifying rows are
-    spatially correlated (all in one region) a locality can hold fewer
-    than k of them, and the outer rows there get wrong neighbour lists.
-    Nothing flags this — the planner costs and picks this operator like
-    an exact one.
+    top-k then filters.  The answer is exact either way.  Let β be the
+    MINDIST from the outer block's rect to the nearest inner block
+    outside its locality (``inf`` when the locality holds every block):
+    no row outside the locality lies nearer than β to any outer row of
+    the block, so an outer row whose k-th qualifying candidate lies
+    strictly below β — or any row when β is ``inf`` — is final.  The
+    rest (spatially correlated predicates leave some) go through one
+    predicate browse (:func:`execute_incremental_knn_batch`), and its
+    blocks are added to ``blocks_scanned``.  Without a predicate every
+    row is final — its k-th candidate lies within the locality's
+    MAXDIST mark, below β — so β is not computed.
     """
 
     name = "locality-join"
@@ -273,23 +278,31 @@ class LocalityJoinOperator:
     def execute(self) -> ExecutionResult:
         """Run the block-by-block locality join."""
         outer, inner, query = self._outer, self._inner, self._query
-        inner_snapshot = inner.snapshot
+        inner_snapshot, predicate = inner.snapshot, query.inner_predicate
         k_effective = min(
             math.ceil(query.k / self._selectivity), max(inner.n_rows, 1)
         )
         scanned = 0
         pairs: list[tuple[int, np.ndarray]] = []
+        browsed: list[int] = []  # positions in ``pairs`` of rows to browse
         for block in outer.index.blocks:
             locality = locality_block_indices(inner_snapshot, block.rect, k_effective)
             scanned += int(locality.shape[0])
+            beta = np.inf
+            if predicate is not None and locality.shape[0] < inner_snapshot.n_blocks:
+                # The locality is a MINDIST-ordered prefix: β is the next MINDIST.
+                mindists = mindist_rects(block.rect, inner_snapshot.rects)
+                beta = float(np.partition(mindists, locality.shape[0])[locality.shape[0]])
             candidate_rows = np.concatenate(
                 [inner.block_row_ids(i) for i in locality]
             ) if locality.size else np.empty(0, dtype=np.int64)
-            if query.inner_predicate is not None and candidate_rows.size:
-                mask = query.inner_predicate.evaluate(inner, candidate_rows)
+            if predicate is not None and candidate_rows.size:
+                mask = predicate.evaluate(inner, candidate_rows)
                 candidate_rows = candidate_rows[mask]
             outer_rows = outer.block_row_ids(block.block_id)
             if candidate_rows.size == 0:
+                if beta < np.inf:
+                    browsed.extend(range(len(pairs), len(pairs) + outer_rows.shape[0]))
                 pairs.extend(
                     (int(r), np.empty(0, dtype=np.int64)) for r in outer_rows
                 )
@@ -310,8 +323,21 @@ class LocalityJoinOperator:
             row_dists = np.take_along_axis(dists, top, axis=1)
             order = np.argsort(row_dists, axis=1, kind="stable")
             sorted_idx = np.take_along_axis(top, order, axis=1)
+            if beta < np.inf:
+                kth = np.full(len(outer_rows), np.inf) if k_eff < query.k else row_dists.max(axis=1)
+                browsed.extend((len(pairs) + np.flatnonzero(kth >= beta)).tolist())
             for i, outer_row in enumerate(outer_rows):
                 pairs.append((int(outer_row), candidate_rows[sorted_idx[i]]))
+        if browsed:
+            selects = [
+                KnnSelectQuery(inner.name, Point(float(x), float(y)), query.k, predicate=predicate)
+                for x, y in outer.points[[pairs[i][0] for i in browsed]]
+            ]
+            for i, result in zip(
+                browsed, execute_incremental_knn_batch(inner, selects, inner_snapshot)
+            ):
+                pairs[i] = (pairs[i][0], result.row_ids)
+                scanned += result.blocks_scanned
         return ExecutionResult(self.name, scanned, join_pairs=pairs)
 
 

@@ -15,8 +15,9 @@ grid cell) and the data blocks within some radius of it:
 
 * a select-cost staircase stops scanning once ``max_k`` points are
   retrievable, so it depends only on blocks with MINDIST up to the
-  first *unscanned* block's MINDIST
-  (:func:`~repro.knn.distance_browsing.select_cost_profile_covered`);
+  first *unscanned* block's MINDIST (the coverage radius of
+  :func:`~repro.perf.profile_staircases`, proved on the scalar
+  per-anchor scan kept in ``tests/reference_builds.py``);
 * a locality staircase depends only on blocks with MINDIST up to the
   running-MAXDIST mark of its first count-reaching prefix
   (:func:`~repro.knn.locality.locality_coverage_radii`).

@@ -63,7 +63,6 @@ from repro.index.base import Block
 from repro.index.locator import BlockLocator
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import IndexSnapshot, partition_bounds
-from repro.knn.distance_browsing import select_cost_profile
 from repro.perf import (
     BlockPointsView,
     PreprocessingStats,
@@ -93,6 +92,9 @@ def build_select_catalog(
 ) -> IntervalCatalog:
     """Procedure 1: build the k-NN-Select cost catalog anchored at a point.
 
+    The one-anchor case of the build: :func:`~repro.perf.profile_staircases`
+    read through :func:`_catalogs_from`.
+
     Args:
         snapshot: Block summary (Count-Index) of the data blocks.
         blocks: The data blocks (points are read — this is the offline
@@ -105,18 +107,9 @@ def build_select_catalog(
         so lookups up to ``max_k`` always succeed even when the dataset
         holds fewer points.
     """
-    profile = select_cost_profile(snapshot, blocks, anchor, max_k)
-    return _catalog_from_profile(profile, max_k)
-
-
-def _catalog_from_profile(
-    profile: list[tuple[int, int, int]], max_k: int
-) -> IntervalCatalog:
-    """Materialize a profile as a catalog, as Procedure 1 does."""
-    if not profile:
-        # Empty dataset: scanning cost is zero for every k.
-        return IntervalCatalog.constant(0.0, max_k)
-    return IntervalCatalog.from_profile(profile, max_k=max_k).truncated(max_k)
+    view = BlockPointsView.from_blocks(blocks)
+    staircases = profile_staircases(snapshot, view, [(anchor.x, anchor.y)], max_k)
+    return _catalogs_from(staircases, np.zeros((1, 1), dtype=np.int64), max_k)[0][0]
 
 
 def _catalogs_from(
@@ -547,10 +540,10 @@ class StaircaseEstimator(SelectCostEstimator):
         leaves is profiled once; the surviving anchors keep their
         staircase, and anchors no leaf references any more are dropped.
         One :func:`~repro.perf.profile_staircases` batch pass — held to
-        the per-anchor ``select_cost_profile_covered``, reading per
-        spatial group of anchors only the blocks a MINDIST bound cannot
-        rule out, optionally fanned out across worker processes —
-        profiles them, and :func:`_catalogs_from` reads the catalogs of
+        the scalar per-anchor scan of ``tests/reference_builds.py``,
+        reading per spatial group of anchors only the blocks a MINDIST
+        bound cannot rule out, optionally fanned out across worker
+        processes — profiles them, and :func:`_catalogs_from` reads the catalogs of
         every leaf that references a profiled anchor straight off the
         staircases.  Each anchor's staircase is a pure function of the
         blocks and the anchor, so the result is exactly a full build's

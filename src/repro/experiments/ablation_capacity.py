@@ -12,10 +12,11 @@ import numpy as np
 
 from repro.estimators.staircase import StaircaseEstimator
 from repro.experiments.common import ExperimentConfig, ExperimentResult, dataset, get_config
+from repro.experiments.select_support import exact_costs
 from repro.geometry import Point
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import IndexSnapshot
-from repro.knn.distance_browsing import select_cost_exact, select_cost_profile
+from repro.perf import select_cost_profiles
 from repro.workloads.metrics import mean_error_ratio
 from repro.workloads.queries import data_distributed_queries
 
@@ -40,16 +41,15 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
 
         # Staircase stability: average number of steps in a profile.
         rng = np.random.default_rng(config.seed)
-        steps = [
-            len(
-                select_cost_profile(
-                    counts,
-                    tree.blocks,
-                    Point(float(points[i, 0]), float(points[i, 1])),
-                    config.max_k,
-                )
-            )
+        anchors = [
+            Point(float(points[i, 0]), float(points[i, 1]))
             for i in rng.integers(0, points.shape[0], size=N_ANCHORS)
+        ]
+        steps = [
+            len(profile)
+            for profile, __ in select_cost_profiles(
+                counts, tree.points_view, anchors, config.max_k
+            )
         ]
         queries = data_distributed_queries(points, 100, config.max_k, seed=config.seed)
         result.add_row(
@@ -58,7 +58,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
             float(np.mean(steps)),
             mean_error_ratio(
                 [estimator.estimate(q.query, q.k) for q in queries],
-                [select_cost_exact(counts, tree.blocks, q.query, q.k) for q in queries],
+                exact_costs(counts, tree.blocks, queries),
             ),
         )
     result.notes.append(

@@ -13,9 +13,9 @@ from repro.datasets import generate_osm_like, generate_skewed, generate_uniform
 from repro.estimators.density import DensityBasedEstimator
 from repro.estimators.staircase import StaircaseEstimator
 from repro.experiments.common import ExperimentConfig, ExperimentResult, get_config
+from repro.experiments.select_support import exact_costs
 from repro.index.quadtree import Quadtree
 from repro.index.snapshot import IndexSnapshot
-from repro.knn.distance_browsing import select_cost_exact
 from repro.workloads.metrics import mean_error_ratio
 from repro.workloads.queries import data_distributed_queries
 
@@ -44,7 +44,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         queries = data_distributed_queries(
             points, min(config.n_queries, 150), config.max_k, seed=config.seed
         )
-        actuals = [select_cost_exact(counts, tree.blocks, q.query, q.k) for q in queries]
+        actuals = exact_costs(counts, tree.blocks, queries)
         result.add_row(
             name,
             mean_error_ratio([staircase.estimate(q.query, q.k) for q in queries], actuals),

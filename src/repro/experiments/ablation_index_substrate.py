@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from repro.estimators.staircase import StaircaseEstimator
 from repro.experiments.common import ExperimentConfig, ExperimentResult, dataset, get_config
+from repro.experiments.select_support import exact_costs
 from repro.index.quadtree import Quadtree
 from repro.index.rtree import RTree
 from repro.index.snapshot import IndexSnapshot
-from repro.knn.distance_browsing import select_cost_exact
 from repro.workloads.metrics import summarize_errors
 from repro.workloads.queries import data_distributed_queries
 
@@ -44,7 +44,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         counts = IndexSnapshot.from_index(index)
         errors = summarize_errors(
             [estimators[name].estimate(q.query, q.k) for q in queries],
-            [select_cost_exact(counts, index.blocks, q.query, q.k) for q in queries],
+            exact_costs(counts, index.blocks, queries),
         )
         result.add_row(name, index.num_blocks, errors.mean, errors.median)
     result.notes.append("same points, same auxiliary index; Section 3.3 claim")

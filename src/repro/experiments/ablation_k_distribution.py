@@ -21,7 +21,7 @@ from repro.experiments.common import (
     get_config,
 )
 from repro.geometry import Point
-from repro.knn.distance_browsing import select_cost_exact
+from repro.knn.distance_browsing import select_costs
 from repro.workloads.metrics import mean_error_ratio
 from repro.workloads.queries import random_k_values, zipf_k_values
 
@@ -61,7 +61,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     )
     for name, ks in distributions.items():
         workload = [(q, int(k)) for q, k in zip(focal, ks)]
-        actuals = [select_cost_exact(counts, index.blocks, q, k) for q, k in workload]
+        actuals = select_costs(counts, index.blocks, [(q.x, q.y) for q in focal], ks).tolist()
         result.add_row(
             name,
             float(np.median(actuals)),

@@ -14,7 +14,7 @@ import numpy as np
 from repro.experiments.common import ExperimentConfig, ExperimentResult, build_index, get_config
 from repro.geometry import Point
 from repro.knn.depth_first import depth_first_knn
-from repro.knn.distance_browsing import knn_select
+from repro.knn.distance_browsing import select_costs
 
 #: Queries both algorithms answer.
 N_QUERIES = 60
@@ -35,9 +35,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         for i in rng.integers(0, points.shape[0], size=N_QUERIES)
     ]
     ks = rng.integers(1, config.max_k, size=N_QUERIES)
-    browsing = np.array(
-        [knn_select(index, q, int(k))[1] for q, k in zip(queries, ks)], dtype=float
-    )
+    browsing = select_costs(index, index.blocks, [(q.x, q.y) for q in queries], ks).astype(float)
     depth_first = np.array(
         [depth_first_knn(index, q, int(k))[1] for q, k in zip(queries, ks)], dtype=float
     )

@@ -8,11 +8,12 @@ estimators are cached per (config, scale): Figure 11 (accuracy), 12
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 from repro.estimators.density import DensityBasedEstimator
 from repro.estimators.staircase import StaircaseEstimator
 from repro.experiments.common import ExperimentConfig, build_index, build_snapshot
-from repro.knn.distance_browsing import select_cost_exact
+from repro.knn.distance_browsing import select_costs
 from repro.workloads.queries import SelectQuery, data_distributed_queries
 
 #: Seed offset distinguishing relation identities in multi-relation
@@ -62,10 +63,13 @@ def actual_select_costs(config: ExperimentConfig, scale: int) -> tuple[int, ...]
     counts = build_snapshot(
         scale, config.base_n, config.capacity, config.seed, config.dataset_kind
     )
-    return tuple(
-        select_cost_exact(counts, index.blocks, q.query, q.k)
-        for q in select_workload(config, scale)
-    )
+    return tuple(exact_costs(counts, index.blocks, select_workload(config, scale)))
+
+
+def exact_costs(snapshot, blocks, queries: Sequence[SelectQuery]) -> list[int]:
+    """The queries' exact distance-browsing costs, in one batched browse."""
+    points = [(q.query.x, q.query.y) for q in queries]
+    return select_costs(snapshot, blocks, points, [q.k for q in queries]).tolist()
 
 
 def clear_caches() -> None:

@@ -4,14 +4,14 @@ These are the *actual* operators whose cost the paper estimates; the
 reproduction implements them in full so that every estimator can be
 validated against ground truth:
 
-* :mod:`~repro.knn.distance_browsing` — Hjaltason & Samet's incremental
-  distance browsing, the I/O-optimal state of the art for k-NN-Select,
-  plus its exact block-scan cost and the full cost-vs-k staircase
-  profile (the machinery behind Procedure 1).
-* :mod:`~repro.knn.browse` — the production browser: a select batch
+* :mod:`~repro.knn.browse` — Hjaltason & Samet's distance browsing,
+  the I/O-optimal state of the art for k-NN-Select: a select batch
   browsed to each query's stop in fixed-shape array rounds, run by the
   engine over its local view and by the serving coordinator, whose
   rounds gather from the shards.
+* :mod:`~repro.knn.distance_browsing` — the same browse over a block
+  sequence: exact block-scan costs and k-NN answers, plus the
+  one-anchor cost-vs-k staircase of Procedure 1.
 * :mod:`~repro.knn.merge` — a per-query k-bounded replay over
   MINDIST-ordered block streams: the benchmark's merge probe and a
   test oracle.
@@ -24,11 +24,11 @@ validated against ground truth:
 """
 
 from repro.knn.distance_browsing import (
-    DistanceBrowser,
     knn_select,
     select_cost,
     select_cost_exact,
     select_cost_profile,
+    select_costs,
     brute_force_knn,
 )
 from repro.knn.depth_first import depth_first_knn
@@ -42,11 +42,11 @@ from repro.knn.locality import (
 )
 
 __all__ = [
-    "DistanceBrowser",
     "knn_select",
     "select_cost",
     "select_cost_exact",
     "select_cost_profile",
+    "select_costs",
     "brute_force_knn",
     "depth_first_knn",
     "locality_block_indices",

@@ -1,319 +1,143 @@
-"""Distance browsing (Hjaltason & Samet) and its exact cost.
+"""Distance browsing (Hjaltason & Samet): the cost the paper estimates.
 
-Distance browsing retrieves nearest neighbors incrementally through two
-priority queues: a *blocks-queue* of index nodes ordered by MINDIST from
-the query point, and a *tuples-queue* of already-scanned points ordered
-by their distance.  A point is returned only when its distance is
-strictly below the MINDIST at the top of the blocks-queue — the strict
-comparison matches Procedure 1 of the paper, so catalogs and ground
-truth agree exactly at catalog anchor points.
+Distance browsing scans leaf blocks in MINDIST order from the query
+point and returns a point only when its distance is strictly below the
+next block's MINDIST — the strict comparison matches Procedure 1 of the
+paper, so catalogs and ground truth agree exactly at catalog anchors.
+Internal nodes cost nothing to pop, so hierarchical browsing scans leaf
+blocks in plain MINDIST order, and the cost — blocks scanned — is read
+off the flat block list.
 
-The paper models the cost of this algorithm as the number of (non-empty
-leaf) blocks scanned.  Two cost paths are provided:
+The paper's one operator has one cost path per phase:
 
-* :class:`DistanceBrowser` / :func:`knn_select` — the faithful heap-
-  based incremental algorithm over the index hierarchy, with a scan
-  counter: the paper-faithful reference the test suite compares the
-  other two against.
-* :func:`select_cost_profile` — a vectorized equivalent that returns the
-  whole cost-vs-k staircase in one pass.  Because internal nodes cost
-  nothing to pop, hierarchical browsing scans leaf blocks in plain
-  MINDIST order, so the profile can be computed over the flat block
-  list; the test suite cross-checks both paths against each other.
-* :class:`SnapshotBlockStream` — the same flat MINDIST order as a
-  cursor-resumable block stream: the source side of the per-query
-  merge (:mod:`repro.knn.merge`).  Every select runs as an array pass
-  instead
-  (:mod:`repro.knn.browse`); the scan cost of both is the hierarchical
-  reference's: the strict ``<`` return test means every block at
-  MINDIST below the next returned distance must be scanned regardless
-  of tie order.
+* query time: :func:`repro.knn.browse.browse`, which the engine and the
+  serving tier execute selects with, and which :func:`select_costs`,
+  :func:`select_cost_exact`, :func:`select_cost` and :func:`knn_select`
+  run over a block sequence, reading only each round's window blocks;
+* build time: :func:`repro.perf.profile_staircases`, Procedure 1 for
+  many anchors, of which :func:`select_cost_profile` is the one-anchor
+  case.
+
+:class:`SnapshotBlockStream` is the same MINDIST order as a
+cursor-resumable block stream, the source side of the per-query merge
+(:mod:`repro.knn.merge`); no query runs it.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
-from repro.geometry import Point, mindist_point_rect
+from repro.geometry import Point
 from repro.geometry.kernels import mindist_rects
-from repro.index.base import Block, SpatialIndex
+from repro.index.base import Block, BlockPointsView, SpatialIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
+from repro.knn.browse import Browsed, Gather, browse
 
 
-class DistanceBrowser:
-    """Incremental nearest-neighbor browser over a hierarchical index.
+def _blocks_gather(blocks: Sequence[Block]) -> Gather:
+    """The gather of a block sequence (block id = position): each round
+    flattens only its window's blocks, once each."""
 
-    Usage::
+    def gather(xy: np.ndarray, block_ids: np.ndarray):
+        ids, local = np.unique(block_ids, return_inverse=True)
+        view = BlockPointsView.from_blocks([blocks[i] for i in ids.tolist()])
+        local = local.reshape(block_ids.shape)
+        starts = view.offsets[local]
+        sizes = view.offsets[local + 1] - starts
+        dists, at = view.gather(xy, starts, sizes)
+        return at, dists, sizes
 
-        browser = DistanceBrowser(index, query_point)
-        nearest = next(browser)            # (distance, x, y)
-        more = browser.next_nearest()      # same, method form
-        browser.blocks_scanned             # cost so far
+    return gather
 
-    The browser is an iterator yielding points in non-decreasing
-    distance order; iteration ends when the index is exhausted.
+
+def _browse(snapshot, blocks: Sequence[Block], points, ks) -> list[Browsed]:
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    if ks.shape[0] and int(ks.min()) < 1:
+        raise ValueError(f"k must be >= 1, got {int(ks.min())}")
+    return browse(as_snapshot(snapshot), _blocks_gather(blocks), points, ks)
+
+
+def select_costs(snapshot, blocks: Sequence[Block], points, ks) -> np.ndarray:
+    """Exact distance-browsing costs (blocks scanned) of many selects.
 
     Args:
-        index: The data index.
-        query: The query focal point.
+        snapshot: Block summary of the data blocks, in any layout (an
+            :class:`~repro.index.snapshot.IndexSnapshot`, or a raw
+            index to gather one from).
+        blocks: The data blocks, indexable by the summary's block ids.
+        points: ``(q, 2)`` focal points.
+        ks: ``(q,)`` values of k.  A ``k`` above the number of indexed
+            points scans every block; an empty index costs 0.
+
+    Raises:
+        ValueError: If any ``k < 1``.
     """
+    return np.array(
+        [b.block_ids.shape[0] for b in _browse(snapshot, blocks, points, ks)],
+        dtype=np.int64,
+    )
 
-    def __init__(self, index: SpatialIndex, query: Point) -> None:
-        self._query = query
-        self._counter = itertools.count()  # tie-breaker for heap entries
-        self._block_queue: list[tuple[float, int, object]] = []
-        self._tuple_queue: list[tuple[float, float, float]] = []
-        self._blocks_scanned = 0
-        root = index.root
-        heapq.heappush(
-            self._block_queue,
-            (mindist_point_rect(query, root.rect), next(self._counter), root),
-        )
 
-    @property
-    def blocks_scanned(self) -> int:
-        """Number of non-empty leaf blocks scanned so far (the cost)."""
-        return self._blocks_scanned
-
-    def __iter__(self) -> Iterator[tuple[float, float, float]]:
-        return self
-
-    def __next__(self) -> tuple[float, float, float]:
-        result = self.next_nearest()
-        if result is None:
-            raise StopIteration
-        return result
-
-    def _scan(self, block: Block) -> None:
-        self._blocks_scanned += 1
-        dists = block.distances_from(self._query)
-        for dist, (x, y) in zip(dists, block.points):
-            heapq.heappush(self._tuple_queue, (float(dist), float(x), float(y)))
-
-    def next_nearest(self) -> tuple[float, float, float] | None:
-        """Return the next nearest ``(distance, x, y)``, or ``None``.
-
-        Mirrors the paper's ``getNextNearest()``: the top of the
-        tuples-queue is returned if its distance is strictly less than
-        the MINDIST of the top of the blocks-queue; otherwise the top
-        block is scanned and its tuples enqueued.
-        """
-        while True:
-            if self._tuple_queue and (
-                not self._block_queue
-                or self._tuple_queue[0][0] < self._block_queue[0][0]
-            ):
-                return heapq.heappop(self._tuple_queue)
-            if not self._block_queue:
-                return None
-            __, __, node = heapq.heappop(self._block_queue)
-            if node.is_leaf:
-                block = node.block
-                if block is None:
-                    continue  # structurally-empty leaf: no block to scan
-                self._scan(block)
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        self._block_queue,
-                        (
-                            mindist_point_rect(self._query, child.rect),
-                            next(self._counter),
-                            child,
-                        ),
-                    )
+def select_cost_exact(snapshot, blocks: Sequence[Block], query: Point, k: int) -> int:
+    """Exact distance-browsing cost of ``σ_kNN,q``: :func:`select_costs`
+    of one query — the ground truth of the experiment harness."""
+    return int(select_costs(snapshot, blocks, [(query.x, query.y)], [k])[0])
 
 
 def knn_select(index: SpatialIndex, query: Point, k: int) -> tuple[np.ndarray, int]:
     """Run a k-NN-Select via distance browsing.
 
-    Args:
-        index: The data index.
-        query: The query focal point.
-        k: Number of neighbors to retrieve.
-
     Returns:
         ``(neighbors, cost)`` where ``neighbors`` is a ``(m, 2)`` array
-        of the k nearest points in distance order (``m < k`` if the
-        index holds fewer points) and ``cost`` is the number of blocks
-        scanned.
+        of the k nearest points ordered by distance, then x, then y
+        (``m < k`` if the index holds fewer points) and ``cost`` is the
+        number of blocks scanned.
 
     Raises:
         ValueError: If ``k < 1``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    browser = DistanceBrowser(index, query)
-    found = list(itertools.islice(browser, k))
-    neighbors = np.array([(x, y) for __, x, y in found], dtype=float).reshape(-1, 2)
-    return neighbors, browser.blocks_scanned
+    blocks = index.blocks
+    (found,) = _browse(index, blocks, [(query.x, query.y)], [k])
+    points = np.concatenate(
+        [np.empty((0, 2))] + [blocks[i].points for i in found.block_ids.tolist()]
+    )
+    order = np.lexsort((points[:, 1], points[:, 0], found.dists))[:k]
+    return points[order], int(found.block_ids.shape[0])
 
 
 def select_cost(index: SpatialIndex, query: Point, k: int) -> int:
-    """Exact distance-browsing cost of ``σ_kNN,q`` (blocks scanned)."""
-    __, cost = knn_select(index, query, k)
-    return cost
+    """Exact distance-browsing cost of ``σ_kNN,q`` over a raw index."""
+    return select_cost_exact(index, index.blocks, query, k)
 
 
 def select_cost_profile(
     snapshot,
-    blocks,
+    blocks: Sequence[Block],
     query: Point,
     max_k: int,
 ) -> list[tuple[int, int, int]]:
-    """Compute the full cost-vs-k staircase at ``query`` in one pass.
+    """The full cost-vs-k staircase at ``query`` (Procedure 1).
 
-    This is the vectorized core of Procedure 1.  Blocks are visited in
-    MINDIST order from ``query``; after scanning the ``i``-th block, the
-    number of points retrievable at cost ``i`` is the count of scanned
-    points with distance strictly below the next block's MINDIST.
-
-    Args:
-        snapshot: Block summary of the data blocks (an
-            :class:`~repro.index.snapshot.IndexSnapshot`, or a raw
-            index to gather one from) — supplies the MINDIST ordering
-            without touching points.
-        blocks: The data blocks themselves, indexable by the
-            summary's block order (catalog *construction* is the one
-            offline step that does read points).
-        query: The anchor point.
-        max_k: Largest k the profile must cover.
+    :func:`repro.perf.select_cost_profiles` with one anchor: after
+    scanning the ``i``-th block in MINDIST order, the points
+    retrievable at cost ``i`` are the scanned ones strictly nearer than
+    the next block's MINDIST.
 
     Returns:
-        A list of ``(k_start, k_end, cost)`` entries with contiguous,
-        increasing k ranges.  The final entry's ``k_end`` is at least
-        ``max_k`` unless the whole index holds fewer points, in which
-        case the profile ends at the total point count.
+        ``(k_start, k_end, cost)`` entries with contiguous, increasing
+        k ranges.  The final entry's ``k_end`` is at least ``max_k``
+        unless the whole index holds fewer points, in which case the
+        profile ends at the total point count.
 
     Raises:
         ValueError: If ``max_k < 1``.
     """
-    return select_cost_profile_covered(snapshot, blocks, query, max_k)[0]
+    from repro.perf.parallel import select_cost_profiles  # repro.perf imports repro.knn
 
-
-def select_cost_profile_covered(
-    snapshot,
-    blocks,
-    query: Point,
-    max_k: int,
-) -> tuple[list[tuple[int, int, int]], float]:
-    """:func:`select_cost_profile` plus the profile's coverage radius.
-
-    The scan stops at the first block after which ``max_k`` points are
-    retrievable.  Every quantity the profile reads — the scanned
-    blocks' point distances and the per-step thresholds (each next
-    block's MINDIST) — concerns only blocks with MINDIST at most ``C``,
-    the MINDIST of the first *unscanned* block, which the scan holds as
-    its final threshold.  Mutations confined to regions with
-    ``MINDIST(query, region) > C`` therefore leave the profile (and any
-    catalog built from it) bit-for-bit unchanged: mutated blocks lie
-    inside their noted region, so they sort strictly after the scanned
-    prefix and past the final threshold.
-
-    :func:`repro.perf.profile_staircases` runs this scan for many
-    anchors at once, in fixed-shape rounds over candidate sets that
-    this bound certifies, and is held to it anchor for anchor.
-
-    Returns:
-        ``(profile, C)``.  ``C`` is ``inf`` — any mutation anywhere may
-        be visible — when the profile is empty, never reaches ``max_k``
-        (fewer than ``max_k`` points: any insert could extend it), or
-        scanned every block (the final threshold was unbounded).
-    """
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
-    snap = as_snapshot(snapshot)
-    n_blocks = snap.n_blocks
-    if n_blocks == 0:
-        return [], np.inf
-    mindists_all = mindist_rects((query.x, query.y), snap.rects)
-
-    # Only the blocks nearest to the query matter, but how many is not
-    # known in advance (low-density areas can force scanning far beyond
-    # the first max_k points).  Select a candidate set with a partial
-    # partition — far cheaper than a full argsort of every block for
-    # every catalog anchor — and grow it geometrically until the
-    # profile reaches max_k.
-    avg_count = max(1.0, snap.total_count / n_blocks)
-    candidates = min(n_blocks, int(max_k / avg_count) + 8)
-    while True:
-        if candidates < n_blocks:
-            nearest = np.argpartition(mindists_all, candidates)[: candidates + 1]
-            nearest = nearest[np.argsort(mindists_all[nearest], kind="stable")]
-            order = nearest[:candidates]
-            # MINDIST of the nearest block *outside* the candidate set:
-            # the threshold that applies after scanning the last one.
-            beyond = float(mindists_all[nearest[candidates]])
-        else:
-            order = np.argsort(mindists_all, kind="stable")
-            beyond = np.inf
-        mindists = mindists_all[order]
-        prefix = order.shape[0]
-
-        # One concatenated sort answers every per-step threshold: every
-        # point in a block beyond position i lies at distance >= that
-        # block's MINDIST >= the step-i threshold, so counting over the
-        # whole prefix never overcounts an earlier step.
-        # ``order`` indexes snapshot *rows*; the summary's ``block_ids``
-        # map rows to positions in ``blocks``, so a physically reordered
-        # snapshot (Hilbert layout) still reads the right blocks.  The
-        # profile itself is tie-invariant — equal-MINDIST blocks share
-        # every threshold they could straddle — so no tie correction of
-        # the row order is needed for layout parity.
-        dists = np.concatenate(
-            [blocks[int(i)].distances_from(query) for i in snap.block_ids[order]]
-        )
-        dists.sort(kind="stable")
-        # Threshold after scanning block i is the next block's MINDIST.
-        thresholds = np.empty(prefix, dtype=float)
-        thresholds[: prefix - 1] = mindists[1:prefix]
-        thresholds[prefix - 1] = beyond
-        retrievable = np.searchsorted(dists, thresholds, side="left")
-        if retrievable[-1] >= max_k or candidates >= n_blocks:
-            break
-        candidates = min(n_blocks, candidates * 2)
-
-    profile: list[tuple[int, int, int]] = []
-    k_reached = 0  # points already retrievable at the previous cost
-    for i in range(prefix):
-        r = int(retrievable[i])
-        if r > k_reached:
-            profile.append((k_reached + 1, r, i + 1))
-            k_reached = r
-        if k_reached >= max_k:
-            return profile, float(thresholds[i])
-    return profile, np.inf
-
-
-def select_cost_exact(
-    snapshot,
-    blocks,
-    query: Point,
-    k: int,
-) -> int:
-    """Exact distance-browsing cost via the vectorized profile.
-
-    Equivalent to :func:`select_cost` (the test suite cross-checks the
-    two) but orders of magnitude faster for large k, which makes it the
-    ground-truth oracle of the experiment harness.  A ``k`` exceeding
-    the number of indexed points forces a scan of every block, matching
-    the incremental algorithm's exhaustion behaviour.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    snap = as_snapshot(snapshot)
-    profile = select_cost_profile(snap, blocks, query, k)
-    if not profile:
-        return 0
-    for k_start, k_end, cost in profile:
-        if k <= k_end:
-            return cost
-    # Fewer than k points exist: the browser exhausts the whole index.
-    return snap.n_blocks
+    view = BlockPointsView.from_blocks(blocks)
+    return select_cost_profiles(snapshot, view, [query], max_k)[0][0]
 
 
 def brute_force_knn(points: np.ndarray, query: Point, k: int) -> np.ndarray:

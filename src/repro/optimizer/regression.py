@@ -43,7 +43,7 @@ from repro.engine.planner import per_point_selects_cost
 from repro.estimators import CatalogMergeEstimator, StaircaseEstimator
 from repro.geometry import Point
 from repro.index import GridIndex, Quadtree, RTree, as_snapshot
-from repro.knn import knn_join_cost, select_cost_exact
+from repro.knn import knn_join_cost, select_cost_exact, select_costs
 from repro.optimizer.selection import (
     FILTER_THEN_KNN,
     INCREMENTAL_KNN,
@@ -277,9 +277,8 @@ def _run_batch(dataset: str, substrate: str) -> dict:
     return _matrix_record(
         dataset, substrate, "batch", k, candidates,
         actual_of={
-            PER_QUERY_SELECTS: lambda: sum(
-                select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
-                for x, y in queries
+            PER_QUERY_SELECTS: lambda: int(
+                select_costs(inner_index, inner_index.blocks, queries, [k] * len(queries)).sum()
             ),
             SHARED_KNN_JOIN: lambda: knn_join_cost(outer_index, inner_index, k),
         },
@@ -305,9 +304,10 @@ def _run_join(dataset: str, substrate: str) -> dict:
         dataset, substrate, "join", k, candidates,
         actual_of={
             LOCALITY_JOIN: lambda: knn_join_cost(outer_index, inner_index, k),
-            PER_POINT_SELECTS: lambda: sum(
-                select_cost_exact(inner_index, inner_index.blocks, Point(x, y), k)
-                for x, y in outer_points
+            PER_POINT_SELECTS: lambda: int(
+                select_costs(
+                    inner_index, inner_index.blocks, outer_points, [k] * len(outer_points)
+                ).sum()
             ),
         },
         tier_of={LOCALITY_JOIN: "catalog-merge", PER_POINT_SELECTS: "staircase"},

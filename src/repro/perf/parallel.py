@@ -1,8 +1,7 @@
 """Batched and multi-process preprocessing fan-out.
 
 Catalog preprocessing is embarrassingly parallel: every anchor's cost
-profile (:func:`~repro.knn.distance_browsing.select_cost_profile_covered`) and
-every outer block's locality profile
+profile (Procedure 1) and every outer block's locality profile
 (:func:`~repro.knn.locality.locality_size_profile`) is independent of
 the others.  This module provides the batching and fan-out shared by the
 Staircase, Catalog-Merge, and Virtual-Grid estimators:
@@ -11,8 +10,9 @@ Staircase, Catalog-Merge, and Virtual-Grid estimators:
   fixed-shape rounds over spatial groups of anchors, each reading only
   the blocks a MINDIST bound cannot rule out, returned as
   :class:`Staircases`; :func:`select_cost_profiles` is the same pass as
-  ``(profile, C)`` tuples.  Both equal the per-anchor scan byte for
-  byte.
+  ``(profile, C)`` tuples.  This is the build's one cost path: both equal
+  the scalar per-anchor scan that ``tests/reference_builds.py`` keeps as
+  their oracle, byte for byte.
 * :class:`~repro.index.base.BlockPointsView` (re-exported here) — a
   columnar, picklable stand-in for a block list whose points the batch
   pass gathers with one fancy-index and one ``np.hypot`` call (the
@@ -85,10 +85,9 @@ class Staircases(NamedTuple):
 
     Anchor ``i`` owns steps ``offsets[i]:offsets[i + 1]``: after
     ``costs[j]`` blocks, ``k_ends[j]`` points are retrievable — the
-    ``(k_end, cost)`` columns of its
-    :func:`~repro.knn.distance_browsing.select_cost_profile_covered`
-    profile.  ``radii[i]`` is its coverage radius.  ``costs`` uses the
-    narrowest unsigned dtype that holds a block count.
+    ``(k_end, cost)`` columns of its Procedure 1 profile.  ``radii[i]``
+    is its coverage radius.  ``costs`` uses the narrowest unsigned dtype
+    that holds a block count.
     """
 
     offsets: np.ndarray
@@ -224,8 +223,9 @@ def _staircases(
     first ``R >= max_k`` — its coverage radius — is below ``rho`` is
     final: every block and point outside ``S`` lies beyond ``rho``, so
     it could move no threshold and no count up to there.
-    ``select_cost_profile_covered``'s proof then makes the staircase
-    that function's, anchor for anchor, byte for byte.  The anchors
+    The coverage-radius proof of the scalar per-anchor scan (the oracle
+    in ``tests/reference_builds.py``) then makes the staircase that
+    scan's, anchor for anchor, byte for byte.  The anchors
     that miss the certificate run the same rounds again with ``S`` =
     every block and ``rho = inf``, where every anchor is final.
     """
@@ -507,11 +507,14 @@ def select_cost_profiles(
     max_k: int,
     workers: int | None = None,
 ) -> list[CoveredProfile]:
-    """:func:`profile_staircases` as ``select_cost_profile_covered`` tuples.
+    """:func:`profile_staircases` as ``(profile, coverage_radius)`` tuples.
 
     Returns:
-        One ``(profile, coverage_radius)`` pair per anchor, in anchor
-        order — what ``select_cost_profile_covered`` returns for it.
+        One pair per anchor, in anchor order: its ``(k_start, k_end,
+        cost)`` steps (see
+        :func:`~repro.knn.distance_browsing.select_cost_profile`) and the
+        MINDIST of its first unscanned block (``inf`` when the profile
+        never reaches ``max_k`` or scanned every block).
     """
     if len(anchors) == 0:
         return []

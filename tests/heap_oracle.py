@@ -1,18 +1,23 @@
-"""The heap-based row browser, kept as the oracle of the production path.
+"""The heap-based distance browsers, kept as the oracles of the production path.
 
-This is the two-priority-queue distance browser the engine used to run
-for scalar, predicate and region queries (``engine.physical`` before the
-stream + merge browser replaced it), moved here unchanged: hierarchical
-descent from the index root, tuples carrying *row ids*, filters
-evaluated row by row, optional region pruning of subtrees.  The
+:class:`DistanceBrowser` is Hjaltason and Samet's two-priority-queue
+browser over the index hierarchy with a scan counter, the paper-faithful
+reference that ``repro.knn``'s ``knn_select`` / ``select_cost`` /
+``select_costs`` (now wrappers over ``repro.knn.browse.browse``) are held
+to.  :class:`RowDistanceBrowser` is the same browser as the engine used
+to run it for scalar, predicate and region queries (``engine.physical``
+before the stream + merge browser replaced it), moved here unchanged:
+hierarchical descent from the index root, tuples carrying *row ids*,
+filters evaluated row by row, optional region pruning of subtrees.  The
 differential tests assert that the production browser scans exactly the
-blocks this one scans.
+blocks these scan.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +52,121 @@ class IndexTable:
         return self._row_ids[block_id]
 
 
+class DistanceBrowser:
+    """Incremental nearest-neighbor browser over a hierarchical index.
+
+    Usage::
+
+        browser = DistanceBrowser(index, query_point)
+        nearest = next(browser)            # (distance, x, y)
+        more = browser.next_nearest()      # same, method form
+        browser.blocks_scanned             # cost so far
+
+    The browser is an iterator yielding points in non-decreasing
+    distance order; iteration ends when the index is exhausted.
+
+    Args:
+        index: The data index.
+        query: The query focal point.
+    """
+
+    def __init__(self, index, query: Point) -> None:
+        self._query = query
+        self._counter = itertools.count()  # tie-breaker for heap entries
+        self._block_queue: list[tuple[float, int, object]] = []
+        self._tuple_queue: list[tuple[float, float, float]] = []
+        self._blocks_scanned = 0
+        root = index.root
+        heapq.heappush(
+            self._block_queue,
+            (mindist_point_rect(query, root.rect), next(self._counter), root),
+        )
+
+    @property
+    def blocks_scanned(self) -> int:
+        """Number of non-empty leaf blocks scanned so far (the cost)."""
+        return self._blocks_scanned
+
+    def __iter__(self) -> Iterator[tuple[float, float, float]]:
+        return self
+
+    def __next__(self) -> tuple[float, float, float]:
+        result = self.next_nearest()
+        if result is None:
+            raise StopIteration
+        return result
+
+    def _scan(self, block) -> None:
+        self._blocks_scanned += 1
+        dists = block.distances_from(self._query)
+        for dist, (x, y) in zip(dists, block.points):
+            heapq.heappush(self._tuple_queue, (float(dist), float(x), float(y)))
+
+    def next_nearest(self) -> tuple[float, float, float] | None:
+        """Return the next nearest ``(distance, x, y)``, or ``None``.
+
+        Mirrors the paper's ``getNextNearest()``: the top of the
+        tuples-queue is returned if its distance is strictly less than
+        the MINDIST of the top of the blocks-queue; otherwise the top
+        block is scanned and its tuples enqueued.
+        """
+        while True:
+            if self._tuple_queue and (
+                not self._block_queue
+                or self._tuple_queue[0][0] < self._block_queue[0][0]
+            ):
+                return heapq.heappop(self._tuple_queue)
+            if not self._block_queue:
+                return None
+            __, __, node = heapq.heappop(self._block_queue)
+            if node.is_leaf:
+                block = node.block
+                if block is None:
+                    continue  # structurally-empty leaf: no block to scan
+                self._scan(block)
+            else:
+                for child in node.children:
+                    heapq.heappush(
+                        self._block_queue,
+                        (
+                            mindist_point_rect(self._query, child.rect),
+                            next(self._counter),
+                            child,
+                        ),
+                    )
+
+
+def knn_select(index, query: Point, k: int) -> tuple[np.ndarray, int]:
+    """Run a k-NN-Select via the heap browser.
+
+    Args:
+        index: The data index.
+        query: The query focal point.
+        k: Number of neighbors to retrieve.
+
+    Returns:
+        ``(neighbors, cost)`` where ``neighbors`` is a ``(m, 2)`` array
+        of the k nearest points in distance order (``m < k`` if the
+        index holds fewer points) and ``cost`` is the number of blocks
+        scanned.
+
+    Raises:
+        ValueError: If ``k < 1``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    browser = DistanceBrowser(index, query)
+    found = list(itertools.islice(browser, k))
+    neighbors = np.array([(x, y) for __, x, y in found], dtype=float).reshape(-1, 2)
+    return neighbors, browser.blocks_scanned
+
+
+def select_cost(index, query: Point, k: int) -> int:
+    """The heap browser's cost of ``σ_kNN,q`` (blocks scanned)."""
+    __, cost = knn_select(index, query, k)
+    return cost
+
+
 def qualifies(table: SpatialTable, query: KnnSelectQuery, row_id: int) -> bool:
     """Whether one row passes the query's spatial and relational filters."""
     if query.region is not None:
@@ -61,7 +181,7 @@ def qualifies(table: SpatialTable, query: KnnSelectQuery, row_id: int) -> bool:
 class RowDistanceBrowser:
     """Distance browsing over a table, yielding *row ids* in order.
 
-    Identical to :class:`repro.knn.DistanceBrowser` except tuples carry
+    Identical to :class:`DistanceBrowser` except tuples carry
     row ids so attribute predicates can be evaluated per result, and an
     optional region prunes non-overlapping subtrees.
     """

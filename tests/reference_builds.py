@@ -22,6 +22,11 @@ A whole-tree gather (:func:`assert_matches_gather`) is the oracle of the
 block summary, points view and leaf table that an incremental Staircase
 refresh splices together region by region.
 
+The per-anchor scalar Procedure 1 scan (:func:`select_cost_profile_covered`,
+once ``repro.knn.distance_browsing``'s) is the oracle of the batched
+``repro.perf.profile_staircases``, anchor for anchor, coverage radius
+included, and through :func:`staircase_store` of the Staircase build.
+
 The cold set-up's former passes are the oracles of their replacements:
 the complex-key binning (:func:`count_below_complex`) of the sort-per-row
 ``repro.perf.parallel.count_below``; Procedure 2 over a full stable MINDIST
@@ -43,9 +48,14 @@ from repro.estimators.block_sample import sample_block_indices
 from repro.engine.planner import SELECT_COST_SAMPLE
 from repro.estimators.base import normalize_batch_args
 from repro.estimators.maintenance import region_keys
-from repro.estimators.staircase import build_select_catalog
 from repro.geometry import Point, Rect
-from repro.geometry.kernels import as_anchor, maxdist_rects, mindist_argsort, staircase_interpolate
+from repro.geometry.kernels import (
+    as_anchor,
+    maxdist_rects,
+    mindist_argsort,
+    mindist_rects,
+    staircase_interpolate,
+)
 from repro.index.snapshot import IndexSnapshot, as_snapshot, partition_bounds
 from repro.perf import BlockPointsView
 
@@ -108,6 +118,112 @@ def evaluate_dense(catalog: IntervalCatalog) -> np.ndarray:
     return dense
 
 
+def select_cost_profile_covered(
+    snapshot,
+    blocks,
+    query: Point,
+    max_k: int,
+) -> tuple[list[tuple[int, int, int]], float]:
+    """Procedure 1 at one anchor: its cost-vs-k staircase and coverage radius.
+
+    Blocks are visited in MINDIST order from ``query``; after scanning
+    the ``i``-th block, the number of points retrievable at cost ``i``
+    is the count of scanned points with distance strictly below the
+    next block's MINDIST.  The scan stops at the first block after which ``max_k`` points are
+    retrievable.  Every quantity the profile reads — the scanned
+    blocks' point distances and the per-step thresholds (each next
+    block's MINDIST) — concerns only blocks with MINDIST at most ``C``,
+    the MINDIST of the first *unscanned* block, which the scan holds as
+    its final threshold.  Mutations confined to regions with
+    ``MINDIST(query, region) > C`` therefore leave the profile (and any
+    catalog built from it) bit-for-bit unchanged: mutated blocks lie
+    inside their noted region, so they sort strictly after the scanned
+    prefix and past the final threshold.
+
+    :func:`repro.perf.profile_staircases` runs this scan for many
+    anchors at once, in fixed-shape rounds over candidate sets that
+    this bound certifies, and is held to it anchor for anchor.
+
+    Returns:
+        ``(profile, C)``.  ``C`` is ``inf`` — any mutation anywhere may
+        be visible — when the profile is empty, never reaches ``max_k``
+        (fewer than ``max_k`` points: any insert could extend it), or
+        scanned every block (the final threshold was unbounded).
+    """
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    snap = as_snapshot(snapshot)
+    n_blocks = snap.n_blocks
+    if n_blocks == 0:
+        return [], np.inf
+    mindists_all = mindist_rects((query.x, query.y), snap.rects)
+
+    # Only the blocks nearest to the query matter, but how many is not
+    # known in advance (low-density areas can force scanning far beyond
+    # the first max_k points).  Select a candidate set with a partial
+    # partition — far cheaper than a full argsort of every block for
+    # every catalog anchor — and grow it geometrically until the
+    # profile reaches max_k.
+    avg_count = max(1.0, snap.total_count / n_blocks)
+    candidates = min(n_blocks, int(max_k / avg_count) + 8)
+    while True:
+        if candidates < n_blocks:
+            nearest = np.argpartition(mindists_all, candidates)[: candidates + 1]
+            nearest = nearest[np.argsort(mindists_all[nearest], kind="stable")]
+            order = nearest[:candidates]
+            # MINDIST of the nearest block *outside* the candidate set:
+            # the threshold that applies after scanning the last one.
+            beyond = float(mindists_all[nearest[candidates]])
+        else:
+            order = np.argsort(mindists_all, kind="stable")
+            beyond = np.inf
+        mindists = mindists_all[order]
+        prefix = order.shape[0]
+
+        # One concatenated sort answers every per-step threshold: every
+        # point in a block beyond position i lies at distance >= that
+        # block's MINDIST >= the step-i threshold, so counting over the
+        # whole prefix never overcounts an earlier step.
+        # ``order`` indexes snapshot *rows*; the summary's ``block_ids``
+        # map rows to positions in ``blocks``, so a physically reordered
+        # snapshot (Hilbert layout) still reads the right blocks.  The
+        # profile itself is tie-invariant — equal-MINDIST blocks share
+        # every threshold they could straddle — so no tie correction of
+        # the row order is needed for layout parity.
+        dists = np.concatenate(
+            [blocks[int(i)].distances_from(query) for i in snap.block_ids[order]]
+        )
+        dists.sort(kind="stable")
+        # Threshold after scanning block i is the next block's MINDIST.
+        thresholds = np.empty(prefix, dtype=float)
+        thresholds[: prefix - 1] = mindists[1:prefix]
+        thresholds[prefix - 1] = beyond
+        retrievable = np.searchsorted(dists, thresholds, side="left")
+        if retrievable[-1] >= max_k or candidates >= n_blocks:
+            break
+        candidates = min(n_blocks, candidates * 2)
+
+    profile: list[tuple[int, int, int]] = []
+    k_reached = 0  # points already retrievable at the previous cost
+    for i in range(prefix):
+        r = int(retrievable[i])
+        if r > k_reached:
+            profile.append((k_reached + 1, r, i + 1))
+            k_reached = r
+        if k_reached >= max_k:
+            return profile, float(thresholds[i])
+    return profile, np.inf
+
+
+def scalar_select_catalog(snapshot, blocks, anchor: Point, max_k: int) -> IntervalCatalog:
+    """Procedure 1's catalog at one anchor: its profile padded and truncated
+    to ``max_k`` (cost 0 everywhere over an empty index)."""
+    profile, __ = select_cost_profile_covered(snapshot, blocks, anchor, max_k)
+    if not profile:
+        return IntervalCatalog.constant(0.0, max_k)
+    return IntervalCatalog.from_profile(profile, max_k=max_k).truncated(max_k)
+
+
 def staircase_store(index, max_k: int, variant: str = "center+corners") -> CatalogStore:
     """``StaircaseEstimator(index, max_k=max_k, variant=variant).to_store()``, per leaf."""
     snapshot, blocks, leaves = IndexSnapshot.from_index(index), index.blocks, index.leaves
@@ -116,9 +232,9 @@ def staircase_store(index, max_k: int, variant: str = "center+corners") -> Catal
          "n_leaves": str(len(leaves)), "data_generation": str(snapshot.data_generation)}
     )
     for i, leaf in enumerate(leaves):
-        store.put(f"center/{i}", build_select_catalog(snapshot, blocks, leaf.rect.center, max_k))
+        store.put(f"center/{i}", scalar_select_catalog(snapshot, blocks, leaf.rect.center, max_k))
     for i, leaf in enumerate(leaves if variant == "center+corners" else ()):
-        corners = [build_select_catalog(snapshot, blocks, c, max_k) for c in leaf.rect.corners()]
+        corners = [scalar_select_catalog(snapshot, blocks, c, max_k) for c in leaf.rect.corners()]
         store.put(f"corners/{i}", plane_sweep(corners, max))
     return store
 

@@ -32,9 +32,9 @@ from repro.geometry.kernels import (
     tie_stable_argsort,
 )
 from repro.index import GridIndex, IndexSnapshot, Quadtree, RTree
-from repro.knn.distance_browsing import knn_select, select_cost_profile
+from repro.knn.distance_browsing import select_cost_profile
 from repro.knn.locality import locality_block_indices, locality_size_profile
-from tests.heap_oracle import IndexTable
+from tests.heap_oracle import IndexTable, knn_select
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,8 @@
-"""Tests for distance browsing: correctness, cost, and profiles."""
+"""Tests for distance browsing: correctness, cost, and profiles.
+
+The production paths (``repro.knn``'s wrappers over ``repro.knn.browse``)
+are held to the heap browser of ``tests/heap_oracle.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,16 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry import Point
-from repro.index import IndexSnapshot, Quadtree
+from repro.geometry import Point, Rect
+from repro.geometry.hilbert import hilbert_order
+from repro.index import GridIndex, IndexSnapshot, Quadtree, RTree
 from repro.knn import (
-    DistanceBrowser,
     brute_force_knn,
     knn_select,
-    select_cost,
     select_cost_exact,
     select_cost_profile,
+    select_costs,
 )
+from tests import heap_oracle
+from tests.heap_oracle import DistanceBrowser, select_cost
 
 
 def dist_to(q, pts):
@@ -164,6 +170,43 @@ class TestProfile:
             assert select_cost(tree, q, k) == next(
                 c for ks, ke, c in profile if ks <= k <= ke
             )
+
+
+def _substrates():
+    """Index and snapshot per substrate: random points on a lattice
+    (so MINDISTs tie across block boundaries), plus an empty index."""
+    rng = np.random.default_rng(11)
+    pts = np.floor(rng.uniform(0, 64, size=(600, 2)))
+    quadtree = Quadtree(pts, bounds=Rect(0, 0, 64, 64), capacity=8)
+    snapshot = IndexSnapshot.from_index(quadtree)
+    hilbert = snapshot.with_layout(hilbert_order(snapshot.centers, snapshot.bounds))
+    empty = Quadtree(np.empty((0, 2)), bounds=Rect(0, 0, 64, 64), capacity=8)
+    return [
+        pytest.param(quadtree, snapshot, id="quadtree"),
+        pytest.param(GridIndex(pts, nx=9), None, id="grid"),
+        pytest.param(RTree(pts, capacity=8), None, id="rtree"),
+        pytest.param(quadtree, hilbert, id="hilbert-layout"),
+        pytest.param(empty, None, id="empty"),
+    ]
+
+
+@pytest.mark.parametrize("index, snapshot", _substrates())
+def test_select_costs_and_knn_select_equal_the_heap_oracle(index, snapshot):
+    """Costs, neighbours and their (distance, x, y) order, for k = 1, a
+    middle k and k > n, from lattice points (ties) and off-lattice ones."""
+    n = index.num_points
+    rng = np.random.default_rng(12)
+    focal = np.vstack([np.floor(rng.uniform(0, 64, (6, 2))), rng.uniform(0, 64, (6, 2))])
+    summary = index if snapshot is None else snapshot
+    for k in (1, max(1, n // 2), n + 5):
+        ks = np.full(focal.shape[0], k)
+        want = [heap_oracle.knn_select(index, Point(x, y), k) for x, y in focal]
+        costs = select_costs(summary, index.blocks, focal, ks)
+        assert costs.tolist() == [cost for __, cost in want]
+        for (x, y), (neighbors, cost) in zip(focal, want):
+            got, got_cost = knn_select(index, Point(x, y), k)
+            assert np.array_equal(got, neighbors) and got_cost == cost
+            assert select_cost_exact(summary, index.blocks, Point(x, y), k) == cost
 
 
 class TestBruteForce:

@@ -8,7 +8,8 @@ points by one distance matrix, no index involved.
 import numpy as np
 import pytest
 
-from repro.engine import KnnJoinQuery, SpatialTable
+from repro.datasets import generate_osm_like
+from repro.engine import KnnJoinQuery, SpatialEngine, SpatialTable, StatisticsManager, column
 from repro.engine.physical import LocalityJoinOperator
 from repro.knn import knn_join_cost
 
@@ -35,6 +36,53 @@ def _locality_join(outer_pts, inner_pts, k, capacity):
     inner = SpatialTable("inner", inner_pts, capacity=capacity)
     result = LocalityJoinOperator(outer, inner, KnnJoinQuery("outer", "inner", k)).execute()
     return outer, inner, result
+
+
+@pytest.fixture(scope="module")
+def predicate_engine():
+    """1,500 inner and 300 outer OSM-like points of one city structure, the
+    locality join pinned, and a uniform column ``u`` beside ``x``."""
+    inner = generate_osm_like(1_500, seed=0, structure_seed=0)
+    outer = generate_osm_like(300, seed=1, structure_seed=0)
+    u = np.random.default_rng(2).uniform(0, 1, inner.shape[0])
+    eng = SpatialEngine(StatisticsManager(pinned_operators={"join": "locality-join"}))
+    eng.register(SpatialTable("inner", inner, {"x": inner[:, 0], "u": u}, capacity=16))
+    eng.register(SpatialTable("outer", outer, capacity=16))
+    return eng, inner, outer, u
+
+
+PREDICATES = {
+    "none": None,
+    "uniform": column("u") < 0.3,
+    "correlated": column("x") < 1000.0 / 3.0,
+    "nothing-qualifies": column("u") < -1.0,
+}
+
+
+@pytest.mark.parametrize("k", [1, 5, 40, 2_000])
+@pytest.mark.parametrize("kind", list(PREDICATES))
+def test_locality_join_equals_brute_force_over_the_qualifying_rows(predicate_engine, kind, k):
+    eng, inner, outer, u = predicate_engine
+    keep = {
+        "none": np.ones(inner.shape[0], dtype=bool),
+        "uniform": u < 0.3,
+        "correlated": inner[:, 0] < 1000.0 / 3.0,
+        "nothing-qualifies": np.zeros(inner.shape[0], dtype=bool),
+    }[kind]
+    query = KnnJoinQuery("outer", "inner", k=k, inner_predicate=PREDICATES[kind])
+    result, explanation = eng.execute(query)
+    assert explanation.chosen == "locality-join"
+    qualifying = inner[keep]
+    want = naive_knn_join(outer, qualifying, k) if keep.any() else np.empty((len(outer), 0, 2))
+    pairs = dict(result.join_pairs)
+    assert sorted(pairs) == list(range(len(outer)))
+    for row, (x, y) in enumerate(outer):
+        assert np.all(keep[pairs[row]])
+        got = np.sort(np.hypot(inner[pairs[row], 0] - x, inner[pairs[row], 1] - y))
+        assert np.array_equal(got, np.hypot(want[row, :, 0] - x, want[row, :, 1] - y)), row
+    if kind == "none":
+        tables = eng.stats.table("outer"), eng.stats.table("inner")
+        assert result.blocks_scanned == knn_join_cost(tables[0].index, tables[1].index, k)
 
 
 class TestJoinCorrectness:

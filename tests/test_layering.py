@@ -150,7 +150,11 @@ def test_the_walk_sees_function_level_imports():
 #: protocol — the shard's local browse and its columns, the array merge,
 #: the resume gather and loop, and the coordinator's replay bounds (the
 #: coordinator browses the global snapshot, and a round's gather goes to
-#: the shards that own its blocks).
+#: the shards that own its blocks); the heap distance browser, the scalar
+#: per-anchor Procedure 1 scan and its one-profile catalog shortcut (exact
+#: costs and ``knn_select`` run on ``repro.knn.browse``, profiles and
+#: catalogs on ``perf.profile_staircases``; the two old paths are the
+#: ``tests/heap_oracle.py`` and ``tests/reference_builds.py`` oracles).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -276,6 +280,9 @@ RETIRED_NAMES = {
     "run_merges",
     "_dead_bound",
     "_hull_bounds",
+    "DistanceBrowser",
+    "select_cost_profile_covered",
+    "_catalog_from_profile",
 }
 
 

@@ -3,7 +3,8 @@
 ``repro.perf.profile_staircases`` profiles every anchor of a build or a
 reconcile in fixed-shape rounds over spatial groups of anchors, each
 over a candidate set of blocks that a MINDIST bound certifies.  These tests
-hold it to the single-anchor ``select_cost_profile_covered`` (profile
+hold it to the single-anchor ``select_cost_profile_covered`` oracle of
+``tests/reference_builds.py`` (profile
 and coverage radius) over the geometry that could break a batched scan
 — ties, duplicates, zero-count blocks, short indexes, layouts,
 overlapping MBRs, slab boundaries and doubling rounds — and hold the
@@ -28,10 +29,13 @@ from repro.geometry import Point, Rect
 from repro.geometry.hilbert import hilbert_order
 from repro.index import IndexSnapshot, MutableQuadtree, Quadtree, RTree
 from repro.index.base import Block
-from repro.knn.distance_browsing import select_cost_profile_covered
 from repro.perf import BlockPointsView, parallel, profile_staircases, select_cost_profiles
 from repro.workloads import churn_phases
-from tests.reference_builds import count_below_complex, staircase_store
+from tests.reference_builds import (
+    count_below_complex,
+    select_cost_profile_covered,
+    staircase_store,
+)
 
 
 def assert_batch_is_per_anchor(snapshot, blocks, anchors, max_k, workers=None):

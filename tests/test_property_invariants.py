@@ -17,9 +17,9 @@ from repro.knn import (
     locality_block_indices,
     locality_size,
     locality_size_profile,
-    select_cost,
     select_cost_profile,
 )
+from tests.heap_oracle import select_cost
 
 small_points = arrays(
     float,

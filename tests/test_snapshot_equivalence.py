@@ -18,7 +18,8 @@ Covered per layer, across quadtree / grid / R-tree substrates:
 * Block-Sample estimates vs summed per-leaf localities;
 * Staircase / Catalog-Merge / Virtual-Grid built from raw indexes vs
   built from snapshots;
-* the snapshot-fed production browser vs the hierarchical descent.
+* the snapshot-fed production browser vs the hierarchical descent
+  (the heap browser of ``tests/heap_oracle.py``).
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from repro.geometry.kernels import (
 )
 from repro.index import GridIndex, IndexSnapshot, Quadtree, RTree
 from repro.knn import (
-    DistanceBrowser,
-    knn_select,
     locality_size,
     locality_size_profile,
     locality_sizes,
@@ -64,7 +63,7 @@ from repro.knn import (
     select_cost_profile,
 )
 
-from tests.heap_oracle import IndexTable
+from tests.heap_oracle import DistanceBrowser, IndexTable, knn_select
 
 SUBSTRATES = ["quadtree", "grid", "rtree"]
 
