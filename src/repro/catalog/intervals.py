@@ -108,7 +108,7 @@ class IntervalCatalog:
             raise CatalogLookupError(
                 f"k={k} exceeds the catalog's supported maximum {self.max_k}"
             )
-        idx = int(np.searchsorted(self._k_end, k, side="left"))
+        idx = int(self._k_end.searchsorted(k))  # the method: no wrapper call
         return float(self._cost[idx])
 
     def lookup_many(self, ks: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -224,10 +224,12 @@ def physical_operator(stats: StatisticsManager, query, explanation: PlanExplanat
 
 class SelectGroup(NamedTuple):
     """One table's selects: batch positions, queries, ``(m, 2)`` focal
-    points and ks as carried — materialized once for guard and planner."""
+    points and ks as carried — materialized once for guard and planner.
+    ``queries`` is ``None`` for selects known to carry no predicate and
+    no region (the serving tier's columns)."""
 
     positions: list[int]
-    queries: list[KnnSelectQuery]
+    queries: list[KnnSelectQuery] | None
     points: np.ndarray
     ks: list[int]
 
@@ -297,7 +299,7 @@ def _explain_select_group(
     """Plan every select of one table."""
     table = stats.table(name)
     __, queries, points, ks = group
-    n = len(queries)
+    n = len(ks)
     if table.n_rows == 0:
         # Nothing to scan: either plan is a no-op; the trivial scan is
         # the one candidate (still arbitrated, so pins are noted).
@@ -321,7 +323,7 @@ def _explain_select_group(
     sigmas = np.ones(n)
     filtered = False
     with_region: list[int] = []
-    for j, query in enumerate(queries):
+    for j, query in enumerate(queries or ()):
         if query.predicate is not None or query.region is not None:
             sigma = stats.predicate_selectivity(name, query.predicate)
             sigma *= stats.region_selectivity(name, query.region)

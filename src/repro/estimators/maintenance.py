@@ -133,6 +133,8 @@ def stale_entries(
 
 def maximal_regions(rects: np.ndarray) -> np.ndarray:
     """The rows of a distinct ``(m, 4)`` bounds array inside no other row."""
+    if rects.shape[0] < 2:
+        return rects
     inside = (
         (rects[:, None, 0] >= rects[None, :, 0])
         & (rects[:, None, 1] >= rects[None, :, 1])

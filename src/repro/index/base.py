@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -211,11 +211,6 @@ class SpatialIndex(abc.ABC):
     def range_query_blocks(self, region: Rect) -> list[Block]:
         """Return all non-empty blocks whose extent intersects ``region``."""
         return [b for b in self.blocks if b.rect.intersects(region)]
-
-    def iter_points(self) -> Iterator[np.ndarray]:
-        """Yield each block's point array (useful for full scans)."""
-        for b in self.blocks:
-            yield b.points
 
     def all_points(self) -> np.ndarray:
         """Materialize all indexed points as one ``(n, 2)`` array."""

@@ -26,6 +26,7 @@ the shared copy.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -490,6 +491,10 @@ class IndexSnapshot:
         )
 
 
+#: The snapshot :func:`as_snapshot` last gathered from each live index.
+_GATHERED: "weakref.WeakKeyDictionary[object, IndexSnapshot]" = weakref.WeakKeyDictionary()
+
+
 def as_snapshot(obj) -> IndexSnapshot:
     """Normalize an index-like argument to an :class:`IndexSnapshot`.
 
@@ -500,13 +505,20 @@ def as_snapshot(obj) -> IndexSnapshot:
     :class:`~repro.engine.stats.StatisticsManager`-cached snapshot is
     reused instead of re-gathered.
 
+    An index's snapshot is gathered once per ``data_generation`` (a
+    static index, always at 0, keeps one) and handed back while the
+    index stays at that generation.
+
     Raises:
         TypeError: For objects carrying no block summaries.
     """
     if isinstance(obj, IndexSnapshot):
         return obj
     if hasattr(obj, "block_bounds_array") and hasattr(obj, "blocks"):
-        return IndexSnapshot.from_index(obj)
+        snapshot = _GATHERED.get(obj)
+        if snapshot is None or snapshot.data_generation != int(getattr(obj, "data_generation", 0)):
+            snapshot = _GATHERED[obj] = IndexSnapshot.from_index(obj)
+        return snapshot
     raise TypeError(
         f"cannot derive an IndexSnapshot from {type(obj).__name__!r}"
     )

@@ -17,9 +17,10 @@ subsystem.  Per batch it:
    window blocks (a shard that owns none is not asked).  The chunk's
    own thread sends a round to every asked shard's pipe and reads the
    replies; it sends the first round before planning the chunk
-   (:func:`~repro.engine.planner.explain_select_batch`, the engine's
-   planner over the whole relation; workers keep no statistics), so the
-   coordinator plans while the shards gather.  Filter plans add a
+   (:func:`~repro.engine.planner.explain_select_groups`, the engine's
+   planner over the whole relation, read off the chunk's columns;
+   workers keep no statistics), so the coordinator plans while the
+   shards gather.  Filter plans add a
    ``scan`` round.  A batch's concurrent lanes run on a chunk pool the
    tier owns (started on first use, reused by every batch, joined by
    ``close()``); a batch one lane wide runs on its caller's thread.
@@ -73,8 +74,7 @@ from repro.engine.physical import (
     FilterThenKnnOperator,
     IncrementalKnnOperator,
 )
-from repro.engine.planner import PlanExplanation, explain_select_batch
-from repro.engine.queries import KnnSelectQuery
+from repro.engine.planner import PlanExplanation, SelectGroup, explain_select_groups
 from repro.engine.stats import StatisticsManager
 from repro.engine.table import SpatialTable
 from repro.geometry.kernels import mindist_rects_batch
@@ -622,15 +622,13 @@ class ShardedServingTier:
         rounds = dict.fromkeys(all_sids, 0)
         gap_counts = dict.fromkeys(all_sids, 0)
         dead: set[int] = set()
-        queries = [
-            KnnSelectQuery(self.table.name, batch.point(i), k=int(batch.ks[i]))
-            for i in chunk_idx.tolist()
-        ]
+        # Plain selects of one table: the planner reads the columns.
+        group = {self.table.name: SelectGroup(list(range(m)), None, pts, ks.tolist())}
         chunk_plans: list[PlanExplanation] = []
 
         def plan() -> None:
             with self._plan_lock:
-                chunk_plans.extend(explain_select_batch(self._planner, queries))
+                chunk_plans.extend(explain_select_groups(self._planner, group, m))
 
         # The first gather round does not depend on the plan: the shards
         # gather while the chunk is planned.

@@ -202,21 +202,6 @@ class ChurnReport:
             return 0.0
         return self.catalogs_rebuilt / self.catalogs_total
 
-    def to_dict(self) -> dict:
-        """JSON-ready summary (for bench ``extra_info`` and the CLI)."""
-        return {
-            "mode": self.mode,
-            "phases": self.phases,
-            "n_queries": self.n_queries,
-            "n_mutations": self.n_mutations,
-            "catalogs_total": self.catalogs_total,
-            "catalogs_rebuilt": self.catalogs_rebuilt,
-            "rebuild_ratio": self.rebuild_ratio,
-            "maintain_seconds": self.maintain_seconds,
-            "query_seconds": self.query_seconds,
-            "generation": self.generation,
-        }
-
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""
         return (

@@ -146,6 +146,28 @@ class TestAsSnapshot:
         with pytest.raises(TypeError, match="IndexSnapshot"):
             as_snapshot(object())
 
+    def test_a_static_index_hands_back_one_snapshot(self, index):
+        first = as_snapshot(index)
+        assert as_snapshot(index) is first
+        assert first.block_runs is as_snapshot(index).block_runs
+
+    def test_a_mutable_index_gathers_again_after_a_mutation(self):
+        tree = MutableQuadtree(
+            generate_osm_like(600, seed=3), bounds=Rect(0.0, 0.0, 1000.0, 1000.0), capacity=8
+        )
+        before = as_snapshot(tree)
+        assert as_snapshot(tree) is before
+        tree.insert(500.0, 500.0)
+        after = as_snapshot(tree)
+        assert after is not before and as_snapshot(tree) is after
+        fresh = IndexSnapshot.from_index(tree)
+        assert after.data_generation == fresh.data_generation == tree.data_generation
+        for column in ("rects", "counts", "centers", "block_ids", "areas", "diagonals"):
+            assert np.array_equal(getattr(after, column), getattr(fresh, column))
+        assert (after.source, after.bounds, after.capacity) == (
+            fresh.source, fresh.bounds, fresh.capacity,
+        )
+
 
 # ----------------------------------------------------------------------
 # Partition lookups (the identity-free leaf mapping)

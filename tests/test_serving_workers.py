@@ -125,14 +125,14 @@ def test_a_stale_reply_is_never_an_answer(tier, relation):
 
 def test_the_first_gather_round_is_sent_before_planning(tier, relation, monkeypatch):
     __, batch, reference = relation
-    plan = coordinator.explain_select_batch
+    plan = coordinator.explain_select_groups
     sent_at_plan = []
 
-    def planning(stats, queries):
+    def planning(stats, groups, n):
         sent_at_plan.append([tier.supervisor.counters(sid).attempts for sid in range(N_SHARDS)])
-        return plan(stats, queries)
+        return plan(stats, groups, n)
 
-    monkeypatch.setattr(coordinator, "explain_select_batch", planning)
+    monkeypatch.setattr(coordinator, "explain_select_groups", planning)
     _assert_exact(tier.serve(batch), reference)
     # Three chunks of eight, one round each: chunk c plans after its own
     # first gather round went out to both shards.
@@ -142,10 +142,10 @@ def test_the_first_gather_round_is_sent_before_planning(tier, relation, monkeypa
 def test_a_plan_that_raises_still_reads_the_first_round_replies(tier, relation, monkeypatch):
     __, batch, reference = relation
 
-    def failing(stats, queries):
+    def failing(stats, groups, n):
         raise RuntimeError("planner down")
 
-    monkeypatch.setattr(coordinator, "explain_select_batch", failing)
+    monkeypatch.setattr(coordinator, "explain_select_groups", failing)
     with pytest.raises(RuntimeError, match="planner down"):
         tier.serve(batch)
     monkeypatch.undo()
