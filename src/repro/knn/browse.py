@@ -51,7 +51,7 @@ from repro.index.snapshot import IndexSnapshot
 #: ``dy`` / key array to half a megabyte.
 _SLAB_CELLS = 1 << 16
 #: Blocks the first window holds beyond twice those a slab's largest ``k`` fills.
-_WINDOW_SLACK = 8
+WINDOW_SLACK = 8
 #: Below this key a square may have lost relative precision.
 _TINY_KEY = 2.0**-900
 #: Margin of the certified bound below ``sqrt(key)``.
@@ -133,7 +133,7 @@ def browse(
         pending = np.arange(q)
         # Twice the blocks the slab's largest k fills, plus slack: a round
         # may be a round trip to the shards.  Runs for w + 1.
-        w = min(n, int(min(2.0 * float(k.max()) / per_block, n)) + _WINDOW_SLACK)
+        w = min(n, int(min(2.0 * float(k.max()) / per_block, n)) + WINDOW_SLACK)
         m = max(_RUNS, -(-(w + 1 + n_runs * g - n) // g))
         while pending.shape[0]:
             if checkpoint is not None:
@@ -142,7 +142,7 @@ def browse(
             each = np.arange(p)[:, None]
             x, y = xy[pending, :1], xy[pending, 1:]
             if m < n_runs:
-                run_key = _gaps(*mbrs, x, y)[2]
+                run_key = mindist_gaps(*mbrs, x, y)[2]
                 part = np.argpartition(run_key, m, axis=1)
                 near, run_bound = part[:, :m], run_key[each[:, 0], part[:, m]]
                 # Candidate blocks: run r's slots r * g .. r * g + g - 1.
@@ -151,13 +151,11 @@ def browse(
             else:
                 cand = np.broadcast_to(np.arange(n_runs * g), (p, n_runs * g))
                 rects, run_bound = cols.reshape(4, 1, -1), np.inf
-            dx, dy, key = _gaps(*rects, x, y)
+            dx, dy, key = mindist_gaps(*rects, x, y)
             if w < n:
                 part = np.argpartition(key, w, axis=1)
-                pick, edge = part[:, :w], np.minimum(key[each[:, 0], part[:, w]], run_bound)
-                certain = np.where(
-                    (edge >= _TINY_KEY) & (edge < np.inf), np.sqrt(edge) * _SHRINK, 0.0
-                )
+                pick = part[:, :w]
+                certain = certified_bound(np.minimum(key[each[:, 0], part[:, w]], run_bound))
             else:
                 pick = np.broadcast_to(np.arange(n), (p, n))
                 certain = np.full(p, np.inf)
@@ -216,13 +214,19 @@ def browse(
     return out
 
 
-def _gaps(x0, y0, x1, y1, x: np.ndarray, y: np.ndarray):
+def mindist_gaps(x0, y0, x1, y1, x: np.ndarray, y: np.ndarray):
     """The MINDIST kernel's ``dx``, ``dy`` (its float is their hypot) and key."""
     dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
     dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
     key = dx * dx
     key += dy * dy
     return dx, dy, key
+
+
+def certified_bound(key: np.ndarray) -> np.ndarray:
+    """Step 2's certified lower bound on the MINDIST of a block that keys
+    at least ``key``: 0 where ``key`` is not finite or below ``2**-900``."""
+    return np.where((key >= _TINY_KEY) & (key < np.inf), np.sqrt(key) * _SHRINK, 0.0)
 
 
 def _kth(dists, firsts, totals, k) -> np.ndarray:

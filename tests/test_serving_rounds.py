@@ -423,7 +423,7 @@ def test_the_deadline_is_checked_between_browse_rounds(monkeypatch):
     deadline = _SpentAfterFirstRound(None)
     monkeypatch.setattr(coordinator.Deadline, "after_ms", staticmethod(lambda ms: deadline))
     # One block of slack: the first window is a block or two, too few for some.
-    monkeypatch.setattr(browse_module, "_WINDOW_SLACK", 1)
+    monkeypatch.setattr(browse_module, "WINDOW_SLACK", 1)
     with _live_tier(INCREMENTAL, chunk_size=len(batch)) as tier:
         collect = tier.supervisor.collect
 

@@ -66,6 +66,10 @@ class Churned:
         for variant, estimator in self.maintained.items():
             estimator.refresh_incremental()
             assert_matches_gather(estimator, self.tree)
+            # No two live slots share an anchor (the slot table's update
+            # keeps one slot per point and rewrites no other leaf's ids).
+            live = np.unique(estimator._anchor_ids)
+            assert np.unique(estimator._anchors[live], axis=0).shape[0] == live.shape[0]
             fresh = StaircaseEstimator(self.tree, aux_index=self.tree, max_k=MAX_K, variant=variant)
             assert estimator.to_store().to_bytes() == fresh.to_store().to_bytes()
         self.restored.refresh_incremental()
