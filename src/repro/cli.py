@@ -186,7 +186,11 @@ def _cmd_estimate_select(args: argparse.Namespace) -> int:
             guaranteed_bound=float(index.num_blocks),
         )
     start = time.perf_counter()
-    estimate = estimator.estimate(query, args.k)
+    if args.strict:
+        estimate, outcome = estimator.estimate(query, args.k), None
+    else:
+        costs, provenance = estimator.walk([(query.x, query.y)], [args.k])
+        estimate, outcome = float(costs[0]), provenance.outcome_for(0)
     elapsed = time.perf_counter() - start
     actual = select_cost_exact(snapshot, index.blocks, query, args.k)
     error = abs(estimate - actual) / max(actual, 1)
@@ -195,7 +199,7 @@ def _cmd_estimate_select(args: argparse.Namespace) -> int:
     print(f"actual:     {actual} blocks")
     print(f"error:      {error:.1%}")
     _print_preprocessing(estimator)
-    _print_degradation(estimator)
+    _print_degradation(outcome)
     if args.explain:
         _print_select_plan(args, query)
     return 0
@@ -301,9 +305,8 @@ def _run_select_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_degradation(estimator) -> None:
+def _print_degradation(outcome) -> None:
     """Surface fallback provenance when a non-primary tier answered."""
-    outcome = getattr(estimator, "last_outcome", None)
     if outcome is not None and outcome.degraded:
         print(f"degraded:   {outcome.describe()}")
 
@@ -350,7 +353,10 @@ def _cmd_estimate_join(args: argparse.Namespace) -> int:
             guaranteed_bound=float(outer.num_blocks * inner.num_blocks),
         )
     start = time.perf_counter()
-    estimate = estimator.estimate(args.k)
+    if args.strict:
+        estimate, outcome = estimator.estimate(args.k), None
+    else:
+        estimate, outcome = estimator.walk(args.k)
     elapsed = time.perf_counter() - start
     actual = knn_join_cost(outer, inner, args.k)
     error = abs(estimate - actual) / max(actual, 1)
@@ -359,7 +365,7 @@ def _cmd_estimate_join(args: argparse.Namespace) -> int:
     print(f"actual:     {actual} blocks")
     print(f"error:      {error:.1%}")
     _print_preprocessing(estimator)
-    _print_degradation(estimator)
+    _print_degradation(outcome)
     return 0
 
 

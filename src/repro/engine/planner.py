@@ -42,6 +42,7 @@ from repro.engine.physical import (
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.stats import StatisticsManager
 from repro.optimizer.selection import LinkDecision, arbitrate, arbitrate_batch
+from repro.resilience.fallback import FallbackBatchOutcome, FallbackJoinEstimator, select_costs
 from repro.resilience.guards import K_CEILING
 
 #: Number of outer rows sampled when costing per-point-selects.
@@ -138,8 +139,9 @@ class PlanExplanation:
 def _record_provenance(explanation: PlanExplanation, outcome) -> None:
     """Copy a fallback chain's outcome onto the explanation.
 
-    Raw estimators (``fallback=False``) have no outcome (``None``) and
-    leave the explanation untouched.
+    A raw join estimator (``fallback=False``) has no outcome (``None``);
+    a raw select estimator's names no tier (``""``) and never degrades.
+    Either leaves the explanation as it was.
     """
     if outcome is None:
         return
@@ -396,7 +398,7 @@ def explain_range(stats: StatisticsManager, query: RangeQuery) -> PlanExplanatio
 
 def per_point_selects_cost(
     select_estimator, outer_points: np.ndarray, effective_k: int
-) -> float:
+) -> tuple[float, FallbackBatchOutcome]:
     """Estimated blocks of running a join as one select per outer row.
 
     The outer row count times the mean select estimate over a fixed
@@ -408,10 +410,16 @@ def per_point_selects_cost(
         select_estimator: The inner relation's select-cost estimator.
         outer_points: The ``(n, 2)`` outer relation, ``n >= 1``.
         effective_k: Neighbors each select browses for.
+
+    Returns:
+        ``(cost, provenance)`` — the provenance of the sample's one
+        batch estimate (see :func:`~repro.resilience.fallback.select_costs`).
     """
     n = outer_points.shape[0]
-    per_select = select_estimator.estimate_batch(outer_points[_cost_sample(n)], effective_k)
-    return float(np.mean(per_select)) * n
+    per_select, provenance = select_costs(
+        select_estimator, outer_points[_cost_sample(n)], effective_k
+    )
+    return float(np.mean(per_select)) * n, provenance
 
 
 @lru_cache(maxsize=64)
@@ -446,8 +454,12 @@ def explain_join(stats: StatisticsManager, query: KnnJoinQuery) -> PlanExplanati
     effective_k = int(_effective_ks([query.k], np.array([sigma]))[0])
 
     join_estimator = stats.join_estimator_for_planning(query.outer, query.inner)
+    join_outcome = None
     try:
-        cost_join = join_estimator.estimate(min(effective_k, stats.max_k))
+        if isinstance(join_estimator, FallbackJoinEstimator):
+            cost_join, join_outcome = join_estimator.walk(min(effective_k, stats.max_k))
+        else:
+            cost_join = join_estimator.estimate(min(effective_k, stats.max_k))
         if effective_k > stats.max_k:
             # Beyond the catalogs, scale by the worst case: every outer
             # block scans the whole inner relation.
@@ -460,16 +472,11 @@ def explain_join(stats: StatisticsManager, query: KnnJoinQuery) -> PlanExplanati
         # failures internally and degrades instead.
         cost_join = float(outer.index.num_blocks * inner.index.num_blocks)
 
-    join_outcome = getattr(join_estimator, "last_outcome", None)
-
     select_estimator = stats.select_estimator_for_planning(query.inner)
-    cost_selects = per_point_selects_cost(select_estimator, outer.points, effective_k)
+    cost_selects, sampled = per_point_selects_cost(select_estimator, outer.points, effective_k)
     # The sample's last row speaks for the batch, as the last of a run
     # of scalar estimates would.
-    sampled = getattr(select_estimator, "last_batch_outcome", None)
-    select_outcome = (
-        None if sampled is None else sampled.outcome_for(len(sampled.tiers) - 1)
-    )
+    select_outcome = sampled.outcome_for(len(sampled.tiers) - 1)
 
     explanation = _arbitrated(
         stats,

@@ -52,6 +52,7 @@ from repro.resilience.fallback import (
     FallbackBatchOutcome,
     FallbackJoinEstimator,
     FallbackSelectEstimator,
+    select_costs,
 )
 
 JoinTechnique = Literal["catalog-merge", "virtual-grid"]
@@ -121,11 +122,6 @@ class StatisticsManager:
             found stale — ``"rebuild"`` (drop and rebuild transparently)
             or ``"raise"`` (surface :class:`StaleCatalogError`; the
             fallback chain then degrades to the catalog-free tiers).
-        breaker_threshold: Consecutive failures that open a fallback
-            tier's circuit breaker.
-        breaker_cooldown: Calls a tripped tier is skipped for.
-        estimate_time_budget: Per-call wall-clock budget (seconds) for
-            one fallback tier; ``None`` disables it.
         workers: Worker processes for catalog preprocessing fan-out
             (``None``/0/1 builds in-process); threaded through to every
             estimator the manager constructs.
@@ -138,9 +134,8 @@ class StatisticsManager:
 
     Raises:
         ValueError: On an unknown join technique or staleness policy, a
-            ``max_k``, breaker threshold or cooldown below 1, a
-            non-positive time budget, a negative worker count, or an
-            invalid pin — all checked here, before anything plans.
+            ``max_k`` below 1, a negative worker count, or an invalid
+            pin — all checked here, before anything plans.
     """
 
     def __init__(
@@ -153,9 +148,6 @@ class StatisticsManager:
         fallback: bool = True,
         strict: bool = False,
         staleness_policy: StalenessPolicy = "rebuild",
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 16,
-        estimate_time_budget: float | None = None,
         workers: int | None = None,
         pinned_operators: dict | None = None,
     ) -> None:
@@ -163,17 +155,8 @@ class StatisticsManager:
             raise ValueError(f"unknown join technique {join_technique!r}")
         if staleness_policy not in ("rebuild", "raise"):
             raise ValueError(f"unknown staleness policy {staleness_policy!r}")
-        for arg, value in (
-            ("max_k", max_k),
-            ("breaker_threshold", breaker_threshold),
-            ("breaker_cooldown", breaker_cooldown),
-        ):
-            if value < 1:
-                raise ValueError(f"{arg} must be >= 1, got {value}")
-        if estimate_time_budget is not None and estimate_time_budget <= 0:
-            raise ValueError(
-                f"estimate_time_budget must be positive, got {estimate_time_budget}"
-            )
+        if max_k < 1:
+            raise ValueError(f"max_k must be >= 1, got {max_k}")
         self.workers = resolve_workers(workers)
         self.max_k = max_k
         self.join_technique: JoinTechnique = join_technique
@@ -183,9 +166,6 @@ class StatisticsManager:
         self.fallback = fallback
         self.strict = strict
         self.staleness_policy: StalenessPolicy = staleness_policy
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.estimate_time_budget = estimate_time_budget
         self.pinned_operators = normalize_pins(pinned_operators)
         self._tables: dict[str, SpatialTable] = {}
         self._snapshots: dict[str, IndexSnapshot] = {}
@@ -384,9 +364,6 @@ class StatisticsManager:
                     ),
                 ],
                 guaranteed_bound=lambda: float(self.table(name).index.num_blocks),
-                breaker_threshold=self.breaker_threshold,
-                breaker_cooldown=self.breaker_cooldown,
-                time_budget_seconds=self.estimate_time_budget,
             )
         return self._resilient_selects[name]
 
@@ -428,9 +405,6 @@ class StatisticsManager:
                     self.table(outer).index.num_blocks
                     * self.table(inner).index.num_blocks
                 ),
-                breaker_threshold=self.breaker_threshold,
-                breaker_cooldown=self.breaker_cooldown,
-                time_budget_seconds=self.estimate_time_budget,
             )
         return self._resilient_joins[pair]
 
@@ -450,7 +424,7 @@ class StatisticsManager:
         pts: np.ndarray,
         ks: np.ndarray,
     ) -> tuple[np.ndarray, FallbackBatchOutcome]:
-        """Estimate one table's select costs: one ``estimator.estimate_batch`` call.
+        """Estimate one table's select costs: one chain walk (or raw batch call).
 
         ``name`` (the estimator's table) stays in the signature for
         callers; the estimate reads only ``estimator``.
@@ -460,14 +434,9 @@ class StatisticsManager:
             :class:`~repro.resilience.fallback.FallbackBatchOutcome`
             over the whole batch: per query the tier that answered
             (``""`` for a raw estimator) and whether it degraded, with
-            the attempts of the one estimator call.
+            the attempts of the one chain walk.
         """
-        costs = np.asarray(estimator.estimate_batch(pts, ks), dtype=float)
-        provenance = getattr(estimator, "last_batch_outcome", None)
-        if provenance is None:
-            m = pts.shape[0]
-            provenance = FallbackBatchOutcome([""] * m, np.zeros(m, dtype=bool))
-        return costs, provenance
+        return select_costs(estimator, pts, ks)
 
     def join_estimator_for_planning(self, outer: str, inner: str) -> JoinCostEstimator:
         """What the planner costs joins with (chain, or raw if disabled)."""

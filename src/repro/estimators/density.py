@@ -28,8 +28,8 @@ ufunc chain whose floating-point operation order matches the original
 scalar loop exactly (sequential ``cumsum`` accumulation, elementwise
 division and square root), so estimates are bit-identical to the
 per-leaf path — asserted by ``tests/test_snapshot_equivalence.py``.
-:meth:`DensityBasedEstimator.estimate_many` answers a whole query batch
-with one ``(m, n)`` tableau.
+One ``(m, n)`` tableau answers a whole query batch; a scalar estimate
+is row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -74,11 +74,7 @@ class DensityBasedEstimator(SelectCostEstimator):
         Returns at least 1 (the block at the query location is always
         scanned).
         """
-        validate_k(k)
-        d_k, mindists = self._expand_search(query, k)
-        # Blocks overlapping the D_k circle: MINDIST strictly below D_k.
-        cost = int(np.searchsorted(mindists, d_k, side="left"))
-        return float(max(cost, 1))
+        return float(self.estimate_many(as_anchor(query)[None, :2], k)[0])
 
     def estimate_dk(self, query: Point, k: int) -> float:
         """Estimate ``D_k``: the k-NN radius around ``query``.
@@ -88,15 +84,13 @@ class DensityBasedEstimator(SelectCostEstimator):
         (e.g. for selectivity of distance predicates).
         """
         validate_k(k)
-        d_k, __ = self._expand_search(query, k)
-        return d_k
+        return float(self._search(as_anchor(query)[None, :2], k)[0][0])
 
     def estimate_many(self, queries, k: int) -> np.ndarray:
         """Estimate costs for a whole batch of query points at once.
 
-        One ``(m, n)`` MINDIST tableau covers every query; each row
-        reproduces :meth:`estimate` bit for bit (same sort order, same
-        accumulation order, same ufunc chain).
+        One ``(m, n)`` MINDIST tableau covers every query; row ``i`` is
+        ``estimate(Point(*queries[i]), k)``.
 
         Args:
             queries: ``(m, 2)`` array of query coordinates.
@@ -107,26 +101,10 @@ class DensityBasedEstimator(SelectCostEstimator):
         """
         validate_k(k)
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-        m = queries.shape[0]
-        if m == 0:
+        if queries.shape[0] == 0:
             return np.empty(0, dtype=float)
-        snap = self._snapshot
-        n = snap.n_blocks
-        mindists = mindist_rects_batch(queries, snap.rects)
-        # Tie-corrected so the scan sequence matches the canonical
-        # layout's whatever the snapshot's physical row order.
-        order = tie_stable_argsort(mindists, snap.tie_order)
-        sorted_min = np.take_along_axis(mindists, order, axis=1)
-        d_k, stop = self._dk_tableau(sorted_min, snap.counts[order], snap.areas[order], k)
-        rows = np.arange(m)
-        final = d_k[rows, stop]
-        # Degenerate geometry (zero combined area throughout): fall back
-        # to the farthest examined MINDIST, as the scalar path does.
-        degenerate = ~np.isfinite(final)
-        if np.any(degenerate):
-            final[degenerate] = sorted_min[
-                rows[degenerate], np.minimum(stop[degenerate] + 1, n - 1)
-            ]
+        final, sorted_min = self._search(queries, k)
+        # Blocks overlapping the D_k circle: MINDIST strictly below D_k.
         costs = (sorted_min < final[:, None]).sum(axis=1)
         return np.maximum(costs, 1).astype(float)
 
@@ -181,21 +159,29 @@ class DensityBasedEstimator(SelectCostEstimator):
         stop = np.argmax(next_min >= d_k, axis=1)
         return d_k, stop
 
-    def _expand_search(self, query: Point, k: int) -> tuple[float, np.ndarray]:
-        """Run the expanding MINDIST scan; return ``(D_k, sorted MINDISTs)``."""
+    def _search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Run the expanding MINDIST scan for ``(m, 2)`` queries.
+
+        Returns:
+            ``(final D_k, sorted MINDISTs)`` — ``(m,)`` and ``(m, n)``.
+        """
         snap = self._snapshot
-        order, mindists = snap.mindist_order(as_anchor(query)[:2])
-        sorted_min = mindists[None, :]
-        d_k, stop = self._dk_tableau(
-            sorted_min, snap.counts[order][None, :], snap.areas[order][None, :], k
-        )
-        i = int(stop[0])
-        final = float(d_k[0, i])
-        if not np.isfinite(final):
-            # Degenerate geometry (all examined blocks have zero area):
-            # fall back to the farthest examined MINDIST.
-            final = float(mindists[min(i + 1, snap.n_blocks - 1)])
-        return final, mindists
+        mindists = mindist_rects_batch(queries, snap.rects)
+        # Tie-corrected so the scan sequence matches the canonical
+        # layout's whatever the snapshot's physical row order.
+        order = tie_stable_argsort(mindists, snap.tie_order)
+        sorted_min = np.take_along_axis(mindists, order, axis=1)
+        d_k, stop = self._dk_tableau(sorted_min, snap.counts[order], snap.areas[order], k)
+        rows = np.arange(queries.shape[0])
+        final = d_k[rows, stop]
+        # Degenerate geometry (zero combined area throughout): fall back
+        # to the farthest examined MINDIST.
+        degenerate = ~np.isfinite(final)
+        if np.any(degenerate):
+            final[degenerate] = sorted_min[
+                rows[degenerate], np.minimum(stop[degenerate] + 1, snap.n_blocks - 1)
+            ]
+        return final, sorted_min
 
     def storage_bytes(self) -> int:
         """Only the Count-Index statistics are kept (no catalogs)."""

@@ -298,7 +298,7 @@ def _run_join(dataset: str, substrate: str) -> dict:
         ),
         PER_POINT_SELECTS: per_point_selects_cost(
             _staircase(dataset, "inner", substrate), outer_points, k
-        ),
+        )[0],
     }
     return _matrix_record(
         dataset, substrate, "join", k, candidates,

@@ -11,8 +11,8 @@ estimation layer survivable:
   data (NaN/inf coordinates, ``k`` vs relation size, degenerate
   regions), with a strict/permissive policy switch;
 * :mod:`~repro.resilience.fallback` — per-relation estimator fallback
-  chains with circuit breakers, time budgets, a guaranteed-bound
-  terminal tier, and per-call provenance;
+  chains with a guaranteed-bound terminal tier, each call returning
+  its provenance;
 * :mod:`~repro.resilience.faultinject` — the deterministic
   fault-injection harness the test suite uses to prove all of the above.
 

@@ -14,7 +14,7 @@ Hierarchy::
     ├── InvalidQueryError (also ValueError)   — bad inputs at the boundary
     ├── CatalogCorruptError (also ValueError) — damaged persisted catalogs
     ├── StaleCatalogError                     — catalogs older than the data
-    ├── BudgetExceededError                   — per-call time budget blown
+    ├── BudgetExceededError                   — a worker's deadline blown
     ├── OverloadError                         — admission control shed the work
     └── ShardExhaustedError                   — no shard could answer (strict mode)
 
@@ -58,7 +58,7 @@ class StaleCatalogError(EstimationError):
 
 
 class BudgetExceededError(EstimationError):
-    """An estimator exceeded its per-call time budget."""
+    """A serving worker's round ran past its propagated deadline."""
 
 
 class OverloadError(EstimationError):

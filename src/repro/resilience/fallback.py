@@ -1,25 +1,28 @@
-"""Estimator fallback chains with health tracking.
+"""Estimator fallback chains with returned provenance.
 
 A wrong or crashing estimator must never take down query planning.
 ``FallbackSelectEstimator`` and ``FallbackJoinEstimator`` wrap an
 ordered list of estimation *tiers* (e.g. Staircase → Density →
 Uniform-Model) and degrade through them:
 
-* a tier that raises, returns a non-finite/negative estimate, or blows
-  the per-call time budget is recorded as failed and the next tier is
-  tried;
-* per-tier health is tracked with a circuit breaker — after
-  ``breaker_threshold`` *consecutive* failures a tier is skipped for
-  ``breaker_cooldown`` calls, so a persistently broken estimator stops
-  costing a failed attempt (and its latency) on every query;
+* a tier that raises or returns a non-finite/negative estimate is
+  recorded as failed and the next tier is tried — on every call, so a
+  tier that recovers answers again at once;
 * if every tier fails, the chain answers with a cheap **guaranteed
   bound** instead of raising — the full-scan block count for selects,
   the all-pairs block product for joins — following the
   bounds-over-best-effort principle of the I/O-lower-bound literature:
   degrade toward a correct bound, not toward an exception;
-* every call records a :class:`FallbackOutcome` naming the tier that
-  answered and what happened to the tiers above it — the provenance the
-  planner copies onto :class:`~repro.engine.planner.PlanExplanation`.
+* one walk answers every call, and returns its provenance beside its
+  values (:meth:`FallbackSelectEstimator.walk`,
+  :meth:`FallbackJoinEstimator.walk`): the tier that answered and what
+  happened to the tiers above it — what the planner copies onto
+  :class:`~repro.engine.planner.PlanExplanation`.  Nothing is stored
+  on the chain, so concurrent callers are isolated by construction.
+
+No clock and no failure history enters the walk: the same tiers, data
+and catalogs give the same values and the same provenance, whatever
+the host's load.
 
 Tiers are supplied as ``(name, factory)`` pairs and built lazily: a
 tier whose *construction* crashes (degenerate blocks, empty relations)
@@ -33,7 +36,6 @@ healthy invariant, property-tested in ``tests/test_resilience_fallback``).
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -50,11 +52,6 @@ from repro.geometry import Point
 from repro.resilience.errors import BudgetExceededError, EstimationError
 from repro.resilience.guards import guard_estimate_batch, guard_estimate_inputs, require_valid_k
 
-#: Consecutive failures before a tier's circuit breaker opens.
-DEFAULT_BREAKER_THRESHOLD = 3
-#: Calls a tier is skipped for once its breaker has opened.
-DEFAULT_BREAKER_COOLDOWN = 16
-
 #: Terminal pseudo-tier name used when every real tier failed.
 GUARANTEED_BOUND_TIER = "guaranteed-bound"
 
@@ -64,7 +61,7 @@ class TierAttempt:
     """One tier's part in answering (or failing to answer) a call."""
 
     tier: str
-    outcome: str  # "ok", "skipped (circuit open)", or an error summary
+    outcome: str  # "ok" or an error summary
 
 
 @dataclass
@@ -95,7 +92,7 @@ class FallbackOutcome:
 
 @dataclass
 class FallbackBatchOutcome:
-    """Provenance of one fallback-chain :meth:`estimate_batch` call.
+    """Provenance of one fallback-chain walk (:meth:`FallbackSelectEstimator.walk`).
 
     The batch path partitions failures: a tier that errors as a whole
     moves its entire pending sub-batch to the next tier, while a tier
@@ -132,55 +129,6 @@ class FallbackBatchOutcome:
         return f"{degraded} of {n} queries degraded past the primary tier"
 
 
-class _TierHealth:
-    """Failure counters and circuit-breaker state for one tier.
-
-    All mutations go through one internal lock: the counters are shared
-    by every thread of a concurrent coordinator (the sharded serving
-    tier serves shards from a thread pool, and several threads may
-    degrade through the same fallback chain at once), and unlocked
-    ``+=`` read-modify-write cycles lose updates under contention.
-    Reads of a single counter are plain attribute reads — they are
-    atomic under the GIL and only ever observe a consistent int.
-    """
-
-    __slots__ = (
-        "consecutive_failures",
-        "cooldown_remaining",
-        "total_failures",
-        "total_calls",
-        "_lock",
-    )
-
-    def __init__(self) -> None:
-        self.consecutive_failures = 0
-        self.cooldown_remaining = 0
-        self.total_failures = 0
-        self.total_calls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def circuit_open(self) -> bool:
-        return self.cooldown_remaining > 0
-
-    def record_success(self) -> None:
-        with self._lock:
-            self.total_calls += 1
-            self.consecutive_failures = 0
-
-    def record_failure(self, threshold: int, cooldown: int) -> None:
-        with self._lock:
-            self.total_calls += 1
-            self.total_failures += 1
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= threshold:
-                self.cooldown_remaining = cooldown
-
-    def tick_skip(self) -> None:
-        with self._lock:
-            self.cooldown_remaining -= 1
-
-
 class _FallbackChain:
     """Shared machinery of the select and join fallback estimators."""
 
@@ -188,18 +136,9 @@ class _FallbackChain:
         self,
         tiers: Sequence[tuple[str, Callable[[], object]]],
         guaranteed_bound: Callable[[], float] | float,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
-        time_budget_seconds: float | None = None,
     ) -> None:
         if not tiers:
             raise ValueError("a fallback chain needs at least one tier")
-        if breaker_threshold < 1:
-            raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
-        if breaker_cooldown < 1:
-            raise ValueError(f"breaker_cooldown must be >= 1, got {breaker_cooldown}")
-        if time_budget_seconds is not None and time_budget_seconds <= 0:
-            raise ValueError(f"time_budget_seconds must be positive, got {time_budget_seconds}")
         seen: set[str] = set()
         for name, __ in tiers:
             if name in seen:
@@ -208,38 +147,8 @@ class _FallbackChain:
         self._tiers: list[tuple[str, Callable[[], object]]] = list(tiers)
         self._instances: dict[str, object] = {}
         self._build_lock = threading.Lock()
-        self._health: dict[str, _TierHealth] = {name: _TierHealth() for name, __ in tiers}
         self._bound = guaranteed_bound
-        self._threshold = breaker_threshold
-        self._cooldown = breaker_cooldown
-        self._budget = time_budget_seconds
-        # Per-thread provenance: a chain shared by a concurrent
-        # coordinator must not let thread A's batch overwrite the
-        # outcome thread B is about to read back.
-        self._outcomes = threading.local()
         self._merged = None
-
-    # ------------------------------------------------------------------
-    # Per-call provenance (thread-local, so concurrent callers each see
-    # the outcome of *their own* last call)
-    # ------------------------------------------------------------------
-    @property
-    def last_outcome(self) -> FallbackOutcome | None:
-        """Provenance of the calling thread's most recent :meth:`estimate`."""
-        return getattr(self._outcomes, "scalar", None)
-
-    @last_outcome.setter
-    def last_outcome(self, value: FallbackOutcome | None) -> None:
-        self._outcomes.scalar = value
-
-    @property
-    def last_batch_outcome(self) -> FallbackBatchOutcome | None:
-        """Provenance of the calling thread's most recent batch call."""
-        return getattr(self._outcomes, "batch", None)
-
-    @last_batch_outcome.setter
-    def last_batch_outcome(self, value: FallbackBatchOutcome | None) -> None:
-        self._outcomes.batch = value
 
     # ------------------------------------------------------------------
     # Introspection and the fault-injection seam
@@ -253,10 +162,6 @@ class _FallbackChain:
     def primary_tier(self) -> str:
         """Name of the first (preferred) tier."""
         return self._tiers[0][0]
-
-    def health(self, tier: str) -> _TierHealth:
-        """The health record of one tier (for monitoring and tests)."""
-        return self._health[tier]
 
     def tier_instance(self, tier: str) -> object:
         """Build (if needed) and return one tier's estimator.
@@ -280,84 +185,25 @@ class _FallbackChain:
         """
         self._instances[tier] = wrap(self.tier_instance(tier))
 
-    def reset_health(self) -> None:
-        """Clear all failure counters and close every circuit breaker."""
-        self._health = {name: _TierHealth() for name, __ in self._tiers}
-
     # ------------------------------------------------------------------
     # The chain
     # ------------------------------------------------------------------
-    def _run(self, call: Callable[[object], float]) -> float:
-        """Try each tier in order; fall through to the guaranteed bound."""
-        attempts: list[TierAttempt] = []
-        for position, (name, __) in enumerate(self._tiers):
-            health = self._health[name]
-            if health.circuit_open:
-                health.tick_skip()
-                attempts.append(TierAttempt(name, "skipped (circuit open)"))
-                continue
-            start = time.perf_counter()
-            try:
-                estimator = self.tier_instance(name)
-                value = float(call(estimator))
-            except EstimationError as exc:
-                health.record_failure(self._threshold, self._cooldown)
-                attempts.append(TierAttempt(name, f"{type(exc).__name__}: {exc}"))
-                continue
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                health.record_failure(self._threshold, self._cooldown)
-                attempts.append(TierAttempt(name, f"{type(exc).__name__}: {exc}"))
-                continue
-            elapsed = time.perf_counter() - start
-            if self._budget is not None and elapsed > self._budget:
-                health.record_failure(self._threshold, self._cooldown)
-                attempts.append(
-                    TierAttempt(
-                        name,
-                        f"BudgetExceededError: took {elapsed:.3f}s "
-                        f"(budget {self._budget:.3f}s)",
-                    )
-                )
-                continue
-            if not math.isfinite(value) or value < 0.0:
-                health.record_failure(self._threshold, self._cooldown)
-                attempts.append(TierAttempt(name, f"invalid estimate {value!r}"))
-                continue
-            health.record_success()
-            attempts.append(TierAttempt(name, "ok"))
-            self.last_outcome = FallbackOutcome(
-                tier=name, degraded=position > 0, attempts=attempts
-            )
-            return value
-        bound = float(self._bound() if callable(self._bound) else self._bound)
-        attempts.append(TierAttempt(GUARANTEED_BOUND_TIER, "ok"))
-        self.last_outcome = FallbackOutcome(
-            tier=GUARANTEED_BOUND_TIER, degraded=True, attempts=attempts
-        )
-        return bound
+    def _walk(
+        self, pts: np.ndarray, ks: np.ndarray, call: Callable[[object, np.ndarray, np.ndarray], object]
+    ) -> tuple[np.ndarray, FallbackBatchOutcome]:
+        """Try each tier on the still-unanswered rows; return ``(values, outcome)``.
 
-    def _run_batch(
-        self, pts: np.ndarray, ks: np.ndarray, call: Callable[[object, np.ndarray, np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """Try each tier on the still-unanswered sub-batch.
-
-        A tier exception (or a blown time budget) moves the *whole*
-        pending sub-batch to the next tier; per-element garbage — a
-        non-finite or negative value — moves only the offending elements
-        down.  Whatever survives every tier is answered by the
-        guaranteed bound, so the batch never raises for
-        estimator-internal failures.
+        A tier exception moves the *whole* pending sub-batch to the next
+        tier; per-element garbage — a non-finite or negative value —
+        moves only the offending elements down.  Whatever survives every
+        tier is answered by the guaranteed bound, so the walk never
+        raises for estimator-internal failures.
 
         The ordinary call is one certificate: the first tier that answers
         answers the whole batch with finite, non-negative values, so it
-        records one success and is every row's tier; only a batch that
-        fails it is partitioned row by row.
-
-        Health accounting treats one batch call to a tier as one call:
-        a tier records one success when it cleanly answered everything
-        it was given and one failure otherwise, so circuit-breaker
-        thresholds keep their "consecutive calls" meaning under batched
-        serving.  The returned array is always a fresh one.
+        is every row's tier; only a batch that fails it is partitioned
+        row by row.  The returned array is always a fresh one, and the
+        outcome belongs to this call alone.
         """
         m = pts.shape[0]
         out = np.empty(m, dtype=float)
@@ -368,13 +214,7 @@ class _FallbackChain:
         for position, (name, __) in enumerate(self._tiers):
             if pending.shape[0] == 0:
                 break
-            health = self._health[name]
-            if health.circuit_open:
-                health.tick_skip()
-                attempts.append(TierAttempt(name, "skipped (circuit open)"))
-                continue
             whole = pending.shape[0] == m
-            start = time.perf_counter()
             try:
                 estimator = self.tier_instance(name)
                 sub = (pts, ks) if whole else (pts[pending], ks[pending])
@@ -385,27 +225,13 @@ class _FallbackChain:
                         f"{pending.shape[0]} queries"
                     )
             except Exception as exc:  # noqa: BLE001 — isolation is the point
-                health.record_failure(self._threshold, self._cooldown)
                 attempts.append(TierAttempt(name, f"{type(exc).__name__}: {exc}"))
                 continue
-            elapsed = time.perf_counter() - start
-            if self._budget is not None and elapsed > self._budget:
-                health.record_failure(self._threshold, self._cooldown)
-                attempts.append(
-                    TierAttempt(
-                        name,
-                        f"BudgetExceededError: took {elapsed:.3f}s "
-                        f"(budget {self._budget:.3f}s)",
-                    )
-                )
-                continue
             if whole and values.min() >= 0.0 and values.max() < np.inf:
-                health.record_success()
                 attempts.append(TierAttempt(name, "ok"))
-                self.last_batch_outcome = FallbackBatchOutcome(
+                return values.copy(), FallbackBatchOutcome(
                     tiers=[name] * m, degraded=np.full(m, position > 0), attempts=attempts
                 )
-                return values.copy()
             good = (values >= 0.0) & (values < np.inf)
             answered = pending[good]
             out[answered] = values[good]
@@ -413,28 +239,20 @@ class _FallbackChain:
                 tiers_used[i] = name
             degraded[answered] = position > 0
             n_bad = pending.shape[0] - answered.shape[0]
-            if n_bad:
-                health.record_failure(self._threshold, self._cooldown)
-                attempts.append(
-                    TierAttempt(
-                        name,
-                        f"invalid estimate for {n_bad} of "
-                        f"{pending.shape[0]} queries",
-                    )
+            attempts.append(
+                TierAttempt(
+                    name,
+                    f"invalid estimate for {n_bad} of {pending.shape[0]} queries"
+                    if n_bad else "ok",
                 )
-            else:
-                health.record_success()
-                attempts.append(TierAttempt(name, "ok"))
+            )
             pending = pending[~good]
         if pending.shape[0]:
             bound = float(self._bound() if callable(self._bound) else self._bound)
             out[pending] = bound
             degraded[pending] = True
             attempts.append(TierAttempt(GUARANTEED_BOUND_TIER, "ok"))
-        self.last_batch_outcome = FallbackBatchOutcome(
-            tiers=tiers_used, degraded=degraded, attempts=attempts
-        )
-        return out
+        return out, FallbackBatchOutcome(tiers=tiers_used, degraded=degraded, attempts=attempts)
 
     # ------------------------------------------------------------------
     # Shared estimator bookkeeping
@@ -495,16 +313,13 @@ class FallbackSelectEstimator(_FallbackChain, SelectCostEstimator):
         guaranteed_bound: The terminal answer when every tier fails —
             for selects, the relation's block count (a full scan never
             costs more).  A float or a zero-argument callable.
-        breaker_threshold: Consecutive failures that open a tier's
-            circuit breaker.
-        breaker_cooldown: Calls a tier is skipped once its breaker opens.
-        time_budget_seconds: Per-call budget; a tier exceeding it is
-            treated as failed (``None`` disables the budget).
     """
 
     def estimate(self, query: Point, k: int) -> float:
-        """Estimate via the first healthy tier; never raises for
-        estimator-internal failures (boundary validation still applies).
+        """Estimate via the first healthy tier: the walk over a batch of one.
+
+        Never raises for estimator-internal failures (boundary
+        validation still applies).
 
         Raises:
             InvalidQueryError: On a non-finite focal point or ``k < 1``
@@ -512,17 +327,25 @@ class FallbackSelectEstimator(_FallbackChain, SelectCostEstimator):
                 degrade around.
         """
         guard_estimate_inputs(query, k)
-        return self._run(lambda est: est.estimate(query, k))
+        values, __ = self._walk(np.array([[query.x, query.y]]), np.array([k]), _estimate_batch)
+        return float(values[0])
 
     def estimate_batch(self, queries, ks) -> np.ndarray:
-        """Batched estimation with per-sub-batch degradation.
+        """Batched estimation with per-sub-batch degradation (:meth:`walk`'s values)."""
+        return self.walk(queries, ks)[0]
+
+    def walk(self, queries, ks) -> tuple[np.ndarray, FallbackBatchOutcome]:
+        """Batched estimation and its provenance.
 
         Unlike a loop of scalar :meth:`estimate` calls — which pays the
         whole chain walk per query — a tier failure here partitions the
         batch: the failing elements (or, on a tier-wide exception, the
         whole pending sub-batch) move to the next tier while everything
-        the tier answered cleanly stays.  Per-query provenance is
-        recorded on :attr:`last_batch_outcome`.
+        the tier answered cleanly stays.
+
+        Returns:
+            ``(values, outcome)`` — the ``(m,)`` estimates and the
+            per-query :class:`FallbackBatchOutcome` of this call.
 
         Raises:
             InvalidQueryError: On any non-finite focal point or
@@ -531,9 +354,26 @@ class FallbackSelectEstimator(_FallbackChain, SelectCostEstimator):
         """
         pts, ks_arr = normalize_batch_args(queries, ks)
         guard_estimate_batch(pts, ks_arr)
-        return self._run_batch(
-            pts, ks_arr, lambda est, p, k: est.estimate_batch(p, k)
-        )
+        return self._walk(pts, ks_arr, _estimate_batch)
+
+
+def _estimate_batch(estimator, pts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    return estimator.estimate_batch(pts, ks)
+
+
+def select_costs(
+    estimator: SelectCostEstimator, queries, ks
+) -> tuple[np.ndarray, FallbackBatchOutcome]:
+    """Batch select costs and their provenance, from a chain or a raw estimator.
+
+    A chain returns its :meth:`~FallbackSelectEstimator.walk`; a raw
+    estimator's rows name no tier (``""``) and never degrade.
+    """
+    if isinstance(estimator, FallbackSelectEstimator):
+        return estimator.walk(queries, ks)
+    costs = np.asarray(estimator.estimate_batch(queries, ks), dtype=float)
+    m = costs.shape[0]
+    return costs, FallbackBatchOutcome([""] * m, np.zeros(m, dtype=bool))
 
 
 class FallbackJoinEstimator(_FallbackChain, JoinCostEstimator):
@@ -545,28 +385,29 @@ class FallbackJoinEstimator(_FallbackChain, JoinCostEstimator):
         guaranteed_bound: The terminal answer when every tier fails —
             for joins, ``outer blocks x inner blocks`` (every outer
             block scanning the whole inner relation).
-        breaker_threshold: Consecutive failures that open a tier's
-            circuit breaker.
-        breaker_cooldown: Calls a tier is skipped once its breaker opens.
-        time_budget_seconds: Per-call budget; a tier exceeding it is
-            treated as failed (``None`` disables the budget).
     """
 
     def estimate(self, k: int) -> float:
-        """Estimate via the first healthy tier.
+        """Estimate via the first healthy tier (:meth:`walk`'s value)."""
+        return self.walk(k)[0]
+
+    def walk(self, k: int) -> tuple[float, FallbackOutcome]:
+        """Estimate and its provenance: the walk over one row.
 
         Raises:
             InvalidQueryError: If ``k < 1``.
         """
         require_valid_k(k)
-        return self._run(lambda est: est.estimate(k))
+        row = np.array([k])
+        values, outcome = self._walk(row, row, lambda est, *__: est.estimate(k))
+        return float(values[0]), outcome.outcome_for(0)
 
 
 def budget_check(start: float, budget: float | None, what: str = "estimation") -> None:
     """Raise when ``budget`` seconds have elapsed since ``start``.
 
-    A cooperative checkpoint long-running estimators can call between
-    phases so a budget violation surfaces *during* the call instead of
+    A cooperative checkpoint a shard worker calls between serving
+    slices, so a blown deadline surfaces *during* the round instead of
     only after it returns.
 
     Raises:

@@ -3,7 +3,7 @@
 The resilience layer is only trustworthy if its failure paths are
 exercised on purpose.  This module wraps any select or join estimator in
 a proxy that — on a *seeded, reproducible schedule* — raises a chosen
-error, delays the call, or corrupts the returned estimate.  The test
+error or corrupts the returned estimate.  The test
 suite uses it to prove the engine still plans and executes every
 workload query while its primary estimators misbehave.
 
@@ -28,7 +28,7 @@ from repro.estimators.base import JoinCostEstimator, SelectCostEstimator
 from repro.geometry import Point
 from repro.resilience.errors import EstimationError
 
-FaultKind = Literal["raise", "delay", "corrupt"]
+FaultKind = Literal["raise", "corrupt"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,12 +36,10 @@ class FaultSpec:
     """What happens when a fault fires.
 
     Attributes:
-        kind: ``"raise"`` (raise ``error``), ``"delay"`` (sleep
-            ``delay_seconds`` then answer normally), or ``"corrupt"``
-            (return ``corrupt_value`` instead of the true estimate).
+        kind: ``"raise"`` (raise ``error``) or ``"corrupt"`` (return
+            ``corrupt_value`` instead of the true estimate).
         error: Exception type raised for ``"raise"`` faults.
         message: Message for raised faults.
-        delay_seconds: Sleep duration for ``"delay"`` faults.
         corrupt_value: Returned value for ``"corrupt"`` faults; the
             default NaN is caught by the fallback chain's result guard.
     """
@@ -49,24 +47,16 @@ class FaultSpec:
     kind: FaultKind
     error: type[Exception] = EstimationError
     message: str = "injected fault"
-    delay_seconds: float = 0.0
     corrupt_value: float = float("nan")
 
     def __post_init__(self) -> None:
-        if self.kind not in ("raise", "delay", "corrupt"):
+        if self.kind not in ("raise", "corrupt"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.delay_seconds < 0:
-            raise ValueError(f"delay_seconds must be >= 0, got {self.delay_seconds}")
 
     @classmethod
     def raising(cls, error: type[Exception] = EstimationError, message: str = "injected fault") -> "FaultSpec":
         """A fault that raises ``error(message)``."""
         return cls(kind="raise", error=error, message=message)
-
-    @classmethod
-    def delaying(cls, seconds: float) -> "FaultSpec":
-        """A fault that delays the call by ``seconds``."""
-        return cls(kind="delay", delay_seconds=seconds)
 
     @classmethod
     def corrupting(cls, value: float = float("nan")) -> "FaultSpec":
@@ -159,8 +149,6 @@ class _FaultInjectingBase:
         for fault in fired:
             if fault.kind == "raise":
                 raise fault.error(fault.message)
-            if fault.kind == "delay":
-                time.sleep(fault.delay_seconds)
         value = compute()
         for fault in fired:
             if fault.kind == "corrupt":

@@ -295,8 +295,7 @@ class ShardedServingTier:
         ValueError: On an unknown shard mode, a bad chunk size, an empty
             table, or a manager configuration
             :class:`~repro.engine.StatisticsManager` refuses (an invalid
-            pin, ``max_k``, breaker or time budget) — before any worker
-            spawns.
+            pin or ``max_k``) — before any worker spawns.
 
     The tier is a context manager; :meth:`close` terminates every
     worker.

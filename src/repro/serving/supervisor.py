@@ -23,8 +23,7 @@ shards serve, then waits on every pipe and process sentinel at once
   next request boots a fresh process with a bumped *incarnation*
   number, which the fault-injection plan uses to
   distinguish "crash once" from "permanently down";
-* a **per-shard circuit breaker** mirroring the fallback chains'
-  :class:`~repro.resilience.fallback._TierHealth` — after
+* a **per-shard circuit breaker** (:class:`_TierHealth`) — after
   ``breaker_threshold`` consecutive chunk failures the shard is skipped
   for ``breaker_cooldown`` chunk attempts, so a dead shard costs one
   health check instead of a full retry ladder per chunk.
@@ -57,7 +56,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 
-from repro.resilience.fallback import _TierHealth
 from repro.resilience.faultinject import WorkerFaultPlan
 from repro.serving.worker import (
     _serve_data_shard_chunk,
@@ -132,6 +130,53 @@ class Deadline:
         """Whether the budget is spent."""
         remaining = self.remaining()
         return remaining is not None and remaining <= 0
+
+
+class _TierHealth:
+    """Failure counters and circuit-breaker state for one shard.
+
+    All mutations go through one internal lock: the counters are shared
+    by every chunk thread of the tier, and unlocked ``+=``
+    read-modify-write cycles lose updates under contention.  Reads of a
+    single counter are plain attribute reads — they are atomic under
+    the GIL and only ever observe a consistent int.
+    """
+
+    __slots__ = (
+        "consecutive_failures",
+        "cooldown_remaining",
+        "total_failures",
+        "total_calls",
+        "_lock",
+    )
+
+    def __init__(self) -> None:
+        self.consecutive_failures = 0
+        self.cooldown_remaining = 0
+        self.total_failures = 0
+        self.total_calls = 0
+        self._lock = threading.Lock()
+
+    @property
+    def circuit_open(self) -> bool:
+        return self.cooldown_remaining > 0
+
+    def record_success(self) -> None:
+        with self._lock:
+            self.total_calls += 1
+            self.consecutive_failures = 0
+
+    def record_failure(self, threshold: int, cooldown: int) -> None:
+        with self._lock:
+            self.total_calls += 1
+            self.total_failures += 1
+            self.consecutive_failures += 1
+            if self.consecutive_failures >= threshold:
+                self.cooldown_remaining = cooldown
+
+    def tick_skip(self) -> None:
+        with self._lock:
+            self.cooldown_remaining -= 1
 
 
 class _ShardCounters:

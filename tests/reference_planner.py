@@ -145,15 +145,14 @@ def reference_explain_selects(stats, queries) -> list[PlanExplanation]:
             effective_ks.append(reference_effective_k(query.k, sigma))
         pts = np.array([[queries[i].query.x, queries[i].query.y] for i in indices], dtype=float)
         estimator = stats.select_estimator_for_planning(name)
-        costs, __ = stats.estimate_select_costs_batch(
+        costs, answered = stats.estimate_select_costs_batch(
             name, estimator, pts, np.array(effective_ks, dtype=np.int64)
         )
-        answered = getattr(estimator, "last_batch_outcome", None)
         prep_stats = getattr(estimator, "preprocessing_stats", None)
         preprocessing = {} if prep_stats is None else prep_stats.as_dict()
         for j, i in enumerate(indices):
-            outcome = None if answered is None else answered.outcome_for(j)
-            tier, degraded = ("", False) if outcome is None else (outcome.tier, outcome.degraded)
+            outcome = answered.outcome_for(j)
+            tier, degraded = outcome.tier, outcome.degraded
             explanation = _assemble(
                 stats, table, queries[i], sigmas[j], effective_ks[j], float(costs[j]),
                 tier, degraded,

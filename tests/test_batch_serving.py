@@ -236,10 +236,9 @@ class TestFallbackBatchPartitioning:
         points, index, estimator = chain
         pts, ks = _workload(points, index, n=50)
         primary = _estimators(points, index)["staircase"]
-        np.testing.assert_array_equal(
-            estimator.estimate_batch(pts, ks), primary.estimate_batch(pts, ks)
-        )
-        outcome = estimator.last_batch_outcome
+        values, outcome = estimator.walk(pts, ks)
+        np.testing.assert_array_equal(values, primary.estimate_batch(pts, ks))
+        np.testing.assert_array_equal(estimator.estimate_batch(pts, ks), values)
         assert outcome.tiers == ["staircase"] * pts.shape[0]
         assert not outcome.degraded.any()
         assert "all" in outcome.describe()
@@ -258,9 +257,8 @@ class TestFallbackBatchPartitioning:
             ),
         )
         pts, ks = _workload(points, index, n=30)
-        values = estimator.estimate_batch(pts, ks)
+        values, outcome = estimator.walk(pts, ks)
         reference = _estimators(points, index)
-        outcome = estimator.last_batch_outcome
         for i in range(pts.shape[0]):
             tier = "density" if i in faulted else "staircase"
             assert outcome.tiers[i] == tier, i
@@ -282,8 +280,7 @@ class TestFallbackBatchPartitioning:
             ),
         )
         pts, ks = _workload(points, index, n=20)
-        values = estimator.estimate_batch(pts, ks)
-        outcome = estimator.last_batch_outcome
+        values, outcome = estimator.walk(pts, ks)
         assert outcome.tiers == ["density"] * pts.shape[0]
         assert outcome.degraded.all()
         np.testing.assert_array_equal(
@@ -300,9 +297,9 @@ class TestFallbackBatchPartitioning:
             tiers=[("broken", exploding)], guaranteed_bound=float(index.num_blocks)
         )
         pts, ks = _workload(points, index, n=5)
-        values = estimator.estimate_batch(pts, ks)
+        values, outcome = estimator.walk(pts, ks)
         np.testing.assert_array_equal(values, float(index.num_blocks))
-        assert estimator.last_batch_outcome.degraded.all()
+        assert outcome.degraded.all()
 
     def test_invalid_inputs_still_raise(self, chain):
         # Invalid queries are the caller's bug, not a failure to degrade

@@ -631,10 +631,10 @@ class TestBatchedJoinSample:
         outer = engine.stats.table("uni").points
         estimator = engine.stats.select_estimator_for_planning("osm")
         for k in (1, 4, 100, 256, 900):
-            assert per_point_selects_cost(estimator, outer, k) == (
+            assert per_point_selects_cost(estimator, outer, k)[0] == (
                 reference_builds.per_point_selects_cost(estimator, outer, k)
             )
-        assert per_point_selects_cost(estimator, outer[:5], 3) == (
+        assert per_point_selects_cost(estimator, outer[:5], 3)[0] == (
             reference_builds.per_point_selects_cost(estimator, outer[:5], 3)
         )
 
@@ -654,15 +654,15 @@ class TestBatchedJoinSample:
         assert not explanation.degraded and explanation.notes == []
 
     def test_degraded_explain_carries_what_the_scalar_loop_left(self):
-        # The scalar loop's own provenance, on a chain whose breaker
-        # never opens (32 consecutive failures would otherwise turn the
-        # later attempts into "skipped (circuit open)").
-        reference = _join_engine(breaker_threshold=1_000)
+        # The scalar loop's cost, and the provenance its last row's walk
+        # returns.
+        reference = _join_engine()
         _break_the_staircase(reference)
         chain = reference.stats.resilient_select_estimator("osm")
         outer = reference.stats.table("uni").points
         cost = reference_builds.per_point_selects_cost(chain, outer, 4)
-        left = chain.last_outcome
+        __, last = chain.walk(outer[planner._cost_sample(outer.shape[0])[-1:]], 4)
+        left = last.outcome_for(0)
 
         engine = _join_engine()
         _break_the_staircase(engine)
@@ -671,6 +671,5 @@ class TestBatchedJoinSample:
         assert explanation.estimator_tier == left.tier == "density"
         assert explanation.degraded and left.degraded
         assert explanation.notes == [left.describe()]
-        # One batch call is one call against the breaker.
-        health = engine.stats.resilient_select_estimator("osm").health("staircase")
-        assert health.consecutive_failures == 1 and not health.circuit_open
+        # The sample is one batch walk: the broken tier is asked once.
+        assert engine.stats.resilient_select_estimator("osm").tier_instance("staircase").calls == 1

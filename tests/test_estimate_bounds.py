@@ -113,16 +113,16 @@ def test_every_tier_stays_inside_zero_and_n_blocks(data, substrate):
         costs = estimator.estimate_batch(pts, ks)
         assert np.all(costs >= 0.0) and np.all(costs <= n_blocks), (name, costs, n_blocks)
     if failing == frozenset(CHAIN_TIERS):
-        assert set(chain.last_batch_outcome.tiers) == {"guaranteed-bound"}
+        assert set(chain.walk(pts, ks)[1].tiers) == {"guaranteed-bound"}
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_the_guaranteed_bound_answers_when_every_tier_fails(substrate):
     world = _world(substrate)
     chain = _chain(world, frozenset(CHAIN_TIERS))
-    costs = chain.estimate_batch(np.array([[500.0, 500.0], [-1e6, 0.0]]), [1, 10 * N_POINTS])
+    costs, outcome = chain.walk(np.array([[500.0, 500.0], [-1e6, 0.0]]), [1, 10 * N_POINTS])
     assert costs.tolist() == [world["n_blocks"]] * 2
-    assert chain.last_batch_outcome.tiers == ["guaranteed-bound"] * 2
+    assert outcome.tiers == ["guaranteed-bound"] * 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -283,6 +283,14 @@ RETIRED_NAMES = {
     "DistanceBrowser",
     "select_cost_profile_covered",
     "_catalog_from_profile",
+    "estimate_time_budget",
+    "time_budget_seconds",
+    "last_outcome",
+    "last_batch_outcome",
+    "reset_health",
+    "DEFAULT_BREAKER_THRESHOLD",
+    "DEFAULT_BREAKER_COOLDOWN",
+    "_expand_search",
 }
 
 

@@ -1,4 +1,4 @@
-"""Fallback chains: degradation order, health tracking, transparency."""
+"""Fallback chains: degradation order, returned provenance, transparency."""
 
 from __future__ import annotations
 
@@ -45,12 +45,18 @@ def primary(osm_quadtree) -> StaircaseEstimator:
     return StaircaseEstimator(osm_quadtree, max_k=256)
 
 
+def walk_one(chain, query: Point, k: int):
+    """A chain's scalar estimate and the provenance its walk returns."""
+    values, outcome = chain.walk([(query.x, query.y)], [k])
+    assert float(values[0]) == chain.estimate(query, k)
+    return float(values[0]), outcome.outcome_for(0)
+
+
 class TestHealthyChain:
     def test_primary_answers(self, chain):
-        chain.reset_health()
-        chain.estimate(Point(0.4, 0.6), 10)
-        assert chain.last_outcome.tier == "staircase"
-        assert not chain.last_outcome.degraded
+        __, outcome = walk_one(chain, Point(0.4, 0.6), 10)
+        assert outcome.tier == "staircase"
+        assert not outcome.degraded
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -83,10 +89,11 @@ class TestDegradation:
             ),
         )
         expected = DensityBasedEstimator(osm_count_index).estimate(Point(0.4, 0.6), 10)
-        assert chain.estimate(Point(0.4, 0.6), 10) == expected
-        assert chain.last_outcome.tier == "density"
-        assert chain.last_outcome.degraded
-        assert "injected fault" in chain.last_outcome.describe()
+        value, outcome = walk_one(chain, Point(0.4, 0.6), 10)
+        assert value == expected
+        assert outcome.tier == "density"
+        assert outcome.degraded
+        assert "injected fault" in outcome.describe()
 
     def test_corrupt_estimate_is_caught(self, osm_quadtree, osm_count_index):
         # NaN and negative answers are invalid whatever produced them.
@@ -98,21 +105,13 @@ class TestDegradation:
                     est, FaultSchedule(FaultSpec.corrupting(bad), every=1)
                 ),
             )
-            value = chain.estimate(Point(0.4, 0.6), 10)
+            value, outcome = walk_one(chain, Point(0.4, 0.6), 10)
             assert np.isfinite(value) and value >= 0
-            assert chain.last_outcome.tier == "density"
-
-    def test_time_budget_fails_slow_tier(self, osm_quadtree, osm_count_index):
-        chain = make_chain(osm_quadtree, osm_count_index, time_budget_seconds=0.01)
-        chain.wrap_tier(
-            "staircase",
-            lambda est: FaultInjectingSelectEstimator(
-                est, FaultSchedule(FaultSpec.delaying(0.05), every=1)
-            ),
-        )
-        chain.estimate(Point(0.4, 0.6), 10)
-        assert chain.last_outcome.tier == "density"
-        assert "Budget" in chain.last_outcome.attempts[0].outcome
+            assert outcome.tier == "density"
+            assert outcome.describe() == (
+                "degraded to tier 'density' "
+                "(staircase: invalid estimate for 1 of 1 queries)"
+            )
 
     def test_all_tiers_failing_yields_guaranteed_bound(self, osm_quadtree, osm_count_index):
         chain = make_chain(osm_quadtree, osm_count_index)
@@ -123,68 +122,30 @@ class TestDegradation:
                     est, FaultSchedule(FaultSpec.raising(), every=1)
                 ),
             )
-        value = chain.estimate(Point(0.4, 0.6), 10)
+        value, outcome = walk_one(chain, Point(0.4, 0.6), 10)
         assert value == float(osm_quadtree.num_blocks)
-        assert chain.last_outcome.tier == GUARANTEED_BOUND_TIER
-        assert chain.last_outcome.degraded
+        assert outcome.tier == GUARANTEED_BOUND_TIER
+        assert outcome.degraded
 
-
-class TestCircuitBreaker:
-    def test_breaker_opens_and_cools_down(self, osm_quadtree, osm_count_index):
-        chain = make_chain(
-            osm_quadtree, osm_count_index, breaker_threshold=3, breaker_cooldown=4
-        )
+    def test_a_failing_tier_is_tried_on_every_call(self, osm_quadtree, osm_count_index, primary):
+        # No breaker: twenty failures in a row do not stop the chain from
+        # asking the primary again, and it answers as soon as it recovers.
+        chain = make_chain(osm_quadtree, osm_count_index)
         chain.wrap_tier(
             "staircase",
             lambda est: FaultInjectingSelectEstimator(
-                est, FaultSchedule(FaultSpec.raising(), every=1)
+                est, FaultSchedule(FaultSpec.raising(), calls=range(20))
             ),
         )
         injector = chain.tier_instance("staircase")
         q = Point(0.4, 0.6)
-        for _ in range(3):  # three consecutive failures trip the breaker
-            chain.estimate(q, 10)
-        assert chain.health("staircase").circuit_open
-        calls_at_trip = injector.calls
-        for _ in range(4):  # cooldown window: tier must not be called
-            chain.estimate(q, 10)
-            assert chain.last_outcome.attempts[0].outcome == "skipped (circuit open)"
-        assert injector.calls == calls_at_trip
-        assert not chain.health("staircase").circuit_open
-        chain.estimate(q, 10)  # breaker closed: the tier is retried
-        assert injector.calls == calls_at_trip + 1
-
-    def test_success_resets_consecutive_failures(self, osm_quadtree, osm_count_index):
-        chain = make_chain(
-            osm_quadtree, osm_count_index, breaker_threshold=3, breaker_cooldown=4
-        )
-        # Fault every other call: failures never become consecutive
-        # enough to trip the breaker.
-        chain.wrap_tier(
-            "staircase",
-            lambda est: FaultInjectingSelectEstimator(
-                est, FaultSchedule(FaultSpec.raising(), every=2)
-            ),
-        )
-        for _ in range(10):
-            chain.estimate(Point(0.4, 0.6), 10)
-        assert not chain.health("staircase").circuit_open
-        health = chain.health("staircase")
-        assert health.total_failures == 5
-        assert health.total_calls == 10
-
-    def test_reset_health_closes_breakers(self, osm_quadtree, osm_count_index):
-        chain = make_chain(osm_quadtree, osm_count_index, breaker_threshold=1)
-        chain.wrap_tier(
-            "staircase",
-            lambda est: FaultInjectingSelectEstimator(
-                est, FaultSchedule(FaultSpec.raising(), every=1)
-            ),
-        )
-        chain.estimate(Point(0.4, 0.6), 10)
-        assert chain.health("staircase").circuit_open
-        chain.reset_health()
-        assert not chain.health("staircase").circuit_open
+        for call in range(20):
+            assert chain.estimate(q, 10) == DensityBasedEstimator(osm_count_index).estimate(q, 10)
+            assert injector.calls == call + 1
+        values, outcome = chain.walk([(q.x, q.y)], [10])
+        assert injector.calls == 21
+        assert values.tolist() == [primary.estimate(q, 10)]
+        assert outcome.tiers == ["staircase"] and not outcome.degraded.any()
 
 
 class TestChainValidation:
@@ -213,9 +174,9 @@ class TestChainValidation:
             ],
             guaranteed_bound=1.0,
         )
-        chain.estimate(Point(0.4, 0.6), 10)
-        assert chain.last_outcome.tier == "density"
-        assert chain.health("broken").total_failures == 1
+        __, outcome = walk_one(chain, Point(0.4, 0.6), 10)
+        assert outcome.tier == "density"
+        assert outcome.attempts[0].outcome == "RuntimeError: cannot build"
 
 
 class TestJoinChain:
@@ -244,10 +205,11 @@ class TestJoinChain:
             ],
             guaranteed_bound=1e9,
         )
-        value = chain.estimate(8)
+        value, outcome = chain.walk(8)
         assert np.isfinite(value) and value >= 0
         assert calls["primary"] == 1
-        assert chain.last_outcome.tier == "block-sample"
+        assert outcome.tier == "block-sample"
+        assert chain.estimate(8) == value and calls["primary"] == 2
 
     def test_join_chain_validates_k(self, inner_count_index):
         chain = FallbackJoinEstimator(
@@ -258,44 +220,9 @@ class TestJoinChain:
 
 
 class TestThreadSafety:
-    """Contention regressions: the chain's health state is shared by the
-    sharded serving tier's coordinator threads, so counter updates and
-    lazy tier construction must not lose writes under the GIL's
-    preemption, and per-call provenance must stay per-thread."""
-
-    def test_tier_health_counters_survive_contention(self):
-        import sys
-        import threading
-
-        from repro.resilience.fallback import _TierHealth
-
-        health = _TierHealth()
-        n_threads, per_thread = 8, 2_000
-        start = threading.Barrier(n_threads)
-        switch_before = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # force preemption inside +=
-        try:
-
-            def hammer():
-                start.wait()
-                for i in range(per_thread):
-                    if i % 2:
-                        health.record_success()
-                    else:
-                        # A threshold no run reaches: exercise the
-                        # counters, not the breaker.
-                        health.record_failure(threshold=10**9, cooldown=4)
-
-            threads = [threading.Thread(target=hammer) for __ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            sys.setswitchinterval(switch_before)
-        # Unlocked += cycles would lose updates and land below these.
-        assert health.total_calls == n_threads * per_thread
-        assert health.total_failures == n_threads * (per_thread // 2)
+    """Contention regressions: a chain is shared by the sharded serving
+    tier's coordinator threads, so lazy tier construction must not race,
+    and each call's provenance is its own return value."""
 
     def test_lazy_tier_builds_exactly_once_under_races(self, osm_count_index):
         import threading
@@ -324,29 +251,6 @@ class TestThreadSafety:
             t.join()
         assert len(built) == 1
 
-    def test_last_outcome_is_thread_local(self, osm_quadtree, osm_count_index):
-        import threading
-
-        chain = make_chain(osm_quadtree, osm_count_index)
-        assert chain.last_outcome is None
-        seen = {}
-
-        def call(name):
-            chain.estimate(Point(0.3, 0.3), 8)
-            seen[name] = chain.last_outcome
-
-        threads = [
-            threading.Thread(target=call, args=(f"t{i}",)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(outcome is not None for outcome in seen.values())
-        # The spawning thread never called estimate: its slot stays empty
-        # instead of leaking another thread's provenance.
-        assert chain.last_outcome is None
-
     def test_concurrent_estimate_batch_matches_serial(
         self, osm_quadtree, osm_count_index
     ):
@@ -360,8 +264,9 @@ class TestThreadSafety:
         outputs = {}
 
         def call(name):
-            outputs[name] = chain.estimate_batch(pts, ks)
-            outputs[f"{name}-outcome"] = chain.last_batch_outcome
+            # Each thread walks its own batch length: its outcome must
+            # describe its own rows, not a neighbour's.
+            outputs[name] = chain.walk(pts[: 16 + name], ks[: 16 + name])
 
         threads = [
             threading.Thread(target=call, args=(i,)) for i in range(4)
@@ -371,5 +276,7 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         for i in range(4):
-            np.testing.assert_array_equal(outputs[i], expected)
-            assert outputs[f"{i}-outcome"] is not None
+            values, outcome = outputs[i]
+            np.testing.assert_array_equal(values, expected[: 16 + i])
+            assert outcome.tiers == ["staircase"] * (16 + i)
+            assert not outcome.degraded.any()

@@ -306,11 +306,6 @@ class TestPinValidation:
 BAD_MANAGER_ARGS = [
     ("max_k", 0),
     ("max_k", -5),
-    ("breaker_threshold", 0),
-    ("breaker_cooldown", 0),
-    ("breaker_cooldown", -1),
-    ("estimate_time_budget", 0.0),
-    ("estimate_time_budget", -1.0),
 ]
 
 

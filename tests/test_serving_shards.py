@@ -34,6 +34,9 @@ from repro.resilience import (
     InvalidQueryError,
     OverloadError,
     ShardExhaustedError,
+    FaultInjectingSelectEstimator,
+    FaultSchedule,
+    FaultSpec,
     WorkerFaultPlan,
     WorkerFaultSpec,
 )
@@ -548,37 +551,46 @@ def test_data_sharding_matches_pinned_reference(operator, dataset):
 
 
 MANAGER_LEGS = pytest.mark.parametrize(
-    "manager_kwargs",
+    ("manager_kwargs", "broken"),
     [
-        {},
-        {"pinned_operators": {"select": "filter-then-knn"}},
-        {"pinned_operators": {"select": "incremental-knn"}},
-        # A budget no call can meet: every tier of the coordinator's
-        # chain (and of the unsharded engine's) blows it,
-        # deterministically, so the estimate is the guaranteed bound,
+        ({}, False),
+        ({"pinned_operators": {"select": "filter-then-knn"}}, False),
+        ({"pinned_operators": {"select": "incremental-knn"}}, False),
+        # Every tier of the coordinator's chain (and of the unsharded
+        # engine's) raises, so the estimate is the guaranteed bound,
         # degraded.
-        {"estimate_time_budget": 1e-12},
+        ({}, True),
     ],
     ids=["arbitrated", "pinned-filter", "pinned-incremental", "degraded-estimate"],
 )
 
 
-def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwargs):
+def _break_every_tier(stats: StatisticsManager) -> None:
+    chain = stats.resilient_select_estimator("t")
+    always = FaultSchedule(FaultSpec.raising(), every=1)
+    for name in chain.tier_names:
+        chain.wrap_tier(name, lambda est: FaultInjectingSelectEstimator(est, always))
+
+
+def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, broken, **tier_kwargs):
     """Serve ``batch`` and compare every explanation field with the
-    unsharded engine's — ``notes`` on the rows whose estimate did not
-    degrade (a degraded row's note carries a wall-clock figure)."""
+    unsharded engine's, degradation notes included."""
     manager_kwargs = {"max_k": MAX_K, **manager_kwargs}
     engine = SpatialEngine(StatisticsManager(**manager_kwargs))
     engine.register(_table(points))
+    if broken:
+        _break_every_tier(engine.stats)
     reference = engine.execute_batch(batch.as_knn_queries("t"))
-    report = serve_sharded(
+    with ShardedServingTier(
         _table(points),
-        batch,
         chunk_size=64,
         manager_kwargs=manager_kwargs,
         policy=CHAOS_POLICY,
         **tier_kwargs,
-    )
+    ) as tier:
+        if broken:
+            _break_every_tier(tier._planner)
+        report = tier.serve(batch)
     assert report.n_degraded == 0 and not report.partial.any()
     _assert_exact_matches_reference(report, reference)
     for i, ((__, expected), served) in enumerate(zip(reference, report.explanations)):
@@ -595,9 +607,8 @@ def _assert_plans_exactly_as_unsharded(points, batch, manager_kwargs, **tier_kwa
             expected_record.operator,
             expected_record.note,
         ), i
-        if not served.degraded:
-            assert served.notes == expected.notes, i
-    if "estimate_time_budget" in manager_kwargs:
+        assert served.notes == expected.notes, i
+    if broken:
         assert all(e.degraded for e in report.explanations)
         assert {e.estimator_tier for e in report.explanations} == {"guaranteed-bound"}
     else:
@@ -616,24 +627,27 @@ def _guarded_batch(points, batch) -> QueryBatch:
 
 
 @MANAGER_LEGS
-def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_kwargs):
+def test_one_data_shard_plans_exactly_as_the_unsharded_planner(dataset, manager_kwargs, broken):
     """The coordinator plans with the unsharded planner: the whole
     explanation — not just the chosen operator — equals the engine's."""
     points, batch = dataset
     _assert_plans_exactly_as_unsharded(
-        points, _guarded_batch(points, batch), manager_kwargs, n_shards=1, shard_mode="data"
+        points, _guarded_batch(points, batch), manager_kwargs, broken,
+        n_shards=1, shard_mode="data",
     )
 
 
 @pytest.mark.parametrize("n_shards", [2, 3, 5])
 @MANAGER_LEGS
-def test_data_shards_plan_exactly_as_the_unsharded_planner(dataset, manager_kwargs, n_shards):
+def test_data_shards_plan_exactly_as_the_unsharded_planner(
+    dataset, manager_kwargs, broken, n_shards
+):
     """However the relation is split, a data tier's plans are the
     unsharded engine's: the estimate is taken over the whole relation at
     the coordinator, not summed over the shards' own indexes."""
     points, batch = dataset
     _assert_plans_exactly_as_unsharded(
-        points, _guarded_batch(points, batch), manager_kwargs,
+        points, _guarded_batch(points, batch), manager_kwargs, broken,
         n_shards=n_shards, shard_mode="data",
     )
 
@@ -641,13 +655,13 @@ def test_data_shards_plan_exactly_as_the_unsharded_planner(dataset, manager_kwar
 @pytest.mark.parametrize("n_shards", [1, 3])
 @MANAGER_LEGS
 def test_replica_shards_plan_exactly_as_the_unsharded_planner(
-    dataset, manager_kwargs, n_shards
+    dataset, manager_kwargs, broken, n_shards
 ):
     """Replica queries are planned at the coordinator too: the whole
     explanation equals the unsharded engine's, guard notes included."""
     points, batch = dataset
     _assert_plans_exactly_as_unsharded(
-        points, _guarded_batch(points, batch), manager_kwargs,
+        points, _guarded_batch(points, batch), manager_kwargs, broken,
         n_shards=n_shards, shard_mode="replica",
     )
 

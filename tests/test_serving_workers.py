@@ -14,7 +14,9 @@ reaches the same supervision contract from outside it:
   that raises still has its replies read, so every worker goes back
   idle;
 * chunk threads **share each shard's idle queue** without losing a
-  worker, under a short switch interval.
+  worker, under a short switch interval;
+* a shard's **breaker counters** lose no update under the same
+  contention.
 """
 
 from __future__ import annotations
@@ -203,3 +205,35 @@ def test_serving_imports_no_process_pool():
             for alias in node.names
         }
         assert "ProcessPoolExecutor" not in names, path.name
+
+
+def test_tier_health_counters_survive_contention():
+    from repro.serving.supervisor import _TierHealth
+
+    health = _TierHealth()
+    n_threads, per_thread = 8, 2_000
+    start = threading.Barrier(n_threads)
+    switch_before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force preemption inside +=
+    try:
+
+        def hammer():
+            start.wait()
+            for i in range(per_thread):
+                if i % 2:
+                    health.record_success()
+                else:
+                    # A threshold no run reaches: exercise the counters,
+                    # not the breaker.
+                    health.record_failure(threshold=10**9, cooldown=4)
+
+        threads = [threading.Thread(target=hammer) for __ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(switch_before)
+    # Unlocked += cycles would lose updates and land below these.
+    assert health.total_calls == n_threads * per_thread
+    assert health.total_failures == n_threads * (per_thread // 2)

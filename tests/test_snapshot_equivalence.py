@@ -306,6 +306,32 @@ class TestDensityEquivalence:
                 estimator.estimate(Point(x, y), k) for x, y in queries
             ]
 
+    def test_zero_area_blocks_match_the_per_leaf_expansion(self):
+        # Degenerate geometry: every block is a point or a segment, so the
+        # combined density is never defined and D_k falls back to the
+        # farthest examined MINDIST, in the batch as in the scalar view.
+        degenerate = IndexSnapshot.from_arrays(
+            [
+                [0.0, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 1.0, 0.0],
+                [2.0, 0.0, 3.0, 0.0],
+                [5.0, 5.0, 5.0, 5.0],
+            ],
+            [3, 2, 4, 1],
+        )
+        rect_objects = [Rect(*row) for row in degenerate.rects]
+        estimator = DensityBasedEstimator(degenerate)
+        queries = np.array([[0.0, 0.0], [1.5, 0.5], [4.0, 4.0], [-2.0, 1.0]])
+        for k in (1, 5, 100):
+            ref = [
+                _ref_density(rect_objects, degenerate.counts, degenerate.areas, Point(x, y), k)
+                for x, y in queries
+            ]
+            points = [Point(x, y) for x, y in queries]
+            assert [estimator.estimate_dk(p, k) for p in points] == [d for d, __ in ref]
+            assert [estimator.estimate(p, k) for p in points] == [c for __, c in ref]
+            assert estimator.estimate_many(queries, k).tolist() == [c for __, c in ref]
+
     def test_count_index_and_snapshot_inputs_agree(self, index, snapshot):
         # The Count-Index is the snapshot: a shared one and one the
         # estimator gathers from the raw index answer alike.
