@@ -474,9 +474,8 @@ def explain_join(stats: StatisticsManager, query: KnnJoinQuery) -> PlanExplanati
 
     select_estimator = stats.select_estimator_for_planning(query.inner)
     cost_selects, sampled = per_point_selects_cost(select_estimator, outer.points, effective_k)
-    # The sample's last row speaks for the batch, as the last of a run
-    # of scalar estimates would.
-    select_outcome = sampled.outcome_for(len(sampled.tiers) - 1)
+    # The cost averages the whole sample: it is degraded if any row is.
+    select_outcome = sampled.outcome_for_all()
 
     explanation = _arbitrated(
         stats,

@@ -120,6 +120,14 @@ class FallbackBatchOutcome:
             attempts=self.attempts,
         )
 
+    def outcome_for_all(self) -> FallbackOutcome:
+        """The whole batch as one scalar view: degraded if any query is,
+        and then named after the last tier that answered (the walk's last
+        attempt); else every query's primary tier."""
+        if not self.degraded.any():
+            return self.outcome_for(0)
+        return FallbackOutcome(tier=self.attempts[-1].tier, degraded=True, attempts=self.attempts)
+
     def describe(self) -> str:
         """One-line human-readable batch provenance."""
         n = len(self.tiers)

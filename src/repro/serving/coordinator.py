@@ -567,14 +567,7 @@ class ShardedServingTier:
     # ------------------------------------------------------------------
     # The protocol: gather rounds for the browse, a scan for filter plans
     # ------------------------------------------------------------------
-    def _send(
-        self,
-        payloads: dict[int, dict],
-        deadline: Deadline,
-        rounds: dict[int, int],
-        dead: set[int],
-        check=None,
-    ) -> Round:
+    def _send(self, payloads: dict, deadline: Deadline, rounds: dict, dead, check=None) -> Round:
         """Send one protocol round to every shard not yet ``dead``."""
         payloads = {sid: payload for sid, payload in payloads.items() if sid not in dead}
         for sid in payloads:
@@ -743,32 +736,16 @@ class ShardedServingTier:
     # Provenance
     # ------------------------------------------------------------------
     def _counter_snapshot(self, shard_id: int) -> tuple[int, int, int, int, int]:
-        c = self.supervisor.counters(shard_id)
-        return (c.attempts, c.retries, c.respawns, c.timeouts, c.failures)
+        c = self.supervisor.health(shard_id)
+        return (c.attempts, c.retries, c.respawns, c.timeouts, c.total_failures)
 
     def _shard_report(
-        self,
-        shard_id: int,
-        n_queries: int,
-        n_chunks: int,
-        degraded_queries: int,
-        before: tuple[int, int, int, int, int],
+        self, shard_id: int, n_queries: int, n_chunks: int, degraded_queries: int, before: tuple
     ) -> ShardReport:
         after = self._counter_snapshot(shard_id)
-        attempts, retries, respawns, timeouts, failures = (
-            after[i] - before[i] for i in range(5)
-        )
         return ShardReport(
-            shard_id=shard_id,
-            n_queries=n_queries,
-            n_chunks=n_chunks,
-            attempts=attempts,
-            retries=retries,
-            respawns=respawns,
-            timeouts=timeouts,
-            failures=failures,
-            degraded_queries=degraded_queries,
-            circuit_open=self.supervisor.health(shard_id).circuit_open,
+            shard_id, n_queries, n_chunks, *(a - b for a, b in zip(after, before)),
+            degraded_queries, self.supervisor.health(shard_id).circuit_open,
         )
 
     # ------------------------------------------------------------------
@@ -900,35 +877,42 @@ class _ChunkGather:
 
     def __init__(self, tier, shards, deadline, rounds, dead, before_collect) -> None:
         self.tier, self.shards, self.deadline = tier, shards, deadline
-        self.rounds, self.dead = rounds, dead
-        self.before_collect = before_collect
+        self.rounds, self.dead, self.before_collect = rounds, dead, before_collect
         #: Whether any shard answered a round.
         self.answered = False
 
     def __call__(self, xy: np.ndarray, ids: np.ndarray):
         tier = self.tier
         p, w = ids.shape
-        sizes = tier._counts[ids].ravel()
         flat = ids.ravel()
-        # Each asked shard's pairs (query, block), in scan order.
-        if tier._owner is None:
-            pairs = {self.shards[0]: np.arange(p * w)}
-        else:
-            owner = tier._owner[flat]
-            pairs = {sid: np.flatnonzero(owner == sid) for sid in self.shards}
-            pairs = {sid: at for sid, at in pairs.items() if at.size}
-        payloads, expected = {}, {}
-        for sid, at in pairs.items():
-            counts = np.bincount(at // w, minlength=p)
-            asked = counts > 0
-            # Raw column bytes: see repro.serving.worker._gather.
-            payloads[sid] = {
-                "round": "gather",
-                "points": xy[asked].tobytes(),
-                "counts": counts[asked].tobytes(),
-                "blocks": flat[at].tobytes(),
-            }
-            expected[sid] = 8 * int(sizes[at].sum())
+        sizes = tier._counts[flat]
+        n = tier.plan.n_shards
+        owner = np.full_like(flat, self.shards[0]) if tier._owner is None else tier._owner[flat]
+        # The pairs (query, block) by owner, each shard's in scan order,
+        # and each shard's blocks per query.
+        order = np.argsort(owner, kind="stable")
+        counts = (owner.reshape(1, p, w) == np.arange(n)[:, None, None]).sum(axis=2)
+        asked = counts > 0
+        points = xy[asked.nonzero()[1]].tobytes()
+        per_query = counts[asked].tobytes()
+        blocks = flat[order].tobytes()
+        sorted_sizes = sizes[order]
+        ends = np.cumsum(sorted_sizes)
+        payloads, expected, q, lo = {}, {}, 0, 0
+        for sid, (n_asked, n_pairs) in enumerate(
+            zip(asked.sum(axis=1).tolist(), counts.sum(axis=1).tolist())
+        ):
+            if n_pairs:
+                hi = lo + n_pairs
+                # Raw column bytes: see repro.serving.worker._gather.
+                payloads[sid] = {
+                    "round": "gather",
+                    "points": points[16 * q : 16 * (q + n_asked)],
+                    "counts": per_query[8 * q : 8 * (q + n_asked)],
+                    "blocks": blocks[8 * lo : 8 * hi],
+                }
+                expected[sid] = 8 * int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
+                q, lo = q + n_asked, hi
 
         def check(sid: int, reply) -> str | None:
             try:
@@ -949,20 +933,23 @@ class _ChunkGather:
             # back to its idle queue only once its reply is read.
             answers = tier._collect(round_, self.dead)
         self.answered |= bool(answers)
-        rows = np.frombuffer(b"".join(a["row_ids"] for a in answers.values()), dtype=np.int64)
-        dists = np.frombuffer(b"".join(a["dists"] for a in answers.values()), dtype=float)
-        if len(pairs) == 1 and answers.keys() == pairs.keys():
+        # The replies in shard order: the pairs sorted by owner.
+        answered = [sid for sid in payloads if sid in answers]
+        rows = np.frombuffer(b"".join(answers[sid]["row_ids"] for sid in answered), np.int64)
+        dists = np.frombuffer(b"".join(answers[sid]["dists"] for sid in answered), float)
+        if len(answered) == len(payloads) == 1:
             return rows, dists, sizes.reshape(p, w)
-        start = np.zeros(p * w, dtype=np.int64)
-        live = np.zeros(p * w, dtype=bool)
-        base = 0
-        for sid in answers:  # the replies' order in rows and dists
-            at = pairs[sid]
-            start[at] = base + np.cumsum(sizes[at]) - sizes[at]
-            live[at] = True
-            base += expected[sid] // 8
-        take = concat_ranges(start[live], sizes[live])
-        return rows[take], dists[take], np.where(live, sizes, -1).reshape(p, w)
+        if len(answered) < len(payloads):  # a lost block keeps no rows
+            live = np.isin(owner, answered)
+            sizes, kept = np.where(live, sizes, -1), np.where(live, sizes, 0)
+            sorted_sizes = kept[order]
+            ends = np.cumsum(sorted_sizes)
+        else:
+            kept = sizes
+        start = np.empty_like(ends)
+        start[order] = ends - sorted_sizes
+        take = concat_ranges(start, kept)
+        return rows[take], dists[take], sizes.reshape(p, w)
 
 
 def serve_sharded(table: SpatialTable, batch: QueryBatch, **tier_kwargs) -> ShardedServingReport:

@@ -1,7 +1,7 @@
 """Worker supervision: deadlines, retries, respawn, circuit breaking.
 
 The supervisor owns the robustness contract of the sharded tier.  Every
-shard worker slot is one long-lived process with one duplex pipe, and a
+shard worker slot is one long-lived process with a pipe each way, and a
 protocol round is driven by the thread that serves the chunk: it checks
 out an idle worker per shard and sends each its payload
 (:meth:`ShardSupervisor.send`), is free to do other work while the
@@ -50,11 +50,11 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import random
+import select
 import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 
 from repro.resilience.faultinject import WorkerFaultPlan
 from repro.serving.worker import (
@@ -133,43 +133,44 @@ class Deadline:
 
 
 class _TierHealth:
-    """Failure counters and circuit-breaker state for one shard.
+    """Supervision counters and circuit-breaker state for one shard.
 
-    All mutations go through one internal lock: the counters are shared
-    by every chunk thread of the tier, and unlocked ``+=``
-    read-modify-write cycles lose updates under contention.  Reads of a
-    single counter are plain attribute reads — they are atomic under
-    the GIL and only ever observe a consistent int.
+    ``total_calls`` counts finished attempts.  Every mutation takes one
+    internal lock: the counters are shared by every chunk thread of the
+    tier, and unlocked ``+=`` cycles lose updates under contention.
+    Reads of a single counter are plain (atomic) attribute reads.
     """
 
     __slots__ = (
-        "consecutive_failures",
-        "cooldown_remaining",
-        "total_failures",
-        "total_calls",
-        "_lock",
+        "attempts", "retries", "respawns", "timeouts", "total_failures", "total_calls",
+        "consecutive_failures", "cooldown_remaining", "_lock",
     )
 
     def __init__(self) -> None:
-        self.consecutive_failures = 0
-        self.cooldown_remaining = 0
-        self.total_failures = 0
-        self.total_calls = 0
+        for name in self.__slots__[:-1]:
+            setattr(self, name, 0)
         self._lock = threading.Lock()
 
     @property
     def circuit_open(self) -> bool:
         return self.cooldown_remaining > 0
 
+    def record_attempt(self, retry: bool) -> None:
+        with self._lock:
+            self.attempts += 1
+            self.retries += retry
+
     def record_success(self) -> None:
         with self._lock:
             self.total_calls += 1
             self.consecutive_failures = 0
 
-    def record_failure(self, threshold: int, cooldown: int) -> None:
+    def record_failure(self, threshold: int, cooldown: int, respawn=False, timeout=False) -> None:
         with self._lock:
             self.total_calls += 1
             self.total_failures += 1
+            self.respawns += respawn
+            self.timeouts += timeout
             self.consecutive_failures += 1
             if self.consecutive_failures >= threshold:
                 self.cooldown_remaining = cooldown
@@ -179,45 +180,48 @@ class _TierHealth:
             self.cooldown_remaining -= 1
 
 
-class _ShardCounters:
-    """Lock-protected supervision counters for one shard."""
-
-    __slots__ = ("attempts", "retries", "respawns", "timeouts", "failures", "_lock")
-
-    def __init__(self) -> None:
-        self.attempts = 0
-        self.retries = 0
-        self.respawns = 0
-        self.timeouts = 0
-        self.failures = 0
-        self._lock = threading.Lock()
-
-    def bump(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-
 class _WorkerLost(RuntimeError):
     """A worker's pipe broke, its process died, or its reply was stale."""
 
 
 class _Worker:
-    """One worker slot: its process and pipe end (``None`` until booted
-    and after retirement) and ``seq``, the number of the last request
-    sent on the pipe — the reply to be read next must echo it."""
+    """One worker slot: its process, reply pipe's read end (``conn``) and
+    request pipe's write end (``requests``), ``None`` until booted and after
+    retirement, and ``seq``, the last request's number, which its reply echoes."""
 
-    __slots__ = ("incarnation", "process", "conn", "seq")
+    __slots__ = ("incarnation", "process", "conn", "requests", "seq")
 
     def __init__(self) -> None:
-        self.incarnation, self.process, self.conn, self.seq = -1, None, None, 0
+        self.incarnation, self.process, self.conn, self.requests, self.seq = -1, None, None, None, 0
+
+
+class _Poller(threading.local):
+    """A thread's persistent ``select.poll``: the pipe and process sentinel
+    of each worker its rounds have in flight (``fds``: fd -> worker), each
+    registered when its attempt is sent and unregistered when it settles
+    or its worker is retired, so an idle worker's pipe is never polled."""
+
+    def __init__(self) -> None:
+        self.poll, self.fds = select.poll(), {}
+
+    def watch(self, worker: _Worker) -> tuple[int, int]:
+        fds = (worker.conn.fileno(), worker.process.sentinel)
+        for fd in fds:
+            self.poll.register(fd, select.POLLIN)
+            self.fds[fd] = worker
+        return fds
+
+    def unwatch(self, fds: tuple[int, int]) -> None:
+        for fd in fds:
+            self.poll.unregister(fd)
+            del self.fds[fd]
 
 
 class ShardWorkerHandle:
     """Coordinator-side lifecycle of one shard's worker processes.
 
     The shard has ``workers`` slots, each one long-lived process with
-    one duplex pipe, kept in an idle queue: a round checks a slot out,
+    a pipe each way, kept in an idle queue: a round checks a slot out,
     sends on its pipe, and checks it back in only after the reply has
     been read (or the slot was retired).  A slot boots lazily on its
     first request; :meth:`retire` terminates a crashed or hung process,
@@ -234,11 +238,7 @@ class ShardWorkerHandle:
     """
 
     def __init__(
-        self,
-        shard_id: int,
-        payload: dict,
-        fault_plan: WorkerFaultPlan | None = None,
-        workers: int = 1,
+        self, shard_id: int, payload: dict, fault_plan: WorkerFaultPlan | None = None, workers=1
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -260,12 +260,14 @@ class ShardWorkerHandle:
         context = multiprocessing.get_context(_START_METHOD)
         if _START_METHOD == "forkserver":  # read once, when the server starts
             context.set_forkserver_preload(["repro.serving.worker"])
-        conn, child = context.Pipe()
-        process = context.Process(target=_worker_main, args=(child,), daemon=True)
+        # One pipe each way: cheaper to write and to wake than a socket pair.
+        (conn, replies), (requests, sender) = context.Pipe(False), context.Pipe(False)
+        process = context.Process(target=_worker_main, args=(requests, replies), daemon=True)
         process.start()
-        child.close()
+        requests.close()
+        replies.close()
         worker.incarnation += 1
-        worker.process, worker.conn, worker.seq = process, conn, 0
+        worker.process, worker.conn, worker.requests, worker.seq = process, conn, sender, 0
         with self._lock:
             self.spawned += 1
 
@@ -294,11 +296,11 @@ class ShardWorkerHandle:
             self._boot(worker)
         try:
             if worker.seq == 0:
-                worker.conn.send(
+                worker.requests.send(
                     (self.shard_id, worker.incarnation, self._init_payload, self._fault_plan)
                 )
             worker.seq += 1
-            worker.conn.send((worker.seq, fn, args))
+            worker.requests.send((worker.seq, fn, args))
         except OSError as exc:
             raise _WorkerLost(f"worker crashed ({type(exc).__name__})") from exc
 
@@ -338,7 +340,7 @@ class ShardWorkerHandle:
         """
         try:
             self.send(worker, fn, *args)
-            if not wait([worker.conn], timeout):
+            if not worker.conn.poll(timeout):
                 raise _WorkerLost(f"no answer within {timeout:.3f}s")
             ok, value = self.read(worker)
         except _WorkerLost:
@@ -378,10 +380,11 @@ class ShardWorkerHandle:
         CPU and memory until its sleep ends — but does not wait for it:
         this runs on the serving path.  :meth:`close` joins what is left.
         """
-        process, conn = worker.process, worker.conn
-        worker.process = worker.conn = None
-        if conn is not None:
-            conn.close()
+        if worker.conn is not None:
+            worker.conn.close()
+            worker.requests.close()
+        process = worker.process
+        worker.process = worker.conn = worker.requests = None
         if process is None:
             return
         try:
@@ -457,8 +460,8 @@ class Round:
             fit its payload, or ``None``; a misfit is a failed attempt.
         answers: Its reply, if it answered.
         log: Human-readable per-attempt outcomes.
-        flights: ``(worker, attempt, timeout, expires)`` of the attempt
-            whose reply is still unread.
+        flights: ``(worker, attempt, timeout, expires, fds)`` of the
+            attempt whose reply is unread (``fds``: its polled pipe and sentinel).
         retries: ``(due, attempt, worker)`` of a retry waiting out its
             backoff.
     """
@@ -492,19 +495,13 @@ class ShardSupervisor:
         self.shard_ids: tuple[int, ...] = tuple(sorted(self._handles))
         self.policy = policy or SupervisionPolicy()
         self._health = {sid: _TierHealth() for sid in self._handles}
-        self._counters = {sid: _ShardCounters() for sid in self._handles}
-        self._rngs = {
-            sid: random.Random(self.policy.seed * 1_000_003 + sid)
-            for sid in self._handles
-        }
+        seed = self.policy.seed * 1_000_003
+        self._rngs = {sid: random.Random(seed + sid) for sid in self._handles}
+        self._poller = _Poller()
 
     def health(self, shard_id: int) -> _TierHealth:
-        """One shard's breaker state (monitoring and tests)."""
+        """One shard's supervision counters and breaker state."""
         return self._health[shard_id]
-
-    def counters(self, shard_id: int) -> _ShardCounters:
-        """One shard's supervision counters."""
-        return self._counters[shard_id]
 
     def handle(self, shard_id: int) -> ShardWorkerHandle:
         """One shard's worker handle (the fault-injection seam)."""
@@ -551,37 +548,41 @@ class ShardSupervisor:
     def collect(self, round_: "Round") -> dict[int, object]:
         """Finish a round: read every reply, retrying failed shards.
 
-        One thread waits on every in-flight pipe and process sentinel at
-        once (:func:`multiprocessing.connection.wait`), bounded by the
-        earliest attempt timeout or due retry.
+        The thread that sent the round waits on every in-flight pipe and
+        process sentinel at once with its persistent :class:`_Poller`,
+        bounded by the earliest attempt timeout or due retry.
 
         Returns:
             ``{shard id: reply}`` for the shards that answered; a shard
             missing from it is unavailable (``round_.log`` says why).
         """
-        flights, retries = round_.flights, round_.retries
-        while flights or retries:
-            now = time.perf_counter()
-            for sid in [sid for sid, (due, *__) in retries.items() if due <= now]:
-                __, attempt, worker = retries.pop(sid)
-                self._attempt(round_, sid, attempt, worker)
-            expiries = [f[3] for f in flights.values()] + [r[0] for r in retries.values()]
-            wake = min(expiries, default=now)  # empty: the last retry gave up
-            if not flights:
-                time.sleep(max(0.0, wake - now))
-                continue
-            workers = [f[0] for f in flights.values()]
-            waitables = [w.conn for w in workers] + [w.process.sentinel for w in workers]
-            ready = set(wait(waitables, max(0.0, wake - now)))
-            now = time.perf_counter()
-            for sid, (worker, attempt, timeout, expires) in list(flights.items()):
-                if worker.conn in ready or worker.process.sentinel in ready:
-                    del flights[sid]
-                    self._settle(round_, sid, worker, attempt, worker.conn in ready)
-                elif now >= expires:
-                    del flights[sid]
-                    hung = f"no answer within {timeout:.3f}s (worker hung; respawning)"
-                    self._fail(round_, sid, attempt, worker, hung, respawn=True, timeout=True)
+        flights, retries, poller = round_.flights, round_.retries, self._poller
+        try:
+            while flights or retries:
+                now = time.perf_counter()
+                for sid in [sid for sid, (due, *__) in retries.items() if due <= now]:
+                    __, attempt, worker = retries.pop(sid)
+                    self._attempt(round_, sid, attempt, worker)
+                expiries = [f[3] for f in flights.values()] + [r[0] for r in retries.values()]
+                wake = min(expiries, default=now)  # empty: the last retry gave up
+                if not flights:
+                    time.sleep(max(0.0, wake - now))
+                    continue
+                ready = {fd for fd, __ in poller.poll.poll(max(0.0, wake - now) * 1e3)}
+                now = time.perf_counter()
+                for sid, (worker, attempt, timeout, expires, fds) in list(flights.items()):
+                    readable = fds[0] in ready
+                    if readable or fds[1] in ready or now >= expires:
+                        del flights[sid]
+                        poller.unwatch(fds)
+                    if readable or fds[1] in ready:
+                        self._settle(round_, sid, worker, attempt, readable)
+                    elif now >= expires:
+                        hung = f"no answer within {timeout:.3f}s (worker hung; respawning)"
+                        self._fail(round_, sid, attempt, worker, hung, respawn=True, timeout=True)
+        finally:
+            for flight in flights.values():
+                poller.unwatch(flight[4])
         return round_.answers
 
     def _attempt(self, round_: "Round", sid: int, attempt: int, worker) -> None:
@@ -603,10 +604,8 @@ class ShardSupervisor:
             log.append("deadline exhausted")
             handle.checkin(worker)
             return
-        timeout = (
-            policy.chunk_timeout if remaining is None else min(remaining, policy.chunk_timeout)
-        )
-        self._counters[sid].bump(attempts=1, retries=1 if attempt else 0)
+        timeout = min(policy.chunk_timeout, float("inf") if remaining is None else remaining)
+        health.record_attempt(attempt > 0)
         if worker is None:
             worker = handle.checkout(timeout)
             if worker is None:
@@ -621,7 +620,7 @@ class ShardSupervisor:
             self._fail(round_, sid, attempt, worker, f"{lost}; respawning", respawn=True)
             return
         expires = time.perf_counter() + timeout + _TIMEOUT_GRACE
-        round_.flights[sid] = (worker, attempt, timeout, expires)
+        round_.flights[sid] = (worker, attempt, timeout, expires, self._poller.watch(worker))
 
     def _settle(self, round_: "Round", sid: int, worker, attempt: int, readable: bool) -> None:
         """Take one shard's reply (or its worker's death) off the wire."""
@@ -651,10 +650,9 @@ class ShardSupervisor:
         (``respawn``); a typed error keeps it.  The retry keeps the slot.
         """
         policy = self.policy
-        self._counters[sid].bump(
-            failures=1, respawns=1 if respawn else 0, timeouts=1 if timeout else 0
+        self._health[sid].record_failure(
+            policy.breaker_threshold, policy.breaker_cooldown, respawn, timeout
         )
-        self._health[sid].record_failure(policy.breaker_threshold, policy.breaker_cooldown)
         round_.log[sid].append(reason)
         if respawn:
             self._handles[sid].retire(worker)

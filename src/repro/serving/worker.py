@@ -1,7 +1,7 @@
 """Shard-worker process internals.
 
-Every worker slot of a shard is one long-lived process with one duplex
-pipe to the coordinator (:func:`_worker_main`).  The process is
+Every worker slot of a shard is one long-lived process with a pipe each
+way to the coordinator (:func:`_worker_main`).  The process is
 initialized once with its (pickle-shipped) payload and serving
 configuration, then answers requests ``(seq, function, args)`` with
 ``(seq, ok, value)`` until the coordinator closes its end.  There is
@@ -47,24 +47,25 @@ def payload_bytes(payload: dict) -> int:
     return int(sum(np.asarray(column).nbytes for column in payload.values()))
 
 
-def _worker_main(conn) -> None:
+def _worker_main(requests, replies) -> None:
     """A worker process: initialize from the first message, then serve.
 
     The first message is the argument tuple of
     :func:`_init_data_shard_worker`.  Every later one is a request
     ``(seq, function, args)``, answered with ``(seq, True, result)`` or
     ``(seq, False, exception)`` — a typed error goes back to the
-    coordinator and the worker stays up.  The coordinator closing its
-    end of the pipe ends the loop.
+    coordinator and the worker stays up.  Requests come on one pipe and
+    replies go on another; the coordinator closing its request end ends
+    the loop.
     """
     try:
-        init = conn.recv()
+        init = requests.recv()
     except EOFError:
         return
     _init_data_shard_worker(*init)
     while True:
         try:
-            seq, fn, args = conn.recv()
+            seq, fn, args = requests.recv()
         except EOFError:
             return
         try:
@@ -72,11 +73,11 @@ def _worker_main(conn) -> None:
         except Exception as exc:  # noqa: BLE001 — returned typed, not raised
             reply = (seq, False, exc)
         try:
-            conn.send(reply)
+            replies.send(reply)
         except OSError:  # the coordinator is gone
             return
         except Exception as exc:  # noqa: BLE001 — an unpicklable reply
-            conn.send((seq, False, RuntimeError(f"unpicklable reply: {exc!r}")))
+            replies.send((seq, False, RuntimeError(f"unpicklable reply: {exc!r}")))
 
 
 def _init_data_shard_worker(
@@ -94,23 +95,23 @@ def _init_data_shard_worker(
     A worker keeps no statistics and no block geometry: the coordinator
     plans and orders every query over the whole relation.
     """
-    from repro.index.base import BlockPointsView
-
+    ids = np.asarray(payload["block_ids"], dtype=np.int64)
     counts = np.asarray(payload["counts"], dtype=np.int64)
-    points = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
-    starts = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    points = np.ascontiguousarray(payload["points"], dtype=float).reshape(-1, 2)
+    # By global block id: its row count (-1 if another shard owns it)
+    # and the end of its rows in this shard's block order.
+    lengths = np.full(int(ids.max(initial=-1)) + 1, -1, dtype=np.int64)
+    lengths[ids] = counts
+    ends = np.zeros_like(lengths)
+    ends[ids] = np.cumsum(counts)
     _WORKER_STATE.clear()
-    _WORKER_STATE["block_ids"] = np.asarray(payload["block_ids"], dtype=np.int64)
-    _WORKER_STATE["rows"] = np.asarray(payload["rows"], dtype=np.int64)
-    _WORKER_STATE["points"] = points
-    _WORKER_STATE["gpos"] = np.asarray(payload["gpos"], dtype=np.int64)
-    _WORKER_STATE["view"] = BlockPointsView(points, starts)
-    _WORKER_STATE["shard_id"] = int(shard_id)
-    _WORKER_STATE["incarnation"] = int(incarnation)
-    _WORKER_STATE["fault_plan"] = fault_plan
-    _WORKER_STATE["batches_served"] = 0
-    _WORKER_STATE["payload_bytes"] = payload_bytes(payload)
+    _WORKER_STATE.update(
+        block_lengths=lengths, block_ends=ends, points=points, xy=points.view(complex).ravel(),
+        rows=np.asarray(payload["rows"], dtype=np.int64),
+        gpos=np.asarray(payload["gpos"], dtype=np.int64),
+        shard_id=int(shard_id), incarnation=int(incarnation), fault_plan=fault_plan,
+        batches_served=0, payload_bytes=payload_bytes(payload),
+    )
 
 
 def _gather(payload: dict) -> dict:
@@ -125,21 +126,31 @@ def _gather(payload: dict) -> dict:
     shard's view order, with ``np.hypot`` distances (the engine's
     floats).
     """
-    owned, view = _WORKER_STATE["block_ids"], _WORKER_STATE["view"]
     try:
-        points = np.frombuffer(payload["points"], dtype=float).reshape(-1, 2)
+        xy = np.frombuffer(payload["points"], dtype=complex)
         counts = np.frombuffer(payload["counts"], dtype=np.int64)
         blocks = np.frombuffer(payload["blocks"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"a gather round needs float64 points, int64 counts and ids: {exc}")
-    if counts.shape != points.shape[:1] or (counts < 0).any() or counts.sum() != blocks.shape[0]:
+    m, n = counts.shape[0], blocks.shape[0]
+    # Unsigned, a negative count is huge; counts of at most n cannot wrap their sum.
+    if xy.shape[0] != m or counts.view(np.uint64).max(initial=0) > n or counts.sum() != n:
         raise ValueError("a gather round needs m points, m block counts and their block ids")
-    local = np.searchsorted(owned, blocks)
-    if (local >= owned.shape[0]).any() or (owned[local] != blocks).any():
-        raise ValueError("a gather round names a block this shard does not own")
-    starts = view.offsets[local]
-    lengths = view.offsets[local + 1] - starts
-    dists, at = view.gather(np.repeat(points, counts, axis=0), starts[:, None], lengths[:, None])
+    try:
+        if blocks.min(initial=0) < 0:  # a map lookup would wrap around
+            raise IndexError
+        lengths = _WORKER_STATE["block_lengths"][blocks]
+        if lengths.min(initial=0) < 0:
+            raise IndexError
+    except IndexError:
+        raise ValueError("a gather round names a block this shard does not own") from None
+    # Each block's rows: its view range, laid out one after another.
+    ends = np.cumsum(lengths)
+    at = np.repeat(_WORKER_STATE["block_ends"][blocks] - ends, lengths)
+    at += np.arange(at.shape[0])
+    # Complex (x, y) pairs: one subtraction per axis, bitwise the view's.
+    d = _WORKER_STATE["xy"][at] - np.repeat(np.repeat(xy, counts), lengths)
+    dists = np.hypot(d.real, d.imag)
     return {"row_ids": _WORKER_STATE["rows"][at].tobytes(), "dists": dists.tobytes()}
 
 
@@ -153,10 +164,6 @@ def _scan(payload: dict) -> dict:
     for i in range(pts.shape[0]):
         if i % BUDGET_SLICE == 0:
             budget_check(start, budget, "shard full scan")
-        if points.shape[0] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            topk.append((empty, np.empty(0, dtype=float), empty))
-            continue
         dists = np.hypot(points[:, 0] - pts[i, 0], points[:, 1] - pts[i, 1])
         order = np.lexsort((gpos, dists))[: int(ks[i])]
         topk.append((rows[order], dists[order], gpos[order]))
@@ -190,9 +197,7 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     batch_index = _WORKER_STATE["batches_served"]
     _WORKER_STATE["batches_served"] = batch_index + 1
     if fault_plan is not None:
-        fault_plan.apply(
-            _WORKER_STATE["shard_id"], batch_index, _WORKER_STATE["incarnation"]
-        )
+        fault_plan.apply(_WORKER_STATE["shard_id"], batch_index, _WORKER_STATE["incarnation"])
     round_kind = payload["round"]
     if round_kind == "gather":
         return _gather(payload)

@@ -673,3 +673,27 @@ class TestBatchedJoinSample:
         assert explanation.notes == [left.describe()]
         # The sample is one batch walk: the broken tier is asked once.
         assert engine.stats.resilient_select_estimator("osm").tier_instance("staircase").calls == 1
+
+    def test_a_sample_degraded_in_most_rows_explains_as_degraded(self):
+        # The Staircase corrupts 31 of the 32 sampled rows, so Density
+        # answers them; the sample's last row alone is the Staircase's,
+        # and it no longer speaks for the whole cost.
+        def corrupted() -> SpatialEngine:
+            engine = _join_engine()
+            corrupt = FaultSchedule(FaultSpec.corrupting(), calls=range(31))
+            chain = engine.stats.resilient_select_estimator("osm")
+            chain.wrap_tier(
+                chain.primary_tier, lambda est: FaultInjectingSelectEstimator(est, corrupt)
+            )
+            return engine
+
+        engine = corrupted()
+        sample = engine.stats.table("uni").points[planner._cost_sample(300)]
+        __, sampled = engine.stats.resilient_select_estimator("osm").walk(sample, 4)
+        assert sampled.tiers == ["density"] * 31 + ["staircase"]
+        explanation = corrupted().explain(KnnJoinQuery("uni", "osm", k=4))
+        assert explanation.chosen == "per-point-selects"
+        assert explanation.estimator_tier == "density" and explanation.degraded
+        assert explanation.notes == [
+            "degraded to tier 'density' (staircase: invalid estimate for 31 of 32 queries)"
+        ]

@@ -344,7 +344,7 @@ def test_a_non_finite_focal_point_is_refused_before_any_shard_is_asked(
         with pytest.raises(InvalidQueryError, match="must be finite"):
             tier.serve(bad)
         for sid in tier.supervisor.shard_ids:
-            assert tier.supervisor.counters(sid).attempts == 0, sid
+            assert tier.supervisor.health(sid).attempts == 0, sid
             health = tier.supervisor.health(sid)
             assert health.total_failures == 0 and not health.circuit_open, sid
         report = tier.serve(batch)

@@ -5,7 +5,9 @@ reaches the same supervision contract from outside it:
 
 * a worker **killed between batches** (a real ``SIGKILL``, not the fault
   plan) is found dead at the next round, retired and respawned, and the
-  batch is still exact;
+  batch is still exact — twenty times over, after which the serving
+  thread's poller holds no registration (during a round, only its
+  in-flight workers');
 * a **typed worker error** comes back as a counted failure and the
   worker is kept: no respawn, no new process;
 * the **stale-reply guard**: a reply that does not echo the request's
@@ -92,6 +94,44 @@ def test_a_worker_killed_between_batches_is_respawned(tier, relation):
     assert tier.pools_spawned == N_SHARDS + 1
 
 
+def _registered(poller) -> set:
+    """The fds a thread's poller holds, checked against their workers."""
+    for fd, worker in poller.fds.items():
+        assert fd in (worker.conn.fileno(), worker.process.sentinel)
+    return set(poller.fds)
+
+
+def test_twenty_respawns_leave_the_poller_no_stale_registration(tier, relation, monkeypatch):
+    """An idle worker killed between rounds is found at the next round
+    that asks its shard and respawned, twenty times over, with exact
+    answers; during a round the serving thread's poller holds exactly
+    its in-flight workers' pipes and sentinels, and nothing after it."""
+    __, batch, reference = relation
+    poller = tier.supervisor._poller  # this thread's: one lane serves on it
+    plan, during = coordinator.explain_select_groups, []
+
+    def planning(stats, groups, n):  # between a round's send and its collect
+        during.append(len(_registered(poller)))
+        return plan(stats, groups, n)
+
+    monkeypatch.setattr(coordinator, "explain_select_groups", planning)
+    for i in range(20):
+        sid = i % N_SHARDS
+        victim = tier.supervisor.handle(sid)._slots[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        report = tier.serve(batch)
+        _assert_exact(report, reference)
+        assert [s.respawns for s in report.shards] == [int(s == sid) for s in range(N_SHARDS)]
+        assert _registered(poller) == set()
+    assert tier.pools_spawned == N_SHARDS + 20
+    # Three chunks a batch, each planned while its first round is out.
+    # A batch's first round finds the dead pipe broken when it sends, so
+    # only the live shard's pipe and sentinel are registered while the
+    # retry waits out its backoff; later rounds have both shards out.
+    assert during == [2, 4, 4] * 20
+
+
 def test_a_typed_worker_error_keeps_the_worker(tier, relation):
     __, batch, reference = relation
     before = tier.pools_spawned
@@ -102,8 +142,8 @@ def test_a_typed_worker_error_keeps_the_worker(tier, relation):
     assert len(caught.value.attempts) == attempts
     needs = "ValueError: a gather round needs"
     assert all(line.startswith(needs) for line in caught.value.attempts)
-    counters = tier.supervisor.counters(0)
-    assert counters.failures == counters.attempts == attempts
+    counters = tier.supervisor.health(0)
+    assert counters.total_failures == counters.attempts == attempts
     assert counters.respawns == 0 and counters.timeouts == 0
     assert tier.pools_spawned == before
     report = tier.serve(batch)
@@ -131,7 +171,7 @@ def test_the_first_gather_round_is_sent_before_planning(tier, relation, monkeypa
     sent_at_plan = []
 
     def planning(stats, groups, n):
-        sent_at_plan.append([tier.supervisor.counters(sid).attempts for sid in range(N_SHARDS)])
+        sent_at_plan.append([tier.supervisor.health(sid).attempts for sid in range(N_SHARDS)])
         return plan(stats, groups, n)
 
     monkeypatch.setattr(coordinator, "explain_select_groups", planning)
