@@ -9,6 +9,7 @@ in-memory and on-disk footprints are a few bytes per staircase step.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ class IntervalCatalog:
 
     Raises:
         ValueError: If ranges are empty, overlapping, non-contiguous, or
-            do not start at 1.
+            do not start at 1, or a cost is negative, infinite or NaN
+            (an estimate must stay inside its bounds).
 
     Catalogs are value objects: the backing arrays are frozen
     (``writeable=False``) at construction and in every derived clone, so
@@ -63,8 +65,11 @@ class IntervalCatalog:
                 )
             if k_end < k_start:
                 raise ValueError(f"empty catalog range [{k_start}, {k_end}]")
+            cost = float(cost)
+            if not 0.0 <= cost < math.inf:
+                raise ValueError(f"catalog costs must be finite and >= 0, got {cost}")
             k_ends.append(int(k_end))
-            costs.append(float(cost))
+            costs.append(cost)
             expected_start = k_end + 1
         self._k_end = np.array(k_ends, dtype=np.int64)
         self._cost = np.array(costs, dtype=float)

@@ -119,4 +119,7 @@ def catalog_from_json(text: str) -> IntervalCatalog:
         raise ValueError(f"invalid catalog JSON: {exc}") from exc
     if not isinstance(payload, dict) or "entries" not in payload:
         raise ValueError("catalog JSON must be an object with an 'entries' key")
-    return IntervalCatalog(tuple(entry) for entry in payload["entries"])
+    try:
+        return IntervalCatalog(tuple(entry) for entry in payload["entries"])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed catalog entries: {exc}") from exc

@@ -11,14 +11,19 @@ fingerprint).
 
 File layout (little-endian)::
 
-    magic  b"RPCS"  | uint32 version | uint32 n_meta | uint32 n_entries
+    magic  b"RPCS"  | uint32 version | uint32 crc32 | uint32 n_meta | uint32 n_entries
     n_meta  x (uint32 key_len, key, uint32 value_len, value)   # UTF-8
     n_entries x (uint32 key_len, key, uint32 blob_len, blob)   # catalog codec
+
+The CRC32 covers everything after the checksum field, so the metadata
+(``max_k``, variant, fingerprints) and the keys are checked as well as
+each embedded blob's own checksum.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -27,10 +32,12 @@ from repro.catalog.serialize import catalog_from_bytes, catalog_to_bytes
 from repro.resilience.errors import CatalogCorruptError
 
 _MAGIC = b"RPCS"
-# Version 2: embedded catalog blobs carry a version byte and a CRC32
-# checksum (see repro.catalog.serialize); version-1 stores are rejected
-# as unreadable rather than risking a silent misparse.
-_VERSION = 2
+# Version 3: a CRC32 over the whole store after the checksum field; the
+# embedded catalog blobs keep their own version byte and CRC32 (see
+# repro.catalog.serialize).  Older stores, whose metadata and keys are
+# unchecked, are rejected as unreadable rather than risking a silent
+# misparse.
+_VERSION = 3
 _U32 = struct.Struct("<I")
 
 
@@ -81,8 +88,7 @@ class CatalogStore:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize the whole store."""
-        parts = [_MAGIC, _U32.pack(_VERSION), _U32.pack(len(self.metadata)),
-                 _U32.pack(len(self._catalogs))]
+        parts = [_U32.pack(len(self.metadata)), _U32.pack(len(self._catalogs))]
         for key, value in self.metadata.items():
             parts.append(_pack_str(key))
             parts.append(_pack_str(value))
@@ -91,23 +97,31 @@ class CatalogStore:
             blob = catalog_to_bytes(catalog)
             parts.append(_U32.pack(len(blob)))
             parts.append(blob)
-        return b"".join(parts)
+        body = b"".join(parts)
+        return _MAGIC + _U32.pack(_VERSION) + _U32.pack(zlib.crc32(body)) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CatalogStore":
         """Deserialize a store.
 
         Raises:
-            CatalogCorruptError: On wrong magic/version, truncated
-                payloads, trailing bytes, or corrupt embedded catalogs
-                (``CatalogCorruptError`` is also a ``ValueError``).
+            CatalogCorruptError: On wrong magic/version, a checksum
+                mismatch, truncated payloads, trailing bytes, or corrupt
+                embedded catalogs (``CatalogCorruptError`` is also a
+                ``ValueError``).
         """
         if data[:4] != _MAGIC:
             raise CatalogCorruptError("not a catalog store (bad magic)")
-        offset = 4
-        version, offset = _read_u32(data, offset)
+        version, offset = _read_u32(data, 4)
         if version != _VERSION:
             raise CatalogCorruptError(f"unsupported catalog store version {version}")
+        checksum, offset = _read_u32(data, offset)
+        actual = zlib.crc32(data[offset:])
+        if actual != checksum:
+            raise CatalogCorruptError(
+                f"catalog store checksum mismatch: stored {checksum:#010x}, "
+                f"computed {actual:#010x}"
+            )
         n_meta, offset = _read_u32(data, offset)
         n_entries, offset = _read_u32(data, offset)
         store = cls()

@@ -37,9 +37,8 @@ import numpy as np
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
 from repro.geometry import Point
-from repro.geometry.kernels import mindist_rects
 from repro.knn.browse import browse, view_gather
-from repro.knn.locality import locality_block_indices
+from repro.knn.locality import locality
 
 
 @dataclass
@@ -256,7 +255,8 @@ class LocalityJoinOperator:
     predicate browse (:func:`execute_incremental_knn_batch`), and its
     blocks are added to ``blocks_scanned``.  Without a predicate every
     row is final — its k-th candidate lies within the locality's
-    MAXDIST mark, below β — so β is not computed.
+    MAXDIST mark, below β — so β is not consulted.  Each block's
+    locality and β come from one :func:`~repro.knn.locality.locality`.
     """
 
     name = "locality-join"
@@ -286,16 +286,13 @@ class LocalityJoinOperator:
         pairs: list[tuple[int, np.ndarray]] = []
         browsed: list[int] = []  # positions in ``pairs`` of rows to browse
         for block in outer.index.blocks:
-            locality = locality_block_indices(inner_snapshot, block.rect, k_effective)
-            scanned += int(locality.shape[0])
-            beta = np.inf
-            if predicate is not None and locality.shape[0] < inner_snapshot.n_blocks:
-                # The locality is a MINDIST-ordered prefix: β is the next MINDIST.
-                mindists = mindist_rects(block.rect, inner_snapshot.rects)
-                beta = float(np.partition(mindists, locality.shape[0])[locality.shape[0]])
+            ids, __, beta = locality(inner_snapshot, block.rect, k_effective)
+            scanned += int(ids.shape[0])
+            if predicate is None:
+                beta = np.inf
             candidate_rows = np.concatenate(
-                [inner.block_row_ids(i) for i in locality]
-            ) if locality.size else np.empty(0, dtype=np.int64)
+                [inner.block_row_ids(i) for i in ids]
+            ) if ids.size else np.empty(0, dtype=np.int64)
             if predicate is not None and candidate_rows.size:
                 mask = predicate.evaluate(inner, candidate_rows)
                 candidate_rows = candidate_rows[mask]

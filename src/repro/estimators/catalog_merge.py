@@ -39,7 +39,6 @@ from repro.estimators.maintenance import (
     tracks_updates,
 )
 from repro.index.snapshot import as_snapshot
-from repro.knn.locality import locality_coverage_radii
 from repro.perf import PreprocessingStats, locality_size_profiles, resolve_workers
 
 DEFAULT_MAX_K = 2_048
@@ -133,7 +132,7 @@ class CatalogMergeEstimator(JoinCostEstimator):
         with stats.phase("merge"):
             built = [
                 IntervalCatalog.from_profile(p, max_k=self._max_k).truncated(self._max_k)
-                for p in profiles
+                for p, __ in profiles
             ]
             temporaries = patched(self._temporaries, built, source)
             self._catalog = merge_sum(temporaries)
@@ -142,7 +141,7 @@ class CatalogMergeEstimator(JoinCostEstimator):
         self._inner_generation = int(inner_snap.data_generation)
         if tracks_updates(self._inner):
             # Only such an inner lets a later refresh reuse temporaries.
-            built_coverage = locality_coverage_radii(inner_snap, rows, self._max_k)
+            built_coverage = [radius for __, radius in profiles]
             self._coverage = np.array(
                 patched(self._coverage, built_coverage, source), dtype=float
             )

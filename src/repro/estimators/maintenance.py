@@ -19,8 +19,8 @@ grid cell) and the data blocks within some radius of it:
   :func:`~repro.perf.profile_staircases`, proved on the scalar
   per-anchor scan kept in ``tests/reference_builds.py``);
 * a locality staircase depends only on blocks with MINDIST up to the
-  running-MAXDIST mark of its first count-reaching prefix
-  (:func:`~repro.knn.locality.locality_coverage_radii`).
+  running-MAXDIST mark of its first count-reaching prefix (the radius
+  of :func:`~repro.knn.locality.covered_locality_profile`).
 
 Blocks only ever change inside a leaf region the index noted dirty, so
 an entry whose coverage disc misses every dirty region is **bit-for-bit

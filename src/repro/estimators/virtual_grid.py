@@ -42,15 +42,10 @@ import numpy as np
 from repro.catalog import CatalogLookupError, IntervalCatalog, catalog_storage_bytes
 from repro.catalog.store import CatalogStore
 from repro.estimators.base import JoinCostEstimator, validate_k
-from repro.estimators.maintenance import (
-    MaintenanceReport,
-    stale_entries,
-    tracks_updates,
-)
+from repro.estimators.maintenance import MaintenanceReport, stale_entries
 from repro.geometry import Rect
 from repro.index.grid import GridIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
-from repro.knn.locality import locality_coverage_radii
 from repro.perf import PreprocessingStats, locality_size_profiles, resolve_workers
 
 DEFAULT_MAX_K = 2_048
@@ -141,14 +136,11 @@ class VirtualGridEstimator:
                 inner_snap, rows, self._max_k, workers=self._workers
             )
         with stats.phase("assemble"):
-            for i, profile in zip(idx.tolist(), profiles):
+            for i, (profile, radius) in zip(idx.tolist(), profiles):
                 self._cell_catalogs[i] = IntervalCatalog.from_profile(
                     profile, max_k=self._max_k
                 ).truncated(self._max_k)
-            if tracks_updates(self._inner):
-                self._coverage[idx] = locality_coverage_radii(
-                    inner_snap, rows, self._max_k
-                )
+                self._coverage[i] = radius
             if len(idx):
                 self._assemble_matrices()
         self._inner_generation = int(inner_snap.data_generation)

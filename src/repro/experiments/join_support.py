@@ -17,7 +17,7 @@ from repro.datasets import WORLD_BOUNDS
 from repro.experiments.common import ExperimentConfig, build_index, build_snapshot
 from repro.index.snapshot import IndexSnapshot
 from repro.index.quadtree import Quadtree
-from repro.knn.locality import locality_block_indices
+from repro.knn.locality import knn_join_cost
 
 
 def relation_index(config: ExperimentConfig, scale: int, relation: int) -> Quadtree:
@@ -52,12 +52,7 @@ def relation_counts(config: ExperimentConfig, scale: int, relation: int) -> Inde
 @functools.lru_cache(maxsize=64)
 def actual_join_cost(config: ExperimentConfig, scale: int, k: int) -> int:
     """Ground-truth locality-join cost of the canonical pair at ``k``."""
-    outer = relation_index(config, scale, 0)
-    inner = relation_counts(config, scale, 1)
-    return sum(
-        int(locality_block_indices(inner, block.rect, k).shape[0])
-        for block in outer.blocks
-    )
+    return knn_join_cost(relation_index(config, scale, 0), relation_counts(config, scale, 1), k)
 
 
 @functools.lru_cache(maxsize=32)

@@ -18,8 +18,10 @@ validated against ground truth:
 * :mod:`~repro.knn.depth_first` — Roussopoulos et al.'s depth-first
   branch-and-bound k-NN, the suboptimal comparator of Section 2.
 * :mod:`~repro.knn.locality` — locality computation of Sankaranarayanan
-  et al., its size-vs-k staircase profile (Procedure 2's semantics) and
-  the exact locality-join cost; the join itself runs as the engine's
+  et al. (one certified scan, read at one k by
+  :func:`~repro.knn.locality.locality` or at every k as Procedure 2's
+  size-vs-k staircase) and the exact locality-join cost; the join
+  itself runs as the engine's
   :class:`~repro.engine.physical.LocalityJoinOperator`.
 """
 
@@ -35,7 +37,6 @@ from repro.knn.depth_first import depth_first_knn
 from repro.knn.locality import (
     knn_join_cost,
     locality_block_indices,
-    locality_coverage_radii,
     locality_size,
     locality_size_profile,
     locality_sizes,
@@ -50,7 +51,6 @@ __all__ = [
     "brute_force_knn",
     "depth_first_knn",
     "locality_block_indices",
-    "locality_coverage_radii",
     "locality_size",
     "locality_size_profile",
     "locality_sizes",

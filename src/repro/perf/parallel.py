@@ -1,7 +1,7 @@
 """Batched and multi-process preprocessing fan-out.
 
 Every anchor's cost profile (Procedure 1) and every outer block's
-locality profile (:func:`~repro.knn.locality.locality_size_profile`) is
+locality profile (:func:`~repro.knn.locality.covered_locality_profile`) is
 independent of the others.  The Staircase, Catalog-Merge and
 Virtual-Grid estimators share:
 
@@ -11,7 +11,7 @@ Virtual-Grid estimators share:
   ``(profile, C)`` tuples).  It is the build's one cost path, equal byte
   for byte to the scalar per-anchor scan of ``tests/reference_builds.py``.
 * :func:`locality_size_profiles` — ordered many-rect fan-out of
-  Procedure 2.
+  Procedure 2, as ``(profile, C)`` tuples too.
 
 ``workers=N`` runs either on a process pool whose initializer ships the
 pickle-cheap :class:`~repro.index.snapshot.IndexSnapshot` (and the
@@ -32,10 +32,10 @@ from repro.geometry.kernels import as_anchor, maxdist_rects_batch, mindist_rects
 from repro.index.base import BlockPointsView, concat_ranges
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 from repro.knn.browse import WINDOW_SLACK, certified_bound, mindist_gaps
-from repro.knn.locality import locality_size_profile
+from repro.knn.locality import covered_locality_profile
 
 Profile = list[tuple[int, int, int]]
-#: A select-cost profile with its coverage radius.
+#: A select-cost or locality-size profile with its coverage radius.
 CoveredProfile = tuple[Profile, float]
 
 # Chunks per worker: enough to smooth out uneven anchor costs without
@@ -458,10 +458,10 @@ def _init_locality_worker(snapshot: IndexSnapshot, max_k: int) -> None:
     _WORKER_STATE["max_k"] = int(max_k)
 
 
-def _locality_chunk(rows: np.ndarray) -> list[Profile]:
+def _locality_chunk(rows: np.ndarray) -> list[CoveredProfile]:
     inner = _WORKER_STATE["inner"]
     max_k = _WORKER_STATE["max_k"]
-    return [locality_size_profile(inner, row, max_k) for row in rows]
+    return [covered_locality_profile(inner, row, max_k) for row in rows]
 
 
 def profile_staircases(
@@ -550,12 +550,13 @@ def locality_size_profiles(
     rects,
     max_k: int,
     workers: int | None = None,
-) -> list[Profile]:
+) -> list[CoveredProfile]:
     """Locality-size profiles for many outer rectangles, in order.
 
     The join-estimator counterpart of :func:`select_cost_profiles`:
-    fans :func:`~repro.knn.locality.locality_size_profile` out over the
-    sampled outer blocks (Catalog-Merge) or grid cells (Virtual-Grid).
+    fans :func:`~repro.knn.locality.covered_locality_profile` out over
+    the sampled outer blocks (Catalog-Merge) or grid cells
+    (Virtual-Grid).
 
     Args:
         inner: Block summary of the inner relation (snapshot or raw
@@ -565,12 +566,15 @@ def locality_size_profiles(
             ``(m, 4)`` bounds array.
         max_k: Largest k each profile must cover.
         workers: ``0``/``1``/``None`` for serial, ``N > 1`` for a pool.
+
+    Returns:
+        One ``(profile, coverage_radius)`` pair per rectangle, in order.
     """
     workers = resolve_workers(workers)
     summary = as_snapshot(inner)
     rows = _rect_rows(rects)
     if workers <= 1 or rows.shape[0] <= 1:
-        return [locality_size_profile(summary, row, max_k) for row in rows]
+        return [covered_locality_profile(summary, row, max_k) for row in rows]
     chunks = np.array_split(rows, min(rows.shape[0], workers * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(
         max_workers=workers,

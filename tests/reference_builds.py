@@ -34,6 +34,14 @@ sort (:func:`full_locality_size_profile`) of the certified-window
 ``repro.knn.locality.locality_size_profile``; and the second partition
 over ``(x, y, row)`` (:func:`partition_row_ids`) of the row ids a
 ``Quadtree`` records while it builds.
+
+The localities ``src/`` computed before every one was read from that
+window are the oracles of ``repro.knn.locality.locality`` and its loops:
+a full MINDIST sort and MAXDIST row per rect (:func:`full_sort_locality`,
+once ``locality_block_indices``, with β as the locality join took it),
+and the ``(m, n)`` MINDIST/MAXDIST tableau (:func:`tableau_locality_sizes`,
+once ``locality_sizes`` and Block-Sample's estimate;
+:func:`locality_coverage_radii`, the profiles' coverage radii).
 """
 
 import dataclasses
@@ -52,9 +60,12 @@ from repro.geometry import Point, Rect
 from repro.geometry.kernels import (
     as_anchor,
     maxdist_rects,
+    maxdist_rects_batch,
     mindist_argsort,
     mindist_rects,
+    mindist_rects_batch,
     staircase_interpolate,
+    tie_stable_argsort,
 )
 from repro.index.snapshot import IndexSnapshot, as_snapshot, partition_bounds
 from repro.perf import BlockPointsView
@@ -487,6 +498,65 @@ def full_locality_size_profile(inner, outer_rect, max_k: int) -> list[tuple[int,
         if k_reached >= max_k:
             break
     return profile
+
+
+def full_sort_locality(inner, outer_rect, k: int) -> tuple[np.ndarray, float, float]:
+    """``(ids, mark, beta)`` of one locality from every inner block in stable
+    ``(MINDIST, tie rank)`` order and the MAXDIST of every block."""
+    snap = as_snapshot(inner)
+    if snap.n_blocks == 0:
+        return np.empty(0, dtype=np.int64), np.inf, np.inf
+    anchor = as_anchor(outer_rect)
+    order, mindists = mindist_argsort(anchor, snap.rects, tie_order=snap.tie_order)
+    first_enough = int(np.searchsorted(np.cumsum(snap.counts[order]), k, side="left"))
+    if first_enough >= order.shape[0]:
+        return snap.block_ids[order], np.inf, np.inf  # fewer than k inner points
+    marked = float(maxdist_rects(anchor, snap.rects)[order][: first_enough + 1].max())
+    size = int(np.searchsorted(mindists, marked, side="right"))
+    if size == order.shape[0]:
+        return snap.block_ids[order], marked, np.inf
+    # The locality join's β: the partition of the unsorted MINDIST row.
+    beta = float(np.partition(mindist_rects(anchor, snap.rects), size)[size])
+    return snap.block_ids[order[:size]], marked, beta
+
+
+def _tableau_marks(snap: IndexSnapshot, outer_rects, k: int):
+    """Per row of the ``(m, n)`` tableau: the sorted MINDISTs and the mark
+    at the first prefix reaching ``k`` (NaN where none does)."""
+    mindists = mindist_rects_batch(outer_rects, snap.rects)
+    maxdists = maxdist_rects_batch(outer_rects, snap.rects)
+    order = tie_stable_argsort(mindists, snap.tie_order)
+    sorted_min = np.take_along_axis(mindists, order, axis=1)
+    cum_counts = np.cumsum(snap.counts[order], axis=1)
+    running_max = np.maximum.accumulate(np.take_along_axis(maxdists, order, axis=1), axis=1)
+    first_enough = (cum_counts < k).sum(axis=1)
+    marks = np.full(outer_rects.shape[0], np.nan)
+    reachable = np.flatnonzero(first_enough < snap.n_blocks)
+    marks[reachable] = running_max[reachable, first_enough[reachable]]
+    return sorted_min, marks
+
+
+def tableau_locality_sizes(inner, outer_rects, k: int) -> np.ndarray:
+    """Locality sizes of many outer rects from one MINDIST/MAXDIST tableau."""
+    snap = as_snapshot(inner)
+    outer_rects = np.asarray(outer_rects, dtype=float).reshape(-1, 4)
+    if snap.n_blocks == 0 or outer_rects.shape[0] == 0:
+        return np.zeros(outer_rects.shape[0], dtype=np.int64)
+    sorted_min, marks = _tableau_marks(snap, outer_rects, k)
+    sizes = (sorted_min <= marks[:, None]).sum(axis=1)
+    sizes[np.isnan(marks)] = snap.n_blocks  # fewer than k inner points: all
+    return sizes
+
+
+def locality_coverage_radii(inner, outer_rects, max_k: int) -> np.ndarray:
+    """Each outer rect's mark at ``max_k`` from the tableau (``inf`` where
+    the inner holds fewer than ``max_k`` points)."""
+    snap = as_snapshot(inner)
+    outer_rects = np.asarray(outer_rects, dtype=float).reshape(-1, 4)
+    if snap.n_blocks == 0 or outer_rects.shape[0] == 0:
+        return np.full(outer_rects.shape[0], np.inf)
+    __, marks = _tableau_marks(snap, outer_rects, max_k)
+    return np.where(np.isnan(marks), np.inf, marks)
 
 
 def partition_row_ids(points: np.ndarray, tree) -> list[np.ndarray]:

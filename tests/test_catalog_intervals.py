@@ -54,6 +54,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntervalCatalog([(1, 0, 3.0)])
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_a_cost_outside_the_bounds(self, cost):
+        # A NaN or infinite cost would make every lookup escape the
+        # estimate's bounds; a negative block count is no cost.
+        with pytest.raises(ValueError, match="costs"):
+            IntervalCatalog([(1, 5, 1.0), (6, 10, cost)])
+
     def test_constant(self):
         cat = IntervalCatalog.constant(5.0, 100)
         assert cat.lookup(1) == cat.lookup(100) == 5.0

@@ -72,3 +72,20 @@ class TestJsonCodec:
     def test_rejects_non_contiguous_entries(self):
         with pytest.raises(ValueError):
             catalog_from_json('{"entries": [[1, 5, 2.0], [7, 9, 3.0]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"entries": [[1, 2, NaN]]}',
+            '{"entries": [[1, 2, Infinity]]}',
+            '{"entries": [[1, 2, -3.0]]}',
+            '{"entries": 5}',
+            '{"entries": [7]}',
+            '{"entries": [[1, "2", 3.0]]}',
+            '{"entries": [[1, 2, null]]}',
+            '{"entries": [[1, 1e30, 3.0]]}',
+        ],
+    )
+    def test_malformed_entries_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            catalog_from_json(text)

@@ -145,11 +145,7 @@ def _catalog_merge_lookups(estimator, k, monkeypatch) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(IntervalCatalog, "lookup", counting_lookup)
-        for name in (
-            "locality_size_profiles",
-            "locality_coverage_radii",
-        ):
-            patch.setattr(catalog_merge_module, name, no_localities)
+        patch.setattr(catalog_merge_module, "locality_size_profiles", no_localities)
         assert estimator.estimate(k) > 0.0
     return len(lookups)
 

@@ -1,9 +1,12 @@
 """Tests for locality computation and its staircase profile."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import WORLD_BOUNDS, generate_osm_like
 from repro.engine import SpatialTable
@@ -13,10 +16,16 @@ from repro.geometry.hilbert import hilbert_order
 from repro.geometry.kernels import as_anchor, maxdist_rects, mindist_argsort, mindist_rects
 from repro.index import IndexSnapshot, Quadtree
 from repro.knn import locality as locality_module
-from repro.knn import locality_block_indices, locality_size, locality_size_profile
+from repro.knn import locality_block_indices, locality_size, locality_size_profile, locality_sizes
 from repro.knn.distance_browsing import brute_force_knn
+from repro.knn.locality import covered_locality_profile, locality
 from repro.perf import parallel
-from tests.reference_builds import full_locality_size_profile
+from tests.reference_builds import (
+    full_locality_size_profile,
+    full_sort_locality,
+    locality_coverage_radii,
+    tableau_locality_sizes,
+)
 
 
 class TestLocalityDefinition:
@@ -250,13 +259,77 @@ class TestLocalityWindow:
 
 
 # ----------------------------------------------------------------------
+# Procedure 2 in one place: every read of the one certified scan — the
+# locality's ids, mark and β, the batched sizes, and each profile with its
+# coverage radius — equals the full-sort and tableau oracles.
+
+
+def _snapshot(kind: str, seed: int) -> IndexSnapshot:
+    rng = np.random.default_rng(seed)
+    if kind in ("canonical", "hilbert"):
+        pts = rng.integers(0, 40, size=(int(rng.integers(50, 600)), 2)).astype(float)
+        snap = IndexSnapshot.from_index(Quadtree(pts, bounds=Rect(0, 0, 64, 64), capacity=8))
+        if kind == "hilbert":
+            snap = snap.with_layout(hilbert_order(snap.centers, snap.bounds))
+        return snap
+    if kind == "zero-count":
+        return lattice_snapshot(int(rng.integers(3, 14)), seed, zero_share=0.6)
+    if kind == "lattice-ties":
+        return lattice_snapshot(int(rng.integers(3, 14)), seed, zero_share=0.0)
+    # zero-area blocks: points and segments on a coarse grid
+    lo = rng.integers(0, 10, size=(int(rng.integers(4, 60)), 2)).astype(float)
+    hi = lo + rng.integers(0, 2, size=lo.shape) * (rng.random(lo.shape) < 0.3)
+    return IndexSnapshot.from_arrays(np.hstack([lo, hi]), rng.integers(0, 5, size=lo.shape[0]))
+
+
+def _outer_rect(rng: np.random.Generator, snap: IndexSnapshot) -> tuple[float, ...]:
+    x0, y0 = rng.integers(-2, 16, size=2).astype(float) * (4.0 if snap.n_blocks > 200 else 1.0)
+    w, h = rng.integers(0, 3, size=2).astype(float)  # zero-area rects included
+    return (x0, y0, x0 + w, y0 + h)
+
+
+class TestProcedure2Differential:
+    KINDS = ("canonical", "hilbert", "zero-count", "lattice-ties", "zero-area")
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        which_k=st.sampled_from(("one", "mid", "all")),
+        first_window=st.sampled_from((1, 8)),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_every_read_equals_the_full_sort_oracles(self, kind, seed, which_k, first_window):
+        snap = _snapshot(kind, seed)
+        total = snap.total_count
+        rng = np.random.default_rng(seed + 1)
+        k = max(1, {"one": 1, "mid": total // 2, "all": total + int(rng.integers(0, 3))}[which_k])
+        rects = np.array([_outer_rect(rng, snap) for __ in range(4)])
+        with mock.patch.object(locality_module, "_FIRST_WINDOW_PER_C", first_window):
+            for rect in rects:
+                ids, mark, beta = locality(snap, rect, k)
+                want_ids, want_mark, want_beta = full_sort_locality(snap, rect, k)
+                assert np.array_equal(ids, want_ids)
+                assert (mark, beta) == (want_mark, want_beta)
+                profile, radius = covered_locality_profile(snap, rect, k)
+                assert profile == full_locality_size_profile(snap, rect, k)
+                assert radius == locality_coverage_radii(snap, rect[None], k)[0] == mark
+                for k_start, k_end, size in profile:  # the per-k reads agree
+                    for at in {k_start, k_end}:
+                        assert full_sort_locality(snap, rect, at)[0].shape[0] == size
+            want_sizes = tableau_locality_sizes(snap, rects, k)
+            assert np.array_equal(locality_sizes(snap, rects, k), want_sizes)
+
+
+# ----------------------------------------------------------------------
 # The benchmark's join build, pinned without a clock: 20,000 outer and
 # 60,000 inner OSM-like points of seed 800 at capacity 64, max_k 256 and
 # 400 sampled outer blocks.
 
-#: sha256 of the ``to_store().to_bytes()`` the full-sort profile produced.
-BENCHMARK_CATALOG_MERGE_SHA256 = "165db1f74aca96ab0383371d57e725f21ae785022625f12bdfe89bc686d61412"
-BENCHMARK_VIRTUAL_GRID_SHA256 = "52380ea81e16d9a6d56b406a3aeb7cb465d1de69d1a342bc19a4a2b7c8e9f6e5"
+#: sha256 of the ``to_store().to_bytes()`` the full-sort profile produced,
+#: in the version-3 store layout (the version-2 bytes with the store's
+#: CRC32 after the version field: the catalogs and metadata are unchanged).
+BENCHMARK_CATALOG_MERGE_SHA256 = "689c5d994e46a09d7d8033283418df4eb0f42f314a82a34923a69c0319002c5d"
+BENCHMARK_VIRTUAL_GRID_SHA256 = "8353426057f1a2e39b9bca262cb112457dfb0d1fd7ea245314fbd629ef858019"
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +355,7 @@ def test_the_benchmark_join_build_never_sorts_every_inner_block(benchmark_snapsh
     2,690 inner blocks, where the full pass sorted every block."""
     outer, inner = benchmark_snapshots
     calls: list[list[int]] = []
-    real_profile = parallel.locality_size_profile
+    real_profile = parallel.covered_locality_profile
     real_sorts = {name: getattr(np, name) for name in ("lexsort", "argsort")}
 
     def profile(*args):
@@ -299,7 +372,7 @@ def test_the_benchmark_join_build_never_sorts_every_inner_block(benchmark_snapsh
             return real_sorts[name](a, *args, **kwargs)
         return sort
 
-    monkeypatch.setattr(parallel, "locality_size_profile", profile)
+    monkeypatch.setattr(parallel, "covered_locality_profile", profile)
     for name in real_sorts:
         monkeypatch.setattr(locality_module.np, name, spy(name))
     CatalogMergeEstimator(outer, inner, sample_size=400, max_k=256)

@@ -154,7 +154,10 @@ def test_the_walk_sees_function_level_imports():
 #: per-anchor Procedure 1 scan and its one-profile catalog shortcut (exact
 #: costs and ``knn_select`` run on ``repro.knn.browse``, profiles and
 #: catalogs on ``perf.profile_staircases``; the two old paths are the
-#: ``tests/heap_oracle.py`` and ``tests/reference_builds.py`` oracles).
+#: ``tests/heap_oracle.py`` and ``tests/reference_builds.py`` oracles); the
+#: locality coverage pass over a full MINDIST/MAXDIST tableau (a profile's
+#: radius comes with it from ``knn.locality.covered_locality_profile``; the
+#: tableau is the ``tests/reference_builds.py`` oracle).
 RETIRED_NAMES = {
     "CountIndex",
     "count_index",
@@ -291,6 +294,7 @@ RETIRED_NAMES = {
     "DEFAULT_BREAKER_THRESHOLD",
     "DEFAULT_BREAKER_COOLDOWN",
     "_expand_search",
+    "locality_coverage_radii",
 }
 
 

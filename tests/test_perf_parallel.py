@@ -23,7 +23,6 @@ from repro.estimators import (
 from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.kernels import mindist_rects, mindist_rects_batch
 from repro.index import IndexSnapshot, Quadtree
-from repro.knn.locality import locality_size, locality_size_profile
 from repro.perf import (
     BlockPointsView,
     PreprocessingStats,
@@ -271,27 +270,6 @@ class TestDegenerateInputs:
         catalog = IntervalCatalog([(1, 10, 3.0)])
         out = catalog.lookup_many(np.empty(0, dtype=np.int64))
         assert out.shape == (0,)
-
-
-# ----------------------------------------------------------------------
-# Locality semantics: the staircase path equals the per-k oracle
-# ----------------------------------------------------------------------
-class TestLocalitySemantics:
-    def test_locality_profile_matches_per_k(self, inner_counts):
-        """The profile (Procedure 2) and per-k locality agree for every
-        k — the zero-count-block divergence documented in
-        ``repro.knn.locality`` cannot occur because a snapshot gathered
-        from an index holds non-empty blocks only."""
-        rng = np.random.default_rng(17)
-        total = int(inner_counts.total_count)
-        max_k = min(total, 400)
-        for __ in range(6):
-            x, y = rng.uniform(0, 1000, size=2)
-            rect = Rect(x, y, x + rng.uniform(1, 80), y + rng.uniform(1, 80))
-            profile = locality_size_profile(inner_counts, rect, max_k)
-            catalog = IntervalCatalog.from_profile(profile, max_k=max_k)
-            for k in range(1, max_k + 1):
-                assert catalog.lookup(k) == locality_size(inner_counts, rect, k)
 
 
 # ----------------------------------------------------------------------

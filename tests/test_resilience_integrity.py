@@ -57,6 +57,22 @@ class TestCodecFuzz:
         with pytest.raises(CatalogCorruptError):
             catalog_from_bytes(bytes(blob))
 
+    @given(catalogs(), st.data())
+    @settings(max_examples=200)
+    def test_any_insertion_is_detected(self, cat, data):
+        blob = catalog_to_bytes(cat)
+        at = data.draw(st.integers(0, len(blob)))
+        inserted = data.draw(st.binary(min_size=1, max_size=16))
+        with pytest.raises(CatalogCorruptError):
+            catalog_from_bytes(blob[:at] + inserted + blob[at:])
+
+    def test_a_nan_cost_under_a_valid_checksum_is_corrupt(self):
+        blob = bytearray(catalog_to_bytes(IntervalCatalog.constant(2.0, 10)))
+        struct.pack_into("<f", blob, HEADER_BYTES + 4, float("nan"))
+        struct.pack_into("<I", blob, 1, zlib.crc32(bytes(blob[5:])))
+        with pytest.raises(CatalogCorruptError, match="costs"):
+            catalog_from_bytes(bytes(blob))
+
     @given(catalogs(), st.binary(min_size=1, max_size=16))
     def test_trailing_garbage_is_detected(self, cat, garbage):
         with pytest.raises(CatalogCorruptError):
@@ -135,6 +151,65 @@ class TestStoreIntegrity:
         data[-1] ^= 0x55  # inside the embedded catalog blob
         with pytest.raises(CatalogCorruptError):
             CatalogStore.from_bytes(bytes(data))
+
+    def test_an_older_store_is_refused(self):
+        # Version 2 carried no store checksum: its metadata and keys
+        # could change unnoticed.
+        body = self._store().to_bytes()[12:]
+        with pytest.raises(CatalogCorruptError, match="version 2"):
+            CatalogStore.from_bytes(b"RPCS" + struct.pack("<I", 2) + body)
+
+    def test_a_flipped_max_k_is_refused(self, osm_quadtree):
+        data = StaircaseEstimator(osm_quadtree, max_k=256).to_store().to_bytes()
+        at = data.index(b"max_k\x03\x00\x00\x00256") + 9  # the value's bytes
+        flipped = data[:at] + b"216" + data[at + 3 :]  # one bit: "5" -> "1"
+        with pytest.raises(CatalogCorruptError, match="checksum"):
+            CatalogStore.from_bytes(flipped)
+
+
+def _stores():
+    keys = st.text(min_size=1, max_size=6)
+    return st.builds(
+        _store_of,
+        st.dictionaries(keys, st.text(max_size=6), max_size=3),
+        st.lists(st.tuples(keys, catalogs()), min_size=1, max_size=3),
+    )
+
+
+def _store_of(metadata, named) -> bytes:
+    store = CatalogStore(metadata)
+    for key, catalog in named:
+        store.put(key, catalog)
+    return store.to_bytes()
+
+
+class TestStoreFuzz:
+    """Every flip, truncation or insertion of a store's bytes raises
+    ``CatalogCorruptError`` — never another exception, never a load."""
+
+    @given(_stores(), st.data())
+    @settings(max_examples=200)
+    def test_any_byte_flip_is_detected(self, data_bytes, data):
+        blob = bytearray(data_bytes)
+        index = data.draw(st.integers(0, len(blob) - 1))
+        blob[index] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(CatalogCorruptError):
+            CatalogStore.from_bytes(bytes(blob))
+
+    @given(_stores(), st.data())
+    @settings(max_examples=200)
+    def test_any_truncation_is_detected(self, data_bytes, data):
+        cut = data.draw(st.integers(0, len(data_bytes) - 1))
+        with pytest.raises(CatalogCorruptError):
+            CatalogStore.from_bytes(data_bytes[:cut])
+
+    @given(_stores(), st.data())
+    @settings(max_examples=200)
+    def test_any_insertion_is_detected(self, data_bytes, data):
+        at = data.draw(st.integers(0, len(data_bytes)))
+        inserted = data.draw(st.binary(min_size=1, max_size=16))
+        with pytest.raises(CatalogCorruptError):
+            CatalogStore.from_bytes(data_bytes[:at] + inserted + data_bytes[at:])
 
 
 @pytest.fixture()
